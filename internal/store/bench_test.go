@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -394,9 +396,72 @@ func BenchmarkSealStall(b *testing.B) {
 	})
 }
 
+// readerDrainStore seals 14 batches of one merge layout into 14 segments of
+// one window and scans them once, so every block is decoded in the cache.
+func readerDrainStore(tb testing.TB, layout string, perBatch int) *Store {
+	tb.Helper()
+	opts := Options{Window: 24 * time.Hour, BlockCacheBytes: 64 << 20}
+	s, err := Open(tb.TempDir(), opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { s.Close() })
+	w := s.Writer()
+	for _, batch := range genMergeBatches(rand.New(rand.NewSource(1)), layout, 14, perBatch) {
+		if err := w.AppendBatch(batch); err != nil {
+			tb.Fatal(err)
+		}
+		if err := w.Seal(); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	r, err := s.Query(Query{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := r.ReadAll(); err != nil {
+		tb.Fatal(err)
+	}
+	r.Close()
+	if st := s.Stats(); st.Segments != 14 {
+		tb.Fatalf("want 14 segments, got %+v", st)
+	}
+	return s
+}
+
+// BenchmarkReaderDrain is the merge loop on its own — no inflate, no decode,
+// no disk: full scans of a warm 14-segment store under the three layouts the
+// run merge treats differently (see mergeLayouts). ns/record and B/record
+// are per returned record; the query's set-up and Close are in them.
+func BenchmarkReaderDrain(b *testing.B) {
+	for _, layout := range mergeLayouts {
+		b.Run(layout, func(b *testing.B) {
+			s := readerDrainStore(b, layout, 2000)
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			b.ResetTimer()
+			n := 0
+			for i := 0; i < b.N; i++ {
+				r, err := s.Query(Query{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				n += drainReader(b, r)
+				r.Close()
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&m1)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(n), "ns/record")
+			b.ReportMetric(float64(m1.TotalAlloc-m0.TotalAlloc)/float64(n), "B/record")
+		})
+	}
+}
+
 // TestQueryUntracedTracingAllocsZero pins the zero-allocation contract of
 // the tracing seam the read path threads through: with no active span, the
-// exact obs calls QueryCtx/segStream/Close make must not allocate.
+// exact obs calls QueryCtx/segStream/Close make must not allocate. Nor may
+// Reader.Next, whichever way the merge goes: a row is materialized into its
+// stream's reused buffer and copied once, into the return value.
 func TestQueryUntracedTracingAllocsZero(t *testing.T) {
 	ctx := context.Background()
 	allocs := testing.AllocsPerRun(200, func() {
@@ -410,5 +475,22 @@ func TestQueryUntracedTracingAllocsZero(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("untraced read path allocates %.1f per query from tracing hooks, want 0", allocs)
+	}
+
+	for _, layout := range mergeLayouts {
+		s := readerDrainStore(t, layout, 200)
+		r, err := s.Query(Query{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		allocs := testing.AllocsPerRun(2000, func() {
+			if _, err := r.Next(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%s: Reader.Next allocates %.1f per record, want 0", layout, allocs)
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"time"
 
@@ -168,19 +169,19 @@ func (cb *colBlock) appendDict(g *segment, w []byte) error {
 	return nil
 }
 
-// record materializes row i.
-func (cb *colBlock) record(i int) collector.Record {
-	rec := collector.Record{
-		Time:     time.Unix(0, cb.times[i]).UTC(),
-		Type:     cb.types[i],
-		PeerAS:   cb.peers[i],
-		PeerAddr: cb.addrs[i],
-		Prefix:   cb.prefixes[i],
-	}
+// fill materializes row i into *rec, overwriting every field: rec is a slot
+// of a reused buffer and may hold a stale row.
+func (cb *colBlock) fill(rec *collector.Record, i int) {
+	rec.Time = time.Unix(0, cb.times[i]).UTC()
+	rec.Type = cb.types[i]
+	rec.PeerAS = cb.peers[i]
+	rec.PeerAddr = cb.addrs[i]
+	rec.Prefix = cb.prefixes[i]
 	if ai := cb.attr[i]; ai >= 0 {
 		rec.Attrs = cb.dict[ai]
+	} else {
+		rec.Attrs = bgp.Attrs{}
 	}
-	return rec
 }
 
 // timeRange returns the half-open row range [lo, hi) whose timestamps fall
@@ -211,11 +212,11 @@ func searchTimes(times []int64, t int64) int {
 	return lo
 }
 
-// appendMatching materializes the rows of cb satisfying q onto dst and
-// returns it. The selection scratch *selBuf is reused across calls; neither
-// it nor dst alias the block. The predicate semantics are exactly
-// Query.match's: the merge layer's record-level re-check is a no-op for rows
-// this returns.
+// appendMatching materializes the rows of cb satisfying q in place at the
+// end of dst and returns it. The selection scratch *selBuf is reused across
+// calls; neither it nor dst alias the block. The predicate semantics are
+// exactly Query.matches': the merge layer's record-level re-check is a no-op
+// for rows this returns.
 func (cb *colBlock) appendMatching(q *Query, selBuf *[]int32, dst []collector.Record) []collector.Record {
 	lo, hi := cb.timeRange(q)
 	if lo >= hi {
@@ -223,8 +224,10 @@ func (cb *colBlock) appendMatching(q *Query, selBuf *[]int32, dst []collector.Re
 	}
 	if len(q.Types) == 0 && len(q.PeerAS) == 0 && len(q.OriginAS) == 0 && !q.hasPrefix() {
 		// Pure time-range scan: materialize the row range directly.
+		n := len(dst)
+		dst = slices.Grow(dst, hi-lo)[:n+hi-lo]
 		for i := lo; i < hi; i++ {
-			dst = append(dst, cb.record(i))
+			cb.fill(&dst[n+i-lo], i)
 		}
 		return dst
 	}
@@ -273,8 +276,10 @@ func (cb *colBlock) appendMatching(q *Query, selBuf *[]int32, dst []collector.Re
 		sel = kept
 	}
 	*selBuf = sel
-	for _, i := range sel {
-		dst = append(dst, cb.record(int(i)))
+	n := len(dst)
+	dst = slices.Grow(dst, len(sel))[:n+len(sel)]
+	for k, i := range sel {
+		cb.fill(&dst[n+k], int(i))
 	}
 	return dst
 }

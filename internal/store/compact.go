@@ -1,7 +1,6 @@
 package store
 
 import (
-	"container/heap"
 	"slices"
 	"time"
 
@@ -82,12 +81,9 @@ func (s *Store) Compact() (CompactStats, error) {
 // mergeWindowLocked streams the records of one window's segments in time
 // order into a single replacement segment.
 func (s *Store) mergeWindowLocked(window int64, gs []*segment) (*segment, error) {
-	var streams recHeap
-	closeAll := func() {
-		for _, st := range streams {
-			st.close()
-		}
-	}
+	var m merge
+	defer m.closeStreams()
+	var total int64
 	for _, g := range gs {
 		blocks := make([]int, len(g.index.blocks))
 		for i := range blocks {
@@ -99,38 +95,27 @@ func (s *Store) mergeWindowLocked(window int64, gs []*segment) (*segment, error)
 		// instead and leaves the inputs in place. The merge also bypasses
 		// the block cache (cache left nil): a full rewrite would evict the
 		// query working set for blocks that are about to be retired anyway.
-		f, err := s.fs.Open(g.path)
+		sc, err := s.openScanLocked(g, &Query{}, blocks, &m.stats)
 		if err != nil {
-			closeAll()
 			return nil, err
 		}
-		g.mm.acquire()
-		sc := &segStream{seg: g, f: f, mm: g.mm, q: &Query{}, bs: getBlockScanner(),
-			blocks: blocks, order: g.seq}
-		if err := sc.advance(); err != nil {
-			sc.close()
-			closeAll()
-			return nil, err
-		}
-		streams = append(streams, sc)
+		ss := &segStream{segScan: sc, bs: getBlockScanner()}
+		m.add(&ss.cursor, ss)
+		total += g.count
 	}
-	heap.Init(&streams)
-
-	var out []collector.Record
-	for len(streams) > 0 {
-		st := streams[0]
-		rec, ok := st.head()
-		if !ok {
-			heap.Pop(&streams)
-			st.close()
-			continue
-		}
-		if err := st.advance(); err != nil {
-			closeAll()
+	if err := m.prime(); err != nil {
+		return nil, err
+	}
+	out := make([]collector.Record, 0, total)
+	for {
+		run, err := m.nextRun()
+		if err != nil {
 			return nil, err
 		}
-		heap.Fix(&streams, 0)
-		out = append(out, rec)
+		if run == nil {
+			break
+		}
+		out = append(out, run...)
 	}
 
 	var firstSeq, lastSeq uint64

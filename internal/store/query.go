@@ -31,7 +31,7 @@ type Query struct {
 	Types []collector.RecType
 }
 
-func (q Query) hasPrefix() bool { return q.Prefix != netaddr.Prefix{} }
+func (q *Query) hasPrefix() bool { return q.Prefix != netaddr.Prefix{} }
 
 func (q Query) timeOverlaps(minT, maxT int64) bool {
 	if !q.From.IsZero() && maxT < q.From.UnixNano() {
@@ -43,8 +43,9 @@ func (q Query) timeOverlaps(minT, maxT int64) bool {
 	return true
 }
 
-// match is the record-level predicate, applied after block pushdown.
-func (q Query) match(rec collector.Record) bool {
+// matches is the record-level predicate, applied after block pushdown. It
+// takes a pointer so the merge loop checks rows where they sit.
+func (q *Query) matches(rec *collector.Record) bool {
 	if !q.From.IsZero() && rec.Time.Before(q.From) {
 		return false
 	}
@@ -58,7 +59,10 @@ func (q Query) match(rec collector.Record) bool {
 		return false
 	}
 	if len(q.OriginAS) > 0 {
-		origin, ok := originOf(rec)
+		if rec.Type != collector.Announce {
+			return false
+		}
+		origin, ok := rec.Attrs.Path.Origin()
 		if !ok || !containsASN(q.OriginAS, origin) {
 			return false
 		}

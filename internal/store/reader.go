@@ -1,7 +1,6 @@
 package store
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 	"io"
@@ -44,10 +43,11 @@ type ScanStats struct {
 // classifier pipeline and the replay tool.
 type Reader struct {
 	q       Query
-	stats   ScanStats
-	streams recHeap
-	pool    *scanPool // non-nil only for QueryParallel readers
-	err     error     // sticky terminal scan error
+	merge                      // the streams and the scan accounting they feed
+	run     []collector.Record // current run, owned by the stream that yielded it
+	ri      int                // next row of run to return
+	pool    *scanPool          // non-nil only for QueryParallel readers
+	err     error              // sticky terminal scan error
 	closed  bool
 	gen     uint64         // store generation at query time
 	workers int            // scan workers (1 = serial)
@@ -58,7 +58,7 @@ type Reader struct {
 // segments and the unsealed memtable — that may match q. Results are merged
 // in timestamp order (ties broken by segment age, then log order).
 func (s *Store) Query(q Query) (*Reader, error) {
-	return s.QueryCtx(context.Background(), q)
+	return s.query(context.Background(), q, 1)
 }
 
 // QueryCtx is Query carrying a request context: when ctx holds an active
@@ -66,18 +66,61 @@ func (s *Store) Query(q Query) (*Reader, error) {
 // grandchild per scanned segment) annotated with the EXPLAIN profile at
 // Close. An untraced ctx costs nothing.
 func (s *Store) QueryCtx(ctx context.Context, q Query) (*Reader, error) {
+	return s.query(ctx, q, 1)
+}
+
+// query opens a reader scanning with the given number of workers (<= 1 is
+// the serial scan).
+//
+// Only the snapshot — candidate blocks, mapping or file references, the
+// memtable overlay — is taken under the store lock. The first block of every
+// stream is fetched after the lock is released, so a cold query's inflate and
+// decode never hold up appends; a failure there is still this call's error.
+func (s *Store) query(ctx context.Context, q Query, workers int) (*Reader, error) {
+	obsQueries.Inc()
+	if workers > 1 {
+		obsParallelScans.Inc()
+	}
+	_, span := obs.StartChild(ctx, "store_scan")
+	r := &Reader{q: q, workers: max(workers, 1), span: span}
+	mem, err := s.snapshot(r)
+	if err == nil {
+		if len(mem) > 0 {
+			// Stable, so ties keep log order; the stream sorts after every
+			// sealed segment on ties (its records are strictly newer appends).
+			slices.SortStableFunc(mem, func(a, b collector.Record) int {
+				return a.Time.Compare(b.Time)
+			})
+			ms := &memStream{cursor: cursor{recs: mem, order: ^uint64(0)}}
+			r.add(&ms.cursor, ms)
+		}
+		err = r.prime()
+	}
+	if err != nil {
+		r.err = err
+		r.Close()
+		return nil, err
+	}
+	return r, nil
+}
+
+// snapshot prunes the segment set for r's query and opens one unprimed stream
+// per segment with candidate blocks, all under the store lock. It returns the
+// matching unsealed records, unsorted.
+func (s *Store) snapshot(r *Reader) ([]collector.Record, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	obsQueries.Inc()
-	_, span := obs.StartChild(ctx, "store_scan")
-	r := &Reader{q: q, gen: s.Generation(), workers: 1, span: span}
+	r.gen = s.Generation()
 	r.stats.SegmentsTotal = len(s.segs)
+	type candidate struct {
+		seg    *segment
+		blocks []int
+	}
+	var cands []candidate
+	total := 0
 	for _, g := range s.segs {
 		r.stats.BlocksTotal += len(g.index.blocks)
-	}
-
-	for _, g := range s.segs {
-		blocks, scan := g.candidateBlocks(q)
+		blocks, scan := g.candidateBlocks(r.q)
 		if !scan {
 			continue
 		}
@@ -86,38 +129,31 @@ func (s *Store) QueryCtx(ctx context.Context, q Query) (*Reader, error) {
 			continue
 		}
 		r.stats.BlocksSelected += len(blocks)
-		f, err := s.fs.Open(g.path)
+		cands = append(cands, candidate{g, blocks})
+		total += len(blocks)
+	}
+	// One block total: the pool would only add handoff overhead.
+	if r.workers > 1 && total > 1 {
+		r.workers = min(r.workers, total)
+		obsScanWorkers.SetInt(int64(r.workers))
+		r.pool = newScanPool(r.workers, 2*r.workers)
+	}
+	for _, c := range cands {
+		sc, err := s.openScanLocked(c.seg, &r.q, c.blocks, &r.stats)
 		if err != nil {
-			r.err = err
-			r.Close()
 			return nil, err
 		}
-		g.mm.acquire()
-		sc := &segStream{seg: g, f: f, mm: g.mm, q: &r.q, cache: s.cache,
-			bs: getBlockScanner(), blocks: blocks, order: g.seq, quarantine: true,
-			span: segmentSpan(span, g, len(blocks))}
-		if err := sc.advance(); err != nil {
-			r.retire(sc)
-			r.err = err
-			r.Close()
-			return nil, err
-		}
-		if sc.ok {
-			r.streams = append(r.streams, sc)
+		sc.cache, sc.quarantine = s.cache, true
+		sc.span = segmentSpan(r.span, c.seg, len(c.blocks))
+		if r.pool != nil {
+			ps := &parSegStream{segScan: sc, pool: r.pool}
+			r.add(&ps.cursor, ps)
 		} else {
-			r.retire(sc)
+			ss := &segStream{segScan: sc, bs: getBlockScanner()}
+			r.add(&ss.cursor, ss)
 		}
 	}
-
-	// Snapshot matching memtable records; they sort after sealed segments
-	// on timestamp ties (they are strictly newer appends).
-	if mem := s.memSnapshotLocked(q, &r.stats); len(mem) > 0 {
-		ms := &memStream{recs: mem, order: ^uint64(0)}
-		ms.advance()
-		r.streams = append(r.streams, ms)
-	}
-	heap.Init(&r.streams)
-	return r, nil
+	return s.memSnapshotLocked(&r.q, &r.stats), nil
 }
 
 // Next returns the next matching record, io.EOF at the end of the result.
@@ -127,30 +163,26 @@ func (s *Store) QueryCtx(ctx context.Context, q Query) (*Reader, error) {
 // the same partial-scan error, and the records already returned remain a
 // valid prefix of the merged sequence. The Reader must still be Closed.
 func (r *Reader) Next() (collector.Record, error) {
-	if r.err != nil {
-		return collector.Record{}, r.err
-	}
-	for len(r.streams) > 0 {
-		st := r.streams[0]
-		rec, ok := st.head()
-		if !ok {
-			heap.Pop(&r.streams)
-			r.retire(st)
-			continue
+	for r.err == nil {
+		for r.ri < len(r.run) {
+			rec := &r.run[r.ri]
+			r.ri++
+			if r.q.matches(rec) {
+				r.stats.RecordsMatched++
+				return *rec, nil
+			}
 		}
-		if err := st.advance(); err != nil {
+		run, err := r.nextRun()
+		if err != nil {
 			r.err = fmt.Errorf("store: partial scan: %w", err)
-			return collector.Record{}, r.err
+			break
 		}
-		heap.Fix(&r.streams, 0)
-		r.stats.fold(st.drain())
-		if !r.q.match(rec) {
-			continue
+		if run == nil {
+			return collector.Record{}, io.EOF
 		}
-		r.stats.RecordsMatched++
-		return rec, nil
+		r.run, r.ri = run, 0
 	}
-	return collector.Record{}, io.EOF
+	return collector.Record{}, r.err
 }
 
 // ReadAll drains the reader.
@@ -172,7 +204,7 @@ func (r *Reader) ReadAll() ([]collector.Record, error) {
 // reader returns io.EOF.
 func (r *Reader) Stats() ScanStats { return r.stats }
 
-// Close releases the reader's open segment files, publishes the query's
+// Close releases the reader's segment references, publishes the query's
 // pushdown accounting to the process metrics, and — when the query runs
 // inside a trace — finishes the "store_scan" span with the EXPLAIN profile
 // attached.
@@ -181,11 +213,9 @@ func (r *Reader) Close() error {
 		return nil
 	}
 	r.closed = true
-	for _, st := range r.streams {
-		r.retire(st)
-	}
+	r.run = nil
+	r.closeStreams()
 	publishScanStats(r.stats)
-	r.streams = nil
 	if r.pool != nil {
 		// Workers deliver into single-slot buffered channels, so they never
 		// block on abandoned results and the pool drains without a reader.
@@ -200,45 +230,32 @@ func (r *Reader) Close() error {
 	return nil
 }
 
-// retire folds a stream's undrained accounting into the reader's stats and
-// closes it, so blocks scanned or quarantined during a stream's final
-// advance (or before an early Close) are never under-reported.
-func (r *Reader) retire(st stream) {
-	r.stats.fold(st.drain())
-	st.close()
-}
-
-// memSnapshotLocked copies the unsealed records matching q, sorted by time,
+// memSnapshotLocked copies the unsealed records matching q, in append order,
 // counting every considered record into stats.MemRecords. Unsealed means the
 // live memtable plus any windows a background seal has detached but not yet
 // published: a record stays query-visible through every stage of the seal
 // pipeline, flipping from this overlay to the sealed segment under the same
 // lock hold. Detached records precede live ones of the same window, so the
-// stable sort reproduces append order on timestamp ties exactly as when both
-// halves lived in one memtable slice.
-func (s *Store) memSnapshotLocked(q Query, stats *ScanStats) []collector.Record {
+// caller's stable sort reproduces append order on timestamp ties exactly as
+// when both halves lived in one memtable slice.
+func (s *Store) memSnapshotLocked(q *Query, stats *ScanStats) []collector.Record {
 	var mem []collector.Record
+	add := func(recs []collector.Record) {
+		stats.MemRecords += len(recs)
+		for i := range recs {
+			if q.matches(&recs[i]) {
+				mem = append(mem, recs[i])
+			}
+		}
+	}
 	if b := s.sealing; b != nil {
 		for _, sw := range b.windows[b.published:] {
-			for _, rec := range sw.recs {
-				stats.MemRecords++
-				if q.match(rec) {
-					mem = append(mem, rec)
-				}
-			}
+			add(sw.recs)
 		}
 	}
 	for _, mw := range s.mem {
-		for _, rec := range mw.recs {
-			stats.MemRecords++
-			if q.match(rec) {
-				mem = append(mem, rec)
-			}
-		}
+		add(mw.recs)
 	}
-	slices.SortStableFunc(mem, func(a, b collector.Record) int {
-		return a.Time.Compare(b.Time)
-	})
 	return mem
 }
 
@@ -280,61 +297,31 @@ func (g *segment) candidateBlocks(q Query) (blocks []int, scan bool) {
 	return blocks, true
 }
 
-// scanDelta is incremental scan accounting drained from a stream into
-// Reader.stats: records/blocks scanned, quarantined blocks, disk/cache/
-// decompressed bytes, and the format-version split of the scanned blocks.
-type scanDelta struct {
-	scanned      int
-	materialized int
-	blocks       int
-	hits, misses int
-	quarantined  int
-	bytesDisk    int64
-	bytesOut     int64
-	bytesCache   int64
-	v1, v2       int
-}
-
-// noteBlock accumulates one successfully scanned block. hit reports whether
-// the decoded block came out of the shared cache (no disk read, no inflate);
+// noteBlock accounts one successfully scanned block. hit reports whether the
+// decoded block came out of the shared cache (no disk read, no inflate);
 // cached whether a cache was in play at all, so hit/miss counters stay zero
 // on cache-off scans. n is the number of records the block's columnar filter
 // materialized.
-func (d *scanDelta) noteBlock(g *segment, bi int, hit, cached bool, n int) {
+func (st *ScanStats) noteBlock(g *segment, bi int, hit, cached bool, n int) {
 	bm := g.index.blocks[bi]
-	d.blocks++
-	d.scanned += int(bm.count)
-	d.materialized += n
+	st.BlocksScanned++
+	st.RecordsScanned += int(bm.count)
+	st.RecordsMaterialized += n
 	if hit {
-		d.hits++
-		d.bytesCache += int64(bm.ulen)
+		st.BlocksCacheHit++
+		st.BytesFromCache += int64(bm.ulen)
 	} else {
 		if cached {
-			d.misses++
+			st.BlocksCacheMiss++
 		}
-		d.bytesDisk += int64(bm.clen)
-		d.bytesOut += int64(bm.ulen)
+		st.BytesReadDisk += int64(bm.clen)
+		st.BytesDecompressed += int64(bm.ulen)
 	}
 	if g.ver >= segVersionV2 {
-		d.v2++
+		st.BlocksV2++
 	} else {
-		d.v1++
+		st.BlocksV1++
 	}
-}
-
-// fold adds a drained delta into the query's ScanStats.
-func (st *ScanStats) fold(d scanDelta) {
-	st.RecordsScanned += d.scanned
-	st.RecordsMaterialized += d.materialized
-	st.BlocksScanned += d.blocks
-	st.BlocksCacheHit += d.hits
-	st.BlocksCacheMiss += d.misses
-	st.BlocksQuarantined += d.quarantined
-	st.BytesReadDisk += d.bytesDisk
-	st.BytesDecompressed += d.bytesOut
-	st.BytesFromCache += d.bytesCache
-	st.BlocksV1 += d.v1
-	st.BlocksV2 += d.v2
 }
 
 // segmentSpan opens the per-segment trace span under the scan span. Nil in,
@@ -349,17 +336,166 @@ func segmentSpan(parent *obs.TraceSpan, g *segment, blocks int) *obs.TraceSpan {
 	return sp
 }
 
-// stream is one sorted source feeding the merge heap.
+// stream is one sorted source feeding the merge. Every implementation embeds
+// the cursor the merge reads its rows through.
 type stream interface {
-	head() (collector.Record, bool)
-	// advance moves to the next record (the head at call time is consumed).
-	advance() error
-	// less orders streams by current head; ties broken by stream order.
-	key() (t int64, order uint64)
-	// drain returns and resets the scan accounting accumulated since the
-	// last call, for incremental accounting into Reader.stats.
-	drain() scanDelta
+	// next replaces the cursor's rows, all consumed, with the surviving rows
+	// of the stream's next block that has any; false at the end of the stream.
+	next() (bool, error)
 	close()
+}
+
+// cursor is a stream's place in the merge: the surviving rows of its current
+// block, the head row, and the head's sort key, cached so that ordering
+// streams never touches a record.
+type cursor struct {
+	recs  []collector.Record // time-ordered; recs[pos:] not yet merged
+	pos   int
+	t     int64  // key of recs[pos]; nextRun refreshes the top stream's
+	order uint64 // ties on t go to the lower order: segment seq, memtable last
+	src   stream
+}
+
+// load points the cursor at a freshly materialized block and reports whether
+// it holds any row.
+func (c *cursor) load(recs []collector.Record) bool {
+	c.recs, c.pos = recs, 0
+	if len(recs) == 0 {
+		return false
+	}
+	c.t = recs[0].Time.UnixNano()
+	return true
+}
+
+func (c *cursor) before(d *cursor) bool {
+	return c.t < d.t || c.t == d.t && c.order < d.order
+}
+
+// runEnd returns the end of the run at c's head: the index of the first later
+// row that sorts after d's head, which is the per-record merge order (ties to
+// the lower order) decided for a whole run at once. Galloping before the
+// bisection keeps a short run, as between interleaved streams, at a probe or
+// two, and a run that spans the block at log n.
+func (c *cursor) runEnd(d *cursor) int {
+	limit := d.t // rows with a key below limit stay in the run
+	if c.order < d.order {
+		limit++ // and c wins ties
+	}
+	lo, hi := c.pos+1, c.pos+1
+	for step := 1; hi < len(c.recs) && c.recs[hi].Time.UnixNano() < limit; step *= 2 {
+		lo = hi + 1
+		hi += step
+	}
+	hi = min(hi, len(c.recs))
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if c.recs[mid].Time.UnixNano() < limit {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// merge is the k-way merge of sorted streams that readers and compaction
+// share. It moves a run at a time: the heap is consulted when the top stream's
+// next row would sort after another stream's head or its block runs out, not
+// per record, so time-disjoint streams (one segment per window, as after
+// compaction) cost one heap operation per block and none per row.
+type merge struct {
+	streams []*cursor // min-heap by (t, order) once primed
+	stats   ScanStats // what the streams scanned, noted as each block is fetched
+}
+
+func (m *merge) add(c *cursor, src stream) {
+	c.src = src
+	m.streams = append(m.streams, c)
+}
+
+// prime fetches every stream's first block, drops the streams that turn out
+// empty, and orders the rest. On error every stream is still in m.streams
+// for closeStreams.
+func (m *merge) prime() error {
+	live := m.streams[:0]
+	for i, c := range m.streams {
+		ok, err := c.src.next()
+		if err != nil {
+			m.streams = append(live, m.streams[i:]...)
+			return err
+		}
+		if ok {
+			live = append(live, c)
+		} else {
+			c.src.close()
+		}
+	}
+	m.streams = live
+	for i := len(live)/2 - 1; i >= 0; i-- {
+		m.siftDown(i)
+	}
+	return nil
+}
+
+// nextRun returns the next rows of the merged sequence: the longest prefix of
+// the top stream's unmerged rows that sorts before every other stream's head.
+// The slice belongs to that stream and is valid until the next call. nil
+// means the end of the input.
+func (m *merge) nextRun() ([]collector.Record, error) {
+	for len(m.streams) > 0 {
+		// The top stream yielded the previous run; re-key it.
+		c := m.streams[0]
+		if c.pos < len(c.recs) {
+			c.t = c.recs[c.pos].Time.UnixNano()
+		} else if ok, err := c.src.next(); err != nil {
+			return nil, err
+		} else if !ok {
+			n := len(m.streams) - 1
+			m.streams[0], m.streams[n] = m.streams[n], nil
+			m.streams = m.streams[:n]
+			c.src.close()
+			continue
+		}
+		m.siftDown(0)
+		c = m.streams[0]
+		end := len(c.recs)
+		if h := m.streams; len(h) > 2 && h[2].before(h[1]) {
+			end = c.runEnd(h[2])
+		} else if len(h) > 1 {
+			end = c.runEnd(h[1])
+		}
+		run := c.recs[c.pos:end]
+		c.pos = end
+		return run, nil
+	}
+	return nil, nil
+}
+
+func (m *merge) siftDown(i int) {
+	h := m.streams
+	for {
+		l := 2*i + 1
+		if l >= len(h) {
+			return
+		}
+		if r := l + 1; r < len(h) && h[r].before(h[l]) {
+			l = r
+		}
+		if !h[l].before(h[i]) {
+			return
+		}
+		h[i], h[l] = h[l], h[i]
+		i = l
+	}
+}
+
+// closeStreams closes every stream still in the merge: all of them after an
+// early Close or an error, none after a full drain.
+func (m *merge) closeStreams() {
+	for _, c := range m.streams {
+		c.src.close()
+	}
+	m.streams = nil
 }
 
 // quarantineBlock records one corrupt block skipped by a query: the process
@@ -371,85 +507,59 @@ func quarantineBlock(path string, bi int, err error) {
 	log.Printf("store: quarantined corrupt block %d of %s: %v", bi, path, err)
 }
 
-// segStream iterates the candidate blocks of one segment: each block is
-// fetched in columnar form (through the shared cache when the store has one),
-// filtered column-wise, and only the surviving rows are materialized into the
-// stream's record buffer.
-type segStream struct {
+// segScan is what the serial and the pooled segment stream share: the
+// references that keep the segment readable, the candidate blocks, and where
+// the scan is accounted.
+type segScan struct {
+	cursor
 	seg    *segment
-	f      faults.File
+	f      faults.File // open only when mm is nil: mapped blocks are sliced, not read
 	mm     *segMap     // acquired mapping reference, nil on the ReadAt path
 	q      *Query      // predicates the columnar kernels filter by
-	cache  *blockCache // shared block cache, nil when disabled
-	bs     *blockScanner
+	cache  *blockCache // shared block cache, nil when disabled or bypassed
 	blocks []int
-	bi     int
-	recs   []collector.Record
-	ri     int
-	cur    collector.Record
-	ok     bool
-	order  uint64
 	// quarantine skips corrupt blocks instead of failing the scan. Queries
 	// set it; compaction merges leave it off, because silently dropping a
 	// block while rewriting segments would turn detectable damage into
 	// permanent record loss.
 	quarantine bool
-
-	acc  scanDelta      // accounting since last drain into Reader.stats
-	span *obs.TraceSpan // per-segment trace span; nil when untraced
+	stats      *ScanStats
+	span       *obs.TraceSpan // per-segment trace span; nil when untraced
 }
 
-func (sc *segStream) head() (collector.Record, bool) { return sc.cur, sc.ok }
-
-func (sc *segStream) advance() error {
-	for {
-		if sc.ri < len(sc.recs) {
-			sc.cur = sc.recs[sc.ri]
-			sc.ri++
-			sc.ok = true
-			return nil
-		}
-		if sc.bi >= len(sc.blocks) {
-			sc.ok = false
-			return nil
-		}
-		// sc.recs is fully consumed here (ri == len), so its backing array
-		// is reused for the next block — one record buffer per stream, total.
-		bi := sc.blocks[sc.bi]
-		cb, hit, err := sc.bs.fetch(sc.seg, sc.f, sc.mm, sc.cache, bi)
+// openScanLocked takes the reference a scan of g reads through — the mapping
+// when the segment has one, whose refcount keeps compaction from unmapping
+// under the scan, else a file of its own.
+func (s *Store) openScanLocked(g *segment, q *Query, blocks []int, stats *ScanStats) (segScan, error) {
+	sc := segScan{seg: g, mm: g.mm, q: q, blocks: blocks, stats: stats}
+	sc.order = g.seq
+	if g.mm == nil {
+		f, err := s.fs.Open(g.path)
 		if err != nil {
-			if sc.quarantine && isCorrupt(err) {
-				quarantineBlock(sc.seg.path, bi, err)
-				sc.acc.quarantined++
-				sc.span.AnnotateInt("quarantined_block", int64(bi))
-				sc.bi++
-				continue
-			}
-			sc.ok = false
-			return fmt.Errorf("segment %s: %w", sc.seg.path, err)
+			return sc, err
 		}
-		sc.bi++
-		sc.recs = cb.appendMatching(sc.q, &sc.bs.sel, sc.recs[:0])
-		sc.ri = 0
-		sc.acc.noteBlock(sc.seg, bi, hit, sc.cache != nil, len(sc.recs))
+		sc.f = f
 	}
+	g.mm.acquire()
+	return sc, nil
 }
 
-func (sc *segStream) key() (int64, uint64) { return sc.cur.Time.UnixNano(), sc.order }
-
-func (sc *segStream) drain() scanDelta {
-	d := sc.acc
-	sc.acc = scanDelta{}
-	return d
+// skipCorrupt decides what a failed fetch of block bi means: corruption under
+// a query is quarantined and the scan goes on (nil); anything else ends the
+// stream with the segment named.
+func (sc *segScan) skipCorrupt(bi int, err error) error {
+	if !sc.quarantine || !isCorrupt(err) {
+		return fmt.Errorf("segment %s: %w", sc.seg.path, err)
+	}
+	quarantineBlock(sc.seg.path, bi, err)
+	sc.stats.BlocksQuarantined++
+	sc.span.AnnotateInt("quarantined_block", int64(bi))
+	return nil
 }
 
-func (sc *segStream) close() {
+func (sc *segScan) release() {
 	sc.span.Finish()
 	sc.span = nil
-	if sc.bs != nil {
-		putBlockScanner(sc.bs)
-		sc.bs = nil
-	}
 	sc.mm.release()
 	sc.mm = nil
 	if sc.f != nil {
@@ -458,62 +568,52 @@ func (sc *segStream) close() {
 	}
 }
 
-// memStream iterates the memtable snapshot.
-type memStream struct {
-	recs  []collector.Record
-	pos   int
-	cur   collector.Record
-	ok    bool
-	order uint64
+// segStream iterates the candidate blocks of one segment: each block is
+// fetched in columnar form (through the shared cache when the store has one),
+// filtered column-wise, and only the surviving rows are materialized into the
+// stream's record buffer.
+type segStream struct {
+	segScan
+	bs *blockScanner
+	bi int
 }
 
-func (ms *memStream) head() (collector.Record, bool) { return ms.cur, ms.ok }
-
-func (ms *memStream) advance() error {
-	if ms.pos < len(ms.recs) {
-		ms.cur = ms.recs[ms.pos]
-		ms.pos++
-		ms.ok = true
-	} else {
-		ms.ok = false
+func (sc *segStream) next() (bool, error) {
+	for sc.bi < len(sc.blocks) {
+		bi := sc.blocks[sc.bi]
+		sc.bi++
+		cb, hit, err := sc.bs.fetch(sc.seg, sc.f, sc.mm, sc.cache, bi)
+		if err != nil {
+			if err := sc.skipCorrupt(bi, err); err != nil {
+				return false, err
+			}
+			continue
+		}
+		// The previous block's rows are all merged, so its backing array is
+		// reused for this one — one record buffer per stream, total.
+		recs := cb.appendMatching(sc.q, &sc.bs.sel, sc.recs[:0])
+		sc.stats.noteBlock(sc.seg, bi, hit, sc.cache != nil, len(recs))
+		if sc.load(recs) {
+			return true, nil
+		}
 	}
-	return nil
+	return false, nil
 }
 
-func (ms *memStream) key() (int64, uint64) { return ms.cur.Time.UnixNano(), ms.order }
+func (sc *segStream) close() {
+	if sc.bs != nil {
+		putBlockScanner(sc.bs)
+		sc.bs = nil
+	}
+	sc.release()
+}
 
-func (ms *memStream) drain() scanDelta { return scanDelta{} }
+// memStream iterates the memtable snapshot, which is one block: loaded by
+// the first next, exhausted at the second.
+type memStream struct{ cursor }
+
+func (ms *memStream) next() (bool, error) {
+	return ms.load(ms.recs[ms.pos:]), nil
+}
 
 func (ms *memStream) close() {}
-
-// recHeap is a min-heap of streams ordered by (head time, stream order).
-type recHeap []stream
-
-func (h recHeap) Len() int { return len(h) }
-
-func (h recHeap) Less(i, j int) bool {
-	ti, oi := h[i].key()
-	tj, oj := h[j].key()
-	// Exhausted streams sort last so Next can retire them.
-	_, iok := h[i].head()
-	_, jok := h[j].head()
-	if iok != jok {
-		return iok
-	}
-	if ti != tj {
-		return ti < tj
-	}
-	return oi < oj
-}
-
-func (h recHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-
-func (h *recHeap) Push(x any) { *h = append(*h, x.(stream)) }
-
-func (h *recHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}

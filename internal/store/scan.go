@@ -1,17 +1,13 @@
 package store
 
 import (
-	"container/heap"
 	"context"
-	"fmt"
 	"io"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"instability/internal/collector"
-	"instability/internal/faults"
-	"instability/internal/obs"
 )
 
 // Parallel query execution. QueryParallel produces the exact record sequence
@@ -135,132 +131,19 @@ func (s *Store) QueryParallel(q Query, workers int) (*Reader, error) {
 // QueryParallelCtx is QueryParallel carrying a request context; see QueryCtx
 // for the tracing contract.
 func (s *Store) QueryParallelCtx(ctx context.Context, q Query, workers int) (*Reader, error) {
-	if workers <= 1 {
-		return s.QueryCtx(ctx, q)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	obsQueries.Inc()
-	obsParallelScans.Inc()
-	_, span := obs.StartChild(ctx, "store_scan")
-	r := &Reader{q: q, gen: s.Generation(), workers: workers, span: span}
-	r.stats.SegmentsTotal = len(s.segs)
-	for _, g := range s.segs {
-		r.stats.BlocksTotal += len(g.index.blocks)
-	}
-
-	type candidate struct {
-		seg    *segment
-		blocks []int
-	}
-	var cands []candidate
-	totalBlocks := 0
-	for _, g := range s.segs {
-		blocks, scan := g.candidateBlocks(q)
-		if !scan {
-			continue
-		}
-		r.stats.SegmentsScanned++
-		if len(blocks) == 0 {
-			continue
-		}
-		r.stats.BlocksSelected += len(blocks)
-		cands = append(cands, candidate{seg: g, blocks: blocks})
-		totalBlocks += len(blocks)
-	}
-
-	if totalBlocks > 1 {
-		if workers > totalBlocks {
-			workers = totalBlocks
-		}
-		r.workers = workers
-		obsScanWorkers.SetInt(int64(workers))
-		r.pool = newScanPool(workers, 2*workers)
-		for _, c := range cands {
-			f, err := s.fs.Open(c.seg.path)
-			if err != nil {
-				// r.Close drains the streams (and their in-flight blocks)
-				// already set up, then shuts the pool down.
-				r.err = err
-				r.Close()
-				return nil, err
-			}
-			c.seg.mm.acquire()
-			sc := &parSegStream{seg: c.seg, f: f, mm: c.seg.mm, q: &r.q, cache: s.cache,
-				pool: r.pool, blocks: c.blocks, order: c.seg.seq,
-				span: segmentSpan(span, c.seg, len(c.blocks))}
-			sc.fill()
-			if err := sc.advance(); err != nil {
-				r.retire(sc)
-				r.err = err
-				r.Close()
-				return nil, err
-			}
-			if sc.ok {
-				r.streams = append(r.streams, sc)
-			} else {
-				r.retire(sc)
-			}
-		}
-	} else {
-		// One block total: the pool would only add handoff overhead.
-		for _, c := range cands {
-			f, err := s.fs.Open(c.seg.path)
-			if err != nil {
-				r.err = err
-				r.Close()
-				return nil, err
-			}
-			c.seg.mm.acquire()
-			sc := &segStream{seg: c.seg, f: f, mm: c.seg.mm, q: &r.q, cache: s.cache,
-				bs: getBlockScanner(), blocks: c.blocks, order: c.seg.seq, quarantine: true,
-				span: segmentSpan(span, c.seg, len(c.blocks))}
-			if err := sc.advance(); err != nil {
-				r.retire(sc)
-				r.err = err
-				r.Close()
-				return nil, err
-			}
-			if sc.ok {
-				r.streams = append(r.streams, sc)
-			} else {
-				r.retire(sc)
-			}
-		}
-	}
-
-	if mem := s.memSnapshotLocked(q, &r.stats); len(mem) > 0 {
-		ms := &memStream{recs: mem, order: ^uint64(0)}
-		ms.advance()
-		r.streams = append(r.streams, ms)
-	}
-	heap.Init(&r.streams)
-	return r, nil
+	return s.query(ctx, q, workers)
 }
 
 // parSegStream iterates the candidate blocks of one segment, with the block
 // decompression delegated to the reader's scanPool. All methods run on the
 // merge consumer goroutine; only the pool workers touch the segment file.
 type parSegStream struct {
-	seg       *segment
-	f         faults.File
-	mm        *segMap     // acquired mapping reference, handed to every task
-	q         *Query
-	cache     *blockCache // nil when the store runs cache-off
+	segScan
 	pool      *scanPool
-	blocks    []int
 	nextSub   int                // next index into blocks to submit
 	pending   []chan blockResult // FIFO of in-flight block results
 	pendingBi []int              // block index of each pending result
-	recs      []collector.Record
-	pooled    bool // recs came from recBufPool and must go back
-	ri        int
-	cur       collector.Record
-	ok        bool
-	order     uint64
-
-	acc  scanDelta
-	span *obs.TraceSpan // per-segment trace span; nil when untraced
+	pooled    bool               // recs came from recBufPool and must go back
 }
 
 // fill tops the in-flight window up to scanLookahead+1 submitted blocks.
@@ -275,65 +158,43 @@ func (sc *parSegStream) fill() {
 	}
 }
 
-func (sc *parSegStream) head() (collector.Record, bool) { return sc.cur, sc.ok }
-
-func (sc *parSegStream) advance() error {
-	for {
-		if sc.ri < len(sc.recs) {
-			sc.cur = sc.recs[sc.ri]
-			sc.ri++
-			sc.ok = true
-			return nil
-		}
-		if len(sc.pending) == 0 {
-			sc.ok = false
-			return nil
-		}
+func (sc *parSegStream) next() (bool, error) {
+	sc.fill() // the first call's submissions; later ones find the window full
+	for len(sc.pending) > 0 {
 		t0 := time.Now()
 		res := <-sc.pending[0]
 		obsScanMergeWait.ObserveSince(t0)
 		bi := sc.pendingBi[0]
 		sc.pending = sc.pending[1:]
 		sc.pendingBi = sc.pendingBi[1:]
+		sc.fill()
 		if res.err != nil {
-			if isCorrupt(res.err) {
-				quarantineBlock(sc.seg.path, bi, res.err)
-				sc.acc.quarantined++
-				sc.span.AnnotateInt("quarantined_block", int64(bi))
-				sc.fill()
-				continue
+			if err := sc.skipCorrupt(bi, res.err); err != nil {
+				return false, err
 			}
-			sc.ok = false
-			return fmt.Errorf("segment %s: %w", sc.seg.path, res.err)
+			continue
 		}
-		sc.acc.noteBlock(sc.seg, bi, res.hit, sc.cache != nil, len(res.recs))
-		// The previous block's records are all consumed (copied out by
-		// value), so its buffer goes back to the workers.
+		sc.stats.noteBlock(sc.seg, bi, res.hit, sc.cache != nil, len(res.recs))
+		// The previous block's rows are all merged (returned by value), so
+		// its buffer goes back to the workers.
 		if sc.pooled {
 			putRecBuf(sc.recs)
 		}
-		sc.recs, sc.ri, sc.pooled = res.recs, 0, true
-		sc.fill()
+		sc.pooled = true
+		if sc.load(res.recs) {
+			return true, nil
+		}
 	}
+	return false, nil
 }
 
-func (sc *parSegStream) key() (int64, uint64) { return sc.cur.Time.UnixNano(), sc.order }
-
-func (sc *parSegStream) drain() scanDelta {
-	d := sc.acc
-	sc.acc = scanDelta{}
-	return d
-}
-
-// close releases the stream's file and reclaims every pooled buffer it still
-// owns. In-flight results are received, not abandoned: the workers are alive
-// until the reader shuts the pool down (which happens only after all streams
-// close), and every submitted task delivers exactly one result into its
-// single-slot channel, so this drain never blocks indefinitely and no buffer
-// is stranded in an unread channel.
+// close releases the stream's segment references and reclaims every pooled
+// buffer it still owns. In-flight results are received, not abandoned: the
+// workers are alive until the reader shuts the pool down (which happens only
+// after all streams close), and every submitted task delivers exactly one
+// result into its single-slot channel, so this drain never blocks
+// indefinitely and no buffer is stranded in an unread channel.
 func (sc *parSegStream) close() {
-	sc.span.Finish()
-	sc.span = nil
 	for _, ch := range sc.pending {
 		res := <-ch
 		// Successful results own a pooled buffer even when zero rows matched
@@ -347,10 +208,5 @@ func (sc *parSegStream) close() {
 		putRecBuf(sc.recs)
 		sc.recs, sc.pooled = nil, false
 	}
-	sc.mm.release()
-	sc.mm = nil
-	if sc.f != nil {
-		sc.f.Close()
-		sc.f = nil
-	}
+	sc.release()
 }
