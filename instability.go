@@ -91,14 +91,18 @@ func (p *Pipeline) EndDay(date core.Date) {
 // returns the generator statistics. The pipeline's day snapshots are taken
 // automatically.
 func RunScenario(cfg workload.Config, p *Pipeline) (workload.Stats, *workload.Generator, error) {
+	return runScenario(cfg, func(rec collector.Record) { p.Feed(rec) }, p.EndDay)
+}
+
+// runScenario is the one generator→pipeline loop, over either pipeline
+// type's Feed and EndDay: every generated day closes under its last second's
+// date.
+func runScenario(cfg workload.Config, feed func(collector.Record), endDay func(core.Date)) (workload.Stats, *workload.Generator, error) {
 	g, err := workload.New(cfg)
 	if err != nil {
 		return workload.Stats{}, nil, err
 	}
-	stats := g.Run(
-		func(rec collector.Record) { p.Feed(rec) },
-		func(day int, end time.Time) { p.EndDay(core.DateOf(end.Add(-time.Second))) },
-	)
+	stats := g.Run(feed, func(day int, end time.Time) { endDay(core.DateOf(end.Add(-time.Second))) })
 	return stats, g, nil
 }
 
@@ -106,6 +110,12 @@ func RunScenario(cfg workload.Config, p *Pipeline) (workload.Stats, *workload.Ge
 // taking a day snapshot at each date boundary. It returns the number of
 // records read.
 func ClassifyLog(r collector.RecordReader, p *Pipeline) (int, error) {
+	return classifyLog(r, func(rec collector.Record) { p.Feed(rec) }, p.EndDay)
+}
+
+// classifyLog is the one log→day-barrier loop, over either pipeline type's
+// Feed and EndDay.
+func classifyLog(r collector.RecordReader, feed func(collector.Record), endDay func(core.Date)) (int, error) {
 	n := 0
 	var cur core.Date
 	haveDay := false
@@ -119,14 +129,14 @@ func ClassifyLog(r collector.RecordReader, p *Pipeline) (int, error) {
 		}
 		d := core.DateOf(rec.Time)
 		if haveDay && d != cur {
-			p.EndDay(cur)
+			endDay(cur)
 		}
 		cur, haveDay = d, true
-		p.Feed(rec)
+		feed(rec)
 		n++
 	}
 	if haveDay {
-		p.EndDay(cur)
+		endDay(cur)
 	}
 	return n, nil
 }

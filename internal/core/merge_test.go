@@ -58,7 +58,7 @@ func TestAccumulatorMerge(t *testing.T) {
 		}
 		cur, have = d, true
 		ref.Add(refCls.Classify(rec))
-		si := ShardOf(rec, shards)
+		si := PrefixShardOf(rec.Prefix, shards)
 		shAcc[si].Add(shCls[si].Classify(rec))
 	}
 	ref.EndDay(refCls, cur)
@@ -108,17 +108,15 @@ func TestAccumulatorMerge(t *testing.T) {
 	}
 }
 
-// TestShardOfStable pins the partition contract: same key, same shard;
-// records shared across peers land per-peer; all shards are reachable.
+// TestShardOfStable pins the partition contract: equal prefix, equal shard,
+// whichever peer sent the record; the result is in range; all shards are
+// reachable.
 func TestShardOfStable(t *testing.T) {
 	r1 := ann(t0, peerA, pfxX, attrs1())
-	r2 := wd(t0.Add(time.Hour), peerA, pfxX)
+	r2 := wd(t0.Add(time.Hour), peerB, pfxX)
 	for n := 1; n <= 16; n++ {
-		if ShardOf(r1, n) != ShardOf(r2, n) {
-			t.Fatalf("same (peer,prefix) key split across shards at n=%d", n)
-		}
-		if s := ShardOf(r1, n); s < 0 || s >= n {
-			t.Fatalf("shard %d out of range [0,%d)", s, n)
+		if PrefixShardOf(r1.Prefix, n) != PrefixShardOf(r2.Prefix, n) {
+			t.Fatalf("same prefix from two peers split across shards at n=%d", n)
 		}
 		if s := PrefixShardOf(pfxX, n); s < 0 || s >= n {
 			t.Fatalf("prefix shard %d out of range [0,%d)", s, n)

@@ -1,34 +1,19 @@
 package core
 
-import (
-	"instability/internal/collector"
-	"instability/internal/netaddr"
-)
+import "instability/internal/netaddr"
 
 // The classifier's history is keyed strictly per (peer, prefix): no record's
 // classification ever reads another key's state. That makes classification
 // embarrassingly parallel under one constraint — every record of a key must
-// be processed by the same worker, in arrival order. ShardOf is the
-// partition function that enforces it: a stable hash of exactly the fields
-// of the classifier's stateKey.
-
-// ShardOf returns a stable shard index in [0, shards) for rec's classifier
-// state key (peer AS, peer address, prefix). Records with equal keys always
-// land on the same shard, so a per-shard Classifier sees exactly the
-// per-key-ordered substream it needs.
-func ShardOf(rec collector.Record, shards int) int {
-	if shards <= 1 {
-		return 0
-	}
-	h := mix64(uint64(rec.PeerAS)<<48 ^ uint64(rec.PeerAddr)<<16 ^ uint64(rec.Prefix.Bits()))
-	h ^= mix64(uint64(rec.Prefix.Addr()) ^ 0x9e3779b97f4a7c15)
-	return int(h % uint64(shards))
-}
+// be processed by the same worker, in arrival order. The RIB mirror needs
+// more: all of a prefix's candidate routes must live in one table for the
+// census to count the prefix once. Partitioning by prefix alone satisfies
+// both — equal prefix means equal shard for every peer, so each (peer,
+// prefix) key is still confined to one shard — which is why there is one
+// partition function, not one per consumer.
 
 // PrefixShardOf returns a stable shard index in [0, shards) keyed by prefix
-// alone. The RIB mirror partitions by prefix (all of a prefix's candidate
-// routes must live in one table for the census to count it once), so its
-// partition function deliberately ignores the peer.
+// alone; the peer is deliberately ignored.
 func PrefixShardOf(p netaddr.Prefix, shards int) int {
 	if shards <= 1 {
 		return 0

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"instability/internal/lru"
 )
 
 func TestParseQuotas(t *testing.T) {
@@ -125,65 +127,84 @@ func waitFor(t testing.TB, cond func() bool) {
 	}
 }
 
+// cachePut stores body under key the way a computed aggregate lands in the
+// cache: as the result of a load.
+func cachePut(t *testing.T, c *resultCache, key string, body []byte) {
+	t.Helper()
+	if _, _, err := c.getOrLoad(key, func() ([]byte, error) { return body, nil }); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestResultCache pins the LRU budget and the generation sweep.
 func TestResultCache(t *testing.T) {
 	entry := func(i int) (string, []byte) {
-		return fmt.Sprintf("key-%02d", i), make([]byte, 100)
+		return genPrefix(1) + fmt.Sprintf("key-%02d", i), make([]byte, 100)
 	}
-	perEntry := int64(len("key-00")+100) + cacheEntryOverhead
+	perEntry := int64(len(genPrefix(1)+"key-00")+100) + cacheEntryOverhead
 	c := newResultCache(3 * perEntry)
+	key := func(i int) string { k, _ := entry(i); return k }
 
 	for i := 0; i < 3; i++ {
 		k, b := entry(i)
-		c.put(k, 1, b)
+		cachePut(t, c, k, b)
 	}
-	if _, ok := c.get("key-00"); !ok {
+	if _, ok := c.get(key(0)); !ok {
 		t.Fatal("key-00 missing before budget exceeded")
 	}
 	// A fourth entry evicts the LRU — key-01, since key-00 was just touched.
 	k, b := entry(3)
-	c.put(k, 1, b)
-	if _, ok := c.get("key-01"); ok {
+	cachePut(t, c, k, b)
+	if _, ok := c.get(key(1)); ok {
 		t.Fatal("LRU entry survived over-budget put")
 	}
-	if _, ok := c.get("key-00"); !ok {
+	if _, ok := c.get(key(0)); !ok {
 		t.Fatal("recently used entry evicted")
 	}
 
 	// Oversized bodies are refused, not cached.
-	c.put("huge", 1, make([]byte, 10_000))
-	if _, ok := c.get("huge"); ok {
+	cachePut(t, c, genPrefix(1)+"huge", make([]byte, 10_000))
+	if _, ok := c.get(genPrefix(1) + "huge"); ok {
 		t.Fatal("over-budget body cached")
 	}
 
 	// Generation sweep: entries from other generations vanish.
-	c.put("new-gen", 2, []byte("x"))
+	cachePut(t, c, genPrefix(2)+"new-gen", []byte("x"))
 	c.dropOldGens(2)
-	for _, k := range []string{"key-00", "key-02", "key-03"} {
-		if _, ok := c.get(k); ok {
-			t.Fatalf("stale-generation entry %q survived sweep", k)
+	for _, i := range []int{0, 2, 3} {
+		if _, ok := c.get(key(i)); ok {
+			t.Fatalf("stale-generation entry %q survived sweep", key(i))
 		}
 	}
-	if _, ok := c.get("new-gen"); !ok {
+	if _, ok := c.get(genPrefix(2) + "new-gen"); !ok {
 		t.Fatal("current-generation entry swept")
 	}
 	hits, misses, evictions, size := c.counts()
 	if hits == 0 || misses == 0 || evictions < 4 || size <= 0 {
 		t.Fatalf("counts = hits %d, misses %d, evictions %d, size %d", hits, misses, evictions, size)
 	}
+	// Generation 1's number is a prefix of generation 12's, its key prefix
+	// is not.
+	cachePut(t, c, genPrefix(12)+"later", []byte("x"))
+	c.dropOldGens(1)
+	if _, ok := c.get(genPrefix(12) + "later"); ok {
+		t.Fatal("generation 12 entry survived a sweep to generation 1")
+	}
 
-	// The nil cache (disabled) absorbs everything quietly.
-	var nc *resultCache
-	nc.put("k", 1, []byte("v"))
-	if _, ok := nc.get("k"); ok {
-		t.Fatal("nil cache returned a hit")
+	// The zero-budget cache (disabled) absorbs everything quietly.
+	nc := newResultCache(0)
+	cachePut(t, nc, genPrefix(1)+"k", []byte("v"))
+	if _, ok := nc.get(genPrefix(1) + "k"); ok {
+		t.Fatal("disabled cache returned a hit")
 	}
 	nc.dropOldGens(1)
 }
 
-// TestFlightGroup proves concurrent identical computations coalesce into one.
+// TestFlightGroup proves concurrent identical computations coalesce into
+// one, with caching itself disabled: a zero budget leaves only the
+// coalescing.
 func TestFlightGroup(t *testing.T) {
-	g := newFlightGroup()
+	g := newResultCache(0)
 	var calls int
 	started := make(chan struct{})
 	proceed := make(chan struct{})
@@ -194,7 +215,7 @@ func TestFlightGroup(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		body, shared, err := g.do("k", func() ([]byte, error) {
+		body, how, err := g.getOrLoad("k", func() ([]byte, error) {
 			calls++
 			close(started)
 			<-proceed
@@ -203,30 +224,26 @@ func TestFlightGroup(t *testing.T) {
 		if err != nil || string(body) != "answer" {
 			t.Errorf("leader: body %q err %v", body, err)
 		}
-		shares <- shared
+		shares <- how == lru.Shared
 	}()
 	<-started
 	for i := 0; i < waiters; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			body, shared, err := g.do("k", func() ([]byte, error) {
+			body, how, err := g.getOrLoad("k", func() ([]byte, error) {
 				t.Error("duplicate computation ran")
 				return nil, nil
 			})
 			if err != nil || string(body) != "answer" {
 				t.Errorf("follower: body %q err %v", body, err)
 			}
-			shares <- shared
+			shares <- how == lru.Shared
 		}()
 	}
-	// Followers must be registered before the leader finishes; poll the map.
-	waitFor(t, func() bool {
-		g.mu.Lock()
-		defer g.mu.Unlock()
-		return len(g.m) == 1
-	})
-	time.Sleep(5 * time.Millisecond) // let followers reach the wait
+	// Followers must have joined the flight before the leader finishes: each
+	// is counted as it joins.
+	waitFor(t, func() bool { return g.lru.Stats().Shared == waiters })
 	close(proceed)
 	wg.Wait()
 	close(shares)
@@ -240,13 +257,13 @@ func TestFlightGroup(t *testing.T) {
 			sharedCount++
 		}
 	}
-	if sharedCount == 0 {
-		t.Fatal("no caller reported a shared result")
+	if sharedCount != waiters {
+		t.Fatalf("%d callers reported a shared result, want %d", sharedCount, waiters)
 	}
 
 	// After completion the key is free again: a new call recomputes.
-	body, shared, err := g.do("k", func() ([]byte, error) { return []byte("fresh"), nil })
-	if err != nil || shared || string(body) != "fresh" {
-		t.Fatalf("post-flight call: body %q shared %v err %v", body, shared, err)
+	body, how, err := g.getOrLoad("k", func() ([]byte, error) { return []byte("fresh"), nil })
+	if err != nil || how != lru.Loaded || string(body) != "fresh" {
+		t.Fatalf("post-flight call: body %q outcome %v err %v", body, how, err)
 	}
 }

@@ -1,29 +1,25 @@
 package serve
 
 import (
-	"container/list"
-	"sync"
+	"strconv"
+	"strings"
+
+	"instability/internal/lru"
+	"instability/internal/store"
 )
 
-// resultCache holds serialized aggregate responses under a byte budget with
-// LRU eviction. Keys embed the store generation they were computed under, so
-// a stale entry can never be returned for a current-generation lookup; when
-// the server observes a generation change it additionally sweeps the old
-// entries out so the budget is not squatted by unreachable results.
+// resultCache holds serialized aggregate responses under a byte budget: the
+// shared load-once LRU (internal/lru) keyed by aggregateCacheKey. Identical
+// aggregates in flight coalesce onto one computation — the request-batching
+// stage in front of the store, so a dashboard fleet refreshing the same
+// panel costs one QueryParallel, not N — and with a zero budget (caching
+// disabled) that coalescing is all that is left. Keys embed the store
+// generation they were computed under, so a stale entry can never be
+// returned for a current-generation lookup; when the server observes a
+// generation change it additionally sweeps the old entries out so the budget
+// is not squatted by unreachable results.
 type resultCache struct {
-	mu   sync.Mutex
-	max  int64
-	size int64
-	ll   *list.List // front = most recently used
-	m    map[string]*list.Element
-
-	hits, misses, evictions uint64
-}
-
-type cacheEntry struct {
-	key  string
-	gen  uint64
-	body []byte
+	lru *lru.Cache[string, []byte]
 }
 
 // cacheEntryOverhead approximates the bookkeeping bytes per entry (list
@@ -31,132 +27,66 @@ type cacheEntry struct {
 const cacheEntryOverhead = 128
 
 func newResultCache(maxBytes int64) *resultCache {
-	if maxBytes <= 0 {
-		return nil // nil cache: every lookup misses, puts are dropped
-	}
-	return &resultCache{max: maxBytes, ll: list.New(), m: make(map[string]*list.Element)}
+	return &resultCache{lru: lru.New(maxBytes,
+		func(key string, body []byte) int64 { return int64(len(key)+len(body)) + cacheEntryOverhead },
+		func(used int64, _, evicted int) {
+			obsCacheEvictions.Add(int64(evicted))
+			obsCacheBytes.SetInt(used)
+		})}
 }
 
+// aggregateCacheKey is the identity of one cached aggregate: generation,
+// kind, top bound, and the canonical query key.
+func aggregateCacheKey(gen uint64, kind string, top int, q store.Query) string {
+	return genPrefix(gen) + kind + "|" + strconv.Itoa(top) + "|" + q.Key()
+}
+
+// genPrefix starts every key computed under gen, and no key of another
+// generation.
+func genPrefix(gen uint64) string { return "g" + strconv.FormatUint(gen, 10) + "|" }
+
+// get is the lookup stage on its own: a resident body or nothing. It never
+// waits on a computation in flight, so the time spent here is the cache's,
+// not the store's.
 func (c *resultCache) get(key string) ([]byte, bool) {
-	if c == nil {
-		obsCacheMisses.Inc()
-		return nil, false
+	body, ok := c.lru.Get(key)
+	if ok {
+		obsCacheHits.Inc()
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.m[key]
-	if !ok {
-		c.misses++
-		obsCacheMisses.Inc()
-		return nil, false
-	}
-	c.ll.MoveToFront(el)
-	c.hits++
-	obsCacheHits.Inc()
-	return el.Value.(*cacheEntry).body, true
+	return body, ok
 }
 
-func (c *resultCache) put(key string, gen uint64, body []byte) {
-	if c == nil {
-		return
+// getOrLoad answers key from the cache, from an identical computation
+// already in flight, or by running load — whose result is cached unless it
+// failed, outgrew the whole budget, or its generation was swept meanwhile.
+func (c *resultCache) getOrLoad(key string, load func() ([]byte, error)) ([]byte, lru.Outcome, error) {
+	body, how, err := c.lru.GetOrLoad(key, load)
+	switch how {
+	case lru.Hit:
+		obsCacheHits.Inc()
+	case lru.Shared:
+		obsCacheMisses.Inc()
+		obsCoalesced.Inc()
+	case lru.Loaded:
+		obsCacheMisses.Inc()
 	}
-	cost := int64(len(key)+len(body)) + cacheEntryOverhead
-	if cost > c.max {
-		return // larger than the whole budget: not cacheable
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.m[key]; ok {
-		old := el.Value.(*cacheEntry)
-		c.size += int64(len(body)) - int64(len(old.body))
-		old.body, old.gen = body, gen
-		c.ll.MoveToFront(el)
-	} else {
-		c.m[key] = c.ll.PushFront(&cacheEntry{key: key, gen: gen, body: body})
-		c.size += cost
-	}
-	for c.size > c.max {
-		c.evictLocked(c.ll.Back())
-	}
-	obsCacheBytes.SetInt(c.size)
+	return body, how, err
 }
 
-// dropOldGens evicts every entry not computed under gen. Called when the
-// server notices the store sealed or compacted.
+// dropOldGens evicts every entry not computed under gen, and keeps such
+// computations still in flight from landing. Called when the server notices
+// the store sealed or compacted.
 func (c *resultCache) dropOldGens(gen uint64) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for el := c.ll.Back(); el != nil; {
-		prev := el.Prev()
-		if el.Value.(*cacheEntry).gen != gen {
-			c.evictLocked(el)
-		}
-		el = prev
-	}
-	obsCacheBytes.SetInt(c.size)
-}
-
-func (c *resultCache) evictLocked(el *list.Element) {
-	if el == nil {
-		return
-	}
-	ent := el.Value.(*cacheEntry)
-	c.ll.Remove(el)
-	delete(c.m, ent.key)
-	c.size -= int64(len(ent.key)+len(ent.body)) + cacheEntryOverhead
-	c.evictions++
-	obsCacheEvictions.Inc()
+	cur := genPrefix(gen)
+	n := c.lru.DropIf(func(key string) bool { return !strings.HasPrefix(key, cur) })
+	obsCacheEvictions.Add(int64(n))
 }
 
 // counts snapshots the hit/miss/eviction counters (per-cache, unlike the
-// process metrics, so tests and /v1/statz see this server alone).
+// process metrics, so tests and /v1/statz see this server alone). A request
+// that shared another's computation missed the cache; a generation sweep
+// evicts as surely as the size budget does.
 func (c *resultCache) counts() (hits, misses, evictions uint64, bytes int64) {
-	if c == nil {
-		return 0, 0, 0, 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses, c.evictions, c.size
-}
-
-// flightGroup coalesces concurrent identical computations: the first caller
-// of a key runs fn, every concurrent duplicate blocks and shares the result.
-// This is the request-batching stage in front of the store — a dashboard
-// fleet refreshing the same panel costs one QueryParallel, not N.
-type flightGroup struct {
-	mu sync.Mutex
-	m  map[string]*flightCall
-}
-
-type flightCall struct {
-	done chan struct{}
-	body []byte
-	err  error
-}
-
-func newFlightGroup() *flightGroup { return &flightGroup{m: make(map[string]*flightCall)} }
-
-// do runs fn under key, coalescing with any identical in-flight call.
-// shared reports whether this caller piggybacked on another's computation.
-func (g *flightGroup) do(key string, fn func() ([]byte, error)) (body []byte, shared bool, err error) {
-	g.mu.Lock()
-	if c, ok := g.m[key]; ok {
-		g.mu.Unlock()
-		obsCoalesced.Inc()
-		<-c.done
-		return c.body, true, c.err
-	}
-	c := &flightCall{done: make(chan struct{})}
-	g.m[key] = c
-	g.mu.Unlock()
-
-	c.body, c.err = fn()
-	g.mu.Lock()
-	delete(g.m, key)
-	g.mu.Unlock()
-	close(c.done)
-	return c.body, false, c.err
+	st := c.lru.Stats()
+	return st.Hits, st.Shared + st.Loads, st.Evictions + st.Dropped, st.Used
 }

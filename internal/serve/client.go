@@ -238,7 +238,8 @@ func (c *Client) Statz() (*Statz, error) {
 
 // QueryHTTP streams a record query over the HTTP NDJSON endpoint. It exists
 // so tests (and HTTP-only tenants) can prove protocol equivalence; CLIs use
-// the binary Query.
+// the binary Query. When the server's scan fails midway the records read up
+// to that point are returned together with the error.
 func (c *Client) QueryHTTP(spec QuerySpec) ([]collector.Record, error) {
 	return c.QueryHTTPCtx(context.Background(), spec)
 }
@@ -269,6 +270,11 @@ func (c *Client) QueryHTTPCtx(ctx context.Context, spec QuerySpec) ([]collector.
 	for {
 		var rj RecordJSON
 		if err := dec.Decode(&rj); err == io.EOF {
+			// Trailers arrive with the end of the body: a scan that failed
+			// midway says so here, and what was read is only a prefix.
+			if msg := resp.Trailer.Get(scanErrorTrailer); msg != "" {
+				return out, wireError{Code: codeInternal, Msg: msg}.error()
+			}
 			return out, nil
 		} else if err != nil {
 			return out, fmt.Errorf("serve: bad record stream: %w", err)

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -130,6 +131,11 @@ func (s *Server) admitHTTP(ctx context.Context, prof *QueryProfile, r *http.Requ
 	return release, lat, err
 }
 
+// scanErrorTrailer is the HTTP trailer /v1/records sets when the record
+// stream ended before the scan did; its value is the error. The binary
+// protocol's equivalent is the error frame.
+const scanErrorTrailer = "Irtl-Scan-Error"
+
 func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
 	ctx, root := obs.DefaultTracer().JoinHeader(r.Context(), "serve_query", r.Header.Get(obs.TraceHeader))
@@ -138,16 +144,23 @@ func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
 	if root != nil {
 		prof.TraceID = fmt.Sprintf("%016x", root.TraceID())
 	}
+	// The request's failure is recorded in one place, on the way out, so no
+	// error path can answer the client and forget the profile or the span.
+	var failed error
 	defer func() {
+		prof.setError(failed)
+		root.SetError(failed)
 		root.Finish()
 		s.profiles.record(prof, t0)
 	}()
+	fail := func(err error) {
+		failed = err
+		httpError(w, err)
+	}
 
 	release, lat, err := s.admitHTTP(ctx, prof, r)
 	if err != nil {
-		prof.setError(err)
-		root.SetError(err)
-		httpError(w, err)
+		fail(err)
 		return
 	}
 	defer release()
@@ -155,18 +168,14 @@ func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
 
 	spec, err := specOf(r)
 	if err != nil {
-		prof.setError(err)
-		root.SetError(err)
-		httpError(w, badRequest(err))
+		fail(badRequest(err))
 		return
 	}
 	prof.Query = spec.String()
 	root.Annotate("query", spec.String())
 	q, err := spec.Parse()
 	if err != nil {
-		prof.setError(err)
-		root.SetError(err)
-		httpError(w, badRequest(err))
+		fail(badRequest(err))
 		return
 	}
 	span := obs.StartSpan("serve_query")
@@ -184,33 +193,38 @@ func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
 		ssp.SetError(err)
 		ssp.Finish()
 		prof.addStage("scan", time.Since(ts))
-		prof.setError(err)
-		root.SetError(err)
-		httpError(w, err)
+		fail(err)
 		return
 	}
 
 	w.Header().Set("Content-Type", "application/x-ndjson; charset=utf-8")
 	w.Header().Set("Irtl-Generation", strconv.FormatUint(s.generation(), 10))
+	// The status line is long gone by the time a scan can fail midway, so
+	// the failure travels as a trailer, announced before the body starts.
+	w.Header().Set("Trailer", scanErrorTrailer)
 	te := time.Now()
 	_, esp := obs.StartChild(ctx, "encode")
 	enc := json.NewEncoder(w)
 	sent := 0
+	var serr error // why the stream stopped short of the scan's end, if it did
 loop:
 	for {
 		select {
 		case <-s.closed:
-			break loop // flush what we have; the client sees a truncated stream
+			serr = errors.New("server shutting down")
+			break loop // flush what we have
 		default:
 		}
 		rec, nerr := rd.Next()
 		if nerr != nil {
-			// io.EOF is the clean end; a partial-scan error after records
-			// have been streamed can only be reported by ending the body.
+			if nerr != io.EOF {
+				serr = nerr
+			}
 			break
 		}
 		rj, jerr := ToJSON(rec)
 		if jerr != nil {
+			serr = jerr
 			break
 		}
 		if enc.Encode(rj) != nil {
@@ -222,7 +236,14 @@ loop:
 			break
 		}
 	}
+	if serr != nil {
+		// Without this a truncated body is indistinguishable from a short
+		// answer: 200, clean end of stream, fewer records.
+		w.Header().Set(scanErrorTrailer, serr.Error())
+		failed = serr
+	}
 	esp.AnnotateInt("records", int64(sent))
+	esp.SetError(serr)
 	esp.Finish()
 	prof.addStage("encode", time.Since(te))
 	span.Add(int64(sent))
@@ -243,16 +264,23 @@ func (s *Server) handleAggregate(w http.ResponseWriter, r *http.Request) {
 	if root != nil {
 		prof.TraceID = fmt.Sprintf("%016x", root.TraceID())
 	}
+	// The request's failure is recorded in one place, on the way out, so no
+	// error path can answer the client and forget the profile or the span.
+	var failed error
 	defer func() {
+		prof.setError(failed)
+		root.SetError(failed)
 		root.Finish()
 		s.profiles.record(prof, t0)
 	}()
+	fail := func(err error) {
+		failed = err
+		httpError(w, err)
+	}
 
 	release, lat, err := s.admitHTTP(ctx, prof, r)
 	if err != nil {
-		prof.setError(err)
-		root.SetError(err)
-		httpError(w, err)
+		fail(err)
 		return
 	}
 	defer release()
@@ -267,41 +295,29 @@ func (s *Server) handleAggregate(w http.ResponseWriter, r *http.Request) {
 	top := 0
 	if ts := r.URL.Query().Get("top"); ts != "" {
 		if top, err = strconv.Atoi(ts); err != nil || top < 0 {
-			err = badRequest(fmt.Errorf("bad top %q", ts))
-			prof.setError(err)
-			root.SetError(err)
-			httpError(w, err)
+			fail(badRequest(fmt.Errorf("bad top %q", ts)))
 			return
 		}
 	}
 	spec, err := specOf(r)
 	if err != nil {
-		prof.setError(err)
-		root.SetError(err)
-		httpError(w, badRequest(err))
+		fail(badRequest(err))
 		return
 	}
 	prof.Query = spec.String()
 	root.Annotate("query", spec.String())
 	q, err := spec.Parse()
 	if err != nil {
-		prof.setError(err)
-		root.SetError(err)
-		httpError(w, badRequest(err))
+		fail(badRequest(err))
 		return
 	}
 	if !validKind(kind) {
-		err = badRequest(fmt.Errorf("unknown kind %q (want %v)", kind, Kinds()))
-		prof.setError(err)
-		root.SetError(err)
-		httpError(w, err)
+		fail(badRequest(fmt.Errorf("unknown kind %q (want %v)", kind, Kinds())))
 		return
 	}
 	body, err := s.aggregate(ctx, prof, kind, top, q)
 	if err != nil {
-		prof.setError(err)
-		root.SetError(err)
-		httpError(w, err)
+		fail(err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")

@@ -288,9 +288,3 @@ func topOrigins(counts map[bgp.ASN]int, top int) []OriginCount {
 	}
 	return out
 }
-
-// aggregateCacheKey is the identity of one cached aggregate: generation,
-// kind, top bound, and the canonical query key.
-func aggregateCacheKey(gen uint64, kind string, top int, q store.Query) string {
-	return "g" + strconv.FormatUint(gen, 10) + "|" + kind + "|" + strconv.Itoa(top) + "|" + q.Key()
-}

@@ -36,6 +36,7 @@ import (
 
 	"instability/internal/collector"
 	"instability/internal/detect"
+	"instability/internal/lru"
 	"instability/internal/obs"
 	"instability/internal/store"
 )
@@ -118,7 +119,6 @@ type Server struct {
 	st       *store.Store
 	adm      *admission
 	cache    *resultCache
-	flight   *flightGroup
 	profiles *profileLog
 	lastGen  atomic.Uint64
 
@@ -144,7 +144,6 @@ func New(opts Options) (*Server, error) {
 		st:       opts.Store,
 		adm:      newAdmission(opts.MaxSessions, opts.MaxQueue, opts.QueueWait, opts.Quotas, opts.DefaultQuota, opts.now),
 		cache:    newResultCache(opts.CacheBytes),
-		flight:   newFlightGroup(),
 		profiles: newProfileLog(opts.SlowQuery, opts.SlowQueryLog),
 		conns:    make(map[net.Conn]struct{}),
 		closed:   make(chan struct{}),
@@ -328,7 +327,12 @@ func (s *Server) handleBinary(conn *frameConn, br *bufio.Reader, ver byte) {
 	if root != nil {
 		prof.TraceID = fmt.Sprintf("%016x", root.TraceID())
 	}
+	// As over HTTP: the request's failure is recorded in one place, on the
+	// way out; error paths only say what it was and answer the client.
+	var failed error
 	defer func() {
+		prof.setError(failed)
+		root.SetError(failed)
 		root.Finish()
 		s.profiles.record(prof, t0)
 	}()
@@ -341,8 +345,7 @@ func (s *Server) handleBinary(conn *frameConn, br *bufio.Reader, ver byte) {
 	asp.Finish()
 	prof.addStage("admission", time.Since(ta))
 	if err != nil {
-		prof.setError(err)
-		root.SetError(err)
+		failed = err
 		writeJSONFrame(conn, frameError, shedError(err))
 		return
 	}
@@ -350,8 +353,7 @@ func (s *Server) handleBinary(conn *frameConn, br *bufio.Reader, ver byte) {
 
 	q, err := req.Query.Parse()
 	if err != nil {
-		prof.setError(err)
-		root.SetError(err)
+		failed = err
 		writeJSONFrame(conn, frameError, wireError{Code: codeBadQuery, Msg: err.Error()})
 		return
 	}
@@ -372,8 +374,7 @@ func (s *Server) handleBinary(conn *frameConn, br *bufio.Reader, ver byte) {
 		ssp.SetError(err)
 		ssp.Finish()
 		prof.addStage("scan", time.Since(ts))
-		prof.setError(err)
-		root.SetError(err)
+		failed = err
 		writeJSONFrame(conn, frameError, wireError{Code: codeInternal, Msg: err.Error()})
 		return
 	}
@@ -397,8 +398,7 @@ func (s *Server) handleBinary(conn *frameConn, br *bufio.Reader, ver byte) {
 
 	if serr != nil {
 		// The connection may already be dead; a best-effort error frame.
-		prof.setError(serr)
-		root.SetError(serr)
+		failed = serr
 		writeJSONFrame(bw, frameError, wireError{Code: codeInternal, Msg: serr.Error()})
 		bw.Flush()
 		return
@@ -478,10 +478,10 @@ func appendUvarintFront(records []byte, count uint64) []byte {
 	return append(out, records...)
 }
 
-// aggregate answers an aggregate query through singleflight and the cache,
-// returning the serialized JSON body shared by both protocols. The cache
-// lookup, singleflight outcome, and store scan all land on the request's
-// trace and profile.
+// aggregate answers an aggregate query through the result cache, which also
+// coalesces identical computations in flight, returning the serialized JSON
+// body shared by both protocols. The cache lookup, coalescing outcome, and
+// store scan all land on the request's trace and profile.
 func (s *Server) aggregate(ctx context.Context, prof *QueryProfile, kind string, top int, q store.Query) ([]byte, error) {
 	gen := s.generation()
 	key := aggregateCacheKey(gen, kind, top, q)
@@ -500,7 +500,7 @@ func (s *Server) aggregate(ctx context.Context, prof *QueryProfile, kind string,
 
 	tagg := time.Now()
 	var ex *store.Explain
-	body, shared, err := s.flight.do(key, func() ([]byte, error) {
+	body, how, err := s.cache.getOrLoad(key, func() ([]byte, error) {
 		span, sctx := obs.StartSpanCtx(ctx, "serve_aggregate")
 		defer span.End()
 		tsc := time.Now()
@@ -528,18 +528,17 @@ func (s *Server) aggregate(ctx context.Context, prof *QueryProfile, kind string,
 		body, merr := marshalJSON(agg)
 		esp.Finish()
 		prof.addStage("encode", time.Since(te))
-		if merr != nil {
-			return nil, merr
-		}
-		s.cache.put(key, gen, body)
-		return body, nil
+		return body, merr
 	})
 	prof.addStage("aggregate", time.Since(tagg))
-	prof.Coalesced = shared
+	// A hit here means an identical computation landed between the lookup
+	// above and this one.
+	prof.CacheHit = how == lru.Hit
+	prof.Coalesced = how == lru.Shared
 	if ex != nil {
 		prof.Explain = ex
 	}
-	if shared {
+	if prof.Coalesced {
 		obs.SpanFromContext(ctx).Annotate("coalesced", "true")
 	}
 	return body, err

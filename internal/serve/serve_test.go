@@ -7,11 +7,14 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"os"
 	"runtime"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -570,5 +573,108 @@ func TestStalledClientDisconnects(t *testing.T) {
 	}
 	if d := time.Since(t0); d > 3*time.Second {
 		t.Fatalf("stalled client still connected after %v", d)
+	}
+}
+
+// readFailFS passes everything through to the FS beneath it until armed;
+// from then on, left more segment reads succeed and every later one fails —
+// a disk that goes bad partway through a scan.
+type readFailFS struct {
+	faults.FS
+	left *atomic.Int64
+}
+
+type readFailFile struct {
+	faults.File
+	left *atomic.Int64
+}
+
+func (fs readFailFS) wrap(f faults.File, err error) (faults.File, error) {
+	if err != nil {
+		return nil, err
+	}
+	return readFailFile{f, fs.left}, nil
+}
+
+func (fs readFailFS) Open(name string) (faults.File, error) { return fs.wrap(fs.FS.Open(name)) }
+func (fs readFailFS) OpenFile(name string, flag int, perm os.FileMode) (faults.File, error) {
+	return fs.wrap(fs.FS.OpenFile(name, flag, perm))
+}
+
+func (f readFailFile) ReadAt(p []byte, off int64) (int, error) {
+	if f.left.Add(-1) < 0 {
+		return 0, faults.ErrInjected
+	}
+	return f.File.ReadAt(p, off)
+}
+
+// TestMidScanFailureIsReported: a scan that fails after records have already
+// been streamed must reach the caller as an error on both protocols — over
+// HTTP the 200 and the clean end of body used to make it a silent short
+// answer — and the server's own account of the request (profile, statz) must
+// call it a failure too.
+func TestMidScanFailureIsReported(t *testing.T) {
+	left := new(atomic.Int64)
+	left.Store(math.MaxInt64)
+	// One window, small blocks: the sealed two thirds are one segment of
+	// many blocks, scanned in order ahead of the memtable's later records.
+	st := newTestStore(t, 600, store.Options{
+		FS:           readFailFS{faults.Disk{}, left},
+		Window:       30 * 24 * time.Hour,
+		BlockRecords: 16,
+	})
+	want := localQuery(t, st, QuerySpec{})
+	srv := startServer(t, Options{Store: st, Workers: 1})
+	c := &Client{Addr: srv.Addr().String()}
+
+	isPrefix := func(proto string, got []collector.Record, atLeast int) {
+		t.Helper()
+		if len(got) < atLeast || len(got) >= len(want) {
+			t.Fatalf("%s: read %d of %d records before the failure, want a proper prefix", proto, len(got), len(want))
+		}
+		if !bytes.Equal(wireBytes(t, got), wireBytes(t, want[:len(got)])) {
+			t.Fatalf("%s: the %d records read are not the first %d of the answer", proto, len(got), len(got))
+		}
+	}
+
+	left.Store(3)
+	got, err := c.QueryHTTP(QuerySpec{})
+	if err == nil || !strings.Contains(err.Error(), faults.ErrInjected.Error()) {
+		t.Fatalf("HTTP: %d records, err %v; want the injected read error", len(got), err)
+	}
+	isPrefix("HTTP", got, 1)
+
+	left.Store(3)
+	rr, err := c.Query(QuerySpec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = got[:0]
+	for {
+		rec, nerr := rr.Next()
+		if nerr != nil {
+			err = nerr
+			break
+		}
+		got = append(got, rec)
+	}
+	rr.Close()
+	if err == io.EOF || !strings.Contains(err.Error(), faults.ErrInjected.Error()) {
+		t.Fatalf("binary: %d records, err %v; want the injected read error", len(got), err)
+	}
+	isPrefix("binary", got, 0) // the batch the failure interrupted is never sent
+
+	left.Store(math.MaxInt64)
+	stz, err := c.Statz()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(stz.RecentQueries) < 2 {
+		t.Fatalf("statz retains %d queries, want both", len(stz.RecentQueries))
+	}
+	for _, p := range stz.RecentQueries[:2] { // newest first: binary, then HTTP
+		if !strings.Contains(p.Err, faults.ErrInjected.Error()) || p.Records == 0 {
+			t.Fatalf("%s records query profiled as %d records, err %q; want a failure after a partial stream", p.Proto, p.Records, p.Err)
+		}
 	}
 }

@@ -348,15 +348,16 @@ func TestSlowQueryLog(t *testing.T) {
 // size returns to zero when everything is swept.
 func TestCacheEvictionAccounting(t *testing.T) {
 	body := bytes.Repeat([]byte("x"), 256)
-	c := newResultCache(3 * (256 + 8 + cacheEntryOverhead))
-	c.put("gen1|a", 1, body)
-	c.put("gen1|b", 1, body)
-	c.put("gen1|c", 1, body)
+	g1, g2 := genPrefix(1), genPrefix(2)
+	c := newResultCache(3 * (256 + int64(len(g1)) + 1 + cacheEntryOverhead))
+	cachePut(t, c, g1+"a", body)
+	cachePut(t, c, g1+"b", body)
+	cachePut(t, c, g1+"c", body)
 	if _, _, ev, _ := c.counts(); ev != 0 {
 		t.Fatalf("evictions before overflow: %d", ev)
 	}
-	c.put("gen1|d", 1, body) // budget overflow: LRU (a) goes
-	if _, ok := c.get("gen1|a"); ok {
+	cachePut(t, c, g1+"d", body) // budget overflow: LRU (a) goes
+	if _, ok := c.get(g1 + "a"); ok {
 		t.Fatal("LRU entry survived overflow")
 	}
 	_, _, ev, size := c.counts()
@@ -366,9 +367,9 @@ func TestCacheEvictionAccounting(t *testing.T) {
 	if size <= 0 {
 		t.Fatalf("cache size %d after puts", size)
 	}
-	c.put("gen2|e", 2, body)
+	cachePut(t, c, g2+"e", body)
 	c.dropOldGens(2) // generation sweep: every gen-1 entry goes
-	if _, ok := c.get("gen2|e"); !ok {
+	if _, ok := c.get(g2 + "e"); !ok {
 		t.Fatal("current-generation entry swept")
 	}
 	_, _, ev2, _ := c.counts()

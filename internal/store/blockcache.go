@@ -1,32 +1,22 @@
 package store
 
-import (
-	"container/list"
-	"sync"
-)
+import "instability/internal/lru"
 
 // blockCache is the store-wide cache of decompressed, columnar-decoded
 // segment blocks, shared by every reader — serial scans, parallel scan
-// workers, and compaction-adjacent queries all hit the same entries. It is a
-// strict byte-budget LRU keyed by (segment fingerprint, block index):
-// segments are immutable, so an entry can never be stale — compaction
-// retires a segment's entries explicitly (dropSegment), and a restarted
-// process re-keys naturally because fingerprints are content-derived.
+// workers, and compaction-adjacent queries all hit the same entries. It is
+// the shared load-once LRU (internal/lru) keyed by (segment fingerprint,
+// block index) and priced by decoded size: segments are immutable, so an
+// entry can never be stale — compaction retires a segment's entries
+// explicitly (dropSegment), and a restarted process re-keys naturally
+// because fingerprints are content-derived.
 //
 // Loads are single-flight: when two scans miss the same cold block
 // concurrently, one inflates and decodes it while the other waits for the
 // result, so a thundering herd of identical dashboard queries costs one
 // decompression per block, not one per reader.
 type blockCache struct {
-	budget int64
-
-	mu      sync.Mutex
-	lru     *list.List // front = most recently used; values are *cacheEntry
-	entries map[blockKey]*list.Element
-	flights map[blockKey]*cacheFlight
-	used    int64
-
-	hits, misses, evictions uint64
+	lru *lru.Cache[blockKey, *colBlock]
 }
 
 // blockKey identifies one decoded block. The segment half is the segment's
@@ -37,108 +27,30 @@ type blockKey struct {
 	block int32
 }
 
-type cacheEntry struct {
-	key blockKey
-	cb  *colBlock
-}
-
-// cacheFlight is one in-progress load; waiters block on done. dropped is set
-// (under the cache mutex) when dropSegment retires the flight's segment
-// mid-load: the result is still served to every waiter but must not be
-// inserted — the segment is gone from the store, so the entry could never be
-// hit again and would squat on budget until LRU pressure happens to evict it.
-type cacheFlight struct {
-	done    chan struct{}
-	cb      *colBlock
-	err     error
-	dropped bool
-}
-
 func newBlockCache(budget int64) *blockCache {
-	return &blockCache{
-		budget:  budget,
-		lru:     list.New(),
-		entries: make(map[blockKey]*list.Element),
-		flights: make(map[blockKey]*cacheFlight),
-	}
+	return &blockCache{lru: lru.New(budget,
+		func(_ blockKey, cb *colBlock) int64 { return cb.bytes },
+		// The process-level gauges follow the cache's own ledger, updated
+		// under its lock so they cannot go stale against it.
+		func(used int64, entries, evicted int) {
+			obsBlockCacheEvictions.Add(int64(evicted))
+			obsBlockCacheBytes.SetInt(used)
+			obsBlockCacheEntries.SetInt(int64(entries))
+		})}
 }
 
 // getOrLoad returns the cached block for key, or runs load exactly once
 // (across all concurrent callers) to produce, cache, and return it. hit
 // reports whether the caller was served without doing the work itself — a
-// resident entry or another caller's in-flight load. Failed loads are never
-// cached; every waiter of a failed flight observes the same error.
+// resident entry or another caller's in-flight load.
 func (c *blockCache) getOrLoad(key blockKey, load func() (*colBlock, error)) (*colBlock, bool, error) {
-	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
-		c.lru.MoveToFront(el)
-		c.hits++
-		c.mu.Unlock()
+	cb, how, err := c.lru.GetOrLoad(key, load)
+	if how == lru.Loaded {
+		obsBlockCacheMisses.Inc()
+	} else {
 		obsBlockCacheHits.Inc()
-		return el.Value.(*cacheEntry).cb, true, nil
 	}
-	if fl, ok := c.flights[key]; ok {
-		c.hits++
-		c.mu.Unlock()
-		obsBlockCacheHits.Inc()
-		<-fl.done
-		if fl.err != nil {
-			return nil, false, fl.err
-		}
-		return fl.cb, true, nil
-	}
-	fl := &cacheFlight{done: make(chan struct{})}
-	c.flights[key] = fl
-	c.misses++
-	c.mu.Unlock()
-	obsBlockCacheMisses.Inc()
-
-	cb, err := load()
-	fl.cb, fl.err = cb, err
-
-	c.mu.Lock()
-	delete(c.flights, key)
-	if err == nil && !fl.dropped {
-		c.insertLocked(key, cb)
-	}
-	c.mu.Unlock()
-	close(fl.done)
-	if err != nil {
-		return nil, false, err
-	}
-	return cb, false, nil
-}
-
-// insertLocked adds one decoded block and evicts from the LRU tail until the
-// budget holds again. A block bigger than the whole budget is served but
-// never cached — inserting it would only evict everything else on its way to
-// being evicted itself.
-func (c *blockCache) insertLocked(key blockKey, cb *colBlock) {
-	if cb.bytes > c.budget {
-		return
-	}
-	if _, ok := c.entries[key]; ok {
-		return // lost a race with an identical load; keep the resident entry
-	}
-	c.entries[key] = c.lru.PushFront(&cacheEntry{key: key, cb: cb})
-	c.used += cb.bytes
-	for c.used > c.budget {
-		back := c.lru.Back()
-		if back == nil {
-			break
-		}
-		c.removeLocked(back)
-		c.evictions++
-		obsBlockCacheEvictions.Inc()
-	}
-	c.publishLocked()
-}
-
-func (c *blockCache) removeLocked(el *list.Element) {
-	ent := el.Value.(*cacheEntry)
-	c.lru.Remove(el)
-	delete(c.entries, ent.key)
-	c.used -= ent.cb.bytes
+	return cb, how != lru.Loaded && err == nil, err
 }
 
 // dropSegment retires every entry of one segment. Compaction calls it for
@@ -146,39 +58,7 @@ func (c *blockCache) removeLocked(el *list.Element) {
 // segment is gone from the store), so leaving them to age out of the LRU
 // would waste budget on unreachable blocks.
 func (c *blockCache) dropSegment(fp uint64) {
-	c.mu.Lock()
-	var next *list.Element
-	for el := c.lru.Front(); el != nil; el = next {
-		next = el.Next()
-		if el.Value.(*cacheEntry).key.seg == fp {
-			c.removeLocked(el)
-		}
-	}
-	// Loads for this segment still in flight must not insert on completion;
-	// their waiters are served, but the entry would be unreachable.
-	for key, fl := range c.flights {
-		if key.seg == fp {
-			fl.dropped = true
-		}
-	}
-	c.publishLocked()
-	c.mu.Unlock()
-}
-
-// purge empties the cache (tests and cold-cache benchmarks).
-func (c *blockCache) purge() {
-	c.mu.Lock()
-	c.lru.Init()
-	clear(c.entries)
-	c.used = 0
-	c.publishLocked()
-	c.mu.Unlock()
-}
-
-// publishLocked refreshes the process-level gauges from this cache's state.
-func (c *blockCache) publishLocked() {
-	obsBlockCacheBytes.SetInt(c.used)
-	obsBlockCacheEntries.SetInt(int64(len(c.entries)))
+	c.lru.DropIf(func(k blockKey) bool { return k.seg == fp })
 }
 
 // BlockCacheStats describes the shared decompressed-block cache, surfaced
@@ -197,15 +77,16 @@ func (c *blockCache) stats() BlockCacheStats {
 	if c == nil {
 		return BlockCacheStats{}
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	st := c.lru.Stats()
 	return BlockCacheStats{
 		Enabled:     true,
-		BudgetBytes: c.budget,
-		UsedBytes:   c.used,
-		Entries:     len(c.entries),
-		Hits:        c.hits,
-		Misses:      c.misses,
-		Evictions:   c.evictions,
+		BudgetBytes: st.Budget,
+		UsedBytes:   st.Used,
+		Entries:     st.Entries,
+		// A lookup that joined another reader's in-flight load was served
+		// without touching disk: it is a hit here, as in ScanStats.
+		Hits:      st.Hits + st.Shared,
+		Misses:    st.Loads,
+		Evictions: st.Evictions,
 	}
 }

@@ -117,6 +117,7 @@ func appendRecordTail(b []byte, rec collector.Record, enc *attrEncoder) ([]byte,
 // appendRecordTailV2 encodes a record tail in block format v2: announce
 // records reference a per-block attribute dictionary entry by index instead
 // of carrying inline attribute bytes; non-announce records carry nothing.
+// Its inverse is the row loop of decodeColBlock.
 func appendRecordTailV2(b []byte, rec collector.Record, dictIdx int) []byte {
 	b = appendRecordCore(b, rec)
 	if rec.Type == collector.Announce {
@@ -156,26 +157,6 @@ func decodeRecordTail(b []byte, rec *collector.Record) ([]byte, error) {
 		rec.Attrs = bgp.Attrs{}
 	}
 	return b, nil
-}
-
-// decodeRecordTailV2 is the inverse of appendRecordTailV2. Announce records
-// resolve their attributes from dict — the shared per-block dictionary — so
-// every record of a block referencing the same tuple shares one Attrs value.
-func decodeRecordTailV2(b []byte, rec *collector.Record, dict []bgp.Attrs) ([]byte, error) {
-	b, err := decodeRecordCore(b, rec)
-	if err != nil {
-		return nil, err
-	}
-	if rec.Type != collector.Announce {
-		rec.Attrs = bgp.Attrs{}
-		return b, nil
-	}
-	idx, n := binary.Uvarint(b)
-	if n <= 0 || idx >= uint64(len(dict)) {
-		return nil, fmt.Errorf("%w: attribute dictionary index", ErrCorrupt)
-	}
-	rec.Attrs = dict[idx]
-	return b[n:], nil
 }
 
 // decodeRecordCore decodes the fields common to both block formats.

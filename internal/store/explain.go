@@ -44,14 +44,14 @@ type Explain struct {
 func (r *Reader) Explain() Explain {
 	st := r.stats
 	return Explain{
-		Generation:        r.gen,
-		Workers:           r.workers,
-		SegmentsTotal:     st.SegmentsTotal,
-		SegmentsScanned:   st.SegmentsScanned,
-		SegmentsPruned:    st.SegmentsTotal - st.SegmentsScanned,
-		BlocksTotal:       st.BlocksTotal,
-		BlocksSelected:    st.BlocksSelected,
-		BlocksPruned:      st.BlocksTotal - st.BlocksSelected,
+		Generation:          r.gen,
+		Workers:             r.workers,
+		SegmentsTotal:       st.SegmentsTotal,
+		SegmentsScanned:     st.SegmentsScanned,
+		SegmentsPruned:      st.SegmentsTotal - st.SegmentsScanned,
+		BlocksTotal:         st.BlocksTotal,
+		BlocksSelected:      st.BlocksSelected,
+		BlocksPruned:        st.BlocksTotal - st.BlocksSelected,
 		BlocksScanned:       st.BlocksScanned,
 		BlocksCacheHit:      st.BlocksCacheHit,
 		BlocksCacheMiss:     st.BlocksCacheMiss,

@@ -71,7 +71,7 @@ func buildMergeStore(tb testing.TB, opts Options, batches [][]collector.Record) 
 	var inflight *sealBatch
 	tb.Cleanup(func() {
 		if inflight != nil {
-			s.runSeal(inflight, false)
+			s.runSeal(inflight)
 		}
 		s.Close()
 	})

@@ -221,16 +221,7 @@ func TestBlockCacheEviction(t *testing.T) {
 	if bc.UsedBytes > bc.BudgetBytes {
 		t.Fatalf("cache over budget: used %d > budget %d", bc.UsedBytes, bc.BudgetBytes)
 	}
-	s.cache.mu.Lock()
-	var sum int64
-	for _, el := range s.cache.entries {
-		sum += el.Value.(*cacheEntry).cb.bytes
-	}
-	if sum != s.cache.used {
-		s.cache.mu.Unlock()
-		t.Fatalf("cache accounting drift: entries sum %d, used %d", sum, s.cache.used)
-	}
-	s.cache.mu.Unlock()
+	usedConsistent(t, s.cache)
 }
 
 // TestBlockCacheOversizedBlockNotCached: a single block bigger than the whole
@@ -281,22 +272,20 @@ func TestCompactionDropsCacheEntries(t *testing.T) {
 		t.Fatal("compaction did not advance the generation")
 	}
 
-	s.cache.mu.Lock()
-	for key := range s.cache.entries {
-		s.mu.Lock()
-		live := false
-		for _, g := range s.segs {
-			if g.fp == key.seg {
-				live = true
-			}
-		}
-		s.mu.Unlock()
-		if !live {
-			s.cache.mu.Unlock()
+	// A predicate that matches nothing visits every resident key.
+	var resident []blockKey
+	s.cache.lru.DropIf(func(k blockKey) bool { resident = append(resident, k); return false })
+	s.mu.Lock()
+	live := make(map[uint64]bool, len(s.segs))
+	for _, g := range s.segs {
+		live[g.fp] = true
+	}
+	s.mu.Unlock()
+	for _, key := range resident {
+		if !live[key.seg] {
 			t.Fatalf("cache entry %v belongs to a retired segment", key)
 		}
 	}
-	s.cache.mu.Unlock()
 
 	got, _ := queryAll(t, s, Query{})
 	assertSameRecords(t, got, recs)

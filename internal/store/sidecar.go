@@ -1,9 +1,7 @@
 package store
 
 import (
-	"encoding/binary"
 	"encoding/json"
-	"hash/crc32"
 	"io"
 	"os"
 	"sync"
@@ -13,17 +11,13 @@ import (
 
 // SidecarLog is a small append-only journal that rides alongside a store —
 // the detector's alert stream persists through one. Entries are JSON
-// payloads in the WAL's frame format,
-//
-//	u32 payloadLen | payload | u32 crc32(payload)
-//
-// so a torn tail (crash mid-write) is detected by length or checksum and
-// physically truncated on open, and appends always land on a clean frame
-// boundary. Volume is tiny (alerts, not updates), so every append syncs.
+// payloads in the WAL's frame format (frame.go), so a torn tail (crash
+// mid-write) is detected by length or checksum and physically truncated on
+// open, and appends always land on a clean frame boundary. Volume is tiny
+// (alerts, not updates), so every append syncs.
 type SidecarLog struct {
 	mu  sync.Mutex
-	f   faults.File
-	off int64
+	log *frameLog
 }
 
 // OpenSidecarLog opens (creating if absent) the sidecar log at path,
@@ -35,57 +29,11 @@ func OpenSidecarLog(path string) (*SidecarLog, error) {
 // OpenSidecarLogFS is OpenSidecarLog through an explicit filesystem (fault
 // injection tests).
 func OpenSidecarLogFS(fsys faults.FS, path string) (*SidecarLog, error) {
-	f, err := fsys.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	log, err := openFrameLog(fsys, path, nil)
 	if err != nil {
 		return nil, err
 	}
-	off, _, err := scanSidecar(f, nil)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	if err := f.Truncate(off); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if _, err := f.Seek(off, io.SeekStart); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return &SidecarLog{f: f, off: off}, nil
-}
-
-// scanSidecar walks the intact frames of an open sidecar file, calling each
-// (when non-nil) with every payload, and returns the offset just past the
-// last intact frame.
-func scanSidecar(f faults.File, each func(payload []byte) error) (int64, int, error) {
-	data, err := io.ReadAll(f)
-	if err != nil {
-		return 0, 0, err
-	}
-	off := int64(0)
-	n := 0
-	b := data
-	for len(b) >= 4 {
-		plen := int(binary.BigEndian.Uint32(b))
-		if plen <= 0 || len(b) < 4+plen+4 {
-			break // torn tail
-		}
-		payload := b[4 : 4+plen]
-		if crc32.ChecksumIEEE(payload) != binary.BigEndian.Uint32(b[4+plen:]) {
-			break // corrupt tail
-		}
-		if each != nil {
-			if err := each(payload); err != nil {
-				return off, n, err
-			}
-		}
-		n++
-		step := int64(4 + plen + 4)
-		off += step
-		b = b[step:]
-	}
-	return off, n, nil
+	return &SidecarLog{log: log}, nil
 }
 
 // Append marshals v and appends it as one framed, synced entry. Safe for
@@ -95,24 +43,18 @@ func (l *SidecarLog) Append(v any) error {
 	if err != nil {
 		return err
 	}
-	frame := make([]byte, 0, len(payload)+8)
-	frame = binary.BigEndian.AppendUint32(frame, uint32(len(payload)))
-	frame = append(frame, payload...)
-	frame = binary.BigEndian.AppendUint32(frame, crc32.ChecksumIEEE(payload))
+	frame, lenAt := beginFrame(make([]byte, 0, len(payload)+8))
+	frame = endFrame(append(frame, payload...), lenAt)
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if _, err := l.f.Write(frame); err != nil {
-		return err
-	}
-	l.off += int64(len(frame))
-	return l.f.Sync()
+	return l.log.append(frame, true)
 }
 
 // Close releases the log file.
 func (l *SidecarLog) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.f.Close()
+	return l.log.close()
 }
 
 // ReadSidecarLog replays every intact entry of the sidecar log at path into
@@ -128,6 +70,10 @@ func ReadSidecarLog(path string, each func(payload []byte) error) (int, error) {
 		return 0, err
 	}
 	defer f.Close()
-	_, n, err := scanSidecar(f, each)
+	data, err := io.ReadAll(f)
+	if err != nil {
+		return 0, err
+	}
+	_, n, err := scanFrames(data, each)
 	return n, err
 }

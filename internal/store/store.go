@@ -110,10 +110,6 @@ type Options struct {
 	// version; tests set it to segVersionV1 to produce compatibility
 	// fixtures. Defaults to segVersionV2.
 	formatVersion byte
-	// syncSeal forces seals to run inline under the store lock, the
-	// pre-pipeline behavior. Unexported: only benchmarks and tests use it,
-	// to measure what background sealing buys.
-	syncSeal bool
 }
 
 func (o Options) withDefaults() Options {
@@ -151,7 +147,7 @@ type Store struct {
 	mu      sync.Mutex
 	segs    []*segment // sorted by (windowStart, seq)
 	nextSeg uint64     // next segment file number
-	wal     *wal
+	wal     *frameLog
 	mem     map[int64]*memWindow // windowStart (unixnano) -> unsealed records
 	memN    int
 	closed  bool

@@ -3,9 +3,6 @@ package store
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"io"
-	"os"
 	"path/filepath"
 
 	"instability/internal/collector"
@@ -57,105 +54,39 @@ type walEntry struct {
 	rec    collector.Record
 }
 
-// wal is the append-only write-ahead log. Entries are framed as
-//
-//	u32 payloadLen | payload | u32 crc32(payload)
-//
-// so a torn tail (crash mid-write) is detected by length or checksum and
-// discarded on open.
-type wal struct {
-	f   faults.File
-	off int64 // current append offset
-}
-
-// openWAL opens (creating if absent) the WAL at path and replays its intact
-// entries. A torn or corrupt tail is physically truncated away — not merely
-// skipped — so the next append lands on a clean frame boundary instead of
-// burying readable entries behind garbage; everything before the tear is
-// returned.
-func openWAL(fsys faults.FS, path string) (*wal, []walEntry, error) {
-	f, err := fsys.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, nil, err
-	}
-	data, err := io.ReadAll(f)
-	if err != nil {
-		f.Close()
-		return nil, nil, err
-	}
+// openWAL opens (creating if absent) the WAL at path — a frameLog whose
+// payloads are walEntry encodings — and replays its intact entries. A frame
+// that passes its checksum but does not decode ends the replay like a torn
+// tail does: it and everything after it are truncated away, and everything
+// before is returned.
+func openWAL(fsys faults.FS, path string) (*frameLog, []walEntry, error) {
 	var entries []walEntry
-	off := int64(0)
-	b := data
-	for len(b) >= 4 {
-		plen := int(binary.BigEndian.Uint32(b))
-		if plen <= 0 || len(b) < 4+plen+4 {
-			break // torn tail
-		}
-		payload := b[4 : 4+plen]
-		crc := binary.BigEndian.Uint32(b[4+plen:])
-		if crc32.ChecksumIEEE(payload) != crc {
-			break // corrupt tail
-		}
+	w, err := openFrameLog(fsys, path, func(payload []byte) error {
 		ent, err := decodeWALPayload(payload)
 		if err != nil {
-			break
+			return err
 		}
 		entries = append(entries, ent)
-		step := int64(4 + plen + 4)
-		off += step
-		b = b[step:]
-	}
-	// Drop whatever followed the last intact entry so appends resume from a
-	// clean frame boundary.
-	if off < int64(len(data)) {
-		if err := f.Truncate(off); err != nil {
-			f.Close()
-			return nil, nil, err
-		}
-	}
-	if _, err := f.Seek(off, io.SeekStart); err != nil {
-		f.Close()
+		return nil
+	})
+	if err != nil {
 		return nil, nil, err
 	}
-	return &wal{f: f, off: off}, entries, nil
+	return w, entries, nil
 }
 
-// append writes pre-encoded frames in one write (group commit).
-func (w *wal) append(frames []byte, sync bool) error {
-	if len(frames) == 0 {
-		return nil
-	}
-	if _, err := w.f.Write(frames); err != nil {
-		return err
-	}
-	w.off += int64(len(frames))
-	if sync {
-		return w.f.Sync()
-	}
-	return nil
-}
-
-func (w *wal) size() int64 { return w.off }
-
-func (w *wal) close() error { return w.f.Close() }
-
-// appendWALFrame encodes one entry as a framed payload onto b. The payload is
-// built in place on b behind a length placeholder that is patched afterward,
-// so no per-record scratch buffer is allocated; enc supplies memoized
-// attribute bytes for the record.
+// appendWALFrame encodes one entry as a frame onto b. The payload is built
+// in place on b (see beginFrame), so no per-record scratch buffer is
+// allocated; enc supplies memoized attribute bytes for the record.
 func appendWALFrame(b []byte, window int64, seq uint64, rec collector.Record, enc *attrEncoder) ([]byte, error) {
-	lenAt := len(b)
-	b = append(b, 0, 0, 0, 0) // payload length, patched below
-	pStart := len(b)
+	b, lenAt := beginFrame(b)
 	b = binary.BigEndian.AppendUint64(b, uint64(window))
 	b = binary.BigEndian.AppendUint64(b, seq)
 	b, err := appendRecordAbs(b, rec, enc)
 	if err != nil {
 		return nil, err
 	}
-	payload := b[pStart:]
-	binary.BigEndian.PutUint32(b[lenAt:], uint32(len(payload)))
-	return binary.BigEndian.AppendUint32(b, crc32.ChecksumIEEE(payload)), nil
+	return endFrame(b, lenAt), nil
 }
 
 func decodeWALPayload(p []byte) (walEntry, error) {

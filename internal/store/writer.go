@@ -97,9 +97,6 @@ func (w *Writer) maintainLocked() error {
 	if s.opts.AutoSealRecords <= 0 || s.memN < s.opts.AutoSealRecords {
 		return nil
 	}
-	if s.opts.syncSeal {
-		return s.sealSyncLocked()
-	}
 	if s.sealing == nil {
 		if _, err := s.startSealLocked(); err != nil {
 			return err
@@ -329,7 +326,7 @@ func (s *Store) startSealLocked() (*sealBatch, error) {
 	if err != nil || b == nil {
 		return b, err
 	}
-	go s.runSeal(b, false)
+	go s.runSeal(b)
 	return b, nil
 }
 
@@ -337,9 +334,8 @@ func (s *Store) startSealLocked() (*sealBatch, error) {
 // write the segment (block compression fans across the seal worker pool),
 // and publish it under a short lock. Windows publish incrementally, so a
 // failure partway keeps every already-published segment and requeues only
-// the rest. locked reports whether the caller already holds s.mu (the
-// synchronous syncSeal path); the background path takes it per publish.
-func (s *Store) runSeal(b *sealBatch, locked bool) {
+// the rest. It runs off the store lock and takes it per publish.
+func (s *Store) runSeal(b *sealBatch) {
 	t0 := time.Now()
 	span := obs.StartSpan("store_seal")
 	var err error
@@ -359,7 +355,7 @@ func (s *Store) runSeal(b *sealBatch, locked bool) {
 			break
 		}
 		obsSealWriteSeconds.ObserveSince(t2)
-		s.publishSealed(b, i, seg, locked)
+		s.publishSealed(b, i, seg)
 		records += len(recs)
 	}
 	span.Add(int64(records))
@@ -367,18 +363,16 @@ func (s *Store) runSeal(b *sealBatch, locked bool) {
 	if err == nil {
 		obsSealSeconds.ObserveSince(t0)
 	}
-	s.finishSeal(b, err, locked)
+	s.finishSeal(b, err)
 }
 
 // publishSealed makes one sealed segment live: it enters the segment list,
 // the window's sealed high-water mark advances, and the batch's publish
 // cursor moves past it — all under one short lock hold, which is the only
 // moment a seal blocks queries.
-func (s *Store) publishSealed(b *sealBatch, i int, seg *segment, locked bool) {
+func (s *Store) publishSealed(b *sealBatch, i int, seg *segment) {
 	t0 := time.Now()
-	if !locked {
-		s.mu.Lock()
-	}
+	s.mu.Lock()
 	seg.di = s.dec
 	s.segs = append(s.segs, seg)
 	sortSegments(s.segs)
@@ -390,9 +384,7 @@ func (s *Store) publishSealed(b *sealBatch, i int, seg *segment, locked bool) {
 	s.gen.Add(1)
 	obsSegments.SetInt(int64(len(s.segs)))
 	obsMemRecords.SetInt(int64(s.unsealedLocked()))
-	if !locked {
-		s.mu.Unlock()
-	}
+	s.mu.Unlock()
 	obsSealPublishSeconds.ObserveSince(t0)
 	obsSealedRecords.Add(seg.count)
 	obsSealedSegments.Inc()
@@ -405,10 +397,8 @@ func (s *Store) publishSealed(b *sealBatch, i int, seg *segment, locked bool) {
 // until a later seal covers them), so no acked record is ever dropped. If
 // auto-seal pressure built up while this batch ran, the next one starts
 // immediately.
-func (s *Store) finishSeal(b *sealBatch, err error, locked bool) {
-	if !locked {
-		s.mu.Lock()
-	}
+func (s *Store) finishSeal(b *sealBatch, err error) {
+	s.mu.Lock()
 	if err != nil {
 		b.err = err
 		for _, sw := range b.windows[b.published:] {
@@ -423,15 +413,13 @@ func (s *Store) finishSeal(b *sealBatch, err error, locked bool) {
 	s.sealing = nil
 	obsSealActive.SetInt(0)
 	obsMemRecords.SetInt(int64(s.unsealedLocked()))
-	if err == nil && !locked && !s.closing &&
+	if err == nil && !s.closing &&
 		s.opts.AutoSealRecords > 0 && s.memN >= s.opts.AutoSealRecords {
 		// A start error here is deliberately dropped: the next append's
 		// maintainLocked retries and surfaces it.
 		s.startSealLocked()
 	}
-	if !locked {
-		s.mu.Unlock()
-	}
+	s.mu.Unlock()
 	close(b.done)
 }
 
@@ -476,8 +464,7 @@ func (s *Store) joinSealLocked() error {
 
 // sealSyncLocked is the synchronous seal: join any in-flight batch, then
 // seal and wait until the memtable is empty (appends racing the wait are
-// swept into follow-up batches). Seal, Close, and the syncSeal option all
-// funnel here.
+// swept into follow-up batches). Seal and Close both funnel here.
 func (s *Store) sealSyncLocked() error {
 	for {
 		if err := s.joinSealLocked(); err != nil {
@@ -488,22 +475,6 @@ func (s *Store) sealSyncLocked() error {
 		}
 		if s.memN == 0 {
 			return nil
-		}
-		if s.opts.syncSeal {
-			// Inline variant: the whole seal runs under the lock, exactly the
-			// pre-pipeline behavior. Kept for A/B stall measurement.
-			b, err := s.detachSealLocked()
-			if err != nil {
-				return err
-			}
-			if b == nil {
-				return nil
-			}
-			s.runSeal(b, true)
-			if b.err != nil {
-				return b.err
-			}
-			continue
 		}
 		b, err := s.startSealLocked()
 		if err != nil {

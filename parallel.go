@@ -1,7 +1,6 @@
 package instability
 
 import (
-	"io"
 	"runtime"
 	"strconv"
 	"sync"
@@ -15,14 +14,14 @@ import (
 )
 
 // ParallelPipeline is the sharded form of Pipeline: records are
-// hash-partitioned by the classifier's (peer, prefix) state key across N
-// worker shards, each owning a private Classifier, Accumulator, and RIB
-// partition, fed through bounded channels in multi-record batches. Because
-// classification history never crosses a (peer, prefix) key and RIB state
-// never crosses a prefix, the shards share nothing on the hot path; EndDay
-// is the only barrier, where per-shard day statistics are merged so the
-// published results are identical to what the serial Pipeline produces from
-// the same stream.
+// hash-partitioned by prefix across N worker shards, each a private serial
+// Pipeline (Classifier, Accumulator, RIB partition) fed through a bounded
+// channel in multi-record batches. One key is enough: classification history
+// never crosses a (peer, prefix) key and RIB state never crosses a prefix,
+// and equal prefixes always share a shard, so the shards share nothing on
+// the hot path; EndDay is the only barrier, where per-shard day statistics
+// are merged so the published results are identical to what the serial
+// Pipeline produces from the same stream.
 //
 // Each shard's Classifier and RIB own private attribute/path interners, so
 // the hot path stays lock-free. Interned IDs are therefore shard-local;
@@ -32,8 +31,8 @@ import (
 //
 // The feeder side (Feed, FeedBatch, EndDay, Close) must be used from one
 // goroutine, exactly like the serial Pipeline. The Events hook, when set,
-// runs on shard goroutines: it is called concurrently, in per-key order
-// only.
+// runs on shard goroutines: it is called concurrently, in stream order
+// within one prefix only.
 type ParallelPipeline struct {
 	// Acc holds the merged per-day statistics. It is complete up to the
 	// last EndDay/Close barrier; between barriers, newly fed records live
@@ -42,8 +41,8 @@ type ParallelPipeline struct {
 	// CensusByDay snapshots the merged table census at each day end.
 	CensusByDay map[core.Date]rib.Census
 	// Events, when set before the first Feed, observes every classified
-	// event. Called from shard goroutines: concurrently across keys, in
-	// order within one (peer, prefix) key.
+	// event. Called from shard goroutines: concurrently across prefixes, in
+	// stream order within one prefix.
 	Events func(core.Event)
 	// DayEnd, when set, observes every day barrier on the feeder
 	// goroutine, after all shards have drained the day's events — the
@@ -52,7 +51,7 @@ type ParallelPipeline struct {
 	DayEnd func(core.Date)
 
 	shards    []*shard
-	batches   [][]shardRec
+	batches   [][]collector.Record
 	batchSize int
 	peaks     map[core.Date]*peakTrack
 	closed    bool
@@ -84,44 +83,20 @@ func (c ParallelConfig) withDefaults() ParallelConfig {
 	return c
 }
 
-// shardRec is one routed record: the same record can be routed to one shard
-// for classification (keyed by peer+prefix) and another for the RIB mirror
-// (keyed by prefix alone); when both hashes agree it travels once with both
-// flags set.
-type shardRec struct {
-	rec      collector.Record
-	classify bool
-	table    bool
-}
-
-// shardMsg is either a data batch (recs != nil) or an EndDay/Sync barrier.
+// shardMsg is either a data batch (recs != nil) or, at a barrier, a function
+// to run on the shard's goroutine against its pipeline once every batch sent
+// before it has been fed.
 type shardMsg struct {
-	recs    []shardRec
-	barrier *barrierReq
+	recs []collector.Record
+	do   func(*Pipeline)
 }
 
-// barrierReq asks a shard to hand off its accumulator (optionally after an
-// EndDay snapshot and a census) and start a fresh one.
-type barrierReq struct {
-	day      core.Date
-	snapshot bool // call Accumulator.EndDay(classifier, day) first
-	census   bool // include a partial census of the shard's RIB
-	out      chan shardHandoff
-}
-
-// shardHandoff is what a shard surrenders at a barrier. The accumulator's
-// ownership transfers to the feeder, so the merge runs without locks.
-type shardHandoff struct {
-	acc    *core.Accumulator
-	census rib.PartialCensus
-}
-
+// shard is one worker: a serial Pipeline over the shard's share of the
+// prefixes, plus the channel that feeds it.
 type shard struct {
-	cls   *core.Classifier
-	acc   *core.Accumulator
-	table *rib.RIB
-	in    chan shardMsg
-	done  chan struct{}
+	p    *Pipeline
+	in   chan shardMsg
+	done chan struct{}
 }
 
 // peakTrack reproduces the serial Accumulator's burst accounting on the
@@ -158,18 +133,16 @@ func NewParallelPipeline(cfg ParallelConfig) *ParallelPipeline {
 		Acc:         core.NewAccumulator(),
 		CensusByDay: make(map[core.Date]rib.Census),
 		shards:      make([]*shard, cfg.Shards),
-		batches:     make([][]shardRec, cfg.Shards),
+		batches:     make([][]collector.Record, cfg.Shards),
 		batchSize:   cfg.BatchSize,
 		peaks:       make(map[core.Date]*peakTrack),
 	}
 	obsParShards.SetInt(int64(cfg.Shards))
 	for i := range pp.shards {
 		sh := &shard{
-			cls:   core.NewClassifier(),
-			acc:   core.NewAccumulator(),
-			table: rib.New(0),
-			in:    make(chan shardMsg, cfg.Queue),
-			done:  make(chan struct{}),
+			p:    NewPipeline(),
+			in:   make(chan shardMsg, cfg.Queue),
+			done: make(chan struct{}),
 		}
 		pp.shards[i] = sh
 		// Queue depth is read at exposition time, so a scrape during a
@@ -183,80 +156,43 @@ func NewParallelPipeline(cfg ParallelConfig) *ParallelPipeline {
 	return pp
 }
 
-// run is the shard worker loop. It owns the shard's classifier, accumulator,
-// and RIB partition exclusively between barriers. pp.Events is read here
-// per event: the write in the feeder happens before the first batch send,
-// which happens before this read, so the hook may be assigned any time up
-// to the first Feed.
+// run is the shard worker loop. It owns the shard's pipeline exclusively
+// between barriers, and what happens to a record is Pipeline.Feed — nothing
+// here repeats it. pp.Events is picked up per batch: the write in the feeder
+// happens before the batch send, which happens before this read, so the hook
+// may be assigned any time up to the first Feed.
 func (sh *shard) run(pp *ParallelPipeline) {
 	defer close(sh.done)
 	for msg := range sh.in {
 		if msg.recs != nil {
-			for i := range msg.recs {
-				sr := &msg.recs[i]
-				if sr.classify {
-					ev := sh.cls.Classify(sr.rec)
-					sh.acc.Add(ev)
-					if pp.Events != nil {
-						pp.Events(ev)
-					}
-				}
-				if sr.table {
-					peer := rib.PeerID{AS: sr.rec.PeerAS, ID: sr.rec.PeerAddr}
-					switch sr.rec.Type {
-					case collector.Announce:
-						sh.table.Update(peer, sr.rec.Prefix, sr.rec.Attrs)
-					case collector.Withdraw:
-						sh.table.Withdraw(peer, sr.rec.Prefix)
-					}
-				}
+			sh.p.Events = pp.Events
+			for _, rec := range msg.recs {
+				sh.p.Feed(rec)
 			}
 			batchPool.Put(msg.recs[:0])
 			continue
 		}
-		req := msg.barrier
-		if req.snapshot {
-			sh.acc.EndDay(sh.cls, req.day)
-		}
-		h := shardHandoff{acc: sh.acc}
-		if req.census {
-			h.census = sh.table.TakePartialCensus()
-		}
-		sh.acc = core.NewAccumulator()
-		req.out <- h
+		msg.do(sh.p)
 	}
 }
 
-// batchPool recycles routed-record batch slices between the feeder and the
-// shard workers, so steady-state feeding allocates nothing per batch.
-var batchPool = sync.Pool{New: func() any { return []shardRec(nil) }}
+// batchPool recycles record batch slices between the feeder and the shard
+// workers, so steady-state feeding allocates nothing per batch.
+var batchPool = sync.Pool{New: func() any { return []collector.Record(nil) }}
 
-func getBatch(n int) []shardRec {
-	b := batchPool.Get().([]shardRec)
+func getBatch(n int) []collector.Record {
+	b := batchPool.Get().([]collector.Record)
 	if cap(b) < n {
-		b = make([]shardRec, 0, n)
+		b = make([]collector.Record, 0, n)
 	}
 	return b
 }
 
-// Feed routes one record to its shard(s). Results become visible in Acc at
-// the next EndDay or Close barrier.
+// Feed routes one record to the shard that owns its prefix. Results become
+// visible in Acc at the next EndDay or Close barrier.
 func (pp *ParallelPipeline) Feed(rec collector.Record) {
 	pp.trackPeak(rec)
-	n := len(pp.shards)
-	cs := core.ShardOf(rec, n)
-	sr := shardRec{rec: rec, classify: true}
-	rs := -1
-	if rec.Type == collector.Announce || rec.Type == collector.Withdraw {
-		rs = core.PrefixShardOf(rec.Prefix, n)
-		if rs == cs {
-			sr.table = true
-		}
-	}
-	pp.route(cs, sr)
-	if rs >= 0 && rs != cs {
-		pp.route(rs, shardRec{rec: rec, table: true})
-	}
+	pp.route(core.PrefixShardOf(rec.Prefix, len(pp.shards)), rec)
 }
 
 // FeedBatch routes a slice of records; it is Feed amortized over the loop.
@@ -266,13 +202,13 @@ func (pp *ParallelPipeline) FeedBatch(recs []collector.Record) {
 	}
 }
 
-// route appends one routed record to shard i's pending batch, dispatching
-// the batch when full.
-func (pp *ParallelPipeline) route(i int, sr shardRec) {
+// route appends one record to shard i's pending batch, dispatching the batch
+// when full.
+func (pp *ParallelPipeline) route(i int, rec collector.Record) {
 	if pp.batches[i] == nil {
 		pp.batches[i] = getBatch(pp.batchSize)
 	}
-	pp.batches[i] = append(pp.batches[i], sr)
+	pp.batches[i] = append(pp.batches[i], rec)
 	if len(pp.batches[i]) >= pp.batchSize {
 		pp.dispatch(i)
 	}
@@ -316,29 +252,35 @@ func (pp *ParallelPipeline) trackPeak(rec collector.Record) {
 	}
 }
 
-// barrier flushes pending batches, collects every shard's accumulator (and
-// optionally EndDay snapshot + census), merges them into Acc, and patches
-// the exact peak-second counts.
-func (pp *ParallelPipeline) barrier(day core.Date, snapshot, census bool) []rib.PartialCensus {
+// barrier flushes pending batches, takes every shard's accumulator (for
+// endDay, closed for day and with the shard's partial census), merges them
+// into Acc, and patches the exact peak-second counts. Each shard does its
+// share on its own goroutine; a barrier is not Pipeline.EndDay, because the
+// shard's census is partial (MergeCensuses finishes it) and its accumulator
+// changes hands — ownership passes to the feeder, so the merge runs without
+// locks.
+func (pp *ParallelPipeline) barrier(endDay bool, day core.Date) []rib.PartialCensus {
 	pp.Flush()
 	t0 := time.Now()
-	out := make(chan shardHandoff, len(pp.shards))
-	req := &barrierReq{day: day, snapshot: snapshot, census: census, out: out}
-	for _, sh := range pp.shards {
-		sh.in <- shardMsg{barrier: req}
+	accs := make([]*core.Accumulator, len(pp.shards))
+	parts := make([]rib.PartialCensus, len(pp.shards))
+	var wg sync.WaitGroup
+	wg.Add(len(pp.shards))
+	for i, sh := range pp.shards {
+		sh.in <- shardMsg{do: func(p *Pipeline) {
+			defer wg.Done()
+			if endDay {
+				p.Acc.EndDay(p.Classifier, day)
+				parts[i] = p.Table.TakePartialCensus()
+			}
+			accs[i], p.Acc = p.Acc, core.NewAccumulator()
+		}}
 	}
-	handoffs := make([]shardHandoff, 0, len(pp.shards))
-	for range pp.shards {
-		handoffs = append(handoffs, <-out)
-	}
+	wg.Wait()
 	obsParMergeWait.ObserveSince(t0)
 	t1 := time.Now()
-	var parts []rib.PartialCensus
-	for _, h := range handoffs {
-		pp.Acc.Merge(h.acc)
-		if census {
-			parts = append(parts, h.census)
-		}
+	for _, acc := range accs {
+		pp.Acc.Merge(acc)
 	}
 	for d, pk := range pp.peaks {
 		if ds := pp.Acc.Days[d]; ds != nil {
@@ -354,7 +296,7 @@ func (pp *ParallelPipeline) barrier(day core.Date, snapshot, census bool) []rib.
 // day statistics, which are merged so that Acc and CensusByDay match the
 // serial pipeline bit for bit.
 func (pp *ParallelPipeline) EndDay(date core.Date) {
-	parts := pp.barrier(date, true, true)
+	parts := pp.barrier(true, date)
 	pp.CensusByDay[date] = rib.MergeCensuses(parts...)
 	if pp.DayEnd != nil {
 		pp.DayEnd(date)
@@ -364,7 +306,7 @@ func (pp *ParallelPipeline) EndDay(date core.Date) {
 // Sync flushes and merges without taking a day snapshot, making Acc current
 // with everything fed so far.
 func (pp *ParallelPipeline) Sync() {
-	pp.barrier(0, false, false)
+	pp.barrier(false, 0)
 }
 
 // Close merges any remaining shard state and stops the shard goroutines.
@@ -389,7 +331,7 @@ func (pp *ParallelPipeline) Close() {
 func (pp *ParallelPipeline) TotalActive() int {
 	n := 0
 	for _, sh := range pp.shards {
-		n += sh.cls.TotalActive()
+		n += sh.p.Classifier.TotalActive()
 	}
 	return n
 }
@@ -401,7 +343,7 @@ func (pp *ParallelPipeline) TotalActive() int {
 func (pp *ParallelPipeline) Census() rib.Census {
 	parts := make([]rib.PartialCensus, 0, len(pp.shards))
 	for _, sh := range pp.shards {
-		parts = append(parts, sh.table.TakePartialCensus())
+		parts = append(parts, sh.p.Table.TakePartialCensus())
 	}
 	return rib.MergeCensuses(parts...)
 }
@@ -410,42 +352,12 @@ func (pp *ParallelPipeline) Census() rib.Census {
 // stream is fed through pp with a day barrier at each day end. The caller
 // still owns pp and should Close it when done feeding.
 func RunScenarioParallel(cfg workload.Config, pp *ParallelPipeline) (workload.Stats, *workload.Generator, error) {
-	g, err := workload.New(cfg)
-	if err != nil {
-		return workload.Stats{}, nil, err
-	}
-	stats := g.Run(
-		func(rec collector.Record) { pp.Feed(rec) },
-		func(day int, end time.Time) { pp.EndDay(core.DateOf(end.Add(-time.Second))) },
-	)
-	return stats, g, nil
+	return runScenario(cfg, pp.Feed, pp.EndDay)
 }
 
 // ClassifyLogParallel is ClassifyLog over a sharded pipeline: records stream
 // through pp with a barrier at each date boundary. It returns the number of
 // records read. The caller still owns pp and should Close it when done.
 func ClassifyLogParallel(r collector.RecordReader, pp *ParallelPipeline) (int, error) {
-	n := 0
-	var cur core.Date
-	haveDay := false
-	for {
-		rec, err := r.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return n, err
-		}
-		d := core.DateOf(rec.Time)
-		if haveDay && d != cur {
-			pp.EndDay(cur)
-		}
-		cur, haveDay = d, true
-		pp.Feed(rec)
-		n++
-	}
-	if haveDay {
-		pp.EndDay(cur)
-	}
-	return n, nil
+	return classifyLog(r, pp.Feed, pp.EndDay)
 }
