@@ -270,7 +270,8 @@ func cmdStats(args []string) {
 	s := openStore(*dir, 0, 0, 0, "", 0, false)
 	defer s.Close()
 	st := s.Stats()
-	fmt.Printf("segments      %d (%d v1 inline, %d v2 dictionary)\n", st.Segments, st.SegmentsV1, st.SegmentsV2)
+	fmt.Printf("segments      %d (%d v1 inline, %d v2 dictionary, %d v3 column-coded)\n",
+		st.Segments, st.SegmentsV1, st.SegmentsV2, st.SegmentsV3)
 	fmt.Printf("blocks        %d\n", st.Blocks)
 	fmt.Printf("records       %d sealed, %d unsealed\n", st.Records, st.MemRecords)
 	fmt.Printf("time windows  %d\n", st.Windows)

@@ -112,37 +112,39 @@ func benchCachedStore(b *testing.B) *Store {
 	return s
 }
 
-// BenchmarkStoreQueryCache measures the same full scan cold (cache purged
-// every iteration, so every block is read, inflated, and decoded) versus
-// warm (every block served from the shared cache). The B/op gap is the
-// per-query cost the cache removes for repeated identical queries.
+// BenchmarkStoreQueryCache runs one query list — a full scan and a range, an
+// origin, a prefix and a peer query, the ledger's shapes — over one day-sized
+// store three ways: Off (BlockCacheBytes 0: every block parsed in place out
+// of the mapping, nothing kept), Cold (cache purged every iteration, so every
+// block is loaded into it) and Warm (every block served from it). queries/s
+// Off against Warm is what the parsed-block cache buys a repeated query now
+// that a fetch inflates nothing (DESIGN.md §14).
 func BenchmarkStoreQueryCache(b *testing.B) {
-	s := benchCachedStore(b)
-	q := Query{}
-
-	b.Run("Cold", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			s.cache.lru.DropIf(func(blockKey) bool { return true })
-			r, err := s.Query(q)
-			if err != nil {
-				b.Fatal(err)
-			}
-			drainReader(b, r)
-			r.Close()
-		}
-	})
-
-	b.Run("Warm", func(b *testing.B) {
-		r, err := s.Query(q) // prime
+	recs := hourlyWorkload(24, 4000)
+	open := func(cache int64) *Store {
+		s, err := Open(b.TempDir(), Options{Window: time.Hour, BlockCacheBytes: cache})
 		if err != nil {
 			b.Fatal(err)
 		}
-		drainReader(b, r)
-		r.Close()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
+		b.Cleanup(func() { s.Close() })
+		if err := s.Writer().AppendBatch(recs); err != nil {
+			b.Fatal(err)
+		}
+		if err := s.Writer().Seal(); err != nil {
+			b.Fatal(err)
+		}
+		return s
+	}
+	origin, _ := originOf(recs[0])
+	list := []Query{
+		{},
+		{From: recs[len(recs)/2].Time, To: recs[len(recs)/2].Time.Add(2 * time.Hour)},
+		{OriginAS: []bgp.ASN{origin}},
+		{Prefix: recs[len(recs)/3].Prefix},
+		{PeerAS: []bgp.ASN{recs[1].PeerAS}, From: recs[len(recs)/4].Time, To: recs[len(recs)/4].Time.Add(3 * time.Hour)},
+	}
+	pass := func(b *testing.B, s *Store) {
+		for _, q := range list {
 			r, err := s.Query(q)
 			if err != nil {
 				b.Fatal(err)
@@ -150,7 +152,25 @@ func BenchmarkStoreQueryCache(b *testing.B) {
 			drainReader(b, r)
 			r.Close()
 		}
-	})
+	}
+	run := func(name string, s *Store, purge bool) {
+		b.Run(name, func(b *testing.B) {
+			pass(b, s) // prime
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if purge {
+					s.cache.lru.DropIf(func(blockKey) bool { return true })
+				}
+				pass(b, s)
+			}
+			b.ReportMetric(float64(b.N*len(list))/b.Elapsed().Seconds(), "queries/s")
+		})
+	}
+	run("Off", open(0), false)
+	cached := open(64 << 20)
+	run("Cold", cached, true)
+	run("Warm", cached, false)
 }
 
 // BenchmarkStoreQuerySelective measures a selective predicate (one origin AS
@@ -192,21 +212,16 @@ func BenchmarkColumnarFilter(b *testing.B) {
 	defer f.Close()
 	bs := getBlockScanner()
 	defer putBlockScanner(bs)
-	raw, err := g.inflateBlock(bs.br, f, nil, 0)
+	cb, _, err := bs.fetch(g, f, nil, nil, 0)
 	if err != nil {
-		b.Fatal(err)
-	}
-	cb := new(colBlock)
-	if err := decodeColBlock(g, 0, raw, cb); err != nil {
 		b.Fatal(err)
 	}
 	q := &Query{PeerAS: []bgp.ASN{9999}}
 	dst := make([]collector.Record, 0, cb.rows())
-	sel := make([]int32, 0, cb.rows())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dst = cb.appendMatching(q, &sel, dst[:0])
+		dst, _ = cb.appendMatching(q, &bs.ks, dst[:0])
 	}
 	if len(dst) != 0 {
 		b.Fatal("predicate unexpectedly matched")

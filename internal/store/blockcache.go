@@ -2,8 +2,8 @@ package store
 
 import "instability/internal/lru"
 
-// blockCache is the store-wide cache of decompressed, columnar-decoded
-// segment blocks, shared by every reader — serial scans, parallel scan
+// blockCache is the store-wide cache of parsed segment blocks (colBlock in
+// its owning form), shared by every reader — serial scans, parallel scan
 // workers, and compaction-adjacent queries all hit the same entries. It is
 // the shared load-once LRU (internal/lru) keyed by (segment fingerprint,
 // block index) and priced by decoded size: segments are immutable, so an
@@ -12,9 +12,9 @@ import "instability/internal/lru"
 // because fingerprints are content-derived.
 //
 // Loads are single-flight: when two scans miss the same cold block
-// concurrently, one inflates and decodes it while the other waits for the
+// concurrently, one reads and parses it while the other waits for the
 // result, so a thundering herd of identical dashboard queries costs one
-// decompression per block, not one per reader.
+// parse per block, not one per reader.
 type blockCache struct {
 	lru *lru.Cache[blockKey, *colBlock]
 }
@@ -61,7 +61,7 @@ func (c *blockCache) dropSegment(fp uint64) {
 	c.lru.DropIf(func(k blockKey) bool { return k.seg == fp })
 }
 
-// BlockCacheStats describes the shared decompressed-block cache, surfaced
+// BlockCacheStats describes the shared parsed-block cache, surfaced
 // through Store.Stats and the serving plane's /v1/statz.
 type BlockCacheStats struct {
 	Enabled     bool   `json:"enabled"`

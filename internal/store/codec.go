@@ -90,7 +90,7 @@ func (d *decodeInterner) internWire(w []byte) (bgp.Attrs, error) {
 }
 
 // appendRecordTail encodes everything after the timestamp: type, peer,
-// prefix, attributes inline (block format v1, and the WAL). enc, when
+// prefix, attributes inline (the WAL's record form, and block format v1's). enc, when
 // non-nil, supplies memoized attribute bytes so duplicate attribute sets are
 // marshaled once per store rather than once per record.
 func appendRecordTail(b []byte, rec collector.Record, enc *attrEncoder) ([]byte, error) {
@@ -114,19 +114,8 @@ func appendRecordTail(b []byte, rec collector.Record, enc *attrEncoder) ([]byte,
 	return b, nil
 }
 
-// appendRecordTailV2 encodes a record tail in block format v2: announce
-// records reference a per-block attribute dictionary entry by index instead
-// of carrying inline attribute bytes; non-announce records carry nothing.
-// Its inverse is the row loop of decodeColBlock.
-func appendRecordTailV2(b []byte, rec collector.Record, dictIdx int) []byte {
-	b = appendRecordCore(b, rec)
-	if rec.Type == collector.Announce {
-		b = binary.AppendUvarint(b, uint64(dictIdx))
-	}
-	return b
-}
-
-// appendRecordCore encodes the fields common to both block formats.
+// appendRecordCore encodes the fields common to the WAL and both legacy block
+// formats.
 func appendRecordCore(b []byte, rec collector.Record) []byte {
 	b = append(b, byte(rec.Type))
 	b = binary.AppendUvarint(b, uint64(rec.PeerAS))
@@ -135,7 +124,7 @@ func appendRecordCore(b []byte, rec collector.Record) []byte {
 	return binary.AppendUvarint(b, uint64(rec.Prefix.Addr()))
 }
 
-// decodeRecordTail is the inverse of appendRecordTail (block format v1); it
+// decodeRecordTail is the inverse of appendRecordTail; it
 // fills everything but rec.Time and returns the remaining bytes.
 func decodeRecordTail(b []byte, rec *collector.Record) ([]byte, error) {
 	b, err := decodeRecordCore(b, rec)
@@ -148,6 +137,9 @@ func decodeRecordTail(b []byte, rec *collector.Record) ([]byte, error) {
 	}
 	b = b[n:]
 	if alen > 0 {
+		if rec.Type != collector.Announce {
+			return nil, fmt.Errorf("%w: attributes on record type %d", ErrCorrupt, rec.Type)
+		}
 		rec.Attrs, err = bgp.UnmarshalAttrs(b[:alen])
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
@@ -159,7 +151,8 @@ func decodeRecordTail(b []byte, rec *collector.Record) ([]byte, error) {
 	return b, nil
 }
 
-// decodeRecordCore decodes the fields common to both block formats.
+// decodeRecordCore decodes the fields common to the WAL and both legacy block
+// formats.
 func decodeRecordCore(b []byte, rec *collector.Record) ([]byte, error) {
 	if len(b) < 1 {
 		return nil, fmt.Errorf("%w: record type", ErrCorrupt)

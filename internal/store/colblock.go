@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -13,175 +14,302 @@ import (
 	"instability/internal/netaddr"
 )
 
-// colBlock is the decoded, columnar form of one segment block: every record
-// field lives in its own dense array, and announce attributes are a small
-// per-block dictionary referenced by index. Scans filter the columns as
-// arrays — time range by binary search, then one compaction pass per set
-// predicate — and materialize collector.Record values only for rows that
-// survive, so a selective query never constructs the records it filters out.
+// Segment block format v3. A block is stored uncompressed and column-major
+// behind a CRC-32; its row count n and first timestamp live in the index.
 //
-// A colBlock is immutable once decoded; the shared block cache hands the
-// same instance to any number of concurrent readers.
+//	uvarint P | P x (u16 peer AS, u32 peer address)      strictly ascending
+//	uvarint F | F x (u32 prefix address, u8 mask length)  strictly ascending
+//	uvarint A | A x (uvarint len, attribute wire bytes,
+//	                 uvarint origin AS + 1, 0 = none)     strictly ascending by wire bytes
+//	n x u8 record type
+//	n x peer code | n x prefix code | n x attribute code (1-based, 0 = none)
+//	(n-1) x uvarint timestamp delta from the previous row
+//	u32 CRC-32 of everything above
+//
+// A code column is one byte per row, two (little-endian) when its dictionary
+// holds more than maxNarrowDict entries. Every dictionary entry is referenced
+// and every varint minimal, so a block has exactly one encoding.
+const (
+	maxNarrowDict   = 255
+	maxBlockRecords = 1<<16 - 1 // what a two-byte code can number
+)
+
+// codes is one dictionary-code column.
+type codes struct {
+	b    []byte
+	wide bool
+}
+
+func (c codes) at(i int) int {
+	if c.wide {
+		return int(c.b[2*i]) | int(c.b[2*i+1])<<8
+	}
+	return int(c.b[i])
+}
+
+// colBlock is the in-memory form of one segment block, and it is the stored
+// form: three small dictionaries (peers, prefixes, attribute tuples), one
+// code per row into each, a type byte per row and the timestamps. Scans
+// filter on the codes — a peer or origin predicate is resolved once per block
+// against its dictionary, an exact prefix is one binary search — and gather
+// collector.Record values through the dictionaries only for rows that
+// survive, so a selective query never constructs the records it filters out.
+// Legacy (v1, v2) blocks are transcoded to this form when fetched.
+//
+// A scanner's private colBlock aliases the bytes it was parsed from (the
+// segment mapping or the scanner's read buffer) and interns an attribute
+// tuple the first time a surviving row references it. A cached colBlock owns
+// its memory, has every tuple interned, and is immutable: the shared block
+// cache hands the same instance to any number of concurrent readers.
 type colBlock struct {
 	times    []int64 // ascending unixnano timestamps
-	types    []collector.RecType
-	peers    []bgp.ASN
-	addrs    []netaddr.Addr
-	prefixes []netaddr.Prefix
-	attr     []int32 // per-row dictionary index, -1 = no attributes
+	types    []byte  // collector.RecType per row
+	peerc    codes
+	prefixc  codes
+	attrc    codes // 1-based; 0 = the row has no attributes
+	peers    []peerKey
+	prefixes []netaddr.Prefix // sorted: an exact-prefix probe is a binary search
 
-	dict []bgp.Attrs
-	// dictOrigin/dictHasOrig memoize Path.Origin() per dictionary entry, so
-	// an origin predicate is one array probe per candidate row instead of an
-	// AS-path walk per record per query.
-	dictOrigin  []bgp.ASN
-	dictHasOrig []bool
+	dict     []bgp.Attrs // valid where dictOK
+	dictOK   []bool
+	dictWire [][]byte // nil on a cached block: every entry is interned
+	// dictOrigin memoizes Path.Origin() per dictionary entry (-1 = none), so
+	// an origin predicate is resolved against the dictionary, not the rows.
+	dictOrigin []int32
+	di         *decodeInterner // canonicalizes tuples; nil decodes privately
 
-	// bytes is the approximate resident size of the decoded block, the unit
-	// the cache budget is accounted in.
+	mark []bool // parse scratch: which dictionary entries the rows reference
+	// bytes is the approximate resident size of the block, the unit the
+	// cache budget is accounted in.
 	bytes int64
 }
 
 func (cb *colBlock) rows() int { return len(cb.times) }
 
 // reset truncates every column for reuse, dropping attribute references so a
-// pooled scratch block never pins another block's interned tuples.
+// pooled scratch block never pins another block's interned tuples or bytes.
 func (cb *colBlock) reset() {
 	cb.times = cb.times[:0]
-	cb.types = cb.types[:0]
+	cb.types, cb.peerc, cb.prefixc, cb.attrc = nil, codes{}, codes{}, codes{}
 	cb.peers = cb.peers[:0]
-	cb.addrs = cb.addrs[:0]
 	cb.prefixes = cb.prefixes[:0]
-	cb.attr = cb.attr[:0]
 	clear(cb.dict)
 	cb.dict = cb.dict[:0]
+	cb.dictOK = cb.dictOK[:0]
+	clear(cb.dictWire)
+	cb.dictWire = cb.dictWire[:0]
 	cb.dictOrigin = cb.dictOrigin[:0]
-	cb.dictHasOrig = cb.dictHasOrig[:0]
 	cb.bytes = 0
 }
 
-// colRowBytes is the fixed per-row footprint across the columns; the
-// dictionary is accounted separately from its wire size.
-const colRowBytes = 8 + 1 + 2 + 4 + 8 + 4
+// blockParser walks a block's bytes; the first short or malformed read makes
+// it sticky-bad, so parsing is straight-line with one check at the end.
+type blockParser struct {
+	b    []byte
+	bad  bool
+	mark []bool // scratch of codes
+}
 
-// decodeColBlock parses the inflated bytes b of block bi into cb. The
-// decoded columns own their memory: nothing aliases b, so the caller's
-// inflate buffer is free for reuse the moment this returns. Attribute tuples
-// are canonicalized through the segment's interner when it has one, so every
-// block of a store referencing the same tuple shares one value.
-func decodeColBlock(g *segment, bi int, b []byte, cb *colBlock) error {
-	bm := g.index.blocks[bi]
-	cb.reset()
-	v2 := g.ver >= segVersionV2
-	if v2 {
-		dictN, n := binary.Uvarint(b)
-		if n <= 0 || dictN > uint64(len(b)) {
-			return fmt.Errorf("%w: block %d dictionary count", ErrCorrupt, bi)
-		}
-		b = b[n:]
-		for j := uint64(0); j < dictN; j++ {
-			alen, n := binary.Uvarint(b)
-			if n <= 0 || alen > uint64(len(b)-n) {
-				return fmt.Errorf("%w: block %d dictionary entry %d", ErrCorrupt, bi, j)
-			}
-			b = b[n:]
-			if err := cb.appendDict(g, b[:alen]); err != nil {
-				return fmt.Errorf("%w: block %d dictionary entry %d: %v", ErrCorrupt, bi, j, err)
-			}
-			b = b[alen:]
-			cb.bytes += int64(alen)
-		}
+func (p *blockParser) take(n int) []byte {
+	if n < 0 || n > len(p.b) {
+		p.bad, p.b = true, nil
+		return nil
 	}
+	out := p.b[:n:n]
+	p.b = p.b[n:]
+	return out
+}
 
-	prev := bm.minTime
-	for i := int32(0); i < bm.count; i++ {
-		dt, n := binary.Uvarint(b)
-		if n <= 0 {
-			return fmt.Errorf("%w: block %d record %d time", ErrCorrupt, bi, i)
-		}
-		b = b[n:]
-		prev += int64(dt)
-		var rec collector.Record
-		var err error
-		b, err = decodeRecordCore(b, &rec)
-		if err != nil {
-			return fmt.Errorf("%w: block %d record %d: %v", ErrCorrupt, bi, i, err)
-		}
-		ai := int32(-1)
-		if v2 {
-			if rec.Type == collector.Announce {
-				idx, n := binary.Uvarint(b)
-				if n <= 0 || idx >= uint64(len(cb.dict)) {
-					return fmt.Errorf("%w: block %d record %d: attribute dictionary index", ErrCorrupt, bi, i)
-				}
-				b = b[n:]
-				ai = int32(idx)
-			}
+// uvarint reads one minimally encoded varint no larger than limit.
+func (p *blockParser) uvarint(limit uint64) uint64 {
+	v, n := binary.Uvarint(p.b)
+	if n <= 0 || v > limit || n > 1 && p.b[n-1] == 0 {
+		p.bad = true
+		return 0
+	}
+	p.b = p.b[n:]
+	return v
+}
+
+// zeroed returns *buf cut to n false entries, grown first when too short.
+func zeroed(buf *[]bool, n int) []bool {
+	if cap(*buf) < n {
+		*buf = make([]bool, n)
+	}
+	s := (*buf)[:n]
+	clear(s)
+	return s
+}
+
+// codes takes an n-row code column over a dictionary of dictLen entries and
+// checks it: every code in range, every entry referenced. base is 1 for the
+// attribute column, whose code 0 means none.
+func (p *blockParser) codes(n, dictLen, base int) codes {
+	c := codes{wide: dictLen > maxNarrowDict}
+	if c.wide {
+		c.b = p.take(2 * n)
+	} else {
+		c.b = p.take(n)
+	}
+	if p.bad {
+		return codes{}
+	}
+	seen := zeroed(&p.mark, dictLen+base)
+	for i := 0; i < n; i++ {
+		if v := c.at(i); v < len(seen) {
+			seen[v] = true
 		} else {
-			// v1 rows carry inline attribute bytes; each one becomes its own
-			// dictionary entry so both formats scan through the same kernels.
-			alen, n := binary.Uvarint(b)
-			if n <= 0 || alen > uint64(len(b)-n) {
-				return fmt.Errorf("%w: block %d record %d: attribute length", ErrCorrupt, bi, i)
-			}
-			b = b[n:]
-			if alen > 0 {
-				if err := cb.appendDict(g, b[:alen]); err != nil {
-					return fmt.Errorf("%w: block %d record %d: %v", ErrCorrupt, bi, i, err)
-				}
-				b = b[alen:]
-				cb.bytes += int64(alen)
-				ai = int32(len(cb.dict) - 1)
-			}
+			p.bad = true
 		}
-		cb.times = append(cb.times, prev)
-		cb.types = append(cb.types, rec.Type)
-		cb.peers = append(cb.peers, rec.PeerAS)
-		cb.addrs = append(cb.addrs, rec.PeerAddr)
-		cb.prefixes = append(cb.prefixes, rec.Prefix)
-		cb.attr = append(cb.attr, ai)
 	}
-	if len(b) != 0 {
-		return fmt.Errorf("%w: block %d trailing bytes", ErrCorrupt, bi)
+	p.bad = p.bad || slices.Contains(seen[base:], false)
+	return c
+}
+
+// parseColBlock parses the stored bytes b of v3 block bi into cb, which then
+// aliases b — unless own is set: cb then copies what it keeps and interns
+// every attribute tuple, as the shared cache needs.
+func parseColBlock(g *segment, bi int, b []byte, own bool, cb *colBlock) error {
+	bm := g.index.blocks[bi]
+	n := int(bm.count)
+	cb.reset()
+	cb.di = g.di
+	body, ok := splitChecksum(b)
+	if n <= 0 || !ok {
+		return fmt.Errorf("%w: block %d checksum", ErrCorrupt, bi)
 	}
-	cb.bytes += int64(cb.rows()) * colRowBytes
-	cb.bytes += int64(len(cb.dict)) * 48 // Attrs headers + origin columns
+	p := &blockParser{b: body, mark: cb.mark}
+	rows := uint64(n)
+
+	for d := p.take(6 * int(p.uvarint(rows))); len(d) > 0; d = d[6:] {
+		k := peerKey{bgp.ASN(binary.BigEndian.Uint16(d)), netaddr.Addr(binary.BigEndian.Uint32(d[2:]))}
+		if l := len(cb.peers); l > 0 && cb.peers[l-1].compare(k) >= 0 {
+			p.bad = true
+		}
+		cb.peers = append(cb.peers, k)
+	}
+	for d := p.take(5 * int(p.uvarint(rows))); len(d) > 0; d = d[5:] {
+		addr := netaddr.Addr(binary.BigEndian.Uint32(d))
+		f, err := netaddr.PrefixFrom(addr, int(d[4]))
+		if l := len(cb.prefixes); err != nil || f.Addr() != addr || l > 0 && cb.prefixes[l-1].Compare(f) >= 0 {
+			p.bad = true
+		}
+		cb.prefixes = append(cb.prefixes, f)
+	}
+	for i := p.uvarint(rows); i > 0 && !p.bad; i-- {
+		w := p.take(int(p.uvarint(uint64(len(p.b)))))
+		if l := len(cb.dictWire); l > 0 && bytes.Compare(cb.dictWire[l-1], w) >= 0 {
+			p.bad = true
+		}
+		cb.dictWire = append(cb.dictWire, w)
+		cb.dictOrigin = append(cb.dictOrigin, int32(p.uvarint(1<<16))-1)
+	}
+	na := len(cb.dictWire)
+	cb.dict = append(cb.dict, make([]bgp.Attrs, na)...)
+	cb.dictOK = append(cb.dictOK, make([]bool, na)...)
+
+	cols := p.b // the row columns are contiguous from here
+	cb.types = p.take(n)
+	cb.peerc = p.codes(n, len(cb.peers), 0)
+	cb.prefixc = p.codes(n, len(cb.prefixes), 0)
+	cb.attrc = p.codes(n, na, 1)
+	cb.mark = p.mark
+	if p.bad {
+		return fmt.Errorf("%w: block %d dictionaries or codes", ErrCorrupt, bi)
+	}
+	for i, t := range cb.types {
+		if t < byte(collector.Announce) || t > byte(collector.SessionDown) ||
+			(t == byte(collector.Announce)) != (cb.attrc.at(i) > 0) {
+			return fmt.Errorf("%w: block %d row %d type", ErrCorrupt, bi, i)
+		}
+	}
+	cols = cols[:len(cols)-len(p.b)]
+	times := slices.Grow(cb.times, n)[:n]
+	times[0] = bm.minTime
+	for i := 1; i < n; i++ {
+		var d uint64
+		if len(p.b) > 0 && p.b[0] < 0x80 { // one byte, as a zero delta is: 57 % of the campaign's
+			d, p.b = uint64(p.b[0]), p.b[1:]
+		} else {
+			d = p.uvarint(1<<63 - 1)
+		}
+		if times[i] = times[i-1] + int64(d); times[i] < times[i-1] {
+			p.bad = true // the sum overflowed
+		}
+	}
+	cb.times = times
+	if p.bad || len(p.b) != 0 {
+		return fmt.Errorf("%w: block %d timestamps", ErrCorrupt, bi)
+	}
+	cb.bytes += int64(n)*8 + int64(len(cols)) + int64(len(cb.peers)+len(cb.prefixes))*8 + int64(na)*attrsSize
+	if !own {
+		return nil
+	}
+	q := blockParser{b: bytes.Clone(cols)}
+	cb.types, cb.peerc.b = q.take(n), q.take(len(cb.peerc.b))
+	cb.prefixc.b, cb.attrc.b = q.take(len(cb.prefixc.b)), q.take(len(cb.attrc.b))
+	for j := range cb.dict {
+		if err := cb.resolve(j); err != nil {
+			return fmt.Errorf("block %d: %w", bi, err)
+		}
+	}
+	cb.dictWire, cb.mark = nil, nil
 	return nil
 }
 
-// appendDict decodes one attribute tuple from wire bytes w (not retained)
-// and appends it, with its memoized origin, to the dictionary columns.
-func (cb *colBlock) appendDict(g *segment, w []byte) error {
+// attrsSize is what one interned dictionary entry is accounted at: about a
+// bgp.Attrs header; the path and community storage behind it is shared
+// store-wide.
+const attrsSize = 96
+
+// resolve interns dictionary entry j — canonically, through the segment's
+// interner when it has one, so every block of a store referencing the same
+// tuple shares one value — and checks the origin stored beside it.
+func (cb *colBlock) resolve(j int) error {
 	var a bgp.Attrs
 	var err error
-	if g.di != nil {
-		a, err = g.di.internWire(w)
+	if cb.di != nil {
+		a, err = cb.di.internWire(cb.dictWire[j])
 	} else {
-		a, err = bgp.UnmarshalAttrs(w)
+		a, err = bgp.UnmarshalAttrs(cb.dictWire[j])
 	}
 	if err != nil {
-		return err
+		return fmt.Errorf("%w: attribute dictionary entry %d: %v", ErrCorrupt, j, err)
 	}
-	origin, ok := a.Path.Origin()
-	cb.dict = append(cb.dict, a)
-	cb.dictOrigin = append(cb.dictOrigin, origin)
-	cb.dictHasOrig = append(cb.dictHasOrig, ok)
+	origin := int32(-1)
+	if o, ok := a.Path.Origin(); ok {
+		origin = int32(o)
+	}
+	if origin != cb.dictOrigin[j] {
+		return fmt.Errorf("%w: attribute dictionary entry %d: stored origin %d, path says %d", ErrCorrupt, j, cb.dictOrigin[j], origin)
+	}
+	cb.dict[j], cb.dictOK[j] = a, true
 	return nil
 }
 
 // fill materializes row i into *rec, overwriting every field: rec is a slot
-// of a reused buffer and may hold a stale row.
+// of a reused buffer and may hold a stale row. The row's attribute tuple must
+// be interned: always so on a cached block, after intern(i) on a private one.
 func (cb *colBlock) fill(rec *collector.Record, i int) {
 	rec.Time = time.Unix(0, cb.times[i]).UTC()
-	rec.Type = cb.types[i]
-	rec.PeerAS = cb.peers[i]
-	rec.PeerAddr = cb.addrs[i]
-	rec.Prefix = cb.prefixes[i]
-	if ai := cb.attr[i]; ai >= 0 {
-		rec.Attrs = cb.dict[ai]
+	rec.Type = collector.RecType(cb.types[i])
+	peer := cb.peers[cb.peerc.at(i)]
+	rec.PeerAS, rec.PeerAddr = peer.as, peer.addr
+	rec.Prefix = cb.prefixes[cb.prefixc.at(i)]
+	if j := cb.attrc.at(i) - 1; j >= 0 {
+		rec.Attrs = cb.dict[j]
 	} else {
 		rec.Attrs = bgp.Attrs{}
 	}
+}
+
+// intern makes row i ready for fill on a scanner's private block, where an
+// attribute tuple is interned only once a surviving row references it.
+func (cb *colBlock) intern(i int) error {
+	if j := cb.attrc.at(i) - 1; j >= 0 && !cb.dictOK[j] {
+		return cb.resolve(j)
+	}
+	return nil
 }
 
 // timeRange returns the half-open row range [lo, hi) whose timestamps fall
@@ -190,54 +318,87 @@ func (cb *colBlock) fill(rec *collector.Record, i int) {
 func (cb *colBlock) timeRange(q *Query) (int, int) {
 	lo, hi := 0, cb.rows()
 	if !q.From.IsZero() {
-		lo = searchTimes(cb.times, q.From.UnixNano())
+		lo, _ = slices.BinarySearch(cb.times, q.From.UnixNano())
 	}
 	if !q.To.IsZero() {
-		hi = searchTimes(cb.times, q.To.UnixNano())
+		hi, _ = slices.BinarySearch(cb.times, q.To.UnixNano())
 	}
 	return lo, hi
 }
 
-// searchTimes returns the first index with times[i] >= t.
-func searchTimes(times []int64, t int64) int {
-	lo, hi := 0, len(times)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if times[mid] < t {
-			lo = mid + 1
-		} else {
-			hi = mid
+// kernelScratch is appendMatching's reusable working memory: the row
+// selection and the code sets a peer or origin predicate resolves to.
+type kernelScratch struct {
+	sel          []int32
+	peers, attrs []bool
+}
+
+// codeSet marks in *set which of n dictionary entries satisfy match, and
+// reports whether any does.
+func codeSet(set *[]bool, n int, match func(j int) bool) (any bool) {
+	s := zeroed(set, n)
+	for j := range s {
+		if match(j) {
+			s[j], any = true, true
 		}
 	}
-	return lo
+	return any
 }
 
 // appendMatching materializes the rows of cb satisfying q in place at the
-// end of dst and returns it. The selection scratch *selBuf is reused across
-// calls; neither it nor dst alias the block. The predicate semantics are
-// exactly Query.matches': the merge layer's record-level re-check is a no-op
-// for rows this returns.
-func (cb *colBlock) appendMatching(q *Query, selBuf *[]int32, dst []collector.Record) []collector.Record {
+// end of dst and returns it. The scratch is reused across calls; neither it
+// nor dst alias the block. The predicate semantics are exactly
+// Query.matches': the merge layer's record-level re-check is a no-op for
+// rows this returns.
+//
+// Dictionary-valued predicates run on codes. PeerAS and OriginAS are resolved
+// once against the block's dictionaries into code sets, an exact Prefix is a
+// binary search in the sorted prefix dictionary; an empty set or an absent
+// prefix means the block yields nothing, and no row is touched.
+func (cb *colBlock) appendMatching(q *Query, ks *kernelScratch, dst []collector.Record) ([]collector.Record, error) {
 	lo, hi := cb.timeRange(q)
 	if lo >= hi {
-		return dst
+		return dst, nil
 	}
+	if len(q.PeerAS) > 0 && !codeSet(&ks.peers, len(cb.peers), func(j int) bool {
+		return containsASN(q.PeerAS, cb.peers[j].as)
+	}) {
+		return dst, nil
+	}
+	if len(q.OriginAS) > 0 && !codeSet(&ks.attrs, len(cb.dictOrigin), func(j int) bool {
+		o := cb.dictOrigin[j]
+		return o >= 0 && containsASN(q.OriginAS, bgp.ASN(o))
+	}) {
+		return dst, nil
+	}
+	prefix := 0
+	if q.hasPrefix() {
+		var ok bool
+		if prefix, ok = slices.BinarySearchFunc(cb.prefixes, q.Prefix, netaddr.Prefix.Compare); !ok {
+			return dst, nil
+		}
+	}
+	n := len(dst)
 	if len(q.Types) == 0 && len(q.PeerAS) == 0 && len(q.OriginAS) == 0 && !q.hasPrefix() {
 		// Pure time-range scan: materialize the row range directly.
-		n := len(dst)
+		for i := lo; i < hi && cb.dictWire != nil; i++ {
+			if err := cb.intern(i); err != nil {
+				return dst, err
+			}
+		}
 		dst = slices.Grow(dst, hi-lo)[:n+hi-lo]
 		for i := lo; i < hi; i++ {
 			cb.fill(&dst[n+i-lo], i)
 		}
-		return dst
+		return dst, nil
 	}
 
 	// Seed the selection from the row range, then narrow it with one
 	// compaction pass per set predicate — each pass touches one column.
-	sel := (*selBuf)[:0]
+	sel := ks.sel[:0]
 	if len(q.Types) > 0 {
 		for i := lo; i < hi; i++ {
-			if containsType(q.Types, cb.types[i]) {
+			if containsType(q.Types, collector.RecType(cb.types[i])) {
 				sel = append(sel, int32(i))
 			}
 		}
@@ -246,91 +407,116 @@ func (cb *colBlock) appendMatching(q *Query, selBuf *[]int32, dst []collector.Re
 			sel = append(sel, int32(i))
 		}
 	}
+	if q.hasPrefix() {
+		kept := sel[:0]
+		for _, i := range sel {
+			if cb.prefixc.at(int(i)) == prefix {
+				kept = append(kept, i)
+			}
+		}
+		sel = kept
+	}
 	if len(q.PeerAS) > 0 {
 		kept := sel[:0]
 		for _, i := range sel {
-			if containsASN(q.PeerAS, cb.peers[i]) {
+			if ks.peers[cb.peerc.at(int(i))] {
 				kept = append(kept, i)
 			}
 		}
 		sel = kept
 	}
 	if len(q.OriginAS) > 0 {
+		// Only announcements carry an attribute code (checked at parse).
 		kept := sel[:0]
 		for _, i := range sel {
-			ai := cb.attr[i]
-			if cb.types[i] == collector.Announce && ai >= 0 && cb.dictHasOrig[ai] &&
-				containsASN(q.OriginAS, cb.dictOrigin[ai]) {
+			if j := cb.attrc.at(int(i)) - 1; j >= 0 && ks.attrs[j] {
 				kept = append(kept, i)
 			}
 		}
 		sel = kept
 	}
-	if q.hasPrefix() {
-		kept := sel[:0]
-		for _, i := range sel {
-			if cb.prefixes[i] == q.Prefix {
-				kept = append(kept, i)
-			}
+	ks.sel = sel
+	for k := 0; k < len(sel) && cb.dictWire != nil; k++ {
+		if err := cb.intern(int(sel[k])); err != nil {
+			return dst, err
 		}
-		sel = kept
 	}
-	*selBuf = sel
-	n := len(dst)
 	dst = slices.Grow(dst, len(sel))[:n+len(sel)]
 	for k, i := range sel {
 		cb.fill(&dst[n+k], int(i))
 	}
-	return dst
+	return dst, nil
 }
 
 // blockScanner bundles the per-consumer scratch state of the columnar read
-// path: the inflate buffers, an uncached decode target, and the selection
-// buffer the predicate kernels compact. Serial streams and parallel scan
-// workers each own one for their lifetime.
+// path: the buffer blocks are read into when the segment is not mapped, a
+// private parse target for uncached scans, and the kernels' working memory.
+// Serial streams and parallel scan workers each own one for their lifetime.
 type blockScanner struct {
-	br      *blockReader
+	buf     []byte
 	scratch *colBlock
-	sel     []int32
+	ks      kernelScratch
 }
 
 var blockScannerPool = sync.Pool{New: func() any {
-	return &blockScanner{br: new(blockReader), scratch: new(colBlock)}
+	return &blockScanner{scratch: new(colBlock)}
 }}
 
 func getBlockScanner() *blockScanner { return blockScannerPool.Get().(*blockScanner) }
 
+// maxRetainedBlockBytes caps the read buffer a pooled blockScanner may keep
+// between uses. One pathological block (a huge time window sealed into a
+// single block) would otherwise pin a buffer of its size in every pool entry
+// it passed through for the life of the process.
+const maxRetainedBlockBytes = 1 << 20
+
 func putBlockScanner(bs *blockScanner) {
-	trimBlockReader(bs.br)
+	if cap(bs.buf) > maxRetainedBlockBytes {
+		bs.buf = nil
+	}
 	bs.scratch.reset()
 	blockScannerPool.Put(bs)
 }
 
-// fetch returns the columnar form of block bi of g — through the store's
-// shared cache when it has one (hit reports whether the block was served
-// without touching disk), or decoded into the scanner's private scratch when
-// caching is off. mm is the segment mapping the caller holds a reference on
-// (nil to read through f).
+// fetch returns block bi of g — through the store's shared cache when it has
+// one (hit reports whether the block was served without touching disk), or
+// parsed into the scanner's private scratch when caching is off. mm is the
+// segment mapping the caller holds a reference on (nil to read through f);
+// the scratch block aliases it, or the scanner's buffer, until the next
+// fetch.
 func (bs *blockScanner) fetch(g *segment, f io.ReaderAt, mm *segMap, cache *blockCache, bi int) (*colBlock, bool, error) {
 	if cache == nil {
-		raw, err := g.inflateBlock(bs.br, f, mm, bi)
-		if err != nil {
-			return nil, false, err
-		}
-		if err := decodeColBlock(g, bi, raw, bs.scratch); err != nil {
-			return nil, false, err
-		}
-		return bs.scratch, false, nil
+		return bs.scratch, false, bs.load(g, f, mm, bi, false, bs.scratch)
 	}
 	return cache.getOrLoad(blockKey{seg: g.fp, block: int32(bi)}, func() (*colBlock, error) {
-		raw, err := g.inflateBlock(bs.br, f, mm, bi)
-		if err != nil {
-			return nil, err
-		}
 		cb := new(colBlock)
-		if err := decodeColBlock(g, bi, raw, cb); err != nil {
-			return nil, err
-		}
-		return cb, nil
+		return cb, bs.load(g, f, mm, bi, true, cb)
 	})
+}
+
+// scan fetches block bi of g and appends its rows satisfying q to dst.
+func (bs *blockScanner) scan(g *segment, f io.ReaderAt, mm *segMap, cache *blockCache, bi int, q *Query, dst []collector.Record) ([]collector.Record, bool, error) {
+	cb, hit, err := bs.fetch(g, f, mm, cache, bi)
+	if err != nil {
+		return dst, false, err
+	}
+	dst, err = cb.appendMatching(q, &bs.ks, dst)
+	return dst, hit, err
+}
+
+// load reads block bi and parses it into cb: check the CRC, parse three small
+// dictionaries, bounds-check the code columns. A legacy block is inflated,
+// decoded and re-encoded as v3 first, so there is one parser and one set of
+// kernels whatever wrote the segment.
+func (bs *blockScanner) load(g *segment, f io.ReaderAt, mm *segMap, bi int, own bool, cb *colBlock) error {
+	b, err := g.readBlock(&bs.buf, f, mm, bi)
+	if err != nil {
+		return err
+	}
+	if g.ver < segVersionV3 {
+		if b, err = transcodeLegacyBlock(g, bi, b); err != nil {
+			return err
+		}
+	}
+	return parseColBlock(g, bi, b, own, cb)
 }

@@ -27,6 +27,7 @@ type Explain struct {
 	BlocksQuarantined int    `json:"blocks_quarantined,omitempty"`
 	BlocksV1          int    `json:"blocks_v1,omitempty"`
 	BlocksV2          int    `json:"blocks_v2,omitempty"`
+	BlocksV3          int    `json:"blocks_v3,omitempty"`
 	RecordsScanned    int    `json:"records_scanned"`
 	// RecordsMaterialized is how many record structs the columnar kernels
 	// actually built; RecordsScanned - RecordsMaterialized rows were filtered
@@ -58,6 +59,7 @@ func (r *Reader) Explain() Explain {
 		BlocksQuarantined:   st.BlocksQuarantined,
 		BlocksV1:            st.BlocksV1,
 		BlocksV2:            st.BlocksV2,
+		BlocksV3:            st.BlocksV3,
 		RecordsScanned:      st.RecordsScanned,
 		RecordsMaterialized: st.RecordsMaterialized,
 		RecordsMatched:      st.RecordsMatched,
@@ -74,9 +76,9 @@ func (e Explain) String() string {
 	fmt.Fprintf(&sb, "generation %d, %d worker(s)\n", e.Generation, e.Workers)
 	fmt.Fprintf(&sb, "segments: %d total, %d pruned, %d scanned\n",
 		e.SegmentsTotal, e.SegmentsPruned, e.SegmentsScanned)
-	fmt.Fprintf(&sb, "blocks:   %d total, %d pruned, %d selected, %d scanned (%d v1, %d v2, %d quarantined)\n",
+	fmt.Fprintf(&sb, "blocks:   %d total, %d pruned, %d selected, %d scanned (%d v1, %d v2, %d v3, %d quarantined)\n",
 		e.BlocksTotal, e.BlocksPruned, e.BlocksSelected, e.BlocksScanned,
-		e.BlocksV1, e.BlocksV2, e.BlocksQuarantined)
+		e.BlocksV1, e.BlocksV2, e.BlocksV3, e.BlocksQuarantined)
 	fmt.Fprintf(&sb, "cache:    %d hit, %d miss\n", e.BlocksCacheHit, e.BlocksCacheMiss)
 	fmt.Fprintf(&sb, "records:  %d scanned + %d memtable, %d materialized, %d matched\n",
 		e.RecordsScanned, e.MemRecords, e.RecordsMaterialized, e.RecordsMatched)
@@ -103,6 +105,7 @@ func (e Explain) annotate(sp *obs.TraceSpan) {
 	sp.AnnotateInt("blocks_quarantined", int64(e.BlocksQuarantined))
 	sp.AnnotateInt("blocks_v1", int64(e.BlocksV1))
 	sp.AnnotateInt("blocks_v2", int64(e.BlocksV2))
+	sp.AnnotateInt("blocks_v3", int64(e.BlocksV3))
 	sp.AnnotateInt("records_scanned", int64(e.RecordsScanned))
 	sp.AnnotateInt("records_materialized", int64(e.RecordsMaterialized))
 	sp.AnnotateInt("records_matched", int64(e.RecordsMatched))

@@ -18,6 +18,26 @@ import (
 // file is the one place that knows the layout: beginFrame/endFrame write it,
 // scanFrames reads it, and frameLog is the file both kinds of log append to.
 
+// checksum is the one CRC-32 (IEEE) every checked structure of the store is
+// guarded by: log frames here, segment blocks and index sections since
+// segment format v3.
+func checksum(b []byte) uint32 { return crc32.ChecksumIEEE(b) }
+
+// appendChecksum closes a v3 block or index section: b, then its checksum.
+func appendChecksum(b []byte) []byte {
+	return binary.BigEndian.AppendUint32(b, checksum(b))
+}
+
+// splitChecksum opens what appendChecksum closed: the bytes before the
+// trailing checksum, and whether it matches them.
+func splitChecksum(b []byte) ([]byte, bool) {
+	n := len(b) - 4
+	if n < 0 {
+		return nil, false
+	}
+	return b[:n], checksum(b[:n]) == binary.BigEndian.Uint32(b[n:])
+}
+
 // beginFrame opens a frame at the end of b, reserving its length slot. The
 // caller appends the payload straight onto the returned slice — no
 // per-frame scratch buffer — and closes it with endFrame(b, lenAt).
@@ -31,7 +51,7 @@ func beginFrame(b []byte) (_ []byte, lenAt int) {
 func endFrame(b []byte, lenAt int) []byte {
 	payload := b[lenAt+4:]
 	binary.BigEndian.PutUint32(b[lenAt:], uint32(len(payload)))
-	return binary.BigEndian.AppendUint32(b, crc32.ChecksumIEEE(payload))
+	return binary.BigEndian.AppendUint32(b, checksum(payload))
 }
 
 // scanFrames walks the intact frames at the front of data, calling each
@@ -48,7 +68,7 @@ func scanFrames(data []byte, each func(payload []byte) error) (off int64, n int,
 			break // torn tail
 		}
 		payload := b[4 : 4+plen]
-		if crc32.ChecksumIEEE(payload) != binary.BigEndian.Uint32(b[4+plen:]) {
+		if checksum(payload) != binary.BigEndian.Uint32(b[4+plen:]) {
 			break // corrupt tail
 		}
 		if each != nil {

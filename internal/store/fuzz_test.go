@@ -2,8 +2,7 @@ package store
 
 import (
 	"bytes"
-	"compress/flate"
-	"io"
+	"encoding/binary"
 	"slices"
 	"testing"
 	"time"
@@ -91,101 +90,201 @@ func FuzzDecodeRecordTail(f *testing.F) {
 	})
 }
 
-// fuzzBlockV2 encodes recs as one inflated v2 block body through the
-// production encoder and returns it with the blockMeta fields the decoder
-// reads.
+// appendRecordTailV2 encodes a record tail in block format v2, which nothing
+// writes any more: announce records reference a per-block attribute
+// dictionary entry by index; non-announce records carry nothing.
+func appendRecordTailV2(b []byte, rec collector.Record, dictIdx int) []byte {
+	b = appendRecordCore(b, rec)
+	if rec.Type == collector.Announce {
+		b = binary.AppendUvarint(b, uint64(dictIdx))
+	}
+	return b
+}
+
+// fuzzBlockV2 encodes recs as one inflated v2 block body — the dictionary in
+// first-seen order, then delta-timed rows — the way the v2 writer did, and
+// returns it with the blockMeta fields the decoder reads.
 func fuzzBlockV2(tb testing.TB, recs []collector.Record) ([]byte, uint16, int64) {
+	tb.Helper()
+	var dict [][]byte
+	var rows []byte
+	prev := recs[0].Time.UnixNano()
+	for _, rec := range recs {
+		idx := 0
+		if rec.Type == collector.Announce {
+			w, err := bgp.MarshalAttrs(rec.Attrs)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			if idx = slices.IndexFunc(dict, func(d []byte) bool { return bytes.Equal(d, w) }); idx < 0 {
+				idx, dict = len(dict), append(dict, w)
+			}
+		}
+		rows = binary.AppendUvarint(rows, uint64(rec.Time.UnixNano()-prev))
+		rows = appendRecordTailV2(rows, rec, idx)
+		prev = rec.Time.UnixNano()
+	}
+	body := binary.AppendUvarint(nil, uint64(len(dict)))
+	for _, w := range dict {
+		body = append(binary.AppendUvarint(body, uint64(len(w))), w...)
+	}
+	return append(body, rows...), uint16(len(recs)), recs[0].Time.UnixNano()
+}
+
+// fuzzSegment is a segment of the given format whose index says its one block
+// holds count records starting at minTime.
+func fuzzSegment(ver byte, count uint16, minTime int64) *segment {
+	return &segment{ver: ver, index: &segIndex{
+		blocks: []blockMeta{{count: int32(count), minTime: minTime}},
+	}}
+}
+
+// blockRows parses data as the one v3 block of g and materializes every row.
+func blockRows(g *segment, data []byte) (*colBlock, []collector.Record, error) {
+	cb := new(colBlock)
+	if err := parseColBlock(g, 0, data, false, cb); err != nil {
+		return nil, nil, err
+	}
+	recs := make([]collector.Record, cb.rows())
+	for i := range recs {
+		if err := cb.intern(i); err != nil {
+			return nil, nil, err
+		}
+		cb.fill(&recs[i], i)
+	}
+	return cb, recs, nil
+}
+
+// encodeBlockV3 encodes recs through the seal path's encoder.
+func encodeBlockV3(tb testing.TB, recs []collector.Record) []byte {
 	tb.Helper()
 	sc := getSealScratch()
 	defer putSealScratch(sc)
-	eb := encodeSegmentBlock(sc, segVersionV2, recs)
+	eb := encodeSegmentBlock(sc, recs)
 	if eb.err != nil {
 		tb.Fatal(eb.err)
 	}
-	raw, err := io.ReadAll(flate.NewReader(bytes.NewReader(eb.comp)))
-	if err != nil {
-		tb.Fatal(err)
+	return eb.data
+}
+
+func assertSameRows(t *testing.T, what string, got, want []collector.Record) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d rows, want %d", what, len(got), len(want))
 	}
-	return raw, uint16(len(recs)), recs[0].Time.UnixNano()
+	for i := range want {
+		if !want[i].Time.Equal(got[i].Time) || !sameRecord(want[i], got[i]) {
+			t.Fatalf("%s changed row %d: %+v != %+v", what, i, got[i], want[i])
+		}
+	}
 }
 
-// decodeFuzzBlock runs decodeColBlock over one block body the way a scan
-// does: a v2 segment whose index says the block holds count records starting
-// at minTime.
-func decodeFuzzBlock(data []byte, count uint16, minTime int64) (*colBlock, error) {
-	g := &segment{ver: segVersionV2, index: &segIndex{
-		blocks: []blockMeta{{count: int32(count), minTime: minTime}},
-	}}
-	cb := new(colBlock)
-	return cb, decodeColBlock(g, 0, data, cb)
-}
-
-// FuzzDecodeRecordTailV2 exercises the v2 block decoder that scans actually
-// run, decodeColBlock (dictionary header, then delta-timed rows referencing
-// it by index), on arbitrary block bodies: it must reject or round-trip,
-// never panic. A block that decodes has exactly the indexed row count and
-// only in-range dictionary references, and re-encoding its rows through the
-// seal path's encoder decodes to the same rows.
-func FuzzDecodeRecordTailV2(f *testing.F) {
+// fuzzSeedBlocks is the row sets the two block fuzz targets start from.
+func fuzzSeedBlocks(tb testing.TB) [][]collector.Record {
 	dict := fuzzDict()
 	t0 := time.Date(1996, 3, 1, 0, 0, 0, 0, time.UTC)
 	ann := func(dt time.Duration, attrs bgp.Attrs) collector.Record {
 		return collector.Record{
 			Time: t0.Add(dt), Type: collector.Announce, PeerAS: 3561, PeerAddr: 0x0a000001,
-			Prefix: mustPrefix(f, 0xc0a80000, 16), Attrs: attrs,
+			Prefix: mustPrefix(tb, 0xc0a80000, 16), Attrs: attrs,
 		}
 	}
 	wd := collector.Record{
 		Time: t0.Add(time.Second), Type: collector.Withdraw, PeerAS: 690, PeerAddr: 0x0a000002,
-		Prefix: mustPrefix(f, 0x0a000000, 8),
+		Prefix: mustPrefix(tb, 0x0a000000, 8),
 	}
 	up := collector.Record{Time: t0.Add(2 * time.Second), Type: collector.SessionUp, PeerAS: 1239, PeerAddr: 0x0a000003}
-	for _, recs := range [][]collector.Record{
+	return [][]collector.Record{
 		{ann(0, dict[0])},
 		{wd},
 		{up},
 		{ann(0, dict[0]), wd, up},
 		{ann(0, dict[0]), ann(time.Millisecond, dict[0]), ann(time.Second, dict[1])}, // shared dictionary entry
 		{wd, up}, // empty dictionary
-	} {
+	}
+}
+
+// FuzzDecodeRecordTailV2 exercises the legacy v2 block decoder (dictionary
+// header, then delta-timed rows referencing it by index) on arbitrary block
+// bodies: it must reject or round-trip, never panic. A body that decodes has
+// exactly the indexed row count; re-encoding its rows as v2 decodes to the
+// same rows, and so does the v3 transcoding a scan reads them through.
+func FuzzDecodeRecordTailV2(f *testing.F) {
+	for _, recs := range fuzzSeedBlocks(f) {
 		data, count, minTime := fuzzBlockV2(f, recs)
 		f.Add(data, count, minTime)
 	}
 	f.Fuzz(func(t *testing.T, data []byte, count uint16, minTime int64) {
-		cb, err := decodeFuzzBlock(data, count, minTime)
+		bm := blockMeta{count: int32(count), minTime: minTime}
+		recs, err := decodeLegacyRows(segVersionV2, bm, data)
 		if err != nil {
 			return
 		}
-		if cb.rows() != int(count) {
-			t.Fatalf("decoded %d rows, index says %d", cb.rows(), count)
+		if len(recs) != int(count) {
+			t.Fatalf("decoded %d rows, index says %d", len(recs), count)
 		}
-		if count == 0 {
-			return
+		if count == 0 || !slices.IsSortedFunc(recs, func(a, b collector.Record) int { return a.Time.Compare(b.Time) }) {
+			return // a delta overflowed int64: every encoder refuses unsorted rows
 		}
-		recs := make([]collector.Record, cb.rows())
-		for i := range recs {
-			if ai := cb.attr[i]; ai >= int32(len(cb.dict)) || (ai >= 0) != (cb.types[i] == collector.Announce) {
-				t.Fatalf("row %d: type %v with dictionary index %d of %d", i, cb.types[i], ai, len(cb.dict))
-			}
-			cb.fill(&recs[i], i)
-		}
-		if !slices.IsSorted(cb.times) {
-			return // a delta overflowed int64: the encoder refuses unsorted rows
-		}
-		cb2, err := decodeFuzzBlock(fuzzBlockV2(t, recs))
+		body2, count2, minTime2 := fuzzBlockV2(t, recs)
+		recs2, err := decodeLegacyRows(segVersionV2, blockMeta{count: int32(count2), minTime: minTime2}, body2)
 		if err != nil {
 			t.Fatalf("re-encoded block failed to decode: %v", err)
 		}
-		if cb2.rows() != len(recs) {
-			t.Fatalf("round-trip changed row count: %d != %d", cb2.rows(), len(recs))
+		assertSameRows(t, "v2 round-trip", recs2, recs)
+		_, recs3, err := blockRows(fuzzSegment(segVersionV3, count, minTime), encodeBlockV3(t, recs))
+		if err != nil {
+			t.Fatalf("transcoded block failed to parse: %v", err)
 		}
-		for i := range recs {
-			var rec2 collector.Record
-			cb2.fill(&rec2, i)
-			if !recs[i].Time.Equal(rec2.Time) || !sameRecord(recs[i], rec2) {
-				t.Fatalf("round-trip changed row %d: %+v != %+v", i, recs[i], rec2)
+		assertSameRows(t, "v3 transcoding", recs3, recs)
+	})
+}
+
+// FuzzColBlockV3 exercises the v3 block parser and the gather through its
+// dictionaries on arbitrary bytes: never a panic, never a dictionary indexed
+// out of range (fill would panic). An accepted block has one encoding:
+// re-encoding its rows through the seal path's encoder yields the identical
+// bytes — provided its attribute entries are themselves in the canonical wire
+// form, which bgp.UnmarshalAttrs does not insist on (it drops unknown
+// optional attributes); either way the re-encoding parses to the same rows.
+// The input is the block without its trailing CRC, which the harness
+// supplies: a fuzzer cannot guess a checksum, and would explore nothing past
+// it.
+func FuzzColBlockV3(f *testing.F) {
+	for _, recs := range fuzzSeedBlocks(f) {
+		data := encodeBlockV3(f, recs)
+		f.Add(data[:len(data)-4], uint16(len(recs)), recs[0].Time.UnixNano())
+	}
+	f.Fuzz(func(t *testing.T, body []byte, count uint16, minTime int64) {
+		g := fuzzSegment(segVersionV3, count, minTime)
+		if _, _, err := blockRows(g, append(body[:len(body):len(body)], 0, 0, 0, 0)); err == nil && checksum(body) != 0 {
+			t.Fatal("block accepted behind a wrong checksum")
+		}
+		data := binary.BigEndian.AppendUint32(body[:len(body):len(body)], checksum(body))
+		cb, recs, err := blockRows(g, data)
+		if err != nil {
+			return
+		}
+		if len(recs) != int(count) || !slices.IsSorted(cb.times) {
+			t.Fatalf("accepted %d rows (sorted %v), index says %d", len(recs), slices.IsSorted(cb.times), count)
+		}
+		canonical := true
+		for j, a := range cb.dict {
+			w, err := bgp.MarshalAttrs(a)
+			if err != nil {
+				t.Fatalf("dictionary entry %d does not re-marshal: %v", j, err)
 			}
+			canonical = canonical && bytes.Equal(w, cb.dictWire[j])
 		}
+		data2 := encodeBlockV3(t, recs)
+		if canonical && !bytes.Equal(data2, data) {
+			t.Fatalf("accepted block is not the encoding of its rows:\n got  %x\n want %x", data, data2)
+		}
+		_, recs2, err := blockRows(g, data2)
+		if err != nil {
+			t.Fatalf("re-encoded block failed to parse: %v", err)
+		}
+		assertSameRows(t, "round-trip", recs2, recs)
 	})
 }
 

@@ -10,11 +10,11 @@ import (
 	"instability/internal/netaddr"
 )
 
-// blockMeta describes one compressed block inside a segment.
+// blockMeta describes one block inside a segment.
 type blockMeta struct {
-	offset  int64 // file offset of the compressed bytes
-	clen    int32 // compressed length
-	ulen    int32 // uncompressed length
+	offset  int64 // file offset of the stored bytes
+	clen    int32 // stored length
+	ulen    int32 // inflated length of a legacy (deflated) block; clen for v3
 	count   int32 // records in the block
 	minTime int64 // unixnano of the first record
 	maxTime int64 // unixnano of the last record

@@ -10,8 +10,8 @@ import (
 
 // mmapOpen maps the file at path read-only and shared: every store process
 // (and every reader within one) sees the same physical page-cache pages, so
-// repeated scans of a sealed segment cost zero syscalls and zero copies up
-// to the flate source.
+// repeated scans of a sealed segment cost zero syscalls and zero copies:
+// v3 blocks are parsed, and their code columns scanned, in the mapping.
 func mmapOpen(path string, size int64) ([]byte, error) {
 	if size <= 0 || int64(int(size)) != size {
 		return nil, fmt.Errorf("store: mmap: bad size %d", size)

@@ -30,13 +30,13 @@ var (
 	obsSealActive = obs.Default().Gauge("irtl_store_seal_active",
 		"Whether a background seal batch is in flight (0 or 1).")
 	obsSealWorkers = obs.Default().Gauge("irtl_store_seal_workers",
-		"Block encode/compress workers configured for seals and compactions.")
+		"Block encode workers configured for seals and compactions.")
 	obsSealStallSeconds = obs.Default().Histogram("irtl_store_seal_stall_seconds",
 		"Time an append stalled on seal backpressure (ingest a full threshold ahead).", nil)
 	obsSealSortSeconds = obs.Default().Histogram("irtl_store_seal_sort_seconds",
 		"Time sorting one detached window's snapshot before block encoding.", nil)
 	obsSealWriteSeconds = obs.Default().Histogram("irtl_store_seal_write_seconds",
-		"Time encoding, compressing, and writing one sealed segment.", nil)
+		"Time encoding and writing one sealed segment.", nil)
 	obsSealPublishSeconds = obs.Default().Histogram("irtl_store_seal_publish_seconds",
 		"Store-lock hold time publishing one sealed segment (the only moment a seal blocks queries).", nil)
 
@@ -46,9 +46,9 @@ var (
 		"Records rewritten by compaction.")
 
 	obsDictEntries = obs.Default().Counter("irtl_store_dict_entries_total",
-		"Attribute dictionary entries written into v2 segment blocks.")
+		"Attribute dictionary entries written into segment blocks.")
 	obsDictBytesSaved = obs.Default().Counter("irtl_store_dict_bytes_saved_total",
-		"Uncompressed bytes saved by v2 dictionary encoding vs inline attributes.")
+		"Bytes saved by per-block attribute dictionaries vs inline attributes.")
 
 	obsQueries = obs.Default().Counter("irtl_store_queries_total",
 		"Queries opened against stores.")
@@ -59,17 +59,17 @@ var (
 	obsQueryBlocks = obs.Default().Counter("irtl_store_query_blocks_total",
 		"Blocks present at query time (denominator of the block skip ratio).")
 	obsQueryBlocksScanned = obs.Default().Counter("irtl_store_query_blocks_scanned_total",
-		"Blocks actually decompressed by queries.")
+		"Blocks actually fetched and scanned by queries.")
 	obsQueryRecordsScanned = obs.Default().Counter("irtl_store_query_records_scanned_total",
 		"Records decoded from scanned blocks.")
 	obsQueryRecordsMatched = obs.Default().Counter("irtl_store_query_records_matched_total",
 		"Records that satisfied the full query predicate.")
 	obsQueryBytesRead = obs.Default().Counter("irtl_store_query_bytes_read_total",
-		"Compressed segment bytes read from disk or mappings by queries.")
+		"Stored segment bytes read from disk or mappings by queries.")
 	obsQueryBytesDecompressed = obs.Default().Counter("irtl_store_query_bytes_decompressed_total",
-		"Decompressed bytes produced by query block scans.")
+		"Bytes query block fetches expanded before scanning (legacy blocks inflated; v3 timestamp columns).")
 	obsQueryBytesFromCache = obs.Default().Counter("irtl_store_query_bytes_from_cache_total",
-		"Decompressed bytes served to queries from the shared block cache.")
+		"Block bytes served to queries from the shared block cache.")
 	obsQueryRecordsMaterialized = obs.Default().Counter("irtl_store_query_records_materialized_total",
 		"Record structs materialized by columnar block scans (rows surviving the column filters).")
 
@@ -95,7 +95,7 @@ var (
 	obsParallelScans = obs.Default().Counter("irtl_store_parallel_scans_total",
 		"Queries executed through the parallel scan path.")
 	obsScanWorkers = obs.Default().Gauge("irtl_store_scan_workers",
-		"Decompression workers used by the most recent parallel scan.")
+		"Block fetch workers used by the most recent parallel scan.")
 	obsScanMergeWait = obs.Default().Histogram("irtl_store_scan_merge_wait_seconds",
 		"Time the merge consumer spent waiting for an in-flight block.", nil)
 )

@@ -14,7 +14,7 @@ import (
 
 // ScanStats reports how much work a query actually did, making predicate
 // pushdown measurable: a filtered query over a multi-segment store should
-// show BlocksScanned (decompressed) well below BlocksTotal.
+// show BlocksScanned (fetched) well below BlocksTotal.
 type ScanStats struct {
 	SegmentsTotal     int // sealed segments in the store at query time
 	SegmentsScanned   int // segments not skipped by segment-level pruning
@@ -26,6 +26,7 @@ type ScanStats struct {
 	BlocksQuarantined int // corrupt blocks skipped instead of failing the scan
 	BlocksV1          int // scanned blocks in v1 (inline-attr) format
 	BlocksV2          int // scanned blocks in v2 (dictionary) format
+	BlocksV3          int // scanned blocks in v3 (column-coded) format
 	RecordsScanned    int // records the scanned blocks hold
 	// RecordsMaterialized counts record structs actually constructed by the
 	// columnar kernels — rows that survived the column filters. The gap to
@@ -33,9 +34,13 @@ type ScanStats struct {
 	RecordsMaterialized int
 	RecordsMatched      int   // records that satisfied the full predicate
 	MemRecords          int   // unsealed records considered from the memtable
-	BytesReadDisk       int64 // compressed bytes read from files or mappings
-	BytesDecompressed   int64 // bytes actually inflated by this query
-	BytesFromCache      int64 // decompressed bytes served from the block cache
+	BytesReadDisk       int64 // stored bytes read from files or mappings
+	// BytesDecompressed is what this query's fetches had to expand before
+	// they could scan: the inflated size of a legacy block; of a v3 block
+	// only the timestamp column (deltas to 8-byte values) — nothing is
+	// inflated, and types and codes are scanned where they were read.
+	BytesDecompressed int64
+	BytesFromCache    int64 // block bytes served from the block cache
 }
 
 // Reader streams the result of a Query in timestamp order. It implements
@@ -74,8 +79,8 @@ func (s *Store) QueryCtx(ctx context.Context, q Query) (*Reader, error) {
 //
 // Only the snapshot — candidate blocks, mapping or file references, the
 // memtable overlay — is taken under the store lock. The first block of every
-// stream is fetched after the lock is released, so a cold query's inflate and
-// decode never hold up appends; a failure there is still this call's error.
+// stream is fetched after the lock is released, so a cold query's read and
+// parse never hold up appends; a failure there is still this call's error.
 func (s *Store) query(ctx context.Context, q Query, workers int) (*Reader, error) {
 	obsQueries.Inc()
 	if workers > 1 {
@@ -298,10 +303,11 @@ func (g *segment) candidateBlocks(q Query) (blocks []int, scan bool) {
 }
 
 // noteBlock accounts one successfully scanned block. hit reports whether the
-// decoded block came out of the shared cache (no disk read, no inflate);
+// block came out of the shared cache (no disk read, no parse);
 // cached whether a cache was in play at all, so hit/miss counters stay zero
 // on cache-off scans. n is the number of records the block's columnar filter
-// materialized.
+// materialized: 0 for a block a dictionary probe rejected, which was still
+// fetched and counts as scanned.
 func (st *ScanStats) noteBlock(g *segment, bi int, hit, cached bool, n int) {
 	bm := g.index.blocks[bi]
 	st.BlocksScanned++
@@ -315,12 +321,19 @@ func (st *ScanStats) noteBlock(g *segment, bi int, hit, cached bool, n int) {
 			st.BlocksCacheMiss++
 		}
 		st.BytesReadDisk += int64(bm.clen)
-		st.BytesDecompressed += int64(bm.ulen)
+		if g.ver < segVersionV3 {
+			st.BytesDecompressed += int64(bm.ulen)
+		} else {
+			st.BytesDecompressed += 8 * int64(bm.count)
+		}
 	}
-	if g.ver >= segVersionV2 {
-		st.BlocksV2++
-	} else {
+	switch g.ver {
+	case segVersionV1:
 		st.BlocksV1++
+	case segVersionV2:
+		st.BlocksV2++
+	default:
+		st.BlocksV3++
 	}
 }
 
@@ -582,16 +595,15 @@ func (sc *segStream) next() (bool, error) {
 	for sc.bi < len(sc.blocks) {
 		bi := sc.blocks[sc.bi]
 		sc.bi++
-		cb, hit, err := sc.bs.fetch(sc.seg, sc.f, sc.mm, sc.cache, bi)
+		// The previous block's rows are all merged, so its backing array is
+		// reused for this one — one record buffer per stream, total.
+		recs, hit, err := sc.bs.scan(sc.seg, sc.f, sc.mm, sc.cache, bi, sc.q, sc.recs[:0])
 		if err != nil {
 			if err := sc.skipCorrupt(bi, err); err != nil {
 				return false, err
 			}
 			continue
 		}
-		// The previous block's rows are all merged, so its backing array is
-		// reused for this one — one record buffer per stream, total.
-		recs := cb.appendMatching(sc.q, &sc.bs.sel, sc.recs[:0])
 		sc.stats.noteBlock(sc.seg, bi, hit, sc.cache != nil, len(recs))
 		if sc.load(recs) {
 			return true, nil

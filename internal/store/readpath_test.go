@@ -385,23 +385,18 @@ func TestColumnarKernelZeroAlloc(t *testing.T) {
 	defer f.Close()
 	bs := getBlockScanner()
 	defer putBlockScanner(bs)
-	raw, err := g.inflateBlock(bs.br, f, nil, 0)
+	cb, _, err := bs.fetch(g, f, nil, nil, 0)
 	if err != nil {
-		t.Fatal(err)
-	}
-	cb := new(colBlock)
-	if err := decodeColBlock(g, 0, raw, cb); err != nil {
 		t.Fatal(err)
 	}
 
 	noMatch := &Query{PeerAS: []bgp.ASN{9999}} // no row carries this peer
 	dst := make([]collector.Record, 0, cb.rows())
-	sel := make([]int32, 0, cb.rows())
-	if got := cb.appendMatching(noMatch, &sel, dst[:0]); len(got) != 0 {
-		t.Fatalf("predicate matched %d rows, want 0", len(got))
+	if got, err := cb.appendMatching(noMatch, &bs.ks, dst[:0]); len(got) != 0 || err != nil {
+		t.Fatalf("predicate matched %d rows (err %v), want 0", len(got), err)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		dst = cb.appendMatching(noMatch, &sel, dst[:0])
+		dst, _ = cb.appendMatching(noMatch, &bs.ks, dst[:0])
 	})
 	if allocs != 0 {
 		t.Fatalf("filtered-out scan allocated %.1f allocs/run, want 0", allocs)
@@ -410,10 +405,10 @@ func TestColumnarKernelZeroAlloc(t *testing.T) {
 	// A partially selective predicate materializes exactly the surviving
 	// rows and, with capacity in place, still allocates nothing.
 	some := &Query{Types: []collector.RecType{collector.Withdraw}}
-	dst = cb.appendMatching(some, &sel, dst[:0])
+	dst, _ = cb.appendMatching(some, &bs.ks, dst[:0])
 	want := 0
 	for i := 0; i < cb.rows(); i++ {
-		if cb.types[i] == collector.Withdraw {
+		if collector.RecType(cb.types[i]) == collector.Withdraw {
 			want++
 		}
 	}
@@ -421,7 +416,7 @@ func TestColumnarKernelZeroAlloc(t *testing.T) {
 		t.Fatalf("withdraw filter materialized %d rows, want %d", len(dst), want)
 	}
 	allocs = testing.AllocsPerRun(100, func() {
-		dst = cb.appendMatching(some, &sel, dst[:0])
+		dst, _ = cb.appendMatching(some, &bs.ks, dst[:0])
 	})
 	if allocs != 0 {
 		t.Fatalf("selective scan allocated %.1f allocs/run, want 0", allocs)
@@ -454,23 +449,18 @@ func TestRecordsMaterializedAccounting(t *testing.T) {
 }
 
 // TestTrimBlockReaderReleasesOversized pins the pooled-buffer fix: a
-// blockReader that inflated a pathologically large block must not pin its
-// buffers once returned to the pool.
+// blockScanner that read a pathologically large block must not pin its read
+// buffer once returned to the pool.
 func TestTrimBlockReaderReleasesOversized(t *testing.T) {
-	br := &blockReader{cb: make([]byte, maxRetainedBlockBytes+1)}
-	br.raw.Grow(maxRetainedBlockBytes + 1)
-	trimBlockReader(br)
-	if br.cb != nil {
-		t.Fatalf("oversized compressed buffer retained: cap %d", cap(br.cb))
+	bs := &blockScanner{buf: make([]byte, maxRetainedBlockBytes+1), scratch: new(colBlock)}
+	putBlockScanner(bs)
+	if bs.buf != nil {
+		t.Fatalf("oversized read buffer retained: cap %d", cap(bs.buf))
 	}
-	if br.raw.Cap() > maxRetainedBlockBytes {
-		t.Fatalf("oversized inflate buffer retained: cap %d", br.raw.Cap())
-	}
-	small := &blockReader{cb: make([]byte, 1024)}
-	small.raw.Grow(1024)
-	trimBlockReader(small)
-	if small.cb == nil || small.raw.Cap() == 0 {
-		t.Fatal("right-sized buffers must be retained for reuse")
+	small := &blockScanner{buf: make([]byte, 1024), scratch: new(colBlock)}
+	putBlockScanner(small)
+	if small.buf == nil {
+		t.Fatal("right-sized buffer must be retained for reuse")
 	}
 }
 

@@ -12,9 +12,9 @@ import (
 
 // Parallel query execution. QueryParallel produces the exact record sequence
 // of Query — same candidate blocks, same per-segment block order, same heap
-// merge keys — but fans block decompression across a bounded worker pool.
+// merge keys — but fans block fetches across a bounded worker pool.
 // The consumer (Reader.Next) stays single-threaded; only the expensive part
-// of a scan, ReadAt + inflate + record decode, runs concurrently.
+// of a scan, read + parse + filter + materialize, runs concurrently.
 //
 // Ordering is preserved by construction rather than by re-sorting: each
 // parSegStream submits its candidate blocks to the pool in block order and
@@ -24,7 +24,7 @@ import (
 // serial path does.
 
 // scanLookahead is how many blocks a stream keeps in flight beyond the one
-// being consumed. Two is enough to hide decompression latency behind the
+// being consumed. Two is enough to hide fetch latency behind the
 // merge without holding many decoded blocks in memory per stream.
 const scanLookahead = 2
 
@@ -70,8 +70,8 @@ func putRecBuf(b []collector.Record) {
 	recBufPool.Put(&b)
 }
 
-// scanPool is a fixed set of decompression workers shared by all streams of
-// one parallel reader. Each worker owns a blockReader for its lifetime, so
+// scanPool is a fixed set of block fetch workers shared by all streams of
+// one parallel reader. Each worker owns a blockScanner for its lifetime, so
 // buffer reuse needs no per-block pool traffic.
 type scanPool struct {
 	tasks chan blockTask
@@ -87,15 +87,15 @@ func newScanPool(workers, queue int) *scanPool {
 			bs := getBlockScanner()
 			defer putBlockScanner(bs)
 			for t := range p.tasks {
-				cb, hit, err := bs.fetch(t.seg, t.f, t.mm, t.cache, t.bi)
+				// The pooled buffer travels with a successful result; the
+				// consumer (or the stream's close) returns it.
+				buf := getRecBuf()
+				recs, hit, err := bs.scan(t.seg, t.f, t.mm, t.cache, t.bi, t.q, buf[:0])
 				if err != nil {
+					putRecBuf(recs)
 					t.out <- blockResult{err: err}
 					continue
 				}
-				// The pooled buffer is taken only on success and travels with
-				// the result; the consumer (or the stream's close) returns it.
-				buf := getRecBuf()
-				recs := cb.appendMatching(t.q, &bs.sel, buf[:0])
 				t.out <- blockResult{recs: recs, hit: hit}
 			}
 		}()
@@ -135,7 +135,7 @@ func (s *Store) QueryParallelCtx(ctx context.Context, q Query, workers int) (*Re
 }
 
 // parSegStream iterates the candidate blocks of one segment, with the block
-// decompression delegated to the reader's scanPool. All methods run on the
+// fetch delegated to the reader's scanPool. All methods run on the
 // merge consumer goroutine; only the pool workers touch the segment file.
 type parSegStream struct {
 	segScan

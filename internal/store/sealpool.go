@@ -2,138 +2,201 @@ package store
 
 import (
 	"bytes"
-	"compress/flate"
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync"
 
+	"instability/internal/bgp"
 	"instability/internal/collector"
+	"instability/internal/netaddr"
 )
 
-// encodedBlock is one block's finished wire form: the deflate-compressed
-// bytes and the uncompressed length for blockMeta. Blocks are encoded
+// encodedBlock is one block's finished wire form. Blocks are encoded
 // independently (possibly concurrently) and stitched into the segment in
 // submission order.
 type encodedBlock struct {
-	comp []byte
-	ulen int
+	data []byte
 	err  error
 }
+
+// peerKey is one entry of a block's peer dictionary.
+type peerKey struct {
+	as   bgp.ASN
+	addr netaddr.Addr
+}
+
+func (p peerKey) compare(q peerKey) int {
+	return cmp.Or(cmp.Compare(p.as, q.as), cmp.Compare(p.addr, q.addr))
+}
+
+// attrEntry is one entry of a block's attribute dictionary: the tuple's wire
+// bytes and its origin AS (-1 when the path has none), stored beside it (as
+// origin+1) so an origin predicate never parses a path.
+type attrEntry struct {
+	wire   []byte
+	origin int32
+}
+
+func (a attrEntry) compare(b attrEntry) int { return bytes.Compare(a.wire, b.wire) }
+
+// rowCodes is one row's provisional dictionary codes, in first-seen order;
+// attr is 1-based, 0 meaning the row carries no attributes.
+type rowCodes struct{ peer, prefix, attr uint16 }
 
 // sealScratch is the per-worker reusable state for encoding segment blocks:
 // an attribute encoder (attrEncoder is not safe for concurrent use, so each
 // worker owns one — its wire bytes are deterministic, keeping parallel output
-// byte-identical to serial), the v2 dictionary build maps, and the raw and
-// compressed block buffers.
+// byte-identical to serial), the dictionary build maps, and the block buffer.
 type sealScratch struct {
 	enc      *attrEncoder
-	dictOf   map[uint32]int // handle ID -> dictionary index
-	dictWire [][]byte
-	recIdx   []int
-	raw      bytes.Buffer
-	scratch  []byte
+	peerOf   map[uint64]uint16 // AS<<32 | address: integer keys hash on the fast path
+	prefixOf map[uint64]uint16 // address<<8 | mask length
+	attrOf   map[uint32]uint16 // attrEncoder handle ID -> provisional index
+	peers    [2][]peerKey      // [0] first-seen order, [1] sorted
+	prefixes [2][]netaddr.Prefix
+	attrs    [2][]attrEntry
+	remap    [3][]uint16 // provisional -> final code, per dictionary
+	rows     []rowCodes
+	out      []byte
 }
 
 var sealScratchPool = sync.Pool{New: func() any {
 	return &sealScratch{
-		enc:     newAttrEncoder(),
-		dictOf:  make(map[uint32]int, 32),
-		scratch: make([]byte, 0, 64),
+		enc:      newAttrEncoder(),
+		peerOf:   make(map[uint64]uint16),
+		prefixOf: make(map[uint64]uint16),
+		attrOf:   make(map[uint32]uint16),
 	}
 }}
 
 func getSealScratch() *sealScratch   { return sealScratchPool.Get().(*sealScratch) }
 func putSealScratch(sc *sealScratch) { sealScratchPool.Put(sc) }
 
-// flateWriterPool recycles deflate compressors across blocks and seals: a
-// flate.Writer carries ~600 KiB of match-finder state, so Reset-reuse beats
-// flate.NewWriter per block by a wide margin in both allocations and time.
-var flateWriterPool = sync.Pool{New: func() any {
-	fw, err := flate.NewWriter(nil, flate.DefaultCompression)
-	if err != nil {
-		// Only reachable for an invalid level constant.
-		panic(err)
+// canonical writes dict, sorted and deduplicated under cmp, into sorted's
+// storage, and fills remap with the final code of every provisional entry.
+func canonical[T any](dict, sorted []T, remap []uint16, cmp func(T, T) int) ([]T, []uint16) {
+	sorted = append(sorted[:0], dict...)
+	slices.SortFunc(sorted, cmp)
+	sorted = slices.CompactFunc(sorted, func(a, b T) bool { return cmp(a, b) == 0 })
+	remap = remap[:0]
+	for _, e := range dict {
+		i, _ := slices.BinarySearchFunc(sorted, e, cmp)
+		remap = append(remap, uint16(i))
 	}
-	return fw
-}}
+	return sorted, remap
+}
 
-// encodeSegmentBlock encodes and compresses one block of time-sorted records
-// into its segment wire form. The result depends only on (version, block), so
-// any assignment of blocks to workers produces identical segment bytes.
-func encodeSegmentBlock(sc *sealScratch, version byte, block []collector.Record) encodedBlock {
-	raw := &sc.raw
-	raw.Reset()
-	scratch := sc.scratch
-	defer func() { sc.scratch = scratch }()
+// appendCode appends one dictionary code at the column width n entries need.
+func appendCode(b []byte, n int, code uint16) []byte {
+	if n > maxNarrowDict {
+		return append(b, byte(code), byte(code>>8))
+	}
+	return append(b, byte(code))
+}
 
-	if version >= segVersionV2 {
-		// First pass: build the block's attribute dictionary. inline tallies
-		// what v1 would have spent, for the bytes-saved metric.
-		clear(sc.dictOf)
-		sc.dictWire = sc.dictWire[:0]
-		sc.recIdx = sc.recIdx[:0]
-		inline, dictBytes := 0, 0
-		for _, rec := range block {
-			di := -1
-			if rec.Type == collector.Announce {
-				h, w, err := sc.enc.encode(rec.Attrs)
-				if err != nil {
-					return encodedBlock{err: err}
-				}
-				j, ok := sc.dictOf[h.ID]
-				if !ok {
-					j = len(sc.dictWire)
-					sc.dictOf[h.ID] = j
-					sc.dictWire = append(sc.dictWire, w)
-					dictBytes += len(w)
-				}
-				inline += len(w)
-				di = j
+// encodeSegmentBlock encodes one block of time-sorted records into segment
+// format v3 (layout at colBlock). The result depends only on the block's
+// records — every dictionary is sorted by value — so any assignment of blocks
+// to workers produces identical segment bytes.
+func encodeSegmentBlock(sc *sealScratch, block []collector.Record) encodedBlock {
+	if len(block) == 0 || len(block) > maxBlockRecords {
+		return encodedBlock{err: fmt.Errorf("store: block of %d records", len(block))}
+	}
+	clear(sc.peerOf)
+	clear(sc.prefixOf)
+	clear(sc.attrOf)
+	peers, prefixes, attrs := sc.peers[0][:0], sc.prefixes[0][:0], sc.attrs[0][:0]
+	rows := sc.rows[:0]
+	inline, dictBytes := 0, 0 // what inline attributes would have cost, for the bytes-saved metric
+	for _, rec := range block {
+		var rc rowCodes
+		var ok bool
+		pk := uint64(rec.PeerAS)<<32 | uint64(rec.PeerAddr)
+		if rc.peer, ok = sc.peerOf[pk]; !ok {
+			rc.peer = uint16(len(peers))
+			sc.peerOf[pk] = rc.peer
+			peers = append(peers, peerKey{rec.PeerAS, rec.PeerAddr})
+		}
+		fk := uint64(rec.Prefix.Addr())<<8 | uint64(rec.Prefix.Bits())
+		if rc.prefix, ok = sc.prefixOf[fk]; !ok {
+			rc.prefix = uint16(len(prefixes))
+			sc.prefixOf[fk] = rc.prefix
+			prefixes = append(prefixes, rec.Prefix)
+		}
+		if rec.Type == collector.Announce {
+			h, w, err := sc.enc.encode(rec.Attrs)
+			if err != nil {
+				return encodedBlock{err: err}
 			}
-			sc.recIdx = append(sc.recIdx, di)
+			j, ok := sc.attrOf[h.ID]
+			if !ok {
+				j = uint16(len(attrs))
+				sc.attrOf[h.ID] = j
+				e := attrEntry{wire: w, origin: -1}
+				if o, ok := h.Attrs().Path.Origin(); ok {
+					e.origin = int32(o)
+				}
+				attrs = append(attrs, e)
+				dictBytes += len(w)
+			}
+			inline += len(w)
+			rc.attr = j + 1
 		}
-		scratch = binary.AppendUvarint(scratch[:0], uint64(len(sc.dictWire)))
-		for _, w := range sc.dictWire {
-			scratch = binary.AppendUvarint(scratch, uint64(len(w)))
-			scratch = append(scratch, w...)
-		}
-		raw.Write(scratch)
-		obsDictEntries.Add(int64(len(sc.dictWire)))
-		obsDictBytesSaved.Add(int64(inline - dictBytes))
+		rows = append(rows, rc)
 	}
+	sc.peers[0], sc.prefixes[0], sc.attrs[0], sc.rows = peers, prefixes, attrs, rows
+	obsDictEntries.Add(int64(len(attrs)))
+	obsDictBytesSaved.Add(int64(inline - dictBytes))
 
+	peers, sc.remap[0] = canonical(peers, sc.peers[1], sc.remap[0], peerKey.compare)
+	prefixes, sc.remap[1] = canonical(prefixes, sc.prefixes[1], sc.remap[1], netaddr.Prefix.Compare)
+	attrs, sc.remap[2] = canonical(attrs, sc.attrs[1], sc.remap[2], attrEntry.compare)
+	sc.peers[1], sc.prefixes[1], sc.attrs[1] = peers, prefixes, attrs
+
+	b := binary.AppendUvarint(sc.out[:0], uint64(len(peers)))
+	for _, p := range peers {
+		b = binary.BigEndian.AppendUint16(b, uint16(p.as))
+		b = binary.BigEndian.AppendUint32(b, uint32(p.addr))
+	}
+	b = binary.AppendUvarint(b, uint64(len(prefixes)))
+	for _, p := range prefixes {
+		b = binary.BigEndian.AppendUint32(b, uint32(p.Addr()))
+		b = append(b, byte(p.Bits()))
+	}
+	b = binary.AppendUvarint(b, uint64(len(attrs)))
+	for _, a := range attrs {
+		b = binary.AppendUvarint(b, uint64(len(a.wire)))
+		b = append(b, a.wire...)
+		b = binary.AppendUvarint(b, uint64(a.origin+1))
+	}
+	for _, rec := range block {
+		b = append(b, byte(rec.Type))
+	}
+	for _, rc := range rows {
+		b = appendCode(b, len(peers), sc.remap[0][rc.peer])
+	}
+	for _, rc := range rows {
+		b = appendCode(b, len(prefixes), sc.remap[1][rc.prefix])
+	}
+	for _, rc := range rows {
+		code := uint16(0)
+		if rc.attr > 0 {
+			code = sc.remap[2][rc.attr-1] + 1
+		}
+		b = appendCode(b, len(attrs), code)
+	}
 	prev := block[0].Time.UnixNano()
-	for ri, rec := range block {
+	for _, rec := range block[1:] {
 		t := rec.Time.UnixNano()
 		if t < prev {
 			return encodedBlock{err: fmt.Errorf("store: records not time-sorted at seal")}
 		}
-		scratch = binary.AppendUvarint(scratch[:0], uint64(t-prev))
+		b = binary.AppendUvarint(b, uint64(t-prev))
 		prev = t
-		if version >= segVersionV2 {
-			scratch = appendRecordTailV2(scratch, rec, sc.recIdx[ri])
-		} else {
-			var err error
-			scratch, err = appendRecordTail(scratch, rec, sc.enc)
-			if err != nil {
-				return encodedBlock{err: err}
-			}
-		}
-		raw.Write(scratch)
 	}
-
-	var cbuf bytes.Buffer
-	cbuf.Grow(raw.Len() / 2)
-	fw := flateWriterPool.Get().(*flate.Writer)
-	fw.Reset(&cbuf)
-	if _, err := fw.Write(raw.Bytes()); err != nil {
-		flateWriterPool.Put(fw)
-		return encodedBlock{err: err}
-	}
-	if err := fw.Close(); err != nil {
-		flateWriterPool.Put(fw)
-		return encodedBlock{err: err}
-	}
-	flateWriterPool.Put(fw)
-	return encodedBlock{comp: cbuf.Bytes(), ulen: raw.Len()}
+	sc.out = appendChecksum(b)
+	// The stitch outlives the scratch: hand back a copy.
+	return encodedBlock{data: bytes.Clone(sc.out)}
 }

@@ -2,12 +2,12 @@ package store
 
 import (
 	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"io"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -20,14 +20,15 @@ const (
 	segPrefix = "seg-"
 	segSuffix = ".irts"
 	segMagic  = "IRTS"
-	// segVersionV1 blocks carry inline attribute bytes per record.
-	// segVersionV2 blocks open with an attribute dictionary written once;
-	// announce records reference entries by varint index, so the duplicate
-	// attribute sets that dominate real streams are stored and decoded once
-	// per block instead of once per record. New segments are written v2; v1
-	// segments remain fully readable.
+	// segVersionV1 blocks are deflated rows carrying inline attribute bytes.
+	// segVersionV2 blocks are deflated rows behind an attribute dictionary
+	// written once per block. segVersionV3 blocks are uncompressed,
+	// column-coded and CRC-guarded (layout at colBlock), and so is the v3
+	// index section. Every segment is written v3; v1 and v2 segments remain
+	// fully readable and are upgraded when compaction rewrites them.
 	segVersionV1 = 1
 	segVersionV2 = 2
+	segVersionV3 = 3
 	segHdrLen    = 5 // magic + version
 	// segTailLen is the fixed trailer: u32 footer length + magic + version.
 	segTailLen = 4 + 4 + 1
@@ -40,7 +41,7 @@ type segment struct {
 	path string
 	seq  uint64 // segment file number
 	size int64
-	ver  byte // block format version (segVersionV1 or segVersionV2)
+	ver  byte // block format version (segVersionV1..V3)
 	// fp is the segment's content fingerprint (seq, window, sequence range,
 	// count): the cache key half that identifies this segment's blocks.
 	fp uint64
@@ -70,20 +71,16 @@ func segName(seq uint64) string { return fmt.Sprintf("%s%08d%s", segPrefix, seq,
 // in dir. The write is crash-safe: the file is assembled under a .tmp name
 // and renamed into place.
 //
-// Block encoding and compression fan out across opts.SealWorkers goroutines:
-// blocks are independent (each carries its own attribute dictionary), so the
-// expensive encode+deflate runs concurrently and the blocks are stitched back
-// in order. The output is byte-identical at any worker count — each block's
+// Block encoding fans out across opts.SealWorkers goroutines: blocks are
+// independent (each carries its own dictionaries), so the encode runs
+// concurrently and the blocks are stitched back in order. The output is
+// byte-identical at any worker count — each block's
 // bytes depend only on its own records, exactly as in the serial loop.
 func writeSegment(fsys faults.FS, dir string, seq uint64, windowStart int64, firstSeq uint64, recs []collector.Record, replaces []uint64, opts Options) (*segment, error) {
 	if len(recs) == 0 {
 		return nil, fmt.Errorf("store: sealing empty segment")
 	}
-	version := opts.formatVersion
-	if version == 0 {
-		version = segVersionV2
-	}
-
+	const version = segVersionV3
 	nBlocks := (len(recs) + opts.BlockRecords - 1) / opts.BlockRecords
 	encoded := make([]encodedBlock, nBlocks)
 	workers := opts.SealWorkers
@@ -95,7 +92,7 @@ func writeSegment(fsys faults.FS, dir string, seq uint64, windowStart int64, fir
 		for bi := range encoded {
 			start := bi * opts.BlockRecords
 			end := min(start+opts.BlockRecords, len(recs))
-			encoded[bi] = encodeSegmentBlock(sc, version, recs[start:end])
+			encoded[bi] = encodeSegmentBlock(sc, recs[start:end])
 			if encoded[bi].err != nil {
 				putSealScratch(sc)
 				return nil, encoded[bi].err
@@ -118,7 +115,7 @@ func writeSegment(fsys faults.FS, dir string, seq uint64, windowStart int64, fir
 					}
 					start := bi * opts.BlockRecords
 					end := min(start+opts.BlockRecords, len(recs))
-					encoded[bi] = encodeSegmentBlock(sc, version, recs[start:end])
+					encoded[bi] = encodeSegmentBlock(sc, recs[start:end])
 				}
 			}()
 		}
@@ -132,8 +129,7 @@ func writeSegment(fsys faults.FS, dir string, seq uint64, windowStart int64, fir
 
 	// Stitch: blocks in submission order, then the index — built serially
 	// from the raw records so posting lists and the bloom filter fold in the
-	// same order the serial loop used. Index work is map probes and hashes,
-	// cheap next to deflate; it does not need to parallelize.
+	// same order the serial loop used.
 	ix := &segIndex{
 		peers:   make(postings),
 		origins: make(postings),
@@ -149,14 +145,14 @@ func writeSegment(fsys faults.FS, dir string, seq uint64, windowStart int64, fir
 		blockID := int32(bi)
 		ix.blocks = append(ix.blocks, blockMeta{
 			offset:  int64(buf.Len()),
-			clen:    int32(len(encoded[bi].comp)),
-			ulen:    int32(encoded[bi].ulen),
+			clen:    int32(len(encoded[bi].data)),
+			ulen:    int32(len(encoded[bi].data)),
 			count:   int32(len(block)),
 			minTime: block[0].Time.UnixNano(),
 			maxTime: block[len(block)-1].Time.UnixNano(),
 		})
-		buf.Write(encoded[bi].comp)
-		encoded[bi].comp = nil
+		buf.Write(encoded[bi].data)
+		encoded[bi].data = nil
 		for _, rec := range block {
 			ix.peers.add(rec.PeerAS, blockID)
 			if origin, ok := originOf(rec); ok {
@@ -167,7 +163,7 @@ func writeSegment(fsys faults.FS, dir string, seq uint64, windowStart int64, fir
 	}
 
 	indexOff := int64(buf.Len())
-	buf.Write(ix.encode(nil))
+	buf.Write(appendChecksum(ix.encode(nil)))
 
 	// Footer body, then the fixed trailer.
 	footer := make([]byte, 0, 64)
@@ -252,8 +248,11 @@ func openSegment(fsys faults.FS, path string) (*segment, error) {
 	if _, err := f.ReadAt(hdr[:], 0); err != nil {
 		return nil, err
 	}
-	if string(hdr[:4]) != segMagic || hdr[4] < segVersionV1 || hdr[4] > segVersionV2 {
+	if string(hdr[:4]) != segMagic || hdr[4] < segVersionV1 {
 		return nil, fmt.Errorf("%w: bad segment header", ErrCorrupt)
+	}
+	if hdr[4] > segVersionV3 {
+		return nil, fmt.Errorf("%w: segment format v%d is newer than this build reads (v%d)", ErrCorrupt, hdr[4], segVersionV3)
 	}
 	var tail [segTailLen]byte
 	if _, err := f.ReadAt(tail[:], size-segTailLen); err != nil {
@@ -291,6 +290,12 @@ func openSegment(fsys faults.FS, path string) (*segment, error) {
 	ixBytes := make([]byte, size-segTailLen-flen-indexOff)
 	if _, err := f.ReadAt(ixBytes, indexOff); err != nil {
 		return nil, err
+	}
+	if g.ver >= segVersionV3 {
+		var ok bool
+		if ixBytes, ok = splitChecksum(ixBytes); !ok {
+			return nil, fmt.Errorf("%w: index checksum", ErrCorrupt)
+		}
 	}
 	if g.index, err = decodeIndex(ixBytes); err != nil {
 		return nil, err
@@ -364,81 +369,26 @@ func (m *segMap) release() {
 	}
 }
 
-// blockReader is the reusable scratch state for decompressing one segment
-// block: the compressed-bytes buffer (ReadAt path only), a resettable source
-// reader, the inflate output buffer, and the flate reader itself. Columnar
-// decoding copies everything out of these buffers, so a blockReader is free
-// for reuse the moment the block it inflated has been decoded.
-type blockReader struct {
-	cb  []byte
-	src bytes.Reader
-	raw bytes.Buffer
-	fr  io.ReadCloser // always implements flate.Resetter
-}
-
-// maxRetainedBlockBytes caps the buffer capacity a pooled blockReader may
-// keep between uses. One pathological block (a huge time window sealed into
-// a single block) would otherwise pin a buffer of its size in every pool
-// entry it passed through for the life of the process.
-const maxRetainedBlockBytes = 1 << 20
-
-// trimBlockReader drops oversized scratch buffers before br is pooled.
-func trimBlockReader(br *blockReader) {
-	if cap(br.cb) > maxRetainedBlockBytes {
-		br.cb = nil
-	}
-	if br.raw.Cap() > maxRetainedBlockBytes {
-		br.raw = bytes.Buffer{}
-	}
-}
-
-// inflateBlock decompresses block bi and returns the raw block bytes, valid
-// until br's next use. The compressed source is a zero-copy slice of the
-// segment mapping when the caller holds one (mm non-nil); otherwise the
-// bytes are read through f into br's buffer. f must support concurrent
+// readBlock returns the stored bytes of block bi: a zero-copy slice of the
+// segment mapping when the caller holds one (mm non-nil), otherwise read
+// through f into *buf, valid until its next use. f must support concurrent
 // ReadAt (os.File does).
-func (g *segment) inflateBlock(br *blockReader, f io.ReaderAt, mm *segMap, bi int) (_ []byte, err error) {
-	// A failed read or inflate can leave the flate reader mid-stream; poison
-	// it so a recycled blockReader never leaks one block's state into the
-	// next (the next use rebuilds instead of trusting Reset on a wedged
-	// reader).
-	defer func() {
-		if err != nil {
-			br.fr = nil
-		}
-	}()
+func (g *segment) readBlock(buf *[]byte, f io.ReaderAt, mm *segMap, bi int) ([]byte, error) {
 	bm := g.index.blocks[bi]
-	var cb []byte
+	limit := g.size
 	if mm != nil {
-		end := bm.offset + int64(bm.clen)
-		if bm.offset < 0 || end > int64(len(mm.data)) {
-			return nil, fmt.Errorf("%w: block %d bounds", ErrCorrupt, bi)
-		}
-		cb = mm.data[bm.offset:end]
-	} else {
-		if cap(br.cb) < int(bm.clen) {
-			br.cb = make([]byte, bm.clen)
-		}
-		cb = br.cb[:bm.clen]
-		if _, err := f.ReadAt(cb, bm.offset); err != nil {
-			return nil, err
-		}
+		limit = int64(len(mm.data))
 	}
-	br.src.Reset(cb)
-	if br.fr == nil {
-		br.fr = flate.NewReader(&br.src)
-	} else if err := br.fr.(flate.Resetter).Reset(&br.src, nil); err != nil {
+	end := bm.offset + int64(bm.clen)
+	if bm.offset < 0 || bm.clen < 0 || end > limit {
+		return nil, fmt.Errorf("%w: block %d bounds", ErrCorrupt, bi)
+	}
+	if mm != nil {
+		return mm.data[bm.offset:end], nil
+	}
+	*buf = slices.Grow((*buf)[:0], int(bm.clen))[:bm.clen]
+	if _, err := f.ReadAt(*buf, bm.offset); err != nil {
 		return nil, err
 	}
-	br.raw.Reset()
-	br.raw.Grow(int(bm.ulen))
-	if _, err := io.Copy(&br.raw, br.fr); err != nil {
-		return nil, fmt.Errorf("%w: block %d: %v", ErrCorrupt, bi, err)
-	}
-	// A Close error here is a truncated or damaged flate stream, i.e.
-	// corruption, not an I/O failure — classify it so quarantine applies.
-	if err := br.fr.Close(); err != nil {
-		return nil, fmt.Errorf("%w: block %d: %v", ErrCorrupt, bi, err)
-	}
-	return br.raw.Bytes(), nil
+	return *buf, nil
 }

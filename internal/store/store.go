@@ -4,7 +4,7 @@
 // WAL-backed writer, partitioned into immutable sealed segments (one or more
 // per configurable time window), and queried back through an indexed reader
 // that pushes predicates down to the segment and block level so most of the
-// store is never decompressed.
+// store is never read.
 //
 // # On-disk layout
 //
@@ -23,14 +23,17 @@
 // skipped (no duplicates), and the rest are replayed into the memtable (no
 // losses).
 //
-// A segment file holds delta-encoded, flate-compressed blocks of records
-// sorted by timestamp, followed by an index section and a fixed footer:
+// A segment file holds blocks of records sorted by timestamp — column-coded
+// behind a CRC-32 and scanned as stored (format v3, see colBlock; segments
+// written before it hold deflated rows and stay readable) — followed by an
+// index section and a fixed footer:
 //
 //	"IRTS" version            header
-//	block*                    compressed record blocks
+//	block*                    record blocks
 //	index                     per-block metadata (offset, times, count),
 //	                          posting lists (peer AS -> blocks,
-//	                          origin AS -> blocks), prefix bloom filter
+//	                          origin AS -> blocks), prefix bloom filter,
+//	                          CRC-32
 //	footer                    index offset, window, time range, seq range,
 //	                          replaced-segment list, record count
 //
@@ -39,7 +42,7 @@
 // A Query carries time range, peer AS, origin AS, prefix, and record type
 // predicates. The reader skips whole segments by time range, posting lists,
 // and the prefix bloom filter, then skips individual blocks the same way;
-// only surviving blocks are decompressed. ScanStats reports exactly how much
+// only surviving blocks are fetched. ScanStats reports exactly how much
 // work was avoided, so pushdown wins are measurable rather than asserted.
 package store
 
@@ -66,8 +69,8 @@ type Options struct {
 	// of this duration (aligned to Unix epoch) and sealed one segment per
 	// window per seal. Default 24h.
 	Window time.Duration
-	// BlockRecords caps the number of records per compressed block.
-	// Default 512.
+	// BlockRecords caps the number of records per block. Default 512; at
+	// most 65535, what a block's two-byte dictionary codes can number.
 	BlockRecords int
 	// FlushEvery is the number of appended records the writer batches in
 	// memory before writing them to the WAL in one group commit. Default
@@ -85,18 +88,17 @@ type Options struct {
 	// BloomBitsPerKey sizes the per-segment prefix bloom filter. Default 10
 	// (~1% false positives).
 	BloomBitsPerKey int
-	// BlockCacheBytes is the byte budget of the store-wide cache of
-	// decompressed, columnar-decoded segment blocks, shared by every reader
-	// of this store. 0 (the zero value) disables the cache: each scan
-	// inflates and decodes its own blocks, as before the cache existed.
+	// BlockCacheBytes is the byte budget of the store-wide cache of parsed
+	// segment blocks, shared by every reader of this store. 0 (the zero
+	// value) disables the cache: each scan parses its own blocks, in place.
 	BlockCacheBytes int64
 	// NoMmap disables memory-mapped segment reads, forcing the ReadAt
 	// fallback path everywhere. Mapping is also skipped automatically when
 	// the store reads through an injected filesystem (Options.FS not the
 	// real disk) or the platform has no mmap support.
 	NoMmap bool
-	// SealWorkers is the number of goroutines that encode and compress
-	// segment blocks during seals and compactions. Blocks are independent, so
+	// SealWorkers is the number of goroutines that encode segment blocks
+	// during seals and compactions. Blocks are independent, so
 	// the sealed bytes are identical at any worker count; only the wall time
 	// changes. Defaults to GOMAXPROCS; 1 forces the serial path.
 	SealWorkers int
@@ -105,11 +107,6 @@ type Options struct {
 	// exercise write errors, torn writes, fsync failures, crashes, and
 	// read bit-flips deterministically.
 	FS faults.FS
-	// formatVersion selects the segment block format for newly written
-	// segments. Unexported: production stores always write the current
-	// version; tests set it to segVersionV1 to produce compatibility
-	// fixtures. Defaults to segVersionV2.
-	formatVersion byte
 }
 
 func (o Options) withDefaults() Options {
@@ -119,6 +116,7 @@ func (o Options) withDefaults() Options {
 	if o.BlockRecords <= 0 {
 		o.BlockRecords = 512
 	}
+	o.BlockRecords = min(o.BlockRecords, maxBlockRecords)
 	if o.FlushEvery <= 0 {
 		o.FlushEvery = 256
 	}
@@ -130,9 +128,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.SealWorkers <= 0 {
 		o.SealWorkers = runtime.GOMAXPROCS(0)
-	}
-	if o.formatVersion == 0 {
-		o.formatVersion = segVersionV2
 	}
 	return o
 }
@@ -446,7 +441,8 @@ type Stats struct {
 	Segments   int   // sealed segment files
 	SegmentsV1 int   // segments in block format v1 (inline attributes)
 	SegmentsV2 int   // segments in block format v2 (attribute dictionary)
-	Blocks     int   // compressed blocks across all segments
+	SegmentsV3 int   // segments in block format v3 (column-coded, checksummed)
+	Blocks     int   // blocks across all segments
 	Records    int64 // records in sealed segments
 	MemRecords int   // unsealed records (memtable + any in-flight seal)
 	// SealingRecords is the subset of MemRecords detached into a background
@@ -474,10 +470,13 @@ func (s *Store) Stats() Stats {
 		st.Records += int64(g.count)
 		st.DiskBytes += g.size
 		windows[g.windowStart] = true
-		if g.ver >= segVersionV2 {
-			st.SegmentsV2++
-		} else {
+		switch g.ver {
+		case segVersionV1:
 			st.SegmentsV1++
+		case segVersionV2:
+			st.SegmentsV2++
+		default:
+			st.SegmentsV3++
 		}
 	}
 	for w, mw := range s.mem {

@@ -171,7 +171,7 @@ func (w *Writer) AppendAll(r collector.RecordReader) (int, error) {
 
 // appendAllBatch is the record group size AppendAll hands to AppendBatch —
 // aligned with the default segment block size so one ingest batch fills one
-// compression block.
+// block.
 const appendAllBatch = 512
 
 // nextWindowSeqLocked returns the first free sequence number of a window the
@@ -331,7 +331,7 @@ func (s *Store) startSealLocked() (*sealBatch, error) {
 }
 
 // runSeal seals a detached batch: per window, sort a clone of the snapshot,
-// write the segment (block compression fans across the seal worker pool),
+// write the segment (block encoding fans across the seal worker pool),
 // and publish it under a short lock. Windows publish incrementally, so a
 // failure partway keeps every already-published segment and requeues only
 // the rest. It runs off the store lock and takes it per publish.
