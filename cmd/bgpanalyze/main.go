@@ -1,344 +1,7 @@
-// Bgpanalyze classifies a collector log and prints the paper's tables and
-// figures computed from it — the role the XYZ toolkit played for the
-// original study.
-//
-// Usage:
-//
-//	bgpanalyze -in maeeast.irtl.gz                 # summary
-//	bgpanalyze -in maeeast.irtl.gz -id fig8        # one figure
-//	bgpanalyze -in maeeast.irtl.gz -id all
-//	bgpanalyze -store db -from 1996-05-01 -to 1996-06-01 -peer 690 -id fig6
-//	bgpanalyze -remote localhost:1791 -from 1996-05-01 -to 1996-06-01 -id fig6
-//	bgpanalyze -in attack.irtl.gz -detect -truth truth.json -alert-log alerts.log
-//
-// With -store the input is an irtlstore query: the slice to classify is
-// selected by the store's indexes (time window, peer AS, origin AS, prefix)
-// instead of rescanning a flat log. With -remote the same query runs against
-// a bgpserve instance over the binary record protocol — the records stream
-// back in the store's wire codec, so the classification is bit-identical to
-// opening the store locally.
+// Bgpanalyze classifies a collector log, a store query or a bgpserve query and prints the paper's tables and figures.
+// The command is cli.Analyze (internal/cli); its doc comment has the usage.
 package main
 
-import (
-	"context"
-	"encoding/json"
-	"flag"
-	"fmt"
-	"log"
-	"os"
-	"runtime"
-	"time"
+import "instability/internal/cli"
 
-	"instability"
-	"instability/internal/collector"
-	"instability/internal/core"
-	"instability/internal/detect"
-	"instability/internal/intern"
-	"instability/internal/obs"
-	"instability/internal/report"
-	"instability/internal/rib"
-	"instability/internal/serve"
-	"instability/internal/store"
-)
-
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("bgpanalyze: ")
-	var (
-		in          = flag.String("in", "", "input log file")
-		storeDir    = flag.String("store", "", "analyze an irtlstore query instead of a log file")
-		remote      = flag.String("remote", "", "analyze a query against a bgpserve instance (host:port) instead of a local store")
-		token       = flag.String("token", "", "API token for -remote (identifies the tenant for quotas)")
-		from        = flag.String("from", "", "store query: start time (inclusive)")
-		to          = flag.String("to", "", "store query: end time (exclusive)")
-		peers       = flag.String("peer", "", "store query: comma-separated peer AS list")
-		origins     = flag.String("origin", "", "store query: comma-separated origin AS list")
-		prefix      = flag.String("prefix", "", "store query: exact prefix (CIDR)")
-		id          = flag.String("id", "summary", "what to print: summary, table1, fig2..fig10, all")
-		day         = flag.String("day", "", "day for table1 (YYYY-MM-DD, default: busiest)")
-		parallel    = flag.Int("parallel", runtime.GOMAXPROCS(0), "classifier shards and store-scan workers (1 = serial)")
-		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /varz, /healthz, /debug/pprof on this address")
-		traceSample = flag.Float64("trace-sample", 0, "trace this run (0 = off, 1 = always); with -remote the trace ID is shared with the server")
-		blockCache  = flag.Int64("block-cache-bytes", 32<<20, "store query: shared decompressed-block cache budget in bytes (0 = off)")
-		noMmap      = flag.Bool("no-mmap", false, "store query: disable memory-mapped segment reads")
-		detectFlag  = flag.Bool("detect", false, "run the streaming anomaly detector over the classified stream and print its alerts")
-		truthFile   = flag.String("truth", "", "ground-truth intervals (JSON, from bgpsim -truth-out) to score -detect alerts against")
-		alertLog    = flag.String("alert-log", "", "append -detect alerts to this sidecar log (served by bgpserve /v1/alerts)")
-	)
-	flag.Parse()
-	sources := 0
-	for _, set := range []bool{*in != "", *storeDir != "", *remote != ""} {
-		if set {
-			sources++
-		}
-	}
-	if sources != 1 {
-		log.Fatal("need exactly one of -in, -store, or -remote")
-	}
-	if *metricsAddr != "" {
-		msrv, err := obs.Serve(*metricsAddr, obs.Default())
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer msrv.Close()
-		log.Printf("metrics on http://%s/metrics", msrv.Addr())
-	}
-
-	// With -trace-sample the whole run becomes one trace: the query (local
-	// scan or remote fetch) and the classify stage are children of a single
-	// root, and with -remote the server's admission/scan/encode spans share
-	// the same trace ID.
-	ctx := context.Background()
-	var troot *obs.TraceSpan
-	if *traceSample > 0 {
-		obs.EnableTracing(obs.TraceConfig{SampleRate: *traceSample})
-		ctx, troot = obs.DefaultTracer().Start(ctx, "bgpanalyze")
-		defer troot.Finish()
-	}
-
-	var (
-		r            collector.RecordReader
-		exchangeName string
-		source       string
-		err          error
-	)
-	switch {
-	case *in != "":
-		r, exchangeName, err = collector.OpenAny(*in)
-		if err != nil {
-			log.Fatal(err)
-		}
-		source = *in
-	case *remote != "":
-		c := &serve.Client{Addr: *remote, Token: *token}
-		rr, qerr := c.QueryCtx(ctx, serve.QuerySpec{
-			From: *from, To: *to, Peer: *peers, Origin: *origins, Prefix: *prefix,
-		})
-		if qerr != nil {
-			log.Fatal(qerr)
-		}
-		r = rr
-		exchangeName = "remote"
-		source = *remote
-	default:
-		q, qerr := store.ParseQuery(*from, *to, *peers, *origins, *prefix, "")
-		if qerr != nil {
-			log.Fatal(qerr)
-		}
-		s, serr := store.Open(*storeDir, store.Options{BlockCacheBytes: *blockCache, NoMmap: *noMmap})
-		if serr != nil {
-			log.Fatal(serr)
-		}
-		defer s.Close()
-		r, err = s.QueryParallelCtx(ctx, q, *parallel)
-		if err != nil {
-			log.Fatal(err)
-		}
-		exchangeName = "store"
-		source = *storeDir
-	}
-	defer r.Close()
-
-	// The two pipelines produce identical statistics (the equivalence the
-	// parallel package tests under -race); which one runs is purely a matter
-	// of how many cores the flag lets us use.
-	var (
-		acc         *core.Accumulator
-		censusByDay map[core.Date]rib.Census
-		finalCensus func() rib.Census
-		n           int
-		err2        error
-	)
-	var det *detect.Detector
-	if *detectFlag {
-		det = detect.New(detect.Config{})
-	} else if *truthFile != "" || *alertLog != "" {
-		log.Fatal("-truth and -alert-log require -detect")
-	}
-	span, _ := obs.StartSpanCtx(ctx, "classify")
-	if *parallel > 1 {
-		pp := instability.NewParallelPipeline(instability.ParallelConfig{Shards: *parallel})
-		// Live taxonomy counters: merged at each day barrier, so a scrape
-		// during a long classify trails the stream by at most one day.
-		pp.Acc.Register(obs.Default())
-		if det != nil {
-			pp.Events = det.Add
-			pp.DayEnd = func(d core.Date) { det.Advance(d.Time().AddDate(0, 0, 1)) }
-		}
-		n, err2 = instability.ClassifyLogParallel(r, pp)
-		pp.Close()
-		acc, censusByDay, finalCensus = pp.Acc, pp.CensusByDay, pp.Census
-	} else {
-		p := instability.NewPipeline()
-		// Live taxonomy counters: a scrape during a long classify shows the
-		// per-class mix as it accumulates.
-		p.Acc.Register(obs.Default())
-		if det != nil {
-			p.Events = det.Add
-			p.DayEnd = func(d core.Date) { det.Advance(d.Time().AddDate(0, 0, 1)) }
-		}
-		n, err2 = instability.ClassifyLog(r, p)
-		acc, censusByDay, finalCensus = p.Acc, p.CensusByDay, p.Table.TakeCensus
-	}
-	if err2 != nil {
-		log.Fatal(err2)
-	}
-	span.Add(int64(n))
-	span.End()
-	if exchangeName == "" {
-		exchangeName = "MRT"
-	}
-	fmt.Printf("classified %d records from %s (%s)\n", n, source, exchangeName)
-	if hits, misses, paths := intern.Stats(); hits+misses > 0 {
-		fmt.Printf("attr intern: %.1f%% hit rate (%d lookups, %d unique tuples, %d unique paths)\n",
-			100*float64(hits)/float64(hits+misses), hits+misses, misses, paths)
-	}
-	fmt.Println()
-
-	if det != nil {
-		reportAlerts(det.Finish(), *truthFile, *alertLog)
-	}
-
-	table1Day := busiestDay(acc)
-	if *day != "" {
-		var t core.Date
-		parsed, err := parseDate(*day)
-		if err != nil {
-			log.Fatal(err)
-		}
-		t = parsed
-		table1Day = t
-	}
-
-	show := func(name string) {
-		switch name {
-		case "summary":
-			printSummary(acc, finalCensus())
-		case "table1":
-			fmt.Println(report.Table1(acc, table1Day))
-		case "fig2":
-			fmt.Println(report.Fig2(acc))
-		case "fig3":
-			fmt.Println(report.Fig3(acc, nil))
-		case "fig4":
-			dates := acc.Dates()
-			if len(dates) > 7 {
-				fmt.Println(report.Fig4(acc, dates[len(dates)/2]))
-			}
-		case "fig5":
-			fmt.Println(report.Fig5(acc, 1))
-		case "fig6":
-			fmt.Println(report.Fig6(acc))
-		case "fig7":
-			fmt.Println(report.Fig7(acc))
-		case "fig8":
-			fmt.Println(report.Fig8(acc))
-		case "fig9":
-			fmt.Println(report.Fig9(acc, nil))
-		case "fig10":
-			fmt.Println(report.Fig10(censusByDay))
-		default:
-			log.Fatalf("unknown -id %q", name)
-		}
-	}
-	if *id == "all" {
-		for _, name := range []string{"summary", "table1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10"} {
-			show(name)
-			fmt.Println()
-		}
-		return
-	}
-	show(*id)
-}
-
-// reportAlerts prints the detector's alert stream and, when asked, appends
-// it to a sidecar log (the file bgpserve's /v1/alerts serves) and scores it
-// against ground-truth intervals written by bgpsim -truth-out.
-func reportAlerts(alerts []detect.Alert, truthFile, alertLog string) {
-	fmt.Printf("detector: %d alert episodes\n", len(alerts))
-	for _, a := range alerts {
-		target := ""
-		switch {
-		case a.Prefix != "":
-			target = fmt.Sprintf(" peer=%d prefix=%s", a.Peer, a.Prefix)
-		case a.Peer != 0:
-			target = fmt.Sprintf(" peer=%d", a.Peer)
-		}
-		fmt.Printf("  %-6s %s%s %s .. %s windows=%d records=%d peak=%.1f baseline=%.2f\n",
-			a.Channel, a.Class, target,
-			a.Start.Format("2006-01-02 15:04"), a.End.Format("2006-01-02 15:04"),
-			a.Windows, a.Records, a.Peak, a.Baseline)
-	}
-	if alertLog != "" {
-		l, err := store.OpenSidecarLog(alertLog)
-		if err != nil {
-			log.Fatal(err)
-		}
-		for _, a := range alerts {
-			if err := l.Append(a); err != nil {
-				log.Fatal(err)
-			}
-		}
-		if err := l.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("appended %d alerts to %s\n", len(alerts), alertLog)
-	}
-	if truthFile != "" {
-		data, err := os.ReadFile(truthFile)
-		if err != nil {
-			log.Fatal(err)
-		}
-		var truths []detect.Truth
-		if err := json.Unmarshal(data, &truths); err != nil {
-			log.Fatalf("bad truth file %s: %v", truthFile, err)
-		}
-		sc := detect.Evaluate(alerts, truths, 15*time.Minute)
-		fmt.Println(sc)
-	}
-	fmt.Println()
-}
-
-func printSummary(acc *core.Accumulator, census rib.Census) {
-	tot := acc.TotalCounts()
-	all := 0
-	for _, v := range tot {
-		all += v
-	}
-	fmt.Println("taxonomy breakdown:")
-	for _, c := range core.Classes() {
-		fmt.Printf("  %-7s %12s (%.1f%%)\n", c, report.FormatCount(tot[c]), 100*float64(tot[c])/float64(all))
-	}
-	instab := tot[core.AADiff] + tot[core.WADiff] + tot[core.WADup]
-	path := tot[core.AADup] + tot[core.WWDup]
-	fmt.Printf("instability %s, pathological %s (%.1fx)\n",
-		report.FormatCount(instab), report.FormatCount(path), float64(path)/float64(max(instab, 1)))
-	fmt.Printf("final table: %d prefixes, %d multihomed (%.0f%%), %d origin ASes, %d unique paths\n",
-		census.Prefixes, census.Multihomed, census.MultihomedShare()*100, census.OriginASes, census.UniquePaths)
-}
-
-func busiestDay(acc *core.Accumulator) core.Date {
-	var best core.Date
-	bestN := -1
-	for _, d := range acc.Dates() {
-		if n := acc.Days[d].Total(); n > bestN {
-			best, bestN = d, n
-		}
-	}
-	return best
-}
-
-func parseDate(s string) (core.Date, error) {
-	t, err := time.Parse("2006-01-02", s)
-	if err != nil {
-		return 0, fmt.Errorf("bad date %q: %v", s, err)
-	}
-	return core.DateOf(t), nil
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
+func main() { cli.Main("bgpanalyze", cli.Analyze) }

@@ -1,418 +1,7 @@
-// Bgpcollect is a route-server collector speaking real BGP-4 over TCP: it
-// listens for peering sessions, completes the OPEN/KEEPALIVE handshake, and
-// logs every received update in collector format — a minimal Routing Arbiter
-// route server. With -store it also writes through to an irtlstore, so the
-// collected stream is immediately queryable with bgpstore/bgpanalyze.
-//
-// Usage:
-//
-//	bgpcollect -listen :1790 -as 6000 -id 198.32.186.250 -out live.irtl.gz
-//	bgpcollect -listen :1790 -out live.irtl.gz -store livedb
-//	bgpcollect -dial rs1:179,rs2:179 -backoff-base 1s -backoff-max 2m
-//
-// Point any BGP speaker at the listen port; stop with SIGINT. The -maxconns
-// flag (default unlimited) makes the collector exit after that many sessions
-// close, which keeps scripted runs bounded.
-//
-// With -dial the collector also opens outbound peering sessions and keeps
-// them alive: a failed dial or dropped session is retried under jittered
-// exponential backoff (-backoff-base up to -backoff-max, reset after each
-// successful establishment) so a flapping route server is never hammered in
-// lockstep. The -chaos flag wraps dialed connections in seeded random delays
-// and resets, for battering the dial/backoff path against a healthy peer.
+// Bgpcollect is a route-server collector speaking BGP-4 over TCP that logs, stores and classifies what its peers send.
+// The command is cli.Collect (internal/cli); its doc comment has the usage.
 package main
 
-import (
-	"flag"
-	"fmt"
-	"log"
-	"net"
-	"os"
-	"os/signal"
-	"runtime"
-	"strconv"
-	"strings"
-	"sync"
-	"sync/atomic"
-	"time"
+import "instability/internal/cli"
 
-	"instability/internal/bgp"
-	"instability/internal/collector"
-	"instability/internal/core"
-	"instability/internal/faults"
-	"instability/internal/intern"
-	"instability/internal/netaddr"
-	"instability/internal/obs"
-	"instability/internal/session"
-	"instability/internal/store"
-)
-
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("bgpcollect: ")
-	var (
-		listen      = flag.String("listen", ":1790", "TCP listen address")
-		asn         = flag.Uint("as", 6000, "local AS number")
-		id          = flag.String("id", "198.32.186.250", "local BGP identifier")
-		out         = flag.String("out", "collected.irtl.gz", "output log file")
-		storeDir    = flag.String("store", "", "also write through to an irtlstore at this directory")
-		sealWorkers = flag.Int("seal-workers", runtime.GOMAXPROCS(0), "block encode/compress workers for store seals (1 = serial)")
-		exchName    = flag.String("exchange", "live", "exchange name recorded in the log header")
-		hold        = flag.Duration("hold", 90*time.Second, "proposed hold time")
-		maxConns    = flag.Int("maxconns", 0, "exit after this many sessions close (0 = run until SIGINT)")
-		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /varz, /healthz, /debug/pprof on this address")
-		report      = flag.Duration("report", 10*time.Second, "period of the one-line self-report (0 disables)")
-		dial        = flag.String("dial", "", "comma-separated peer addresses to dial and keep sessions with")
-		backoffBase = flag.Duration("backoff-base", 500*time.Millisecond, "first redial delay")
-		backoffMax  = flag.Duration("backoff-max", time.Minute, "redial delay cap")
-		chaosSpec   = flag.String("chaos", "", "fault dialed connections, e.g. seed=1,resetp=0.01,maxdelay=5ms")
-		traceSample = flag.Float64("trace-sample", 0, "head-sample fraction of traces for /debug/traces (0 = off)")
-	)
-	flag.Parse()
-	if *traceSample > 0 {
-		obs.EnableTracing(obs.TraceConfig{SampleRate: *traceSample})
-	}
-	chaosConn, err := parseConnChaos(*chaosSpec)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	reg := obs.Default()
-	if *metricsAddr != "" {
-		msrv, err := obs.Serve(*metricsAddr, reg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer msrv.Close()
-		log.Printf("metrics on http://%s/metrics", msrv.Addr())
-	}
-	var (
-		obsSessionsTotal = reg.Counter("irtl_collect_sessions_total", "Peering sessions accepted.")
-		obsSessionsOpen  = reg.Gauge("irtl_collect_sessions_open", "Peering sessions currently open.")
-		obsWriteErrors   = reg.Counter("irtl_collect_write_errors_total", "Record sink write failures.")
-		obsIngestLag     = reg.Gauge("irtl_collect_ingest_lag_seconds",
-			"Age of the most recently ingested record (now - record timestamp).")
-		obsRecords = func(t collector.RecType) *obs.Counter {
-			return reg.Counter("irtl_collect_records_total", "Records ingested, by type.", obs.L("type", t.String()))
-		}
-		recA    = obsRecords(collector.Announce)
-		recW    = obsRecords(collector.Withdraw)
-		recUp   = obsRecords(collector.SessionUp)
-		recDown = obsRecords(collector.SessionDown)
-	)
-
-	localID, err := netaddr.ParseAddr(*id)
-	if err != nil {
-		log.Fatal(err)
-	}
-	w, err := collector.Create(*out, *exchName)
-	if err != nil {
-		log.Fatal(err)
-	}
-	var db *store.Store
-	if *storeDir != "" {
-		if db, err = store.Open(*storeDir, store.Options{AutoSealRecords: 1 << 16, SealWorkers: *sealWorkers}); err != nil {
-			log.Fatal(err)
-		}
-	}
-
-	// Live classification: every ingested record streams through the
-	// taxonomy classifier, so the per-class counters on /metrics move in
-	// real time during collection.
-	classifier := core.NewClassifier()
-	acc := core.NewAccumulator()
-	acc.Register(reg)
-
-	var mu sync.Mutex // serializes sink writes across sessions
-	writeRec := func(rec collector.Record) {
-		mu.Lock()
-		defer mu.Unlock()
-		if err := w.Write(rec); err != nil {
-			obsWriteErrors.Inc()
-			log.Printf("write: %v", err)
-		}
-		if db != nil {
-			if err := db.Writer().Append(rec); err != nil {
-				obsWriteErrors.Inc()
-				log.Printf("store append: %v", err)
-			}
-		}
-		acc.Add(classifier.Classify(rec))
-		switch rec.Type {
-		case collector.Announce:
-			recA.Inc()
-		case collector.Withdraw:
-			recW.Inc()
-		case collector.SessionUp:
-			recUp.Inc()
-		case collector.SessionDown:
-			recDown.Inc()
-		}
-		obsIngestLag.Set(time.Since(rec.Time).Seconds())
-	}
-	// closeSinks runs exactly once, no matter how shutdown is reached.
-	var closeOnce sync.Once
-	closeSinks := func() {
-		closeOnce.Do(func() {
-			mu.Lock()
-			defer mu.Unlock()
-			if err := w.Close(); err != nil {
-				log.Printf("close: %v", err)
-			}
-			if db != nil {
-				if err := db.Close(); err != nil {
-					log.Printf("store close: %v", err)
-				}
-			}
-		})
-	}
-
-	// Install the signal handler before the listener exists, so a SIGINT
-	// arriving during startup is never lost and always runs the shutdown
-	// path below.
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, os.Interrupt)
-
-	ln, err := net.Listen("tcp", *listen)
-	if err != nil {
-		log.Fatal(err)
-	}
-	log.Printf("listening on %s as AS%d/%s, logging to %s", ln.Addr(), *asn, localID, *out)
-
-	// Periodic self-report, read back from the registry: the counters the
-	// instrumentation already maintains are the single source of truth.
-	reportDone := make(chan struct{})
-	if *report > 0 {
-		go func() {
-			tick := time.NewTicker(*report)
-			defer tick.Stop()
-			lastN, lastT := 0.0, time.Now()
-			for {
-				select {
-				case <-reportDone:
-					return
-				case <-tick.C:
-				}
-				n := reg.Sum("irtl_collect_records_total")
-				now := time.Now()
-				rate := (n - lastN) / now.Sub(lastT).Seconds()
-				lastN, lastT = n, now
-				log.Printf("ingested %.0f records (%.1f/s), %.0f drops, %.0f sessions open, lag %.2fs",
-					n,
-					rate,
-					reg.Value("irtl_collect_write_errors_total")+reg.Value("irtl_session_queue_drops_total"),
-					reg.Value("irtl_collect_sessions_open"),
-					reg.Value("irtl_collect_ingest_lag_seconds"))
-			}
-		}()
-	}
-
-	// Track live connections so stop can sever them: without this, a peer
-	// that never hangs up would stall wg.Wait() after SIGINT and the sinks
-	// would never be closed.
-	var connMu sync.Mutex
-	conns := make(map[net.Conn]bool)
-	stopping := false
-
-	// stop closes the listener and live sessions exactly once; SIGINT, the
-	// -maxconns budget, and dial-loop teardown all funnel through it.
-	stopped := make(chan struct{}) // closed by stop; unblocks backoff sleeps
-	var stopOnce sync.Once
-	stop := func() {
-		stopOnce.Do(func() {
-			close(stopped)
-			ln.Close()
-			connMu.Lock()
-			stopping = true
-			for c := range conns {
-				c.Close()
-			}
-			connMu.Unlock()
-		})
-	}
-	go func() {
-		<-sigc
-		stop()
-	}()
-
-	var sessionsClosed atomic.Int64
-	var wg sync.WaitGroup
-
-	// track registers a live connection; the returned release deregisters it
-	// and spends one unit of the -maxconns budget. ok=false means the
-	// collector is already stopping and the conn has been closed.
-	track := func(conn net.Conn) (release func(), ok bool) {
-		connMu.Lock()
-		if stopping {
-			connMu.Unlock()
-			conn.Close()
-			return nil, false
-		}
-		conns[conn] = true
-		connMu.Unlock()
-		obsSessionsTotal.Inc()
-		obsSessionsOpen.Inc()
-		return func() {
-			connMu.Lock()
-			delete(conns, conn)
-			connMu.Unlock()
-			obsSessionsOpen.Dec()
-			if n := sessionsClosed.Add(1); *maxConns > 0 && n >= int64(*maxConns) {
-				stop()
-			}
-		}, true
-	}
-
-	// Outbound sessions: one dial loop per -dial address, each with its own
-	// jittered exponential backoff so redials against a flapping peer are
-	// paced and decorrelated. A successful establishment resets the schedule.
-	for i, addr := range strings.Split(*dial, ",") {
-		addr = strings.TrimSpace(addr)
-		if addr == "" {
-			continue
-		}
-		wg.Add(1)
-		go func(i int, addr string) {
-			defer wg.Done()
-			bo := session.Backoff{Base: *backoffBase, Max: *backoffMax}
-			for attempt := 0; ; attempt++ {
-				conn, err := net.DialTimeout("tcp", addr, 10*time.Second)
-				if err != nil {
-					log.Printf("dial %s: %v", addr, err)
-				} else {
-					if chaosConn != nil {
-						conn = chaosConn(conn, int64(i)<<16|int64(attempt))
-					}
-					release, ok := track(conn)
-					if !ok {
-						return
-					}
-					serve(conn, bgp.ASN(*asn), localID, *hold, writeRec, bo.Reset)
-					release()
-				}
-				select {
-				case <-stopped:
-					return
-				case <-time.After(bo.Next()):
-				}
-			}
-		}(i, addr)
-	}
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			break // listener closed
-		}
-		release, ok := track(conn)
-		if !ok {
-			continue
-		}
-		wg.Add(1)
-		go func(conn net.Conn, release func()) {
-			defer wg.Done()
-			defer release()
-			serve(conn, bgp.ASN(*asn), localID, *hold, writeRec, nil)
-		}(conn, release)
-	}
-	wg.Wait()
-	close(reportDone)
-	closeSinks()
-	fmt.Printf("logged %d records to %s\n", w.Count(), *out)
-	if db != nil {
-		st := db.Stats()
-		fmt.Printf("store %s: %d records in %d segments\n", *storeDir, st.Records, st.Segments)
-	}
-	if hits, misses, _ := intern.Stats(); hits+misses > 0 {
-		fmt.Printf("attr intern: %.1f%% hit rate (%d lookups, %d unique tuples)\n",
-			100*float64(hits)/float64(hits+misses), hits+misses, misses)
-	}
-	if tot := acc.TotalCounts(); acc.TotalEvents() > 0 {
-		var parts []string
-		for _, c := range core.Classes() {
-			if tot[c] > 0 {
-				parts = append(parts, fmt.Sprintf("%s %d", c, tot[c]))
-			}
-		}
-		fmt.Printf("classified: %s\n", strings.Join(parts, ", "))
-	}
-}
-
-// serve runs one peering session over an accepted or dialed connection.
-// onEstablished, when non-nil, is called after the session reaches
-// Established (the dial loops hang their backoff reset on it).
-func serve(conn net.Conn, localAS bgp.ASN, localID netaddr.Addr, hold time.Duration, writeRec func(collector.Record), onEstablished func()) {
-	remote := conn.RemoteAddr()
-	var peerAS bgp.ASN
-	var peerID netaddr.Addr
-	var r *session.Runner
-	cb := session.Callbacks{
-		Established: func() {
-			peerAS, peerID = r.Peer().PeerAS(), r.Peer().PeerID()
-			log.Printf("session with %v established (AS%d, id %v)", remote, peerAS, peerID)
-			writeRec(collector.Record{Time: time.Now().UTC(), Type: collector.SessionUp, PeerAS: peerAS, PeerAddr: peerID})
-			if onEstablished != nil {
-				onEstablished()
-			}
-		},
-		Down: func(err error) {
-			log.Printf("session with %v down: %v", remote, err)
-			writeRec(collector.Record{Time: time.Now().UTC(), Type: collector.SessionDown, PeerAS: peerAS, PeerAddr: peerID})
-		},
-		Update: func(u bgp.Update) {
-			now := time.Now().UTC()
-			for _, p := range u.Withdrawn {
-				writeRec(collector.Record{Time: now, Type: collector.Withdraw, PeerAS: peerAS, PeerAddr: peerID, Prefix: p})
-			}
-			for _, p := range u.Announced {
-				writeRec(collector.Record{Time: now, Type: collector.Announce, PeerAS: peerAS, PeerAddr: peerID, Prefix: p, Attrs: u.Attrs})
-			}
-		},
-	}
-	r = session.NewRunner(session.Config{
-		LocalAS:  localAS,
-		LocalID:  localID,
-		HoldTime: hold,
-		MRAI:     0,
-	}, conn, cb)
-	if err := r.Run(); err != nil {
-		log.Printf("session with %v ended: %v", remote, err)
-	}
-}
-
-// parseConnChaos parses the -chaos spec into a per-connection wrapper. Keys:
-// seed (base RNG seed), resetp (per-op spontaneous close probability),
-// maxdelay (uniform random pre-op delay). The per-connection salt keeps every
-// dialed conn on its own deterministic schedule.
-func parseConnChaos(spec string) (func(c net.Conn, salt int64) net.Conn, error) {
-	if strings.TrimSpace(spec) == "" {
-		return nil, nil
-	}
-	var (
-		seed     int64
-		resetP   float64
-		maxDelay time.Duration
-	)
-	for _, kv := range strings.Split(spec, ",") {
-		k, v, ok := strings.Cut(strings.TrimSpace(kv), "=")
-		if !ok {
-			return nil, fmt.Errorf("bad -chaos element %q (want key=value)", kv)
-		}
-		var err error
-		switch k {
-		case "seed":
-			seed, err = strconv.ParseInt(v, 10, 64)
-		case "resetp":
-			resetP, err = strconv.ParseFloat(v, 64)
-		case "maxdelay":
-			maxDelay, err = time.ParseDuration(v)
-		default:
-			return nil, fmt.Errorf("unknown -chaos key %q", k)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("bad -chaos value %q: %v", kv, err)
-		}
-	}
-	return func(c net.Conn, salt int64) net.Conn {
-		return faults.NewConn(c, seed^salt, resetP, maxDelay)
-	}, nil
-}
+func main() { cli.Main("bgpcollect", cli.Collect) }

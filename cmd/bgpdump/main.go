@@ -1,112 +1,7 @@
-// Bgpdump prints a collector log in a human-readable, line-per-record form,
-// in the spirit of the classic MRT dump tools. Filters select a peer AS, a
-// prefix (exact or covering), a record type, or a time window.
-//
-// Usage:
-//
-//	bgpdump -in maeeast.irtl.gz
-//	bgpdump -in maeeast.irtl.gz -type W -peer 701
-//	bgpdump -in maeeast.irtl.gz -prefix 192.42.113.0/24 -within
-//	bgpdump -in maeeast.irtl.gz -from "1996-05-25 00:00" -to "1996-05-25 00:02"
+// Bgpdump prints a collector log one record per line, with peer, prefix, type and time filters.
+// The command is cli.Dump (internal/cli); its doc comment has the usage.
 package main
 
-import (
-	"bufio"
-	"flag"
-	"fmt"
-	"io"
-	"log"
-	"os"
-	"time"
+import "instability/internal/cli"
 
-	"instability/internal/collector"
-	"instability/internal/netaddr"
-)
-
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("bgpdump: ")
-	var (
-		in      = flag.String("in", "", "input log file")
-		peer    = flag.Uint("peer", 0, "only records from this peer AS")
-		prefix  = flag.String("prefix", "", "only records for this prefix")
-		within  = flag.Bool("within", false, "with -prefix: match any prefix inside the block")
-		typ     = flag.String("type", "", "only this record type: A, W, UP, DOWN")
-		from    = flag.String("from", "", `start of time window ("2006-01-02 15:04")`)
-		to      = flag.String("to", "", "end of time window")
-		countIt = flag.Bool("c", false, "print only the matching record count")
-	)
-	flag.Parse()
-	if *in == "" {
-		log.Fatal("missing -in")
-	}
-
-	var pfx netaddr.Prefix
-	havePfx := false
-	if *prefix != "" {
-		var err error
-		pfx, err = netaddr.ParsePrefix(*prefix)
-		if err != nil {
-			log.Fatal(err)
-		}
-		havePfx = true
-	}
-	parseTime := func(s string) time.Time {
-		if s == "" {
-			return time.Time{}
-		}
-		t, err := time.Parse("2006-01-02 15:04", s)
-		if err != nil {
-			log.Fatalf("bad time %q: %v", s, err)
-		}
-		return t
-	}
-	fromT, toT := parseTime(*from), parseTime(*to)
-
-	r, _, err := collector.OpenAny(*in)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer r.Close()
-
-	w := bufio.NewWriter(os.Stdout)
-	defer w.Flush()
-	matched := 0
-	for {
-		rec, err := r.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			log.Fatal(err)
-		}
-		if *peer != 0 && uint(rec.PeerAS) != *peer {
-			continue
-		}
-		if *typ != "" && rec.Type.String() != *typ {
-			continue
-		}
-		if havePfx {
-			if *within {
-				if !pfx.ContainsPrefix(rec.Prefix) {
-					continue
-				}
-			} else if rec.Prefix != pfx {
-				continue
-			}
-		}
-		if !fromT.IsZero() && rec.Time.Before(fromT) {
-			continue
-		}
-		if !toT.IsZero() && !rec.Time.Before(toT) {
-			continue
-		}
-		matched++
-		if !*countIt {
-			fmt.Fprintln(w, rec.String())
-		}
-	}
-	if *countIt {
-		fmt.Fprintln(w, matched)
-	}
-}
+func main() { cli.Main("bgpdump", cli.Dump) }

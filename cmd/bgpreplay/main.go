@@ -1,279 +1,7 @@
-// Bgpreplay replays a recorded update log as a live BGP speaker: it dials a
-// collector (such as bgpcollect), completes the OPEN handshake, and re-sends
-// the log's announcements and withdrawals over TCP with their original
-// relative timing (optionally compressed). Together with bgpsim and
-// bgpcollect this closes the loop: synthesize a campaign, replay it as real
-// protocol traffic, collect it again, and analyze the result.
-//
-// Usage:
-//
-//	bgpreplay -in maeeast.irtl.gz -connect 127.0.0.1:1790 -speedup 600
-//	bgpreplay -in maeeast.irtl.gz -connect 127.0.0.1:1790 -peer 690 -as 690
-//	bgpreplay -store db -from 1996-05-01 -to 1996-05-08 -origin 237 -connect 127.0.0.1:1790
-//	bgpreplay -in attack.irtl.gz -connect 127.0.0.1:1790 -detect
-//
-// With -store the input is an irtlstore query instead of a flat log: the
-// store's indexes select the slice (time window, peer, origin, prefix) and
-// only that slice is decompressed and replayed.
+// Bgpreplay replays a recorded log, or a store query, as a live BGP speaker to a collector.
+// The command is cli.Replay (internal/cli); its doc comment has the usage.
 package main
 
-import (
-	"flag"
-	"fmt"
-	"io"
-	"log"
-	"net"
-	"os"
-	"os/signal"
-	"runtime"
-	"syscall"
-	"time"
+import "instability/internal/cli"
 
-	"instability"
-	"instability/internal/bgp"
-	"instability/internal/collector"
-	"instability/internal/core"
-	"instability/internal/detect"
-	"instability/internal/intern"
-	"instability/internal/netaddr"
-	"instability/internal/obs"
-	"instability/internal/session"
-	"instability/internal/store"
-)
-
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("bgpreplay: ")
-	var (
-		in          = flag.String("in", "", "input log (native or MRT)")
-		storeDir    = flag.String("store", "", "replay from an irtlstore query instead of a log file")
-		from        = flag.String("from", "", "store query: start time (inclusive)")
-		to          = flag.String("to", "", "store query: end time (exclusive)")
-		origin      = flag.String("origin", "", "store query: comma-separated origin AS list")
-		prefix      = flag.String("prefix", "", "store query: exact prefix (CIDR)")
-		connect     = flag.String("connect", "127.0.0.1:1790", "collector address")
-		asn         = flag.Uint("as", 690, "local AS number")
-		id          = flag.String("id", "198.32.186.1", "local BGP identifier")
-		peer        = flag.Uint("peer", 0, "replay only records from this peer AS (0 = all, rewritten to the local identity)")
-		speedup     = flag.Float64("speedup", 600, "time compression factor (600 = one simulated hour per 6 wall seconds)")
-		limit       = flag.Int("n", 0, "stop after this many records (0 = all)")
-		stateless   = flag.Bool("stateless", false, "replay as the stateless vendor: withdrawals are sent even for never-advertised prefixes, reproducing the log's WWDups on the wire")
-		detectFlag  = flag.Bool("detect", false, "classify the replayed records through the streaming anomaly detector and print its alerts at the end")
-		parallel    = flag.Int("parallel", runtime.GOMAXPROCS(0), "store query: segment-scan decompression workers (1 = serial scan)")
-		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /varz, /healthz, /debug/pprof on this address")
-		traceSample = flag.Float64("trace-sample", 0, "head-sample fraction of traces for /debug/traces (0 = off)")
-		blockCache  = flag.Int64("block-cache-bytes", 32<<20, "store query: shared decompressed-block cache budget in bytes (0 = off)")
-		noMmap      = flag.Bool("no-mmap", false, "store query: disable memory-mapped segment reads")
-		sealWorkers = flag.Int("seal-workers", runtime.GOMAXPROCS(0), "store: block encode/compress workers for seals (1 = serial)")
-	)
-	flag.Parse()
-	if *traceSample > 0 {
-		obs.EnableTracing(obs.TraceConfig{SampleRate: *traceSample})
-	}
-	if (*in == "") == (*storeDir == "") {
-		log.Fatal("need exactly one of -in or -store")
-	}
-	reg := obs.Default()
-	if *metricsAddr != "" {
-		msrv, err := obs.Serve(*metricsAddr, reg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer msrv.Close()
-		log.Printf("metrics on http://%s/metrics", msrv.Addr())
-	}
-	obsSent := reg.Counter("irtl_replay_records_total", "Records replayed onto the wire.")
-	obsPosition := reg.Gauge("irtl_replay_position_seconds",
-		"Log-time position of the replay (Unix seconds of the last record sent).")
-	localID, err := netaddr.ParseAddr(*id)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	r, src, err := openInput(*in, *storeDir, *from, *to, *origin, *prefix, *parallel, *blockCache, *noMmap, *sealWorkers)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer r.Close()
-
-	conn, err := net.Dial("tcp", *connect)
-	if err != nil {
-		log.Fatal(err)
-	}
-	established := make(chan struct{}, 1)
-	runner := session.NewRunner(session.Config{
-		LocalAS:   bgp.ASN(*asn),
-		LocalID:   localID,
-		HoldTime:  90 * time.Second,
-		MRAI:      0,
-		Stateless: *stateless,
-	}, conn, session.Callbacks{
-		Established: func() { established <- struct{}{} },
-		Down:        func(err error) { log.Printf("session down: %v", err) },
-	})
-	done := make(chan error, 1)
-	go func() { done <- runner.Run() }()
-	select {
-	case <-established:
-	case err := <-done:
-		log.Fatalf("session never established: %v", err)
-	case <-time.After(30 * time.Second):
-		log.Fatal("timeout establishing session")
-	}
-	log.Printf("established with %s; replaying %s at %gx", *connect, src, *speedup)
-
-	// Graceful drain: SIGINT/SIGTERM stops feeding new records but still
-	// flushes what the session has buffered and closes the BGP session with a
-	// NOTIFICATION instead of a TCP reset. A second signal aborts.
-	sigc := make(chan os.Signal, 2)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	interrupted := false
-
-	// With -detect the records also flow through the classifier into the
-	// anomaly detector as they go out on the wire, with day barriers at log
-	// date boundaries — the same feed bgpanalyze -detect runs offline.
-	var det *detect.Detector
-	var dp *instability.Pipeline
-	var detDay core.Date
-	haveDetDay := false
-	if *detectFlag {
-		det = detect.New(detect.Config{})
-		dp = instability.NewPipeline()
-		dp.Events = det.Add
-		dp.DayEnd = func(d core.Date) { det.Advance(d.Time().AddDate(0, 0, 1)) }
-	}
-
-	span := reg.StartSpan("replay")
-	var sent int
-	var prev time.Time
-loop:
-	for {
-		select {
-		case sig := <-sigc:
-			log.Printf("%v: draining session (again to abort)", sig)
-			go func() {
-				<-sigc
-				log.Fatal("second signal: aborting")
-			}()
-			interrupted = true
-			break loop
-		default:
-		}
-		rec, err := r.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			log.Fatal(err)
-		}
-		if rec.Type != collector.Announce && rec.Type != collector.Withdraw {
-			continue
-		}
-		if *peer != 0 && uint(rec.PeerAS) != *peer {
-			continue
-		}
-		if !prev.IsZero() && *speedup > 0 {
-			gap := rec.Time.Sub(prev)
-			if wait := time.Duration(float64(gap) / *speedup); wait > 0 {
-				if wait > 5*time.Second {
-					wait = 5 * time.Second // cap idle stretches
-				}
-				select {
-				case sig := <-sigc:
-					log.Printf("%v: draining session (again to abort)", sig)
-					interrupted = true
-					break loop
-				case <-time.After(wait):
-				}
-			}
-		}
-		prev = rec.Time
-		if dp != nil {
-			if d := core.DateOf(rec.Time); !haveDetDay || d != detDay {
-				if haveDetDay {
-					dp.EndDay(detDay)
-				}
-				detDay, haveDetDay = d, true
-			}
-			dp.Feed(rec)
-		}
-		runner.Do(func(p *session.Peer) {
-			switch rec.Type {
-			case collector.Announce:
-				p.Announce(rec.Prefix, rec.Attrs)
-			case collector.Withdraw:
-				p.Withdraw(rec.Prefix)
-			}
-		})
-		sent++
-		obsSent.Inc()
-		obsPosition.SetInt(rec.Time.Unix())
-		if *limit > 0 && sent >= *limit {
-			break
-		}
-	}
-	span.Add(int64(sent))
-	span.End()
-	// Let the final flush drain before closing.
-	time.Sleep(200 * time.Millisecond)
-	runner.Close()
-	<-done
-	if interrupted {
-		fmt.Printf("replayed %d records (interrupted)\n", sent)
-	} else {
-		fmt.Printf("replayed %d records\n", sent)
-	}
-	if hits, misses, _ := intern.Stats(); hits+misses > 0 {
-		fmt.Printf("attr intern: %.1f%% hit rate (%d lookups, %d unique tuples)\n",
-			100*float64(hits)/float64(hits+misses), hits+misses, misses)
-	}
-	if dp != nil {
-		if haveDetDay {
-			dp.EndDay(detDay)
-		}
-		alerts := det.Finish()
-		fmt.Printf("detector: %d alert episodes\n", len(alerts))
-		for _, a := range alerts {
-			fmt.Printf("  %-6s %s peer=%d prefix=%s %s .. %s windows=%d records=%d peak=%.1f\n",
-				a.Channel, a.Class, a.Peer, a.Prefix,
-				a.Start.Format("2006-01-02 15:04"), a.End.Format("2006-01-02 15:04"),
-				a.Windows, a.Records, a.Peak)
-		}
-	}
-}
-
-// openInput returns the record source: a flat log (native or MRT) for -in,
-// or an indexed store query for -store. The -peer flag is applied in the
-// replay loop either way, so it is not folded into the store query here;
-// time, origin, and prefix predicates are pushed down to the store.
-func openInput(in, storeDir, from, to, origin, prefix string, parallel int, blockCache int64, noMmap bool, sealWorkers int) (collector.RecordReader, string, error) {
-	if in != "" {
-		r, _, err := collector.OpenAny(in)
-		return r, in, err
-	}
-	q, err := store.ParseQuery(from, to, "", origin, prefix, "")
-	if err != nil {
-		return nil, "", err
-	}
-	s, err := store.Open(storeDir, store.Options{BlockCacheBytes: blockCache, NoMmap: noMmap, SealWorkers: sealWorkers})
-	if err != nil {
-		return nil, "", err
-	}
-	r, err := s.QueryParallel(q, parallel)
-	if err != nil {
-		s.Close()
-		return nil, "", err
-	}
-	return storeInput{r, s}, "store " + storeDir, nil
-}
-
-// storeInput keeps the store open for the life of the query reader.
-type storeInput struct {
-	*store.Reader
-	s *store.Store
-}
-
-func (si storeInput) Close() error {
-	si.Reader.Close()
-	return si.s.Close()
-}
+func main() { cli.Main("bgpreplay", cli.Replay) }

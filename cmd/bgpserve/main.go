@@ -1,159 +1,7 @@
-// Bgpserve runs the multi-tenant query/serving plane over an irtlstore: one
-// long-lived process opens the store once and answers many concurrent reader
-// sessions over a single port speaking both HTTP/JSON (dashboards, curl) and
-// the binary record protocol (the analysis CLIs via -remote).
-//
-// Usage:
-//
-//	bgpserve -store db -addr :1791
-//	bgpserve -store db -addr :1791 -max-sessions 64 -cache-bytes 67108864 \
-//	         -tenant-quotas 'dashboards=50:100,batch=5:10,*=2:4'
-//	curl 'http://localhost:1791/v1/aggregate?kind=classes&from=1996-05-01'
-//	bgpanalyze -remote localhost:1791 -from 1996-05-01 -to 1996-05-08
-//
-// Admission is a bounded worker pool with per-tenant token buckets keyed on
-// the API token; requests beyond the queue are shed with 429/BUSY rather
-// than queued without bound. Aggregates are cached under the store's
-// segment-set generation. SIGINT/SIGTERM drains in-flight requests before
-// exit.
+// Bgpserve serves an irtlstore to many concurrent readers over HTTP/JSON and the binary record protocol.
+// The command is cli.Serve (internal/cli); its doc comment has the usage.
 package main
 
-import (
-	"flag"
-	"io"
-	"log"
-	"net"
-	"os"
-	"os/signal"
-	"runtime"
-	"syscall"
-	"time"
+import "instability/internal/cli"
 
-	"instability/internal/faults"
-	"instability/internal/obs"
-	"instability/internal/serve"
-	"instability/internal/store"
-)
-
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("bgpserve: ")
-	var (
-		addr        = flag.String("addr", ":1791", "listen address (HTTP and binary protocol on one port)")
-		storeDir    = flag.String("store", "", "store directory to serve")
-		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /varz, /healthz, /debug/pprof on this address")
-		maxSessions = flag.Int("max-sessions", 32, "concurrently executing reader sessions (worker pool size)")
-		maxQueue    = flag.Int("max-queue", 0, "requests allowed to wait for a session slot (0 = 2*max-sessions)")
-		queueWait   = flag.Duration("queue-wait", 2*time.Second, "how long a queued request waits before being shed")
-		quotaSpec   = flag.String("tenant-quotas", "", "per-tenant rate quotas, e.g. 'dashboards=50:100,*=5:10' (token=rate:burst per second; * is the default)")
-		cacheBytes  = flag.Int64("cache-bytes", 32<<20, "aggregate result-cache budget in bytes (0 = disabled)")
-		workers     = flag.Int("workers", 0, "per-query segment-scan workers (0 = GOMAXPROCS)")
-		drain       = flag.Duration("drain", 5*time.Second, "graceful-shutdown drain timeout")
-		chaos       = flag.String("chaos", "", "inject deterministic store I/O faults, e.g. seed=42,flipreadp=0.01 (see internal/faults)")
-		traceSample = flag.Float64("trace-sample", 0.05, "fraction of untraced requests to head-sample into /debug/traces (slow requests are always kept)")
-		traceRing   = flag.Int("trace-ring", 256, "completed traces retained for /debug/traces")
-		slowQuery   = flag.Duration("slow-query", time.Second, "emit an NDJSON profile line for requests at or over this duration (negative = never)")
-		slowLog     = flag.String("slow-query-log", "", "slow-query log file (append; empty = stderr)")
-		alertLog    = flag.String("alert-log", "", "detector alert sidecar log to expose on /v1/alerts (written by bgpanalyze -detect -alert-log)")
-		blockCache  = flag.Int64("block-cache-bytes", 32<<20, "byte budget of the shared decompressed-block cache (0 = off)")
-		noMmap      = flag.Bool("no-mmap", false, "disable memory-mapped segment reads, forcing the ReadAt path")
-		sealWorkers = flag.Int("seal-workers", runtime.GOMAXPROCS(0), "block encode/compress workers for store seals and compactions (1 = serial)")
-	)
-	flag.Parse()
-	if *storeDir == "" {
-		log.Fatal("missing -store")
-	}
-
-	obs.EnableTracing(obs.TraceConfig{
-		SampleRate:    *traceSample,
-		SlowThreshold: *slowQuery,
-		RingSize:      *traceRing,
-	})
-
-	var slowW io.Writer
-	if *slowLog != "" {
-		f, err := os.OpenFile(*slowLog, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer f.Close()
-		slowW = f
-	}
-
-	if *metricsAddr != "" {
-		msrv, err := obs.Serve(*metricsAddr, obs.Default())
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer msrv.Close()
-		log.Printf("metrics on http://%s/metrics", msrv.Addr())
-	}
-
-	quotas, def, err := serve.ParseQuotas(*quotaSpec)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	sopts := store.Options{BlockCacheBytes: *blockCache, NoMmap: *noMmap, SealWorkers: *sealWorkers}
-	if *chaos != "" {
-		plan, err := faults.ParseSpec(*chaos)
-		if err != nil {
-			log.Fatal(err)
-		}
-		sopts.FS = faults.NewInjector(faults.Disk{}, plan)
-		log.Printf("chaos: store I/O faulted with %q", *chaos)
-	}
-	st, err := store.Open(*storeDir, sopts)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	srv, err := serve.New(serve.Options{
-		Store:        st,
-		MaxSessions:  *maxSessions,
-		MaxQueue:     *maxQueue,
-		QueueWait:    *queueWait,
-		Quotas:       quotas,
-		DefaultQuota: def,
-		CacheBytes:   *cacheBytes,
-		Workers:      *workers,
-		DrainTimeout: *drain,
-		SlowQuery:    *slowQuery,
-		SlowQueryLog: slowW,
-		AlertLog:     *alertLog,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		log.Fatal(err)
-	}
-	gst := st.Stats()
-	log.Printf("serving %s on %s (%d segments, %d records, generation %d)",
-		*storeDir, ln.Addr(), gst.Segments, gst.Records, gst.Generation)
-
-	// Graceful shutdown: first signal drains, second aborts immediately.
-	sigc := make(chan os.Signal, 2)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve(ln) }()
-	select {
-	case sig := <-sigc:
-		log.Printf("%v: draining (again to abort)", sig)
-		go func() {
-			<-sigc
-			log.Fatal("second signal: aborting")
-		}()
-	case err := <-done:
-		if err != nil {
-			log.Fatal(err)
-		}
-	}
-	srv.Close()
-	if err := st.Close(); err != nil {
-		log.Fatal(err)
-	}
-	log.Print("drained; bye")
-}
+func main() { cli.Main("bgpserve", cli.Serve) }

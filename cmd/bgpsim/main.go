@@ -1,142 +1,7 @@
-// Bgpsim runs a measurement scenario and writes the observed update stream
-// as a collector log (gzip-compressed when the output name ends in .gz) —
-// the synthetic stand-in for the Routing Arbiter archive.
-//
-// Usage:
-//
-//	bgpsim -out maeeast.irtl.gz -days 214 -scale paper
-//	bgpsim -out week.irtl -days 7 -scale small -seed 7
-//	bgpsim -out attack.irtl.gz -scale small -adversary hijack,worm -truth-out truth.json
+// Bgpsim runs a measurement scenario and writes the observed update stream as a collector log.
+// The command is cli.Sim (internal/cli); its doc comment has the usage.
 package main
 
-import (
-	"encoding/json"
-	"flag"
-	"fmt"
-	"log"
-	"os"
-	"strings"
-	"time"
+import "instability/internal/cli"
 
-	"instability/internal/collector"
-	"instability/internal/workload"
-)
-
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("bgpsim: ")
-	var (
-		out      = flag.String("out", "updates.irtl.gz", "output log file (.gz for compression)")
-		days     = flag.Int("days", 0, "override scenario length in days")
-		seed     = flag.Int64("seed", 0, "override random seed")
-		exchange = flag.String("exchange", "", "exchange point (Mae-East, Sprint, AADS, PacBell, Mae-West)")
-		scale    = flag.String("scale", "paper", "scenario scale: paper (7 months) or small (1 week)")
-		advSpec  = flag.String("adversary", "", "inject adversarial scenarios on consecutive days: comma-separated hijack|leak|poison|storm|worm, or all")
-		truthOut = flag.String("truth-out", "", "write the injected episodes' ground-truth intervals as JSON (for bgpanalyze -detect -truth)")
-		quiet    = flag.Bool("q", false, "suppress progress output")
-	)
-	flag.Parse()
-
-	var cfg workload.Config
-	switch *scale {
-	case "paper":
-		cfg = workload.DefaultConfig()
-	case "small":
-		cfg = workload.SmallConfig()
-	default:
-		log.Fatalf("unknown -scale %q", *scale)
-	}
-	if *days > 0 {
-		cfg.Days = *days
-	}
-	if *seed != 0 {
-		cfg.Seed = *seed
-	}
-	if *exchange != "" {
-		cfg.Exchange = *exchange
-	}
-	if *advSpec != "" {
-		names := strings.Split(*advSpec, ",")
-		if *advSpec == "all" {
-			names = names[:0]
-			for _, k := range workload.AdversaryScenarios {
-				names = append(names, k.String())
-			}
-		}
-		// Episodes land on consecutive days starting day 2, after the
-		// detector's baselines have something to decay from (the same
-		// placement as workload.AdversaryConfig).
-		for i, name := range names {
-			kind, err := workload.ParseScenario(strings.TrimSpace(name))
-			if err != nil {
-				log.Fatal(err)
-			}
-			day := 2 + i
-			if day >= cfg.Days {
-				log.Fatalf("-adversary %s lands on day %d but the scenario has only %d days; raise -days", name, day, cfg.Days)
-			}
-			mag := 1.0
-			if kind == workload.WormPropagation {
-				mag = 1.5
-			}
-			cfg.Incidents = append(cfg.Incidents, workload.Incident{
-				Kind: kind, Day: day, Days: 1, Magnitude: mag,
-			})
-		}
-	} else if *truthOut != "" {
-		log.Fatal("-truth-out requires -adversary")
-	}
-
-	g, err := workload.New(cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	// ".mrt"/".mrt.gz" output selects RFC 6396 BGP4MP format for interop
-	// with external tools; everything else uses the native log format.
-	var write func(collector.Record) error
-	var closeLog func() error
-	var count func() int
-	if strings.HasSuffix(*out, ".mrt") || strings.HasSuffix(*out, ".mrt.gz") {
-		w, err := collector.CreateMRT(*out)
-		if err != nil {
-			log.Fatal(err)
-		}
-		write, closeLog, count = w.Write, w.Close, w.Count
-	} else {
-		w, err := collector.Create(*out, cfg.Exchange)
-		if err != nil {
-			log.Fatal(err)
-		}
-		write, closeLog, count = w.Write, w.Close, w.Count
-	}
-	start := time.Now()
-	stats := g.Run(func(rec collector.Record) {
-		if err := write(rec); err != nil {
-			log.Fatal(err)
-		}
-	}, func(day int, end time.Time) {
-		if !*quiet && (day+1)%30 == 0 {
-			fmt.Fprintf(os.Stderr, "  ... %d/%d days, %d records\n", day+1, cfg.Days, count())
-		}
-	})
-	if err := closeLog(); err != nil {
-		log.Fatal(err)
-	}
-	if *truthOut != "" {
-		truths := g.GroundTruth()
-		data, err := json.MarshalIndent(truths, "", "  ")
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := os.WriteFile(*truthOut, append(data, '\n'), 0o644); err != nil {
-			log.Fatal(err)
-		}
-		if !*quiet {
-			fmt.Printf("wrote %d ground-truth intervals to %s\n", len(truths), *truthOut)
-		}
-	}
-	if !*quiet {
-		fmt.Printf("wrote %d records (%d routes at %s, %d days) to %s in %v\n",
-			stats.Records, g.Routes(), cfg.Exchange, stats.Days, *out, time.Since(start).Round(time.Millisecond))
-	}
-}
+func main() { cli.Main("bgpsim", cli.Sim) }

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -158,6 +159,13 @@ func (g *Generator) Stats() Stats { return g.stats }
 // onRecord and calling onDayEnd after each simulated day. Either callback
 // may be nil.
 func (g *Generator) Run(onRecord func(collector.Record), onDayEnd func(day int, end time.Time)) Stats {
+	st, _ := g.RunContext(context.Background(), onRecord, onDayEnd)
+	return st
+}
+
+// RunContext is Run that stops between days once ctx is cancelled,
+// returning ctx's error with the statistics of the days it completed.
+func (g *Generator) RunContext(ctx context.Context, onRecord func(collector.Record), onDayEnd func(day int, end time.Time)) (Stats, error) {
 	emitDay := func(day int, recs []collector.Record) {
 		sort.SliceStable(recs, func(i, j int) bool { return recs[i].Time.Before(recs[j].Time) })
 		for _, r := range recs {
@@ -169,6 +177,10 @@ func (g *Generator) Run(onRecord func(collector.Record), onDayEnd func(day int, 
 	}
 
 	for day := 0; day < g.cfg.Days; day++ {
+		if err := ctx.Err(); err != nil {
+			g.stats.Days = day
+			return g.stats, err
+		}
 		recs := g.generateDay(day)
 		emitDay(day, recs)
 		if onDayEnd != nil {
@@ -176,7 +188,7 @@ func (g *Generator) Run(onRecord func(collector.Record), onDayEnd func(day int, 
 		}
 	}
 	g.stats.Days = g.cfg.Days
-	return g.stats
+	return g.stats, nil
 }
 
 // announce emits an announcement record for route st with its current
