@@ -38,8 +38,8 @@ var analyzeIDs = []string{"summary", "table1", "fig2", "fig3", "fig4", "fig5", "
 // With -store the input is an irtlstore query: the slice to classify is
 // selected by the store's indexes (time window, peer AS, origin AS, prefix)
 // instead of rescanning a flat log. With -remote the same query runs against
-// a bgpserve instance over the binary record protocol — the records stream
-// back in the store's wire codec, so the classification is bit-identical to
+// a bgpserve instance, whose /v1/records streams the records back as IRTQ
+// frames in the store's wire codec, so the classification is bit-identical to
 // opening the store locally. Classification is sharded -parallel ways; the
 // statistics are the same at any setting.
 func Analyze(ctx context.Context, args []string, stdout, stderr io.Writer) error {

@@ -14,9 +14,9 @@ import (
 
 // Serve is bgpserve, the multi-tenant query/serving plane over an
 // irtlstore: one long-lived process opens the store once and answers many
-// concurrent reader sessions over a single port speaking both HTTP/JSON
-// (dashboards, curl) and the binary record protocol (the analysis commands'
-// -remote).
+// concurrent reader sessions over HTTP on one port. Record streams come as
+// NDJSON (dashboards, curl) or as IRTQ frames in the store's record codec
+// (the analysis commands' -remote), per the request's Accept header.
 //
 //	bgpserve -store db -addr :1791
 //	bgpserve -store db -addr :1791 -max-sessions 64 -cache-bytes 67108864 \
@@ -32,7 +32,7 @@ import (
 func Serve(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fs, lg := setup("bgpserve", stderr)
 	var (
-		addr        = fs.String("addr", ":1791", "listen address (HTTP and binary protocol on one port)")
+		addr        = fs.String("addr", ":1791", "HTTP listen address (every endpoint, both record encodings)")
 		maxSessions = fs.Int("max-sessions", 32, "concurrently executing reader sessions (worker pool size)")
 		maxQueue    = fs.Int("max-queue", 0, "requests allowed to wait for a session slot (0 = 2*max-sessions)")
 		queueWait   = fs.Duration("queue-wait", 2*time.Second, "how long a queued request waits before being shed")

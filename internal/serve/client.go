@@ -5,9 +5,9 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -18,24 +18,15 @@ import (
 	"instability/internal/store"
 )
 
-// Client talks to a bgpserve instance. Record streams use the binary
-// protocol (one TCP connection per query); aggregates and status use the
-// HTTP surface of the same address. The zero value is unusable — set Addr.
+// Client talks to a bgpserve instance over HTTP: record streams come back
+// from /v1/records as IRTQ frames (Query) or NDJSON (QueryHTTP), aggregates
+// and status as JSON. The zero value is unusable — set Addr.
 type Client struct {
 	// Addr is the server's host:port.
 	Addr string
 	// Token is the API token identifying this tenant; empty is the
 	// anonymous tenant.
 	Token string
-	// DialTimeout bounds connection establishment. Default 10s.
-	DialTimeout time.Duration
-}
-
-func (c *Client) dialTimeout() time.Duration {
-	if c.DialTimeout > 0 {
-		return c.DialTimeout
-	}
-	return 10 * time.Second
 }
 
 // Query opens a streaming remote query. The returned reader implements
@@ -46,49 +37,26 @@ func (c *Client) Query(spec QuerySpec) (*RemoteReader, error) {
 	return c.QueryCtx(context.Background(), spec)
 }
 
-// QueryCtx is Query carrying a trace: when ctx holds an active span, the
-// request is sent with this client's trace identity in the v2 preamble, so
-// the server's admission/scan/encode spans land in the caller's trace, and a
-// "remote_query" child span covers the dial and request write.
+// QueryCtx is Query under ctx, which cancels the stream and may carry a
+// trace: with an active span in ctx, a "remote_query" child covers the
+// request and the whole stream, and the server's admission/scan/encode spans
+// join the caller's trace through the X-Irtl-Trace header.
 func (c *Client) QueryCtx(ctx context.Context, spec QuerySpec) (*RemoteReader, error) {
-	_, sp := obs.StartChild(ctx, "remote_query")
+	ctx, sp := obs.StartChild(ctx, "remote_query")
 	sp.Annotate("addr", c.Addr)
 	sp.Annotate("query", spec.String())
-	conn, err := net.DialTimeout("tcp", c.Addr, c.dialTimeout())
+	resp, err := c.get(ctx, recordsPath(spec), irtqType)
 	if err != nil {
 		sp.SetError(err)
 		sp.Finish()
 		return nil, err
 	}
-	bw := bufio.NewWriter(conn)
-	bw.WriteString(protoMagic)
-	bw.WriteByte(protoVersion)
-	// v2 request payload: 17-byte trace prefix (all zeros when untraced),
-	// then the JSON request.
-	payload := appendTraceCtx(nil, sp)
-	body, err := json.Marshal(wireRequest{Token: c.Token, Query: spec})
-	if err != nil {
-		sp.SetError(err)
-		sp.Finish()
-		conn.Close()
-		return nil, err
-	}
-	payload = append(payload, body...)
-	if err := writeFrame(bw, frameRequest, payload); err == nil {
-		err = bw.Flush()
-	}
-	if err != nil {
-		sp.SetError(err)
-		sp.Finish()
-		conn.Close()
-		return nil, err
-	}
-	return &RemoteReader{conn: conn, br: bufio.NewReaderSize(conn, 1<<16), span: sp}, nil
+	return newRemoteReader(resp.Body, sp), nil
 }
 
 // RemoteReader streams records from one remote query.
 type RemoteReader struct {
-	conn net.Conn
+	body io.ReadCloser
 	br   *bufio.Reader
 	span *obs.TraceSpan // remote_query; finished on Close
 
@@ -96,6 +64,10 @@ type RemoteReader struct {
 	left uint64 // records remaining in the current batch
 	end  *wireEnd
 	err  error
+}
+
+func newRemoteReader(body io.ReadCloser, sp *obs.TraceSpan) *RemoteReader {
+	return &RemoteReader{body: body, br: bufio.NewReaderSize(body, 1<<16), span: sp}
 }
 
 // Next returns the next record, io.EOF at the clean end of the stream. After
@@ -131,13 +103,14 @@ func (r *RemoteReader) Next() (collector.Record, error) {
 				return collector.Record{}, r.err
 			}
 			r.buf, r.left = payload[used:], n
+			continue
 		case frameEnd:
 			var end wireEnd
 			if err := json.Unmarshal(payload, &end); err != nil {
 				r.err = fmt.Errorf("serve: corrupt end frame: %w", err)
-				return collector.Record{}, r.err
+			} else {
+				r.end = &end
 			}
-			r.end = &end
 		case frameError:
 			var we wireError
 			if err := json.Unmarshal(payload, &we); err != nil {
@@ -145,10 +118,15 @@ func (r *RemoteReader) Next() (collector.Record, error) {
 			} else {
 				r.err = we.error()
 			}
-			return collector.Record{}, r.err
 		default:
 			r.err = fmt.Errorf("serve: unexpected frame type %d", typ)
-			return collector.Record{}, r.err
+			continue
+		}
+		// An end or error frame is the last: the body must end here. Reading
+		// on to its end waits for the server to finish the request, profile
+		// recorded, and returns the connection for reuse.
+		if _, err := r.br.ReadByte(); err == nil && r.err == nil {
+			r.err = errors.New("serve: data after end frame")
 		}
 	}
 }
@@ -179,7 +157,7 @@ func (r *RemoteReader) Explain() *store.Explain {
 	return r.end.Explain
 }
 
-// Close releases the connection and finishes the remote_query span.
+// Close releases the response and finishes the remote_query span.
 func (r *RemoteReader) Close() error {
 	if r.span != nil {
 		if r.end != nil {
@@ -188,7 +166,7 @@ func (r *RemoteReader) Close() error {
 		r.span.Finish()
 		r.span = nil
 	}
-	return r.conn.Close()
+	return r.body.Close()
 }
 
 // Aggregate fetches one cached aggregate over HTTP. top bounds ranked kinds
@@ -225,7 +203,7 @@ func (c *Client) AggregateCtx(ctx context.Context, kind string, spec QuerySpec, 
 
 // Statz fetches the server's status document.
 func (c *Client) Statz() (*Statz, error) {
-	body, err := c.httpGet("/v1/statz")
+	body, err := c.httpGetCtx(context.Background(), "/v1/statz")
 	if err != nil {
 		return nil, err
 	}
@@ -236,35 +214,22 @@ func (c *Client) Statz() (*Statz, error) {
 	return &st, nil
 }
 
-// QueryHTTP streams a record query over the HTTP NDJSON endpoint. It exists
-// so tests (and HTTP-only tenants) can prove protocol equivalence; CLIs use
-// the binary Query. When the server's scan fails midway the records read up
-// to that point are returned together with the error.
+// QueryHTTP streams a record query as NDJSON. It exists so tests (and
+// HTTP-only tenants) can prove the two encodings equivalent; CLIs use Query.
+// When the server's scan fails midway the records read up to that point are
+// returned together with the error.
 func (c *Client) QueryHTTP(spec QuerySpec) ([]collector.Record, error) {
 	return c.QueryHTTPCtx(context.Background(), spec)
 }
 
-// QueryHTTPCtx is QueryHTTP propagating an active trace via X-Irtl-Trace.
+// QueryHTTPCtx is QueryHTTP under ctx, propagating an active trace via
+// X-Irtl-Trace.
 func (c *Client) QueryHTTPCtx(ctx context.Context, spec QuerySpec) ([]collector.Record, error) {
-	v := url.Values{}
-	setSpec(v, spec)
-	if spec.Limit > 0 {
-		v.Set("limit", strconv.Itoa(spec.Limit))
-	}
-	req, err := http.NewRequest("GET", "http://"+c.Addr+"/v1/records?"+v.Encode(), nil)
-	if err != nil {
-		return nil, err
-	}
-	c.auth(req)
-	c.traceHeader(ctx, req)
-	resp, err := c.httpClient().Do(req)
+	resp, err := c.get(ctx, recordsPath(spec), "")
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, decodeHTTPError(resp)
-	}
 	var out []collector.Record
 	dec := json.NewDecoder(resp.Body)
 	for {
@@ -287,6 +252,16 @@ func (c *Client) QueryHTTPCtx(ctx context.Context, spec QuerySpec) ([]collector.
 	}
 }
 
+// recordsPath is the /v1/records request for spec.
+func recordsPath(spec QuerySpec) string {
+	v := url.Values{}
+	setSpec(v, spec)
+	if spec.Limit > 0 {
+		v.Set("limit", strconv.Itoa(spec.Limit))
+	}
+	return "/v1/records?" + v.Encode()
+}
+
 func setSpec(v url.Values, spec QuerySpec) {
 	set := func(k, val string) {
 		if val != "" {
@@ -301,43 +276,44 @@ func setSpec(v url.Values, spec QuerySpec) {
 	set("type", spec.Type)
 }
 
-func (c *Client) httpClient() *http.Client {
-	return &http.Client{Timeout: 5 * time.Minute}
-}
-
-func (c *Client) auth(req *http.Request) {
-	if c.Token != "" {
-		req.Header.Set("X-Irtl-Token", c.Token)
-	}
-}
-
-// traceHeader attaches the ctx's active span identity, if any, so the server
-// joins the caller's trace.
-func (c *Client) traceHeader(ctx context.Context, req *http.Request) {
-	if h := obs.SpanFromContext(ctx).Header(); h != "" {
-		req.Header.Set(obs.TraceHeader, h)
-	}
-}
-
-func (c *Client) httpGet(path string) ([]byte, error) {
-	return c.httpGetCtx(context.Background(), path)
-}
-
-func (c *Client) httpGetCtx(ctx context.Context, path string) ([]byte, error) {
-	req, err := http.NewRequest("GET", "http://"+c.Addr+path, nil)
+// get issues one GET carrying the tenant's token and ctx's trace, asking for
+// the accept encoding when it is not empty, through http.DefaultClient: no
+// total timeout, so a long record stream is cut only by ctx. A status other
+// than 200 comes back as the server's typed error.
+func (c *Client) get(ctx context.Context, path, accept string) (*http.Response, error) {
+	req, err := http.NewRequestWithContext(ctx, "GET", "http://"+c.Addr+path, nil)
 	if err != nil {
 		return nil, err
 	}
-	c.auth(req)
-	c.traceHeader(ctx, req)
-	resp, err := c.httpClient().Do(req)
+	if c.Token != "" {
+		req.Header.Set("X-Irtl-Token", c.Token)
+	}
+	if h := obs.SpanFromContext(ctx).Header(); h != "" {
+		req.Header.Set(obs.TraceHeader, h)
+	}
+	if accept != "" {
+		req.Header.Set("Accept", accept)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode != http.StatusOK {
+		defer resp.Body.Close()
+		return nil, decodeHTTPError(resp)
+	}
+	return resp, nil
+}
+
+// httpGetCtx fetches one whole JSON document, within five minutes.
+func (c *Client) httpGetCtx(ctx context.Context, path string) ([]byte, error) {
+	ctx, cancel := context.WithTimeout(ctx, 5*time.Minute)
+	defer cancel()
+	resp, err := c.get(ctx, path, "")
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, decodeHTTPError(resp)
-	}
 	return io.ReadAll(resp.Body)
 }
 

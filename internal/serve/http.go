@@ -1,8 +1,9 @@
 package serve
 
 import (
-	"bytes"
+	"bufio"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -12,6 +13,7 @@ import (
 	"strings"
 	"time"
 
+	"instability/internal/collector"
 	"instability/internal/detect"
 	"instability/internal/obs"
 	"instability/internal/store"
@@ -20,36 +22,33 @@ import (
 // HTTP surface:
 //
 //	GET /v1/records?from=&to=&peer=&origin=&prefix=&type=&limit=
-//	    stream matching records as NDJSON (one RecordJSON per line)
+//	    stream matching records: NDJSON (one RecordJSON per line), or IRTQ
+//	    frames (proto.go) with "Accept: application/x-irtq"
 //	GET /v1/aggregate?kind=classes|daily|top_origins|peer_matrix&top=K&...
 //	    cached aggregate as one JSON document
 //	GET /v1/statz   store + serving-plane status
 //	GET /healthz    liveness
 //
-// The API token rides in "Authorization: Bearer <token>" or "X-Irtl-Token".
-// Shed requests answer 429 with a JSON body naming the reason, matching the
-// binary protocol's busy/quota error frames.
+// The API token rides in "Authorization: Bearer <token>" or "X-Irtl-Token",
+// the caller's trace in X-Irtl-Trace. Shed requests answer 429 with a JSON
+// wireError body naming the reason.
 
 func marshalJSON(v any) ([]byte, error) { return json.Marshal(v) }
 
-// unmarshalStrict decodes JSON rejecting unknown fields, so a typoed query
-// key fails loudly instead of silently matching everything.
-func unmarshalStrict(b []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(b))
-	dec.DisallowUnknownFields()
-	return dec.Decode(v)
-}
-
 func (s *Server) httpHandler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/records", s.handleRecords)
-	mux.HandleFunc("/v1/aggregate", s.handleAggregate)
+	mux.HandleFunc("/v1/records", s.handle("serve_query", "records", s.handleRecords))
+	mux.HandleFunc("/v1/aggregate", s.handle("serve_aggregate", "", s.handleAggregate))
 	mux.HandleFunc("/v1/statz", s.handleStatz)
 	mux.HandleFunc("/v1/alerts", s.handleAlerts)
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprintln(w, "ok")
 	})
-	return mux
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		s.inflight.Add(1)
+		defer s.inflight.Add(-1)
+		mux.ServeHTTP(w, r)
+	})
 }
 
 // tokenOf extracts the API token identifying the tenant.
@@ -63,9 +62,9 @@ func tokenOf(r *http.Request) string {
 	return r.URL.Query().Get("token")
 }
 
-// specOf builds a QuerySpec from URL parameters (same names as the CLI
-// flags).
-func specOf(r *http.Request) (QuerySpec, error) {
+// specOf reads a query from URL parameters (same names as the CLI flags),
+// names it on the profile and the request's root span, and parses it.
+func specOf(ctx context.Context, r *http.Request, prof *QueryProfile) (QuerySpec, store.Query, error) {
 	v := r.URL.Query()
 	spec := QuerySpec{
 		From:   v.Get("from"),
@@ -78,16 +77,22 @@ func specOf(r *http.Request) (QuerySpec, error) {
 	if l := v.Get("limit"); l != "" {
 		n, err := strconv.Atoi(l)
 		if err != nil || n < 0 {
-			return spec, fmt.Errorf("serve: bad limit %q", l)
+			return spec, store.Query{}, badRequest(fmt.Errorf("serve: bad limit %q", l))
 		}
 		spec.Limit = n
 	}
-	return spec, nil
+	prof.Query = spec.String()
+	obs.SpanFromContext(ctx).Annotate("query", prof.Query)
+	q, err := spec.Parse()
+	if err != nil {
+		return spec, q, badRequest(err)
+	}
+	return spec, q, nil
 }
 
-// httpError writes a JSON error body with the right status: 429 for sheds,
-// 400 for bad queries, 500 otherwise.
-func httpError(w http.ResponseWriter, err error) {
+// httpError writes a JSON error body with the right status — 429 for sheds,
+// 400 for bad queries, 500 otherwise — and returns err.
+func httpError(w http.ResponseWriter, err error) error {
 	we := wireError{Code: codeInternal, Msg: err.Error()}
 	status := http.StatusInternalServerError
 	switch {
@@ -104,6 +109,7 @@ func httpError(w http.ResponseWriter, err error) {
 	}
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(we)
+	return err
 }
 
 // errBadRequest marks client errors (bad predicates, unknown kinds) for
@@ -112,71 +118,69 @@ var errBadRequest = errors.New("serve: bad request")
 
 func badRequest(err error) error { return fmt.Errorf("%w: %v", errBadRequest, err) }
 
-// admitHTTP runs the shared front door for one HTTP request under an
-// "admission" child span, recording per-tenant metrics and the stage time on
-// the profile either way.
-func (s *Server) admitHTTP(ctx context.Context, prof *QueryProfile, r *http.Request) (release func(), lat *obs.Histogram, err error) {
-	token := tokenOf(r)
-	tenant := tenantLabel(s.opts.Quotas, token)
-	prof.Tenant = tenant
-	reqs, lat := requestMetrics(tenant, "http")
-	reqs.Inc()
-	ta := time.Now()
-	_, asp := obs.StartChild(ctx, "admission")
-	asp.AnnotateInt("queue_depth", s.adm.queueDepth())
-	release, err = s.adm.admit(token, s.closed)
-	asp.SetError(err)
-	asp.Finish()
-	prof.addStage("admission", time.Since(ta))
-	return release, lat, err
-}
+// queryHandler answers one admitted query, errors included, and returns the
+// request's failure, if any.
+type queryHandler func(ctx context.Context, w http.ResponseWriter, r *http.Request, prof *QueryProfile) error
 
-// scanErrorTrailer is the HTTP trailer /v1/records sets when the record
-// stream ended before the scan did; its value is the error. The binary
-// protocol's equivalent is the error frame.
-const scanErrorTrailer = "Irtl-Scan-Error"
+// handle is the front half every query shares: it joins the caller's trace,
+// counts the request under its tenant and encoding, admits it under an
+// "admission" child span, and records the outcome — profile, root span,
+// latency of admitted requests — in one place on the way out, so no error
+// path can answer the client and forget the profile or the span. kind
+// "records" marks the endpoint whose encoding the Accept header picks.
+func (s *Server) handle(name, kind string, h queryHandler) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		t0 := time.Now()
+		prof := &QueryProfile{Proto: "http", Kind: kind}
+		if kind == "records" && strings.Contains(r.Header.Get("Accept"), irtqType) {
+			prof.Proto = "binary"
+		}
+		ctx, root := obs.DefaultTracer().JoinHeader(r.Context(), name, r.Header.Get(obs.TraceHeader))
+		if root != nil {
+			prof.TraceID = fmt.Sprintf("%016x", root.TraceID())
+		}
+		token := tokenOf(r)
+		prof.Tenant = tenantLabel(s.opts.Quotas, token)
+		root.Annotate("proto", prof.Proto)
+		root.Annotate("tenant", prof.Tenant)
+		reqs, lat := requestMetrics(prof.Tenant, prof.Proto)
+		reqs.Inc()
 
-func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
-	t0 := time.Now()
-	ctx, root := obs.DefaultTracer().JoinHeader(r.Context(), "serve_query", r.Header.Get(obs.TraceHeader))
-	root.Annotate("proto", "http")
-	prof := &QueryProfile{Proto: "http", Kind: "records"}
-	if root != nil {
-		prof.TraceID = fmt.Sprintf("%016x", root.TraceID())
-	}
-	// The request's failure is recorded in one place, on the way out, so no
-	// error path can answer the client and forget the profile or the span.
-	var failed error
-	defer func() {
-		prof.setError(failed)
-		root.SetError(failed)
+		ta := time.Now()
+		_, asp := obs.StartChild(ctx, "admission")
+		asp.AnnotateInt("queue_depth", s.adm.queueDepth())
+		release, err := s.adm.admit(token, s.closed)
+		asp.SetError(err)
+		asp.Finish()
+		prof.addStage("admission", time.Since(ta))
+		if err != nil {
+			httpError(w, err)
+		} else {
+			// Released last, so a freed slot means the profile is recorded.
+			defer release()
+			err = h(ctx, w, r, prof)
+			lat.ObserveSince(t0)
+		}
+		prof.setError(err)
+		root.SetError(err)
 		root.Finish()
 		s.profiles.record(prof, t0)
-	}()
-	fail := func(err error) {
-		failed = err
-		httpError(w, err)
 	}
+}
 
-	release, lat, err := s.admitHTTP(ctx, prof, r)
-	if err != nil {
-		fail(err)
-		return
-	}
-	defer release()
-	defer func() { lat.ObserveSince(t0) }()
+// scanErrorTrailer is the HTTP trailer an NDJSON record stream sets when it
+// ended before the scan did; its value is the error. IRTQ's equivalent is
+// the error frame.
+const scanErrorTrailer = "Irtl-Scan-Error"
 
-	spec, err := specOf(r)
+// handleRecords streams the records matching one query in the encoding the
+// request accepts. Everything but the encoding is shared: the scan, a
+// deadline on every write, and the end of the stream, which — the 200 long
+// gone by then — reports an early stop in the body's own terms.
+func (s *Server) handleRecords(ctx context.Context, w http.ResponseWriter, r *http.Request, prof *QueryProfile) error {
+	spec, q, err := specOf(ctx, r, prof)
 	if err != nil {
-		fail(badRequest(err))
-		return
-	}
-	prof.Query = spec.String()
-	root.Annotate("query", spec.String())
-	q, err := spec.Parse()
-	if err != nil {
-		fail(badRequest(err))
-		return
+		return httpError(w, err)
 	}
 	span := obs.StartSpan("serve_query")
 	defer span.End()
@@ -193,55 +197,28 @@ func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
 		ssp.SetError(err)
 		ssp.Finish()
 		prof.addStage("scan", time.Since(ts))
-		fail(err)
-		return
+		return httpError(w, err)
 	}
 
-	w.Header().Set("Content-Type", "application/x-ndjson; charset=utf-8")
-	w.Header().Set("Irtl-Generation", strconv.FormatUint(s.generation(), 10))
-	// The status line is long gone by the time a scan can fail midway, so
-	// the failure travels as a trailer, announced before the body starts.
-	w.Header().Set("Trailer", scanErrorTrailer)
+	rc := http.NewResponseController(w)
+	defer rc.SetWriteDeadline(time.Time{}) // the connection may serve another request
+	bw := bufio.NewWriterSize(deadlineWriter{rc, w, s.opts.writeTimeout}, 1<<16)
+	h := w.Header()
+	// The generation of the reader's own snapshot, not of the store now.
+	h.Set("Irtl-Generation", strconv.FormatUint(rd.Explain().Generation, 10))
+	var enc recordEncoder
+	if prof.Proto == "binary" {
+		h.Set("Content-Type", irtqType)
+		enc = &irtqEncoder{bw: bw}
+	} else {
+		h.Set("Content-Type", "application/x-ndjson; charset=utf-8")
+		h.Set("Trailer", scanErrorTrailer)
+		enc = ndjsonEncoder{json.NewEncoder(bw), h}
+	}
+
 	te := time.Now()
 	_, esp := obs.StartChild(ctx, "encode")
-	enc := json.NewEncoder(w)
-	sent := 0
-	var serr error // why the stream stopped short of the scan's end, if it did
-loop:
-	for {
-		select {
-		case <-s.closed:
-			serr = errors.New("server shutting down")
-			break loop // flush what we have
-		default:
-		}
-		rec, nerr := rd.Next()
-		if nerr != nil {
-			if nerr != io.EOF {
-				serr = nerr
-			}
-			break
-		}
-		rj, jerr := ToJSON(rec)
-		if jerr != nil {
-			serr = jerr
-			break
-		}
-		if enc.Encode(rj) != nil {
-			break // client went away
-		}
-		sent++
-		obsRecordsStreamed.Inc()
-		if spec.Limit > 0 && sent >= spec.Limit {
-			break
-		}
-	}
-	if serr != nil {
-		// Without this a truncated body is indistinguishable from a short
-		// answer: 200, clean end of stream, fewer records.
-		w.Header().Set(scanErrorTrailer, serr.Error())
-		failed = serr
-	}
+	sent, serr := s.stream(enc, rd, spec.Limit)
 	esp.AnnotateInt("records", int64(sent))
 	esp.SetError(serr)
 	esp.Finish()
@@ -254,74 +231,161 @@ loop:
 	prof.Explain = &ex
 	ssp.Finish()
 	prof.addStage("scan", time.Since(ts))
+
+	enc.end(wireEnd{Records: sent, Generation: ex.Generation, Stats: rd.Stats(), Explain: &ex}, serr)
+	if err = bw.Flush(); err == nil {
+		// What the response writer still holds goes out under a deadline too.
+		rc.SetWriteDeadline(time.Now().Add(s.opts.writeTimeout))
+		err = rc.Flush()
+	}
+	if serr != nil {
+		return serr
+	}
+	return err
 }
 
-func (s *Server) handleAggregate(w http.ResponseWriter, r *http.Request) {
-	t0 := time.Now()
-	ctx, root := obs.DefaultTracer().JoinHeader(r.Context(), "serve_aggregate", r.Header.Get(obs.TraceHeader))
-	root.Annotate("proto", "http")
-	prof := &QueryProfile{Proto: "http"}
-	if root != nil {
-		prof.TraceID = fmt.Sprintf("%016x", root.TraceID())
+// stream drains rd into enc, honouring limit and shutdown. It returns how
+// many records it encoded and why it stopped short of the scan's end, if it
+// did — a scan error, an encoding error, a failed write, or shutdown.
+func (s *Server) stream(enc recordEncoder, rd *store.Reader, limit int) (int, error) {
+	sent := 0
+	for limit <= 0 || sent < limit {
+		select {
+		case <-s.closed:
+			return sent, errors.New("server shutting down")
+		default:
+		}
+		rec, err := rd.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return sent, err
+		}
+		if err := enc.record(rec); err != nil {
+			return sent, err
+		}
+		sent++
+		obsRecordsStreamed.Inc()
 	}
-	// The request's failure is recorded in one place, on the way out, so no
-	// error path can answer the client and forget the profile or the span.
-	var failed error
-	defer func() {
-		prof.setError(failed)
-		root.SetError(failed)
-		root.Finish()
-		s.profiles.record(prof, t0)
-	}()
-	fail := func(err error) {
-		failed = err
-		httpError(w, err)
-	}
+	return sent, nil
+}
 
-	release, lat, err := s.admitHTTP(ctx, prof, r)
+// deadlineWriter gives every write of a record stream — one per flush of its
+// buffer — a fresh deadline, so a client that stops reading frees its session
+// slot after writeTimeout while one that reads slowly is never cut.
+type deadlineWriter struct {
+	rc *http.ResponseController
+	w  io.Writer
+	d  time.Duration
+}
+
+func (dw deadlineWriter) Write(p []byte) (int, error) {
+	if err := dw.rc.SetWriteDeadline(time.Now().Add(dw.d)); err != nil {
+		return 0, err
+	}
+	return dw.w.Write(p)
+}
+
+// recordEncoder is one response encoding of /v1/records. Both write into the
+// stream's buffer, whose first failed write fails every later one.
+type recordEncoder interface {
+	record(rec collector.Record) error
+	// end finishes the body; err is why the stream stopped short, or nil.
+	end(e wireEnd, err error)
+}
+
+// ndjsonEncoder writes one RecordJSON per line.
+type ndjsonEncoder struct {
+	enc *json.Encoder
+	h   http.Header
+}
+
+func (e ndjsonEncoder) record(rec collector.Record) error {
+	rj, err := ToJSON(rec)
+	if err == nil {
+		err = e.enc.Encode(rj)
+	}
+	return err
+}
+
+// end sets the trailer announced with the headers: without it a truncated
+// body is indistinguishable from a short answer — 200, clean end, fewer
+// records.
+func (e ndjsonEncoder) end(_ wireEnd, err error) {
 	if err != nil {
-		fail(err)
-		return
+		e.h.Set(scanErrorTrailer, err.Error())
 	}
-	defer release()
-	defer func() { lat.ObserveSince(t0) }()
+}
 
+// irtqEncoder packs records into frameBatch frames of batchRecords each.
+type irtqEncoder struct {
+	bw    *bufio.Writer
+	batch []byte
+	count uint64
+	hdr   [binary.MaxVarintLen64]byte
+}
+
+func (e *irtqEncoder) record(rec collector.Record) (err error) {
+	if e.batch, err = store.AppendRecordWire(e.batch, rec); err != nil {
+		return err
+	}
+	if e.count++; e.count == batchRecords {
+		return e.flush()
+	}
+	return nil
+}
+
+func (e *irtqEncoder) flush() error {
+	if e.count == 0 {
+		return nil
+	}
+	err := writeFrame(e.bw, frameBatch, binary.AppendUvarint(e.hdr[:0], e.count), e.batch)
+	e.batch, e.count = e.batch[:0], 0
+	return err
+}
+
+// end sends the last batch and the end frame, or, when the stream stopped
+// short, an error frame instead; the batch the failure interrupted is never
+// sent.
+func (e *irtqEncoder) end(end wireEnd, err error) {
+	if err == nil {
+		if err = e.flush(); err == nil {
+			writeJSONFrame(e.bw, frameEnd, end)
+			return
+		}
+	}
+	writeJSONFrame(e.bw, frameError, wireError{Code: codeInternal, Msg: err.Error()})
+}
+
+func (s *Server) handleAggregate(ctx context.Context, w http.ResponseWriter, r *http.Request, prof *QueryProfile) error {
 	kind := r.URL.Query().Get("kind")
 	if kind == "" {
 		kind = KindClasses
 	}
 	prof.Kind = kind
-	root.Annotate("kind", kind)
+	obs.SpanFromContext(ctx).Annotate("kind", kind)
 	top := 0
 	if ts := r.URL.Query().Get("top"); ts != "" {
+		var err error
 		if top, err = strconv.Atoi(ts); err != nil || top < 0 {
-			fail(badRequest(fmt.Errorf("bad top %q", ts)))
-			return
+			return httpError(w, badRequest(fmt.Errorf("bad top %q", ts)))
 		}
 	}
-	spec, err := specOf(r)
+	_, q, err := specOf(ctx, r, prof)
 	if err != nil {
-		fail(badRequest(err))
-		return
-	}
-	prof.Query = spec.String()
-	root.Annotate("query", spec.String())
-	q, err := spec.Parse()
-	if err != nil {
-		fail(badRequest(err))
-		return
+		return httpError(w, err)
 	}
 	if !validKind(kind) {
-		fail(badRequest(fmt.Errorf("unknown kind %q (want %v)", kind, Kinds())))
-		return
+		return httpError(w, badRequest(fmt.Errorf("unknown kind %q (want %v)", kind, Kinds())))
 	}
 	body, err := s.aggregate(ctx, prof, kind, top, q)
 	if err != nil {
-		fail(err)
-		return
+		return httpError(w, err)
 	}
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	w.Write(body)
+	return nil
 }
 
 func validKind(kind string) bool {

@@ -30,7 +30,7 @@ var (
 	obsCoalesced = obs.Default().Counter("irtl_serve_coalesced_total",
 		"Aggregate queries coalesced onto an identical in-flight computation.")
 	obsRecordsStreamed = obs.Default().Counter("irtl_serve_records_total",
-		"Records streamed to remote readers across both protocols.")
+		"Records streamed to remote readers in either encoding.")
 	obsSlowQueries = obs.Default().Counter("irtl_serve_slow_queries_total",
 		"Requests over the slow-query threshold (one NDJSON profile line each).")
 )
@@ -45,7 +45,8 @@ func tenantLabel(known map[string]Quota, token string) string {
 }
 
 // requestMetrics returns the per-tenant request counter and latency
-// histogram for one (tenant, protocol) pair, get-or-create.
+// histogram for one (tenant, proto) pair, get-or-create. proto names the
+// response encoding: "binary" for IRTQ, "http" for everything else.
 func requestMetrics(tenant, proto string) (*obs.Counter, *obs.Histogram) {
 	c := obs.Default().Counter("irtl_serve_requests_total",
 		"Requests received, by tenant and protocol.",

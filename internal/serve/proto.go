@@ -6,42 +6,31 @@ import (
 	"fmt"
 	"io"
 
-	"instability/internal/obs"
 	"instability/internal/store"
 )
 
-// The binary protocol. A connection opens with a five-byte preamble —
-// "IRTQ" plus a version byte — which is also how the shared listener tells
-// binary clients from HTTP ones (no HTTP method starts with this magic).
-// Everything after the preamble is length-prefixed frames:
+// IRTQ is the record encoding the analysis CLIs read: the response body of
+// GET /v1/records when the request says "Accept: application/x-irtq", as
+// Client.Query does. The query travels as URL parameters and the token and
+// trace context as headers, exactly as for NDJSON and every other endpoint;
+// only the body differs. It is length-prefixed frames:
 //
 //	u32 payload length (big endian) | u8 frame type | payload
 //
-// The client sends one frameRequest whose payload is a JSON wireRequest
-// (token + the CLI query spelling, so the server parses predicates with
-// exactly store.ParseQuery). The server answers with zero or more
-// frameBatch frames — a uvarint record count followed by that many records
-// in the store's wire codec (store.AppendRecordWire) — terminated by one
-// frameEnd carrying the scan stats, or one frameError. Batching amortizes
-// the frame header and the syscall: a dashboard-sized result is a handful
-// of writes, not one per record.
-//
-// Protocol version 2 prepends a fixed 17-byte trace-context prefix to the
-// frameRequest payload — u64 trace ID, u64 parent span ID (both big endian),
-// u8 flags (bit 0 = sampled) — so a remote query joins the caller's trace.
-// All-zero bytes mean "no trace". The server accepts v1 (no prefix) and v2.
+// zero or more frameBatch frames — a uvarint record count followed by that
+// many records in the store's wire codec (store.AppendRecordWire), so a
+// remote result is bit-identical to a local one — terminated by one frameEnd
+// carrying the scan stats, or by one frameError when the stream stopped
+// short. A request refused before its stream starts gets an HTTP status and
+// a JSON wireError body, as on every endpoint. Batching amortizes the frame
+// header and the write: a dashboard-sized result is a handful of writes, not
+// one per record.
 const (
-	protoMagic     = "IRTQ"
-	protoVersionV1 = 1
-	protoVersion   = 2
+	irtqType = "application/x-irtq"
 
-	frameRequest = 1
-	frameBatch   = 2
-	frameEnd     = 3
-	frameError   = 4
-
-	// traceCtxLen is the v2 request trace prefix length.
-	traceCtxLen = 17
+	frameBatch = 2
+	frameEnd   = 3
+	frameError = 4
 
 	// maxFramePayload bounds a frame so a corrupt or hostile length prefix
 	// cannot make the peer allocate unbounded memory.
@@ -53,23 +42,16 @@ const (
 	batchRecords = 512
 )
 
-// Error codes carried by frameError payloads.
+// Error codes carried by wireError bodies and frameError payloads.
 const (
 	codeBusy     = "busy"
 	codeQuota    = "quota"
 	codeBadQuery = "bad_query"
 	codeInternal = "internal"
-	codeShutdown = "shutdown"
 )
 
-// wireRequest is the frameRequest payload.
-type wireRequest struct {
-	Token string    `json:"token,omitempty"`
-	Query QuerySpec `json:"query"`
-}
-
 // wireEnd is the frameEnd payload: the result is complete and these are its
-// scan economics. Explain is present from v2 servers.
+// scan economics.
 type wireEnd struct {
 	Records    int             `json:"records"`
 	Generation uint64          `json:"generation"`
@@ -77,45 +59,30 @@ type wireEnd struct {
 	Explain    *store.Explain  `json:"explain,omitempty"`
 }
 
-// wireError is the frameError payload.
+// wireError is the frameError payload and the JSON body of a refused request.
 type wireError struct {
 	Code string `json:"code"`
 	Msg  string `json:"msg"`
 }
 
-// appendTraceCtx appends the 17-byte v2 trace prefix for sp (all zeros when
-// sp is nil or untraced).
-func appendTraceCtx(dst []byte, sp *obs.TraceSpan) []byte {
-	var buf [traceCtxLen]byte
-	binary.BigEndian.PutUint64(buf[0:8], sp.TraceID())
-	binary.BigEndian.PutUint64(buf[8:16], sp.SpanID())
-	if sp.Sampled() {
-		buf[16] = obs.TraceFlagSampled
-	}
-	return append(dst, buf[:]...)
-}
-
-// parseTraceCtx splits a v2 request payload into its trace context and the
-// JSON remainder.
-func parseTraceCtx(payload []byte) (traceID, spanID uint64, sampled bool, rest []byte, err error) {
-	if len(payload) < traceCtxLen {
-		return 0, 0, false, nil, fmt.Errorf("serve: request shorter than trace prefix")
-	}
-	traceID = binary.BigEndian.Uint64(payload[0:8])
-	spanID = binary.BigEndian.Uint64(payload[8:16])
-	sampled = payload[16]&obs.TraceFlagSampled != 0
-	return traceID, spanID, sampled, payload[traceCtxLen:], nil
-}
-
-func writeFrame(w io.Writer, typ byte, payload []byte) error {
+// writeFrame writes one frame whose payload is the concatenation of parts.
+func writeFrame(w io.Writer, typ byte, parts ...[]byte) error {
 	var hdr [5]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)))
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
+	binary.BigEndian.PutUint32(hdr[:4], uint32(n))
 	hdr[4] = typ
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
-	_, err := w.Write(payload)
-	return err
+	for _, p := range parts {
+		if _, err := w.Write(p); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func writeJSONFrame(w io.Writer, typ byte, v any) error {
@@ -142,22 +109,10 @@ func readFrame(r io.Reader) (typ byte, payload []byte, err error) {
 	return hdr[4], payload, nil
 }
 
-// shedError maps an admission error to its wire code.
-func shedError(err error) wireError {
-	switch err {
-	case ErrBusy:
-		return wireError{Code: codeBusy, Msg: err.Error()}
-	case ErrQuota:
-		return wireError{Code: codeQuota, Msg: err.Error()}
-	default:
-		return wireError{Code: codeInternal, Msg: err.Error()}
-	}
-}
-
-// errorFor maps a wire code back to the client-side error.
+// error maps a wire code back to the client-side error.
 func (we wireError) error() error {
 	switch we.Code {
-	case codeBusy, codeShutdown:
+	case codeBusy:
 		return fmt.Errorf("%w (%s)", ErrBusy, we.Msg)
 	case codeQuota:
 		return fmt.Errorf("%w (%s)", ErrQuota, we.Msg)

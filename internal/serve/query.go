@@ -62,7 +62,7 @@ func (qs QuerySpec) String() string {
 // RecordJSON is the lossless JSON form of a collector record used by the
 // HTTP streaming endpoint: numeric fields stay numeric (no string parsing on
 // either side) and path attributes travel as the BGP wire encoding, so a
-// record round-trips bit-identically through either protocol.
+// record round-trips bit-identically through either encoding.
 type RecordJSON struct {
 	T        int64  `json:"t"` // UnixNano
 	Type     string `json:"type"`

@@ -1,9 +1,8 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
-	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -496,83 +495,197 @@ func BenchmarkServeQuery(b *testing.B) {
 	b.Run("cached", func(b *testing.B) { run(b, 1<<20) })
 }
 
-// TestSlowClientTrickleSurvives pins the idle-deadline fix: a client that
-// trickles its request one byte at a time — total transfer time far past the
-// old fixed 10s/30s read deadlines, scaled down here — keeps the connection
-// alive, because every byte of progress resets the clock.
-func TestSlowClientTrickleSurvives(t *testing.T) {
-	st := newTestStore(t, 30, store.Options{})
-	srv := startServer(t, Options{Store: st, FrameTimeout: 250 * time.Millisecond})
+// expectHangup reads conn until the server ends it, failing the test if that
+// takes more than within or the connection is still open after 5s.
+func expectHangup(t *testing.T, conn net.Conn, within time.Duration) []byte {
+	t.Helper()
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	t0 := time.Now()
+	got, err := io.ReadAll(conn)
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatalf("connection still open after %v", time.Since(t0))
+	}
+	if d := time.Since(t0); d > within {
+		t.Fatalf("connection ended after %v, want within %v", d, within)
+	}
+	return got
+}
 
+// TestRawIRTQClientFailsCleanly: the raw-TCP record protocol is gone, and a
+// client that still speaks it — the preamble (magic, version 2) and one
+// request frame whose payload is the 17-byte trace prefix (zero: untraced)
+// and the JSON request — is not left hanging: the server gives up on it as on
+// any request whose headers never end, and what comes back, if anything, is
+// no record stream.
+func TestRawIRTQClientFailsCleanly(t *testing.T) {
+	st := newTestStore(t, 30, store.Options{})
+	const headerTimeout = 200 * time.Millisecond
+	srv := startServer(t, Options{Store: st, headerTimeout: headerTimeout})
 	conn, err := net.Dial("tcp", srv.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
 
-	payload, err := json.Marshal(wireRequest{Query: QuerySpec{Limit: 5}})
-	if err != nil {
+	payload := append(make([]byte, 17), `{"query":{"limit":5}}`...)
+	msg := append([]byte("IRTQ\x02"), 0, 0, 0, byte(len(payload)), 1)
+	if _, err := conn.Write(append(msg, payload...)); err != nil {
 		t.Fatal(err)
 	}
-	msg := []byte(protoMagic)
-	msg = append(msg, protoVersionV1)
-	var hdr [5]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)))
-	hdr[4] = frameRequest
-	msg = append(msg, hdr[:]...)
-	msg = append(msg, payload...)
-
-	// One byte per write, each gap a healthy fraction of FrameTimeout: the
-	// whole request takes several multiples of the timeout to arrive.
-	for _, b := range msg {
-		if _, err := conn.Write([]byte{b}); err != nil {
-			t.Fatalf("trickle write: %v", err)
-		}
-		time.Sleep(40 * time.Millisecond)
-	}
-
-	typ, _, err := readFrame(conn)
-	if err != nil {
-		t.Fatalf("trickling client was disconnected: %v", err)
-	}
-	if typ == frameError {
-		t.Fatalf("got error frame, want a result stream")
+	got := expectHangup(t, conn, headerTimeout+2*time.Second)
+	// The old client's first step, reading a frame, fails.
+	if _, _, err := readFrame(bytes.NewReader(got)); err == nil {
+		t.Fatalf("raw IRTQ request answered with a frame: %q", got)
 	}
 }
 
-// TestStalledClientDisconnects is the other half of the contract: a client
-// that goes silent mid-frame is cut off once FrameTimeout of zero progress
-// elapses, instead of pinning a connection slot forever.
-func TestStalledClientDisconnects(t *testing.T) {
+// TestStalledHeadersDisconnect: a client that never finishes its request
+// headers is disconnected by the header timeout instead of holding a
+// connection forever.
+func TestStalledHeadersDisconnect(t *testing.T) {
 	st := newTestStore(t, 30, store.Options{})
-	srv := startServer(t, Options{Store: st, FrameTimeout: 200 * time.Millisecond})
-
+	const headerTimeout = 200 * time.Millisecond
+	srv := startServer(t, Options{Store: st, headerTimeout: headerTimeout})
 	conn, err := net.Dial("tcp", srv.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-
-	// Preamble plus a frame header promising bytes that never come.
-	msg := []byte(protoMagic)
-	msg = append(msg, protoVersionV1)
-	var hdr [5]byte
-	binary.BigEndian.PutUint32(hdr[:4], 64)
-	hdr[4] = frameRequest
-	msg = append(msg, hdr[:]...)
-	if _, err := conn.Write(msg); err != nil {
+	if _, err := conn.Write([]byte("GET /v1/records HTTP/1.1\r\nHost: serve\r\n")); err != nil {
 		t.Fatal(err)
 	}
+	expectHangup(t, conn, headerTimeout+2*time.Second)
+}
 
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	t0 := time.Now()
-	for {
-		if _, _, err := readFrame(conn); err != nil {
-			break // server closed (or error frame then close) — both end here
+// smallSendBuffers gives the server's side of every connection a send buffer
+// of a few kilobytes, so a client that stops reading stalls the server's
+// writes after kilobytes rather than megabytes.
+type smallSendBuffers struct{ net.Listener }
+
+func (l smallSendBuffers) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		err = c.(*net.TCPConn).SetWriteBuffer(4096)
+	}
+	return c, err
+}
+
+// startStallServer is startServer on smallSendBuffers over a store whose
+// whole NDJSON answer (~400 KB) is many times what the buffers on the way
+// hold.
+func startStallServer(t *testing.T, opts Options) *Server {
+	t.Helper()
+	opts.Store = newTestStore(t, 3000, store.Options{})
+	srv, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(smallSendBuffers{ln})
+	t.Cleanup(func() { srv.Close() })
+	waitFor(t, func() bool { return srv.Addr() != nil })
+	return srv
+}
+
+// TestStalledReaderFreesSession: a client that asks for a large NDJSON
+// stream and never reads it holds its session slot only until a write
+// deadline passes, not forever.
+func TestStalledReaderFreesSession(t *testing.T) {
+	srv := startStallServer(t, Options{writeTimeout: 300 * time.Millisecond})
+	conn, err := net.Dial("tcp", srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.(*net.TCPConn).SetReadBuffer(4096)
+	if _, err := conn.Write([]byte("GET /v1/records HTTP/1.1\r\nHost: serve\r\n\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { return srv.ActiveSessions() == 1 })
+	time.Sleep(100 * time.Millisecond)
+	if srv.ActiveSessions() != 1 {
+		t.Fatal("the stream finished without the client reading: the buffers held all of it")
+	}
+	waitFor(t, func() bool { return srv.ActiveSessions() == 0 })
+}
+
+// TestHangupMidStreamIsProfiled: a client that hangs up after the first
+// NDJSON line fails the server's writes, and the request is profiled as the
+// failure it was, not as a success.
+func TestHangupMidStreamIsProfiled(t *testing.T) {
+	srv := startStallServer(t, Options{SlowQuery: -1})
+	addr := srv.Addr().String()
+	resp, err := http.Get("http://" + addr + "/v1/records")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := bufio.NewReader(resp.Body).ReadString('\n'); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close() // unread to the end: the transport drops the connection
+	waitFor(t, func() bool { return srv.ActiveSessions() == 0 })
+
+	stz, err := (&Client{Addr: addr}).Statz()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(stz.RecentQueries) == 0 {
+		t.Fatal("no profile recorded")
+	}
+	if p := stz.RecentQueries[0]; p.Kind != "records" || p.Err == "" {
+		t.Fatalf("abandoned stream profiled as %d records, err %q; want the write failure", p.Records, p.Err)
+	}
+}
+
+// TestStreamGenerationIsSnapshots: with seals landing while queries run, the
+// generation a stream reports is the one its reader's snapshot was taken
+// under, not the store's at some other moment.
+func TestStreamGenerationIsSnapshots(t *testing.T) {
+	st := newTestStore(t, 300, store.Options{})
+	srv := startServer(t, Options{Store: st})
+	c := &Client{Addr: srv.Addr().String()}
+
+	stop, sealed := make(chan struct{}), make(chan error, 1)
+	go func() {
+		w := st.Writer()
+		base := time.Date(1996, 6, 1, 0, 0, 0, 0, time.UTC)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				sealed <- nil
+				return
+			default:
+			}
+			if err := w.Append(testRecord(base.Add(time.Duration(i)*time.Minute), i)); err != nil {
+				sealed <- err
+				return
+			}
+			if err := w.Seal(); err != nil {
+				sealed <- err
+				return
+			}
+		}
+	}()
+	gen0 := st.Generation()
+	for i := 0; i < 300; i++ {
+		rr, err := c.Query(QuerySpec{Peer: "701"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		drainRemote(t, rr)
+		if ex := rr.Explain(); ex == nil || rr.Generation() != ex.Generation {
+			t.Fatalf("query %d: stream generation %d, reader snapshot %+v", i, rr.Generation(), ex)
 		}
 	}
-	if d := time.Since(t0); d > 3*time.Second {
-		t.Fatalf("stalled client still connected after %v", d)
+	close(stop)
+	if err := <-sealed; err != nil {
+		t.Fatal(err)
+	}
+	if st.Generation() == gen0 {
+		t.Fatal("no seal landed while the queries ran")
 	}
 }
 

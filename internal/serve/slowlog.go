@@ -26,7 +26,7 @@ type QueryProfile struct {
 	Time       string             `json:"time"`
 	TraceID    string             `json:"trace_id,omitempty"`
 	Tenant     string             `json:"tenant"`
-	Proto      string             `json:"proto"` // "binary" or "http"
+	Proto      string             `json:"proto"` // response encoding: "binary" (IRTQ) or "http"
 	Kind       string             `json:"kind"`  // "records" or an aggregate kind
 	Query      string             `json:"query"`
 	DurationMs float64            `json:"duration_ms"`
