@@ -593,7 +593,7 @@ func BenchmarkStoreQuery(b *testing.B) {
 		return st
 	}
 
-	var full, pushed, par store.ScanStats
+	var full, pushed store.ScanStats
 	b.Run("FullScan", func(b *testing.B) {
 		full = run(b, func() (*store.Reader, error) { return s.Query(store.Query{}) })
 	})
@@ -602,17 +602,9 @@ func BenchmarkStoreQuery(b *testing.B) {
 			return s.Query(store.Query{OriginAS: []bgp.ASN{origin}})
 		})
 	})
-	// The concurrent scan path: same full-scan work fanned across a worker
-	// pool, so records_per_sec here vs FullScan is the scan speedup.
-	b.Run("ParallelScan", func(b *testing.B) {
-		par = run(b, func() (*store.Reader, error) { return s.QueryParallel(store.Query{}, 8) })
-	})
 	if full.BlocksScanned > 0 && pushed.BlocksScanned >= full.BlocksScanned {
 		b.Fatalf("pushdown decompressed %d blocks, full scan %d — index not helping",
 			pushed.BlocksScanned, full.BlocksScanned)
-	}
-	if par.BlocksScanned != full.BlocksScanned || par.RecordsMatched != full.RecordsMatched {
-		b.Fatalf("parallel scan did different work: %+v vs %+v", par, full)
 	}
 }
 

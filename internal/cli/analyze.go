@@ -55,7 +55,7 @@ func Analyze(ctx context.Context, args []string, stdout, stderr io.Writer) error
 		prefix     = fs.String("prefix", "", "store query: exact prefix (CIDR)")
 		id         = fs.String("id", "summary", "what to print: summary, table1, fig2..fig10, all")
 		day        = fs.String("day", "", "day for table1 (YYYY-MM-DD, default: busiest)")
-		parallel   = fs.Int("parallel", runtime.GOMAXPROCS(0), "classifier shards and store-scan workers")
+		parallel   = fs.Int("parallel", runtime.GOMAXPROCS(0), "classifier shards")
 		detectFlag = fs.Bool("detect", false, "run the streaming anomaly detector over the classified stream and print its alerts")
 		truthFile  = fs.String("truth", "", "ground-truth intervals (JSON, from bgpsim -truth-out) to score -detect alerts against")
 		alertLog   = fs.String("alert-log", "", "append -detect alerts to this sidecar log (served by bgpserve /v1/alerts)")
@@ -113,7 +113,7 @@ func Analyze(ctx context.Context, args []string, stdout, stderr io.Writer) error
 		r, err = c.QueryCtx(ctx, serve.QuerySpec{From: *from, To: *to, Peer: *peers, Origin: *origins, Prefix: *prefix})
 		exchangeName = "remote"
 	} else {
-		r, exchangeName, err = openRecords(ctx, lg, *in, sf, q, *parallel)
+		r, exchangeName, err = openRecords(ctx, lg, *in, sf, q)
 	}
 	if err != nil {
 		return err

@@ -232,10 +232,10 @@ func finishing(ctx context.Context, lg *log.Logger, step string) (done func() bo
 }
 
 // openRecords opens what a command reads: the log at path when it is set,
-// else query q over the store at -store with that many scan workers, the
-// store staying open until the reader is closed. It also returns the log's
-// exchange name ("MRT" for an MRT file), or "store".
-func openRecords(ctx context.Context, lg *log.Logger, path string, sf *storeFlags, q store.Query, workers int) (collector.RecordReader, string, error) {
+// else query q over the store at -store, the store staying open until the
+// reader is closed. It also returns the log's exchange name ("MRT" for an MRT
+// file), or "store".
+func openRecords(ctx context.Context, lg *log.Logger, path string, sf *storeFlags, q store.Query) (collector.RecordReader, string, error) {
 	if path != "" {
 		r, exchange, err := collector.OpenAny(path)
 		if exchange == "" {
@@ -247,7 +247,7 @@ func openRecords(ctx context.Context, lg *log.Logger, path string, sf *storeFlag
 	if err != nil {
 		return nil, "", err
 	}
-	r, err := s.QueryParallelCtx(ctx, q, workers)
+	r, err := s.QueryCtx(ctx, q)
 	if err != nil {
 		s.Close()
 		return nil, "", err

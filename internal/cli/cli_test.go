@@ -106,12 +106,16 @@ func TestUsageErrors(t *testing.T) {
 		{"bgpdump", []string{}},
 		{"bgpreplay", []string{}},
 		{"bgpreplay", []string{"-in", "a", "-chaos", "seed=1"}},
+		{"bgpreplay", []string{"-in", "a", "-parallel", "2"}},
 		{"bgpserve", []string{"-no-such-flag"}},
 		{"bgpserve", []string{"-store", dir, "-chaos", "bogus=1"}},
 		{"bgpserve", []string{"-chaos", "seed=1"}},
+		{"bgpserve", []string{"-store", dir, "-workers", "2"}},
 		{"bgpsim", []string{"-scale", "huge"}},
 		{"bgpstore", []string{"vacuum"}},
 		{"bgpstore", []string{"query", "-store", dir, "-chaos", "bogus=1"}},
+		{"bgpstore", []string{"query", "-store", dir, "-parallel", "2"}},
+		{"bgpstore", []string{"query", "-store", dir, "-prefix", "0.0.0.0/0"}},
 		{"bgpstore", []string{"compact", "-store", dir, "-block-cache-bytes", "0"}},
 		{"bgpstore", []string{"stats", "-store", dir, "-metrics-addr", ":0"}},
 		{"experiments", []string{"-id", "fig99"}},

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"runtime"
 	"time"
 
 	"instability"
@@ -54,7 +53,6 @@ func Replay(ctx context.Context, args []string, stdout, stderr io.Writer) error 
 		limit      = fs.Int("n", 0, "stop after this many records (0 = all)")
 		stateless  = fs.Bool("stateless", false, "replay as the stateless vendor: withdrawals are sent even for never-advertised prefixes, reproducing the log's WWDups on the wire")
 		detectFlag = fs.Bool("detect", false, "classify the replayed records through the streaming anomaly detector and print its alerts at the end")
-		parallel   = fs.Int("parallel", runtime.GOMAXPROCS(0), "store query: segment-scan workers (1 = serial scan)")
 	)
 	sf := addStoreFlags(fs, "replay from an irtlstore query instead of a log file", sealWorkersFlag|blockCacheFlag|noMmapFlag)
 	of := addObsFlags(fs).withTrace(fs, 0)
@@ -84,7 +82,7 @@ func Replay(ctx context.Context, args []string, stdout, stderr io.Writer) error 
 
 	// -peer is applied in the replay loop for either input, so q leaves it
 	// out; time, origin and prefix are pushed down to the store.
-	r, _, err := openRecords(ctx, lg, *in, sf, q, *parallel)
+	r, _, err := openRecords(ctx, lg, *in, sf, q)
 	if err != nil {
 		return err
 	}

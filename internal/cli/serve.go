@@ -38,7 +38,6 @@ func Serve(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		queueWait   = fs.Duration("queue-wait", 2*time.Second, "how long a queued request waits before being shed")
 		quotaSpec   = fs.String("tenant-quotas", "", "per-tenant rate quotas, e.g. 'dashboards=50:100,*=5:10' (token=rate:burst per second; * is the default)")
 		cacheBytes  = fs.Int64("cache-bytes", 32<<20, "aggregate result-cache budget in bytes (0 = disabled)")
-		workers     = fs.Int("workers", 0, "per-query segment-scan workers (0 = GOMAXPROCS)")
 		drain       = fs.Duration("drain", 5*time.Second, "graceful-shutdown drain timeout")
 		traceRing   = fs.Int("trace-ring", 256, "completed traces retained for /debug/traces")
 		slowQuery   = fs.Duration("slow-query", time.Second, "emit an NDJSON profile line for requests at or over this duration (negative = never)")
@@ -87,7 +86,6 @@ func Serve(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		Quotas:       quotas,
 		DefaultQuota: def,
 		CacheBytes:   *cacheBytes,
-		Workers:      *workers,
 		DrainTimeout: *drain,
 		SlowQuery:    *slowQuery,
 		SlowQueryLog: slowW,

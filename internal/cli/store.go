@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"runtime"
 	"time"
 
 	"instability/internal/collector"
@@ -144,7 +143,6 @@ func storeQuery(ctx context.Context, c *storeCmd) error {
 		scanStats = c.Bool("scanstats", false, "print index pushdown statistics to stderr")
 		explain   = c.Bool("explain", false, "print the query's EXPLAIN profile to stderr after the scan")
 		limit     = c.Int("n", 0, "stop after this many records (0 = all)")
-		parallel  = c.Int("parallel", runtime.GOMAXPROCS(0), "segment-scan workers (1 = serial scan)")
 	)
 	c.addStore(blockCacheFlag | noMmapFlag | chaosFlag)
 	c.of = addObsFlags(c.FlagSet).withTrace(c.FlagSet, 0)
@@ -162,7 +160,7 @@ func storeQuery(ctx context.Context, c *storeCmd) error {
 		return err
 	}
 	defer s.Close()
-	r, err := s.QueryParallelCtx(ctx, q, *parallel)
+	r, err := s.QueryCtx(ctx, q)
 	if err != nil {
 		return err
 	}

@@ -12,7 +12,7 @@ import (
 // shared load-once LRU (internal/lru) keyed by aggregateCacheKey. Identical
 // aggregates in flight coalesce onto one computation — the request-batching
 // stage in front of the store, so a dashboard fleet refreshing the same
-// panel costs one QueryParallel, not N — and with a zero budget (caching
+// panel costs one store query, not N — and with a zero budget (caching
 // disabled) that coalescing is all that is left. Keys embed the store
 // generation they were computed under, so a stale entry can never be
 // returned for a current-generation lookup; when the server observes a

@@ -192,7 +192,7 @@ func (s *Server) handleRecords(ctx context.Context, w http.ResponseWriter, r *ht
 
 	ts := time.Now()
 	sctx, ssp := obs.StartChild(ctx, "scan")
-	rd, err := s.st.QueryParallelCtx(sctx, q, s.opts.Workers)
+	rd, err := s.st.QueryCtx(sctx, q)
 	if err != nil {
 		ssp.SetError(err)
 		ssp.Finish()

@@ -11,7 +11,7 @@
 //	admission (worker pool + queue shed + per-tenant token buckets)
 //	  → batcher (singleflight coalescing of identical in-flight aggregates)
 //	    → result cache (generation-keyed, byte-budgeted LRU)
-//	      → store (QueryParallel, predicate pushdown, ordered merge)
+//	      → store (QueryCtx, predicate pushdown, ordered merge)
 //
 // Aggregate answers (class totals, daily series, top origins, the per-peer
 // density matrix) are cached under the store's segment-set generation, so a
@@ -28,7 +28,6 @@ import (
 	"log"
 	"net"
 	"net/http"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -60,8 +59,6 @@ type Options struct {
 	DefaultQuota Quota
 	// CacheBytes is the result-cache budget; 0 disables caching.
 	CacheBytes int64
-	// Workers is the per-query store scan parallelism. Default GOMAXPROCS.
-	Workers int
 	// DrainTimeout bounds how long Close waits for in-flight requests
 	// before force-closing their connections. Default 5s.
 	DrainTimeout time.Duration
@@ -98,9 +95,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.QueueWait <= 0 {
 		o.QueueWait = 2 * time.Second
-	}
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
 	}
 	if o.DrainTimeout <= 0 {
 		o.DrainTimeout = 5 * time.Second
@@ -216,7 +210,7 @@ func (s *Server) aggregate(ctx context.Context, prof *QueryProfile, kind string,
 		defer span.End()
 		tsc := time.Now()
 		_, ssp := obs.StartChild(sctx, "scan")
-		r, qerr := s.st.QueryParallelCtx(sctx, q, s.opts.Workers)
+		r, qerr := s.st.QueryCtx(sctx, q)
 		if qerr != nil {
 			ssp.SetError(qerr)
 			ssp.Finish()

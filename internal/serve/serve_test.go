@@ -3,6 +3,7 @@ package serve
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -474,7 +475,7 @@ func TestServeGracefulClose(t *testing.T) {
 }
 
 // BenchmarkServeQuery measures one aggregate round trip cold (cache disabled:
-// every request runs QueryParallel) versus cached (every request after the
+// every request runs a store scan) versus cached (every request after the
 // first is a memory hit).
 func BenchmarkServeQuery(b *testing.B) {
 	run := func(b *testing.B, cacheBytes int64) {
@@ -737,7 +738,7 @@ func TestMidScanFailureIsReported(t *testing.T) {
 		BlockRecords: 16,
 	})
 	want := localQuery(t, st, QuerySpec{})
-	srv := startServer(t, Options{Store: st, Workers: 1})
+	srv := startServer(t, Options{Store: st})
 	c := &Client{Addr: srv.Addr().String()}
 
 	isPrefix := func(proto string, got []collector.Record, atLeast int) {
@@ -788,6 +789,26 @@ func TestMidScanFailureIsReported(t *testing.T) {
 	for _, p := range stz.RecentQueries[:2] { // newest first: binary, then HTTP
 		if !strings.Contains(p.Err, faults.ErrInjected.Error()) || p.Records == 0 {
 			t.Fatalf("%s records query profiled as %d records, err %q; want a failure after a partial stream", p.Proto, p.Records, p.Err)
+		}
+	}
+}
+
+// TestSlashZeroPrefixIsBadRequest: a /0 prefix parses to the value a query
+// reads as "no prefix predicate", so both query endpoints must refuse it
+// rather than answer for every prefix.
+func TestSlashZeroPrefixIsBadRequest(t *testing.T) {
+	st := newTestStore(t, 50, store.Options{})
+	srv := startServer(t, Options{Store: st})
+	for _, path := range []string{"/v1/records?prefix=0.0.0.0/0", "/v1/aggregate?kind=classes&prefix=0.0.0.0/0"} {
+		resp, err := http.Get("http://" + srv.Addr().String() + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var we wireError
+		err = json.NewDecoder(resp.Body).Decode(&we)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || err != nil || we.Code != codeBadQuery || !strings.Contains(we.Msg, "-prefix") {
+			t.Errorf("%s: status %d, body %+v (decode err %v); want 400 %s naming -prefix", path, resp.StatusCode, we, err, codeBadQuery)
 		}
 	}
 }

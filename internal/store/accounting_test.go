@@ -20,9 +20,12 @@ const explainGoldenName = "explain-golden.json"
 
 // explainShapes runs the query shapes the EXPLAIN profile is read for — full,
 // range, origin, prefix, peer — over the checked-in v1 segment plus a
-// memtable tail, serial and pooled, cache off, cold and warm, and returns
-// every profile after EOF and Close. The segment's bytes are in the
-// repository, so the byte counts do not depend on this toolchain's deflate.
+// memtable tail, twice per shape, cache off and on, cold and warm, and
+// returns every profile after EOF and Close. The two runs of a shape keep
+// the keys the golden file was recorded under, workers=1 and workers=4; both
+// are the same serial scan, and json.Unmarshal ignores the golden's workers
+// fields. The segment's bytes are in the repository, so the byte counts do
+// not depend on this toolchain's deflate.
 func explainShapes(t *testing.T) map[string]Explain {
 	t.Helper()
 	recs := fixtureRecords()
@@ -54,8 +57,8 @@ func explainShapes(t *testing.T) map[string]Explain {
 				continue
 			}
 			for _, sh := range shapes {
-				for _, workers := range []int{1, 4} {
-					r, err := s.QueryParallel(sh.q, workers)
+				for _, run := range []string{"workers=1", "workers=4"} {
+					r, err := s.Query(sh.q)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -63,7 +66,7 @@ func explainShapes(t *testing.T) map[string]Explain {
 						t.Fatal(err)
 					}
 					r.Close()
-					out[fmt.Sprintf("cache=%d/%s/%s/workers=%d", cache, pass, sh.name, workers)] = r.Explain()
+					out[fmt.Sprintf("cache=%d/%s/%s/%s", cache, pass, sh.name, run)] = r.Explain()
 				}
 			}
 		}
@@ -118,44 +121,42 @@ func TestStatsMidScan(t *testing.T) {
 	opts.BlockCacheBytes = 8 << 20
 	batches := genMergeBatches(rand.New(rand.NewSource(1)), "overlapping", 6, 200)
 	s := buildMergeStore(t, opts, batches)
-	for _, workers := range []int{1, 4} {
-		bc0 := s.Stats().BlockCache
-		r, err := s.QueryParallel(Query{}, workers)
+	bc0 := s.Stats().BlockCache
+	r, err := s.Query(Query{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	fetched := func() int {
+		bc := s.Stats().BlockCache
+		return int(bc.Hits + bc.Misses - bc0.Hits - bc0.Misses)
+	}
+	prev := reflect.ValueOf(r.Stats())
+	for returned := 0; ; returned++ {
+		_, err := r.Next()
+		st := r.Stats()
+		cur := reflect.ValueOf(st)
+		for i := 0; i < cur.NumField(); i++ {
+			if cur.Field(i).Int() < prev.Field(i).Int() {
+				t.Fatalf("after %d records: %s fell from %d to %d", returned,
+					cur.Type().Field(i).Name, prev.Field(i).Int(), cur.Field(i).Int())
+			}
+		}
+		prev = cur
+		if n := fetched(); st.BlocksScanned > n || (err == io.EOF && st.BlocksScanned != n) {
+			t.Fatalf("after %d records: %d blocks accounted, %d fetched", returned, st.BlocksScanned, n)
+		}
+		if err == io.EOF {
+			if st.RecordsMatched != returned || st.BlocksScanned != st.BlocksSelected {
+				t.Fatalf("at EOF: %d returned, stats %+v", returned, st)
+			}
+			break
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer r.Close()
-		fetched := func() int {
-			bc := s.Stats().BlockCache
-			return int(bc.Hits + bc.Misses - bc0.Hits - bc0.Misses)
-		}
-		prev := reflect.ValueOf(r.Stats())
-		for returned := 0; ; returned++ {
-			_, err := r.Next()
-			st := r.Stats()
-			cur := reflect.ValueOf(st)
-			for i := 0; i < cur.NumField(); i++ {
-				if cur.Field(i).Int() < prev.Field(i).Int() {
-					t.Fatalf("workers %d, after %d records: %s fell from %d to %d", workers, returned,
-						cur.Type().Field(i).Name, prev.Field(i).Int(), cur.Field(i).Int())
-				}
-			}
-			prev = cur
-			if n := fetched(); st.BlocksScanned > n || (err == io.EOF && st.BlocksScanned != n) {
-				t.Fatalf("workers %d, after %d records: %d blocks accounted, %d fetched", workers, returned, st.BlocksScanned, n)
-			}
-			if err == io.EOF {
-				if st.RecordsMatched != returned || st.BlocksScanned != st.BlocksSelected {
-					t.Fatalf("workers %d at EOF: %d returned, stats %+v", workers, returned, st)
-				}
-				break
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			if sealed := returned + 1 - st.MemRecords; sealed > st.RecordsMaterialized {
-				t.Fatalf("workers %d: %d records returned from segments, %d materialized", workers, sealed, st.RecordsMaterialized)
-			}
+		if sealed := returned + 1 - st.MemRecords; sealed > st.RecordsMaterialized {
+			t.Fatalf("%d records returned from segments, %d materialized", sealed, st.RecordsMaterialized)
 		}
 	}
 }
@@ -181,7 +182,7 @@ func TestQueryOpensFilesOnlyUnmapped(t *testing.T) {
 		}
 		got, _ := queryAll(t, s, Query{})
 		assertSameRecords(t, got, recs)
-		got, _ = queryAllParallel(t, s, Query{}, 4)
+		got, _ = queryAll(t, s, Query{})
 		assertSameRecords(t, got, recs)
 		if st := inj.Stats(); st.Opens != want || st.OpenFiles != 0 {
 			t.Fatalf("nommap=%v: two full scans made %d opens (want %d), %d left open", noMmap, st.Opens, want, st.OpenFiles)
@@ -226,37 +227,34 @@ func TestQueryPrimesOffTheLock(t *testing.T) {
 	s.fs = fs
 	s.mu.Unlock()
 
-	for _, workers := range []int{1, 4} {
-		fs.gate, fs.entered, fs.once = make(chan struct{}), make(chan struct{}), sync.Once{}
-		type result struct {
-			n   int
-			err error
+	type result struct {
+		n   int
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		r, err := s.Query(Query{})
+		if err != nil {
+			done <- result{0, err}
+			return
 		}
-		done := make(chan result, 1)
-		go func() {
-			r, err := s.QueryParallel(Query{}, workers)
-			if err != nil {
-				done <- result{0, err}
-				return
-			}
-			defer r.Close()
-			got, err := r.ReadAll()
-			done <- result{len(got), err}
-		}()
-		<-fs.entered
-		appended := make(chan error, 1)
-		go func() { appended <- s.Writer().Append(recs[0]) }()
-		select {
-		case err := <-appended:
-			if err != nil {
-				t.Fatal(err)
-			}
-		case <-time.After(10 * time.Second):
-			t.Fatalf("workers %d: append blocked behind a query's first-block read", workers)
+		defer r.Close()
+		got, err := r.ReadAll()
+		done <- result{len(got), err}
+	}()
+	<-fs.entered
+	appended := make(chan error, 1)
+	go func() { appended <- s.Writer().Append(recs[0]) }()
+	select {
+	case err := <-appended:
+		if err != nil {
+			t.Fatal(err)
 		}
-		close(fs.gate)
-		if res := <-done; res.err != nil || res.n < len(recs) {
-			t.Fatalf("workers %d: query returned %d of %d records, err %v", workers, res.n, len(recs), res.err)
-		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("append blocked behind a query's first-block read")
+	}
+	close(fs.gate)
+	if res := <-done; res.err != nil || res.n < len(recs) {
+		t.Fatalf("query returned %d of %d records, err %v", res.n, len(recs), res.err)
 	}
 }

@@ -215,7 +215,7 @@ func TestBlockRecordsExtremes(t *testing.T) {
 					want = append(want, rec)
 				}
 			}
-			got, _ := queryAllParallel(t, s, q, 1+k%3)
+			got, _ := queryAll(t, s, q)
 			assertSameRows(t, fmt.Sprintf("BlockRecords %d query %+v", blockRecords, q), got, want)
 		}
 	}

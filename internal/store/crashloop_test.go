@@ -53,7 +53,7 @@ func TestCrashLoop(t *testing.T) {
 				t.Fatalf("crashOp=%d seed=%d: reopen: %v", crashOp, seed, err)
 			}
 			defer s.Close()
-			recs, _ := queryAllParallel(t, s, Query{}, 4)
+			recs, _ := queryAll(t, s, Query{})
 			verifyRecoveredPrefix(t, recs, acked)
 			if !inj.Stats().Crashed && len(recs) != appended {
 				t.Fatalf("crashOp=%d never fired but recovered %d of %d records",

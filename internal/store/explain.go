@@ -14,7 +14,6 @@ import (
 // /v1/statz recent-queries, and `bgpstore query -explain`.
 type Explain struct {
 	Generation        uint64 `json:"generation"`
-	Workers           int    `json:"workers"`
 	SegmentsTotal     int    `json:"segments_total"`
 	SegmentsScanned   int    `json:"segments_scanned"`
 	SegmentsPruned    int    `json:"segments_pruned"`
@@ -46,7 +45,6 @@ func (r *Reader) Explain() Explain {
 	st := r.stats
 	return Explain{
 		Generation:          r.gen,
-		Workers:             r.workers,
 		SegmentsTotal:       st.SegmentsTotal,
 		SegmentsScanned:     st.SegmentsScanned,
 		SegmentsPruned:      st.SegmentsTotal - st.SegmentsScanned,
@@ -73,7 +71,7 @@ func (r *Reader) Explain() Explain {
 // String renders the profile for the CLI (`bgpstore query -explain`).
 func (e Explain) String() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "generation %d, %d worker(s)\n", e.Generation, e.Workers)
+	fmt.Fprintf(&sb, "generation %d\n", e.Generation)
 	fmt.Fprintf(&sb, "segments: %d total, %d pruned, %d scanned\n",
 		e.SegmentsTotal, e.SegmentsPruned, e.SegmentsScanned)
 	fmt.Fprintf(&sb, "blocks:   %d total, %d pruned, %d selected, %d scanned (%d v1, %d v2, %d v3, %d quarantined)\n",
@@ -93,7 +91,6 @@ func (e Explain) annotate(sp *obs.TraceSpan) {
 		return
 	}
 	sp.AnnotateInt("generation", int64(e.Generation))
-	sp.AnnotateInt("workers", int64(e.Workers))
 	sp.AnnotateInt("segments_total", int64(e.SegmentsTotal))
 	sp.AnnotateInt("segments_pruned", int64(e.SegmentsPruned))
 	sp.AnnotateInt("segments_scanned", int64(e.SegmentsScanned))

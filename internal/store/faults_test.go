@@ -225,55 +225,55 @@ func corruptBlock(t *testing.T, g *segment, bi int) {
 // other block's records, count the skipped block in ScanStats and in the
 // irtl_store_quarantined_blocks process counter, and report no error.
 func TestQuarantineCorruptBlock(t *testing.T) {
-	const n = 200
-	for _, workers := range []int{1, 4} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			s := buildFaultStore(t, t.TempDir(), n)
-			defer s.Close()
-			if len(s.segs) != 1 {
-				t.Fatalf("want 1 segment, got %d", len(s.segs))
-			}
-			g := s.segs[0]
-			if len(g.index.blocks) < 3 {
-				t.Fatalf("want >=3 blocks, got %d", len(g.index.blocks))
-			}
-			const bad = 1
-			lost := int(g.index.blocks[bad].count)
-			corruptBlock(t, g, bad)
+	// The reader scans blocks serially, on one worker; the subtest keeps the
+	// name the check has always run under.
+	t.Run("workers=1", func(t *testing.T) {
+		const n = 200
+		s := buildFaultStore(t, t.TempDir(), n)
+		defer s.Close()
+		if len(s.segs) != 1 {
+			t.Fatalf("want 1 segment, got %d", len(s.segs))
+		}
+		g := s.segs[0]
+		if len(g.index.blocks) < 3 {
+			t.Fatalf("want >=3 blocks, got %d", len(g.index.blocks))
+		}
+		const bad = 1
+		lost := int(g.index.blocks[bad].count)
+		corruptBlock(t, g, bad)
 
-			c0 := obsQuarantinedBlocks.Value()
-			r, err := s.QueryParallel(Query{}, workers)
-			if err != nil {
-				t.Fatal(err)
+		c0 := obsQuarantinedBlocks.Value()
+		r, err := s.Query(Query{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, err := r.ReadAll()
+		if err != nil {
+			t.Fatalf("query over corrupt block must not fail: %v", err)
+		}
+		st := r.Stats()
+		r.Close()
+		if len(recs) != n-lost {
+			t.Fatalf("got %d records, want %d (all but the corrupt block's %d)", len(recs), n-lost, lost)
+		}
+		// Every surviving record is intact and none is from the bad block.
+		seen := make(map[int]bool)
+		for _, rec := range recs {
+			seen[faultRecordIndex(t, rec)] = true
+		}
+		for i := 0; i < n; i++ {
+			inBad := i >= bad*int(g.index.blocks[0].count) && i < bad*int(g.index.blocks[0].count)+lost
+			if seen[i] == inBad {
+				t.Fatalf("record %d: seen=%v, in corrupt block=%v", i, seen[i], inBad)
 			}
-			recs, err := r.ReadAll()
-			if err != nil {
-				t.Fatalf("query over corrupt block must not fail: %v", err)
-			}
-			st := r.Stats()
-			r.Close()
-			if len(recs) != n-lost {
-				t.Fatalf("got %d records, want %d (all but the corrupt block's %d)", len(recs), n-lost, lost)
-			}
-			// Every surviving record is intact and none is from the bad block.
-			seen := make(map[int]bool)
-			for _, rec := range recs {
-				seen[faultRecordIndex(t, rec)] = true
-			}
-			for i := 0; i < n; i++ {
-				inBad := i >= bad*int(g.index.blocks[0].count) && i < bad*int(g.index.blocks[0].count)+lost
-				if seen[i] == inBad {
-					t.Fatalf("record %d: seen=%v, in corrupt block=%v", i, seen[i], inBad)
-				}
-			}
-			if st.BlocksQuarantined != 1 {
-				t.Fatalf("BlocksQuarantined = %d, want 1", st.BlocksQuarantined)
-			}
-			if got := obsQuarantinedBlocks.Value() - c0; got != 1 {
-				t.Fatalf("irtl_store_quarantined_blocks moved by %d, want 1", got)
-			}
-		})
-	}
+		}
+		if st.BlocksQuarantined != 1 {
+			t.Fatalf("BlocksQuarantined = %d, want 1", st.BlocksQuarantined)
+		}
+		if got := obsQuarantinedBlocks.Value() - c0; got != 1 {
+			t.Fatalf("irtl_store_quarantined_blocks moved by %d, want 1", got)
+		}
+	})
 }
 
 // TestCompactRefusesCorruptBlock pins the other half of the quarantine
@@ -315,7 +315,7 @@ func TestCompactRefusesCorruptBlock(t *testing.T) {
 		t.Fatalf("failed compaction changed the segment set: %d segments", len(s.segs))
 	}
 	// The damage stays visible to queries as a quarantined block.
-	recs, st := queryAllParallel(t, s, Query{}, 4)
+	recs, st := queryAll(t, s, Query{})
 	if st.BlocksQuarantined != 1 {
 		t.Fatalf("BlocksQuarantined = %d, want 1", st.BlocksQuarantined)
 	}
@@ -379,24 +379,17 @@ func TestPartialScanErrorSticky(t *testing.T) {
 	}
 }
 
-// TestScanNoLeaksUnderFaults asserts the two leak invariants of the scan
-// paths under injected failures: the pooled record-buffer balance returns to
-// its starting point, and every file opened through the injector is closed —
+// TestScanNoLeaksUnderFaults asserts the leak invariant of the scan path
+// under injected failures: every file opened through the injector is closed —
 // including on setup errors, early closes, and corrupt-block scans.
 func TestScanNoLeaksUnderFaults(t *testing.T) {
 	dir := t.TempDir()
 	buildFaultStore(t, dir, 300).Close()
 
-	bufs0 := recBufsLive.Load()
 	check := func(t *testing.T, inj *faults.Injector) {
 		t.Helper()
-		if got := recBufsLive.Load(); got != bufs0 {
-			t.Fatalf("record buffer balance %d, want %d", got, bufs0)
-		}
-		if inj != nil {
-			if st := inj.Stats(); st.OpenFiles != 0 {
-				t.Fatalf("%d files left open", st.OpenFiles)
-			}
+		if st := inj.Stats(); st.OpenFiles != 0 {
+			t.Fatalf("%d files left open", st.OpenFiles)
 		}
 	}
 
@@ -408,7 +401,7 @@ func TestScanNoLeaksUnderFaults(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		recs, _ := queryAllParallel(t, s, Query{}, 4)
+		recs, _ := queryAll(t, s, Query{})
 		if len(recs) != 300 {
 			t.Fatalf("got %d records, want 300", len(recs))
 		}
@@ -417,16 +410,19 @@ func TestScanNoLeaksUnderFaults(t *testing.T) {
 	})
 
 	t.Run("early-close", func(t *testing.T) {
-		s, err := Open(dir, faultOptions())
+		inj := faults.NewInjector(faults.Disk{}, faults.Plan{})
+		opts := faultOptions()
+		opts.FS = inj
+		s, err := Open(dir, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := s.QueryParallel(Query{}, 4)
+		r, err := s.Query(Query{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Consume a few records, then abandon the scan with blocks still in
-		// flight; Close must drain the workers and reclaim their buffers.
+		// Consume a few records, then abandon the scan with segments still
+		// open; Close must release every one of them.
 		for i := 0; i < 3; i++ {
 			if _, err := r.Next(); err != nil {
 				t.Fatal(err)
@@ -434,23 +430,31 @@ func TestScanNoLeaksUnderFaults(t *testing.T) {
 		}
 		r.Close()
 		s.Close()
-		check(t, nil)
+		check(t, inj)
 	})
 
 	t.Run("corrupt-block-scan", func(t *testing.T) {
 		cdir := t.TempDir()
 		s := buildFaultStore(t, cdir, 300)
 		corruptBlock(t, s.segs[0], 2)
-		recs, _ := queryAllParallel(t, s, Query{}, 4)
+		s.Close()
+		inj := faults.NewInjector(faults.Disk{}, faults.Plan{})
+		opts := faultOptions()
+		opts.FS = inj
+		s, err := Open(cdir, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, _ := queryAll(t, s, Query{})
 		if len(recs) >= 300 {
 			t.Fatalf("corrupt block not skipped: %d records", len(recs))
 		}
 		s.Close()
-		check(t, nil)
+		check(t, inj)
 	})
 
 	// Sweep the Nth-open failure through every open the query path performs,
-	// hitting each setup error branch in Query and QueryParallel in turn.
+	// hitting each setup error branch in Query in turn.
 	t.Run("open-fault-sweep", func(t *testing.T) {
 		for failN := 1; failN <= 12; failN++ {
 			inj := faults.NewInjector(faults.Disk{}, faults.Plan{FailOpenN: failN})
@@ -464,16 +468,14 @@ func TestScanNoLeaksUnderFaults(t *testing.T) {
 				check(t, inj)
 				continue
 			}
-			for _, workers := range []int{1, 4} {
-				r, err := s.QueryParallel(Query{}, workers)
-				if err == nil {
-					if _, err := r.ReadAll(); err != nil && !errors.Is(err, faults.ErrInjected) {
-						t.Fatalf("failN=%d workers=%d: scan: %v", failN, workers, err)
-					}
-					r.Close()
-				} else if !errors.Is(err, faults.ErrInjected) {
-					t.Fatalf("failN=%d workers=%d: query: %v", failN, workers, err)
+			r, err := s.Query(Query{})
+			if err == nil {
+				if _, err := r.ReadAll(); err != nil && !errors.Is(err, faults.ErrInjected) {
+					t.Fatalf("failN=%d: scan: %v", failN, err)
 				}
+				r.Close()
+			} else if !errors.Is(err, faults.ErrInjected) {
+				t.Fatalf("failN=%d: query: %v", failN, err)
 			}
 			s.Close()
 			check(t, inj)
@@ -543,7 +545,7 @@ func TestFaultMatrix(t *testing.T) {
 				if _, err := s.Compact(); err != nil {
 					return
 				}
-				if r, err := s.QueryParallel(Query{}, 4); err == nil {
+				if r, err := s.Query(Query{}); err == nil {
 					r.ReadAll()
 					r.Close()
 				}
@@ -555,7 +557,7 @@ func TestFaultMatrix(t *testing.T) {
 				t.Fatalf("reopen after %s: %v", tc.name, err)
 			}
 			defer s.Close()
-			recs, _ := queryAllParallel(t, s, Query{}, 4)
+			recs, _ := queryAll(t, s, Query{})
 			verifyRecoveredPrefix(t, recs, acked)
 			if inj.Stats().Injected == 0 && len(recs) != appended {
 				t.Fatalf("no fault fired but recovered %d of %d records", len(recs), appended)

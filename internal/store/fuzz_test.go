@@ -355,3 +355,44 @@ func sameRecord(a, b collector.Record) bool {
 		a.Prefix == b.Prefix && a.Attrs.PolicyEqual(b.Attrs) &&
 		a.Attrs.NextHop == b.Attrs.NextHop
 }
+
+// FuzzParseQuery checks the query parser behind every CLI and HTTP query:
+// it never panics, and an accepted input keeps each non-empty field as a set
+// predicate — a non-empty spelling must never parse to the zero value that
+// Query reads as "no predicate", which would silently widen the query to
+// every record. Accepted times must also survive the nanosecond clock that
+// pruning compares them on.
+func FuzzParseQuery(f *testing.F) {
+	f.Add("1996-03-01", "1996-03-02 06:00:00", "690,701", "7000", "198.32.0.0/16", "A,W")
+	f.Add("1996-03-01T00:00:00Z", "", "", "", "10.0.0.0/8", "up,DOWN")
+	f.Add("", "", " 3561 ", "", "192.168.1.0/24", "announce")
+	f.Add("", "", "", "", "", "")
+	f.Fuzz(func(t *testing.T, from, to, peers, origins, prefix, types string) {
+		q, err := ParseQuery(from, to, peers, origins, prefix, types)
+		if err != nil {
+			return
+		}
+		for _, tc := range []struct {
+			name string
+			in   string
+			v    time.Time
+		}{{"From", from, q.From}, {"To", to, q.To}} {
+			if tc.in == "" {
+				if !tc.v.IsZero() {
+					t.Fatalf("empty %s parsed to %v", tc.name, tc.v)
+				}
+				continue
+			}
+			if tc.v.IsZero() || !time.Unix(0, tc.v.UnixNano()).Equal(tc.v) {
+				t.Fatalf("%s %q accepted as %v, which the scan cannot compare", tc.name, tc.in, tc.v)
+			}
+		}
+		if (peers != "") != (len(q.PeerAS) > 0) || (origins != "") != (len(q.OriginAS) > 0) ||
+			(types != "") != (len(q.Types) > 0) {
+			t.Fatalf("list field lost or invented: peers %q origins %q types %q -> %+v", peers, origins, types, q)
+		}
+		if (prefix != "") != q.hasPrefix() {
+			t.Fatalf("prefix %q accepted as %v, hasPrefix %v", prefix, q.Prefix, q.hasPrefix())
+		}
+	})
+}

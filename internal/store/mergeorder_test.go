@@ -98,7 +98,7 @@ func buildMergeStore(tb testing.TB, opts Options, batches [][]collector.Record) 
 // TestMergeOrderProperty checks the merge against the reference order record
 // for record, over generated layouts rather than a hand-built one: several
 // overlapping segments per window, an in-flight seal batch, a memtable tail
-// and heavy timestamp ties, through Query and QueryParallel, with the block
+// and heavy timestamp ties, with the block
 // cache and the mappings on and off. A failure names the subtest (layout and
 // seed, enough to rerun it) and the first index that diverges.
 func TestMergeOrderProperty(t *testing.T) {
@@ -136,23 +136,18 @@ func TestMergeOrderProperty(t *testing.T) {
 									want = append(want, rec)
 								}
 							}
-							for _, workers := range []int{1, 2, 8} {
-								got, _ := queryAllParallel(t, s, q, workers)
-								at := fmt.Sprintf("%s seed %d cache=%d nommap=%v query %d workers %d", layout, seed, cache, noMmap, qi, workers)
-								for i := 0; i < len(got) && i < len(want); i++ {
-									if !recordsEqual(got[i], want[i]) {
-										t.Fatalf("%s: first divergence at index %d:\n got  %v\n want %v", at, i, got[i], want[i])
-									}
+							got, _ := queryAll(t, s, q)
+							at := fmt.Sprintf("%s seed %d cache=%d nommap=%v query %d", layout, seed, cache, noMmap, qi)
+							for i := 0; i < len(got) && i < len(want); i++ {
+								if !recordsEqual(got[i], want[i]) {
+									t.Fatalf("%s: first divergence at index %d:\n got  %v\n want %v", at, i, got[i], want[i])
 								}
-								if len(got) != len(want) {
-									t.Fatalf("%s: got %d records, want %d", at, len(got), len(want))
-								}
+							}
+							if len(got) != len(want) {
+								t.Fatalf("%s: got %d records, want %d", at, len(got), len(want))
 							}
 						}
 					}
-				}
-				if live := recBufsLive.Load(); live != 0 {
-					t.Fatalf("recBufsLive = %d after the sweep, want 0", live)
 				}
 			})
 		}

@@ -91,13 +91,6 @@ var (
 
 	obsQuarantinedBlocks = obs.Default().Counter("irtl_store_quarantined_blocks",
 		"Corrupt segment blocks skipped (quarantined) by queries instead of failing the scan.")
-
-	obsParallelScans = obs.Default().Counter("irtl_store_parallel_scans_total",
-		"Queries executed through the parallel scan path.")
-	obsScanWorkers = obs.Default().Gauge("irtl_store_scan_workers",
-		"Block fetch workers used by the most recent parallel scan.")
-	obsScanMergeWait = obs.Default().Histogram("irtl_store_scan_merge_wait_seconds",
-		"Time the merge consumer spent waiting for an in-flight block.", nil)
 )
 
 // publishScanStats folds one finished query's pushdown accounting into the

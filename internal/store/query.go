@@ -24,8 +24,8 @@ type Query struct {
 	// session events carry no origin.
 	OriginAS []bgp.ASN
 	// Prefix restricts to records for exactly this prefix. The zero Prefix
-	// means no prefix predicate (an exact query for 0.0.0.0/0 is not
-	// expressible, which no analysis needs).
+	// means no prefix predicate, so an exact query for a /0 is not
+	// expressible (no analysis needs one); ParseQuery rejects it.
 	Prefix netaddr.Prefix
 	// Types restricts to these record types.
 	Types []collector.RecType
@@ -94,7 +94,10 @@ func containsType(l []collector.RecType, t collector.RecType) bool {
 // ParseQuery builds a Query from the CLI flag spellings shared by bgpstore,
 // bgpreplay, and bgpanalyze: RFC 3339 or "2006-01-02[ 15:04:05]" times,
 // comma-separated AS lists, a prefix in CIDR form, and comma-separated type
-// names (A, W, UP, DOWN). Empty strings leave the predicate unset.
+// names (A, W, UP, DOWN). Empty strings leave the predicate unset; a
+// non-empty one that would parse to the unset value — a /0 prefix, or a time
+// outside the years 1678–2262 that scans compare in nanoseconds — is an
+// error, not a silently wider query.
 func ParseQuery(from, to, peers, origins, prefix, types string) (Query, error) {
 	var q Query
 	var err error
@@ -113,6 +116,9 @@ func ParseQuery(from, to, peers, origins, prefix, types string) (Query, error) {
 	if prefix != "" {
 		if q.Prefix, err = netaddr.ParsePrefix(prefix); err != nil {
 			return q, fmt.Errorf("store: bad -prefix: %v", err)
+		}
+		if !q.hasPrefix() {
+			return q, fmt.Errorf("store: bad -prefix %q: a /0 is not an exact-prefix predicate (leave -prefix unset to match every prefix)", prefix)
 		}
 	}
 	if types != "" {
@@ -140,6 +146,9 @@ func parseTime(s string) (time.Time, error) {
 	}
 	for _, layout := range []string{time.RFC3339, "2006-01-02 15:04:05", "2006-01-02"} {
 		if t, err := time.Parse(layout, s); err == nil {
+			if !time.Unix(0, t.UnixNano()).Equal(t) {
+				return time.Time{}, fmt.Errorf("time %q outside the years 1678–2262", s)
+			}
 			return t.UTC(), nil
 		}
 	}

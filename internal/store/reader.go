@@ -47,47 +47,44 @@ type ScanStats struct {
 // collector.RecordReader, so query results plug directly into the
 // classifier pipeline and the replay tool.
 type Reader struct {
-	q       Query
-	merge                      // the streams and the scan accounting they feed
-	run     []collector.Record // current run, owned by the stream that yielded it
-	ri      int                // next row of run to return
-	pool    *scanPool          // non-nil only for QueryParallel readers
-	err     error              // sticky terminal scan error
-	closed  bool
-	gen     uint64         // store generation at query time
-	workers int            // scan workers (1 = serial)
-	span    *obs.TraceSpan // "store_scan" child of the request trace; nil when untraced
+	q      Query
+	merge                     // the streams and the scan accounting they feed
+	run    []collector.Record // current run, owned by the stream that yielded it
+	ri     int                // next row of run to return
+	err    error              // sticky terminal scan error
+	closed bool
+	gen    uint64         // store generation at query time
+	span   *obs.TraceSpan // "store_scan" child of the request trace; nil when untraced
 }
 
 // Query opens a reader over everything currently in the store — sealed
 // segments and the unsealed memtable — that may match q. Results are merged
 // in timestamp order (ties broken by segment age, then log order).
 func (s *Store) Query(q Query) (*Reader, error) {
-	return s.query(context.Background(), q, 1)
+	return s.QueryCtx(context.Background(), q)
+}
+
+// QueryParallel is Query; workers is ignored. It remains only because the
+// benchmark harness (internal/benchkit) still calls it: one serial segment
+// scan per query is the read path, and the collapse of the Query entry points
+// into one deletes this alias.
+func (s *Store) QueryParallel(q Query, workers int) (*Reader, error) {
+	return s.Query(q)
 }
 
 // QueryCtx is Query carrying a request context: when ctx holds an active
 // trace span, the scan appears in the trace as a "store_scan" child (one
 // grandchild per scanned segment) annotated with the EXPLAIN profile at
 // Close. An untraced ctx costs nothing.
-func (s *Store) QueryCtx(ctx context.Context, q Query) (*Reader, error) {
-	return s.query(ctx, q, 1)
-}
-
-// query opens a reader scanning with the given number of workers (<= 1 is
-// the serial scan).
 //
 // Only the snapshot — candidate blocks, mapping or file references, the
 // memtable overlay — is taken under the store lock. The first block of every
 // stream is fetched after the lock is released, so a cold query's read and
 // parse never hold up appends; a failure there is still this call's error.
-func (s *Store) query(ctx context.Context, q Query, workers int) (*Reader, error) {
+func (s *Store) QueryCtx(ctx context.Context, q Query) (*Reader, error) {
 	obsQueries.Inc()
-	if workers > 1 {
-		obsParallelScans.Inc()
-	}
 	_, span := obs.StartChild(ctx, "store_scan")
-	r := &Reader{q: q, workers: max(workers, 1), span: span}
+	r := &Reader{q: q, span: span}
 	mem, err := s.snapshot(r)
 	if err == nil {
 		if len(mem) > 0 {
@@ -117,12 +114,6 @@ func (s *Store) snapshot(r *Reader) ([]collector.Record, error) {
 	defer s.mu.Unlock()
 	r.gen = s.Generation()
 	r.stats.SegmentsTotal = len(s.segs)
-	type candidate struct {
-		seg    *segment
-		blocks []int
-	}
-	var cands []candidate
-	total := 0
 	for _, g := range s.segs {
 		r.stats.BlocksTotal += len(g.index.blocks)
 		blocks, scan := g.candidateBlocks(r.q)
@@ -134,29 +125,13 @@ func (s *Store) snapshot(r *Reader) ([]collector.Record, error) {
 			continue
 		}
 		r.stats.BlocksSelected += len(blocks)
-		cands = append(cands, candidate{g, blocks})
-		total += len(blocks)
-	}
-	// One block total: the pool would only add handoff overhead.
-	if r.workers > 1 && total > 1 {
-		r.workers = min(r.workers, total)
-		obsScanWorkers.SetInt(int64(r.workers))
-		r.pool = newScanPool(r.workers, 2*r.workers)
-	}
-	for _, c := range cands {
-		sc, err := s.openScanLocked(c.seg, &r.q, c.blocks, &r.stats)
+		ss, err := s.openScanLocked(g, &r.q, blocks, &r.stats)
 		if err != nil {
 			return nil, err
 		}
-		sc.cache, sc.quarantine = s.cache, true
-		sc.span = segmentSpan(r.span, c.seg, len(c.blocks))
-		if r.pool != nil {
-			ps := &parSegStream{segScan: sc, pool: r.pool}
-			r.add(&ps.cursor, ps)
-		} else {
-			ss := &segStream{segScan: sc, bs: getBlockScanner()}
-			r.add(&ss.cursor, ss)
-		}
+		ss.cache, ss.quarantine = s.cache, true
+		ss.span = segmentSpan(r.span, g, len(blocks))
+		r.add(&ss.cursor, ss)
 	}
 	return s.memSnapshotLocked(&r.q, &r.stats), nil
 }
@@ -221,12 +196,6 @@ func (r *Reader) Close() error {
 	r.run = nil
 	r.closeStreams()
 	publishScanStats(r.stats)
-	if r.pool != nil {
-		// Workers deliver into single-slot buffered channels, so they never
-		// block on abandoned results and the pool drains without a reader.
-		r.pool.shutdown()
-		r.pool = nil
-	}
 	if r.span != nil {
 		r.Explain().annotate(r.span)
 		r.span.SetError(r.err)
@@ -520,10 +489,12 @@ func quarantineBlock(path string, bi int, err error) {
 	log.Printf("store: quarantined corrupt block %d of %s: %v", bi, path, err)
 }
 
-// segScan is what the serial and the pooled segment stream share: the
-// references that keep the segment readable, the candidate blocks, and where
-// the scan is accounted.
-type segScan struct {
+// segStream iterates the candidate blocks of one segment: each block is
+// fetched in columnar form (through the shared cache when the store has one),
+// filtered column-wise, and only the surviving rows are materialized into the
+// stream's record buffer. It holds the reference that keeps the segment
+// readable until close.
+type segStream struct {
 	cursor
 	seg    *segment
 	f      faults.File // open only when mm is nil: mapped blocks are sliced, not read
@@ -531,6 +502,8 @@ type segScan struct {
 	q      *Query      // predicates the columnar kernels filter by
 	cache  *blockCache // shared block cache, nil when disabled or bypassed
 	blocks []int
+	bi     int // next index into blocks
+	bs     *blockScanner
 	// quarantine skips corrupt blocks instead of failing the scan. Queries
 	// set it; compaction merges leave it off, because silently dropping a
 	// block while rewriting segments would turn detectable damage into
@@ -540,84 +513,64 @@ type segScan struct {
 	span       *obs.TraceSpan // per-segment trace span; nil when untraced
 }
 
-// openScanLocked takes the reference a scan of g reads through — the mapping
-// when the segment has one, whose refcount keeps compaction from unmapping
-// under the scan, else a file of its own.
-func (s *Store) openScanLocked(g *segment, q *Query, blocks []int, stats *ScanStats) (segScan, error) {
-	sc := segScan{seg: g, mm: g.mm, q: q, blocks: blocks, stats: stats}
-	sc.order = g.seq
+// openScanLocked opens a stream over the given blocks of g through the
+// reference a scan reads by — the mapping when the segment has one, whose
+// refcount keeps compaction from unmapping under the scan, else a file of
+// its own.
+func (s *Store) openScanLocked(g *segment, q *Query, blocks []int, stats *ScanStats) (*segStream, error) {
+	ss := &segStream{seg: g, mm: g.mm, q: q, blocks: blocks, stats: stats}
+	ss.order = g.seq
 	if g.mm == nil {
 		f, err := s.fs.Open(g.path)
 		if err != nil {
-			return sc, err
+			return nil, err
 		}
-		sc.f = f
+		ss.f = f
 	}
 	g.mm.acquire()
-	return sc, nil
+	ss.bs = getBlockScanner()
+	return ss, nil
 }
 
-// skipCorrupt decides what a failed fetch of block bi means: corruption under
-// a query is quarantined and the scan goes on (nil); anything else ends the
-// stream with the segment named.
-func (sc *segScan) skipCorrupt(bi int, err error) error {
-	if !sc.quarantine || !isCorrupt(err) {
-		return fmt.Errorf("segment %s: %w", sc.seg.path, err)
-	}
-	quarantineBlock(sc.seg.path, bi, err)
-	sc.stats.BlocksQuarantined++
-	sc.span.AnnotateInt("quarantined_block", int64(bi))
-	return nil
-}
-
-func (sc *segScan) release() {
-	sc.span.Finish()
-	sc.span = nil
-	sc.mm.release()
-	sc.mm = nil
-	if sc.f != nil {
-		sc.f.Close()
-		sc.f = nil
-	}
-}
-
-// segStream iterates the candidate blocks of one segment: each block is
-// fetched in columnar form (through the shared cache when the store has one),
-// filtered column-wise, and only the surviving rows are materialized into the
-// stream's record buffer.
-type segStream struct {
-	segScan
-	bs *blockScanner
-	bi int
-}
-
-func (sc *segStream) next() (bool, error) {
-	for sc.bi < len(sc.blocks) {
-		bi := sc.blocks[sc.bi]
-		sc.bi++
+func (ss *segStream) next() (bool, error) {
+	for ss.bi < len(ss.blocks) {
+		bi := ss.blocks[ss.bi]
+		ss.bi++
 		// The previous block's rows are all merged, so its backing array is
 		// reused for this one — one record buffer per stream, total.
-		recs, hit, err := sc.bs.scan(sc.seg, sc.f, sc.mm, sc.cache, bi, sc.q, sc.recs[:0])
+		recs, hit, err := ss.bs.scan(ss.seg, ss.f, ss.mm, ss.cache, bi, ss.q, ss.recs[:0])
 		if err != nil {
-			if err := sc.skipCorrupt(bi, err); err != nil {
-				return false, err
+			// Corruption under a query is quarantined and the scan goes on;
+			// anything else ends the stream with the segment named.
+			if !ss.quarantine || !isCorrupt(err) {
+				return false, fmt.Errorf("segment %s: %w", ss.seg.path, err)
 			}
+			quarantineBlock(ss.seg.path, bi, err)
+			ss.stats.BlocksQuarantined++
+			ss.span.AnnotateInt("quarantined_block", int64(bi))
 			continue
 		}
-		sc.stats.noteBlock(sc.seg, bi, hit, sc.cache != nil, len(recs))
-		if sc.load(recs) {
+		ss.stats.noteBlock(ss.seg, bi, hit, ss.cache != nil, len(recs))
+		if ss.load(recs) {
 			return true, nil
 		}
 	}
 	return false, nil
 }
 
-func (sc *segStream) close() {
-	if sc.bs != nil {
-		putBlockScanner(sc.bs)
-		sc.bs = nil
+func (ss *segStream) close() {
+	if ss.bs != nil {
+		putBlockScanner(ss.bs)
+		ss.bs = nil
 	}
-	sc.release()
+	ss.span.Finish()
+	ss.span = nil
+	ss.mm.release()
+	ss.mm = nil
+	if ss.f != nil {
+		ss.f.Close()
+		ss.f = nil
+	}
 }
 
 // memStream iterates the memtable snapshot, which is one block: loaded by

@@ -5,26 +5,11 @@ import (
 	"testing"
 	"time"
 
-	"instability/internal/bgp"
 	"instability/internal/collector"
 )
 
-func queryAllParallel(t *testing.T, s *Store, q Query, workers int) ([]collector.Record, ScanStats) {
-	t.Helper()
-	r, err := s.QueryParallel(q, workers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	recs, err := r.ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return recs, r.Stats()
-}
-
 // buildScanStore seals a multi-segment store with some records left
-// unsealed in the memtable, so parallel scans cover every stream kind.
+// unsealed in the memtable, so a scan covers every stream kind.
 func buildScanStore(t *testing.T) (*Store, []collector.Record) {
 	t.Helper()
 	recs := hourlyWorkload(6, 300)
@@ -51,50 +36,21 @@ func buildScanStore(t *testing.T) (*Store, []collector.Record) {
 	return s, recs
 }
 
-// TestQueryParallelEquivalence is the ordered-merge contract: the parallel
-// scan must return exactly the serial reader's record sequence and pushdown
-// accounting, for full scans, indexed queries, and worker counts beyond the
-// block count.
-func TestQueryParallelEquivalence(t *testing.T) {
+// TestQueryPrunedToNothing: a query whose pruning leaves nothing must return
+// a clean empty result without fetching a block.
+func TestQueryPrunedToNothing(t *testing.T) {
 	s, recs := buildScanStore(t)
-	queries := []Query{
-		{},
-		{OriginAS: []bgp.ASN{7002}},
-		{PeerAS: []bgp.ASN{101}},
-		{From: recs[200].Time, To: recs[1200].Time},
-	}
-	for qi, q := range queries {
-		want, wantStats := queryAll(t, s, q)
-		for _, workers := range []int{2, 4, 64} {
-			got, gotStats := queryAllParallel(t, s, q, workers)
-			assertSameRecords(t, got, want)
-			if gotStats != wantStats {
-				t.Fatalf("query %d workers %d: stats %+v, serial %+v", qi, workers, gotStats, wantStats)
-			}
-		}
-	}
-}
-
-// TestQueryParallelFallback: one worker must take the serial path, and a
-// query whose pruning leaves nothing must return a clean empty result.
-func TestQueryParallelFallback(t *testing.T) {
-	s, recs := buildScanStore(t)
-	want, _ := queryAll(t, s, Query{})
-	got, _ := queryAllParallel(t, s, Query{}, 1)
-	assertSameRecords(t, got, want)
-
-	empty, st := queryAllParallel(t, s, Query{From: recs[len(recs)-1].Time.Add(48 * time.Hour)}, 4)
+	empty, st := queryAll(t, s, Query{From: recs[len(recs)-1].Time.Add(48 * time.Hour)})
 	if len(empty) != 0 || st.BlocksScanned != 0 {
 		t.Fatalf("future-window query returned %d records, stats %+v", len(empty), st)
 	}
 }
 
-// TestQueryParallelEarlyClose closes a parallel reader mid-stream: the
-// worker pool must drain without the consumer, and the store must remain
-// fully queryable afterwards.
-func TestQueryParallelEarlyClose(t *testing.T) {
+// TestQueryEarlyClose closes a reader mid-stream: its segment references
+// are released, and the store must remain fully queryable afterwards.
+func TestQueryEarlyClose(t *testing.T) {
 	s, recs := buildScanStore(t)
-	r, err := s.QueryParallel(Query{}, 4)
+	r, err := s.Query(Query{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +66,7 @@ func TestQueryParallelEarlyClose(t *testing.T) {
 		// A closed reader has no streams left; Next must report EOF.
 		t.Fatalf("Next after Close: %v", err)
 	}
-	got, _ := queryAllParallel(t, s, Query{}, 4)
+	got, _ := queryAll(t, s, Query{})
 	assertSameRecords(t, got, recs)
 }
 

@@ -141,7 +141,7 @@ func TestBackgroundSealRaceHammer(t *testing.T) {
 	var readers sync.WaitGroup
 	for r := 0; r < 8; r++ {
 		readers.Add(1)
-		go func(serial bool) {
+		go func() {
 			defer readers.Done()
 			for {
 				select {
@@ -149,13 +149,7 @@ func TestBackgroundSealRaceHammer(t *testing.T) {
 					return
 				default:
 				}
-				var rd *Reader
-				var err error
-				if serial {
-					rd, err = s.Query(Query{})
-				} else {
-					rd, err = s.QueryParallel(Query{}, 4)
-				}
+				rd, err := s.Query(Query{})
 				if err != nil {
 					errc <- err
 					return
@@ -171,7 +165,7 @@ func TestBackgroundSealRaceHammer(t *testing.T) {
 					return
 				}
 			}
-		}(r%2 == 0)
+		}()
 	}
 	wg.Wait()
 	close(done)
@@ -390,7 +384,7 @@ func TestCrashLoopBackgroundSeal(t *testing.T) {
 				t.Fatalf("crashOp=%d seed=%d: reopen: %v", crashOp, seed, err)
 			}
 			defer s.Close()
-			recs, _ := queryAllParallel(t, s, Query{}, 4)
+			recs, _ := queryAll(t, s, Query{})
 			verifyRecoveredPrefix(t, recs, acked)
 			if !inj.Stats().Crashed && len(recs) != appended {
 				t.Fatalf("crashOp=%d never fired but recovered %d of %d records",

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -506,6 +507,19 @@ func TestParseQuery(t *testing.T) {
 	}
 	if _, err := ParseQuery("", "", "", "", "", "X"); err == nil {
 		t.Fatal("bad type accepted")
+	}
+	// Spellings that parse to a predicate's unset value would silently match
+	// every record; each is an error naming its flag.
+	for _, c := range []struct{ from, to, prefix, flag string }{
+		{"", "", "0.0.0.0/0", "-prefix"},
+		{"", "", "0/0", "-prefix"},
+		{"0001-01-01", "", "", "-from"},
+		{"", "3000-01-01", "", "-to"},
+	} {
+		_, err := ParseQuery(c.from, c.to, "", "", c.prefix, "")
+		if err == nil || !strings.Contains(err.Error(), c.flag) {
+			t.Errorf("ParseQuery(from %q, to %q, prefix %q): err %v, want an error naming %s", c.from, c.to, c.prefix, err, c.flag)
+		}
 	}
 }
 
