@@ -624,7 +624,7 @@ func feedRecords(b *testing.B) []collector.Record {
 }
 
 // BenchmarkPipelineFeed measures the full per-record analysis cost
-// (classify + accumulate + RIB mirror).
+// (classify + accumulate).
 func BenchmarkPipelineFeed(b *testing.B) {
 	recs := feedRecords(b)
 	p := instability.NewPipeline()

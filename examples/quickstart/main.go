@@ -40,7 +40,7 @@ func main() {
 	fmt.Printf("\ninstability %s vs pathological %s — redundant updates dominate, as observed\n",
 		report.FormatCount(instab), report.FormatCount(path))
 
-	census := p.Table.TakeCensus()
+	census := p.Census()
 	fmt.Printf("routing table: %d prefixes, %d multihomed (%.0f%%)\n",
 		census.Prefixes, census.Multihomed, census.MultihomedShare()*100)
 }

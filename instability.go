@@ -8,8 +8,9 @@
 // histograms) behind every figure and table in the paper's evaluation.
 //
 // This root package wires the pieces into the standard measurement pipeline:
-// update records flow through the classifier into per-day statistics while a
-// RIB mirror maintains the routing-table census (table size, multihoming).
+// update records flow through the classifier into per-day statistics, and the
+// classifier's per-route state is the routing table the census counts (table
+// size, multihoming).
 // Subsystems live in internal packages; everything a downstream user needs
 // is re-exported or reachable from here.
 //
@@ -31,15 +32,14 @@ import (
 	"instability/internal/workload"
 )
 
-// Pipeline is the standard analysis chain: classifier, per-day accumulator,
-// and a RIB mirror for routing-table censuses.
+// Pipeline is the standard analysis chain: classifier and per-day
+// accumulator, with the classifier's routes as the routing table.
 type Pipeline struct {
-	// Classifier holds per-(peer,prefix) tuple history.
+	// Classifier holds per-(peer,prefix) tuple history: the collector's
+	// routing table.
 	Classifier *core.Classifier
 	// Acc aggregates classified events per day.
 	Acc *core.Accumulator
-	// Table mirrors the collector's routing table for census purposes.
-	Table *rib.RIB
 	// CensusByDay snapshots the table census at each day end.
 	CensusByDay map[core.Date]rib.Census
 
@@ -56,7 +56,6 @@ func NewPipeline() *Pipeline {
 	return &Pipeline{
 		Classifier:  core.NewClassifier(),
 		Acc:         core.NewAccumulator(),
-		Table:       rib.New(0),
 		CensusByDay: make(map[core.Date]rib.Census),
 	}
 }
@@ -65,13 +64,6 @@ func NewPipeline() *Pipeline {
 func (p *Pipeline) Feed(rec collector.Record) core.Event {
 	ev := p.Classifier.Classify(rec)
 	p.Acc.Add(ev)
-	peer := rib.PeerID{AS: rec.PeerAS, ID: rec.PeerAddr}
-	switch rec.Type {
-	case collector.Announce:
-		p.Table.Update(peer, rec.Prefix, rec.Attrs)
-	case collector.Withdraw:
-		p.Table.Withdraw(peer, rec.Prefix)
-	}
 	if p.Events != nil {
 		p.Events(ev)
 	}
@@ -81,10 +73,16 @@ func (p *Pipeline) Feed(rec collector.Record) core.Event {
 // EndDay records the end-of-day routing table snapshot for date.
 func (p *Pipeline) EndDay(date core.Date) {
 	p.Acc.EndDay(p.Classifier, date)
-	p.CensusByDay[date] = p.Table.TakeCensus()
+	p.CensusByDay[date] = p.Census()
 	if p.DayEnd != nil {
 		p.DayEnd(date)
 	}
+}
+
+// Census returns the census of the routing table as it stands: every route
+// the classifier holds announced.
+func (p *Pipeline) Census() rib.Census {
+	return rib.MergeCensuses(p.Classifier.PartialCensus())
 }
 
 // RunScenario generates the configured workload through the pipeline and

@@ -32,11 +32,11 @@ func TestRunScenarioPipeline(t *testing.T) {
 	if tot[instability.WWDup] == 0 || tot[instability.WADup] == 0 {
 		t.Fatalf("classes missing: %v", tot)
 	}
-	// The RIB mirror holds the live table.
-	if p.Table.Len() == 0 {
-		t.Fatal("table mirror empty")
+	// The classifier holds the live table.
+	c := p.Census()
+	if c.Prefixes == 0 {
+		t.Fatal("routing table empty")
 	}
-	c := p.Table.TakeCensus()
 	if c.Multihomed == 0 {
 		t.Fatal("census shows no multihoming")
 	}

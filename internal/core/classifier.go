@@ -7,6 +7,7 @@ import (
 	"instability/internal/collector"
 	"instability/internal/intern"
 	"instability/internal/netaddr"
+	"instability/internal/rib"
 )
 
 // PeerKey identifies the peer a record was heard from.
@@ -23,14 +24,12 @@ type PrefixAS struct {
 	AS     bgp.ASN
 }
 
-// stateKey tracks history per (peer, prefix). Distinct routers of one AS are
-// distinct peers, as in the route-server logs.
-type stateKey struct {
-	peer   PeerKey
-	prefix netaddr.Prefix
-}
-
+// routeState is one peer's slot in one prefix's routes: the classifier's
+// history for that (peer, prefix) key, and — while announced — the route
+// the peer has in the collector's Adj-RIB-In, which the table census counts.
+// Distinct routers of one AS are distinct peers, as in the route-server logs.
 type routeState struct {
+	peer      PeerKey
 	announced bool
 	ever      bool
 	// last is the interned handle of the previous announcement's attributes:
@@ -72,10 +71,10 @@ func PrefixASOf(rec collector.Record) PrefixAS {
 // Classifier assigns classes to a stream of records. It must see each
 // collection point's records in timestamp order.
 type Classifier struct {
-	states map[stateKey]*routeState
-	// active tracks how many prefixes each peer currently announces — the
-	// per-peer routing table share of Figure 6.
-	active map[PeerKey]int
+	// routes is the route table, keyed by prefix: one slot per peer ever
+	// heard for the prefix. A record costs one map probe and a scan of its
+	// prefix's few peers, and a table census walks the slots in place.
+	routes map[netaddr.Prefix][]routeState
 	// tab interns every announcement's attribute tuple. The duplicate-
 	// dominated stream means almost every lookup is a hit returning a shared
 	// handle; the table is private to this classifier, so the parallel
@@ -86,8 +85,7 @@ type Classifier struct {
 // NewClassifier returns an empty classifier.
 func NewClassifier() *Classifier {
 	return &Classifier{
-		states: make(map[stateKey]*routeState),
-		active: make(map[PeerKey]int),
+		routes: make(map[netaddr.Prefix][]routeState),
 		tab:    intern.New(),
 	}
 }
@@ -106,12 +104,17 @@ func (c *Classifier) Classify(rec collector.Record) Event {
 		// interleave state messages that the update taxonomy ignores.
 		return ev
 	}
-	key := stateKey{peer: PeerKeyOf(rec), prefix: rec.Prefix}
-	st := c.states[key]
-	if st == nil {
-		st = &routeState{}
-		c.states[key] = st
+	peer := PeerKeyOf(rec)
+	rs := c.routes[rec.Prefix]
+	i := 0
+	for i < len(rs) && rs[i].peer != peer {
+		i++
 	}
+	if i == len(rs) {
+		rs = append(rs, routeState{peer: peer})
+		c.routes[rec.Prefix] = rs
+	}
+	st := &rs[i]
 
 	switch rec.Type {
 	case collector.Announce:
@@ -136,16 +139,12 @@ func (c *Classifier) Classify(rec collector.Record) Event {
 		default:
 			ev.Class = Other // first announcement ever seen
 		}
-		if !st.announced {
-			c.active[key.peer]++
-		}
 		st.announced, st.ever, st.last = true, true, h
 
 	case collector.Withdraw:
 		if st.announced {
 			ev.Class = Other // ordinary withdrawal of a live route
 			st.announced = false
-			c.active[key.peer]--
 		} else {
 			ev.Class = WWDup
 		}
@@ -168,29 +167,35 @@ func (c *Classifier) Classify(rec collector.Record) Event {
 	return ev
 }
 
-// ActiveRoutes returns the number of prefixes peer currently announces.
-func (c *Classifier) ActiveRoutes(p PeerKey) int { return c.active[p] }
-
-// ActiveByPeer returns a copy of the per-peer active route counts: each
-// peer's share of the default-free table.
+// ActiveByPeer returns the number of prefixes each peer currently
+// announces: each peer's share of the default-free table. Peers with none
+// are absent.
 func (c *Classifier) ActiveByPeer() map[PeerKey]int {
-	out := make(map[PeerKey]int, len(c.active))
-	for k, v := range c.active {
-		if v > 0 {
-			out[k] = v
+	out := make(map[PeerKey]int)
+	for _, rs := range c.routes {
+		for i := range rs {
+			if rs[i].announced {
+				out[rs[i].peer]++
+			}
 		}
 	}
 	return out
 }
 
-// TotalActive returns the number of (peer, prefix) pairs currently announced.
-func (c *Classifier) TotalActive() int {
-	n := 0
-	for _, v := range c.active {
-		n += v
+// PartialCensus takes the routing-table census of the announced routes,
+// with path IDs from the interner's path table. It counts what the
+// collector heard: unlike rib.RIB, no route is refused for a loop through
+// the local AS, so a path containing AS 0 counts here where a rib.New(0)
+// table keeps the peer's previous route instead.
+func (c *Classifier) PartialCensus() rib.PartialCensus {
+	pc := rib.PartialCensus{PathTab: c.tab.Paths()}
+	for _, rs := range c.routes {
+		rib.AddPrefix(&pc, rs, func(st *routeState) (bgp.ASPath, bgp.PathID, bool) {
+			if !st.announced {
+				return bgp.ASPath{}, 0, false
+			}
+			return st.last.Attrs().Path, st.last.PathID, true
+		})
 	}
-	return n
+	return pc
 }
-
-// KnownPairs returns the number of (peer, prefix) pairs ever observed.
-func (c *Classifier) KnownPairs() int { return len(c.states) }

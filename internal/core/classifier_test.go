@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -40,8 +41,8 @@ func TestFirstAnnouncementIsOther(t *testing.T) {
 	if ev.Class != Other {
 		t.Fatalf("class %v", ev.Class)
 	}
-	if c.ActiveRoutes(peerA) != 1 || c.TotalActive() != 1 {
-		t.Fatal("active accounting wrong")
+	if active := c.ActiveByPeer(); active[peerA] != 1 || len(active) != 1 {
+		t.Fatalf("active accounting wrong: %v", active)
 	}
 }
 
@@ -52,7 +53,7 @@ func TestAADup(t *testing.T) {
 	if ev.Class != AADup || ev.PolicyShift {
 		t.Fatalf("event %+v", ev)
 	}
-	if c.ActiveRoutes(peerA) != 1 {
+	if c.ActiveByPeer()[peerA] != 1 {
 		t.Fatal("duplicate should not grow active count")
 	}
 }
@@ -84,7 +85,7 @@ func TestWADupAndWADiff(t *testing.T) {
 	if evW.Class != Other {
 		t.Fatalf("legit withdrawal class %v", evW.Class)
 	}
-	if c.ActiveRoutes(peerA) != 0 {
+	if _, ok := c.ActiveByPeer()[peerA]; ok {
 		t.Fatal("withdrawal should clear active count")
 	}
 	// Identical re-announcement: WADup.
@@ -147,8 +148,8 @@ func TestPrefixesIndependent(t *testing.T) {
 	if ev.Class != Other {
 		t.Fatalf("class %v", ev.Class)
 	}
-	if c.ActiveRoutes(peerA) != 2 {
-		t.Fatalf("active %d", c.ActiveRoutes(peerA))
+	if n := c.ActiveByPeer()[peerA]; n != 2 {
+		t.Fatalf("active %d", n)
 	}
 }
 
@@ -158,7 +159,7 @@ func TestSessionRecordsIgnored(t *testing.T) {
 	if ev := c.Classify(rec); ev.Class != Other {
 		t.Fatalf("class %v", ev.Class)
 	}
-	if c.KnownPairs() != 0 {
+	if len(c.routes) != 0 {
 		t.Fatal("session record created route state")
 	}
 }
@@ -274,14 +275,14 @@ func TestClassifierInvariants(t *testing.T) {
 		t.Fatalf("classified %d of 20000", total)
 	}
 	// Active accounting agrees with the reference.
-	active := 0
-	for _, st := range ref {
+	active := map[PeerKey]int{}
+	for k, st := range ref {
 		if st.announced {
-			active++
+			active[k.peer]++
 		}
 	}
-	if c.TotalActive() != active {
-		t.Fatalf("active %d, want %d", c.TotalActive(), active)
+	if got := c.ActiveByPeer(); !reflect.DeepEqual(got, active) {
+		t.Fatalf("active %v, want %v", got, active)
 	}
 }
 

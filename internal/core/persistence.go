@@ -3,6 +3,8 @@ package core
 import (
 	"sort"
 	"time"
+
+	"instability/internal/netaddr"
 )
 
 // EpisodeTracker groups a route's updates into flap episodes: runs of
@@ -22,6 +24,12 @@ type EpisodeTracker struct {
 	Durations []time.Duration
 	// Events collects closed episodes' event counts.
 	Events []int
+}
+
+// stateKey names one route: a (peer, prefix) pair.
+type stateKey struct {
+	peer   PeerKey
+	prefix netaddr.Prefix
 }
 
 type episode struct {

@@ -94,8 +94,10 @@ func TestActiveNeverNegativeQuick(t *testing.T) {
 				rec = collector.Record{Time: now, Type: collector.Withdraw, PeerAS: peer.AS, PeerAddr: peer.Addr, Prefix: prefix}
 			}
 			c.Classify(rec)
-			if c.ActiveRoutes(peer) < 0 || c.TotalActive() < 0 {
-				return false
+			for _, n := range c.ActiveByPeer() {
+				if n <= 0 {
+					return false
+				}
 			}
 		}
 		return true

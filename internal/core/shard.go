@@ -5,12 +5,13 @@ import "instability/internal/netaddr"
 // The classifier's history is keyed strictly per (peer, prefix): no record's
 // classification ever reads another key's state. That makes classification
 // embarrassingly parallel under one constraint — every record of a key must
-// be processed by the same worker, in arrival order. The RIB mirror needs
-// more: all of a prefix's candidate routes must live in one table for the
-// census to count the prefix once. Partitioning by prefix alone satisfies
-// both — equal prefix means equal shard for every peer, so each (peer,
-// prefix) key is still confined to one shard — which is why there is one
-// partition function, not one per consumer.
+// be processed by the same worker, in arrival order. The table census needs
+// more: all of a prefix's routes, from every peer, must live in one
+// classifier for the census to count the prefix once and judge it
+// multihomed. Partitioning by prefix alone satisfies both — equal prefix
+// means equal shard for every peer, so each (peer, prefix) key is still
+// confined to one shard — and it is also what lets a classifier key its
+// route table by prefix.
 
 // PrefixShardOf returns a stable shard index in [0, shards) keyed by prefix
 // alone; the peer is deliberately ignored.

@@ -316,24 +316,22 @@ func (c Census) MultihomedShare() float64 {
 	return float64(c.Multihomed) / float64(c.Prefixes)
 }
 
-// TakeCensus computes a Census over the current table. A prefix counts as
-// multihomed when its candidates traverse at least two distinct neighboring
-// ASes or two distinct origin ASes — i.e. the destination is reachable over
-// more than one provider and the prefix cannot be aggregated away.
+// TakeCensus computes a Census over the current table.
 func (r *RIB) TakeCensus() Census {
 	return MergeCensuses(r.TakePartialCensus())
 }
 
 // PartialCensus is the mergeable form of a Census, for tables that hold
 // disjoint prefix partitions of one logical routing table (the parallel
-// pipeline's per-shard RIB mirrors). Prefix-level tallies sum across
+// pipeline's per-shard classifiers). Prefix-level tallies sum across
 // partitions; origin ASes and AS paths are global distinct-counts, so the
 // partial keeps the sets and MergeCensuses takes the union.
 //
-// Paths holds interned PathIDs local to PathTab — the table of the RIB the
-// partial was taken from. IDs from different partials are not comparable;
-// MergeCensuses unions them by remapping every partial's IDs through one
-// fresh table (the per-shard ID-remap contract).
+// Paths holds interned PathIDs local to PathTab — the path table of the
+// RIB or classifier the partial was taken from. IDs from different partials
+// are not comparable; MergeCensuses unions them by remapping every
+// partial's IDs through one fresh table (the per-shard ID-remap contract).
+// The zero value with PathTab set is an empty census.
 type PartialCensus struct {
 	Prefixes   int
 	Multihomed int
@@ -344,34 +342,52 @@ type PartialCensus struct {
 
 // TakePartialCensus computes the mergeable census of this table.
 func (r *RIB) TakePartialCensus() PartialCensus {
-	pc := PartialCensus{
-		Origins: make(map[bgp.ASN]struct{}),
-		Paths:   make(map[bgp.PathID]struct{}),
-		PathTab: r.paths,
-	}
+	pc := PartialCensus{PathTab: r.paths}
 	r.table.Walk(func(_ netaddr.Prefix, st *prefixState) bool {
-		if len(st.candidates) == 0 {
-			return true
-		}
-		pc.Prefixes++
-		firsts := make(map[bgp.ASN]struct{}, len(st.candidates))
-		origs := make(map[bgp.ASN]struct{}, len(st.candidates))
-		for _, cand := range st.candidates {
-			if f, ok := cand.attrs.Path.First(); ok {
-				firsts[f] = struct{}{}
-			}
-			if o, ok := cand.attrs.Path.Origin(); ok {
-				origs[o] = struct{}{}
-				pc.Origins[o] = struct{}{}
-			}
-			pc.Paths[cand.pathID] = struct{}{}
-		}
-		if len(firsts) > 1 || len(origs) > 1 {
-			pc.Multihomed++
-		}
+		AddPrefix(&pc, st.candidates, func(e *entry) (bgp.ASPath, bgp.PathID, bool) {
+			return e.attrs.Path, e.pathID, true
+		})
 		return true
 	})
 	return pc
+}
+
+// AddPrefix folds one prefix's routes into pc: route reads each element's
+// AS path, the path's ID in pc.PathTab, and whether the route is live. A
+// prefix with no live route is not counted. One counts as multihomed when
+// its live routes traverse at least two distinct neighboring ASes or two
+// distinct origin ASes — i.e. the destination is reachable over more than
+// one provider and the prefix cannot be aggregated away. RIB and
+// core.Classifier both count through it, so the census is defined once.
+func AddPrefix[R any](pc *PartialCensus, routes []R, route func(*R) (bgp.ASPath, bgp.PathID, bool)) {
+	var first, origin bgp.ASN
+	live, haveFirst, haveOrigin, multihomed := false, false, false, false
+	for i := range routes {
+		path, id, ok := route(&routes[i])
+		if !ok {
+			continue
+		}
+		if pc.Origins == nil {
+			pc.Origins, pc.Paths = make(map[bgp.ASN]struct{}), make(map[bgp.PathID]struct{})
+		}
+		live = true
+		if f, ok := path.First(); ok {
+			multihomed = multihomed || haveFirst && f != first
+			first, haveFirst = f, true
+		}
+		if o, ok := path.Origin(); ok {
+			multihomed = multihomed || haveOrigin && o != origin
+			origin, haveOrigin = o, true
+			pc.Origins[o] = struct{}{}
+		}
+		pc.Paths[id] = struct{}{}
+	}
+	if live {
+		pc.Prefixes++
+	}
+	if multihomed {
+		pc.Multihomed++
+	}
 }
 
 // MergeCensuses combines partial censuses of disjoint prefix partitions into

@@ -54,8 +54,12 @@ type bloom struct {
 	k    uint8
 }
 
-func newBloom(n, bitsPerKey int) *bloom {
-	m := n * bitsPerKey
+// bloomBitsPerKey sizes a segment's prefix filter: ~1% false positives.
+// The index records the filter's size, so readers never depend on it.
+const bloomBitsPerKey = 10
+
+func newBloom(n int) *bloom {
+	m := n * bloomBitsPerKey
 	if m < 64 {
 		m = 64
 	}

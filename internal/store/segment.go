@@ -133,7 +133,7 @@ func writeSegment(fsys faults.FS, dir string, seq uint64, windowStart int64, fir
 	ix := &segIndex{
 		peers:   make(postings),
 		origins: make(postings),
-		filter:  newBloom(len(recs), opts.BloomBitsPerKey),
+		filter:  newBloom(len(recs)),
 	}
 	var buf bytes.Buffer
 	buf.WriteString(segMagic)

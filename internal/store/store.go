@@ -85,9 +85,6 @@ type Options struct {
 	// durability, and the crash-recovery contract (no duplicates, no loss
 	// of synced data) is unaffected.
 	Sync bool
-	// BloomBitsPerKey sizes the per-segment prefix bloom filter. Default 10
-	// (~1% false positives).
-	BloomBitsPerKey int
 	// BlockCacheBytes is the byte budget of the store-wide cache of parsed
 	// segment blocks, shared by every reader of this store. 0 (the zero
 	// value) disables the cache: each scan parses its own blocks, in place.
@@ -119,9 +116,6 @@ func (o Options) withDefaults() Options {
 	o.BlockRecords = min(o.BlockRecords, maxBlockRecords)
 	if o.FlushEvery <= 0 {
 		o.FlushEvery = 256
-	}
-	if o.BloomBitsPerKey <= 0 {
-		o.BloomBitsPerKey = 10
 	}
 	if o.FS == nil {
 		o.FS = faults.Disk{}

@@ -15,21 +15,21 @@ import (
 
 // ParallelPipeline is the sharded form of Pipeline: records are
 // hash-partitioned by prefix across N worker shards, each a private serial
-// Pipeline (Classifier, Accumulator, RIB partition) fed through a bounded
-// channel in multi-record batches. One key is enough: classification history
-// never crosses a (peer, prefix) key and RIB state never crosses a prefix,
-// and equal prefixes always share a shard, so the shards share nothing on
-// the hot path; EndDay is the only barrier, where per-shard day statistics
-// are merged so the published results are identical to what the serial
+// Pipeline (Classifier, Accumulator) fed through a bounded channel in
+// multi-record batches. One key is enough: classification history never
+// crosses a (peer, prefix) key and a census never splits a prefix, and
+// equal prefixes always share a shard, so the shards share nothing on the
+// hot path; EndDay is the only barrier, where per-shard day statistics are
+// merged so the published results are identical to what the serial
 // Pipeline produces from the same stream.
 //
-// Each shard's Classifier and RIB own private attribute/path interners, so
-// the hot path stays lock-free. Interned IDs are therefore shard-local;
+// Each shard's Classifier owns a private attribute/path interner, so the
+// hot path stays lock-free. Interned IDs are therefore shard-local;
 // MergeCensuses remaps each shard's path IDs through a fresh table at the
 // barrier, which is order-independent because interning is content-addressed
 // — the serial/parallel bit-for-bit contract is unaffected.
 //
-// The feeder side (Feed, FeedBatch, EndDay, Close) must be used from one
+// The feeder side (Feed, EndDay, Sync, Close) must be used from one
 // goroutine, exactly like the serial Pipeline. The Events hook, when set,
 // runs on shard goroutines: it is called concurrently, in stream order
 // within one prefix only.
@@ -50,38 +50,27 @@ type ParallelPipeline struct {
 	// detector (every Events call for the day happens-before DayEnd).
 	DayEnd func(core.Date)
 
-	shards    []*shard
-	batches   [][]collector.Record
-	batchSize int
-	peaks     map[core.Date]*peakTrack
-	closed    bool
+	shards  []*shard
+	batches [][]collector.Record
+	peaks   map[core.Date]*peakTrack
+	closed  bool
 }
 
 // ParallelConfig tunes a ParallelPipeline. The zero value is usable.
 type ParallelConfig struct {
 	// Shards is the number of worker shards. Default GOMAXPROCS.
 	Shards int
-	// BatchSize is the number of records buffered per shard before the
-	// batch is handed to the shard's channel; batching amortizes channel
-	// and scheduling overhead across the hot per-record work. Default 256.
-	BatchSize int
-	// Queue is the per-shard channel capacity in batches (the bound on
-	// in-flight work, and the backpressure point). Default 4.
-	Queue int
 }
 
-func (c ParallelConfig) withDefaults() ParallelConfig {
-	if c.Shards <= 0 {
-		c.Shards = runtime.GOMAXPROCS(0)
-	}
-	if c.BatchSize <= 0 {
-		c.BatchSize = 256
-	}
-	if c.Queue <= 0 {
-		c.Queue = 4
-	}
-	return c
-}
+const (
+	// batchSize is the number of records buffered per shard before the
+	// batch is handed to the shard's channel; batching amortizes channel
+	// and scheduling overhead across the hot per-record work.
+	batchSize = 256
+	// queueBatches is the per-shard channel capacity in batches (the bound
+	// on in-flight work, and the backpressure point).
+	queueBatches = 4
+)
 
 // shardMsg is either a data batch (recs != nil) or, at a barrier, a function
 // to run on the shard's goroutine against its pipeline once every batch sent
@@ -128,20 +117,21 @@ var (
 // NewParallelPipeline returns a running sharded pipeline. Close must be
 // called to stop the shard goroutines (Close also performs a final merge).
 func NewParallelPipeline(cfg ParallelConfig) *ParallelPipeline {
-	cfg = cfg.withDefaults()
+	if cfg.Shards <= 0 {
+		cfg.Shards = runtime.GOMAXPROCS(0)
+	}
 	pp := &ParallelPipeline{
 		Acc:         core.NewAccumulator(),
 		CensusByDay: make(map[core.Date]rib.Census),
 		shards:      make([]*shard, cfg.Shards),
 		batches:     make([][]collector.Record, cfg.Shards),
-		batchSize:   cfg.BatchSize,
 		peaks:       make(map[core.Date]*peakTrack),
 	}
 	obsParShards.SetInt(int64(cfg.Shards))
 	for i := range pp.shards {
 		sh := &shard{
 			p:    NewPipeline(),
-			in:   make(chan shardMsg, cfg.Queue),
+			in:   make(chan shardMsg, queueBatches),
 			done: make(chan struct{}),
 		}
 		pp.shards[i] = sh
@@ -195,21 +185,14 @@ func (pp *ParallelPipeline) Feed(rec collector.Record) {
 	pp.route(core.PrefixShardOf(rec.Prefix, len(pp.shards)), rec)
 }
 
-// FeedBatch routes a slice of records; it is Feed amortized over the loop.
-func (pp *ParallelPipeline) FeedBatch(recs []collector.Record) {
-	for _, rec := range recs {
-		pp.Feed(rec)
-	}
-}
-
 // route appends one record to shard i's pending batch, dispatching the batch
 // when full.
 func (pp *ParallelPipeline) route(i int, rec collector.Record) {
 	if pp.batches[i] == nil {
-		pp.batches[i] = getBatch(pp.batchSize)
+		pp.batches[i] = getBatch(batchSize)
 	}
 	pp.batches[i] = append(pp.batches[i], rec)
-	if len(pp.batches[i]) >= pp.batchSize {
+	if len(pp.batches[i]) >= batchSize {
 		pp.dispatch(i)
 	}
 }
@@ -271,7 +254,7 @@ func (pp *ParallelPipeline) barrier(endDay bool, day core.Date) []rib.PartialCen
 			defer wg.Done()
 			if endDay {
 				p.Acc.EndDay(p.Classifier, day)
-				parts[i] = p.Table.TakePartialCensus()
+				parts[i] = p.Classifier.PartialCensus()
 			}
 			accs[i], p.Acc = p.Acc, core.NewAccumulator()
 		}}
@@ -325,25 +308,14 @@ func (pp *ParallelPipeline) Close() {
 	}
 }
 
-// TotalActive returns the number of (peer, prefix) pairs currently announced
-// across all shards' classifiers. Unlike the merged statistics it reads live
-// shard state, so call it only at a quiescent point (after EndDay/Sync).
-func (pp *ParallelPipeline) TotalActive() int {
-	n := 0
-	for _, sh := range pp.shards {
-		n += sh.p.Classifier.TotalActive()
-	}
-	return n
-}
-
-// Census merges a table census over all shards' RIB partitions — the
-// parallel equivalent of Pipeline.Table.TakeCensus(). Like TotalActive it
-// reads live shard state, so call it only at a quiescent point (after
-// EndDay, Sync, or Close).
+// Census merges a table census over all shards' classifiers — the parallel
+// equivalent of Pipeline.Census. Unlike the merged statistics it reads live
+// shard state, so call it only at a quiescent point (after EndDay, Sync, or
+// Close).
 func (pp *ParallelPipeline) Census() rib.Census {
 	parts := make([]rib.PartialCensus, 0, len(pp.shards))
 	for _, sh := range pp.shards {
-		parts = append(parts, sh.p.Table.TakePartialCensus())
+		parts = append(parts, sh.p.Classifier.PartialCensus())
 	}
 	return rib.MergeCensuses(parts...)
 }

@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
-	"time"
 
 	"instability"
-	"instability/internal/collector"
 	"instability/internal/core"
 	"instability/internal/workload"
 )
@@ -63,48 +61,6 @@ func TestParallelEquivalence(t *testing.T) {
 	}
 }
 
-// TestParallelEquivalenceFeedBatch drives the same comparison through
-// FeedBatch with day barriers placed by the feeder, exercising the batched
-// entry point with a caller-side buffer size that never divides evenly into
-// the pipeline's own batch size.
-func TestParallelEquivalenceFeedBatch(t *testing.T) {
-	cfg := equivalenceConfig(t)
-
-	serial := instability.NewPipeline()
-	if _, _, err := instability.RunScenario(cfg, serial); err != nil {
-		t.Fatal(err)
-	}
-
-	pp := instability.NewParallelPipeline(instability.ParallelConfig{Shards: 4, BatchSize: 37, Queue: 2})
-	defer pp.Close()
-	g, err := workload.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf []collector.Record
-	flush := func() {
-		pp.FeedBatch(buf)
-		buf = buf[:0]
-	}
-	g.Run(
-		func(rec collector.Record) {
-			// Copy: the generator reuses the day buffer backing array, and
-			// this buffer outlives the callback.
-			buf = append(buf, rec)
-			if len(buf) >= 100 {
-				flush()
-			}
-		},
-		func(day int, end time.Time) {
-			flush()
-			pp.EndDay(core.DateOf(end.Add(-time.Second)))
-		},
-	)
-	flush()
-	pp.Sync()
-	compareToSerial(t, serial, pp)
-}
-
 func compareToSerial(t *testing.T, serial *instability.Pipeline, pp *instability.ParallelPipeline) {
 	t.Helper()
 	if got, want := pp.Acc.TotalCounts(), serial.Acc.TotalCounts(); got != want {
@@ -120,11 +76,8 @@ func compareToSerial(t *testing.T, serial *instability.Pipeline, pp *instability
 	if got, want := pp.CensusByDay, serial.CensusByDay; !reflect.DeepEqual(got, want) {
 		t.Fatalf("CensusByDay: parallel %v, serial %v", got, want)
 	}
-	if got, want := pp.Census(), serial.Table.TakeCensus(); got != want {
+	if got, want := pp.Census(), serial.Census(); got != want {
 		t.Fatalf("final census: parallel %+v, serial %+v", got, want)
-	}
-	if got, want := pp.TotalActive(), serial.Classifier.TotalActive(); got != want {
-		t.Fatalf("TotalActive: parallel %d, serial %d", got, want)
 	}
 }
 
