@@ -529,9 +529,9 @@ func BenchmarkStoreIngest(b *testing.B) {
 
 // BenchmarkStoreQuery compares a full scan against an indexed query for a
 // single origin AS over the same sealed multi-segment store. The pushdown
-// sub-benchmark must decompress strictly fewer blocks — that is the point
-// of the per-segment indexes — and the reported blocks_decompressed metric
-// makes the difference visible in the bench output.
+// sub-benchmark must scan strictly fewer blocks — that is the point of the
+// per-segment indexes — and the reported blocks_scanned metric makes the
+// difference visible in the bench output.
 func BenchmarkStoreQuery(b *testing.B) {
 	recs := getStoreCampaign(b)
 	s, err := store.Open(b.TempDir(), store.Options{})
@@ -564,10 +564,10 @@ func BenchmarkStoreQuery(b *testing.B) {
 		}
 	}
 
-	run := func(b *testing.B, open func() (*store.Reader, error)) store.ScanStats {
+	run := func(b *testing.B, open func() (*store.Reader, error)) store.Explain {
 		b.Helper()
 		b.ReportAllocs()
-		var st store.ScanStats
+		var st store.Explain
 		var matched int
 		for i := 0; i < b.N; i++ {
 			r, err := open()
@@ -581,19 +581,19 @@ func BenchmarkStoreQuery(b *testing.B) {
 				}
 				matched++
 			}
-			st = r.Stats()
+			st = r.Explain()
 			r.Close()
 		}
 		if matched == 0 {
 			b.Fatal("query matched nothing")
 		}
-		b.ReportMetric(float64(st.BlocksScanned), "blocks_decompressed")
+		b.ReportMetric(float64(st.BlocksScanned), "blocks_scanned")
 		b.ReportMetric(float64(matched), "records_matched")
 		b.ReportMetric(float64(matched)*float64(b.N)/b.Elapsed().Seconds(), "records_per_sec")
 		return st
 	}
 
-	var full, pushed store.ScanStats
+	var full, pushed store.Explain
 	b.Run("FullScan", func(b *testing.B) {
 		full = run(b, func() (*store.Reader, error) { return s.Query(store.Query{}) })
 	})
@@ -603,7 +603,7 @@ func BenchmarkStoreQuery(b *testing.B) {
 		})
 	})
 	if full.BlocksScanned > 0 && pushed.BlocksScanned >= full.BlocksScanned {
-		b.Fatalf("pushdown decompressed %d blocks, full scan %d — index not helping",
+		b.Fatalf("pushdown scanned %d blocks, full scan %d — index not helping",
 			pushed.BlocksScanned, full.BlocksScanned)
 	}
 }

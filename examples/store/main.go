@@ -2,9 +2,9 @@
 // be: a month of synthetic exchange traffic is ingested into a
 // time-partitioned store, and a question the paper's workflow asks
 // constantly — "give me the pathological withdrawals from this peer in this
-// week" — is answered through the query API. The scan statistics show the
-// per-segment indexes doing their job: most of the store is never
-// decompressed.
+// week" — is answered through the query API. The query's EXPLAIN profile
+// shows the per-segment indexes doing their job: most of the store is never
+// read.
 package main
 
 import (
@@ -72,7 +72,7 @@ func main() {
 	}
 	st := s.Stats()
 	fmt.Printf("ingested %d records into %s\n", n, dir)
-	fmt.Printf("store: %d daily segments, %d compressed blocks\n\n", st.Segments, st.Blocks)
+	fmt.Printf("store: %d daily segments, %d column-coded blocks\n\n", st.Segments, st.Blocks)
 
 	var worst peerWeek
 	for pw, c := range wwdups {
@@ -85,7 +85,7 @@ func main() {
 
 	// Now answer it from the store: all withdrawals from that peer in that
 	// week. The time range prunes segments, the peer posting lists prune
-	// blocks, and only the surviving blocks are decompressed.
+	// blocks, and only the surviving blocks are read.
 	q := store.Query{
 		From:   worst.week,
 		To:     worst.week.AddDate(0, 0, 7),
@@ -113,13 +113,13 @@ func main() {
 		last = rec
 		matched++
 	}
-	scan := r.Stats()
+	scan := r.Explain()
 	fmt.Printf("\nquery: withdrawals from AS%d in [%s, %s)\n",
 		worst.peer, q.From.Format("2006-01-02"), q.To.Format("2006-01-02"))
 	fmt.Printf("  %d records matched\n", matched)
 	if matched > 0 {
 		fmt.Printf("  first: %v\n  last:  %v\n", first, last)
 	}
-	fmt.Printf("  pushdown: scanned %d of %d segments, decompressed %d of %d blocks\n",
+	fmt.Printf("  pushdown: scanned %d of %d segments, read %d of %d blocks\n",
 		scan.SegmentsScanned, scan.SegmentsTotal, scan.BlocksScanned, scan.BlocksTotal)
 }

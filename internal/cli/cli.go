@@ -6,10 +6,9 @@
 //
 // Three things are declared here once for all of them:
 //
-//   - the store flag group (-store, -seal-workers, -block-cache-bytes,
-//     -no-mmap, -chaos), which becomes a command's store.Options in one
-//     place; each command registers -store and only those of the rest it
-//     acts on;
+//   - the store flag group (-store, -block-cache-bytes, -no-mmap, -chaos),
+//     which becomes a command's store.Options in one place; each command
+//     registers -store and only those of the rest it acts on;
 //   - the observability flag group (-metrics-addr, -trace-sample);
 //   - the signal path: Main turns the first SIGINT or SIGTERM into the
 //     cancellation of the context the command runs under — a command holding
@@ -28,7 +27,6 @@ import (
 	"log"
 	"os"
 	"os/signal"
-	"runtime"
 	"syscall"
 
 	"instability/internal/collector"
@@ -108,32 +106,27 @@ func parse(fs *flag.FlagSet, args []string) error {
 // storeFlags is the store flag group: the one declaration of the store
 // flags, and the one place they become a store.Options.
 type storeFlags struct {
-	dir         string
-	sealWorkers int
-	blockCache  int64
-	noMmap      bool
-	chaos       string
-	plan        *faults.Plan // -chaos, parsed by check
+	dir        string
+	blockCache int64
+	noMmap     bool
+	chaos      string
+	plan       *faults.Plan // -chaos, parsed by check
 }
 
 // The store group's flags besides -store. A command registers those it acts
-// on; one it leaves out keeps its zero value — store-default seal workers,
-// block cache off, mmap on, no faults.
+// on; one it leaves out keeps its zero value — block cache off, mmap on, no
+// faults.
 const (
-	sealWorkersFlag = 1 << iota // -seal-workers: the command seals or compacts
-	blockCacheFlag              // -block-cache-bytes: the command queries
-	noMmapFlag                  // -no-mmap: the command reads segments
-	chaosFlag                   // -chaos: store I/O fault injection
+	blockCacheFlag = 1 << iota // -block-cache-bytes: the command queries
+	noMmapFlag                 // -no-mmap: the command reads segments
+	chaosFlag                  // -chaos: store I/O fault injection
 
-	allStoreFlags = sealWorkersFlag | blockCacheFlag | noMmapFlag | chaosFlag
+	allStoreFlags = blockCacheFlag | noMmapFlag | chaosFlag
 )
 
 func addStoreFlags(fs *flag.FlagSet, dirUsage string, which int) *storeFlags {
 	f := &storeFlags{}
 	fs.StringVar(&f.dir, "store", "", dirUsage)
-	if which&sealWorkersFlag != 0 {
-		fs.IntVar(&f.sealWorkers, "seal-workers", runtime.GOMAXPROCS(0), "block encode workers for seals and compactions (1 = serial; the sealed bytes are the same at any count)")
-	}
 	if which&blockCacheFlag != 0 {
 		fs.Int64Var(&f.blockCache, "block-cache-bytes", 32<<20, "byte budget of the shared parsed-block cache (0 = off)")
 	}
@@ -170,7 +163,7 @@ func (f *storeFlags) open(lg *log.Logger, base store.Options) (*store.Store, err
 		return nil, usagef("missing -store")
 	}
 	opts := base
-	opts.SealWorkers, opts.BlockCacheBytes, opts.NoMmap = f.sealWorkers, f.blockCache, f.noMmap
+	opts.BlockCacheBytes, opts.NoMmap = f.blockCache, f.noMmap
 	if f.plan != nil {
 		opts.FS = faults.NewInjector(faults.Disk{}, *f.plan)
 		lg.Printf("chaos: store I/O faulted with %q", f.chaos)

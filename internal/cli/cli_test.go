@@ -103,19 +103,25 @@ func TestUsageErrors(t *testing.T) {
 		{"bgpanalyze", []string{"-in", "a", "-chaos", "seed=1"}},
 		{"bgpcollect", []string{"-chaos", "bogus"}},
 		{"bgpcollect", []string{"-block-cache-bytes", "0"}},
+		{"bgpcollect", []string{"-seal-workers", "2"}},
 		{"bgpdump", []string{}},
 		{"bgpreplay", []string{}},
 		{"bgpreplay", []string{"-in", "a", "-chaos", "seed=1"}},
 		{"bgpreplay", []string{"-in", "a", "-parallel", "2"}},
+		{"bgpreplay", []string{"-in", "a", "-seal-workers", "2"}},
 		{"bgpserve", []string{"-no-such-flag"}},
 		{"bgpserve", []string{"-store", dir, "-chaos", "bogus=1"}},
 		{"bgpserve", []string{"-chaos", "seed=1"}},
 		{"bgpserve", []string{"-store", dir, "-workers", "2"}},
+		{"bgpserve", []string{"-store", dir, "-seal-workers", "2"}},
 		{"bgpsim", []string{"-scale", "huge"}},
 		{"bgpstore", []string{"vacuum"}},
 		{"bgpstore", []string{"query", "-store", dir, "-chaos", "bogus=1"}},
 		{"bgpstore", []string{"query", "-store", dir, "-parallel", "2"}},
 		{"bgpstore", []string{"query", "-store", dir, "-prefix", "0.0.0.0/0"}},
+		{"bgpstore", []string{"query", "-store", dir, "-scanstats"}},
+		{"bgpstore", []string{"ingest", "-store", dir, "-seal-workers", "2", "x.irtl.gz"}},
+		{"bgpstore", []string{"compact", "-store", dir, "-seal-workers", "2"}},
 		{"bgpstore", []string{"compact", "-store", dir, "-block-cache-bytes", "0"}},
 		{"bgpstore", []string{"stats", "-store", dir, "-metrics-addr", ":0"}},
 		{"experiments", []string{"-id", "fig99"}},

@@ -61,7 +61,7 @@ func Collect(ctx context.Context, args []string, stdout, stderr io.Writer) error
 		backoffMax  = fs.Duration("backoff-max", time.Minute, "redial delay cap")
 		chaosSpec   = fs.String("chaos", "", "fault dialed connections, e.g. seed=1,resetp=0.01,maxdelay=5ms")
 	)
-	sf := addStoreFlags(fs, "also write through to an irtlstore at this directory", sealWorkersFlag)
+	sf := addStoreFlags(fs, "also write through to an irtlstore at this directory", 0)
 	of := addObsFlags(fs).withTrace(fs, 0)
 	if err := parse(fs, args); err != nil {
 		return err

@@ -54,7 +54,7 @@ func Replay(ctx context.Context, args []string, stdout, stderr io.Writer) error 
 		stateless  = fs.Bool("stateless", false, "replay as the stateless vendor: withdrawals are sent even for never-advertised prefixes, reproducing the log's WWDups on the wire")
 		detectFlag = fs.Bool("detect", false, "classify the replayed records through the streaming anomaly detector and print its alerts at the end")
 	)
-	sf := addStoreFlags(fs, "replay from an irtlstore query instead of a log file", sealWorkersFlag|blockCacheFlag|noMmapFlag)
+	sf := addStoreFlags(fs, "replay from an irtlstore query instead of a log file", blockCacheFlag|noMmapFlag)
 	of := addObsFlags(fs).withTrace(fs, 0)
 	if err := parse(fs, args); err != nil {
 		return err

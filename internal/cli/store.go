@@ -26,8 +26,8 @@ import (
 //	bgpstore stats   -store db
 //
 // Query prints matching records in bgpdump-style lines (or writes a native
-// log with -out, which bgpanalyze and bgpreplay consume); -scanstats shows
-// how much of the store the index skipped, -explain the whole profile.
+// log with -out, which bgpanalyze and bgpreplay consume); -explain shows
+// how much of the store the index skipped and what the scan read.
 // Each subcommand takes the store and observability flags it acts on.
 func Store(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	subs := map[string]func(context.Context, *storeCmd) error{
@@ -140,7 +140,6 @@ func storeQuery(ctx context.Context, c *storeCmd) error {
 		out       = c.String("out", "", "write results as a native log instead of printing")
 		exchange  = c.String("exchange", "store", "exchange name for the -out log header")
 		countOnly = c.Bool("count", false, "print only the match count")
-		scanStats = c.Bool("scanstats", false, "print index pushdown statistics to stderr")
 		explain   = c.Bool("explain", false, "print the query's EXPLAIN profile to stderr after the scan")
 		limit     = c.Int("n", 0, "stop after this many records (0 = all)")
 	)
@@ -201,26 +200,19 @@ func storeQuery(ctx context.Context, c *storeCmd) error {
 	} else if *countOnly {
 		fmt.Fprintln(c.stdout, n)
 	}
-	if *scanStats {
-		st := r.Stats()
-		fmt.Fprintf(c.stderr, "segments %d/%d scanned, blocks %d/%d read, %d records decoded, %d matched\n",
-			st.SegmentsScanned, st.SegmentsTotal, st.BlocksScanned, st.BlocksTotal,
-			st.RecordsScanned+st.MemRecords, st.RecordsMatched)
-		fmt.Fprintf(c.stderr, "generation %d, segment-set fingerprint %016x\n",
-			s.Generation(), s.Stats().Fingerprint)
-		if st.BlocksQuarantined > 0 {
-			fmt.Fprintf(c.stderr, "WARNING: %d corrupt blocks quarantined (result is partial)\n", st.BlocksQuarantined)
-		}
-	}
+	ex := r.Explain()
 	if *explain {
-		fmt.Fprintln(c.stderr, r.Explain().String())
+		fmt.Fprintln(c.stderr, ex.String())
+	}
+	if ex.BlocksQuarantined > 0 {
+		fmt.Fprintf(c.stderr, "WARNING: %d corrupt blocks quarantined (result is partial)\n", ex.BlocksQuarantined)
 	}
 	return nil
 }
 
 func storeCompact(ctx context.Context, c *storeCmd) error {
 	// Compaction streams each input once and bypasses the block cache.
-	c.addStore(sealWorkersFlag | noMmapFlag | chaosFlag)
+	c.addStore(noMmapFlag | chaosFlag)
 	c.of = addObsFlags(c.FlagSet)
 	if err := c.parse(); err != nil {
 		return err

@@ -37,9 +37,9 @@ type routeState struct {
 	// compares, and the state holds no per-key copy of path or community
 	// slices.
 	last *intern.Handle
-	// lastEvent[c] is the time of the previous class-c event, for
+	// lastAt is the time of the previous event of any class, for
 	// inter-arrival analysis.
-	lastEvent [NumClasses]time.Time
+	lastAt time.Time
 }
 
 // Event is the classifier's verdict on one record.
@@ -50,9 +50,6 @@ type Event struct {
 	// whose other attributes (MED, communities, ...) differed — the paper's
 	// routing policy fluctuation.
 	PolicyShift bool
-	// SinceLast is the interval since the previous event of the same class
-	// for this (peer, prefix); zero for the first such event.
-	SinceLast time.Duration
 	// SinceAny is the interval since the previous event of any class for
 	// this (peer, prefix); zero for the first.
 	SinceAny time.Duration
@@ -151,19 +148,10 @@ func (c *Classifier) Classify(rec collector.Record) Event {
 	}
 
 	// Inter-arrival bookkeeping.
-	var lastAny time.Time
-	for i := range st.lastEvent {
-		if t := st.lastEvent[i]; !t.IsZero() && t.After(lastAny) {
-			lastAny = t
-		}
+	if !st.lastAt.IsZero() {
+		ev.SinceAny = rec.Time.Sub(st.lastAt)
 	}
-	if !lastAny.IsZero() {
-		ev.SinceAny = rec.Time.Sub(lastAny)
-	}
-	if t := st.lastEvent[ev.Class]; !t.IsZero() {
-		ev.SinceLast = rec.Time.Sub(t)
-	}
-	st.lastEvent[ev.Class] = rec.Time
+	st.lastAt = rec.Time
 	return ev
 }
 

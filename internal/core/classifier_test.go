@@ -167,16 +167,13 @@ func TestSessionRecordsIgnored(t *testing.T) {
 func TestInterArrivalTimes(t *testing.T) {
 	c := NewClassifier()
 	c.Classify(ann(t0, peerA, pfxX, attrs1()))
-	ev := c.Classify(ann(t0.Add(30*time.Second), peerA, pfxX, attrs1())) // AADup #1
-	if ev.SinceLast != 0 {
-		t.Fatalf("first AADup SinceLast %v", ev.SinceLast)
-	}
+	ev := c.Classify(ann(t0.Add(30*time.Second), peerA, pfxX, attrs1())) // AADup
 	if ev.SinceAny != 30*time.Second {
 		t.Fatalf("SinceAny %v", ev.SinceAny)
 	}
-	ev = c.Classify(ann(t0.Add(60*time.Second), peerA, pfxX, attrs1())) // AADup #2
-	if ev.SinceLast != 30*time.Second {
-		t.Fatalf("second AADup SinceLast %v", ev.SinceLast)
+	ev = c.Classify(wd(t0.Add(50*time.Second), peerA, pfxX)) // a withdrawal: any class counts
+	if ev.SinceAny != 20*time.Second {
+		t.Fatalf("SinceAny after a different class %v", ev.SinceAny)
 	}
 }
 

@@ -26,8 +26,8 @@ type refKey struct {
 
 type refRoute struct {
 	announced, ever bool
-	fwd, all        string // (NextHop, ASPATH) and every attribute, printed
-	last            [core.NumClasses]time.Time
+	fwd, all        string    // (NextHop, ASPATH) and every attribute, printed
+	last            time.Time // the previous event of any class
 }
 
 // plain prints attrs as the reference compares them. Nil and empty slices
@@ -69,19 +69,10 @@ func (r reference) classify(rec collector.Record) core.Event {
 		}
 		st.announced = false
 	}
-	var latest time.Time
-	for _, t := range st.last {
-		if t.After(latest) {
-			latest = t
-		}
+	if !st.last.IsZero() {
+		ev.SinceAny = rec.Time.Sub(st.last)
 	}
-	if !latest.IsZero() {
-		ev.SinceAny = rec.Time.Sub(latest)
-	}
-	if t := st.last[ev.Class]; !t.IsZero() {
-		ev.SinceLast = rec.Time.Sub(t)
-	}
-	st.last[ev.Class] = rec.Time
+	st.last = rec.Time
 	return ev
 }
 
@@ -98,14 +89,13 @@ func (r reference) activeByPeer() map[core.PeerKey]int {
 // verdictsDiffer compares one record's two verdicts on everything but the
 // record they both carry.
 func verdictsDiffer(i int, rec collector.Record, got, want core.Event) error {
-	if got.Class == want.Class && got.PolicyShift == want.PolicyShift &&
-		got.SinceLast == want.SinceLast && got.SinceAny == want.SinceAny {
+	if got.Class == want.Class && got.PolicyShift == want.PolicyShift && got.SinceAny == want.SinceAny {
 		return nil
 	}
-	return fmt.Errorf("record %d (%v peer %v %v): classifier %v shift=%t last=%v any=%v, reference %v shift=%t last=%v any=%v",
+	return fmt.Errorf("record %d (%v peer %v %v): classifier %v shift=%t any=%v, reference %v shift=%t any=%v",
 		i, rec.Type, core.PeerKeyOf(rec), rec.Prefix,
-		got.Class, got.PolicyShift, got.SinceLast, got.SinceAny,
-		want.Class, want.PolicyShift, want.SinceLast, want.SinceAny)
+		got.Class, got.PolicyShift, got.SinceAny,
+		want.Class, want.PolicyShift, want.SinceAny)
 }
 
 // differ feeds recs to a fresh classifier and a fresh reference and reports

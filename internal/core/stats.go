@@ -79,8 +79,8 @@ type DayStats struct {
 	ByPeer map[PeerKey]*PeerDay
 	// ByPrefixAS tallies per-Prefix+AS class counts.
 	ByPrefixAS map[PrefixAS]*[NumClasses]int
-	// InterArrival histograms the same-class inter-arrival times observed
-	// this day.
+	// InterArrival histograms, by each event's class, the time since the
+	// route's previous update of any class (Event.SinceAny), this day.
 	InterArrival [NumClasses][NumBins]int
 
 	// PeerTable and TotalTable snapshot each peer's announced-route count at

@@ -137,10 +137,6 @@ type Config struct {
 	// origin for it is treated as a MOAS conflict rather than a
 	// legitimate new origination (default 24h).
 	EstablishAge time.Duration
-	// OnAlert, when set, observes every closed alert as it is emitted
-	// (alert-log persistence, live endpoints). Called from Advance or
-	// Finish, on the feeder goroutine, in deterministic order.
-	OnAlert func(Alert)
 }
 
 func (c Config) withDefaults() Config {
@@ -554,9 +550,6 @@ func (d *Detector) closeAlert(k Key, b *baseline) {
 	sp := obs.StartSpan("detect_alert")
 	sp.Add(act.records)
 	sp.End()
-	if d.cfg.OnAlert != nil {
-		d.cfg.OnAlert(a)
-	}
 }
 
 // Advance finalizes every window that ends at or before now, evaluating

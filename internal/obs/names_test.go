@@ -65,7 +65,6 @@ func TestMetricNamesPublished(t *testing.T) {
 		// Write path: background seal pipeline stages and backpressure.
 		"irtl_store_seal_seconds",
 		"irtl_store_seal_active",
-		"irtl_store_seal_workers",
 		"irtl_store_seal_stall_seconds",
 		"irtl_store_seal_sort_seconds",
 		"irtl_store_seal_write_seconds",

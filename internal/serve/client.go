@@ -71,7 +71,7 @@ func newRemoteReader(body io.ReadCloser, sp *obs.TraceSpan) *RemoteReader {
 }
 
 // Next returns the next record, io.EOF at the clean end of the stream. After
-// io.EOF, Stats and Generation report the server's scan accounting.
+// io.EOF, Explain and Generation report the server's scan accounting.
 func (r *RemoteReader) Next() (collector.Record, error) {
 	for {
 		if r.err != nil {
@@ -131,30 +131,22 @@ func (r *RemoteReader) Next() (collector.Record, error) {
 	}
 }
 
-// Stats returns the server-side scan accounting; valid after io.EOF.
-func (r *RemoteReader) Stats() store.ScanStats {
-	if r.end == nil {
-		return store.ScanStats{}
-	}
-	return r.end.Stats
-}
-
 // Generation returns the store generation the result was computed under;
 // valid after io.EOF.
 func (r *RemoteReader) Generation() uint64 {
 	if r.end == nil {
 		return 0
 	}
-	return r.end.Generation
+	return r.end.Explain.Generation
 }
 
 // Explain returns the server-side query profile, or nil before the end frame
-// arrives (or when talking to a server that does not send one).
+// arrives.
 func (r *RemoteReader) Explain() *store.Explain {
 	if r.end == nil {
 		return nil
 	}
-	return r.end.Explain
+	return &r.end.Explain
 }
 
 // Close releases the response and finishes the remote_query span.

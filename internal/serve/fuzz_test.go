@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"instability/internal/collector"
+	"instability/internal/store"
 )
 
 // irtqBody encodes recs as the server sends them: batches, then the end
@@ -24,7 +25,7 @@ func irtqBody(tb testing.TB, recs []collector.Record, serr error) []byte {
 			tb.Fatal(err)
 		}
 	}
-	enc.end(wireEnd{Records: len(recs), Generation: 7}, serr)
+	enc.end(wireEnd{Records: len(recs), Explain: store.Explain{Generation: 7}}, serr)
 	if err := bw.Flush(); err != nil {
 		tb.Fatal(err)
 	}

@@ -232,7 +232,7 @@ func (s *Server) handleRecords(ctx context.Context, w http.ResponseWriter, r *ht
 	ssp.Finish()
 	prof.addStage("scan", time.Since(ts))
 
-	enc.end(wireEnd{Records: sent, Generation: ex.Generation, Stats: rd.Stats(), Explain: &ex}, serr)
+	enc.end(wireEnd{Records: sent, Explain: ex}, serr)
 	if err = bw.Flush(); err == nil {
 		// What the response writer still holds goes out under a deadline too.
 		rc.SetWriteDeadline(time.Now().Add(s.opts.writeTimeout))
@@ -397,36 +397,30 @@ func validKind(kind string) bool {
 	return false
 }
 
-// Statz is the /v1/statz document.
+// Statz is the /v1/statz document. Store carries the store's generation and
+// its block cache; the Cache fields describe the aggregate result cache.
 type Statz struct {
-	Store          store.Stats `json:"store"`
-	Generation     uint64      `json:"generation"`
-	ActiveSessions int64       `json:"active_sessions"`
-	QueueDepth     int64       `json:"queue_depth"`
-	CacheHits      uint64      `json:"cache_hits"`
-	CacheMisses    uint64      `json:"cache_misses"`
-	CacheEvictions uint64      `json:"cache_evictions"`
-	CacheBytes     int64       `json:"cache_bytes"`
-	// BlockCache is the store's shared decompressed-block cache (distinct
-	// from the aggregate result cache the fields above describe).
-	BlockCache    store.BlockCacheStats `json:"block_cache"`
-	Quotas        string                `json:"quotas"`
-	RecentQueries []QueryProfile        `json:"recent_queries,omitempty"`
+	Store          store.Stats    `json:"store"`
+	ActiveSessions int64          `json:"active_sessions"`
+	QueueDepth     int64          `json:"queue_depth"`
+	CacheHits      uint64         `json:"cache_hits"`
+	CacheMisses    uint64         `json:"cache_misses"`
+	CacheEvictions uint64         `json:"cache_evictions"`
+	CacheBytes     int64          `json:"cache_bytes"`
+	Quotas         string         `json:"quotas"`
+	RecentQueries  []QueryProfile `json:"recent_queries,omitempty"`
 }
 
 func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
 	hits, misses, evictions, bytes := s.cache.counts()
-	st := s.st.Stats()
 	doc := Statz{
-		Store:          st,
-		Generation:     s.generation(),
+		Store:          s.st.Stats(),
 		ActiveSessions: s.ActiveSessions(),
 		QueueDepth:     s.adm.queueDepth(),
 		CacheHits:      hits,
 		CacheMisses:    misses,
 		CacheEvictions: evictions,
 		CacheBytes:     bytes,
-		BlockCache:     st.BlockCache,
 		Quotas:         quotasString(s.opts.Quotas, s.opts.DefaultQuota),
 		RecentQueries:  s.profiles.recent(),
 	}

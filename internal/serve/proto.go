@@ -20,11 +20,11 @@ import (
 // zero or more frameBatch frames — a uvarint record count followed by that
 // many records in the store's wire codec (store.AppendRecordWire), so a
 // remote result is bit-identical to a local one — terminated by one frameEnd
-// carrying the scan stats, or by one frameError when the stream stopped
-// short. A request refused before its stream starts gets an HTTP status and
-// a JSON wireError body, as on every endpoint. Batching amortizes the frame
-// header and the write: a dashboard-sized result is a handful of writes, not
-// one per record.
+// carrying the record count and the scan's store.Explain, or by one
+// frameError when the stream stopped short. A request refused before its
+// stream starts gets an HTTP status and a JSON wireError body, as on every
+// endpoint. Batching amortizes the frame header and the write: a
+// dashboard-sized result is a handful of writes, not one per record.
 const (
 	irtqType = "application/x-irtq"
 
@@ -50,13 +50,11 @@ const (
 	codeInternal = "internal"
 )
 
-// wireEnd is the frameEnd payload: the result is complete and these are its
-// scan economics.
+// wireEnd is the frameEnd payload: the result is complete, and Explain is
+// what its scan read, generation included.
 type wireEnd struct {
-	Records    int             `json:"records"`
-	Generation uint64          `json:"generation"`
-	Stats      store.ScanStats `json:"stats"`
-	Explain    *store.Explain  `json:"explain,omitempty"`
+	Records int           `json:"records"`
+	Explain store.Explain `json:"explain"`
 }
 
 // wireError is the frameError payload and the JSON body of a refused request.

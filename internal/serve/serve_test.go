@@ -106,8 +106,9 @@ func wireBytes(tb testing.TB, recs []collector.Record) []byte {
 	return b
 }
 
-// localQuery runs the embedded query the server's answers must match.
-func localQuery(tb testing.TB, s *store.Store, spec QuerySpec) []collector.Record {
+// localQuery runs the embedded query the server's answers must match, and
+// returns its records and its EXPLAIN profile.
+func localQuery(tb testing.TB, s *store.Store, spec QuerySpec) ([]collector.Record, store.Explain) {
 	tb.Helper()
 	q, err := spec.Parse()
 	if err != nil {
@@ -122,7 +123,7 @@ func localQuery(tb testing.TB, s *store.Store, spec QuerySpec) []collector.Recor
 	for {
 		rec, err := r.Next()
 		if err != nil {
-			return recs
+			return recs, r.Explain()
 		}
 		recs = append(recs, rec)
 	}
@@ -146,8 +147,9 @@ func drainRemote(tb testing.TB, rr *RemoteReader) []collector.Record {
 
 // TestServeEndToEnd is the acceptance test: N tenants hammer the server
 // concurrently over both protocols and every result is bit-identical to the
-// embedded store query; aggregates hit the cache on repeat and are
-// invalidated when the segment set changes.
+// embedded store query, its IRTQ EXPLAIN profile equal to the embedded one
+// (the block cache is off, so every scan reads alike); aggregates hit the
+// cache on repeat and are invalidated when the segment set changes.
 func TestServeEndToEnd(t *testing.T) {
 	const nrecs = 900
 	st := newTestStore(t, nrecs, store.Options{})
@@ -167,10 +169,12 @@ func TestServeEndToEnd(t *testing.T) {
 	}
 	want := make([][]byte, len(specs))
 	wantN := make([]int, len(specs))
+	wantEx := make([]store.Explain, len(specs))
 	for i, spec := range specs {
-		recs := localQuery(t, st, spec)
+		recs, ex := localQuery(t, st, spec)
 		want[i] = wireBytes(t, recs)
 		wantN[i] = len(recs)
+		wantEx[i] = ex
 	}
 	if wantN[0] != nrecs || wantN[1] == 0 || wantN[2] == 0 || wantN[3] == 0 || wantN[4] == 0 {
 		t.Fatalf("degenerate fixtures: local match counts %v", wantN)
@@ -199,8 +203,8 @@ func TestServeEndToEnd(t *testing.T) {
 				if rr.Generation() != gen {
 					t.Errorf("binary query %d: generation %d, want %d", i, rr.Generation(), gen)
 				}
-				if rr.Stats().RecordsMatched != wantN[i] {
-					t.Errorf("binary query %d: stats matched %d, want %d", i, rr.Stats().RecordsMatched, wantN[i])
+				if ex := rr.Explain(); ex == nil || *ex != wantEx[i] {
+					t.Errorf("binary query %d: remote explain %+v, embedded %+v", i, ex, wantEx[i])
 				}
 
 				hrecs, err := c.QueryHTTP(spec)
@@ -288,7 +292,7 @@ func TestServeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stz.Generation != st.Generation() || stz.Store.Records == 0 {
+	if stz.Store.Generation != st.Generation() || stz.Store.Records == 0 {
 		t.Fatalf("statz = %+v", stz)
 	}
 }
@@ -737,7 +741,7 @@ func TestMidScanFailureIsReported(t *testing.T) {
 		Window:       30 * 24 * time.Hour,
 		BlockRecords: 16,
 	})
-	want := localQuery(t, st, QuerySpec{})
+	want, _ := localQuery(t, st, QuerySpec{})
 	srv := startServer(t, Options{Store: st})
 	c := &Client{Addr: srv.Addr().String()}
 

@@ -229,21 +229,20 @@ func BenchmarkColumnarFilter(b *testing.B) {
 }
 
 // BenchmarkStoreSeal measures pure seal throughput — memtable to sealed,
-// indexed segments — at one worker (the pre-pipeline serial write path) and
-// at eight. The output bytes are identical at any worker count (pinned by
+// indexed segments — at GOMAXPROCS 1 (one block-encode worker) and 8. The
+// output bytes are identical at any worker count (pinned by
 // TestSealedBytesIdenticalAcrossWorkers), so records/sec is the whole story:
-// block encoding and deflate dominate a seal, and they parallelize across
-// blocks.
+// v3 block encoding — dictionary builds and code columns — dominates a seal,
+// and it parallelizes across blocks.
 func BenchmarkStoreSeal(b *testing.B) {
 	recs := hourlyWorkload(4, 2000)
 	for _, workers := range []int{1, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				opts := testOptions()
-				opts.SealWorkers = workers
-				s, err := Open(b.TempDir(), opts)
+				s, err := Open(b.TempDir(), testOptions())
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -273,11 +272,11 @@ func BenchmarkIngestToSealed(b *testing.B) {
 	recs := hourlyWorkload(4, 4000)
 	for _, workers := range []int{1, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				opts := testOptions()
-				opts.SealWorkers = workers
 				opts.AutoSealRecords = 2048
 				opts.FlushEvery = 256
 				s, err := Open(b.TempDir(), opts)

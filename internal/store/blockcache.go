@@ -3,8 +3,8 @@ package store
 import "instability/internal/lru"
 
 // blockCache is the store-wide cache of parsed segment blocks (colBlock in
-// its owning form), shared by every reader — serial scans, parallel scan
-// workers, and compaction-adjacent queries all hit the same entries. It is
+// its owning form), shared by every reader of the store, so concurrent
+// queries hit the same entries. It is
 // the shared load-once LRU (internal/lru) keyed by (segment fingerprint,
 // block index) and priced by decoded size: segments are immutable, so an
 // entry can never be stale — compaction retires a segment's entries
@@ -84,7 +84,7 @@ func (c *blockCache) stats() BlockCacheStats {
 		UsedBytes:   st.Used,
 		Entries:     st.Entries,
 		// A lookup that joined another reader's in-flight load was served
-		// without touching disk: it is a hit here, as in ScanStats.
+		// without touching disk: it is a hit here, as in Explain.
 		Hits:      st.Hits + st.Shared,
 		Misses:    st.Loads,
 		Evictions: st.Evictions,

@@ -95,7 +95,7 @@ func (s *Store) mergeWindowLocked(window int64, gs []*segment) (*segment, error)
 		// instead and leaves the inputs in place. The merge also bypasses
 		// the block cache (cache left nil): a full rewrite would evict the
 		// query working set for blocks that are about to be retired anyway.
-		ss, err := s.openScanLocked(g, &Query{}, blocks, &m.stats)
+		ss, err := s.openScanLocked(g, &Query{}, blocks, &m.ex)
 		if err != nil {
 			return nil, err
 		}

@@ -7,65 +7,53 @@ import (
 	"instability/internal/obs"
 )
 
-// Explain is the per-query EXPLAIN profile: what the index pruned, what the
-// scan actually read, and what came back — the attribution layer between "a
-// query ran" (irtl_store_queries_total) and "this query was slow". It rides
-// on the query's trace span, the serve plane's slow-query log and
-// /v1/statz recent-queries, and `bgpstore query -explain`.
+// Explain is the per-query EXPLAIN profile and the only account of what a
+// query read: what the index pruned, what the scan actually read, and what
+// came back — the attribution layer between "a query ran"
+// (irtl_store_queries_total) and "this query was slow", and what makes
+// predicate pushdown measurable: a filtered query over a multi-segment store
+// should show BlocksScanned well below BlocksTotal. The streams note each
+// block into it as they fetch it. It rides on the query's trace span, the
+// IRTQ end frame, the serve plane's slow-query log and /v1/statz
+// recent-queries, and `bgpstore query -explain`.
 type Explain struct {
-	Generation        uint64 `json:"generation"`
+	Generation        uint64 `json:"generation"` // store generation at the snapshot
 	SegmentsTotal     int    `json:"segments_total"`
-	SegmentsScanned   int    `json:"segments_scanned"`
+	SegmentsScanned   int    `json:"segments_scanned"` // not skipped by segment-level pruning
 	SegmentsPruned    int    `json:"segments_pruned"`
 	BlocksTotal       int    `json:"blocks_total"`
-	BlocksSelected    int    `json:"blocks_selected"`
+	BlocksSelected    int    `json:"blocks_selected"` // candidates the per-block index kept
 	BlocksPruned      int    `json:"blocks_pruned"`
-	BlocksScanned     int    `json:"blocks_scanned"`
-	BlocksCacheHit    int    `json:"blocks_cache_hit"`
-	BlocksCacheMiss   int    `json:"blocks_cache_miss"`
-	BlocksQuarantined int    `json:"blocks_quarantined,omitempty"`
+	BlocksScanned     int    `json:"blocks_scanned"`               // fetched, from disk or cache
+	BlocksCacheHit    int    `json:"blocks_cache_hit"`             // zero with the cache off
+	BlocksCacheMiss   int    `json:"blocks_cache_miss"`            // zero with the cache off
+	BlocksQuarantined int    `json:"blocks_quarantined,omitempty"` // corrupt, skipped: the result is partial
 	BlocksV1          int    `json:"blocks_v1,omitempty"`
 	BlocksV2          int    `json:"blocks_v2,omitempty"`
 	BlocksV3          int    `json:"blocks_v3,omitempty"`
-	RecordsScanned    int    `json:"records_scanned"`
+	RecordsScanned    int    `json:"records_scanned"` // records the scanned blocks hold
 	// RecordsMaterialized is how many record structs the columnar kernels
 	// actually built; RecordsScanned - RecordsMaterialized rows were filtered
 	// out at the column level without ever becoming records.
 	RecordsMaterialized int   `json:"records_materialized"`
 	RecordsMatched      int   `json:"records_matched"`
-	MemRecords          int   `json:"mem_records,omitempty"`
-	BytesReadDisk       int64 `json:"bytes_read_disk"`
-	BytesDecompressed   int64 `json:"bytes_decompressed"`
-	BytesFromCache      int64 `json:"bytes_from_cache"`
+	MemRecords          int   `json:"mem_records,omitempty"` // unsealed records considered
+	BytesReadDisk       int64 `json:"bytes_read_disk"`       // stored bytes read from files or mappings
+	// BytesDecompressed is what the fetches had to expand before they could
+	// scan: the inflated size of a legacy block; of a v3 block only the
+	// timestamp column (deltas to 8-byte values) — nothing is inflated, and
+	// types and codes are scanned where they were read.
+	BytesDecompressed int64 `json:"bytes_decompressed"`
+	BytesFromCache    int64 `json:"bytes_from_cache"`
 }
 
 // Explain returns the query's EXPLAIN profile from the accounting gathered
 // so far; final once the reader hits io.EOF (or is closed).
 func (r *Reader) Explain() Explain {
-	st := r.stats
-	return Explain{
-		Generation:          r.gen,
-		SegmentsTotal:       st.SegmentsTotal,
-		SegmentsScanned:     st.SegmentsScanned,
-		SegmentsPruned:      st.SegmentsTotal - st.SegmentsScanned,
-		BlocksTotal:         st.BlocksTotal,
-		BlocksSelected:      st.BlocksSelected,
-		BlocksPruned:        st.BlocksTotal - st.BlocksSelected,
-		BlocksScanned:       st.BlocksScanned,
-		BlocksCacheHit:      st.BlocksCacheHit,
-		BlocksCacheMiss:     st.BlocksCacheMiss,
-		BlocksQuarantined:   st.BlocksQuarantined,
-		BlocksV1:            st.BlocksV1,
-		BlocksV2:            st.BlocksV2,
-		BlocksV3:            st.BlocksV3,
-		RecordsScanned:      st.RecordsScanned,
-		RecordsMaterialized: st.RecordsMaterialized,
-		RecordsMatched:      st.RecordsMatched,
-		MemRecords:          st.MemRecords,
-		BytesReadDisk:       st.BytesReadDisk,
-		BytesDecompressed:   st.BytesDecompressed,
-		BytesFromCache:      st.BytesFromCache,
-	}
+	ex := r.ex
+	ex.SegmentsPruned = ex.SegmentsTotal - ex.SegmentsScanned
+	ex.BlocksPruned = ex.BlocksTotal - ex.BlocksSelected
+	return ex
 }
 
 // String renders the profile for the CLI (`bgpstore query -explain`).

@@ -222,7 +222,7 @@ func corruptBlock(t *testing.T, g *segment, bi int) {
 
 // TestQuarantineCorruptBlock is the acceptance test for degraded reads: a
 // query over a store with one bit-rotted sealed block must return every
-// other block's records, count the skipped block in ScanStats and in the
+// other block's records, count the skipped block in its Explain and in the
 // irtl_store_quarantined_blocks process counter, and report no error.
 func TestQuarantineCorruptBlock(t *testing.T) {
 	// The reader scans blocks serially, on one worker; the subtest keeps the
@@ -251,7 +251,7 @@ func TestQuarantineCorruptBlock(t *testing.T) {
 		if err != nil {
 			t.Fatalf("query over corrupt block must not fail: %v", err)
 		}
-		st := r.Stats()
+		st := r.Explain()
 		r.Close()
 		if len(recs) != n-lost {
 			t.Fatalf("got %d records, want %d (all but the corrupt block's %d)", len(recs), n-lost, lost)

@@ -29,8 +29,6 @@ var (
 		"Segments produced by seals.")
 	obsSealActive = obs.Default().Gauge("irtl_store_seal_active",
 		"Whether a background seal batch is in flight (0 or 1).")
-	obsSealWorkers = obs.Default().Gauge("irtl_store_seal_workers",
-		"Block encode workers configured for seals and compactions.")
 	obsSealStallSeconds = obs.Default().Histogram("irtl_store_seal_stall_seconds",
 		"Time an append stalled on seal backpressure (ingest a full threshold ahead).", nil)
 	obsSealSortSeconds = obs.Default().Histogram("irtl_store_seal_sort_seconds",
@@ -93,17 +91,17 @@ var (
 		"Corrupt segment blocks skipped (quarantined) by queries instead of failing the scan.")
 )
 
-// publishScanStats folds one finished query's pushdown accounting into the
+// publishExplain folds one finished query's pushdown accounting into the
 // process counters, so skip ratios are visible live, not only per query.
-func publishScanStats(st ScanStats) {
-	obsQuerySegments.Add(int64(st.SegmentsTotal))
-	obsQuerySegmentsScanned.Add(int64(st.SegmentsScanned))
-	obsQueryBlocks.Add(int64(st.BlocksTotal))
-	obsQueryBlocksScanned.Add(int64(st.BlocksScanned))
-	obsQueryRecordsScanned.Add(int64(st.RecordsScanned + st.MemRecords))
-	obsQueryRecordsMaterialized.Add(int64(st.RecordsMaterialized))
-	obsQueryRecordsMatched.Add(int64(st.RecordsMatched))
-	obsQueryBytesRead.Add(st.BytesReadDisk)
-	obsQueryBytesDecompressed.Add(st.BytesDecompressed)
-	obsQueryBytesFromCache.Add(st.BytesFromCache)
+func publishExplain(e *Explain) {
+	obsQuerySegments.Add(int64(e.SegmentsTotal))
+	obsQuerySegmentsScanned.Add(int64(e.SegmentsScanned))
+	obsQueryBlocks.Add(int64(e.BlocksTotal))
+	obsQueryBlocksScanned.Add(int64(e.BlocksScanned))
+	obsQueryRecordsScanned.Add(int64(e.RecordsScanned + e.MemRecords))
+	obsQueryRecordsMaterialized.Add(int64(e.RecordsMaterialized))
+	obsQueryRecordsMatched.Add(int64(e.RecordsMatched))
+	obsQueryBytesRead.Add(e.BytesReadDisk)
+	obsQueryBytesDecompressed.Add(e.BytesDecompressed)
+	obsQueryBytesFromCache.Add(e.BytesFromCache)
 }

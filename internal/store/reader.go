@@ -12,37 +12,6 @@ import (
 	"instability/internal/obs"
 )
 
-// ScanStats reports how much work a query actually did, making predicate
-// pushdown measurable: a filtered query over a multi-segment store should
-// show BlocksScanned (fetched) well below BlocksTotal.
-type ScanStats struct {
-	SegmentsTotal     int // sealed segments in the store at query time
-	SegmentsScanned   int // segments not skipped by segment-level pruning
-	BlocksTotal       int // blocks across all segments
-	BlocksSelected    int // blocks the per-block index selected as candidates
-	BlocksScanned     int // blocks actually scanned (from disk or cache)
-	BlocksCacheHit    int // scanned blocks served from the shared block cache
-	BlocksCacheMiss   int // scanned blocks the cache had to load from disk
-	BlocksQuarantined int // corrupt blocks skipped instead of failing the scan
-	BlocksV1          int // scanned blocks in v1 (inline-attr) format
-	BlocksV2          int // scanned blocks in v2 (dictionary) format
-	BlocksV3          int // scanned blocks in v3 (column-coded) format
-	RecordsScanned    int // records the scanned blocks hold
-	// RecordsMaterialized counts record structs actually constructed by the
-	// columnar kernels — rows that survived the column filters. The gap to
-	// RecordsScanned is work the columnar scan skipped.
-	RecordsMaterialized int
-	RecordsMatched      int   // records that satisfied the full predicate
-	MemRecords          int   // unsealed records considered from the memtable
-	BytesReadDisk       int64 // stored bytes read from files or mappings
-	// BytesDecompressed is what this query's fetches had to expand before
-	// they could scan: the inflated size of a legacy block; of a v3 block
-	// only the timestamp column (deltas to 8-byte values) — nothing is
-	// inflated, and types and codes are scanned where they were read.
-	BytesDecompressed int64
-	BytesFromCache    int64 // block bytes served from the block cache
-}
-
 // Reader streams the result of a Query in timestamp order. It implements
 // collector.RecordReader, so query results plug directly into the
 // classifier pipeline and the replay tool.
@@ -53,7 +22,6 @@ type Reader struct {
 	ri     int                // next row of run to return
 	err    error              // sticky terminal scan error
 	closed bool
-	gen    uint64         // store generation at query time
 	span   *obs.TraceSpan // "store_scan" child of the request trace; nil when untraced
 }
 
@@ -112,20 +80,20 @@ func (s *Store) QueryCtx(ctx context.Context, q Query) (*Reader, error) {
 func (s *Store) snapshot(r *Reader) ([]collector.Record, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	r.gen = s.Generation()
-	r.stats.SegmentsTotal = len(s.segs)
+	r.ex.Generation = s.Generation()
+	r.ex.SegmentsTotal = len(s.segs)
 	for _, g := range s.segs {
-		r.stats.BlocksTotal += len(g.index.blocks)
+		r.ex.BlocksTotal += len(g.index.blocks)
 		blocks, scan := g.candidateBlocks(r.q)
 		if !scan {
 			continue
 		}
-		r.stats.SegmentsScanned++
+		r.ex.SegmentsScanned++
 		if len(blocks) == 0 {
 			continue
 		}
-		r.stats.BlocksSelected += len(blocks)
-		ss, err := s.openScanLocked(g, &r.q, blocks, &r.stats)
+		r.ex.BlocksSelected += len(blocks)
+		ss, err := s.openScanLocked(g, &r.q, blocks, &r.ex)
 		if err != nil {
 			return nil, err
 		}
@@ -133,7 +101,7 @@ func (s *Store) snapshot(r *Reader) ([]collector.Record, error) {
 		ss.span = segmentSpan(r.span, g, len(blocks))
 		r.add(&ss.cursor, ss)
 	}
-	return s.memSnapshotLocked(&r.q, &r.stats), nil
+	return s.memSnapshotLocked(&r.q, &r.ex), nil
 }
 
 // Next returns the next matching record, io.EOF at the end of the result.
@@ -148,7 +116,7 @@ func (r *Reader) Next() (collector.Record, error) {
 			rec := &r.run[r.ri]
 			r.ri++
 			if r.q.matches(rec) {
-				r.stats.RecordsMatched++
+				r.ex.RecordsMatched++
 				return *rec, nil
 			}
 		}
@@ -180,10 +148,6 @@ func (r *Reader) ReadAll() ([]collector.Record, error) {
 	}
 }
 
-// Stats returns the scan counters accumulated so far; final after the
-// reader returns io.EOF.
-func (r *Reader) Stats() ScanStats { return r.stats }
-
 // Close releases the reader's segment references, publishes the query's
 // pushdown accounting to the process metrics, and — when the query runs
 // inside a trace — finishes the "store_scan" span with the EXPLAIN profile
@@ -195,7 +159,7 @@ func (r *Reader) Close() error {
 	r.closed = true
 	r.run = nil
 	r.closeStreams()
-	publishScanStats(r.stats)
+	publishExplain(&r.ex)
 	if r.span != nil {
 		r.Explain().annotate(r.span)
 		r.span.SetError(r.err)
@@ -205,17 +169,17 @@ func (r *Reader) Close() error {
 }
 
 // memSnapshotLocked copies the unsealed records matching q, in append order,
-// counting every considered record into stats.MemRecords. Unsealed means the
+// counting every considered record into ex.MemRecords. Unsealed means the
 // live memtable plus any windows a background seal has detached but not yet
 // published: a record stays query-visible through every stage of the seal
 // pipeline, flipping from this overlay to the sealed segment under the same
 // lock hold. Detached records precede live ones of the same window, so the
 // caller's stable sort reproduces append order on timestamp ties exactly as
 // when both halves lived in one memtable slice.
-func (s *Store) memSnapshotLocked(q *Query, stats *ScanStats) []collector.Record {
+func (s *Store) memSnapshotLocked(q *Query, ex *Explain) []collector.Record {
 	var mem []collector.Record
 	add := func(recs []collector.Record) {
-		stats.MemRecords += len(recs)
+		ex.MemRecords += len(recs)
 		for i := range recs {
 			if q.matches(&recs[i]) {
 				mem = append(mem, recs[i])
@@ -277,32 +241,32 @@ func (g *segment) candidateBlocks(q Query) (blocks []int, scan bool) {
 // on cache-off scans. n is the number of records the block's columnar filter
 // materialized: 0 for a block a dictionary probe rejected, which was still
 // fetched and counts as scanned.
-func (st *ScanStats) noteBlock(g *segment, bi int, hit, cached bool, n int) {
+func (e *Explain) noteBlock(g *segment, bi int, hit, cached bool, n int) {
 	bm := g.index.blocks[bi]
-	st.BlocksScanned++
-	st.RecordsScanned += int(bm.count)
-	st.RecordsMaterialized += n
+	e.BlocksScanned++
+	e.RecordsScanned += int(bm.count)
+	e.RecordsMaterialized += n
 	if hit {
-		st.BlocksCacheHit++
-		st.BytesFromCache += int64(bm.ulen)
+		e.BlocksCacheHit++
+		e.BytesFromCache += int64(bm.ulen)
 	} else {
 		if cached {
-			st.BlocksCacheMiss++
+			e.BlocksCacheMiss++
 		}
-		st.BytesReadDisk += int64(bm.clen)
+		e.BytesReadDisk += int64(bm.clen)
 		if g.ver < segVersionV3 {
-			st.BytesDecompressed += int64(bm.ulen)
+			e.BytesDecompressed += int64(bm.ulen)
 		} else {
-			st.BytesDecompressed += 8 * int64(bm.count)
+			e.BytesDecompressed += 8 * int64(bm.count)
 		}
 	}
 	switch g.ver {
 	case segVersionV1:
-		st.BlocksV1++
+		e.BlocksV1++
 	case segVersionV2:
-		st.BlocksV2++
+		e.BlocksV2++
 	default:
-		st.BlocksV3++
+		e.BlocksV3++
 	}
 }
 
@@ -387,7 +351,7 @@ func (c *cursor) runEnd(d *cursor) int {
 // compaction) cost one heap operation per block and none per row.
 type merge struct {
 	streams []*cursor // min-heap by (t, order) once primed
-	stats   ScanStats // what the streams scanned, noted as each block is fetched
+	ex      Explain   // what the streams scanned, noted as each block is fetched
 }
 
 func (m *merge) add(c *cursor, src stream) {
@@ -509,7 +473,7 @@ type segStream struct {
 	// block while rewriting segments would turn detectable damage into
 	// permanent record loss.
 	quarantine bool
-	stats      *ScanStats
+	ex         *Explain
 	span       *obs.TraceSpan // per-segment trace span; nil when untraced
 }
 
@@ -517,8 +481,8 @@ type segStream struct {
 // reference a scan reads by — the mapping when the segment has one, whose
 // refcount keeps compaction from unmapping under the scan, else a file of
 // its own.
-func (s *Store) openScanLocked(g *segment, q *Query, blocks []int, stats *ScanStats) (*segStream, error) {
-	ss := &segStream{seg: g, mm: g.mm, q: q, blocks: blocks, stats: stats}
+func (s *Store) openScanLocked(g *segment, q *Query, blocks []int, ex *Explain) (*segStream, error) {
+	ss := &segStream{seg: g, mm: g.mm, q: q, blocks: blocks, ex: ex}
 	ss.order = g.seq
 	if g.mm == nil {
 		f, err := s.fs.Open(g.path)
@@ -546,11 +510,11 @@ func (ss *segStream) next() (bool, error) {
 				return false, fmt.Errorf("segment %s: %w", ss.seg.path, err)
 			}
 			quarantineBlock(ss.seg.path, bi, err)
-			ss.stats.BlocksQuarantined++
+			ss.ex.BlocksQuarantined++
 			ss.span.AnnotateInt("quarantined_block", int64(bi))
 			continue
 		}
-		ss.stats.noteBlock(ss.seg, bi, hit, ss.cache != nil, len(recs))
+		ss.ex.noteBlock(ss.seg, bi, hit, ss.cache != nil, len(recs))
 		if ss.load(recs) {
 			return true, nil
 		}

@@ -153,7 +153,7 @@ func TestReadPathEquivalence(t *testing.T) {
 	}
 }
 
-// TestBlockCacheHitAccounting asserts the Explain/ScanStats split: a cold
+// TestBlockCacheHitAccounting asserts the Explain cache/disk split: a cold
 // query reads from disk and misses; an identical warm query is served from
 // the cache byte-for-byte, with zero disk reads and zero decompression.
 func TestBlockCacheHitAccounting(t *testing.T) {

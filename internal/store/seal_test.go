@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -41,17 +42,17 @@ func readSegmentFiles(t *testing.T, dir string) map[string][]byte {
 }
 
 // TestSealedBytesIdenticalAcrossWorkers pins the parallel seal contract:
-// segment files written with one block-compression worker and with eight are
-// byte-for-byte identical, through both the seal and the compaction (merge
-// rewrite) paths. Everything downstream — fingerprints, caches, replication
-// by rsync — is allowed to assume worker count never shows in the bytes.
+// segment files written at GOMAXPROCS 1 (one block-encode worker) and at 8
+// are byte-for-byte identical, through both the seal and the compaction
+// (merge rewrite) paths. Everything downstream — fingerprints, caches,
+// replication by rsync — is allowed to assume worker count never shows in
+// the bytes.
 func TestSealedBytesIdenticalAcrossWorkers(t *testing.T) {
 	recs := hourlyWorkload(3, 400)
 	build := func(workers int) map[string][]byte {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 		dir := t.TempDir()
-		opts := testOptions()
-		opts.SealWorkers = workers
-		s, err := Open(dir, opts)
+		s, err := Open(dir, testOptions())
 		if err != nil {
 			t.Fatal(err)
 		}

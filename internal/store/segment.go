@@ -7,6 +7,7 @@ import (
 	"hash/fnv"
 	"io"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -71,11 +72,11 @@ func segName(seq uint64) string { return fmt.Sprintf("%s%08d%s", segPrefix, seq,
 // in dir. The write is crash-safe: the file is assembled under a .tmp name
 // and renamed into place.
 //
-// Block encoding fans out across opts.SealWorkers goroutines: blocks are
-// independent (each carries its own dictionaries), so the encode runs
-// concurrently and the blocks are stitched back in order. The output is
-// byte-identical at any worker count — each block's
-// bytes depend only on its own records, exactly as in the serial loop.
+// Block encoding fans out across GOMAXPROCS goroutines, each claiming the
+// next unencoded block: blocks are independent (each carries its own
+// dictionaries), so they encode concurrently and are stitched back in order.
+// The output is byte-identical at any GOMAXPROCS — each block's bytes depend
+// only on its own records — and GOMAXPROCS=1 serializes the encode.
 func writeSegment(fsys faults.FS, dir string, seq uint64, windowStart int64, firstSeq uint64, recs []collector.Record, replaces []uint64, opts Options) (*segment, error) {
 	if len(recs) == 0 {
 		return nil, fmt.Errorf("store: sealing empty segment")
@@ -83,53 +84,35 @@ func writeSegment(fsys faults.FS, dir string, seq uint64, windowStart int64, fir
 	const version = segVersionV3
 	nBlocks := (len(recs) + opts.BlockRecords - 1) / opts.BlockRecords
 	encoded := make([]encodedBlock, nBlocks)
-	workers := opts.SealWorkers
-	if workers > nBlocks {
-		workers = nBlocks
-	}
-	if workers <= 1 {
-		sc := getSealScratch()
-		for bi := range encoded {
-			start := bi * opts.BlockRecords
-			end := min(start+opts.BlockRecords, len(recs))
-			encoded[bi] = encodeSegmentBlock(sc, recs[start:end])
-			if encoded[bi].err != nil {
-				putSealScratch(sc)
-				return nil, encoded[bi].err
-			}
-		}
-		putSealScratch(sc)
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				sc := getSealScratch()
-				defer putSealScratch(sc)
-				for {
-					bi := int(next.Add(1)) - 1
-					if bi >= nBlocks {
-						return
-					}
-					start := bi * opts.BlockRecords
-					end := min(start+opts.BlockRecords, len(recs))
-					encoded[bi] = encodeSegmentBlock(sc, recs[start:end])
+	workers := min(runtime.GOMAXPROCS(0), nBlocks)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			sc := getSealScratch()
+			defer putSealScratch(sc)
+			for {
+				bi := int(next.Add(1)) - 1
+				if bi >= nBlocks {
+					return
 				}
-			}()
-		}
-		wg.Wait()
-		for bi := range encoded {
-			if encoded[bi].err != nil {
-				return nil, encoded[bi].err
+				start := bi * opts.BlockRecords
+				end := min(start+opts.BlockRecords, len(recs))
+				encoded[bi] = encodeSegmentBlock(sc, recs[start:end])
 			}
+		}()
+	}
+	wg.Wait()
+	for bi := range encoded {
+		if encoded[bi].err != nil {
+			return nil, encoded[bi].err
 		}
 	}
 
-	// Stitch: blocks in submission order, then the index — built serially
-	// from the raw records so posting lists and the bloom filter fold in the
-	// same order the serial loop used.
+	// Stitch: blocks in order, then the index — built serially from the raw
+	// records so posting lists and the bloom filter fold in block order.
 	ix := &segIndex{
 		peers:   make(postings),
 		origins: make(postings),

@@ -23,13 +23,7 @@ type SidecarLog struct {
 // OpenSidecarLog opens (creating if absent) the sidecar log at path,
 // truncating any torn or corrupt tail.
 func OpenSidecarLog(path string) (*SidecarLog, error) {
-	return OpenSidecarLogFS(faults.Disk{}, path)
-}
-
-// OpenSidecarLogFS is OpenSidecarLog through an explicit filesystem (fault
-// injection tests).
-func OpenSidecarLogFS(fsys faults.FS, path string) (*SidecarLog, error) {
-	log, err := openFrameLog(fsys, path, nil)
+	log, err := openFrameLog(faults.Disk{}, path, nil)
 	if err != nil {
 		return nil, err
 	}

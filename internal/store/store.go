@@ -42,8 +42,9 @@
 // A Query carries time range, peer AS, origin AS, prefix, and record type
 // predicates. The reader skips whole segments by time range, posting lists,
 // and the prefix bloom filter, then skips individual blocks the same way;
-// only surviving blocks are fetched. ScanStats reports exactly how much
-// work was avoided, so pushdown wins are measurable rather than asserted.
+// only surviving blocks are fetched. Each reader's Explain reports exactly
+// how much work was avoided, so pushdown wins are measurable rather than
+// asserted.
 package store
 
 import (
@@ -51,7 +52,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"path/filepath"
-	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -94,11 +94,6 @@ type Options struct {
 	// the store reads through an injected filesystem (Options.FS not the
 	// real disk) or the platform has no mmap support.
 	NoMmap bool
-	// SealWorkers is the number of goroutines that encode segment blocks
-	// during seals and compactions. Blocks are independent, so
-	// the sealed bytes are identical at any worker count; only the wall time
-	// changes. Defaults to GOMAXPROCS; 1 forces the serial path.
-	SealWorkers int
 	// FS is the filesystem the store performs all I/O through. Nil means
 	// the real disk; tests and chaos runs install a faults.Injector to
 	// exercise write errors, torn writes, fsync failures, crashes, and
@@ -119,9 +114,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.FS == nil {
 		o.FS = faults.Disk{}
-	}
-	if o.SealWorkers <= 0 {
-		o.SealWorkers = runtime.GOMAXPROCS(0)
 	}
 	return o
 }
@@ -287,7 +279,6 @@ func Open(dir string, opts Options) (*Store, error) {
 		return nil, err
 	}
 	s.gen.Store(s.nextSeg)
-	obsSealWorkers.SetInt(int64(opts.SealWorkers))
 	obsSegments.SetInt(int64(len(s.segs)))
 	obsMemRecords.SetInt(int64(s.memN))
 	obsWALBytes.SetInt(s.wal.size())
@@ -415,9 +406,6 @@ func sortSegments(segs []*segment) {
 
 // Writer returns the ingest half of the store.
 func (s *Store) Writer() *Writer { return &s.writer }
-
-// Dir returns the store directory.
-func (s *Store) Dir() string { return s.dir }
 
 // windowStart aligns t down to the store's partition width.
 func (s *Store) windowStart(t time.Time) int64 {

@@ -69,7 +69,7 @@ func assertSameRecords(t *testing.T, got, want []collector.Record) {
 	}
 }
 
-func queryAll(t *testing.T, s *Store, q Query) ([]collector.Record, ScanStats) {
+func queryAll(t *testing.T, s *Store, q Query) ([]collector.Record, Explain) {
 	t.Helper()
 	r, err := s.Query(q)
 	if err != nil {
@@ -80,7 +80,7 @@ func queryAll(t *testing.T, s *Store, q Query) ([]collector.Record, ScanStats) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return recs, r.Stats()
+	return recs, r.Explain()
 }
 
 func testOptions() Options {
@@ -595,8 +595,8 @@ func TestStatsShape(t *testing.T) {
 		st.MemRecords != 0 || st.DiskBytes == 0 || st.WALBytes != 0 {
 		t.Fatalf("unexpected stats %+v", st)
 	}
-	if got := s.WindowOf(recs[0].Time); got != time.Date(1996, 3, 1, 0, 0, 0, 0, time.UTC) {
-		t.Fatalf("WindowOf = %v", got)
+	if got := s.windowStart(recs[0].Time); got != time.Date(1996, 3, 1, 0, 0, 0, 0, time.UTC).UnixNano() {
+		t.Fatalf("windowStart = %v", time.Unix(0, got).UTC())
 	}
 	_ = fmt.Sprintf("%+v", st)
 }

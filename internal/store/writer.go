@@ -498,9 +498,3 @@ func (w *Writer) Count() int64 {
 	defer w.s.mu.Unlock()
 	return w.appended
 }
-
-// windowOf is a small helper for callers that want to know which partition a
-// timestamp lands in (used by stats displays).
-func (s *Store) WindowOf(t time.Time) time.Time {
-	return time.Unix(0, s.windowStart(t)).UTC()
-}
