@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"instability"
-	"instability/internal/collector"
 	"instability/internal/core"
 	"instability/internal/detect"
 	"instability/internal/obs"
@@ -35,24 +34,20 @@ var analyzeIDs = []string{"summary", "table1", "fig2", "fig3", "fig4", "fig5", "
 //	bgpanalyze -remote localhost:1791 -from 1996-05-01 -to 1996-06-01 -id fig6
 //	bgpanalyze -in attack.irtl.gz -detect -truth truth.json -alert-log alerts.log
 //
-// With -store the input is an irtlstore query: the slice to classify is
-// selected by the store's indexes (time window, peer AS, origin AS, prefix)
-// instead of rescanning a flat log. With -remote the same query runs against
-// a bgpserve instance, whose /v1/records streams the records back as IRTQ
-// frames in the store's wire codec, so the classification is bit-identical to
-// opening the store locally. Classification is sharded -parallel ways; the
-// statistics are the same at any setting.
+// The query flags (time window, peer AS, origin AS, prefix) select the slice
+// to classify from any of the three sources, with the same answer from each.
+// With -in every record of the log is tested; with -store the store's
+// indexes skip what the slice does not need. With -remote the query runs
+// against a bgpserve instance, whose /v1/records streams the records back as
+// IRTQ frames in the store's wire codec, so the classification is
+// bit-identical to opening the store locally. Classification is sharded
+// -parallel ways; the statistics are the same at any setting.
 func Analyze(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fs, lg := setup("bgpanalyze", stderr)
 	var (
 		in         = fs.String("in", "", "input log file")
 		remote     = fs.String("remote", "", "analyze a query against a bgpserve instance (host:port) instead of a local store")
 		token      = fs.String("token", "", "API token for -remote (identifies the tenant for quotas)")
-		from       = fs.String("from", "", "store query: start time (inclusive)")
-		to         = fs.String("to", "", "store query: end time (exclusive)")
-		peers      = fs.String("peer", "", "store query: comma-separated peer AS list")
-		origins    = fs.String("origin", "", "store query: comma-separated origin AS list")
-		prefix     = fs.String("prefix", "", "store query: exact prefix (CIDR)")
 		id         = fs.String("id", "summary", "what to print: summary, table1, fig2..fig10, all")
 		day        = fs.String("day", "", "day for table1 (YYYY-MM-DD, default: busiest)")
 		parallel   = fs.Int("parallel", runtime.GOMAXPROCS(0), "classifier shards")
@@ -60,6 +55,7 @@ func Analyze(ctx context.Context, args []string, stdout, stderr io.Writer) error
 		truthFile  = fs.String("truth", "", "ground-truth intervals (JSON, from bgpsim -truth-out) to score -detect alerts against")
 		alertLog   = fs.String("alert-log", "", "append -detect alerts to this sidecar log (served by bgpserve /v1/alerts)")
 	)
+	spec := addQueryFlags(fs, originFlag)
 	sf := addStoreFlags(fs, "analyze an irtlstore query instead of a log file", blockCacheFlag|noMmapFlag)
 	of := addObsFlags(fs).withTrace(fs, 0)
 	if err := parse(fs, args); err != nil {
@@ -80,17 +76,13 @@ func Analyze(ctx context.Context, args []string, stdout, stderr io.Writer) error
 	if *id != "all" && !slices.Contains(analyzeIDs, *id) {
 		return usagef("unknown -id %q", *id)
 	}
-	q, err := store.ParseQuery(*from, *to, *peers, *origins, *prefix, "")
-	if err != nil {
-		return usageError{err: err}
-	}
-	var table1Day core.Date
+	figs := figureInputs{fig5Seed: 1}
 	if *day != "" {
 		t, err := time.Parse("2006-01-02", *day)
 		if err != nil {
 			return usagef("bad -day %q: %v", *day, err)
 		}
-		table1Day = core.DateOf(t)
+		figs.table1Day = core.DateOf(t)
 	}
 	stopObs, err := of.start(lg)
 	if err != nil {
@@ -103,18 +95,11 @@ func Analyze(ctx context.Context, args []string, stdout, stderr io.Writer) error
 	ctx, finish := of.root(ctx, "bgpanalyze")
 	defer finish()
 
-	var (
-		r            collector.RecordReader
-		exchangeName string
-		source       = *in + sf.dir + *remote // exactly one is set
-	)
+	var rc *serve.Client
 	if *remote != "" {
-		c := &serve.Client{Addr: *remote, Token: *token}
-		r, err = c.QueryCtx(ctx, serve.QuerySpec{From: *from, To: *to, Peer: *peers, Origin: *origins, Prefix: *prefix})
-		exchangeName = "remote"
-	} else {
-		r, exchangeName, err = openRecords(ctx, lg, *in, sf, q)
+		rc = &serve.Client{Addr: *remote, Token: *token}
 	}
+	r, exchangeName, err := openRecords(ctx, lg, *in, sf, rc, *spec)
 	if err != nil {
 		return err
 	}
@@ -140,7 +125,7 @@ func Analyze(ctx context.Context, args []string, stdout, stderr io.Writer) error
 	span.Add(int64(n))
 	span.End()
 	acc := pp.Acc
-	fmt.Fprintf(stdout, "classified %d records from %s (%s)\n", n, source, exchangeName)
+	fmt.Fprintf(stdout, "classified %d records from %s (%s)\n", n, *in+sf.dir+*remote, exchangeName)
 	printIntern(stdout)
 	fmt.Fprintln(stdout)
 
@@ -150,34 +135,16 @@ func Analyze(ctx context.Context, args []string, stdout, stderr io.Writer) error
 		}
 	}
 	if *day == "" {
-		table1Day = busiestDay(acc)
+		figs.table1Day = busiestDay(acc)
+	}
+	if dates := acc.Dates(); len(dates) > 7 {
+		figs.fig4Week = dates[len(dates)/2]
 	}
 	show := func(id string) {
-		switch id {
-		case "summary":
+		if id == "summary" {
 			printSummary(stdout, acc, pp.Census())
-		case "table1":
-			fmt.Fprintln(stdout, report.Table1(acc, table1Day))
-		case "fig2":
-			fmt.Fprintln(stdout, report.Fig2(acc))
-		case "fig3":
-			fmt.Fprintln(stdout, report.Fig3(acc, nil))
-		case "fig4":
-			if dates := acc.Dates(); len(dates) > 7 {
-				fmt.Fprintln(stdout, report.Fig4(acc, dates[len(dates)/2]))
-			}
-		case "fig5":
-			fmt.Fprintln(stdout, report.Fig5(acc, 1))
-		case "fig6":
-			fmt.Fprintln(stdout, report.Fig6(acc))
-		case "fig7":
-			fmt.Fprintln(stdout, report.Fig7(acc))
-		case "fig8":
-			fmt.Fprintln(stdout, report.Fig8(acc))
-		case "fig9":
-			fmt.Fprintln(stdout, report.Fig9(acc, nil))
-		case "fig10":
-			fmt.Fprintln(stdout, report.Fig10(pp.CensusByDay))
+		} else {
+			printFigure(stdout, id, acc, pp.CensusByDay, figs)
 		}
 	}
 	if *id != "all" {
@@ -189,6 +156,44 @@ func Analyze(ctx context.Context, args []string, stdout, stderr io.Writer) error
 		fmt.Fprintln(stdout)
 	}
 	return nil
+}
+
+// figureInputs are what the paper's figures take besides the classified
+// stream: the inputs bgpanalyze and experiments choose differently.
+type figureInputs struct {
+	table1Day core.Date          // Table 1's day
+	outages   map[core.Date]bool // days Figs 3 and 9 leave out
+	fig4Week  core.Date          // first day of Fig 4's week; zero prints no Fig 4
+	fig5Seed  int64              // Fig 5's seed
+}
+
+// printFigure prints Table 1 or one of Figs 2–10, named by id, from the
+// accumulator and the routing-table census of each day.
+func printFigure(w io.Writer, id string, acc *core.Accumulator, censusByDay map[core.Date]rib.Census, in figureInputs) {
+	switch id {
+	case "table1":
+		fmt.Fprintln(w, report.Table1(acc, in.table1Day))
+	case "fig2":
+		fmt.Fprintln(w, report.Fig2(acc))
+	case "fig3":
+		fmt.Fprintln(w, report.Fig3(acc, in.outages))
+	case "fig4":
+		if in.fig4Week != 0 {
+			fmt.Fprintln(w, report.Fig4(acc, in.fig4Week))
+		}
+	case "fig5":
+		fmt.Fprintln(w, report.Fig5(acc, in.fig5Seed))
+	case "fig6":
+		fmt.Fprintln(w, report.Fig6(acc))
+	case "fig7":
+		fmt.Fprintln(w, report.Fig7(acc))
+	case "fig8":
+		fmt.Fprintln(w, report.Fig8(acc))
+	case "fig9":
+		fmt.Fprintln(w, report.Fig9(acc, in.outages))
+	case "fig10":
+		fmt.Fprintln(w, report.Fig10(censusByDay))
+	}
 }
 
 // reportAlerts prints the detector's alert stream and, when asked, appends

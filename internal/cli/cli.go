@@ -4,11 +4,14 @@
 // commands run in-process under test: TestReadme executes the README's
 // recipes through them, line by line.
 //
-// Three things are declared here once for all of them:
+// Four things are declared here once for all of them:
 //
 //   - the store flag group (-store, -block-cache-bytes, -no-mmap, -chaos),
 //     which becomes a command's store.Options in one place; each command
 //     registers -store and only those of the rest it acts on;
+//   - the query flag group (-from, -to, -peer, -origin, -prefix, -type),
+//     which becomes one store.Query, applied by openRecords alike to a log,
+//     a store or a server, so the three give the same records;
 //   - the observability flag group (-metrics-addr, -trace-sample);
 //   - the signal path: Main turns the first SIGINT or SIGTERM into the
 //     cancellation of the context the command runs under — a command holding
@@ -33,6 +36,7 @@ import (
 	"instability/internal/faults"
 	"instability/internal/intern"
 	"instability/internal/obs"
+	"instability/internal/serve"
 	"instability/internal/store"
 )
 
@@ -224,17 +228,60 @@ func finishing(ctx context.Context, lg *log.Logger, step string) (done func() bo
 	return context.AfterFunc(ctx, func() { lg.Printf("interrupted: finishing %s (again to abort)", step) })
 }
 
-// openRecords opens what a command reads: the log at path when it is set,
-// else query q over the store at -store, the store staying open until the
-// reader is closed. It also returns the log's exchange name ("MRT" for an MRT
-// file), or "store".
-func openRecords(ctx context.Context, lg *log.Logger, path string, sf *storeFlags, q store.Query) (collector.RecordReader, string, error) {
-	if path != "" {
-		r, exchange, err := collector.OpenAny(path)
+// The query group's flags besides -from, -to, -peer and -prefix, which every
+// command that selects records takes.
+const (
+	originFlag = 1 << iota // -origin
+	typeFlag               // -type
+)
+
+// addQueryFlags declares the query flag group, the one declaration of the
+// query flags. They fill a serve.QuerySpec, the spelling a server is sent,
+// which openRecords parses once into the store.Query every source is read
+// with.
+func addQueryFlags(fs *flag.FlagSet, which int) *serve.QuerySpec {
+	spec := &serve.QuerySpec{}
+	fs.StringVar(&spec.From, "from", "", `start time (inclusive): RFC3339 or "YYYY-MM-DD[ HH:MM[:SS]]"`)
+	fs.StringVar(&spec.To, "to", "", "end time (exclusive)")
+	fs.StringVar(&spec.Peer, "peer", "", "comma-separated peer AS list")
+	fs.StringVar(&spec.Prefix, "prefix", "", "exact prefix (CIDR)")
+	if which&originFlag != 0 {
+		fs.StringVar(&spec.Origin, "origin", "", "comma-separated origin AS list (announcements only)")
+	}
+	if which&typeFlag != 0 {
+		fs.StringVar(&spec.Type, "type", "", "comma-separated record types: A,W,UP,DOWN")
+	}
+	return spec
+}
+
+// openRecords opens what a command reads, selected by spec: the log at in
+// when it is set, else the server rc when it is set, else the store at
+// -store, which stays open until the reader is closed. A log is read through
+// the store's own predicate, so all three give the same records. It also
+// returns the log's exchange name ("MRT" for an MRT file), "remote" or
+// "store". A spec that does not parse is a usage error, found before any
+// source is opened.
+func openRecords(ctx context.Context, lg *log.Logger, in string, sf *storeFlags, rc *serve.Client, spec serve.QuerySpec) (collector.RecordReader, string, error) {
+	q, err := spec.Parse()
+	if err != nil {
+		return nil, "", usageError{err: err}
+	}
+	switch {
+	case in != "":
+		r, exchange, err := collector.OpenAny(in)
+		if err != nil {
+			return nil, "", err
+		}
 		if exchange == "" {
 			exchange = "MRT"
 		}
-		return r, exchange, err
+		return filtered{r, q.Matches}, exchange, nil
+	case rc != nil:
+		r, err := rc.QueryCtx(ctx, spec)
+		if err != nil {
+			return nil, "", err
+		}
+		return r, "remote", nil
 	}
 	s, err := sf.open(lg, store.Options{})
 	if err != nil {
@@ -246,6 +293,21 @@ func openRecords(ctx context.Context, lg *log.Logger, path string, sf *storeFlag
 		return nil, "", err
 	}
 	return storeReader{r, s}, "store", nil
+}
+
+// filtered reads the records of a reader that keep accepts.
+type filtered struct {
+	collector.RecordReader
+	keep func(*collector.Record) bool
+}
+
+func (f filtered) Next() (collector.Record, error) {
+	for {
+		rec, err := f.RecordReader.Next()
+		if err != nil || f.keep(&rec) {
+			return rec, err
+		}
+	}
 }
 
 // storeReader keeps the store open for the life of the query reader.

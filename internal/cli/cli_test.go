@@ -14,6 +14,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -102,6 +103,8 @@ func TestUsageErrors(t *testing.T) {
 		{"bgpanalyze", []string{"-in", "a", "-store", "b"}},
 		{"bgpanalyze", []string{"-in", "a", "-chaos", "seed=1"}},
 		{"bgpcollect", []string{"-chaos", "bogus"}},
+		{"bgpcollect", []string{"-chaos", "resetp=NaN"}},
+		{"bgpcollect", []string{"-chaos", "maxdelay=-5ms"}},
 		{"bgpcollect", []string{"-block-cache-bytes", "0"}},
 		{"bgpcollect", []string{"-seal-workers", "2"}},
 		{"bgpdump", []string{}},
@@ -117,6 +120,7 @@ func TestUsageErrors(t *testing.T) {
 		{"bgpsim", []string{"-scale", "huge"}},
 		{"bgpstore", []string{"vacuum"}},
 		{"bgpstore", []string{"query", "-store", dir, "-chaos", "bogus=1"}},
+		{"bgpstore", []string{"query", "-store", dir, "-chaos", "writeerr=7"}},
 		{"bgpstore", []string{"query", "-store", dir, "-parallel", "2"}},
 		{"bgpstore", []string{"query", "-store", dir, "-prefix", "0.0.0.0/0"}},
 		{"bgpstore", []string{"query", "-store", dir, "-scanstats"}},
@@ -276,8 +280,8 @@ var readmeSkips = map[string]string{
 //   - readmeSkips names the lines it does not run; any other line fails it.
 //
 // Then it checks what the README says about the results: every log a
-// command wrote reads back whole, a remote analysis prints what the same
-// local one does, and every counted query found something.
+// command wrote reads back whole, an analysis prints the same over a log, a
+// store and a server, and every counted query found something.
 func TestReadme(t *testing.T) {
 	blocks := readmeBlocks(t)
 	wd, err := os.Getwd()
@@ -296,7 +300,7 @@ func TestReadme(t *testing.T) {
 		}
 	}
 	r.checkLogs()
-	r.checkRemote()
+	r.checkSources()
 	r.checkCounts()
 }
 
@@ -462,8 +466,8 @@ func (r *readmeRun) curl(line string, args []string) {
 }
 
 // checkLogs: every log a command reports writing ("wrote N records … to F",
-// "logged N records to F") is read back whole by the commands that read it
-// ("F: N records", "classified N records from F").
+// "logged N records to F") is read back whole by the commands that read all
+// of it ("F: N records", "classified N records from F" with no query flag).
 func (r *readmeRun) checkLogs() {
 	written := map[string]string{}
 	wrote := regexp.MustCompile(`(?m)^(?:wrote|logged) (\d+) records (?:\(.*\) )?to (\S+?)(?: in \S+)?$`)
@@ -475,6 +479,11 @@ func (r *readmeRun) checkLogs() {
 	}
 	checked := 0
 	for _, c := range r.ran {
+		if slices.ContainsFunc(c.args, func(a string) bool {
+			return slices.Contains([]string{"-from", "-to", "-peer", "-origin", "-prefix", "-type"}, a)
+		}) {
+			continue // a slice of the log
+		}
 		for _, m := range read.FindAllStringSubmatch(c.stdout, -1) {
 			file, n := m[1]+m[4], m[2]+m[3]
 			if w, ok := written[file]; ok {
@@ -491,11 +500,10 @@ func (r *readmeRun) checkLogs() {
 	}
 }
 
-// checkRemote: bgpanalyze -remote prints, after its header, exactly what
-// bgpanalyze -store prints for the same query.
-func (r *readmeRun) checkRemote() {
-	type pair struct{ local, remote *ran }
-	byQuery := map[string]*pair{}
+// checkSources: bgpanalyze prints, after its header, the same for one query
+// whether it reads a log (-in), a store (-store) or a server (-remote).
+func (r *readmeRun) checkSources() {
+	byQuery := map[string]map[string]*ran{} // query -> source flag -> run
 	for i := range r.ran {
 		c := &r.ran[i]
 		if c.name != "bgpanalyze" {
@@ -505,7 +513,7 @@ func (r *readmeRun) checkRemote() {
 		kind := ""
 		for a := 0; a < len(c.args); a++ {
 			switch c.args[a] {
-			case "-store", "-remote":
+			case "-in", "-store", "-remote":
 				kind = c.args[a]
 				a++
 			case "-trace-sample":
@@ -514,33 +522,35 @@ func (r *readmeRun) checkRemote() {
 				query = append(query, c.args[a])
 			}
 		}
-		p := byQuery[strings.Join(query, " ")]
-		if p == nil {
-			p = &pair{}
-			byQuery[strings.Join(query, " ")] = p
+		q := strings.Join(query, " ")
+		if byQuery[q] == nil {
+			byQuery[q] = map[string]*ran{}
 		}
-		switch kind {
-		case "-store":
-			p.local = c
-		case "-remote":
-			p.remote = c
-		}
+		byQuery[q][kind] = c
 	}
-	compared := 0
-	for q, p := range byQuery {
-		if p.local == nil || p.remote == nil {
+	compared, all := 0, 0
+	for q, runs := range byQuery {
+		if len(runs) < 2 {
 			continue
 		}
 		compared++
-		_, local, _ := strings.Cut(p.local.stdout, "\n\n")
-		_, remote, _ := strings.Cut(p.remote.stdout, "\n\n")
-		if local == "" || local != remote {
-			r.t.Errorf("bgpanalyze %s: -remote printed\n%s\n-store printed\n%s", q, remote, local)
+		if len(runs) == 3 {
+			all++
+		}
+		var want, wantKind string
+		for kind, c := range runs {
+			_, got, _ := strings.Cut(c.stdout, "\n\n")
+			if want == "" {
+				want, wantKind = got, kind
+			}
+			if got == "" || got != want {
+				r.t.Errorf("bgpanalyze %s: %s printed\n%s\n%s printed\n%s", q, kind, got, wantKind, want)
+			}
 		}
 	}
-	r.t.Logf("%d remote analyses checked against local ones", compared)
-	if compared == 0 {
-		r.t.Error("no bgpanalyze query runs both -store and -remote; the recipes changed shape")
+	r.t.Logf("%d analyses checked across sources, %d across all three", compared, all)
+	if all == 0 {
+		r.t.Error("no bgpanalyze query runs over -in, -store and -remote alike; the recipes changed shape")
 	}
 }
 

@@ -360,9 +360,10 @@ func runSession(lg *log.Logger, conn net.Conn, cfg session.Config, write func(co
 }
 
 // parseConnChaos parses the -chaos spec into a per-connection wrapper.
-// Keys: seed (base RNG seed), resetp (per-op spontaneous close probability),
-// maxdelay (uniform random pre-op delay). The per-connection salt keeps
-// every dialed conn on its own deterministic schedule.
+// Keys: seed (base RNG seed), resetp (per-op spontaneous close probability,
+// in [0,1]), maxdelay (uniform random pre-op delay, not negative). The
+// per-connection salt keeps every dialed conn on its own deterministic
+// schedule.
 func parseConnChaos(spec string) (func(c net.Conn, salt int64) net.Conn, error) {
 	if strings.TrimSpace(spec) == "" {
 		return nil, nil
@@ -391,6 +392,9 @@ func parseConnChaos(spec string) (func(c net.Conn, salt int64) net.Conn, error) 
 		if err != nil {
 			return nil, fmt.Errorf("bad -chaos value %q: %v", kv, err)
 		}
+	}
+	if !(resetP >= 0 && resetP <= 1) || maxDelay < 0 { // a NaN fails the first
+		return nil, fmt.Errorf("bad -chaos %q: resetp must be in [0,1] and maxdelay not negative", spec)
 	}
 	return func(c net.Conn, salt int64) net.Conn {
 		return faults.NewConn(c, seed^salt, resetP, maxDelay)

@@ -102,49 +102,31 @@ func Experiments(ctx context.Context, args []string, stdout, stderr io.Writer) e
 			report.FormatCount(stats.Records), gen.Routes(), time.Since(start).Round(time.Millisecond))
 	}
 
-	floodDay := core.DateOf(cfg.Start)
-	outages := map[core.Date]bool{}
+	// Table 1 is the flood day, Figs 3 and 9 leave out the outage days, and
+	// Fig 4 is a calm, complete mid-campaign week starting on a Saturday.
+	figs := figureInputs{table1Day: core.DateOf(cfg.Start), outages: map[core.Date]bool{}, fig5Seed: cfg.Seed}
 	for _, inc := range cfg.Incidents {
 		switch inc.Kind {
 		case workload.PathologicalFlood:
-			floodDay = core.DateOf(cfg.Start) + core.Date(inc.Day)
+			figs.table1Day = core.DateOf(cfg.Start) + core.Date(inc.Day)
 		case workload.CollectorOutage:
 			for d := 0; d < max(inc.Days, 1); d++ {
-				outages[core.DateOf(cfg.Start)+core.Date(inc.Day+d)] = true
+				figs.outages[core.DateOf(cfg.Start)+core.Date(inc.Day+d)] = true
 			}
+		}
+	}
+	if p != nil {
+		dates := p.Acc.Dates()
+		figs.fig4Week = dates[len(dates)/2]
+		for figs.fig4Week.Weekday() != time.Saturday {
+			figs.fig4Week++
 		}
 	}
 
 	run := func(name string) error {
 		switch name {
-		case "table1":
-			fmt.Fprintln(w, report.Table1(p.Acc, floodDay))
 		case "fig1":
 			fmt.Fprintln(w, report.Fig1(gen.Topology()))
-		case "fig2":
-			fmt.Fprintln(w, report.Fig2(p.Acc))
-		case "fig3":
-			fmt.Fprintln(w, report.Fig3(p.Acc, outages))
-		case "fig4":
-			dates := p.Acc.Dates()
-			// A calm, complete mid-campaign week starting on a Saturday.
-			weekStart := dates[len(dates)/2]
-			for weekStart.Weekday() != time.Saturday {
-				weekStart++
-			}
-			fmt.Fprintln(w, report.Fig4(p.Acc, weekStart))
-		case "fig5":
-			fmt.Fprintln(w, report.Fig5(p.Acc, cfg.Seed))
-		case "fig6":
-			fmt.Fprintln(w, report.Fig6(p.Acc))
-		case "fig7":
-			fmt.Fprintln(w, report.Fig7(p.Acc))
-		case "fig8":
-			fmt.Fprintln(w, report.Fig8(p.Acc))
-		case "fig9":
-			fmt.Fprintln(w, report.Fig9(p.Acc, outages))
-		case "fig10":
-			fmt.Fprintln(w, report.Fig10(p.CensusByDay))
 		case "volume":
 			volumeClaim(w, p, gen)
 		case "usagecorr":
@@ -175,6 +157,8 @@ func Experiments(ctx context.Context, args []string, stdout, stderr io.Writer) e
 			return liveSimClaim(w)
 		case "exchanges":
 			return exchangesClaim(w, *seed)
+		default:
+			printFigure(w, name, p.Acc, p.CensusByDay, figs)
 		}
 		return nil
 	}

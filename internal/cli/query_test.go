@@ -1,0 +1,252 @@
+package cli
+
+import (
+	"bytes"
+	"context"
+	"fmt"
+	"io"
+	"log"
+	"net"
+	"path/filepath"
+	"regexp"
+	"strconv"
+	"strings"
+	"testing"
+	"time"
+
+	"instability/internal/bgp"
+	"instability/internal/collector"
+	"instability/internal/faults"
+	"instability/internal/netaddr"
+	"instability/internal/serve"
+)
+
+// listenAddr is the address a running server logged it listens on.
+func listenAddr(t *testing.T, j *job) string {
+	t.Helper()
+	m := regexp.MustCompile(`listening on (\S+?):? `).FindStringSubmatch(j.stderr.String())
+	if m == nil {
+		t.Fatalf("no listen address in %q", j.stderr)
+	}
+	return m[1]
+}
+
+// run runs cmd to completion and returns what it printed.
+func run(t *testing.T, cmd Command, args ...string) string {
+	t.Helper()
+	var stdout, stderr bytes.Buffer
+	if err := cmd(context.Background(), args, &stdout, &stderr); err != nil {
+		t.Fatalf("%q: %v\n%s", args, err, stderr.String())
+	}
+	return stdout.String()
+}
+
+// TestOneAnswer: a query selects the same records from a log, from a store
+// ingested from it and from a server in front of that store, and every tool
+// that takes the query's flags answers alike over all three.
+func TestOneAnswer(t *testing.T) {
+	dir := t.TempDir()
+	logPath, db := filepath.Join(dir, "camp.irtl.gz"), filepath.Join(dir, "db")
+	run(t, Sim, "-out", logPath, "-scale", "small", "-q")
+	run(t, Store, "ingest", "-store", db, logPath)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	srv := start(ctx, Serve, []string{"-store", db, "-addr", "127.0.0.1:0", "-trace-sample", "0"})
+	if err := srv.ready(); err != nil {
+		t.Fatal(err)
+	}
+	defer func() { cancel(); <-srv.done }()
+	remote := listenAddr(t, srv)
+
+	// The shapes are drawn around one announcement in the middle of the
+	// campaign, so the combined one matches it at least.
+	all := readAll(t, collector.OpenAny, logPath)
+	var pivot collector.Record
+	for _, rec := range all[len(all)/2:] {
+		if rec.Type == collector.Announce {
+			pivot = rec
+			break
+		}
+	}
+	origin, _ := pivot.Attrs.Path.Origin()
+	otherPeer := all[0].PeerAS
+	for _, rec := range all {
+		if rec.PeerAS != pivot.PeerAS {
+			otherPeer = rec.PeerAS
+			break
+		}
+	}
+	window := serve.QuerySpec{
+		From: pivot.Time.UTC().Add(-36 * time.Hour).Format("2006-01-02 15:04"),
+		To:   pivot.Time.UTC().Add(36 * time.Hour).Format(time.RFC3339),
+	}
+	peers := fmt.Sprintf("%d,%d", pivot.PeerAS, otherPeer)
+	combined := window
+	combined.Peer, combined.Origin, combined.Prefix, combined.Type = peers, strconv.Itoa(int(origin)), pivot.Prefix.String(), "A,UP"
+	noType, noOrigin := combined, combined
+	noType.Type, noOrigin.Origin = "", ""
+	shapes := []struct {
+		name string
+		spec serve.QuerySpec
+	}{
+		{"window", window},
+		{"peers", serve.QuerySpec{Peer: peers}},
+		{"origin", serve.QuerySpec{Origin: combined.Origin}},
+		{"prefix", serve.QuerySpec{Prefix: combined.Prefix}},
+		{"types", serve.QuerySpec{Type: "W,DOWN"}},
+		{"combined", combined},
+		{"combined without -type", noType},
+		{"combined without -origin", noOrigin},
+	}
+	lg := log.New(io.Discard, "", 0)
+	for _, sh := range shapes {
+		var got [3][]string
+		for i, src := range []struct {
+			in string
+			sf *storeFlags
+			rc *serve.Client
+		}{{in: logPath}, {sf: &storeFlags{dir: db}}, {rc: &serve.Client{Addr: remote}}} {
+			for _, rec := range readAll(t, func(string) (collector.RecordReader, string, error) {
+				return openRecords(context.Background(), lg, src.in, src.sf, src.rc, sh.spec)
+			}, "") {
+				got[i] = append(got[i], fmt.Sprintf("%d %v %+v", rec.Time.UnixNano(), rec, rec))
+			}
+		}
+		if len(got[0]) == 0 {
+			t.Errorf("%s: %+v matches nothing in the log", sh.name, sh.spec)
+		}
+		for i, name := range []string{"store", "server"} {
+			if strings.Join(got[i+1], "\n") != strings.Join(got[0], "\n") {
+				t.Errorf("%s: the %s gave %d records, the log %d (or others)", sh.name, name, len(got[i+1]), len(got[0]))
+			}
+		}
+		n := strconv.Itoa(len(got[0]))
+		flags := specArgs(sh.spec)
+		if c := strings.TrimSpace(run(t, Store, append([]string{"query", "-store", db, "-count"}, flags...)...)); c != n {
+			t.Errorf("%s: bgpstore query -count %s, log %s", sh.name, c, n)
+		}
+		if sh.spec.Origin == "" {
+			if c := strings.TrimSpace(run(t, Dump, append([]string{"-in", logPath, "-c"}, flags...)...)); c != n {
+				t.Errorf("%s: bgpdump -c %s, log %s", sh.name, c, n)
+			}
+		}
+		if sh.spec.Type != "" {
+			continue
+		}
+		var outs []string
+		for _, src := range [][]string{{"-in", logPath}, {"-store", db}, {"-remote", remote}} {
+			out := run(t, Analyze, append(append(src, "-id", "all", "-parallel", "2"), flags...)...)
+			if !strings.HasPrefix(out, "classified "+n+" records ") {
+				t.Errorf("%s: bgpanalyze %v: %.80q, want %s records", sh.name, src, out, n)
+			}
+			_, figs, _ := strings.Cut(out, "\n\n")
+			outs = append(outs, figs)
+		}
+		if outs[0] == "" || outs[1] != outs[0] || outs[2] != outs[0] {
+			t.Errorf("%s: bgpanalyze -in, -store and -remote differ", sh.name)
+		}
+	}
+}
+
+// specArgs spells spec as the query flags.
+func specArgs(spec serve.QuerySpec) []string {
+	var args []string
+	for _, f := range []struct{ name, v string }{
+		{"-from", spec.From}, {"-to", spec.To}, {"-peer", spec.Peer},
+		{"-origin", spec.Origin}, {"-prefix", spec.Prefix}, {"-type", spec.Type},
+	} {
+		if f.v != "" {
+			args = append(args, f.name, f.v)
+		}
+	}
+	return args
+}
+
+// readAll reads every record of what open opens at path.
+func readAll(t *testing.T, open func(string) (collector.RecordReader, string, error), path string) []collector.Record {
+	t.Helper()
+	r, _, err := open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	var out []collector.Record
+	for {
+		rec, err := r.Next()
+		if err == io.EOF {
+			return out
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, rec)
+	}
+}
+
+// TestReplayDrainsAndCeases: bgpreplay at -speedup 0, over a connection
+// whose writes are slowed, delivers every record it replays before it
+// closes, and ends the session with a Cease NOTIFICATION.
+func TestReplayDrainsAndCeases(t *testing.T) {
+	const n = 600
+	dir := t.TempDir()
+	in, out := filepath.Join(dir, "distinct.irtl.gz"), filepath.Join(dir, "live.irtl.gz")
+	w, err := collector.Create(in, "test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Distinct prefixes, so no change supersedes another, and distinct paths,
+	// so each goes out in its own UPDATE.
+	base := time.Date(1996, 3, 1, 0, 0, 0, 0, time.UTC)
+	for i := 0; i < n; i++ {
+		if err := w.Write(collector.Record{
+			Time: base.Add(time.Duration(i) * time.Second), Type: collector.Announce, PeerAS: 690,
+			Prefix: netaddr.MustPrefix(netaddr.Addr(0x0a000000+uint32(i)<<8), 24),
+			Attrs:  bgp.Attrs{Origin: bgp.OriginIGP, Path: bgp.PathFromASNs(690, bgp.ASN(1000+i)), NextHop: 1},
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	defer func(d func(string, string) (net.Conn, error)) { dialCollector = d }(dialCollector)
+	dialCollector = func(network, addr string) (net.Conn, error) {
+		c, err := net.Dial(network, addr)
+		if err != nil {
+			return nil, err
+		}
+		return faults.NewConn(c, 1, 0, 4*time.Millisecond), nil
+	}
+	col := start(context.Background(), Collect, []string{"-listen", "127.0.0.1:0", "-out", out, "-maxconns", "1", "-report", "0"})
+	if err := col.ready(); err != nil {
+		t.Fatal(err)
+	}
+	run(t, Replay, "-in", in, "-connect", listenAddr(t, col), "-speedup", "0")
+	select {
+	case err := <-col.done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(time.Minute):
+		col.cancel()
+		t.Fatalf("collector still running a minute after the replay ended\n%s", col.stderr)
+	}
+
+	got := readAll(t, collector.OpenAny, out)
+	announced := 0
+	for _, rec := range got {
+		if rec.Type == collector.Announce {
+			announced++
+		}
+	}
+	if announced != n {
+		t.Errorf("collector logged %d of %d replayed announcements", announced, n)
+	}
+	if len(got) == 0 || got[len(got)-1].Type != collector.SessionDown {
+		t.Errorf("the session did not end in a NOTIFICATION the collector heard")
+	}
+	if !strings.Contains(col.stderr.String(), "notification Cease") {
+		t.Errorf("the session did not end on a Cease:\n%s", col.stderr)
+	}
+}

@@ -16,8 +16,10 @@ import (
 	"instability/internal/netaddr"
 	"instability/internal/obs"
 	"instability/internal/session"
-	"instability/internal/store"
 )
+
+// dialCollector opens bgpreplay's connection; tests slow it down.
+var dialCollector = net.Dial
 
 // Replay is bgpreplay: it replays a recorded update log as a live BGP
 // speaker — it dials a collector (such as bgpcollect), completes the OPEN
@@ -32,28 +34,24 @@ import (
 //	bgpreplay -store db -from 1996-05-01 -to 1996-05-08 -origin 237 -connect 127.0.0.1:1790
 //	bgpreplay -in attack.irtl.gz -connect 127.0.0.1:1790 -detect
 //
-// With -store the input is an irtlstore query instead of a flat log: the
-// store's indexes select the slice (time window, origin, prefix) and only
-// that slice is read and replayed. Interrupted, it stops feeding new records
-// but still flushes what the session has buffered and closes the session
-// with a NOTIFICATION instead of a TCP reset.
+// The query flags select the slice to replay (time window, peer, origin,
+// prefix), from a log or, with -store, from an irtlstore, whose indexes then
+// skip what the slice does not need. At the end, or interrupted, it flushes
+// what the session has buffered and closes the session with a Cease
+// NOTIFICATION instead of a TCP reset.
 func Replay(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fs, lg := setup("bgpreplay", stderr)
 	var (
 		in         = fs.String("in", "", "input log (native or MRT)")
-		from       = fs.String("from", "", "store query: start time (inclusive)")
-		to         = fs.String("to", "", "store query: end time (exclusive)")
-		origin     = fs.String("origin", "", "store query: comma-separated origin AS list")
-		prefix     = fs.String("prefix", "", "store query: exact prefix (CIDR)")
 		connect    = fs.String("connect", "127.0.0.1:1790", "collector address")
 		asn        = fs.Uint("as", 690, "local AS number")
 		id         = fs.String("id", "198.32.186.1", "local BGP identifier")
-		peer       = fs.Uint("peer", 0, "replay only records from this peer AS (0 = all, rewritten to the local identity)")
 		speedup    = fs.Float64("speedup", 600, "time compression factor (600 = one simulated hour per 6 wall seconds; 0 = no waiting)")
 		limit      = fs.Int("n", 0, "stop after this many records (0 = all)")
 		stateless  = fs.Bool("stateless", false, "replay as the stateless vendor: withdrawals are sent even for never-advertised prefixes, reproducing the log's WWDups on the wire")
 		detectFlag = fs.Bool("detect", false, "classify the replayed records through the streaming anomaly detector and print its alerts at the end")
 	)
+	spec := addQueryFlags(fs, originFlag)
 	sf := addStoreFlags(fs, "replay from an irtlstore query instead of a log file", blockCacheFlag|noMmapFlag)
 	of := addObsFlags(fs).withTrace(fs, 0)
 	if err := parse(fs, args); err != nil {
@@ -63,10 +61,6 @@ func Replay(ctx context.Context, args []string, stdout, stderr io.Writer) error 
 		return usagef("need exactly one of -in or -store")
 	}
 	localID, err := netaddr.ParseAddr(*id)
-	if err != nil {
-		return usageError{err: err}
-	}
-	q, err := store.ParseQuery(*from, *to, "", *origin, *prefix, "")
 	if err != nil {
 		return usageError{err: err}
 	}
@@ -80,9 +74,9 @@ func Replay(ctx context.Context, args []string, stdout, stderr io.Writer) error 
 	obsPosition := reg.Gauge("irtl_replay_position_seconds",
 		"Log-time position of the replay (Unix seconds of the last record sent).")
 
-	// -peer is applied in the replay loop for either input, so q leaves it
-	// out; time, origin and prefix are pushed down to the store.
-	r, _, err := openRecords(ctx, lg, *in, sf, q)
+	// Only route changes go on the wire: the query says so, for either input.
+	spec.Type = "A,W"
+	r, _, err := openRecords(ctx, lg, *in, sf, nil, *spec)
 	if err != nil {
 		return err
 	}
@@ -92,7 +86,7 @@ func Replay(ctx context.Context, args []string, stdout, stderr io.Writer) error 
 		src = "store " + sf.dir
 	}
 
-	conn, err := net.Dial("tcp", *connect)
+	conn, err := dialCollector("tcp", *connect)
 	if err != nil {
 		return err
 	}
@@ -124,98 +118,89 @@ func Replay(ctx context.Context, args []string, stdout, stderr io.Writer) error 
 	}
 	lg.Printf("established with %s; replaying %s at %gx", *connect, src, *speedup)
 
-	// With -detect the records also flow through the classifier into the
-	// anomaly detector as they go out on the wire, with day barriers at log
-	// date boundaries — the same feed bgpanalyze -detect runs offline.
+	rp := &replaying{RecordReader: cancellable(ctx, r), ctx: ctx, speedup: *speedup, limit: *limit,
+		send: func(rec collector.Record) {
+			runner.Do(func(p *session.Peer) {
+				if rec.Type == collector.Announce {
+					p.Announce(rec.Prefix, rec.Attrs)
+				} else {
+					p.Withdraw(rec.Prefix)
+				}
+			})
+			obsSent.Inc()
+			obsPosition.SetInt(rec.Time.Unix())
+		}}
+	// With -detect the one log classifier drains the replay, day barriers and
+	// all, so the records flow into the anomaly detector as they go out on
+	// the wire — the same feed bgpanalyze -detect runs offline.
+	span := reg.StartSpan("replay")
 	var det *detect.Detector
-	var dp *instability.Pipeline
-	var detDay core.Date
-	haveDetDay := false
 	if *detectFlag {
 		det = detect.New(detect.Config{})
-		dp = instability.NewPipeline()
+		dp := instability.NewPipeline()
 		dp.Events = det.Add
 		dp.DayEnd = func(d core.Date) { det.Advance(d.Time().AddDate(0, 0, 1)) }
-	}
-
-	span := reg.StartSpan("replay")
-	var sent int
-	var prev time.Time
-	var readErr error
-loop:
-	for ctx.Err() == nil {
-		rec, err := r.Next()
-		if err != nil {
-			if err != io.EOF {
-				readErr = err
-			}
-			break
-		}
-		if rec.Type != collector.Announce && rec.Type != collector.Withdraw {
-			continue
-		}
-		if *peer != 0 && uint(rec.PeerAS) != *peer {
-			continue
-		}
-		if !prev.IsZero() && *speedup > 0 {
-			gap := rec.Time.Sub(prev)
-			if wait := time.Duration(float64(gap) / *speedup); wait > 0 {
-				select {
-				case <-ctx.Done():
-					break loop
-				case <-time.After(min(wait, 5*time.Second)): // cap idle stretches
-				}
-			}
-		}
-		prev = rec.Time
-		if dp != nil {
-			if d := core.DateOf(rec.Time); !haveDetDay || d != detDay {
-				if haveDetDay {
-					dp.EndDay(detDay)
-				}
-				detDay, haveDetDay = d, true
-			}
-			dp.Feed(rec)
-		}
-		runner.Do(func(p *session.Peer) {
-			switch rec.Type {
-			case collector.Announce:
-				p.Announce(rec.Prefix, rec.Attrs)
-			case collector.Withdraw:
-				p.Withdraw(rec.Prefix)
-			}
-		})
-		sent++
-		obsSent.Inc()
-		obsPosition.SetInt(rec.Time.Unix())
-		if *limit > 0 && sent >= *limit {
-			break
+		_, err = instability.ClassifyLog(rp, dp)
+	} else {
+		for err == nil {
+			_, err = rp.Next()
 		}
 	}
 	interrupted := ctx.Err() != nil
 	if interrupted {
 		lg.Print("interrupted: draining session (again to abort)")
 	}
-	span.Add(int64(sent))
+	span.Add(int64(rp.sent))
 	span.End()
-	// Let the final flush drain before closing.
-	time.Sleep(200 * time.Millisecond)
 	runner.Close()
 	<-done
-	if readErr != nil {
-		return readErr
+	if err != nil && err != io.EOF && !interrupted {
+		return err
 	}
 	if interrupted {
-		fmt.Fprintf(stdout, "replayed %d records (interrupted)\n", sent)
+		fmt.Fprintf(stdout, "replayed %d records (interrupted)\n", rp.sent)
 	} else {
-		fmt.Fprintf(stdout, "replayed %d records\n", sent)
+		fmt.Fprintf(stdout, "replayed %d records\n", rp.sent)
 	}
 	printIntern(stdout)
-	if dp != nil {
-		if haveDetDay {
-			dp.EndDay(detDay)
-		}
+	if det != nil {
 		printAlerts(stdout, det.Finish())
 	}
 	return nil
+}
+
+// replaying is bgpreplay's loop as a reader: each record Next returns has
+// been paced to the log's timing, compressed by speedup, and sent. After
+// limit records (0 = all) it reports io.EOF.
+type replaying struct {
+	collector.RecordReader
+	ctx     context.Context
+	speedup float64
+	limit   int
+	send    func(collector.Record)
+	sent    int
+	prev    time.Time
+}
+
+func (r *replaying) Next() (collector.Record, error) {
+	if r.limit > 0 && r.sent >= r.limit {
+		return collector.Record{}, io.EOF
+	}
+	rec, err := r.RecordReader.Next()
+	if err != nil {
+		return rec, err
+	}
+	if !r.prev.IsZero() && r.speedup > 0 {
+		if wait := time.Duration(float64(rec.Time.Sub(r.prev)) / r.speedup); wait > 0 {
+			select {
+			case <-r.ctx.Done():
+				return collector.Record{}, r.ctx.Err()
+			case <-time.After(min(wait, 5*time.Second)): // cap idle stretches
+			}
+		}
+	}
+	r.prev = rec.Time
+	r.send(rec)
+	r.sent++
+	return rec, nil
 }

@@ -131,35 +131,21 @@ func ingestFile(ctx context.Context, w *store.Writer, path string) (int, error) 
 
 func storeQuery(ctx context.Context, c *storeCmd) error {
 	var (
-		from      = c.String("from", "", "start time (inclusive): RFC3339 or YYYY-MM-DD[ HH:MM:SS]")
-		to        = c.String("to", "", "end time (exclusive)")
-		peers     = c.String("peer", "", "comma-separated peer AS list")
-		origins   = c.String("origin", "", "comma-separated origin AS list (announcements only)")
-		prefix    = c.String("prefix", "", "exact prefix (CIDR)")
-		types     = c.String("type", "", "comma-separated record types: A,W,UP,DOWN")
 		out       = c.String("out", "", "write results as a native log instead of printing")
 		exchange  = c.String("exchange", "store", "exchange name for the -out log header")
 		countOnly = c.Bool("count", false, "print only the match count")
 		explain   = c.Bool("explain", false, "print the query's EXPLAIN profile to stderr after the scan")
 		limit     = c.Int("n", 0, "stop after this many records (0 = all)")
 	)
+	spec := addQueryFlags(c.FlagSet, originFlag|typeFlag)
 	c.addStore(blockCacheFlag | noMmapFlag | chaosFlag)
 	c.of = addObsFlags(c.FlagSet).withTrace(c.FlagSet, 0)
 	if err := c.parse(); err != nil {
 		return err
 	}
-	q, err := store.ParseQuery(*from, *to, *peers, *origins, *prefix, *types)
-	if err != nil {
-		return usageError{err: err}
-	}
 	ctx, finish := c.of.root(ctx, "bgpstore_query")
 	defer finish()
-	s, err := c.sf.open(c.lg, store.Options{})
-	if err != nil {
-		return err
-	}
-	defer s.Close()
-	r, err := s.QueryCtx(ctx, q)
+	r, _, err := openRecords(ctx, c.lg, "", c.sf, nil, *spec)
 	if err != nil {
 		return err
 	}
@@ -172,35 +158,17 @@ func storeQuery(ctx context.Context, c *storeCmd) error {
 		}
 		defer lw.Close()
 	}
-	next := cancellable(ctx, r)
-	n := 0
-	for *limit == 0 || n < *limit {
-		rec, err := next.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		n++
-		switch {
-		case lw != nil:
-			if err := lw.Write(rec); err != nil {
-				return err
-			}
-		case !*countOnly:
-			fmt.Fprintln(c.stdout, rec)
-		}
+	n, err := dumpRecords(ctx, r, c.stdout, lw, *countOnly, *limit)
+	if err != nil {
+		return err
 	}
 	if lw != nil {
 		if err := lw.Close(); err != nil {
 			return err
 		}
 		fmt.Fprintf(c.stdout, "wrote %d records to %s\n", n, *out)
-	} else if *countOnly {
-		fmt.Fprintln(c.stdout, n)
 	}
-	ex := r.Explain()
+	ex := r.(storeReader).Explain()
 	if *explain {
 		fmt.Fprintln(c.stderr, ex.String())
 	}

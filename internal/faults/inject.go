@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -355,41 +356,39 @@ func (jf *injFile) Close() error {
 //
 // Keys: seed, failopen, failwrite, tornwrite, failsync, crashop (ints);
 // writeerr, shortwrite, flipreadp (probabilities in [0,1]); flipread (int N);
-// opdelay (duration). Unknown keys are errors so typos fail loudly.
+// opdelay (duration). Counts and the delay are not negative. Unknown keys
+// and out-of-range values are errors, so typos fail loudly.
 func ParseSpec(spec string) (Plan, error) {
 	var p Plan
 	if strings.TrimSpace(spec) == "" {
 		return p, nil
 	}
+	counts := map[string]*int{
+		"failopen": &p.FailOpenN, "failwrite": &p.FailWriteN, "tornwrite": &p.TornWriteN,
+		"failsync": &p.FailSyncN, "crashop": &p.CrashAtOp, "flipread": &p.FlipReadBitN,
+	}
+	probs := map[string]*float64{"writeerr": &p.WriteErrProb, "shortwrite": &p.ShortWriteProb, "flipreadp": &p.FlipReadBitProb}
 	for _, kv := range strings.Split(spec, ",") {
 		k, v, ok := strings.Cut(strings.TrimSpace(kv), "=")
 		if !ok {
 			return p, fmt.Errorf("faults: bad spec element %q (want key=value)", kv)
 		}
 		var err error
-		switch k {
-		case "seed":
+		switch n, f := counts[k], probs[k]; {
+		case k == "seed":
 			p.Seed, err = strconv.ParseInt(v, 10, 64)
-		case "failopen":
-			p.FailOpenN, err = strconv.Atoi(v)
-		case "failwrite":
-			p.FailWriteN, err = strconv.Atoi(v)
-		case "tornwrite":
-			p.TornWriteN, err = strconv.Atoi(v)
-		case "failsync":
-			p.FailSyncN, err = strconv.Atoi(v)
-		case "crashop":
-			p.CrashAtOp, err = strconv.Atoi(v)
-		case "flipread":
-			p.FlipReadBitN, err = strconv.Atoi(v)
-		case "writeerr":
-			p.WriteErrProb, err = strconv.ParseFloat(v, 64)
-		case "shortwrite":
-			p.ShortWriteProb, err = strconv.ParseFloat(v, 64)
-		case "flipreadp":
-			p.FlipReadBitProb, err = strconv.ParseFloat(v, 64)
-		case "opdelay":
-			p.MaxOpDelay, err = time.ParseDuration(v)
+		case k == "opdelay":
+			if p.MaxOpDelay, err = time.ParseDuration(v); err == nil && p.MaxOpDelay < 0 {
+				err = errors.New("negative")
+			}
+		case n != nil:
+			if *n, err = strconv.Atoi(v); err == nil && *n < 0 {
+				err = errors.New("negative")
+			}
+		case f != nil:
+			if *f, err = strconv.ParseFloat(v, 64); err == nil && !(*f >= 0 && *f <= 1) { // a NaN fails this too
+				err = errors.New("not a probability in [0,1]")
+			}
 		default:
 			return p, fmt.Errorf("faults: unknown spec key %q", k)
 		}

@@ -3,6 +3,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -35,7 +36,8 @@ func (q Quota) unlimited() bool { return q.Rate <= 0 && q.Burst <= 0 }
 //
 //	dashboards=50:100,batch=2:10,*=5:5
 //
-// An empty spec means no quotas: every tenant is unlimited.
+// Rates must be finite and positive, bursts finite and at least 1. An empty
+// spec means no quotas: every tenant is unlimited.
 func ParseQuotas(spec string) (map[string]Quota, Quota, error) {
 	quotas := make(map[string]Quota)
 	var def Quota
@@ -51,12 +53,13 @@ func ParseQuotas(spec string) (map[string]Quota, Quota, error) {
 		if !ok {
 			return nil, def, fmt.Errorf("serve: bad quota %q (want tenant=rate:burst)", part)
 		}
+		// Negated comparisons, so a NaN fails them too.
 		rate, err := strconv.ParseFloat(rs, 64)
-		if err != nil || rate <= 0 {
+		if err != nil || !(rate > 0) || math.IsInf(rate, 0) {
 			return nil, def, fmt.Errorf("serve: bad quota rate in %q", part)
 		}
 		burst, err := strconv.ParseFloat(bs, 64)
-		if err != nil || burst < 1 {
+		if err != nil || !(burst >= 1) || math.IsInf(burst, 0) {
 			return nil, def, fmt.Errorf("serve: bad quota burst in %q", part)
 		}
 		q := Quota{Rate: rate, Burst: burst}

@@ -255,17 +255,11 @@ func recordsPath(spec QuerySpec) string {
 }
 
 func setSpec(v url.Values, spec QuerySpec) {
-	set := func(k, val string) {
-		if val != "" {
-			v.Set(k, val)
+	for _, p := range spec.params() {
+		if *p.v != "" {
+			v.Set(p.name, *p.v)
 		}
 	}
-	set("from", spec.From)
-	set("to", spec.To)
-	set("peer", spec.Peer)
-	set("origin", spec.Origin)
-	set("prefix", spec.Prefix)
-	set("type", spec.Type)
 }
 
 // get issues one GET carrying the tenant's token and ctx's trace, asking for

@@ -66,13 +66,9 @@ func tokenOf(r *http.Request) string {
 // names it on the profile and the request's root span, and parses it.
 func specOf(ctx context.Context, r *http.Request, prof *QueryProfile) (QuerySpec, store.Query, error) {
 	v := r.URL.Query()
-	spec := QuerySpec{
-		From:   v.Get("from"),
-		To:     v.Get("to"),
-		Peer:   v.Get("peer"),
-		Origin: v.Get("origin"),
-		Prefix: v.Get("prefix"),
-		Type:   v.Get("type"),
+	var spec QuerySpec
+	for _, p := range spec.params() {
+		*p.v = v.Get(p.name)
 	}
 	if l := v.Get("limit"); l != "" {
 		n, err := strconv.Atoi(l)

@@ -35,21 +35,26 @@ func (qs QuerySpec) Parse() (store.Query, error) {
 	return store.ParseQuery(qs.From, qs.To, qs.Peer, qs.Origin, qs.Prefix, qs.Type)
 }
 
+// param is one of a spec's query fields under its name, which is both the
+// CLI flag's and the URL parameter's.
+type param struct {
+	name string
+	v    *string
+}
+
+func (qs *QuerySpec) params() []param {
+	return []param{{"from", &qs.From}, {"to", &qs.To}, {"peer", &qs.Peer}, {"origin", &qs.Origin}, {"prefix", &qs.Prefix}, {"type", &qs.Type}}
+}
+
 // String renders the spec in the CLI flag spelling, for slow-query log lines
 // and trace annotations. The zero spec renders as "all".
 func (qs QuerySpec) String() string {
 	var parts []string
-	add := func(k, v string) {
-		if v != "" {
-			parts = append(parts, k+"="+v)
+	for _, p := range qs.params() {
+		if *p.v != "" {
+			parts = append(parts, p.name+"="+*p.v)
 		}
 	}
-	add("from", qs.From)
-	add("to", qs.To)
-	add("peer", qs.Peer)
-	add("origin", qs.Origin)
-	add("prefix", qs.Prefix)
-	add("type", qs.Type)
 	if qs.Limit > 0 {
 		parts = append(parts, "limit="+strconv.Itoa(qs.Limit))
 	}

@@ -32,9 +32,14 @@ type Runner struct {
 	peer   *Peer
 	conn   net.Conn
 	out    chan bgp.Message
-	closed bool
+	closed bool // conn is closed
+	ending bool // out is closed: nothing more is queued
 	done   chan struct{}
 }
+
+// drainTimeout bounds how long Close lets the writer send what is queued, so
+// a peer that stopped reading cannot hold the close up.
+const drainTimeout = 10 * time.Second
 
 // NewRunner wraps conn in a session endpoint. The caller's callbacks are
 // invoked with the Runner's lock held; they must not call back into the
@@ -71,7 +76,7 @@ func (r *Runner) Do(fn func(p *Peer)) {
 // full queue means the peer cannot drain our updates; the session is torn
 // down rather than blocked.
 func (r *Runner) enqueue(msg bgp.Message) {
-	if r.closed {
+	if r.closed || r.ending {
 		return
 	}
 	select {
@@ -89,18 +94,22 @@ func (r *Runner) closeConn() {
 	}
 }
 
+// endQueue closes out. Called with r.mu held.
+func (r *Runner) endQueue() {
+	if !r.ending {
+		r.ending = true
+		close(r.out)
+	}
+}
+
+// writer sends what is queued until out is closed, then closes conn.
 func (r *Runner) writer() {
-	for {
-		select {
-		case msg := <-r.out:
-			if err := bgp.WriteMessage(r.conn, msg); err != nil {
-				r.conn.Close()
-				return
-			}
-		case <-r.done:
-			return
+	for msg := range r.out {
+		if err := bgp.WriteMessage(r.conn, msg); err != nil {
+			break
 		}
 	}
+	r.conn.Close()
 }
 
 // Run starts the session over the existing connection and blocks reading
@@ -138,10 +147,8 @@ func (r *Runner) Run() error {
 		}
 	}
 	r.mu.Lock()
-	if !r.closed {
-		r.closed = true
-		r.conn.Close()
-	}
+	r.closeConn()
+	r.endQueue()
 	// Suppress the automatic reconnect: the conn is gone for good.
 	r.peer.generation++
 	r.peer.state = Idle
@@ -150,11 +157,18 @@ func (r *Runner) Run() error {
 	return err
 }
 
-// Close tears the session down and unblocks Run. It must only be called
-// after Run has been started.
+// Close ends the session in order and unblocks Run: it flushes the pending
+// route changes and queues a Cease NOTIFICATION behind them; the writer sends
+// everything queued, within drainTimeout, and only then closes the
+// connection. It must only be called after Run has been started.
 func (r *Runner) Close() {
 	r.mu.Lock()
-	r.closeConn()
+	if !r.closed && !r.ending && r.peer.state != Idle {
+		r.peer.Flush()
+		r.peer.send(bgp.Notification{Code: bgp.NotifCease})
+	}
+	r.endQueue()
 	r.mu.Unlock()
+	r.conn.SetWriteDeadline(time.Now().Add(drainTimeout))
 	<-r.done
 }

@@ -366,6 +366,7 @@ func FuzzParseQuery(f *testing.F) {
 	f.Add("1996-03-01", "1996-03-02 06:00:00", "690,701", "7000", "198.32.0.0/16", "A,W")
 	f.Add("1996-03-01T00:00:00Z", "", "", "", "10.0.0.0/8", "up,DOWN")
 	f.Add("", "", " 3561 ", "", "192.168.1.0/24", "announce")
+	f.Add("1996-05-25 00:00", "1996-05-25 00:02", "", "", "", "")
 	f.Add("", "", "", "", "", "")
 	f.Fuzz(func(t *testing.T, from, to, peers, origins, prefix, types string) {
 		q, err := ParseQuery(from, to, peers, origins, prefix, types)

@@ -14,7 +14,7 @@ import (
 
 // match is the by-value spelling of Query.matches the reference filters in
 // this package's tests are written in.
-func (q Query) match(rec collector.Record) bool { return q.matches(&rec) }
+func (q Query) match(rec collector.Record) bool { return q.Matches(&rec) }
 
 // Merge layouts the generator draws timestamps for. "disjoint" and "ties" are
 // the extremes the run merge branches on: every stream with a time range of

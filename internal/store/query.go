@@ -43,9 +43,11 @@ func (q Query) timeOverlaps(minT, maxT int64) bool {
 	return true
 }
 
-// matches is the record-level predicate, applied after block pushdown. It
-// takes a pointer so the merge loop checks rows where they sit.
-func (q *Query) matches(rec *collector.Record) bool {
+// Matches is the record-level predicate: the store applies it after block
+// pushdown, and a log read through the same query applies it to every
+// record, so both give the same answer. It takes a pointer so the merge loop
+// checks rows where they sit.
+func (q *Query) Matches(rec *collector.Record) bool {
 	if !q.From.IsZero() && rec.Time.Before(q.From) {
 		return false
 	}
@@ -91,8 +93,8 @@ func containsType(l []collector.RecType, t collector.RecType) bool {
 	return false
 }
 
-// ParseQuery builds a Query from the CLI flag spellings shared by bgpstore,
-// bgpreplay, and bgpanalyze: RFC 3339 or "2006-01-02[ 15:04:05]" times,
+// ParseQuery builds a Query from the CLI flag spellings shared by every tool
+// that selects records: RFC 3339 or "2006-01-02[ 15:04[:05]]" times,
 // comma-separated AS lists, a prefix in CIDR form, and comma-separated type
 // names (A, W, UP, DOWN). Empty strings leave the predicate unset; a
 // non-empty one that would parse to the unset value — a /0 prefix, or a time
@@ -144,7 +146,7 @@ func parseTime(s string) (time.Time, error) {
 	if s == "" {
 		return time.Time{}, nil
 	}
-	for _, layout := range []string{time.RFC3339, "2006-01-02 15:04:05", "2006-01-02"} {
+	for _, layout := range []string{time.RFC3339, "2006-01-02 15:04:05", "2006-01-02 15:04", "2006-01-02"} {
 		if t, err := time.Parse(layout, s); err == nil {
 			if !time.Unix(0, t.UnixNano()).Equal(t) {
 				return time.Time{}, fmt.Errorf("time %q outside the years 1678–2262", s)

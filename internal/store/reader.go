@@ -115,7 +115,7 @@ func (r *Reader) Next() (collector.Record, error) {
 		for r.ri < len(r.run) {
 			rec := &r.run[r.ri]
 			r.ri++
-			if r.q.matches(rec) {
+			if r.q.Matches(rec) {
 				r.ex.RecordsMatched++
 				return *rec, nil
 			}
@@ -181,7 +181,7 @@ func (s *Store) memSnapshotLocked(q *Query, ex *Explain) []collector.Record {
 	add := func(recs []collector.Record) {
 		ex.MemRecords += len(recs)
 		for i := range recs {
-			if q.matches(&recs[i]) {
+			if q.Matches(&recs[i]) {
 				mem = append(mem, recs[i])
 			}
 		}

@@ -499,6 +499,10 @@ func TestParseQuery(t *testing.T) {
 		!q.hasPrefix() || len(q.Types) != 2 {
 		t.Fatalf("parsed query incomplete: %+v", q)
 	}
+	// bgpdump's old minute-resolution spelling still parses.
+	if q, err := ParseQuery("1996-05-25 00:02", "", "", "", "", ""); err != nil || !q.From.Equal(time.Date(1996, 5, 25, 0, 2, 0, 0, time.UTC)) {
+		t.Fatalf("minute-resolution time: %v, %v", q.From, err)
+	}
 	if _, err := ParseQuery("yesterday", "", "", "", "", ""); err == nil {
 		t.Fatal("bad time accepted")
 	}
