@@ -1,7 +1,13 @@
 // Package collector implements the measurement apparatus of the study: the
 // update records logged by route-server instrumentation at each exchange
-// point, and a compact MRT-inspired binary log format with streaming reader
-// and writer (gzip-framed on disk, as the Routing Arbiter archive was).
+// point, the one binary record encoding every layer shares (codec.go), and
+// the native IRTL log format with its streaming reader and writer
+// (gzip-framed on disk, as the Routing Arbiter archive was).
+//
+// An IRTL v2 log is a header — "IRTL", version byte 2, name length, exchange
+// name — then CRC-checked frames of back-to-back records in that encoding,
+// the same frames and records the store's WAL holds. Version 1 logs (fixed
+// big-endian records, no checksum) are still read, never written.
 //
 // A Record is deliberately exactly the information the paper's analyses
 // consume: timestamp, exchange, peer identity, update type, prefix, and path
@@ -16,6 +22,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -75,8 +82,15 @@ func (r Record) String() string {
 
 // Log file framing.
 const (
-	logMagic   = "IRTL" // Internet RouTing Log
-	logVersion = 1
+	logMagic     = "IRTL" // Internet RouTing Log
+	logVersion   = 2
+	logVersionV1 = 1 // read-only
+
+	// The writer closes a frame once its payload reaches logFrameTarget, and
+	// refuses a record that could push one past maxLogFrame, the most a
+	// reader accepts: a damaged length cannot make it allocate without limit.
+	logFrameTarget = 64 << 10
+	maxLogFrame    = 4 * logFrameTarget
 )
 
 // Codec errors.
@@ -86,121 +100,92 @@ var (
 	ErrCorrupt    = errors.New("collector: corrupt record")
 )
 
-// Writer writes records to a binary log stream.
+// Writer writes records to an IRTL v2 log stream.
 type Writer struct {
-	w     *bufio.Writer
-	gz    *gzip.Writer
-	under io.Closer
-	count int
-	buf   []byte
+	w      io.Writer
+	layers layers // opened by Create
+	buf    []byte // the header until the first frame is out, then the open frame
+	lenAt  int    // where the open frame starts in buf
+	count  int
 }
 
 // NewWriter starts a log stream on w with the given exchange-point name in
 // the header.
 func NewWriter(w io.Writer, exchange string) (*Writer, error) {
-	bw := bufio.NewWriterSize(w, 1<<16)
 	if len(exchange) > 255 {
 		return nil, fmt.Errorf("collector: exchange name too long")
 	}
-	if _, err := bw.WriteString(logMagic); err != nil {
-		return nil, err
-	}
-	if err := bw.WriteByte(logVersion); err != nil {
-		return nil, err
-	}
-	if err := bw.WriteByte(byte(len(exchange))); err != nil {
-		return nil, err
-	}
-	if _, err := bw.WriteString(exchange); err != nil {
-		return nil, err
-	}
-	return &Writer{w: bw}, nil
+	hdr := append([]byte(logMagic), logVersion, byte(len(exchange)))
+	buf, lenAt := BeginFrame(append(hdr, exchange...))
+	return &Writer{w: w, buf: buf, lenAt: lenAt}, nil
 }
 
 // Create opens path for writing as a log file; names ending in ".gz" are
 // gzip-compressed.
 func Create(path, exchange string) (*Writer, error) {
-	f, err := os.Create(path)
+	out, l, err := createLayers(path)
 	if err != nil {
 		return nil, err
 	}
-	if !strings.HasSuffix(path, ".gz") {
-		w, err := NewWriter(f, exchange)
-		if err != nil {
-			f.Close()
-			return nil, err
-		}
-		w.under = f
-		return w, nil
-	}
-	gz := gzip.NewWriter(f)
-	w, err := NewWriter(gz, exchange)
+	w, err := NewWriter(out, exchange)
 	if err != nil {
-		gz.Close()
-		f.Close()
+		l.Close()
 		return nil, err
 	}
-	w.gz = gz
-	w.under = f
+	w.layers = l
 	return w, nil
 }
 
-// Write appends one record.
+// Write appends one record, writing out the frame it completes.
 func (w *Writer) Write(r Record) error {
-	b := w.buf[:0]
-	b = append(b, byte(r.Type))
-	b = binary.BigEndian.AppendUint64(b, uint64(r.Time.UnixNano()))
-	b = binary.BigEndian.AppendUint16(b, uint16(r.PeerAS))
-	b = binary.BigEndian.AppendUint32(b, uint32(r.PeerAddr))
-	b = append(b, byte(r.Prefix.Bits()))
-	b = binary.BigEndian.AppendUint32(b, uint32(r.Prefix.Addr()))
-	if r.Type == Announce {
-		attrs, err := bgp.MarshalAttrs(r.Attrs)
-		if err != nil {
-			return err
-		}
-		if len(attrs) > 0xffff {
-			return fmt.Errorf("collector: attributes too large")
-		}
-		b = binary.BigEndian.AppendUint16(b, uint16(len(attrs)))
-		b = append(b, attrs...)
-	} else {
-		b = binary.BigEndian.AppendUint16(b, 0)
+	b, err := AppendRecord(w.buf, r)
+	if err != nil {
+		return err
+	}
+	if n := len(b) - len(w.buf); n > maxLogFrame-logFrameTarget {
+		return fmt.Errorf("collector: record of %d bytes too large for a log", n)
 	}
 	w.buf = b
 	w.count++
-	_, err := w.w.Write(b)
+	if len(b)-w.lenAt-4 < logFrameTarget {
+		return nil
+	}
+	_, err = w.w.Write(EndFrame(b, w.lenAt))
+	w.buf, w.lenAt = BeginFrame(b[:0])
 	return err
 }
 
 // Count returns the number of records written.
 func (w *Writer) Count() int { return w.count }
 
-// Close flushes buffers and closes any file or gzip layer opened by Create.
+// Close writes the last frame (and the header, if nothing else has) and
+// closes any file or gzip layer opened by Create.
 func (w *Writer) Close() error {
-	if err := w.w.Flush(); err != nil {
-		return err
+	b := w.buf[:w.lenAt]
+	if len(w.buf) > w.lenAt+4 {
+		b = EndFrame(w.buf, w.lenAt)
 	}
-	if w.gz != nil {
-		if err := w.gz.Close(); err != nil {
-			return err
-		}
+	_, err := w.w.Write(b)
+	if cerr := w.layers.Close(); err == nil {
+		err = cerr
 	}
-	if w.under != nil {
-		return w.under.Close()
-	}
-	return nil
+	return err
 }
 
 // Reader streams records from a log.
 type Reader struct {
+	layers   // opened by Open; Close closes them
 	r        *bufio.Reader
-	gz       *gzip.Reader
-	under    io.Closer
 	exchange string
+	v1       bool
+
+	frame []byte // the v2 frame being decoded, read whole; reused
+	rest  []byte // its undecoded records
+	err   error  // sticky: a damaged v2 stream yields nothing after it
 }
 
-// NewReader opens a log stream and parses its header.
+// NewReader opens a log stream and parses its header. The header's exchange
+// name is not checksummed, in v2 as in v1.
 func NewReader(r io.Reader) (*Reader, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	var hdr [6]byte
@@ -210,45 +195,157 @@ func NewReader(r io.Reader) (*Reader, error) {
 	if string(hdr[:4]) != logMagic {
 		return nil, ErrBadMagic
 	}
-	if hdr[4] != logVersion {
+	if hdr[4] != logVersion && hdr[4] != logVersionV1 {
 		return nil, fmt.Errorf("%w: %d", ErrBadVersion, hdr[4])
 	}
 	name := make([]byte, hdr[5])
 	if _, err := io.ReadFull(br, name); err != nil {
 		return nil, fmt.Errorf("%w: header name: %v", ErrCorrupt, err)
 	}
-	return &Reader{r: br, exchange: string(name)}, nil
+	return &Reader{r: br, exchange: string(name), v1: hdr[4] == logVersionV1}, nil
 }
 
 // Open opens path as a log file; ".gz" names are decompressed.
 func Open(path string) (*Reader, error) {
-	f, err := os.Open(path)
+	in, l, err := openLayers(path)
 	if err != nil {
 		return nil, err
 	}
-	if !strings.HasSuffix(path, ".gz") {
-		r, err := NewReader(f)
-		if err != nil {
-			f.Close()
-			return nil, err
-		}
-		r.under = f
-		return r, nil
+	r, err := NewReader(in)
+	if err != nil {
+		l.Close()
+		return nil, err
 	}
+	r.layers = l
+	return r, nil
+}
+
+// Exchange returns the exchange-point name from the log header.
+func (r *Reader) Exchange() string { return r.exchange }
+
+// Next reads one record, returning io.EOF at a clean end of stream. In a v2
+// log every frame is checked whole before any of its records is returned, so
+// damage anywhere ends the stream with ErrCorrupt after the records of the
+// intact frames before it.
+func (r *Reader) Next() (Record, error) {
+	if r.v1 {
+		return r.nextV1()
+	}
+	for len(r.rest) == 0 && r.err == nil {
+		r.err = r.readFrame()
+	}
+	if r.err != nil {
+		return Record{}, r.err
+	}
+	rec, rest, err := DecodeRecord(r.rest)
+	r.rest, r.err = rest, err
+	return rec, err
+}
+
+// readFrame reads the next frame whole and checks it as the store checks its
+// WAL's. The stream ending between frames is io.EOF; anything short of an
+// intact frame is ErrCorrupt.
+func (r *Reader) readFrame() error {
+	f := slices.Grow(r.frame[:0], 8)[:4]
+	if _, err := io.ReadFull(r.r, f); err != nil {
+		if err == io.EOF {
+			return io.EOF
+		}
+		return fmt.Errorf("%w: frame length: %v", ErrCorrupt, err)
+	}
+	plen := int(binary.BigEndian.Uint32(f))
+	if plen > maxLogFrame {
+		return fmt.Errorf("%w: frame of %d bytes", ErrCorrupt, plen)
+	}
+	f = slices.Grow(f, plen+4)[:4+plen+4]
+	r.frame = f
+	if _, err := io.ReadFull(r.r, f[4:]); err != nil {
+		return fmt.Errorf("%w: torn frame: %v", ErrCorrupt, err)
+	}
+	payload, _, ok := frameAt(f)
+	if !ok {
+		return fmt.Errorf("%w: frame checksum", ErrCorrupt)
+	}
+	r.rest = payload
+	return nil
+}
+
+// nextV1 reads one record of a version 1 log: type, big-endian time, peer
+// and prefix, then a u16 attribute length and the attributes.
+func (r *Reader) nextV1() (Record, error) {
+	var rec Record
+	var fixed [22]byte
+	if _, err := io.ReadFull(r.r, fixed[:]); err != nil {
+		if err == io.EOF {
+			return rec, io.EOF
+		}
+		return rec, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	rec.Type = RecType(fixed[0])
+	if rec.Type < Announce || rec.Type > SessionDown {
+		return rec, fmt.Errorf("%w: type %d", ErrCorrupt, fixed[0])
+	}
+	rec.Time = time.Unix(0, int64(binary.BigEndian.Uint64(fixed[1:9]))).UTC()
+	rec.PeerAS = bgp.ASN(binary.BigEndian.Uint16(fixed[9:11]))
+	rec.PeerAddr = netaddr.Addr(binary.BigEndian.Uint32(fixed[11:15]))
+	p, err := netaddr.PrefixFrom(netaddr.Addr(binary.BigEndian.Uint32(fixed[16:20])), int(fixed[15]))
+	if err != nil {
+		return rec, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	rec.Prefix = p
+	if alen := binary.BigEndian.Uint16(fixed[20:]); alen > 0 {
+		ab := make([]byte, alen)
+		if _, err := io.ReadFull(r.r, ab); err != nil {
+			return rec, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		}
+		if rec.Attrs, err = bgp.UnmarshalAttrs(ab); err != nil {
+			return rec, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		}
+	}
+	return rec, nil
+}
+
+// layers is what Open, Create, OpenMRT and CreateMRT stack under a log
+// stream, outermost first: the gzip layer of a ".gz" name, then the file.
+type layers []io.Closer
+
+// Close closes every layer and returns the first error. A failing layer
+// must not leak the ones under it: gzip.Reader.Close reports a truncated
+// stream, which is what a killed collector leaves behind.
+func (l layers) Close() error {
+	var first error
+	for _, c := range l {
+		if err := c.Close(); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
+}
+
+// openLayers opens path for reading, through gzip for a ".gz" name.
+func openLayers(path string) (io.Reader, layers, error) {
+	f, err := os.Open(path)
+	if err != nil || !strings.HasSuffix(path, ".gz") {
+		return f, layers{f}, err
+	}
+	// Buffer the file reads so the flate layer never issues small syscalls
+	// (see fileReadBufSize).
 	gz, err := gzip.NewReader(bufio.NewReaderSize(f, fileReadBufSize))
 	if err != nil {
 		f.Close()
-		return nil, err
+		return nil, nil, err
 	}
-	r, err := NewReader(gz)
-	if err != nil {
-		gz.Close()
-		f.Close()
-		return nil, err
+	return gz, layers{gz, f}, nil
+}
+
+// createLayers creates path for writing, through gzip for a ".gz" name.
+func createLayers(path string) (io.Writer, layers, error) {
+	f, err := os.Create(path)
+	if err != nil || !strings.HasSuffix(path, ".gz") {
+		return f, layers{f}, err
 	}
-	r.gz = gz
-	r.under = f
-	return r, nil
+	gz := gzip.NewWriter(f)
+	return gz, layers{gz, f}, nil
 }
 
 // fileReadBufSize is the read buffer interposed between a log file and its
@@ -256,69 +353,6 @@ func Open(path string) (*Reader, error) {
 // straight to the kernel — one syscall every few records. 256 KiB covers
 // several compressed store-sized blocks (512 records each) per syscall.
 const fileReadBufSize = 1 << 18
-
-// Exchange returns the exchange-point name from the log header.
-func (r *Reader) Exchange() string { return r.exchange }
-
-// Next reads one record, returning io.EOF at a clean end of stream.
-func (r *Reader) Next() (Record, error) {
-	var rec Record
-	var fixed [20]byte
-	if _, err := io.ReadFull(r.r, fixed[:1]); err != nil {
-		if err == io.EOF {
-			return rec, io.EOF
-		}
-		return rec, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	if _, err := io.ReadFull(r.r, fixed[1:]); err != nil {
-		return rec, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	rec.Type = RecType(fixed[0])
-	switch rec.Type {
-	case Announce, Withdraw, SessionUp, SessionDown:
-	default:
-		return rec, fmt.Errorf("%w: type %d", ErrCorrupt, fixed[0])
-	}
-	rec.Time = time.Unix(0, int64(binary.BigEndian.Uint64(fixed[1:9]))).UTC()
-	rec.PeerAS = bgp.ASN(binary.BigEndian.Uint16(fixed[9:11]))
-	rec.PeerAddr = netaddr.Addr(binary.BigEndian.Uint32(fixed[11:15]))
-	bits := int(fixed[15])
-	addr := netaddr.Addr(binary.BigEndian.Uint32(fixed[16:20]))
-	p, err := netaddr.PrefixFrom(addr, bits)
-	if err != nil {
-		return rec, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	rec.Prefix = p
-	var lenb [2]byte
-	if _, err := io.ReadFull(r.r, lenb[:]); err != nil {
-		return rec, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	alen := int(binary.BigEndian.Uint16(lenb[:]))
-	if alen > 0 {
-		ab := make([]byte, alen)
-		if _, err := io.ReadFull(r.r, ab); err != nil {
-			return rec, fmt.Errorf("%w: %v", ErrCorrupt, err)
-		}
-		rec.Attrs, err = bgp.UnmarshalAttrs(ab)
-		if err != nil {
-			return rec, fmt.Errorf("%w: %v", ErrCorrupt, err)
-		}
-	}
-	return rec, nil
-}
-
-// Close closes any layers opened by Open.
-func (r *Reader) Close() error {
-	if r.gz != nil {
-		if err := r.gz.Close(); err != nil {
-			return err
-		}
-	}
-	if r.under != nil {
-		return r.under.Close()
-	}
-	return nil
-}
 
 // ReadAll decodes an entire log into memory.
 func ReadAll(r *Reader) ([]Record, error) {

@@ -186,7 +186,7 @@ func TestCorruptTypeByte(t *testing.T) {
 	_ = WriteAll(w, sampleRecords())
 	_ = w.Close()
 	b := buf.Bytes()
-	b[7] = 200 // first record's type byte (after 7-byte header "IRTL",ver,len,"X")
+	b[19] = 200 // first record's type byte (after 7-byte header "IRTL",ver,len,"X", frame length, time)
 	r, err := NewReader(bytes.NewReader(b))
 	if err != nil {
 		t.Fatal(err)

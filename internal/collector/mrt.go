@@ -2,12 +2,9 @@ package collector
 
 import (
 	"bufio"
-	"compress/gzip"
 	"encoding/binary"
 	"fmt"
 	"io"
-	"os"
-	"strings"
 	"time"
 
 	"instability/internal/bgp"
@@ -43,10 +40,9 @@ const (
 
 // MRTWriter writes collector records as MRT BGP4MP entries.
 type MRTWriter struct {
-	w     *bufio.Writer
-	gz    *gzip.Writer
-	under io.Closer
-	count int
+	w      *bufio.Writer
+	layers layers // opened by CreateMRT
+	count  int
 }
 
 // NewMRTWriter wraps w.
@@ -56,19 +52,12 @@ func NewMRTWriter(w io.Writer) *MRTWriter {
 
 // CreateMRT opens path for writing; ".gz" names are compressed.
 func CreateMRT(path string) (*MRTWriter, error) {
-	f, err := os.Create(path)
+	out, l, err := createLayers(path)
 	if err != nil {
 		return nil, err
 	}
-	if !strings.HasSuffix(path, ".gz") {
-		w := NewMRTWriter(f)
-		w.under = f
-		return w, nil
-	}
-	gz := gzip.NewWriter(f)
-	w := NewMRTWriter(gz)
-	w.gz = gz
-	w.under = f
+	w := NewMRTWriter(out)
+	w.layers = l
 	return w, nil
 }
 
@@ -129,26 +118,18 @@ func (w *MRTWriter) Write(rec Record) error {
 
 // Close flushes and closes any layers opened by CreateMRT.
 func (w *MRTWriter) Close() error {
-	if err := w.w.Flush(); err != nil {
-		return err
+	err := w.w.Flush()
+	if cerr := w.layers.Close(); err == nil {
+		err = cerr
 	}
-	if w.gz != nil {
-		if err := w.gz.Close(); err != nil {
-			return err
-		}
-	}
-	if w.under != nil {
-		return w.under.Close()
-	}
-	return nil
+	return err
 }
 
 // MRTReader decodes the BGP4MP subset written by MRTWriter (and by real
 // collectors using AS2 IPv4 BGP4MP entries). Unknown MRT types are skipped.
 type MRTReader struct {
-	r     *bufio.Reader
-	gz    *gzip.Reader
-	under io.Closer
+	layers // opened by OpenMRT; Close closes them
+	r      *bufio.Reader
 	// queue holds records decoded from the current entry (an UPDATE may
 	// carry several prefixes, each yielding one Record).
 	queue []Record
@@ -163,25 +144,12 @@ func NewMRTReader(r io.Reader) *MRTReader {
 
 // OpenMRT opens an MRT file; ".gz" names are decompressed.
 func OpenMRT(path string) (*MRTReader, error) {
-	f, err := os.Open(path)
+	in, l, err := openLayers(path)
 	if err != nil {
 		return nil, err
 	}
-	if !strings.HasSuffix(path, ".gz") {
-		r := NewMRTReader(f)
-		r.under = f
-		return r, nil
-	}
-	// Buffer the file reads so the flate layer never issues small syscalls
-	// (see fileReadBufSize in collector.go).
-	gz, err := gzip.NewReader(bufio.NewReaderSize(f, fileReadBufSize))
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	r := NewMRTReader(gz)
-	r.gz = gz
-	r.under = f
+	r := NewMRTReader(in)
+	r.layers = l
 	return r, nil
 }
 
@@ -266,19 +234,6 @@ func (r *MRTReader) fill() error {
 	}
 	for _, p := range u.Announced {
 		r.queue = append(r.queue, Record{Time: ts, Type: Announce, PeerAS: peerAS, PeerAddr: peerIP, Prefix: p, Attrs: u.Attrs})
-	}
-	return nil
-}
-
-// Close closes layers opened by OpenMRT.
-func (r *MRTReader) Close() error {
-	if r.gz != nil {
-		if err := r.gz.Close(); err != nil {
-			return err
-		}
-	}
-	if r.under != nil {
-		return r.under.Close()
 	}
 	return nil
 }

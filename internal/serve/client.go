@@ -81,7 +81,7 @@ func (r *RemoteReader) Next() (collector.Record, error) {
 			return collector.Record{}, io.EOF
 		}
 		if r.left > 0 {
-			rec, rest, err := store.DecodeRecordWire(r.buf)
+			rec, rest, err := collector.DecodeRecord(r.buf)
 			if err != nil {
 				r.err = fmt.Errorf("serve: corrupt record stream: %w", err)
 				return collector.Record{}, r.err

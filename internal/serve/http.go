@@ -323,7 +323,7 @@ type irtqEncoder struct {
 }
 
 func (e *irtqEncoder) record(rec collector.Record) (err error) {
-	if e.batch, err = store.AppendRecordWire(e.batch, rec); err != nil {
+	if e.batch, err = collector.AppendRecord(e.batch, rec); err != nil {
 		return err
 	}
 	if e.count++; e.count == batchRecords {

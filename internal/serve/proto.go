@@ -18,7 +18,7 @@ import (
 //	u32 payload length (big endian) | u8 frame type | payload
 //
 // zero or more frameBatch frames — a uvarint record count followed by that
-// many records in the store's wire codec (store.AppendRecordWire), so a
+// many records in the one record codec (collector.AppendRecord), so a
 // remote result is bit-identical to a local one — terminated by one frameEnd
 // carrying the record count and the scan's store.Explain, or by one
 // frameError when the stream stopped short. A request refused before its

@@ -40,11 +40,11 @@ func fuzzSeedRecords(tb testing.TB) [][]byte {
 	}
 	var out [][]byte
 	for _, rec := range recs {
-		v1, err := appendRecordTail(nil, rec, nil)
+		enc, err := collector.AppendRecord(nil, rec)
 		if err != nil {
 			tb.Fatal(err)
 		}
-		out = append(out, v1, appendRecordTailV2(nil, rec, 0))
+		out = append(out, enc[8:], appendRecordTailV2(nil, rec, 0)) // v1 rows: the record after its time
 	}
 	return out
 }
@@ -67,17 +67,17 @@ func FuzzDecodeRecordTail(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var rec collector.Record
-		rest, err := decodeRecordTail(data, &rec)
+		rest, err := collector.DecodeRecordTail(data, &rec)
 		if err != nil {
 			return
 		}
 		used := len(data) - len(rest)
-		enc, err := appendRecordTail(nil, rec, nil)
+		enc, err := collector.AppendRecord(nil, rec)
 		if err != nil {
 			t.Fatalf("decoded record failed to re-encode: %v", err)
 		}
 		var rec2 collector.Record
-		rest2, err := decodeRecordTail(enc, &rec2)
+		rest2, err := collector.DecodeRecordTail(enc[8:], &rec2)
 		if err != nil || len(rest2) != 0 {
 			t.Fatalf("re-encoded record failed to decode cleanly: %v (%d trailing)", err, len(rest2))
 		}
@@ -94,7 +94,8 @@ func FuzzDecodeRecordTail(f *testing.F) {
 // writes any more: announce records reference a per-block attribute
 // dictionary entry by index; non-announce records carry nothing.
 func appendRecordTailV2(b []byte, rec collector.Record, dictIdx int) []byte {
-	b = appendRecordCore(b, rec)
+	enc := collector.AppendRecordAttrs(nil, rec, nil)
+	b = append(b, enc[8:len(enc)-1]...) // without the time and the zero attribute length
 	if rec.Type == collector.Announce {
 		b = binary.AppendUvarint(b, uint64(dictIdx))
 	}
@@ -257,10 +258,10 @@ func FuzzColBlockV3(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, body []byte, count uint16, minTime int64) {
 		g := fuzzSegment(segVersionV3, count, minTime)
-		if _, _, err := blockRows(g, append(body[:len(body):len(body)], 0, 0, 0, 0)); err == nil && checksum(body) != 0 {
+		if _, _, err := blockRows(g, append(body[:len(body):len(body)], 0, 0, 0, 0)); err == nil && collector.Checksum(body) != 0 {
 			t.Fatal("block accepted behind a wrong checksum")
 		}
-		data := binary.BigEndian.AppendUint32(body[:len(body):len(body)], checksum(body))
+		data := binary.BigEndian.AppendUint32(body[:len(body):len(body)], collector.Checksum(body))
 		cb, recs, err := blockRows(g, data)
 		if err != nil {
 			return
@@ -295,8 +296,8 @@ func FuzzColBlockV3(f *testing.F) {
 // intact frame.
 func FuzzFrameScan(f *testing.F) {
 	frame := func(b []byte, payload string) []byte {
-		b, lenAt := beginFrame(b)
-		return endFrame(append(b, payload...), lenAt)
+		b, lenAt := collector.BeginFrame(b)
+		return collector.EndFrame(append(b, payload...), lenAt)
 	}
 	two := frame(frame(nil, "first"), "second entry")
 	f.Add([]byte(nil))
@@ -314,7 +315,7 @@ func FuzzFrameScan(f *testing.F) {
 	f.Add(walFrame)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var payloads [][]byte
-		off, n, err := scanFrames(data, func(p []byte) error {
+		off, n, err := collector.ScanFrames(data, func(p []byte) error {
 			payloads = append(payloads, p)
 			return nil
 		})
@@ -325,7 +326,7 @@ func FuzzFrameScan(f *testing.F) {
 			t.Fatalf("scan of %d bytes: off %d, n %d, %d payloads", len(data), off, n, len(payloads))
 		}
 		i := 0
-		off2, n2, _ := scanFrames(data[:off], func(p []byte) error {
+		off2, n2, _ := collector.ScanFrames(data[:off], func(p []byte) error {
 			if i >= len(payloads) || !bytes.Equal(p, payloads[i]) {
 				t.Fatalf("re-scan payload %d differs", i)
 			}
@@ -335,16 +336,16 @@ func FuzzFrameScan(f *testing.F) {
 		if off2 != off || n2 != n {
 			t.Fatalf("offset %d is not a frame boundary: re-scan of the prefix stopped at %d after %d of %d frames", off, off2, n2, n)
 		}
-		if off3, n3, _ := scanFrames(data[off:], nil); off3 != 0 || n3 != 0 {
+		if off3, n3, _ := collector.ScanFrames(data[off:], nil); off3 != 0 || n3 != 0 {
 			t.Fatalf("scan stopped at %d with an intact frame still ahead", off)
 		}
 		// The WAL's stricter acceptance (payload must decode) still stops
 		// on a boundary, at or before the framing's own.
-		offW, _, _ := scanFrames(data, func(p []byte) error { _, err := decodeWALPayload(p); return err })
+		offW, _, _ := collector.ScanFrames(data, func(p []byte) error { _, err := decodeWALPayload(p); return err })
 		if offW > off {
 			t.Fatalf("WAL scan accepted %d bytes, framing only %d", offW, off)
 		}
-		if o, _, _ := scanFrames(data[:offW], nil); o != offW {
+		if o, _, _ := collector.ScanFrames(data[:offW], nil); o != offW {
 			t.Fatalf("WAL clean offset %d is not a frame boundary", offW)
 		}
 	})

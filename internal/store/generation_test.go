@@ -154,7 +154,7 @@ func TestRecordWireRoundTrip(t *testing.T) {
 	}
 	for i, want := range recs {
 		var got collector.Record
-		got, b, err = DecodeRecordWire(b)
+		got, b, err = collector.DecodeRecord(b)
 		if err != nil {
 			t.Fatalf("record %d: %v", i, err)
 		}
@@ -165,7 +165,7 @@ func TestRecordWireRoundTrip(t *testing.T) {
 	if len(b) != 0 {
 		t.Fatalf("%d trailing bytes after decode", len(b))
 	}
-	if _, _, err := DecodeRecordWire([]byte{1, 2, 3}); err == nil {
+	if _, _, err := collector.DecodeRecord([]byte{1, 2, 3}); err == nil {
 		t.Fatal("truncated record decoded without error")
 	}
 }

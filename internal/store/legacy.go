@@ -78,8 +78,8 @@ func decodeLegacyRows(ver byte, bm blockMeta, b []byte) ([]collector.Record, err
 		rec.Time = time.Unix(0, t).UTC()
 		var err error
 		if ver == segVersionV1 {
-			b, err = decodeRecordTail(b[n:], rec)
-		} else if b, err = decodeRecordCore(b[n:], rec); err == nil && rec.Type == collector.Announce {
+			b, err = collector.DecodeRecordTail(b[n:], rec)
+		} else if b, err = collector.DecodeRecordFields(b[n:], rec); err == nil && rec.Type == collector.Announce {
 			idx, n := binary.Uvarint(b)
 			if n <= 0 || idx >= uint64(len(dict)) {
 				return nil, fmt.Errorf("record %d: attribute dictionary index", i)

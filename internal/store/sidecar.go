@@ -2,10 +2,10 @@ package store
 
 import (
 	"encoding/json"
-	"io"
 	"os"
 	"sync"
 
+	"instability/internal/collector"
 	"instability/internal/faults"
 )
 
@@ -37,8 +37,8 @@ func (l *SidecarLog) Append(v any) error {
 	if err != nil {
 		return err
 	}
-	frame, lenAt := beginFrame(make([]byte, 0, len(payload)+8))
-	frame = endFrame(append(frame, payload...), lenAt)
+	frame, lenAt := collector.BeginFrame(make([]byte, 0, len(payload)+8))
+	frame = collector.EndFrame(append(frame, payload...), lenAt)
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.log.append(frame, true)
@@ -56,18 +56,12 @@ func (l *SidecarLog) Close() error {
 // writer left). A missing file is an empty log, not an error. Returns the
 // number of entries read.
 func ReadSidecarLog(path string, each func(payload []byte) error) (int, error) {
-	f, err := faults.Disk{}.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return 0, nil
-		}
+	data, err := os.ReadFile(path)
+	if os.IsNotExist(err) {
+		return 0, nil
+	} else if err != nil {
 		return 0, err
 	}
-	defer f.Close()
-	data, err := io.ReadAll(f)
-	if err != nil {
-		return 0, err
-	}
-	_, n, err := scanFrames(data, each)
+	_, n, err := collector.ScanFrames(data, each)
 	return n, err
 }

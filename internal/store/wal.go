@@ -76,17 +76,17 @@ func openWAL(fsys faults.FS, path string) (*frameLog, []walEntry, error) {
 }
 
 // appendWALFrame encodes one entry as a frame onto b. The payload is built
-// in place on b (see beginFrame), so no per-record scratch buffer is
-// allocated; enc supplies memoized attribute bytes for the record.
+// in place on b (see collector.BeginFrame), so no per-record scratch buffer
+// is allocated; enc supplies memoized attribute bytes for the record.
 func appendWALFrame(b []byte, window int64, seq uint64, rec collector.Record, enc *attrEncoder) ([]byte, error) {
-	b, lenAt := beginFrame(b)
+	b, lenAt := collector.BeginFrame(b)
 	b = binary.BigEndian.AppendUint64(b, uint64(window))
 	b = binary.BigEndian.AppendUint64(b, seq)
-	b, err := appendRecordAbs(b, rec, enc)
+	b, err := enc.appendRecord(b, rec)
 	if err != nil {
 		return nil, err
 	}
-	return endFrame(b, lenAt), nil
+	return collector.EndFrame(b, lenAt), nil
 }
 
 func decodeWALPayload(p []byte) (walEntry, error) {
@@ -96,9 +96,9 @@ func decodeWALPayload(p []byte) (walEntry, error) {
 	}
 	ent.window = int64(binary.BigEndian.Uint64(p))
 	ent.seq = binary.BigEndian.Uint64(p[8:])
-	rec, rest, err := decodeRecordAbs(p[16:])
+	rec, rest, err := collector.DecodeRecord(p[16:])
 	if err != nil {
-		return ent, err
+		return ent, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	if len(rest) != 0 {
 		return ent, fmt.Errorf("%w: trailing bytes in WAL payload", ErrCorrupt)

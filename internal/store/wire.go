@@ -9,22 +9,11 @@ import (
 	"instability/internal/collector"
 )
 
-// The store's record codec, exported for transports. The serving layer's
-// binary protocol streams records in exactly the WAL encoding — absolute
-// nanosecond timestamp, then the v1 record tail with inline attributes — so
-// a remote reader decodes with the same code paths (and the same corruption
-// checks) as crash recovery does.
-
-// AppendRecordWire appends the wire encoding of rec to b and returns the
-// extended slice.
+// AppendRecordWire appends the record encoding of rec to b: a forward to
+// collector.AppendRecord, which the serving layer's IRTQ stream, the WAL and
+// IRTL logs all use. It stays only because the benchmark harness calls it.
 func AppendRecordWire(b []byte, rec collector.Record) ([]byte, error) {
-	return appendRecordAbs(b, rec, nil)
-}
-
-// DecodeRecordWire decodes one record from the front of b, returning the
-// remaining bytes. Damaged input fails with an error wrapping ErrCorrupt.
-func DecodeRecordWire(b []byte) (collector.Record, []byte, error) {
-	return decodeRecordAbs(b)
+	return collector.AppendRecord(b, rec)
 }
 
 // Key returns a canonical string form of the query: equal queries (after
