@@ -608,68 +608,97 @@ func BenchmarkStoreQuery(b *testing.B) {
 	}
 }
 
-// feedRecords synthesizes the two-day record set shared by the Feed
-// benchmarks. Records are copied out of the generator's reused day buffer.
-func feedRecords(b *testing.B) []collector.Record {
+// feedDay is one generated day of records and the date its barrier closes.
+type feedDay struct {
+	date core.Date
+	recs []collector.Record
+}
+
+// feedDays synthesizes the small-scale week the Feed benchmarks replay, day
+// by day, and its record count. Records are copied out of the generator's
+// reused day buffer.
+func feedDays(b *testing.B) ([]feedDay, int) {
 	b.Helper()
-	cfg := workload.SmallConfig()
-	cfg.Days = 2
-	g, err := workload.New(cfg)
+	g, err := workload.New(workload.SmallConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
+	var days []feedDay
 	var recs []collector.Record
-	g.Run(func(r collector.Record) { recs = append(recs, r) }, nil)
-	return recs
+	n := 0
+	g.Run(func(r collector.Record) { recs = append(recs, r) }, func(_ int, end time.Time) {
+		days = append(days, feedDay{date: core.DateOf(end.Add(-time.Second)), recs: recs})
+		n += len(recs)
+		recs = nil
+	})
+	return days, n
 }
 
-// BenchmarkPipelineFeed measures the full per-record analysis cost
-// (classify + accumulate).
-func BenchmarkPipelineFeed(b *testing.B) {
-	recs := feedRecords(b)
-	p := instability.NewPipeline()
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		p.Feed(recs[i%len(recs)])
+// feedWeek is one benchmark op: the week through feed, with endDay at each
+// day's end — the stream the ledger's analyze workload runs.
+func feedWeek(days []feedDay, feed func(collector.Record), endDay func(core.Date)) {
+	for _, d := range days {
+		for _, rec := range d.recs {
+			feed(rec)
+		}
+		endDay(d.date)
 	}
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "records_per_sec")
+}
+
+// reportPerRecord reports the per-record cost of b.N passes over n records.
+func reportPerRecord(b *testing.B, n int) {
+	records := float64(b.N) * float64(n)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/records, "ns/record")
+	b.ReportMetric(records/b.Elapsed().Seconds(), "records_per_sec")
+}
+
+// BenchmarkPipelineFeed measures the full per-record analysis cost (classify,
+// accumulate, day-end snapshot and census) over whole days into a fresh
+// pipeline per op, as the ledger's analyze workload feeds it.
+func BenchmarkPipelineFeed(b *testing.B) {
+	days, n := feedDays(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := instability.NewPipeline()
+		feedWeek(days, func(rec collector.Record) { p.Feed(rec) }, p.EndDay)
+	}
+	reportPerRecord(b, n)
 }
 
 // BenchmarkPipelineFeedDetect is BenchmarkPipelineFeed with the anomaly
-// detector attached to the Events hook — the delta between the two is the
-// marginal per-record cost of detection on the classify hot path.
+// detector on the pipeline's hooks, Advance at each day end: the delta
+// between the two is the marginal per-record cost of detection.
 func BenchmarkPipelineFeedDetect(b *testing.B) {
-	recs := feedRecords(b)
-	p := instability.NewPipeline()
-	det := detect.New(detect.Config{})
-	p.Events = det.Add
-	b.ResetTimer()
+	days, n := feedDays(b)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.Feed(recs[i%len(recs)])
+		p := instability.NewPipeline()
+		det := detect.New(detect.Config{})
+		p.Events = det.Add
+		p.DayEnd = func(d core.Date) { det.Advance(d.Time().AddDate(0, 0, 1)) }
+		feedWeek(days, func(rec collector.Record) { p.Feed(rec) }, p.EndDay)
+		det.Finish()
 	}
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "records_per_sec")
+	reportPerRecord(b, n)
 }
 
-// BenchmarkPipelineFeedParallel measures the sharded pipeline's feed
-// throughput at 1, 2, 4, and 8 shards. records_per_sec is the comparable
-// number across shard counts (and against BenchmarkPipelineFeed): on a
-// multi-core machine it scales with shards until the feeder saturates.
+// BenchmarkPipelineFeedParallel is BenchmarkPipelineFeed over the sharded
+// pipeline at 1, 2, 4, and 8 shards, Close included. ns/record is the
+// comparable number across shard counts and against the serial pipeline.
 func BenchmarkPipelineFeedParallel(b *testing.B) {
-	recs := feedRecords(b)
+	days, n := feedDays(b)
 	for _, shards := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			pp := instability.NewParallelPipeline(instability.ParallelConfig{Shards: shards})
-			b.ResetTimer()
 			b.ReportAllocs()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				pp.Feed(recs[i%len(recs)])
+				pp := instability.NewParallelPipeline(instability.ParallelConfig{Shards: shards})
+				feedWeek(days, pp.Feed, pp.EndDay)
+				pp.Close()
 			}
-			pp.Sync() // include draining the shard queues in the timing
-			b.StopTimer()
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "records_per_sec")
-			pp.Close()
+			reportPerRecord(b, n)
 		})
 	}
 }

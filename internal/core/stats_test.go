@@ -19,6 +19,20 @@ func TestDateOf(t *testing.T) {
 	if !d.Time().Equal(time.Date(1996, 8, 1, 0, 0, 0, 0, time.UTC)) {
 		t.Fatalf("Time() = %v", d.Time())
 	}
+	// Before the epoch DateOf floors, as the detector's windows do: noon on
+	// the last day of 1969 is day -1, not 1970-01-01.
+	for _, tm := range []time.Time{
+		time.Date(1969, 12, 31, 12, 0, 0, 0, time.UTC),
+		time.Date(1969, 12, 31, 0, 0, 0, 0, time.UTC),
+		time.Date(1969, 12, 31, 23, 59, 59, 999999999, time.UTC),
+	} {
+		if got := DateOf(tm); got != -1 || got.String() != "1969-12-31" {
+			t.Errorf("DateOf(%v) = %d (%s), want -1 (1969-12-31)", tm, got, got)
+		}
+	}
+	if got := DateOf(time.Date(1969, 12, 30, 23, 59, 59, 0, time.UTC)); got != -2 {
+		t.Errorf("DateOf(1969-12-30 23:59:59) = %d, want -2", got)
+	}
 }
 
 func TestBinOf(t *testing.T) {

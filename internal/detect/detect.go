@@ -32,6 +32,7 @@ package detect
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -99,6 +100,23 @@ func keyLess(a, b Key) bool {
 		return c < 0
 	}
 	return a.Class < b.Class
+}
+
+// pack returns k as one machine word, chan(2) | peer(16) | prefix addr(32) |
+// prefix bits(6) | class(3), whose numeric order is keyLess order.
+func pack(k Key) uint64 {
+	return uint64(k.Chan)<<57 | uint64(k.Peer)<<41 | uint64(k.Prefix.Addr())<<9 |
+		uint64(k.Prefix.Bits())<<3 | uint64(k.Class)
+}
+
+// unpack inverts pack.
+func unpack(x uint64) Key {
+	return Key{
+		Chan:   Channel(x >> 57),
+		Peer:   bgp.ASN(x >> 41),
+		Prefix: netaddr.MustPrefix(netaddr.Addr(x>>9), int(x>>3&63)),
+		Class:  core.Class(x & 7),
+	}
 }
 
 // Config parameterizes a Detector. The zero value selects the defaults.
@@ -200,15 +218,12 @@ type Alert struct {
 	Baseline float64 `json:"baseline"`
 }
 
-// windowPend accumulates one not-yet-finalized window's counts.
+// windowPend accumulates one not-yet-finalized window's counts: global by
+// class, the rest by packed Key (an origin sighting by the key it alerts on).
 type windowPend struct {
-	counts  map[Key]int64
-	origins map[originObs]int64
-}
-
-type originObs struct {
-	prefix netaddr.Prefix
-	origin bgp.ASN
+	global  [core.NumClasses]int64
+	counts  map[uint64]int64
+	origins map[uint64]int64
 }
 
 type activeAlert struct {
@@ -262,8 +277,9 @@ type Detector struct {
 
 	mu        sync.Mutex
 	pend      map[int64]*windowPend
-	base      map[Key]*baseline
-	alerting  map[Key]struct{}
+	last      *windowPend // the newest window, which sizes the next one's maps
+	base      map[uint64]*baseline
+	alerting  map[uint64]struct{}
 	origins   map[netaddr.Prefix]*originState
 	firstNano int64
 	haveFirst bool
@@ -281,8 +297,9 @@ func New(cfg Config) *Detector {
 		alpha:    1 - math.Exp(math.Ln2/float64(cfg.HalfLife)*-1),
 		warmNs:   cfg.Warmup.Nanoseconds(),
 		pend:     make(map[int64]*windowPend),
-		base:     make(map[Key]*baseline),
-		alerting: make(map[Key]struct{}),
+		last:     &windowPend{},
+		base:     make(map[uint64]*baseline),
+		alerting: make(map[uint64]struct{}),
 		origins:  make(map[netaddr.Prefix]*originState),
 	}
 	d.estWins = int64(cfg.EstablishAge / cfg.Window)
@@ -323,20 +340,17 @@ func (d *Detector) Add(ev core.Event) {
 	}
 	pd := d.pend[w]
 	if pd == nil {
-		pd = &windowPend{counts: make(map[Key]int64)}
-		d.pend[w] = pd
+		pd = &windowPend{counts: make(map[uint64]int64, len(d.last.counts)), origins: make(map[uint64]int64, len(d.last.origins))}
+		d.pend[w], d.last = pd, pd
 	}
-	pd.counts[Key{Chan: ChanGlobal, Class: ev.Class}]++
-	pd.counts[Key{Chan: ChanPeer, Peer: rec.PeerAS, Class: ev.Class}]++
+	pd.global[ev.Class]++
+	pd.counts[pack(Key{Chan: ChanPeer, Peer: rec.PeerAS, Class: ev.Class})]++
 	if ev.Class.IsForwarding() {
-		pd.counts[Key{Chan: ChanKey, Peer: rec.PeerAS, Prefix: rec.Prefix, Class: ev.Class}]++
+		pd.counts[pack(Key{Chan: ChanKey, Peer: rec.PeerAS, Prefix: rec.Prefix, Class: ev.Class})]++
 	}
 	if rec.Type == collector.Announce {
 		if origin, ok := rec.Attrs.Path.Origin(); ok {
-			if pd.origins == nil {
-				pd.origins = make(map[originObs]int64)
-			}
-			pd.origins[originObs{prefix: rec.Prefix, origin: origin}]++
+			pd.origins[pack(Key{Chan: ChanOrigin, Peer: origin, Prefix: rec.Prefix})]++
 		}
 	}
 }
@@ -428,9 +442,9 @@ func score(b *baseline, x float64) float64 {
 	return (x - b.mean) / sigmaOf(b)
 }
 
-// evalCount processes one finalized (key, window, count) observation.
-// Caller holds d.mu.
-func (d *Detector) evalCount(k Key, w int64, x float64) {
+// evalCount processes one finalized (packed key, window, count)
+// observation. Caller holds d.mu.
+func (d *Detector) evalCount(k uint64, w int64, x float64) {
 	b := d.base[k]
 	if b == nil {
 		b = &baseline{lastWin: w}
@@ -451,9 +465,9 @@ func (d *Detector) evalCount(k Key, w int64, x float64) {
 		d.closeAlert(k, b)
 		// The closing observation is ordinary traffic; learn it.
 	}
-	if z >= d.cfg.ZOn && x >= d.minCount(k.Chan, k.Class) && d.warmedAt(w) {
+	if ch, cl := Channel(k>>57), core.Class(k&7); z >= d.cfg.ZOn && x >= d.minCount(ch, cl) && d.warmedAt(w) {
 		need := 1
-		if k.Chan == ChanKey || k.Chan == ChanPeer {
+		if ch == ChanKey || ch == ChanPeer {
 			need = d.cfg.KeyPersistence
 		}
 		b.run++
@@ -474,30 +488,31 @@ func (d *Detector) evalCount(k Key, w int64, x float64) {
 	d.observe(b, w, x)
 }
 
-// evalOrigin processes one finalized (prefix, origin) sighting: the MOAS
-// novelty rule. Caller holds d.mu.
-func (d *Detector) evalOrigin(ob originObs, w int64, n int64) {
-	os := d.origins[ob.prefix]
+// evalOrigin processes one finalized (origin, prefix) sighting, packed as
+// its ChanOrigin key k: the MOAS novelty rule. Caller holds d.mu.
+func (d *Detector) evalOrigin(k uint64, w int64, n int64) {
+	sk := unpack(k)
+	prefix, origin := sk.Prefix, sk.Peer
+	os := d.origins[prefix]
 	if os == nil {
-		d.origins[ob.prefix] = &originState{
+		d.origins[prefix] = &originState{
 			firstWin: w,
-			known:    map[bgp.ASN]struct{}{ob.origin: {}},
+			known:    map[bgp.ASN]struct{}{origin: {}},
 		}
 		return
 	}
-	if _, ok := os.known[ob.origin]; ok {
+	if _, ok := os.known[origin]; ok {
 		return
 	}
 	if w-os.firstWin < d.estWins || !d.warmedAt(w) {
 		// Young prefix or cold detector: accept the origin as
 		// legitimate (new originations, initial transfer).
-		os.known[ob.origin] = struct{}{}
+		os.known[origin] = struct{}{}
 		return
 	}
 	// A never-seen origin for an established prefix. The origin is NOT
 	// added to the known set: while the conflict persists the alert
 	// extends, and a recurrence after closure re-alerts.
-	k := Key{Chan: ChanOrigin, Peer: ob.origin, Prefix: ob.prefix}
 	b := d.base[k]
 	if b == nil {
 		b = &baseline{lastWin: w}
@@ -520,12 +535,13 @@ func (d *Detector) evalOrigin(ob originObs, w int64, n int64) {
 	d.alerting[k] = struct{}{}
 }
 
-// closeAlert emits k's active episode. Caller holds d.mu.
-func (d *Detector) closeAlert(k Key, b *baseline) {
+// closeAlert emits the active episode of packed key pk. Caller holds d.mu.
+func (d *Detector) closeAlert(pk uint64, b *baseline) {
 	act := b.act
 	b.act = nil
 	b.lastWin = act.lastWin
-	delete(d.alerting, k)
+	delete(d.alerting, pk)
+	k := unpack(pk)
 
 	a := Alert{
 		Key:      k,
@@ -573,33 +589,24 @@ func (d *Detector) advanceLocked(target int64) {
 			wins = append(wins, w)
 		}
 	}
-	sort.Slice(wins, func(i, j int) bool { return wins[i] < wins[j] })
-	keys := make([]Key, 0, 64)
-	obsList := make([]originObs, 0, 16)
+	slices.Sort(wins)
+	var keys []uint64
 	for _, w := range wins {
 		pd := d.pend[w]
 		delete(d.pend, w)
-		keys = keys[:0]
-		for k := range pd.counts {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool { return keyLess(keys[i], keys[j]) })
+		// In keyLess order: the key and peer channels, global, origin.
+		keys = sortedKeys(keys, pd.counts)
 		for _, k := range keys {
 			d.evalCount(k, w, float64(pd.counts[k]))
 		}
-		obsList = obsList[:0]
-		for ob := range pd.origins {
-			obsList = append(obsList, ob)
-		}
-		sort.Slice(obsList, func(i, j int) bool {
-			a, b := obsList[i], obsList[j]
-			if c := a.prefix.Compare(b.prefix); c != 0 {
-				return c < 0
+		for cl, n := range pd.global {
+			if n > 0 {
+				d.evalCount(pack(Key{Chan: ChanGlobal, Class: core.Class(cl)}), w, float64(n))
 			}
-			return a.origin < b.origin
-		})
-		for _, ob := range obsList {
-			d.evalOrigin(ob, w, pd.origins[ob])
+		}
+		keys = sortedKeys(keys, pd.origins)
+		for _, k := range keys {
+			d.evalOrigin(k, w, pd.origins[k])
 		}
 		obsDetWindows.Inc()
 		// Sweep after each window so an episode closes MaxGap quiet
@@ -615,19 +622,29 @@ func (d *Detector) advanceLocked(target int64) {
 	obsDetActive.SetInt(int64(len(d.alerting)))
 }
 
+// sortedKeys refills buf with m's keys in ascending order.
+func sortedKeys(buf []uint64, m map[uint64]int64) []uint64 {
+	buf = buf[:0]
+	for k := range m {
+		buf = append(buf, k)
+	}
+	slices.Sort(buf)
+	return buf
+}
+
 // sweepLocked closes alerting keys quiet for at least gap windows before
 // target.
 func (d *Detector) sweepLocked(target, gap int64) {
 	if len(d.alerting) == 0 {
 		return
 	}
-	stale := make([]Key, 0, len(d.alerting))
+	stale := make([]uint64, 0, len(d.alerting))
 	for k := range d.alerting {
 		if b := d.base[k]; b.act != nil && b.act.lastWin+gap < target {
 			stale = append(stale, k)
 		}
 	}
-	sort.Slice(stale, func(i, j int) bool { return keyLess(stale[i], stale[j]) })
+	slices.Sort(stale)
 	for _, k := range stale {
 		d.closeAlert(k, d.base[k])
 	}

@@ -2,6 +2,7 @@ package rib
 
 import (
 	"fmt"
+	"maps"
 
 	"instability/internal/bgp"
 	"instability/internal/netaddr"
@@ -393,27 +394,37 @@ func AddPrefix[R any](pc *PartialCensus, routes []R, route func(*R) (bgp.ASPath,
 // MergeCensuses combines partial censuses of disjoint prefix partitions into
 // the Census the undivided table would have produced: prefix counts sum,
 // origin sets union, and each partial's local PathIDs are remapped through
-// one fresh PathTable whose final size is the global distinct-path count.
-// Because interning is content-addressed, the remap is order-independent:
-// any merge order of any partition of the same table yields the same Census.
+// one fresh PathTable whose final size is the global distinct-path count —
+// unless every partial shares one table (a serial pipeline, RIB.TakeCensus),
+// whose IDs union as they are. Because interning is content-addressed, the
+// remap is order-independent: any merge order of any partition of the same
+// table yields the same Census.
 func MergeCensuses(parts ...PartialCensus) Census {
 	var c Census
+	shared := true
+	for _, pc := range parts {
+		shared = shared && pc.PathTab == parts[0].PathTab
+	}
 	origins := make(map[bgp.ASN]struct{})
-	merged := bgp.NewPathTable()
+	ids, merged := make(map[bgp.PathID]struct{}), bgp.NewPathTable()
 	for _, pc := range parts {
 		c.Prefixes += pc.Prefixes
 		c.Multihomed += pc.Multihomed
 		for o := range pc.Origins {
 			origins[o] = struct{}{}
 		}
-		if pc.PathTab == nil {
-			continue
-		}
-		for id := range pc.Paths {
-			merged.ID(pc.PathTab.Lookup(id))
+		switch {
+		case shared && len(parts) == 1:
+			ids = pc.Paths // counted, never written
+		case shared:
+			maps.Copy(ids, pc.Paths)
+		case pc.PathTab != nil:
+			for id := range pc.Paths {
+				merged.ID(pc.PathTab.Lookup(id))
+			}
 		}
 	}
 	c.OriginASes = len(origins)
-	c.UniquePaths = merged.Len()
+	c.UniquePaths = len(ids) + merged.Len()
 	return c
 }
