@@ -1,6 +1,7 @@
 package store
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"io"
@@ -355,10 +356,8 @@ func BenchmarkSealStall(b *testing.B) {
 		for wi := range bat.windows {
 			sw := &bat.windows[wi]
 			sorted := slices.Clone(sw.recs)
-			slices.SortStableFunc(sorted, func(a, b collector.Record) int {
-				return a.Time.Compare(b.Time)
-			})
-			seg, err := writeSegment(s.fs, s.dir, sw.seq, sw.window, sw.firstSeq, sorted, nil, s.opts)
+			slices.SortStableFunc(sorted, func(a, b memRec) int { return cmp.Compare(a.ns, b.ns) })
+			seg, err := writeSegment(s.fs, s.dir, sw.seq, sw.window, sw.firstSeq, sorted, nil, nil, s.opts)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -3,10 +3,12 @@ package store
 import (
 	"errors"
 	"sync"
+	"time"
 
 	"instability/internal/bgp"
 	"instability/internal/collector"
 	"instability/internal/intern"
+	"instability/internal/netaddr"
 )
 
 // ErrCorrupt reports a damaged segment or WAL structure.
@@ -16,49 +18,93 @@ var ErrCorrupt = errors.New("store: corrupt data")
 // the scan) from I/O failure (fail the scan with a partial-scan error).
 func isCorrupt(err error) bool { return errors.Is(err, ErrCorrupt) }
 
-// attrEncoder memoizes the wire encoding of attribute tuples: the same
-// duplicate-dominated stream that motivates interning means the writer would
-// otherwise re-marshal identical path attributes for nearly every record.
-// One encoder belongs to one Store and is guarded by the store mutex (every
-// WAL append, seal, and compaction already runs under it).
+// attrEncoder interns attribute tuples and keeps one attrRef per distinct
+// tuple: the same duplicate-dominated stream that motivates interning means
+// the writer would otherwise re-hash and re-marshal identical path attributes
+// for nearly every record. The store's encoder is guarded by the store mutex
+// (every WAL append and replay runs under it); seal scratch owns private ones.
 type attrEncoder struct {
 	tab  *intern.Table
-	wire [][]byte // wire form by handle ID, filled lazily
+	refs []*attrRef // by handle ID, filled on first sight
 }
 
 func newAttrEncoder() *attrEncoder { return &attrEncoder{tab: intern.New()} }
 
-// encode interns a and returns its handle plus its cached wire form. The
-// returned bytes are shared and must not be modified.
-func (e *attrEncoder) encode(a bgp.Attrs) (*intern.Handle, []byte, error) {
-	h := e.tab.Attrs(a)
-	for int(h.ID) >= len(e.wire) {
-		e.wire = append(e.wire, nil)
-	}
-	w := e.wire[h.ID]
-	if w == nil {
-		var err error
-		w, err = bgp.MarshalAttrs(h.Attrs())
-		if err != nil {
-			return nil, nil, err
-		}
-		e.wire[h.ID] = w
-	}
-	return h, w, nil
+// attrRef is what a memtable row holds of its attribute tuple: the interned
+// handle, the tuple's wire bytes, and its origin AS (-1 when the path has
+// none). It is immutable once its encoder hands it out, so whoever the row
+// reaches — seal workers run off the store lock — reads it without a lock.
+type attrRef struct {
+	h      *intern.Handle
+	wire   []byte
+	origin int32
 }
 
-// appendRecord appends rec in the record encoding (collector.AppendRecord),
-// an announcement's attributes from the memo. A nil encoder marshals them
-// afresh.
-func (e *attrEncoder) appendRecord(b []byte, rec collector.Record) ([]byte, error) {
-	if e == nil || rec.Type != collector.Announce {
-		return collector.AppendRecord(b, rec)
+// encode interns a and returns its ref, marshalling the tuple on first sight.
+func (e *attrEncoder) encode(a bgp.Attrs) (*attrRef, error) {
+	h := e.tab.Attrs(a)
+	for int(h.ID) >= len(e.refs) {
+		e.refs = append(e.refs, nil)
 	}
-	_, w, err := e.encode(rec.Attrs)
+	if ref := e.refs[h.ID]; ref != nil {
+		return ref, nil
+	}
+	w, err := bgp.MarshalAttrs(h.Attrs())
 	if err != nil {
 		return nil, err
 	}
-	return collector.AppendRecordAttrs(b, rec, w), nil
+	ref := &attrRef{h: h, wire: w, origin: -1}
+	if o, ok := h.Attrs().Path.Origin(); ok {
+		ref.origin = int32(o)
+	}
+	e.refs[h.ID] = ref
+	return ref, nil
+}
+
+// memRec is one unsealed record as the memtable holds it: 32 bytes and one
+// pointer where a collector.Record is 120 and three. attrs is nil exactly
+// when the record is not an announcement.
+type memRec struct {
+	ns       int64
+	attrs    *attrRef
+	prefix   netaddr.Prefix
+	peerAddr netaddr.Addr
+	peerAS   bgp.ASN
+	typ      collector.RecType
+}
+
+// row converts rec to a memtable row, interning an announcement's attributes.
+// The row keeps none of rec's slices.
+func (e *attrEncoder) row(rec *collector.Record) (memRec, error) {
+	r := memRec{ns: rec.Time.UnixNano(), prefix: rec.Prefix, peerAddr: rec.PeerAddr, peerAS: rec.PeerAS, typ: rec.Type}
+	if rec.Type == collector.Announce {
+		var err error
+		if r.attrs, err = e.encode(rec.Attrs); err != nil {
+			return memRec{}, err
+		}
+	}
+	return r, nil
+}
+
+// rows converts recs into dst, which is as long.
+func (e *attrEncoder) rows(dst []memRec, recs []collector.Record) error {
+	for i := range recs {
+		var err error
+		if dst[i], err = e.row(&recs[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// record materializes the row as a sealed read or WAL replay returns it: the
+// time in UTC, the canonical attributes.
+func (r *memRec) record() collector.Record {
+	rec := collector.Record{Time: time.Unix(0, r.ns).UTC(), Type: r.typ, PeerAS: r.peerAS, PeerAddr: r.peerAddr, Prefix: r.prefix}
+	if r.attrs != nil {
+		rec.Attrs = r.attrs.h.Attrs()
+	}
+	return rec
 }
 
 // decodeInterner canonicalizes attribute tuples decoded from segment blocks,
@@ -97,14 +143,4 @@ func (d *decodeInterner) internWire(w []byte) (bgp.Attrs, error) {
 	d.tab.FlushStats()
 	d.mu.Unlock()
 	return a, nil
-}
-
-// originOf extracts the origin AS of an announcement (the last AS of its
-// path). Non-announcements, and announcements with empty or SET-terminated
-// paths, have no origin; ok is false.
-func originOf(rec collector.Record) (bgp.ASN, bool) {
-	if rec.Type != collector.Announce {
-		return 0, false
-	}
-	return rec.Attrs.Path.Origin()
 }

@@ -33,7 +33,11 @@ func transcodeLegacyBlock(g *segment, bi int, stored []byte) ([]byte, error) {
 	}
 	sc := getSealScratch()
 	defer putSealScratch(sc)
-	eb := encodeSegmentBlock(sc, recs)
+	rows := make([]memRec, len(recs))
+	if err := sc.enc.rows(rows, recs); err != nil {
+		return nil, fmt.Errorf("%w: block %d: %v", ErrCorrupt, bi, err)
+	}
+	eb := encodeSegmentBlock(sc, rows)
 	if eb.err != nil {
 		return nil, fmt.Errorf("%w: block %d: %v", ErrCorrupt, bi, eb.err)
 	}

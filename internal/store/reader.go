@@ -168,21 +168,21 @@ func (r *Reader) Close() error {
 	return nil
 }
 
-// memSnapshotLocked copies the unsealed records matching q, in append order,
-// counting every considered record into ex.MemRecords. Unsealed means the
-// live memtable plus any windows a background seal has detached but not yet
-// published: a record stays query-visible through every stage of the seal
+// memSnapshotLocked materializes the unsealed records matching q, in append
+// order, counting every considered record into ex.MemRecords. Unsealed means
+// the live memtable plus any windows a background seal has detached but not
+// yet published: a record stays query-visible through every stage of the seal
 // pipeline, flipping from this overlay to the sealed segment under the same
 // lock hold. Detached records precede live ones of the same window, so the
 // caller's stable sort reproduces append order on timestamp ties exactly as
 // when both halves lived in one memtable slice.
 func (s *Store) memSnapshotLocked(q *Query, ex *Explain) []collector.Record {
 	var mem []collector.Record
-	add := func(recs []collector.Record) {
-		ex.MemRecords += len(recs)
-		for i := range recs {
-			if q.Matches(&recs[i]) {
-				mem = append(mem, recs[i])
+	add := func(rows []memRec) {
+		ex.MemRecords += len(rows)
+		for i := range rows {
+			if rec := rows[i].record(); q.Matches(&rec) {
+				mem = append(mem, rec)
 			}
 		}
 	}

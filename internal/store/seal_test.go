@@ -273,7 +273,7 @@ func TestRotatedWALRecovery(t *testing.T) {
 	var frames []byte
 	for i := 0; i < n; i++ {
 		rec := faultRecord(i)
-		frames, err = appendWALFrame(frames, s.windowStart(rec.Time), uint64(i+1), rec, nil)
+		frames, err = recordWALFrame(frames, s.windowStart(rec.Time), uint64(i+1), rec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -347,7 +347,7 @@ func appendExtraFrames(t *testing.T, s *Store, frames []byte, n, extra int) []by
 	var err error
 	for i := n; i < n+extra; i++ {
 		rec := faultRecord(i)
-		out, err = appendWALFrame(out, s.windowStart(rec.Time), uint64(i+1), rec, nil)
+		out, err = recordWALFrame(out, s.windowStart(rec.Time), uint64(i+1), rec)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,7 +9,6 @@ import (
 	"sync"
 
 	"instability/internal/bgp"
-	"instability/internal/collector"
 	"instability/internal/netaddr"
 )
 
@@ -31,32 +30,23 @@ func (p peerKey) compare(q peerKey) int {
 	return cmp.Or(cmp.Compare(p.as, q.as), cmp.Compare(p.addr, q.addr))
 }
 
-// attrEntry is one entry of a block's attribute dictionary: the tuple's wire
-// bytes and its origin AS (-1 when the path has none), stored beside it (as
-// origin+1) so an origin predicate never parses a path.
-type attrEntry struct {
-	wire   []byte
-	origin int32
-}
-
-func (a attrEntry) compare(b attrEntry) int { return bytes.Compare(a.wire, b.wire) }
-
 // rowCodes is one row's provisional dictionary codes, in first-seen order;
 // attr is 1-based, 0 meaning the row carries no attributes.
 type rowCodes struct{ peer, prefix, attr uint16 }
 
 // sealScratch is the per-worker reusable state for encoding segment blocks:
-// an attribute encoder (attrEncoder is not safe for concurrent use, so each
-// worker owns one — its wire bytes are deterministic, keeping parallel output
-// byte-identical to serial), the dictionary build maps, and the block buffer.
+// the dictionary build maps, the block buffer, and an attribute encoder for
+// the blocks that arrive as records rather than memtable rows — compaction's
+// merged output and transcoded legacy blocks. attrEncoder is not safe for
+// concurrent use, so each worker owns one.
 type sealScratch struct {
 	enc      *attrEncoder
 	peerOf   map[uint64]uint16 // AS<<32 | address: integer keys hash on the fast path
 	prefixOf map[uint64]uint16 // address<<8 | mask length
-	attrOf   map[uint32]uint16 // attrEncoder handle ID -> provisional index
-	peers    [2][]peerKey      // [0] first-seen order, [1] sorted
+	attrOf   map[*attrRef]uint16
+	peers    [2][]peerKey // [0] first-seen order, [1] sorted
 	prefixes [2][]netaddr.Prefix
-	attrs    [2][]attrEntry
+	attrs    [2][]*attrRef
 	remap    [3][]uint16 // provisional -> final code, per dictionary
 	rows     []rowCodes
 	out      []byte
@@ -67,7 +57,7 @@ var sealScratchPool = sync.Pool{New: func() any {
 		enc:      newAttrEncoder(),
 		peerOf:   make(map[uint64]uint16),
 		prefixOf: make(map[uint64]uint16),
-		attrOf:   make(map[uint32]uint16),
+		attrOf:   make(map[*attrRef]uint16),
 	}
 }}
 
@@ -96,11 +86,13 @@ func appendCode(b []byte, n int, code uint16) []byte {
 	return append(b, byte(code))
 }
 
-// encodeSegmentBlock encodes one block of time-sorted records into segment
+// encodeSegmentBlock encodes one block of time-sorted rows into segment
 // format v3 (layout at colBlock). The result depends only on the block's
 // records — every dictionary is sorted by value — so any assignment of blocks
-// to workers produces identical segment bytes.
-func encodeSegmentBlock(sc *sealScratch, block []collector.Record) encodedBlock {
+// to workers, and any encoder the rows were interned by, produces identical
+// segment bytes. A row's attribute dictionary entry is its ref's wire bytes
+// and origin: nothing here hashes a tuple.
+func encodeSegmentBlock(sc *sealScratch, block []memRec) encodedBlock {
 	if len(block) == 0 || len(block) > maxBlockRecords {
 		return encodedBlock{err: fmt.Errorf("store: block of %d records", len(block))}
 	}
@@ -110,38 +102,31 @@ func encodeSegmentBlock(sc *sealScratch, block []collector.Record) encodedBlock 
 	peers, prefixes, attrs := sc.peers[0][:0], sc.prefixes[0][:0], sc.attrs[0][:0]
 	rows := sc.rows[:0]
 	inline, dictBytes := 0, 0 // what inline attributes would have cost, for the bytes-saved metric
-	for _, rec := range block {
+	for i := range block {
+		r := &block[i]
 		var rc rowCodes
 		var ok bool
-		pk := uint64(rec.PeerAS)<<32 | uint64(rec.PeerAddr)
+		pk := uint64(r.peerAS)<<32 | uint64(r.peerAddr)
 		if rc.peer, ok = sc.peerOf[pk]; !ok {
 			rc.peer = uint16(len(peers))
 			sc.peerOf[pk] = rc.peer
-			peers = append(peers, peerKey{rec.PeerAS, rec.PeerAddr})
+			peers = append(peers, peerKey{r.peerAS, r.peerAddr})
 		}
-		fk := uint64(rec.Prefix.Addr())<<8 | uint64(rec.Prefix.Bits())
+		fk := uint64(r.prefix.Addr())<<8 | uint64(r.prefix.Bits())
 		if rc.prefix, ok = sc.prefixOf[fk]; !ok {
 			rc.prefix = uint16(len(prefixes))
 			sc.prefixOf[fk] = rc.prefix
-			prefixes = append(prefixes, rec.Prefix)
+			prefixes = append(prefixes, r.prefix)
 		}
-		if rec.Type == collector.Announce {
-			h, w, err := sc.enc.encode(rec.Attrs)
-			if err != nil {
-				return encodedBlock{err: err}
-			}
-			j, ok := sc.attrOf[h.ID]
+		if r.attrs != nil {
+			j, ok := sc.attrOf[r.attrs]
 			if !ok {
 				j = uint16(len(attrs))
-				sc.attrOf[h.ID] = j
-				e := attrEntry{wire: w, origin: -1}
-				if o, ok := h.Attrs().Path.Origin(); ok {
-					e.origin = int32(o)
-				}
-				attrs = append(attrs, e)
-				dictBytes += len(w)
+				sc.attrOf[r.attrs] = j
+				attrs = append(attrs, r.attrs)
+				dictBytes += len(r.attrs.wire)
 			}
-			inline += len(w)
+			inline += len(r.attrs.wire)
 			rc.attr = j + 1
 		}
 		rows = append(rows, rc)
@@ -152,7 +137,9 @@ func encodeSegmentBlock(sc *sealScratch, block []collector.Record) encodedBlock 
 
 	peers, sc.remap[0] = canonical(peers, sc.peers[1], sc.remap[0], peerKey.compare)
 	prefixes, sc.remap[1] = canonical(prefixes, sc.prefixes[1], sc.remap[1], netaddr.Prefix.Compare)
-	attrs, sc.remap[2] = canonical(attrs, sc.attrs[1], sc.remap[2], attrEntry.compare)
+	attrs, sc.remap[2] = canonical(attrs, sc.attrs[1], sc.remap[2], func(a, b *attrRef) int {
+		return bytes.Compare(a.wire, b.wire)
+	})
 	sc.peers[1], sc.prefixes[1], sc.attrs[1] = peers, prefixes, attrs
 
 	b := binary.AppendUvarint(sc.out[:0], uint64(len(peers)))
@@ -171,8 +158,8 @@ func encodeSegmentBlock(sc *sealScratch, block []collector.Record) encodedBlock 
 		b = append(b, a.wire...)
 		b = binary.AppendUvarint(b, uint64(a.origin+1))
 	}
-	for _, rec := range block {
-		b = append(b, byte(rec.Type))
+	for _, r := range block {
+		b = append(b, byte(r.typ))
 	}
 	for _, rc := range rows {
 		b = appendCode(b, len(peers), sc.remap[0][rc.peer])
@@ -187,9 +174,9 @@ func encodeSegmentBlock(sc *sealScratch, block []collector.Record) encodedBlock 
 		}
 		b = appendCode(b, len(attrs), code)
 	}
-	prev := block[0].Time.UnixNano()
-	for _, rec := range block[1:] {
-		t := rec.Time.UnixNano()
+	prev := block[0].ns
+	for _, r := range block[1:] {
+		t := r.ns
 		if t < prev {
 			return encodedBlock{err: fmt.Errorf("store: records not time-sorted at seal")}
 		}

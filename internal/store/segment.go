@@ -12,6 +12,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"instability/internal/bgp"
 	"instability/internal/collector"
 	"instability/internal/faults"
 )
@@ -68,7 +69,7 @@ type segment struct {
 
 func segName(seq uint64) string { return fmt.Sprintf("%s%08d%s", segPrefix, seq, segSuffix) }
 
-// writeSegment seals recs (already sorted by time) into a new segment file
+// writeSegment seals rows (already sorted by time) into a new segment file
 // in dir. The write is crash-safe: the file is assembled under a .tmp name
 // and renamed into place.
 //
@@ -76,13 +77,16 @@ func segName(seq uint64) string { return fmt.Sprintf("%s%08d%s", segPrefix, seq,
 // next unencoded block: blocks are independent (each carries its own
 // dictionaries), so they encode concurrently and are stitched back in order.
 // The output is byte-identical at any GOMAXPROCS — each block's bytes depend
-// only on its own records — and GOMAXPROCS=1 serializes the encode.
-func writeSegment(fsys faults.FS, dir string, seq uint64, windowStart int64, firstSeq uint64, recs []collector.Record, replaces []uint64, opts Options) (*segment, error) {
-	if len(recs) == 0 {
+// only on its own records — and GOMAXPROCS=1 serializes the encode. When
+// recs is non-nil (compaction's merged output), rows is its same-length
+// destination: each worker converts a block of recs to rows through its own
+// encoder before encoding it, so the interning stays parallel too.
+func writeSegment(fsys faults.FS, dir string, seq uint64, windowStart int64, firstSeq uint64, rows []memRec, recs []collector.Record, replaces []uint64, opts Options) (*segment, error) {
+	if len(rows) == 0 {
 		return nil, fmt.Errorf("store: sealing empty segment")
 	}
 	const version = segVersionV3
-	nBlocks := (len(recs) + opts.BlockRecords - 1) / opts.BlockRecords
+	nBlocks := (len(rows) + opts.BlockRecords - 1) / opts.BlockRecords
 	encoded := make([]encodedBlock, nBlocks)
 	workers := min(runtime.GOMAXPROCS(0), nBlocks)
 	var next atomic.Int64
@@ -99,8 +103,14 @@ func writeSegment(fsys faults.FS, dir string, seq uint64, windowStart int64, fir
 					return
 				}
 				start := bi * opts.BlockRecords
-				end := min(start+opts.BlockRecords, len(recs))
-				encoded[bi] = encodeSegmentBlock(sc, recs[start:end])
+				end := min(start+opts.BlockRecords, len(rows))
+				if recs != nil {
+					if err := sc.enc.rows(rows[start:end], recs[start:end]); err != nil {
+						encoded[bi] = encodedBlock{err: err}
+						continue
+					}
+				}
+				encoded[bi] = encodeSegmentBlock(sc, rows[start:end])
 			}
 		}()
 	}
@@ -111,37 +121,38 @@ func writeSegment(fsys faults.FS, dir string, seq uint64, windowStart int64, fir
 		}
 	}
 
-	// Stitch: blocks in order, then the index — built serially from the raw
-	// records so posting lists and the bloom filter fold in block order.
+	// Stitch: blocks in order, then the index — built serially from the rows
+	// so posting lists and the bloom filter fold in block order.
 	ix := &segIndex{
 		peers:   make(postings),
 		origins: make(postings),
-		filter:  newBloom(len(recs)),
+		filter:  newBloom(len(rows)),
 	}
 	var buf bytes.Buffer
 	buf.WriteString(segMagic)
 	buf.WriteByte(version)
 	for bi := range encoded {
 		start := bi * opts.BlockRecords
-		end := min(start+opts.BlockRecords, len(recs))
-		block := recs[start:end]
+		end := min(start+opts.BlockRecords, len(rows))
+		block := rows[start:end]
 		blockID := int32(bi)
 		ix.blocks = append(ix.blocks, blockMeta{
 			offset:  int64(buf.Len()),
 			clen:    int32(len(encoded[bi].data)),
 			ulen:    int32(len(encoded[bi].data)),
 			count:   int32(len(block)),
-			minTime: block[0].Time.UnixNano(),
-			maxTime: block[len(block)-1].Time.UnixNano(),
+			minTime: block[0].ns,
+			maxTime: block[len(block)-1].ns,
 		})
 		buf.Write(encoded[bi].data)
 		encoded[bi].data = nil
-		for _, rec := range block {
-			ix.peers.add(rec.PeerAS, blockID)
-			if origin, ok := originOf(rec); ok {
-				ix.origins.add(origin, blockID)
+		for i := range block {
+			r := &block[i]
+			ix.peers.add(r.peerAS, blockID)
+			if r.attrs != nil && r.attrs.origin >= 0 {
+				ix.origins.add(bgp.ASN(r.attrs.origin), blockID)
 			}
-			ix.filter.add(prefixKey(rec.Prefix))
+			ix.filter.add(prefixKey(r.prefix))
 		}
 	}
 
@@ -152,11 +163,11 @@ func writeSegment(fsys faults.FS, dir string, seq uint64, windowStart int64, fir
 	footer := make([]byte, 0, 64)
 	footer = binary.BigEndian.AppendUint64(footer, uint64(indexOff))
 	footer = binary.BigEndian.AppendUint64(footer, uint64(windowStart))
-	footer = binary.BigEndian.AppendUint64(footer, uint64(recs[0].Time.UnixNano()))
-	footer = binary.BigEndian.AppendUint64(footer, uint64(recs[len(recs)-1].Time.UnixNano()))
+	footer = binary.BigEndian.AppendUint64(footer, uint64(rows[0].ns))
+	footer = binary.BigEndian.AppendUint64(footer, uint64(rows[len(rows)-1].ns))
 	footer = binary.BigEndian.AppendUint64(footer, firstSeq)
-	footer = binary.BigEndian.AppendUint64(footer, firstSeq+uint64(len(recs))-1)
-	footer = binary.BigEndian.AppendUint64(footer, uint64(len(recs)))
+	footer = binary.BigEndian.AppendUint64(footer, firstSeq+uint64(len(rows))-1)
+	footer = binary.BigEndian.AppendUint64(footer, uint64(len(rows)))
 	footer = binary.BigEndian.AppendUint16(footer, uint16(len(replaces)))
 	for _, r := range replaces {
 		footer = binary.BigEndian.AppendUint64(footer, r)
@@ -200,11 +211,11 @@ func writeSegment(fsys faults.FS, dir string, seq uint64, windowStart int64, fir
 		size:        int64(buf.Len()),
 		ver:         version,
 		windowStart: windowStart,
-		minTime:     recs[0].Time.UnixNano(),
-		maxTime:     recs[len(recs)-1].Time.UnixNano(),
+		minTime:     rows[0].ns,
+		maxTime:     rows[len(rows)-1].ns,
 		firstSeq:    firstSeq,
-		lastSeq:     firstSeq + uint64(len(recs)) - 1,
-		count:       int64(len(recs)),
+		lastSeq:     firstSeq + uint64(len(rows)) - 1,
+		count:       int64(len(rows)),
 		replaces:    replaces,
 		index:       ix,
 	}

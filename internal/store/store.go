@@ -58,7 +58,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"instability/internal/collector"
 	"instability/internal/faults"
 )
 
@@ -152,9 +151,10 @@ type Store struct {
 	// the store lock. Result caches key on it; see Generation.
 	gen atomic.Uint64
 
-	// enc memoizes attribute wire encodings across WAL appends, seals, and
-	// compactions (guarded by mu); dec canonicalizes attributes decoded from
-	// v2 segment dictionaries so repeated scans share storage.
+	// enc interns the attributes of every WAL append and replay, once: the
+	// memtable row carries the ref it returns (guarded by mu). dec
+	// canonicalizes the attributes every scan decodes from segment block
+	// dictionaries, so repeated scans share storage.
 	enc *attrEncoder
 	dec *decodeInterner
 
@@ -176,7 +176,7 @@ var mmapSegment = mmapOpen
 // memWindow is the unsealed tail of one time window.
 type memWindow struct {
 	firstSeq uint64 // sequence number of recs[0] within this window
-	recs     []collector.Record
+	recs     []memRec
 }
 
 // Open opens (creating if necessary) the store directory at dir and recovers
@@ -324,7 +324,11 @@ func (s *Store) replayWALEntries(entries []walEntry) (kept int, err error) {
 		if got := mw.firstSeq + uint64(len(mw.recs)); ent.seq != got {
 			return kept, fmt.Errorf("store: WAL sequence gap in window %d: have %d, want %d", ent.window, ent.seq, got)
 		}
-		mw.recs = append(mw.recs, ent.rec)
+		r, err := s.enc.row(&ent.rec)
+		if err != nil {
+			return kept, err
+		}
+		mw.recs = append(mw.recs, r)
 		s.memN++
 		kept++
 	}

@@ -75,18 +75,19 @@ func openWAL(fsys faults.FS, path string) (*frameLog, []walEntry, error) {
 	return w, entries, nil
 }
 
-// appendWALFrame encodes one entry as a frame onto b. The payload is built
-// in place on b (see collector.BeginFrame), so no per-record scratch buffer
-// is allocated; enc supplies memoized attribute bytes for the record.
-func appendWALFrame(b []byte, window int64, seq uint64, rec collector.Record, enc *attrEncoder) ([]byte, error) {
+// appendWALFrame encodes one row as a frame onto b. The payload is built in
+// place on b (see collector.BeginFrame), so no per-record scratch buffer is
+// allocated; an announcement's attribute bytes come from its ref.
+func appendWALFrame(b []byte, window int64, seq uint64, r *memRec) []byte {
 	b, lenAt := collector.BeginFrame(b)
 	b = binary.BigEndian.AppendUint64(b, uint64(window))
 	b = binary.BigEndian.AppendUint64(b, seq)
-	b, err := enc.appendRecord(b, rec)
-	if err != nil {
-		return nil, err
+	var wire []byte
+	if r.attrs != nil {
+		wire = r.attrs.wire
 	}
-	return collector.EndFrame(b, lenAt), nil
+	b = collector.AppendRecordAttrs(b, r.record(), wire)
+	return collector.EndFrame(b, lenAt)
 }
 
 func decodeWALPayload(p []byte) (walEntry, error) {

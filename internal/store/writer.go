@@ -1,6 +1,7 @@
 package store
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"slices"
@@ -58,7 +59,8 @@ func (w *Writer) AppendBatch(recs []collector.Record) error {
 	return w.maintainLocked()
 }
 
-// appendLocked encodes one record into the pending WAL buffer and memtable.
+// appendLocked interns one record's attributes, once: the row it appends to
+// the memtable carries the ref the WAL frame was written from.
 func (w *Writer) appendLocked(rec collector.Record) error {
 	s := w.s
 	window := s.windowStart(rec.Time)
@@ -67,14 +69,13 @@ func (w *Writer) appendLocked(rec collector.Record) error {
 		mw = &memWindow{firstSeq: s.nextWindowSeqLocked(window)}
 		s.mem[window] = mw
 	}
-	seq := mw.firstSeq + uint64(len(mw.recs))
-	frames, err := appendWALFrame(w.pending, window, seq, rec, s.enc)
+	r, err := s.enc.row(&rec)
 	if err != nil {
 		return err
 	}
-	w.pending = frames
+	w.pending = appendWALFrame(w.pending, window, mw.firstSeq+uint64(len(mw.recs)), &r)
 	w.pendingN++
-	mw.recs = append(mw.recs, rec)
+	mw.recs = append(mw.recs, r)
 	s.memN++
 	w.appended++
 	obsAppends.Inc()
@@ -247,7 +248,7 @@ type sealWindow struct {
 	window   int64
 	firstSeq uint64
 	seq      uint64 // segment file number reserved at detach
-	recs     []collector.Record
+	recs     []memRec
 }
 
 // remaining counts the batch's not-yet-published records (mu held).
@@ -344,13 +345,11 @@ func (s *Store) runSeal(b *sealBatch) {
 		sw := &b.windows[i]
 		t1 := time.Now()
 		recs := slices.Clone(sw.recs)
-		slices.SortStableFunc(recs, func(a, b collector.Record) int {
-			return a.Time.Compare(b.Time)
-		})
+		slices.SortStableFunc(recs, func(a, b memRec) int { return cmp.Compare(a.ns, b.ns) })
 		obsSealSortSeconds.ObserveSince(t1)
 		t2 := time.Now()
 		var seg *segment
-		seg, err = writeSegment(s.fs, s.dir, sw.seq, sw.window, sw.firstSeq, recs, nil, s.opts)
+		seg, err = writeSegment(s.fs, s.dir, sw.seq, sw.window, sw.firstSeq, recs, nil, nil, s.opts)
 		if err != nil {
 			break
 		}
