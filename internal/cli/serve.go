@@ -61,8 +61,9 @@ func Serve(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	defer stopObs()
-	// Always on, whatever -trace-sample says: a slow request is kept even
-	// when it was not head-sampled.
+	// Always on, whatever -trace-sample says: a request's trace is its only
+	// record, and -slow-query is the tracer's one slow threshold, so a slow
+	// request is kept, and logged, even when it was not head-sampled.
 	obs.EnableTracing(obs.TraceConfig{SampleRate: of.traceSample, SlowThreshold: *slowQuery, RingSize: *traceRing})
 
 	slowW := stderr
@@ -87,7 +88,6 @@ func Serve(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		DefaultQuota: def,
 		CacheBytes:   *cacheBytes,
 		DrainTimeout: *drain,
-		SlowQuery:    *slowQuery,
 		SlowQueryLog: slowW,
 		AlertLog:     *alertLog,
 	})

@@ -38,12 +38,12 @@ func (r *Registry) StartSpan(stage string) *Span {
 // StartSpan begins a stage span in the default registry.
 func StartSpan(stage string) *Span { return Default().StartSpan(stage) }
 
-// StartSpanCtx begins a stage span that is also a child TraceSpan of the
-// trace carried by ctx (if any), returning the span and the derived context.
-// With no active trace the stage metrics still publish; only the trace node
-// is absent.
-func (r *Registry) StartSpanCtx(ctx context.Context, stage string) (*Span, context.Context) {
-	sp := &Span{reg: r, stage: stage}
+// StartSpanCtx begins a stage span in the default registry that is also a
+// child TraceSpan of the trace carried by ctx (if any), returning the span
+// and the derived context. With no active trace the stage metrics still
+// publish; only the trace node is absent.
+func StartSpanCtx(ctx context.Context, stage string) (*Span, context.Context) {
+	sp := &Span{reg: Default(), stage: stage}
 	cctx, ts := StartChild(ctx, stage)
 	if ts == nil {
 		sp.ts = detachedSpan(stage)
@@ -51,11 +51,6 @@ func (r *Registry) StartSpanCtx(ctx context.Context, stage string) (*Span, conte
 	}
 	sp.ts = ts
 	return sp, cctx
-}
-
-// StartSpanCtx begins a context-linked stage span in the default registry.
-func StartSpanCtx(ctx context.Context, stage string) (*Span, context.Context) {
-	return Default().StartSpanCtx(ctx, stage)
 }
 
 // detachedSpan makes a TraceSpan that belongs to no trace: it records timing
@@ -67,15 +62,8 @@ func detachedSpan(name string) *TraceSpan {
 	return ts
 }
 
-// Trace returns the span's TraceSpan (never nil), for annotations that
-// should appear in the request trace.
-func (sp *Span) Trace() *TraceSpan { return sp.ts }
-
 // Add notes n events processed by the stage.
 func (sp *Span) Add(n int64) { sp.events += n }
-
-// Events returns the events recorded so far.
-func (sp *Span) Events() int64 { return sp.events }
 
 // End publishes the span and returns its duration, read from the underlying
 // TraceSpan so trace and metrics agree exactly.

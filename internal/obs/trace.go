@@ -69,7 +69,6 @@ type Tracer struct {
 	mu   sync.Mutex
 	ring []*Trace // circular, ring[next] is the oldest slot
 	next int
-	seen uint64 // total traces collected into the ring
 }
 
 var defaultTracer Tracer
@@ -149,6 +148,7 @@ type Trace struct {
 	// Remote marks traces joined from a wire parent rather than rooted here.
 	Remote bool
 	start  time.Time
+	slow   bool // the root ran at least SlowThreshold; set by collect
 
 	mu        sync.Mutex
 	spans     []*TraceSpan
@@ -354,6 +354,14 @@ func (sp *TraceSpan) TraceID() uint64 {
 	return sp.tr.ID
 }
 
+// Trace returns the trace the span belongs to, nil for nil.
+func (sp *TraceSpan) Trace() *Trace {
+	if sp == nil {
+		return nil
+	}
+	return sp.tr
+}
+
 // SpanID returns the span's ID, 0 for nil.
 func (sp *TraceSpan) SpanID() uint64 {
 	if sp == nil {
@@ -379,18 +387,18 @@ func (sp *TraceSpan) Header() string {
 	return FormatTraceHeader(sp.tr.ID, sp.ID, sp.tr.Sampled)
 }
 
-// collect decides retention for a completed trace and rings it.
+// collect decides retention for a completed trace, recording its slow
+// verdict, and rings it.
 func (t *Tracer) collect(tr *Trace, rootDur time.Duration) {
 	cfg := t.cfg.Load()
 	if cfg == nil {
 		return
 	}
-	keep := tr.Sampled
-	slow := cfg.SlowThreshold >= 0 && rootDur >= cfg.SlowThreshold
+	tr.slow = cfg.SlowThreshold >= 0 && rootDur >= cfg.SlowThreshold
 	switch {
-	case keep:
+	case tr.Sampled:
 		obsTraceKeptSampled.Inc()
-	case slow:
+	case tr.slow:
 		obsTraceKeptSlow.Inc()
 	default:
 		obsTraceDropped.Inc()
@@ -403,7 +411,6 @@ func (t *Tracer) collect(tr *Trace, rootDur time.Duration) {
 	}
 	t.ring[t.next] = tr
 	t.next = (t.next + 1) % len(t.ring)
-	t.seen++
 	t.mu.Unlock()
 }
 
@@ -434,12 +441,13 @@ func (tr *Trace) Spans() []*TraceSpan {
 // Root returns the trace's root span.
 func (tr *Trace) Root() *TraceSpan { return tr.root }
 
-// Truncated reports whether the trace hit the span budget.
-func (tr *Trace) Truncated() bool {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	return tr.truncated
-}
+// StartTime returns when the trace's root span started.
+func (tr *Trace) StartTime() time.Time { return tr.start }
+
+// Slow reports the tracer's keep-if-slow verdict on the finished root: it
+// ran at least SlowThreshold. It is set whether or not the trace was also
+// head-sampled, and is false for a trace the tracer did not collect.
+func (tr *Trace) Slow() bool { return tr.slow }
 
 // Attrs returns the span's annotations. Nil-safe. The slice is the span's
 // own; callers must not mutate it and must only read it after the span has

@@ -19,15 +19,23 @@
 // actually changes the data — never after. Record streams are never cached;
 // they stream block by block from the store's merge reader. Every stage
 // publishes irtl_serve_* metrics through internal/obs.
+//
+// A request's one record is its trace: the root names the tenant, encoding
+// and query, each stage is a child span, and the store's EXPLAIN rides on
+// store_scan. The slow-query log and /v1/statz recent_queries are renderings
+// of it (slowlog.go), and the tracer's keep-if-slow verdict is the only slow
+// decision. Without the tracer a request leaves no such record.
 package serve
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
 	"log"
 	"net"
 	"net/http"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -62,11 +70,13 @@ type Options struct {
 	// DrainTimeout bounds how long Close waits for in-flight requests
 	// before force-closing their connections. Default 5s.
 	DrainTimeout time.Duration
-	// SlowQuery is the slow-query threshold: any request at or over it emits
-	// one NDJSON QueryProfile line. Zero means 1s; negative disables the log
-	// (profiles are still gathered for /v1/statz).
+	// SlowQuery is ignored: the tracer's TraceConfig.SlowThreshold is the one
+	// slow-query threshold (slowlog.go). It remains only because the
+	// benchmark harness (internal/benchkit) still sets it; the harness's move
+	// onto the shipped program deletes it.
 	SlowQuery time.Duration
-	// SlowQueryLog receives the NDJSON lines. Nil means os.Stderr.
+	// SlowQueryLog receives one NDJSON QueryProfile line for each request
+	// whose trace the tracer judged slow. Nil means os.Stderr.
 	SlowQueryLog io.Writer
 	// AlertLog, when set, is appended to /v1/alerts responses: the path of a
 	// detector alert sidecar log written by the ingest process.
@@ -105,6 +115,9 @@ func (o Options) withDefaults() Options {
 	if o.headerTimeout <= 0 {
 		o.headerTimeout = 10 * time.Second
 	}
+	if o.SlowQueryLog == nil {
+		o.SlowQueryLog = os.Stderr
+	}
 	return o
 }
 
@@ -114,10 +127,10 @@ type Server struct {
 	st       *store.Store
 	adm      *admission
 	cache    *resultCache
-	profiles *profileLog
 	lastGen  atomic.Uint64
 	srv      *http.Server
 	inflight atomic.Int64 // requests inside a handler
+	slowMu   sync.Mutex   // serializes SlowQueryLog writes
 
 	mu     sync.Mutex
 	ln     net.Listener
@@ -132,12 +145,11 @@ func New(opts Options) (*Server, error) {
 	}
 	opts = opts.withDefaults()
 	s := &Server{
-		opts:     opts,
-		st:       opts.Store,
-		adm:      newAdmission(opts.MaxSessions, opts.MaxQueue, opts.QueueWait, opts.Quotas, opts.DefaultQuota, opts.now),
-		cache:    newResultCache(opts.CacheBytes),
-		profiles: newProfileLog(opts.SlowQuery, opts.SlowQueryLog),
-		closed:   make(chan struct{}),
+		opts:   opts,
+		st:     opts.Store,
+		adm:    newAdmission(opts.MaxSessions, opts.MaxQueue, opts.QueueWait, opts.Quotas, opts.DefaultQuota, opts.now),
+		cache:  newResultCache(opts.CacheBytes),
+		closed: make(chan struct{}),
 	}
 	s.srv = &http.Server{Handler: s.httpHandler(), ReadHeaderTimeout: opts.headerTimeout}
 	s.lastGen.Store(s.st.Generation())
@@ -186,64 +198,47 @@ func (s *Server) generation() uint64 {
 // aggregate answers an aggregate query through the result cache, which also
 // coalesces identical computations in flight, returning the serialized JSON
 // body. The cache lookup, coalescing outcome, and store scan all land on the
-// request's trace and profile.
-func (s *Server) aggregate(ctx context.Context, prof *QueryProfile, kind string, top int, q store.Query) ([]byte, error) {
+// request's trace.
+func (s *Server) aggregate(ctx context.Context, kind string, top int, q store.Query) ([]byte, error) {
 	gen := s.generation()
 	key := aggregateCacheKey(gen, kind, top, q)
-	tc := time.Now()
 	_, csp := obs.StartChild(ctx, "cache")
 	if body, ok := s.cache.get(key); ok {
 		csp.Annotate("result", "hit")
 		csp.Finish()
-		prof.addStage("cache", time.Since(tc))
-		prof.CacheHit = true
 		return body, nil
 	}
 	csp.Annotate("result", "miss")
 	csp.Finish()
-	prof.addStage("cache", time.Since(tc))
 
-	tagg := time.Now()
-	var ex *store.Explain
+	actx, asp := obs.StartChild(ctx, "aggregate")
 	body, how, err := s.cache.getOrLoad(key, func() ([]byte, error) {
-		span, sctx := obs.StartSpanCtx(ctx, "serve_aggregate")
-		defer span.End()
-		tsc := time.Now()
-		_, ssp := obs.StartChild(sctx, "scan")
+		sctx, ssp := obs.StartChild(actx, "scan")
 		r, qerr := s.st.QueryCtx(sctx, q)
 		if qerr != nil {
 			ssp.SetError(qerr)
 			ssp.Finish()
-			prof.addStage("scan", time.Since(tsc))
 			return nil, qerr
 		}
 		agg, aerr := computeAggregate(readerOnly{r}, kind, top)
 		r.Close()
-		e := r.Explain()
-		ex = &e
 		ssp.Finish()
-		prof.addStage("scan", time.Since(tsc))
 		if aerr != nil {
 			return nil, aerr
 		}
 		agg.Generation = gen
-		span.Add(int64(agg.Records))
-		te := time.Now()
-		_, esp := obs.StartChild(sctx, "encode")
-		body, merr := marshalJSON(agg)
+		_, esp := obs.StartChild(actx, "encode")
+		body, merr := json.Marshal(agg)
 		esp.Finish()
-		prof.addStage("encode", time.Since(te))
 		return body, merr
 	})
-	prof.addStage("aggregate", time.Since(tagg))
-	// A hit here means an identical computation landed between the lookup
-	// above and this one.
-	prof.CacheHit = how == lru.Hit
-	prof.Coalesced = how == lru.Shared
-	if ex != nil {
-		prof.Explain = ex
-	}
-	if prof.Coalesced {
+	asp.Finish()
+	switch how {
+	case lru.Hit:
+		// An identical computation landed between the lookup above and this
+		// one: the cache span notes the second lookup's hit.
+		csp.Annotate("result", "hit")
+	case lru.Shared:
 		obs.SpanFromContext(ctx).Annotate("coalesced", "true")
 	}
 	return body, err

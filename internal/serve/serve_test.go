@@ -621,7 +621,8 @@ func TestStalledReaderFreesSession(t *testing.T) {
 // NDJSON line fails the server's writes, and the request is profiled as the
 // failure it was, not as a success.
 func TestHangupMidStreamIsProfiled(t *testing.T) {
-	srv := startStallServer(t, Options{SlowQuery: -1})
+	enableTestTracing(t, -1)
+	srv := startStallServer(t, Options{})
 	addr := srv.Addr().String()
 	resp, err := http.Get("http://" + addr + "/v1/records")
 	if err != nil {
@@ -732,6 +733,7 @@ func (f readFailFile) ReadAt(p []byte, off int64) (int, error) {
 // answer — and the server's own account of the request (profile, statz) must
 // call it a failure too.
 func TestMidScanFailureIsReported(t *testing.T) {
+	enableTestTracing(t, -1)
 	left := new(atomic.Int64)
 	left.Store(math.MaxInt64)
 	// One window, small blocks: the sealed two thirds are one segment of

@@ -3,25 +3,18 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
-	"io"
-	"os"
-	"sync"
 	"time"
 
+	"instability/internal/obs"
 	"instability/internal/store"
 )
 
-// The slow-query log: every request builds a QueryProfile — trace ID,
-// tenant, query key, per-stage millis, and the store's EXPLAIN counters —
-// and profiles whose total duration crosses the server's threshold are
-// emitted as one NDJSON line each, so "why was this query slow" is
-// answerable from the log alone, without a tracing UI. The most recent
-// profiles (slow or not) are also retained in a small ring surfaced by
-// /v1/statz, giving operators a live recent-queries view.
+// The two renderings of a request's trace: a trace the tracer judged slow
+// (TraceConfig.SlowThreshold) becomes one NDJSON line in
+// Options.SlowQueryLog, and the server traces it retained, head-sampled or
+// slow, are /v1/statz recent_queries.
 
-// QueryProfile is one request's attribution record. Stage timing is measured
-// directly in the handlers (plain clock deltas), so profiles work even with
-// tracing disabled; TraceID is present when a trace was active.
+// QueryProfile is one request's attribution record, rendered from its trace.
 type QueryProfile struct {
 	Time       string             `json:"time"`
 	TraceID    string             `json:"trace_id,omitempty"`
@@ -38,74 +31,103 @@ type QueryProfile struct {
 	Err        string             `json:"error,omitempty"`
 }
 
-// addStage records one stage's wall time in milliseconds.
-func (p *QueryProfile) addStage(name string, d time.Duration) {
-	if p.Stages == nil {
-		p.Stages = make(map[string]float64, 4)
-	}
-	p.Stages[name] += float64(d) / float64(time.Millisecond)
-}
+// The server's request traces are rooted at these spans.
+const rootRecords, rootAggregate = "serve_query", "serve_aggregate"
 
-// setError records err on the profile; nil is a no-op.
-func (p *QueryProfile) setError(err error) {
-	if err != nil {
-		p.Err = err.Error()
-	}
-}
+const recentQueries = 32 // how many profiles /v1/statz lists
 
-// profileRecent is how many finished profiles /v1/statz retains.
-const profileRecent = 32
+func millis(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
-// profileLog owns the slow-query NDJSON writer and the recent-profiles ring.
-type profileLog struct {
-	threshold time.Duration // emit profiles at or over this; negative = never
-	mu        sync.Mutex
-	w         io.Writer
-	ring      [profileRecent]*QueryProfile
-	next      int
-}
-
-func newProfileLog(threshold time.Duration, w io.Writer) *profileLog {
-	if threshold == 0 {
-		threshold = time.Second
-	}
-	if w == nil {
-		w = os.Stderr
-	}
-	return &profileLog{threshold: threshold, w: w}
-}
-
-// record finishes a profile: stamps duration and time, rings it for statz,
-// and emits the NDJSON line when the request was slow.
-func (pl *profileLog) record(p *QueryProfile, start time.Time) {
-	d := time.Since(start)
-	p.DurationMs = float64(d) / float64(time.Millisecond)
-	p.Time = start.UTC().Format(time.RFC3339Nano)
-	slow := pl.threshold >= 0 && d >= pl.threshold
-	if slow {
-		obsSlowQueries.Inc()
-	}
-	pl.mu.Lock()
-	pl.ring[pl.next] = p
-	pl.next = (pl.next + 1) % profileRecent
-	if slow {
-		line, err := json.Marshal(p)
-		if err == nil {
-			fmt.Fprintf(pl.w, "%s\n", line)
+// attr returns sp's last annotation under key, the zero one if none.
+func attr(sp *obs.TraceSpan, key string) (a obs.Annotation) {
+	for _, x := range sp.Attrs() {
+		if x.Key == key {
+			a = x
 		}
 	}
-	pl.mu.Unlock()
+	return a
 }
 
-// recent returns the retained profiles, newest first.
-func (pl *profileLog) recent() []QueryProfile {
-	pl.mu.Lock()
-	defer pl.mu.Unlock()
-	out := make([]QueryProfile, 0, profileRecent)
-	for i := 1; i <= profileRecent; i++ {
-		p := pl.ring[(pl.next-i+profileRecent)%profileRecent]
-		if p != nil {
-			out = append(out, *p)
+// profileOf renders a finished server trace as its request's profile. A
+// stage's time is the summed duration of the spans named after it; the
+// cache span of a record stream (result=uncacheable_stream) is no stage.
+func profileOf(tr *obs.Trace) QueryProfile {
+	root := tr.Root()
+	p := QueryProfile{
+		Time:       tr.StartTime().UTC().Format(time.RFC3339Nano),
+		TraceID:    fmt.Sprintf("%016x", tr.ID),
+		Tenant:     attr(root, "tenant").Str,
+		Proto:      attr(root, "proto").Str,
+		Kind:       attr(root, "kind").Str,
+		Query:      attr(root, "query").Str,
+		DurationMs: millis(root.Duration()),
+		Stages:     make(map[string]float64, 5),
+		Coalesced:  attr(root, "coalesced").Str == "true",
+		Err:        root.Err(),
+	}
+	for _, sp := range tr.Spans() {
+		switch result := attr(sp, "result").Str; sp.Name {
+		case "cache":
+			if result == "uncacheable_stream" {
+				continue
+			}
+			p.CacheHit = result == "hit"
+		case "encode":
+			p.Records = int(attr(sp, "records").Int)
+		case "store_scan":
+			p.Explain = explainOf(sp)
+			continue
+		case "admission", "aggregate", "scan":
+		default:
+			continue
+		}
+		p.Stages[sp.Name] += millis(sp.Duration())
+	}
+	return p
+}
+
+// explainOf reads the EXPLAIN profile back off a store_scan span, whose
+// attributes are Explain's fields as integers under their JSON names. Nil
+// when the span carries none.
+func explainOf(sp *obs.TraceSpan) *store.Explain {
+	fields := make(map[string]int64)
+	for _, a := range sp.Attrs() {
+		fields[a.Key] = a.Int
+	}
+	b, _ := json.Marshal(fields) // a map of integers always marshals
+	ex := new(store.Explain)
+	if len(fields) == 0 || json.Unmarshal(b, ex) != nil {
+		return nil
+	}
+	return ex
+}
+
+// logSlow writes a finished request's profile to the slow-query log when the
+// tracer judged its trace slow.
+func (s *Server) logSlow(tr *obs.Trace) {
+	if tr == nil || !tr.Slow() {
+		return
+	}
+	obsSlowQueries.Inc()
+	line, _ := json.Marshal(profileOf(tr)) // strings, finite numbers and maps of them
+	s.slowMu.Lock()
+	s.opts.SlowQueryLog.Write(append(line, '\n'))
+	s.slowMu.Unlock()
+}
+
+// recentProfiles renders the newest server traces the tracer retained,
+// newest first; none while the tracer is off, whatever its ring still holds.
+func recentProfiles() []QueryProfile {
+	if !obs.DefaultTracer().Enabled() {
+		return nil
+	}
+	var out []QueryProfile
+	for _, tr := range obs.DefaultTracer().Traces() {
+		if len(out) == recentQueries {
+			break
+		}
+		if n := tr.Root().Name; n == rootRecords || n == rootAggregate {
+			out = append(out, profileOf(tr))
 		}
 	}
 	return out

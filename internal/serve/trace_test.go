@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -14,11 +16,12 @@ import (
 	"instability/internal/store"
 )
 
-// enableTestTracing turns the process tracer on for one test and restores
-// the disabled state afterwards.
-func enableTestTracing(t *testing.T) {
+// enableTestTracing turns the process tracer on for one test, with every
+// request head-sampled and judged slow at or over slowThreshold (negative:
+// never), and restores the disabled state afterwards.
+func enableTestTracing(t *testing.T, slowThreshold time.Duration) {
 	t.Helper()
-	obs.EnableTracing(obs.TraceConfig{SampleRate: 1, SlowThreshold: -1, RingSize: 64})
+	obs.EnableTracing(obs.TraceConfig{SampleRate: 1, SlowThreshold: slowThreshold, RingSize: 64})
 	t.Cleanup(func() { obs.DefaultTracer().Disable() })
 }
 
@@ -66,9 +69,9 @@ func hasIntAttr(sp *obs.TraceSpan, key string) (int64, bool) {
 // children, and the store_scan span carries the EXPLAIN counters that also
 // ride back on the end frame.
 func TestTracePropagationBinary(t *testing.T) {
-	enableTestTracing(t)
+	enableTestTracing(t, -1)
 	st := newTestStore(t, 300, store.Options{})
-	srv := startServer(t, Options{Store: st, SlowQuery: -1})
+	srv := startServer(t, Options{Store: st})
 
 	ctx, root := obs.DefaultTracer().Start(context.Background(), "client")
 	c := &Client{Addr: srv.Addr().String()}
@@ -126,9 +129,9 @@ func TestTracePropagationBinary(t *testing.T) {
 // aggregate path joins via X-Irtl-Trace and shows cache and scan children,
 // and a repeat query is answered from the cache inside the same trace shape.
 func TestTracePropagationHTTP(t *testing.T) {
-	enableTestTracing(t)
+	enableTestTracing(t, -1)
 	st := newTestStore(t, 300, store.Options{})
-	srv := startServer(t, Options{Store: st, CacheBytes: 1 << 20, SlowQuery: -1})
+	srv := startServer(t, Options{Store: st, CacheBytes: 1 << 20})
 	c := &Client{Addr: srv.Addr().String()}
 
 	ctx, root := obs.DefaultTracer().Start(context.Background(), "dashboard")
@@ -197,13 +200,13 @@ func TestTracePropagationHTTP(t *testing.T) {
 // well-formed and the quarantined blocks surface as EXPLAIN counters and
 // span annotations.
 func TestTraceChaos(t *testing.T) {
-	enableTestTracing(t)
+	enableTestTracing(t, -1)
 	plan, err := faults.ParseSpec("seed=7,flipreadp=0.02")
 	if err != nil {
 		t.Fatal(err)
 	}
 	st := newTestStore(t, 600, store.Options{FS: faults.NewInjector(faults.Disk{}, plan)})
-	srv := startServer(t, Options{Store: st, SlowQuery: -1})
+	srv := startServer(t, Options{Store: st})
 	c := &Client{Addr: srv.Addr().String()}
 
 	quarantined := 0
@@ -271,12 +274,12 @@ func (s *syncBuffer) String() string {
 // parseable NDJSON profile line with stage timings and the EXPLAIN payload,
 // and /v1/statz surfaces the same profiles as recent queries.
 func TestSlowQueryLog(t *testing.T) {
+	enableTestTracing(t, time.Nanosecond)
 	var buf syncBuffer
 	st := newTestStore(t, 300, store.Options{})
 	srv := startServer(t, Options{
 		Store:        st,
 		CacheBytes:   1 << 20,
-		SlowQuery:    time.Nanosecond,
 		SlowQueryLog: &buf,
 	})
 	c := &Client{Addr: srv.Addr().String(), Token: "batch"}
@@ -340,6 +343,75 @@ func TestSlowQueryLog(t *testing.T) {
 	// Newest first: the cache-hit aggregate leads.
 	if !stz.RecentQueries[0].CacheHit {
 		t.Fatalf("recent queries not newest-first: %+v", stz.RecentQueries[0])
+	}
+}
+
+// TestSlowQueryOneDecision: the tracer's keep-if-slow verdict is the only
+// slow decision. Under one config — every request head-sampled, slow at the
+// threshold — a request that is both sampled and slow writes exactly one
+// line, one under the threshold writes none, and
+// irtl_serve_slow_queries_total grows by the lines written. With the tracer
+// off a request leaves no record: no line, and no recent queries.
+func TestSlowQueryOneDecision(t *testing.T) {
+	const threshold = 250 * time.Millisecond
+	enableTestTracing(t, threshold)
+	var buf syncBuffer
+	srv := startStallServer(t, Options{SlowQueryLog: &buf})
+	addr := srv.Addr().String()
+	c := &Client{Addr: addr}
+	slow0 := obsSlowQueries.Value()
+
+	if _, err := c.QueryHTTP(QuerySpec{Limit: 1}); err != nil {
+		t.Fatal(err)
+	}
+	// The whole answer, read only once the threshold has passed: the
+	// server's writes wait on this reader, so the request is slow.
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.(*net.TCPConn).SetReadBuffer(64 << 10) // fixed, so it cannot grow to hold the answer
+	if _, err := conn.Write([]byte("GET /v1/records HTTP/1.1\r\nHost: serve\r\nConnection: close\r\n\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(threshold + 50*time.Millisecond)
+	if _, err := io.Copy(io.Discard, conn); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { return srv.ActiveSessions() == 0 })
+
+	lines := nonEmptyLines(buf.String())
+	if len(lines) != 1 {
+		t.Fatalf("%d slow-query lines, want 1 (the slow request's):\n%s", len(lines), buf.String())
+	}
+	var p QueryProfile
+	if err := json.Unmarshal([]byte(lines[0]), &p); err != nil {
+		t.Fatal(err)
+	}
+	if p.Query != "all" || p.DurationMs < float64(threshold/time.Millisecond) {
+		t.Fatalf("slow line is not the slow request: %+v", p)
+	}
+	if got := obsSlowQueries.Value() - slow0; got != int64(len(lines)) {
+		t.Fatalf("irtl_serve_slow_queries_total grew by %d for %d lines", got, len(lines))
+	}
+	stz, err := c.Statz()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(stz.RecentQueries) < 2 || stz.RecentQueries[0].TraceID != p.TraceID || stz.RecentQueries[1].Query != "limit=1" {
+		t.Fatalf("recent queries do not list both sampled requests, newest first: %+v", stz.RecentQueries)
+	}
+
+	obs.DefaultTracer().Disable()
+	if _, err := c.QueryHTTP(QuerySpec{Limit: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if stz, err = c.Statz(); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(nonEmptyLines(buf.String())); n != 1 || len(stz.RecentQueries) != 0 {
+		t.Fatalf("tracer off: %d lines, %d recent queries; want 1 (from before) and 0", n, len(stz.RecentQueries))
 	}
 }
 

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -8,12 +9,14 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"instability/internal/bgp"
 	"instability/internal/faults"
+	"instability/internal/obs"
 )
 
 const explainGoldenName = "explain-golden.json"
@@ -116,6 +119,49 @@ func TestExplainGolden(t *testing.T) {
 // accounts a block it has not fetched (the cache counts every fetch of this
 // store's only reader), never returns a row of a block it has not accounted,
 // and at EOF has accounted exactly the fetches.
+// TestExplainSpanCarriesEveryField: a traced query's store_scan span carries
+// every field of its EXPLAIN profile — each JSON name of Explain, as an
+// integer attribute holding the reader's value — so /debug/traces and the
+// serve plane's profiles, which read the span, miss none of them.
+func TestExplainSpanCarriesEveryField(t *testing.T) {
+	s := openV1Fixture(t, testOptions())
+	tracer := &obs.Tracer{}
+	tracer.Enable(obs.TraceConfig{SampleRate: 1, SlowThreshold: -1})
+	ctx, root := tracer.Start(context.Background(), "test")
+	r, err := s.QueryCtx(ctx, Query{PeerAS: []bgp.ASN{101}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.ReadAll(); err != nil {
+		t.Fatal(err)
+	}
+	r.Close()
+	root.Finish()
+	ex := r.Explain()
+
+	attrs := map[string]obs.Annotation{}
+	for _, sp := range tracer.Traces()[0].Spans() {
+		if sp.Name == "store_scan" {
+			for _, a := range sp.Attrs() {
+				attrs[a.Key] = a
+			}
+		}
+	}
+	v, typ := reflect.ValueOf(ex), reflect.TypeOf(ex)
+	for i := 0; i < typ.NumField(); i++ {
+		key, _, _ := strings.Cut(typ.Field(i).Tag.Get("json"), ",")
+		want := int64(0)
+		if f := v.Field(i); f.CanInt() {
+			want = f.Int()
+		} else {
+			want = int64(f.Uint())
+		}
+		if a, ok := attrs[key]; !ok || !a.IsInt || a.Int != want {
+			t.Errorf("store_scan attribute %q = %+v (present %v), want integer %d", key, a, ok, want)
+		}
+	}
+}
+
 func TestStatsMidScan(t *testing.T) {
 	opts := testOptions()
 	opts.BlockCacheBytes = 8 << 20

@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 
 	"instability/internal/obs"
@@ -73,29 +74,30 @@ func (e Explain) String() string {
 	return sb.String()
 }
 
-// annotate attaches the profile to a trace span. Nil-safe.
+// explainKeys are Explain's JSON names in field order. annotate writes each
+// field to the span under its name, and a reader of the span decodes the
+// attributes back through the same tags, so the two cannot drift.
+var explainKeys = func() []string {
+	t := reflect.TypeOf(Explain{})
+	keys := make([]string, t.NumField())
+	for i := range keys {
+		keys[i], _, _ = strings.Cut(t.Field(i).Tag.Get("json"), ",")
+	}
+	return keys
+}()
+
+// annotate attaches every field of the profile to a trace span as an integer
+// under its JSON name. Nil-safe.
 func (e Explain) annotate(sp *obs.TraceSpan) {
 	if sp == nil {
 		return
 	}
-	sp.AnnotateInt("generation", int64(e.Generation))
-	sp.AnnotateInt("segments_total", int64(e.SegmentsTotal))
-	sp.AnnotateInt("segments_pruned", int64(e.SegmentsPruned))
-	sp.AnnotateInt("segments_scanned", int64(e.SegmentsScanned))
-	sp.AnnotateInt("blocks_total", int64(e.BlocksTotal))
-	sp.AnnotateInt("blocks_pruned", int64(e.BlocksPruned))
-	sp.AnnotateInt("blocks_scanned", int64(e.BlocksScanned))
-	sp.AnnotateInt("blocks_cache_hit", int64(e.BlocksCacheHit))
-	sp.AnnotateInt("blocks_cache_miss", int64(e.BlocksCacheMiss))
-	sp.AnnotateInt("blocks_quarantined", int64(e.BlocksQuarantined))
-	sp.AnnotateInt("blocks_v1", int64(e.BlocksV1))
-	sp.AnnotateInt("blocks_v2", int64(e.BlocksV2))
-	sp.AnnotateInt("blocks_v3", int64(e.BlocksV3))
-	sp.AnnotateInt("records_scanned", int64(e.RecordsScanned))
-	sp.AnnotateInt("records_materialized", int64(e.RecordsMaterialized))
-	sp.AnnotateInt("records_matched", int64(e.RecordsMatched))
-	sp.AnnotateInt("mem_records", int64(e.MemRecords))
-	sp.AnnotateInt("bytes_read_disk", e.BytesReadDisk)
-	sp.AnnotateInt("bytes_decompressed", e.BytesDecompressed)
-	sp.AnnotateInt("bytes_from_cache", e.BytesFromCache)
+	v := reflect.ValueOf(e)
+	for i, key := range explainKeys {
+		if f := v.Field(i); f.CanInt() {
+			sp.AnnotateInt(key, f.Int())
+		} else {
+			sp.AnnotateInt(key, int64(f.Uint()))
+		}
+	}
 }
