@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"instability/internal/bgp"
-	"instability/internal/collector"
 	"instability/internal/obs"
 )
 
@@ -36,8 +35,8 @@ func benchStore(b *testing.B) *Store {
 	return s
 }
 
-func drainReader(b *testing.B, r *Reader) int {
-	b.Helper()
+func drainReader(tb testing.TB, r *Reader) int {
+	tb.Helper()
 	n := 0
 	for {
 		_, err := r.Next()
@@ -45,7 +44,7 @@ func drainReader(b *testing.B, r *Reader) int {
 			break
 		}
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		n++
 	}
@@ -218,13 +217,14 @@ func BenchmarkColumnarFilter(b *testing.B) {
 		b.Fatal(err)
 	}
 	q := &Query{PeerAS: []bgp.ASN{9999}}
-	dst := make([]collector.Record, 0, cb.rows())
+	var lo, hi int
+	var sel []int32
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dst, _ = cb.appendMatching(q, &bs.ks, dst[:0])
+		lo, hi, sel, _ = cb.selectRows(q, &bs.ks)
 	}
-	if len(dst) != 0 {
+	if hi > lo || len(sel) != 0 {
 		b.Fatal("predicate unexpectedly matched")
 	}
 }
@@ -441,8 +441,8 @@ func BenchmarkReaderDrain(b *testing.B) {
 // TestQueryUntracedTracingAllocsZero pins the zero-allocation contract of
 // the tracing seam the read path threads through: with no active span, the
 // exact obs calls QueryCtx/segStream/Close make must not allocate. Nor may
-// Reader.Next, whichever way the merge goes: a row is materialized into its
-// stream's reused buffer and copied once, into the return value.
+// Reader.Next, whichever way the merge goes: its cursor builds each row once,
+// straight into the return value, from the block the kernels selected it in.
 func TestQueryUntracedTracingAllocsZero(t *testing.T) {
 	ctx := context.Background()
 	allocs := testing.AllocsPerRun(200, func() {
@@ -472,6 +472,35 @@ func TestQueryUntracedTracingAllocsZero(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Fatalf("%s: Reader.Next allocates %.1f per record, want 0", layout, allocs)
+		}
+	}
+}
+
+// TestQueryAllocsIndependentOfRows pins that the read path keeps no per-row
+// buffer: a full query, drained and closed, makes as many allocations over
+// 14 segments of 2,000 records as over 14 of 200, under every merge layout.
+// What a query allocates may grow with its streams, not with its rows.
+func TestQueryAllocsIndependentOfRows(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the block scanners come from a sync.Pool, which drops items at random under -race")
+	}
+	for _, layout := range mergeLayouts {
+		var allocs []float64
+		for _, perBatch := range []int{200, 2000} {
+			s := readerDrainStore(t, layout, perBatch)
+			allocs = append(allocs, testing.AllocsPerRun(20, func() {
+				r, err := s.Query(Query{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n := drainReader(t, r); n != 14*perBatch {
+					t.Fatalf("%s: drained %d records, want %d", layout, n, 14*perBatch)
+				}
+				r.Close()
+			}))
+		}
+		if allocs[0] != allocs[1] {
+			t.Errorf("%s: a query allocates %.0f times at 200 records a segment, %.0f at 2,000", layout, allocs[0], allocs[1])
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"slices"
 	"sync"
 	"time"
@@ -312,22 +313,8 @@ func (cb *colBlock) intern(i int) error {
 	return nil
 }
 
-// timeRange returns the half-open row range [lo, hi) whose timestamps fall
-// in the query's [From, To) window, by binary search over the sorted time
-// column.
-func (cb *colBlock) timeRange(q *Query) (int, int) {
-	lo, hi := 0, cb.rows()
-	if !q.From.IsZero() {
-		lo, _ = slices.BinarySearch(cb.times, q.From.UnixNano())
-	}
-	if !q.To.IsZero() {
-		hi, _ = slices.BinarySearch(cb.times, q.To.UnixNano())
-	}
-	return lo, hi
-}
-
-// kernelScratch is appendMatching's reusable working memory: the row
-// selection and the code sets a peer or origin predicate resolves to.
+// kernelScratch is selectRows' reusable working memory: the row selection
+// and the code sets a peer or origin predicate resolves to.
 type kernelScratch struct {
 	sel          []int32
 	peers, attrs []bool
@@ -345,57 +332,57 @@ func codeSet(set *[]bool, n int, match func(j int) bool) (any bool) {
 	return any
 }
 
-// appendMatching materializes the rows of cb satisfying q in place at the
-// end of dst and returns it. The scratch is reused across calls; neither it
-// nor dst alias the block. The predicate semantics are exactly
-// Query.matches': the merge layer's record-level re-check is a no-op for
-// rows this returns.
+// selectRows returns the rows of cb satisfying q, ascending: the row range
+// [lo, hi) when sel is nil, which a pure time scan yields, else the selection
+// vector sel, which lives in the scratch until the next call. Every selected
+// row is ready for fill. The predicate semantics are exactly Query.Matches';
+// nothing downstream checks a row again.
 //
 // Dictionary-valued predicates run on codes. PeerAS and OriginAS are resolved
 // once against the block's dictionaries into code sets, an exact Prefix is a
 // binary search in the sorted prefix dictionary; an empty set or an absent
 // prefix means the block yields nothing, and no row is touched.
-func (cb *colBlock) appendMatching(q *Query, ks *kernelScratch, dst []collector.Record) ([]collector.Record, error) {
-	lo, hi := cb.timeRange(q)
+func (cb *colBlock) selectRows(q *Query, ks *kernelScratch) (lo, hi int, sel []int32, err error) {
+	first, last := q.nsBounds()
+	lo, _ = slices.BinarySearch(cb.times, first)
+	hi = cb.rows()
+	if last < math.MaxInt64 {
+		hi, _ = slices.BinarySearch(cb.times, last+1)
+	}
 	if lo >= hi {
-		return dst, nil
+		return 0, 0, nil, nil
 	}
 	if len(q.PeerAS) > 0 && !codeSet(&ks.peers, len(cb.peers), func(j int) bool {
 		return containsASN(q.PeerAS, cb.peers[j].as)
 	}) {
-		return dst, nil
+		return 0, 0, nil, nil
 	}
 	if len(q.OriginAS) > 0 && !codeSet(&ks.attrs, len(cb.dictOrigin), func(j int) bool {
 		o := cb.dictOrigin[j]
 		return o >= 0 && containsASN(q.OriginAS, bgp.ASN(o))
 	}) {
-		return dst, nil
+		return 0, 0, nil, nil
 	}
 	prefix := 0
 	if q.hasPrefix() {
 		var ok bool
 		if prefix, ok = slices.BinarySearchFunc(cb.prefixes, q.Prefix, netaddr.Prefix.Compare); !ok {
-			return dst, nil
+			return 0, 0, nil, nil
 		}
 	}
-	n := len(dst)
 	if len(q.Types) == 0 && len(q.PeerAS) == 0 && len(q.OriginAS) == 0 && !q.hasPrefix() {
-		// Pure time-range scan: materialize the row range directly.
+		// Pure time-range scan: the row range is the answer.
 		for i := lo; i < hi && cb.dictWire != nil; i++ {
 			if err := cb.intern(i); err != nil {
-				return dst, err
+				return 0, 0, nil, err
 			}
 		}
-		dst = slices.Grow(dst, hi-lo)[:n+hi-lo]
-		for i := lo; i < hi; i++ {
-			cb.fill(&dst[n+i-lo], i)
-		}
-		return dst, nil
+		return lo, hi, nil, nil
 	}
 
 	// Seed the selection from the row range, then narrow it with one
 	// compaction pass per set predicate — each pass touches one column.
-	sel := ks.sel[:0]
+	sel = ks.sel[:0]
 	if len(q.Types) > 0 {
 		for i := lo; i < hi; i++ {
 			if containsType(q.Types, collector.RecType(cb.types[i])) {
@@ -438,14 +425,10 @@ func (cb *colBlock) appendMatching(q *Query, ks *kernelScratch, dst []collector.
 	ks.sel = sel
 	for k := 0; k < len(sel) && cb.dictWire != nil; k++ {
 		if err := cb.intern(int(sel[k])); err != nil {
-			return dst, err
+			return 0, 0, nil, err
 		}
 	}
-	dst = slices.Grow(dst, len(sel))[:n+len(sel)]
-	for k, i := range sel {
-		cb.fill(&dst[n+k], int(i))
-	}
-	return dst, nil
+	return 0, 0, sel, nil
 }
 
 // blockScanner bundles the per-consumer scratch state of the columnar read
@@ -492,16 +475,6 @@ func (bs *blockScanner) fetch(g *segment, f io.ReaderAt, mm *segMap, cache *bloc
 		cb := new(colBlock)
 		return cb, bs.load(g, f, mm, bi, true, cb)
 	})
-}
-
-// scan fetches block bi of g and appends its rows satisfying q to dst.
-func (bs *blockScanner) scan(g *segment, f io.ReaderAt, mm *segMap, cache *blockCache, bi int, q *Query, dst []collector.Record) ([]collector.Record, bool, error) {
-	cb, hit, err := bs.fetch(g, f, mm, cache, bi)
-	if err != nil {
-		return dst, false, err
-	}
-	dst, err = cb.appendMatching(q, &bs.ks, dst)
-	return dst, hit, err
 }
 
 // load reads block bi and parses it into cb: check the CRC, parse three small

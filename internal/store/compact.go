@@ -85,10 +85,7 @@ func (s *Store) mergeWindowLocked(window int64, gs []*segment) (*segment, error)
 	defer m.closeStreams()
 	var total int64
 	for _, g := range gs {
-		blocks := make([]int, len(g.index.blocks))
-		for i := range blocks {
-			blocks[i] = i
-		}
+		blocks, _ := g.candidateBlocks(Query{}) // every block
 		// Note: no quarantine here. A compaction that hit a corrupt block
 		// and skipped it would rewrite the window without those records,
 		// converting detectable damage into silent loss; the merge fails
@@ -107,14 +104,18 @@ func (s *Store) mergeWindowLocked(window int64, gs []*segment) (*segment, error)
 	}
 	out := make([]collector.Record, 0, total)
 	for {
-		run, err := m.nextRun()
+		c, lo, hi, err := m.nextRun()
 		if err != nil {
 			return nil, err
 		}
-		if run == nil {
+		if c == nil {
 			break
 		}
-		out = append(out, run...)
+		n := len(out)
+		out = slices.Grow(out, hi-lo)[:n+hi-lo]
+		for k := lo; k < hi; k++ {
+			c.fill(&out[n+k-lo], k)
+		}
 	}
 
 	var firstSeq, lastSeq uint64

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"cmp"
 	"encoding/binary"
+	"fmt"
+	"math/rand"
 	"slices"
 	"testing"
 	"time"
@@ -292,6 +294,54 @@ func FuzzColBlockV3(f *testing.F) {
 			t.Fatalf("re-encoded block failed to parse: %v", err)
 		}
 		assertSameRows(t, "round-trip", recs2, recs)
+	})
+}
+
+// FuzzSelectRowsMatchesQuery holds the kernels to Query.Matches, which no
+// later stage of the sealed read path applies again. The fuzzer's seed drives
+// the block and predicate generators (genBlockShapes, genQuery); selectRows
+// plus a cursor's fill must return exactly the rows Matches accepts, in
+// order, from the aliasing parse a scanner makes and the owning one the
+// cache holds.
+func FuzzSelectRowsMatchesQuery(f *testing.F) {
+	for seed := int64(0); seed < 8; seed++ {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		rng := rand.New(rand.NewSource(seed))
+		shapes := genBlockShapes(rng)
+		var names []string
+		for name := range shapes {
+			names = append(names, name)
+		}
+		slices.Sort(names)
+		name := names[rng.Intn(len(names))]
+		recs := shapes[name]
+		data := encodeBlockV3(t, recs)
+		g := fuzzSegment(segVersionV3, uint16(len(recs)), recs[0].Time.UnixNano())
+		g.di = newDecodeInterner()
+		for _, own := range []bool{false, true} {
+			cb := new(colBlock)
+			if err := parseColBlock(g, 0, data, own, cb); err != nil {
+				t.Fatalf("%s own=%v: %v", name, own, err)
+			}
+			var ks kernelScratch
+			var got []collector.Record
+			for k := 0; k < 8; k++ {
+				q := genQuery(rng, recs)
+				var want []collector.Record
+				for i := range recs {
+					if q.Matches(&recs[i]) {
+						want = append(want, recs[i])
+					}
+				}
+				var err error
+				if got, err = appendSelected(cb, &q, &ks, got[:0]); err != nil {
+					t.Fatalf("%s own=%v %+v: %v", name, own, q, err)
+				}
+				assertSameRows(t, fmt.Sprintf("%s own=%v query %+v", name, own, q), got, want)
+			}
+		}
 	})
 }
 

@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -33,20 +34,31 @@ type Query struct {
 
 func (q *Query) hasPrefix() bool { return q.Prefix != netaddr.Prefix{} }
 
-func (q Query) timeOverlaps(minT, maxT int64) bool {
-	if !q.From.IsZero() && maxT < q.From.UnixNano() {
-		return false
+// The instants a nanosecond timestamp can hold: the years 1678–2262.
+var minNsTime, maxNsTime = time.Unix(0, math.MinInt64), time.Unix(0, math.MaxInt64)
+
+// nsBounds is the query's window as the closed range [first, last] of unix
+// nanoseconds that segments, blocks and the kernels compare timestamps with.
+// A bound outside the years 1678–2262 saturates where UnixNano would wrap.
+func (q *Query) nsBounds() (first, last int64) {
+	if q.From.After(maxNsTime) || !q.To.IsZero() && !q.To.After(minNsTime) {
+		return math.MaxInt64, math.MinInt64 // no timestamp can match
 	}
-	if !q.To.IsZero() && minT >= q.To.UnixNano() {
-		return false
+	first, last = math.MinInt64, math.MaxInt64
+	if q.From.After(minNsTime) { // as the zero From is not
+		first = q.From.UnixNano()
 	}
-	return true
+	if !q.To.IsZero() && !q.To.After(maxNsTime) {
+		last = q.To.UnixNano() - 1
+	}
+	return first, last
 }
 
-// Matches is the record-level predicate: the store applies it after block
-// pushdown, and a log read through the same query applies it to every
-// record, so both give the same answer. It takes a pointer so the merge loop
-// checks rows where they sit.
+// Matches is the record-level predicate: a log read through the query applies
+// it to every record, and the store to its unsealed ones. It is also the
+// oracle of the sealed path, whose columnar kernels (selectRows) evaluate the
+// same predicate on codes and are held to it row for row, so every path gives
+// the same answer.
 func (q *Query) Matches(rec *collector.Record) bool {
 	if !q.From.IsZero() && rec.Time.Before(q.From) {
 		return false

@@ -376,11 +376,11 @@ func TestColumnarKernelZeroAlloc(t *testing.T) {
 
 	noMatch := &Query{PeerAS: []bgp.ASN{9999}} // no row carries this peer
 	dst := make([]collector.Record, 0, cb.rows())
-	if got, err := cb.appendMatching(noMatch, &bs.ks, dst[:0]); len(got) != 0 || err != nil {
+	if got, err := appendSelected(cb, noMatch, &bs.ks, dst[:0]); len(got) != 0 || err != nil {
 		t.Fatalf("predicate matched %d rows (err %v), want 0", len(got), err)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		dst, _ = cb.appendMatching(noMatch, &bs.ks, dst[:0])
+		dst, _ = appendSelected(cb, noMatch, &bs.ks, dst[:0])
 	})
 	if allocs != 0 {
 		t.Fatalf("filtered-out scan allocated %.1f allocs/run, want 0", allocs)
@@ -389,7 +389,7 @@ func TestColumnarKernelZeroAlloc(t *testing.T) {
 	// A partially selective predicate materializes exactly the surviving
 	// rows and, with capacity in place, still allocates nothing.
 	some := &Query{Types: []collector.RecType{collector.Withdraw}}
-	dst, _ = cb.appendMatching(some, &bs.ks, dst[:0])
+	dst, _ = appendSelected(cb, some, &bs.ks, dst[:0])
 	want := 0
 	for i := 0; i < cb.rows(); i++ {
 		if collector.RecType(cb.types[i]) == collector.Withdraw {
@@ -400,7 +400,7 @@ func TestColumnarKernelZeroAlloc(t *testing.T) {
 		t.Fatalf("withdraw filter materialized %d rows, want %d", len(dst), want)
 	}
 	allocs = testing.AllocsPerRun(100, func() {
-		dst, _ = cb.appendMatching(some, &bs.ks, dst[:0])
+		dst, _ = appendSelected(cb, some, &bs.ks, dst[:0])
 	})
 	if allocs != 0 {
 		t.Fatalf("selective scan allocated %.1f allocs/run, want 0", allocs)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"hash"
 	"hash/fnv"
 	"io"
 	"path/filepath"
@@ -306,24 +307,22 @@ func openSegment(fsys faults.FS, path string) (*segment, error) {
 	return g, nil
 }
 
-// fingerprint hashes the segment's identity — file number, window, sequence
-// range, record count — with the same scheme the store-level fingerprint
-// folds per segment, so one segment's cache keys are stable for its
-// immutable lifetime and distinct from every other segment's.
+// writeIdentity feeds h the segment's identity — file number, window,
+// sequence range, record count — as little-endian words.
+func (g *segment) writeIdentity(h hash.Hash64) {
+	b := make([]byte, 0, 40)
+	for _, v := range [...]uint64{g.seq, uint64(g.windowStart), g.firstSeq, g.lastSeq, uint64(g.count)} {
+		b = binary.LittleEndian.AppendUint64(b, v)
+	}
+	h.Write(b)
+}
+
+// fingerprint hashes the segment's identity as the store-level fingerprint
+// folds it, so one segment's cache keys are stable for its immutable
+// lifetime and distinct from every other segment's.
 func (g *segment) fingerprint() uint64 {
 	h := fnv.New64a()
-	var b [8]byte
-	word := func(v uint64) {
-		for i := range b {
-			b[i] = byte(v >> (8 * i))
-		}
-		h.Write(b[:])
-	}
-	word(g.seq)
-	word(uint64(g.windowStart))
-	word(g.firstSeq)
-	word(g.lastSeq)
-	word(uint64(g.count))
+	g.writeIdentity(h)
 	return h.Sum64()
 }
 

@@ -493,19 +493,8 @@ func (s *Store) Stats() Stats {
 // the cross-process spelling of "same data".
 func (s *Store) fingerprintLocked() uint64 {
 	h := fnv.New64a()
-	var b [8]byte
-	word := func(v uint64) {
-		for i := range b {
-			b[i] = byte(v >> (8 * i))
-		}
-		h.Write(b[:])
-	}
 	for _, g := range s.segs {
-		word(g.seq)
-		word(uint64(g.windowStart))
-		word(g.firstSeq)
-		word(g.lastSeq)
-		word(uint64(g.count))
+		g.writeIdentity(h)
 	}
 	return h.Sum64()
 }
