@@ -33,9 +33,9 @@ type Explain struct {
 	BlocksV2          int    `json:"blocks_v2,omitempty"`
 	BlocksV3          int    `json:"blocks_v3,omitempty"`
 	RecordsScanned    int    `json:"records_scanned"` // records the scanned blocks hold
-	// RecordsMaterialized is how many record structs the columnar kernels
-	// actually built; RecordsScanned - RecordsMaterialized rows were filtered
-	// out at the column level without ever becoming records.
+	// RecordsMaterialized is how many rows the columnar kernels selected;
+	// RecordsScanned - RecordsMaterialized rows were filtered out at the
+	// column level. A selected row becomes a record only when it is read.
 	RecordsMaterialized int   `json:"records_materialized"`
 	RecordsMatched      int   `json:"records_matched"`
 	MemRecords          int   `json:"mem_records,omitempty"` // unsealed records considered

@@ -69,7 +69,7 @@ var (
 	obsQueryBytesFromCache = obs.Default().Counter("irtl_store_query_bytes_from_cache_total",
 		"Block bytes served to queries from the shared block cache.")
 	obsQueryRecordsMaterialized = obs.Default().Counter("irtl_store_query_records_materialized_total",
-		"Record structs materialized by columnar block scans (rows surviving the column filters).")
+		"Rows selected by the columnar block kernels (rows surviving the column filters).")
 
 	obsBlockCacheHits = obs.Default().Counter("irtl_store_blockcache_hits_total",
 		"Block cache lookups served from a resident or in-flight entry.")
