@@ -196,7 +196,7 @@ func decodeIndex(b []byte) (*segIndex, error) {
 }
 
 func decodePostings(b []byte) (postings, []byte, error) {
-	if len(b) < 4 {
+	if len(b) < 4 || int(binary.BigEndian.Uint32(b)) > (len(b)-4)/6 { // an entry is at least 6 bytes
 		return nil, nil, fmt.Errorf("%w: postings count", ErrCorrupt)
 	}
 	n := int(binary.BigEndian.Uint32(b))
