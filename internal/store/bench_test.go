@@ -357,7 +357,7 @@ func BenchmarkSealStall(b *testing.B) {
 			sw := &bat.windows[wi]
 			sorted := slices.Clone(sw.recs)
 			slices.SortStableFunc(sorted, func(a, b memRec) int { return cmp.Compare(a.ns, b.ns) })
-			seg, err := writeSegment(s.fs, s.dir, sw.seq, sw.window, sw.firstSeq, sorted, nil, nil, s.opts)
+			seg, err := writeSegment(s.fs, s.dir, sw.seq, sw.window, sw.firstSeq, sorted, nil, s.opts)
 			if err != nil {
 				b.Fatal(err)
 			}

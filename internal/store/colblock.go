@@ -71,13 +71,12 @@ type colBlock struct {
 	peers    []peerKey
 	prefixes []netaddr.Prefix // sorted: an exact-prefix probe is a binary search
 
-	dict     []bgp.Attrs // valid where dictOK
-	dictOK   []bool
-	dictWire [][]byte // nil on a cached block: every entry is interned
+	dict     []*attrRef // nil = not yet resolved
+	dictWire [][]byte   // nil on a cached block: every entry is resolved
 	// dictOrigin memoizes Path.Origin() per dictionary entry (-1 = none), so
 	// an origin predicate is resolved against the dictionary, not the rows.
 	dictOrigin []int32
-	di         *decodeInterner // canonicalizes tuples; nil decodes privately
+	tab        *attrTable // the store's, which every entry resolves through
 
 	mark []bool // parse scratch: which dictionary entries the rows reference
 	// bytes is the approximate resident size of the block, the unit the
@@ -96,10 +95,10 @@ func (cb *colBlock) reset() {
 	cb.prefixes = cb.prefixes[:0]
 	clear(cb.dict)
 	cb.dict = cb.dict[:0]
-	cb.dictOK = cb.dictOK[:0]
 	clear(cb.dictWire)
 	cb.dictWire = cb.dictWire[:0]
 	cb.dictOrigin = cb.dictOrigin[:0]
+	cb.tab = nil
 	cb.bytes = 0
 }
 
@@ -174,7 +173,7 @@ func parseColBlock(g *segment, bi int, b []byte, own bool, cb *colBlock) error {
 	bm := g.index.blocks[bi]
 	n := int(bm.count)
 	cb.reset()
-	cb.di = g.di
+	cb.tab = g.tab
 	body, ok := splitChecksum(b)
 	if n <= 0 || !ok {
 		return fmt.Errorf("%w: block %d checksum", ErrCorrupt, bi)
@@ -206,8 +205,7 @@ func parseColBlock(g *segment, bi int, b []byte, own bool, cb *colBlock) error {
 		cb.dictOrigin = append(cb.dictOrigin, int32(p.uvarint(1<<16))-1)
 	}
 	na := len(cb.dictWire)
-	cb.dict = append(cb.dict, make([]bgp.Attrs, na)...)
-	cb.dictOK = append(cb.dictOK, make([]bool, na)...)
+	cb.dict = append(cb.dict, make([]*attrRef, na)...)
 
 	cols := p.b // the row columns are contiguous from here
 	cb.types = p.take(n)
@@ -258,39 +256,29 @@ func parseColBlock(g *segment, bi int, b []byte, own bool, cb *colBlock) error {
 	return nil
 }
 
-// attrsSize is what one interned dictionary entry is accounted at: about a
-// bgp.Attrs header; the path and community storage behind it is shared
-// store-wide.
+// attrsSize is what one dictionary entry is accounted at: about a bgp.Attrs
+// header. The entry is a pointer to a ref the whole store shares, so this
+// errs on the side of a smaller cache.
 const attrsSize = 96
 
-// resolve interns dictionary entry j — canonically, through the segment's
-// interner when it has one, so every block of a store referencing the same
-// tuple shares one value — and checks the origin stored beside it.
+// resolve points dictionary entry j at its ref in the store's table, so every
+// block referencing the same tuple shares one value, and checks the origin
+// stored beside it.
 func (cb *colBlock) resolve(j int) error {
-	var a bgp.Attrs
-	var err error
-	if cb.di != nil {
-		a, err = cb.di.internWire(cb.dictWire[j])
-	} else {
-		a, err = bgp.UnmarshalAttrs(cb.dictWire[j])
-	}
+	ref, err := cb.tab.resolve(cb.dictWire[j])
 	if err != nil {
 		return fmt.Errorf("%w: attribute dictionary entry %d: %v", ErrCorrupt, j, err)
 	}
-	origin := int32(-1)
-	if o, ok := a.Path.Origin(); ok {
-		origin = int32(o)
+	if ref.origin != cb.dictOrigin[j] {
+		return fmt.Errorf("%w: attribute dictionary entry %d: stored origin %d, path says %d", ErrCorrupt, j, cb.dictOrigin[j], ref.origin)
 	}
-	if origin != cb.dictOrigin[j] {
-		return fmt.Errorf("%w: attribute dictionary entry %d: stored origin %d, path says %d", ErrCorrupt, j, cb.dictOrigin[j], origin)
-	}
-	cb.dict[j], cb.dictOK[j] = a, true
+	cb.dict[j] = ref
 	return nil
 }
 
 // fill materializes row i into *rec, overwriting every field: rec is a slot
 // of a reused buffer and may hold a stale row. The row's attribute tuple must
-// be interned: always so on a cached block, after intern(i) on a private one.
+// be resolved: always so on a cached block, after intern(i) on a private one.
 func (cb *colBlock) fill(rec *collector.Record, i int) {
 	rec.Time = time.Unix(0, cb.times[i]).UTC()
 	rec.Type = collector.RecType(cb.types[i])
@@ -298,16 +286,27 @@ func (cb *colBlock) fill(rec *collector.Record, i int) {
 	rec.PeerAS, rec.PeerAddr = peer.as, peer.addr
 	rec.Prefix = cb.prefixes[cb.prefixc.at(i)]
 	if j := cb.attrc.at(i) - 1; j >= 0 {
-		rec.Attrs = cb.dict[j]
+		rec.Attrs = cb.dict[j].attrs
 	} else {
 		rec.Attrs = bgp.Attrs{}
 	}
 }
 
+// row returns row i as a memtable row, under the same precondition as fill:
+// compaction moves rows through it without building a record.
+func (cb *colBlock) row(i int) memRec {
+	peer := cb.peers[cb.peerc.at(i)]
+	r := memRec{ns: cb.times[i], prefix: cb.prefixes[cb.prefixc.at(i)], peerAddr: peer.addr, peerAS: peer.as, typ: collector.RecType(cb.types[i])}
+	if j := cb.attrc.at(i) - 1; j >= 0 {
+		r.attrs = cb.dict[j]
+	}
+	return r
+}
+
 // intern makes row i ready for fill on a scanner's private block, where an
 // attribute tuple is interned only once a surviving row references it.
 func (cb *colBlock) intern(i int) error {
-	if j := cb.attrc.at(i) - 1; j >= 0 && !cb.dictOK[j] {
+	if j := cb.attrc.at(i) - 1; j >= 0 && cb.dict[j] == nil {
 		return cb.resolve(j)
 	}
 	return nil

@@ -151,7 +151,6 @@ func TestColBlockV3Generated(t *testing.T) {
 			data := encodeBlockV3(t, recs)
 			g := fuzzSegment(segVersionV3, 0, recs[0].Time.UnixNano())
 			g.index.blocks[0].count = int32(len(recs))
-			g.di = newDecodeInterner()
 			for _, own := range []bool{false, true} {
 				at := fmt.Sprintf("seed %d %s own=%v", seed, name, own)
 				cb := new(colBlock)

@@ -3,8 +3,6 @@ package store
 import (
 	"slices"
 	"time"
-
-	"instability/internal/collector"
 )
 
 // CompactStats reports what a compaction pass did.
@@ -78,8 +76,9 @@ func (s *Store) Compact() (CompactStats, error) {
 	return st, nil
 }
 
-// mergeWindowLocked streams the records of one window's segments in time
-// order into a single replacement segment.
+// mergeWindowLocked streams the rows of one window's segments in time order
+// into a single replacement segment. A row moves as its codes and the ref its
+// tuple resolved to; no record is built.
 func (s *Store) mergeWindowLocked(window int64, gs []*segment) (*segment, error) {
 	var m merge
 	defer m.closeStreams()
@@ -102,7 +101,7 @@ func (s *Store) mergeWindowLocked(window int64, gs []*segment) (*segment, error)
 	if err := m.prime(); err != nil {
 		return nil, err
 	}
-	out := make([]collector.Record, 0, total)
+	out := make([]memRec, 0, total)
 	for {
 		c, lo, hi, err := m.nextRun()
 		if err != nil {
@@ -111,10 +110,8 @@ func (s *Store) mergeWindowLocked(window int64, gs []*segment) (*segment, error)
 		if c == nil {
 			break
 		}
-		n := len(out)
-		out = slices.Grow(out, hi-lo)[:n+hi-lo]
 		for k := lo; k < hi; k++ {
-			c.fill(&out[n+k-lo], k)
+			out = append(out, c.row(k))
 		}
 	}
 
@@ -132,13 +129,13 @@ func (s *Store) mergeWindowLocked(window int64, gs []*segment) (*segment, error)
 	// Seal-assigned sequence ranges within a window are contiguous across
 	// its segments, so the merged range is exactly [firstSeq, lastSeq] and
 	// writeSegment's firstSeq+len-1 arithmetic reproduces lastSeq. The
-	// rewrite's row conversion and block encoding fan across the seal worker
-	// pool, and it writes v3 whatever format the inputs were in.
-	merged, err := writeSegment(s.fs, s.dir, s.nextSeg, window, firstSeq, make([]memRec, len(out)), out, replaces, s.opts)
+	// rewrite's block encoding fans across the seal worker pool, and it
+	// writes v3 whatever format the inputs were in.
+	merged, err := writeSegment(s.fs, s.dir, s.nextSeg, window, firstSeq, out, replaces, s.opts)
 	if err != nil {
 		return nil, err
 	}
-	merged.di = s.dec
+	merged.tab = s.attrs
 	s.nextSeg++
 	return merged, nil
 }

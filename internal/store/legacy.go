@@ -27,16 +27,12 @@ func transcodeLegacyBlock(g *segment, bi int, stored []byte) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: block %d: %v", ErrCorrupt, bi, err)
 	}
-	recs, err := decodeLegacyRows(g.ver, g.index.blocks[bi], body)
+	rows, err := decodeLegacyRows(g.tab, g.ver, g.index.blocks[bi], body)
 	if err != nil {
 		return nil, fmt.Errorf("%w: block %d: %v", ErrCorrupt, bi, err)
 	}
 	sc := getSealScratch()
 	defer putSealScratch(sc)
-	rows := make([]memRec, len(recs))
-	if err := sc.enc.rows(rows, recs); err != nil {
-		return nil, fmt.Errorf("%w: block %d: %v", ErrCorrupt, bi, err)
-	}
 	eb := encodeSegmentBlock(sc, rows)
 	if eb.err != nil {
 		return nil, fmt.Errorf("%w: block %d: %v", ErrCorrupt, bi, eb.err)
@@ -45,8 +41,8 @@ func transcodeLegacyBlock(g *segment, bi int, stored []byte) ([]byte, error) {
 }
 
 // decodeLegacyRows decodes the inflated body of one v1 or v2 block into the
-// bm.count records it holds.
-func decodeLegacyRows(ver byte, bm blockMeta, b []byte) ([]collector.Record, error) {
+// bm.count rows it holds, interning their tuples through tab.
+func decodeLegacyRows(tab *attrTable, ver byte, bm blockMeta, b []byte) ([]memRec, error) {
 	var dict []bgp.Attrs
 	if ver == segVersionV2 {
 		dictN, n := binary.Uvarint(b)
@@ -70,10 +66,12 @@ func decodeLegacyRows(ver byte, bm blockMeta, b []byte) ([]collector.Record, err
 	if bm.count < 0 || int(bm.count) > len(b) {
 		return nil, fmt.Errorf("record count %d", bm.count)
 	}
-	recs := make([]collector.Record, bm.count)
+	rows := make([]memRec, bm.count)
+	tab.mu.Lock()
+	defer tab.mu.Unlock()
 	t := bm.minTime
-	for i := range recs {
-		rec := &recs[i]
+	for i := range rows {
+		rec := &collector.Record{}
 		dt, n := binary.Uvarint(b)
 		if n <= 0 || i == 0 && dt != 0 { // the first row sits at the index's minTime
 			return nil, fmt.Errorf("record %d time", i)
@@ -90,6 +88,9 @@ func decodeLegacyRows(ver byte, bm blockMeta, b []byte) ([]collector.Record, err
 			}
 			rec.Attrs, b = dict[idx], b[n:]
 		}
+		if err == nil {
+			rows[i], err = tab.rowLocked(rec)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("record %d: %v", i, err)
 		}
@@ -97,5 +98,5 @@ func decodeLegacyRows(ver byte, bm blockMeta, b []byte) ([]collector.Record, err
 	if len(b) != 0 {
 		return nil, fmt.Errorf("trailing bytes")
 	}
-	return recs, nil
+	return rows, nil
 }

@@ -323,6 +323,19 @@ func (c *cursor) fill(rec *collector.Record, k int) {
 	}
 }
 
+// row returns surviving row k as a memtable row: compaction's move, which
+// builds no record.
+func (c *cursor) row(k int) memRec {
+	switch {
+	case c.mem != nil:
+		return c.mem[k]
+	case c.sel != nil:
+		return c.cb.row(int(c.sel[k]))
+	default:
+		return c.cb.row(c.base + k)
+	}
+}
+
 func (c *cursor) before(d *cursor) bool {
 	return c.t < d.t || c.t == d.t && c.order < d.order
 }

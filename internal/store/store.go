@@ -151,12 +151,9 @@ type Store struct {
 	// the store lock. Result caches key on it; see Generation.
 	gen atomic.Uint64
 
-	// enc interns the attributes of every WAL append and replay, once: the
-	// memtable row carries the ref it returns (guarded by mu). dec
-	// canonicalizes the attributes every scan decodes from segment block
-	// dictionaries, so repeated scans share storage.
-	enc *attrEncoder
-	dec *decodeInterner
+	// attrs resolves every tuple the store appends, replays, reads, transcodes
+	// or compacts to one shared ref. Lock order: mu, then attrs.mu.
+	attrs *attrTable
 
 	// cache is the shared decompressed-block cache, nil when disabled.
 	cache *blockCache
@@ -188,12 +185,11 @@ func Open(dir string, opts Options) (*Store, error) {
 		return nil, err
 	}
 	s := &Store{
-		dir:  dir,
-		opts: opts,
-		fs:   fsys,
-		mem:  make(map[int64]*memWindow),
-		enc:  newAttrEncoder(),
-		dec:  newDecodeInterner(),
+		dir:   dir,
+		opts:  opts,
+		fs:    fsys,
+		mem:   make(map[int64]*memWindow),
+		attrs: newAttrTable(),
 	}
 	s.writer = Writer{s: s}
 	if opts.BlockCacheBytes > 0 {
@@ -219,7 +215,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		if err != nil {
 			return nil, fmt.Errorf("store: segment %s: %w", name, err)
 		}
-		seg.di = s.dec
+		seg.tab = s.attrs
 		s.segs = append(s.segs, seg)
 	}
 	s.dropReplaced()
@@ -312,6 +308,8 @@ func (s *Store) sealedSeqs() map[int64]uint64 {
 // entries a sealed segment already covers. kept counts the entries that
 // became memtable records.
 func (s *Store) replayWALEntries(entries []walEntry) (kept int, err error) {
+	s.attrs.mu.Lock()
+	defer s.attrs.mu.Unlock()
 	for _, ent := range entries {
 		if ent.seq <= s.sealedSeq[ent.window] {
 			continue
@@ -324,7 +322,7 @@ func (s *Store) replayWALEntries(entries []walEntry) (kept int, err error) {
 		if got := mw.firstSeq + uint64(len(mw.recs)); ent.seq != got {
 			return kept, fmt.Errorf("store: WAL sequence gap in window %d: have %d, want %d", ent.window, ent.seq, got)
 		}
-		r, err := s.enc.row(&ent.rec)
+		r, err := s.attrs.rowLocked(&ent.rec)
 		if err != nil {
 			return kept, err
 		}

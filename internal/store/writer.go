@@ -31,7 +31,7 @@ func (w *Writer) Append(rec collector.Record) error {
 	if s.closed || s.closing {
 		return fmt.Errorf("store: writer used after Close")
 	}
-	if err := w.appendLocked(rec); err != nil {
+	if err := w.appendLocked([]collector.Record{rec}); err != nil {
 		return err
 	}
 	return w.maintainLocked()
@@ -48,10 +48,8 @@ func (w *Writer) AppendBatch(recs []collector.Record) error {
 	if s.closed || s.closing {
 		return fmt.Errorf("store: writer used after Close")
 	}
-	for _, rec := range recs {
-		if err := w.appendLocked(rec); err != nil {
-			return err
-		}
+	if err := w.appendLocked(recs); err != nil {
+		return err
 	}
 	if len(recs) > 0 {
 		obsBatchRecords.Observe(float64(len(recs)))
@@ -59,26 +57,31 @@ func (w *Writer) AppendBatch(recs []collector.Record) error {
 	return w.maintainLocked()
 }
 
-// appendLocked interns one record's attributes, once: the row it appends to
-// the memtable carries the ref the WAL frame was written from.
-func (w *Writer) appendLocked(rec collector.Record) error {
+// appendLocked interns each record's attributes, once, under one hold of the
+// attribute table: the row it appends to the memtable carries the ref the
+// WAL frame was written from.
+func (w *Writer) appendLocked(recs []collector.Record) error {
 	s := w.s
-	window := s.windowStart(rec.Time)
-	mw := s.mem[window]
-	if mw == nil {
-		mw = &memWindow{firstSeq: s.nextWindowSeqLocked(window)}
-		s.mem[window] = mw
+	s.attrs.mu.Lock()
+	defer s.attrs.mu.Unlock()
+	for i := range recs {
+		window := s.windowStart(recs[i].Time)
+		mw := s.mem[window]
+		if mw == nil {
+			mw = &memWindow{firstSeq: s.nextWindowSeqLocked(window)}
+			s.mem[window] = mw
+		}
+		r, err := s.attrs.rowLocked(&recs[i])
+		if err != nil {
+			return err
+		}
+		w.pending = appendWALFrame(w.pending, window, mw.firstSeq+uint64(len(mw.recs)), &r)
+		w.pendingN++
+		mw.recs = append(mw.recs, r)
+		s.memN++
+		w.appended++
+		obsAppends.Inc()
 	}
-	r, err := s.enc.row(&rec)
-	if err != nil {
-		return err
-	}
-	w.pending = appendWALFrame(w.pending, window, mw.firstSeq+uint64(len(mw.recs)), &r)
-	w.pendingN++
-	mw.recs = append(mw.recs, r)
-	s.memN++
-	w.appended++
-	obsAppends.Inc()
 	return nil
 }
 
@@ -349,7 +352,7 @@ func (s *Store) runSeal(b *sealBatch) {
 		obsSealSortSeconds.ObserveSince(t1)
 		t2 := time.Now()
 		var seg *segment
-		seg, err = writeSegment(s.fs, s.dir, sw.seq, sw.window, sw.firstSeq, recs, nil, nil, s.opts)
+		seg, err = writeSegment(s.fs, s.dir, sw.seq, sw.window, sw.firstSeq, recs, nil, s.opts)
 		if err != nil {
 			break
 		}
@@ -372,7 +375,7 @@ func (s *Store) runSeal(b *sealBatch) {
 func (s *Store) publishSealed(b *sealBatch, i int, seg *segment) {
 	t0 := time.Now()
 	s.mu.Lock()
-	seg.di = s.dec
+	seg.tab = s.attrs
 	s.segs = append(s.segs, seg)
 	sortSegments(s.segs)
 	s.mapSegmentLocked(seg)
