@@ -3,10 +3,12 @@ package store
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -46,12 +48,15 @@ func readSegmentFiles(t *testing.T, dir string) map[string][]byte {
 // are byte-for-byte identical, through both the seal and the compaction
 // (merge rewrite) paths. Everything downstream — fingerprints, caches,
 // replication by rsync — is allowed to assume worker count never shows in
-// the bytes.
+// the bytes. A third build seals every window once: its blocks are the
+// compacted builds' blocks, so compaction writes what a seal writes.
 func TestSealedBytesIdenticalAcrossWorkers(t *testing.T) {
 	recs := hourlyWorkload(3, 400)
-	build := func(workers int) map[string][]byte {
+	var dirs []string
+	build := func(workers int, sealOnce bool) map[string][]byte {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 		dir := t.TempDir()
+		dirs = append(dirs, dir)
 		s, err := Open(dir, testOptions())
 		if err != nil {
 			t.Fatal(err)
@@ -60,28 +65,43 @@ func TestSealedBytesIdenticalAcrossWorkers(t *testing.T) {
 		// Two seals per window, then a compaction, so the merged segments
 		// exercise the parallel rewrite as well.
 		half := len(recs) / 2
+		if sealOnce {
+			half = len(recs)
+		}
 		if err := w.AppendBatch(recs[:half]); err != nil {
 			t.Fatal(err)
 		}
 		if err := w.Seal(); err != nil {
 			t.Fatal(err)
 		}
-		if err := w.AppendBatch(recs[half:]); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Seal(); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.Compact(); err != nil {
-			t.Fatal(err)
+		if !sealOnce {
+			if err := w.AppendBatch(recs[half:]); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Seal(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Compact(); err != nil {
+				t.Fatal(err)
+			}
 		}
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
 		return readSegmentFiles(t, dir)
 	}
-	serial := build(1)
-	parallel := build(8)
+	serial := build(1, false)
+	parallel := build(8, false)
+	build(8, true)
+	compacted, sealed := windowBlocks(t, dirs[0]), windowBlocks(t, dirs[2])
+	if len(compacted) != len(sealed) {
+		t.Fatalf("%d windows compacted, %d sealed once", len(compacted), len(sealed))
+	}
+	for wd, blocks := range sealed {
+		if !slices.EqualFunc(blocks, compacted[wd], bytes.Equal) {
+			t.Fatalf("window %d: compacted blocks differ from the blocks one seal writes", wd)
+		}
+	}
 	if len(serial) == 0 {
 		t.Fatal("no segments written")
 	}
@@ -100,16 +120,47 @@ func TestSealedBytesIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
+// windowBlocks returns the stored bytes of every block in dir's segments, by
+// window; each window must be one segment.
+func windowBlocks(t *testing.T, dir string) map[int64][][]byte {
+	t.Helper()
+	out := make(map[int64][][]byte)
+	for name, data := range readSegmentFiles(t, dir) {
+		g, err := openSegment(faults.Disk{}, filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out[g.windowStart] != nil {
+			t.Fatalf("window %d has more than one segment", g.windowStart)
+		}
+		for _, bm := range g.index.blocks {
+			out[g.windowStart] = append(out[g.windowStart], data[bm.offset:bm.offset+int64(bm.clen)])
+		}
+	}
+	return out
+}
+
 // TestBackgroundSealRaceHammer batters a store with concurrent batch
 // appenders while background auto-seals detach, seal, and publish under
-// them and eight readers scan the moving overlay. Run under -race this is
-// the memory-safety check for the seal pipeline; the final content check is
-// the visibility one (no record ever missing or doubled, whatever stage of
-// the pipeline it was caught in).
+// them, a compactor merges what they publish, and eight readers scan the
+// moving overlay. Run under -race this is the memory-safety check for the
+// seal pipeline and for the store's one attribute table, which appenders
+// intern into while readers resolve through it (lazily, per block, with the
+// block cache off); the final content check is the visibility one (no
+// record ever missing or doubled, whatever stage of the pipeline it was
+// caught in).
 func TestBackgroundSealRaceHammer(t *testing.T) {
+	for _, cacheBytes := range []int64{1 << 20, 0} {
+		t.Run(fmt.Sprintf("cache=%d", cacheBytes), func(t *testing.T) {
+			hammerSeal(t, cacheBytes)
+		})
+	}
+}
+
+func hammerSeal(t *testing.T, cacheBytes int64) {
 	opts := testOptions()
 	opts.AutoSealRecords = 256
-	opts.BlockCacheBytes = 1 << 20
+	opts.BlockCacheBytes = cacheBytes
 	s, err := Open(t.TempDir(), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -121,7 +172,7 @@ func TestBackgroundSealRaceHammer(t *testing.T) {
 	const appenders = 4
 	var wg sync.WaitGroup
 	done := make(chan struct{})
-	errc := make(chan error, appenders+8)
+	errc := make(chan error, appenders+9)
 	chunk := (len(recs) + appenders - 1) / appenders
 	for a := 0; a < appenders; a++ {
 		lo := a * chunk
@@ -168,6 +219,21 @@ func TestBackgroundSealRaceHammer(t *testing.T) {
 			}
 		}()
 	}
+	readers.Add(1)
+	go func() {
+		defer readers.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if _, err := s.Compact(); err != nil {
+				errc <- err
+				return
+			}
+		}
+	}()
 	wg.Wait()
 	close(done)
 	readers.Wait()

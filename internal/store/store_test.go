@@ -779,3 +779,100 @@ func TestMemRecSize(t *testing.T) {
 		t.Fatalf("memRec is %d bytes, want 32", n)
 	}
 }
+
+// TestOneAttrRefPerTuple pins the store's one attribute table: a tuple reads
+// back with the same shared Path storage whether its record comes from the
+// memtable, a sealed segment through the block cache or around it, or a
+// compacted segment, and once every tuple is in the table, neither a repeat
+// scan nor a compaction adds an entry to it.
+func TestOneAttrRefPerTuple(t *testing.T) {
+	opts := testOptions()
+	opts.BlockCacheBytes = 1 << 20
+	s, err := Open(t.TempDir(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	recs := hourlyWorkload(2, 200)
+	half := len(recs) * 3 / 4 // the second window is sealed in two parts
+	w := s.Writer()
+	if err := w.AppendBatch(recs[:half]); err != nil {
+		t.Fatal(err)
+	}
+
+	// paths maps each tuple, by its wire bytes, to the first path segment
+	// the store handed back for it.
+	paths := make(map[string]*bgp.PathSegment)
+	check := func(from string, cache *blockCache) {
+		t.Helper()
+		s.mu.Lock()
+		saved := s.cache
+		s.cache = cache
+		s.mu.Unlock()
+		got, _ := queryAll(t, s, Query{})
+		s.mu.Lock()
+		s.cache = saved
+		s.mu.Unlock()
+		n := 0
+		for _, rec := range got {
+			if rec.Type != collector.Announce {
+				continue
+			}
+			wire, err := bgp.MarshalAttrs(rec.Attrs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seg := &rec.Attrs.Path.Segments[0]
+			if want, ok := paths[string(wire)]; !ok {
+				paths[string(wire)] = seg
+			} else if seg != want {
+				t.Fatalf("%s: tuple %v reads back with its own path storage", from, rec.Attrs)
+			}
+			n++
+		}
+		if n == 0 {
+			t.Fatalf("%s: no announcements read", from)
+		}
+	}
+	entries := func() (tuples, wires int) {
+		s.attrs.mu.Lock()
+		defer s.attrs.mu.Unlock()
+		return s.attrs.tab.Len(), len(s.attrs.byWire)
+	}
+
+	check("memtable", s.cache)
+	if err := w.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	check("sealed, cache off", nil)
+	check("sealed, cache on", s.cache)
+	if err := w.AppendBatch(recs[half:]); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	check("second seal, cache off", nil)
+	check("second seal, cache on", s.cache)
+	tuples, wires := entries()
+	if tuples != len(paths) {
+		t.Fatalf("table holds %d tuples, the records carry %d", tuples, len(paths))
+	}
+
+	check("repeat scan, cache off", nil)
+	st, err := s.Compact()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.SegmentsMerged == 0 {
+		t.Fatal("nothing compacted")
+	}
+	check("compacted, cache off", nil)
+	check("compacted, cache on", s.cache)
+	if t2, w2 := entries(); t2 != tuples || w2 != wires {
+		t.Fatalf("scans and a compaction grew the table from %d tuples (%d wire keys) to %d (%d)", tuples, wires, t2, w2)
+	}
+	if len(paths) != tuples {
+		t.Fatalf("%d distinct tuples read back, table holds %d", len(paths), tuples)
+	}
+}
