@@ -57,7 +57,7 @@ func ForwardingEqual(a, b *Handle) bool {
 
 // Table interns attribute tuples and AS paths. It is NOT safe for concurrent
 // use: each pipeline shard, RIB, session, and generator owns a private
-// table, and the store wraps its shared decode-side table in a mutex. Tables
+// table, and each store wraps its one table in a mutex. Tables
 // retain every tuple ever interned; the working sets here (distinct
 // attribute tuples in a BGP stream) are small by construction — that
 // smallness is the paper's whole point.
