@@ -471,3 +471,36 @@ func nonEmptyLines(s string) []string {
 	}
 	return out
 }
+
+// TestTraceSegmentSpanBudget: a scan of more segments than the trace's span
+// budget holds still leaves room for the request's own stages, so the
+// profile of a 601-segment record stream keeps its encode stage and record
+// count. The EXPLAIN on store_scan still counts every segment.
+func TestTraceSegmentSpanBudget(t *testing.T) {
+	enableTestTracing(t, -1)
+	st := newTestStore(t, 900, store.Options{Window: time.Minute})
+	srv := startServer(t, Options{Store: st})
+
+	ctx, root := obs.DefaultTracer().Start(context.Background(), "client")
+	rr, err := (&Client{Addr: srv.Addr().String()}).QueryCtx(ctx, QuerySpec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if recs := drainRemote(t, rr); len(recs) != 900 {
+		t.Fatalf("streamed %d records, want 900", len(recs))
+	}
+	root.Finish()
+
+	p := profileOf(findTrace(t, root.TraceID(), true))
+	if p.Records != 900 {
+		t.Fatalf("profile records = %d, want 900", p.Records)
+	}
+	for _, stage := range []string{"admission", "scan", "encode"} {
+		if _, ok := p.Stages[stage]; !ok {
+			t.Fatalf("profile has no %q stage: %v", stage, p.Stages)
+		}
+	}
+	if p.Explain == nil || p.Explain.SegmentsScanned <= 512 {
+		t.Fatalf("EXPLAIN does not count every segment: %+v", p.Explain)
+	}
+}
