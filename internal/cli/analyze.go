@@ -116,14 +116,15 @@ func Analyze(ctx context.Context, args []string, stdout, stderr io.Writer) error
 		pp.Events = det.Add
 		pp.DayEnd = func(d core.Date) { det.Advance(d.Time().AddDate(0, 0, 1)) }
 	}
-	span, _ := obs.StartSpanCtx(ctx, "classify")
+	_, span := obs.StartChild(ctx, "classify")
 	n, err := instability.ClassifyLogParallel(cancellable(ctx, r), pp)
 	pp.Close()
+	span.AnnotateInt("records", int64(n))
+	span.SetError(err)
+	span.Finish()
 	if err != nil {
 		return err
 	}
-	span.Add(int64(n))
-	span.End()
 	acc := pp.Acc
 	fmt.Fprintf(stdout, "classified %d records from %s (%s)\n", n, *in+sf.dir+*remote, exchangeName)
 	printIntern(stdout)

@@ -62,7 +62,7 @@ func Collect(ctx context.Context, args []string, stdout, stderr io.Writer) error
 		chaosSpec   = fs.String("chaos", "", "fault dialed connections, e.g. seed=1,resetp=0.01,maxdelay=5ms")
 	)
 	sf := addStoreFlags(fs, "also write through to an irtlstore at this directory", 0)
-	of := addObsFlags(fs).withTrace(fs, 0)
+	of := addObsFlags(fs)
 	if err := parse(fs, args); err != nil {
 		return err
 	}
@@ -195,7 +195,7 @@ func Collect(ctx context.Context, args []string, stdout, stderr io.Writer) error
 					lg.Printf("dial %s: %v", addr, err)
 				} else {
 					if chaosConn != nil {
-						conn = chaosConn(conn, int64(i)<<16|int64(attempt))
+						conn = chaosConn.wrap(conn, int64(i)<<16|int64(attempt))
 					}
 					release, ok := track(conn)
 					if !ok {
@@ -359,44 +359,49 @@ func runSession(lg *log.Logger, conn net.Conn, cfg session.Config, write func(co
 	}
 }
 
-// parseConnChaos parses the -chaos spec into a per-connection wrapper.
-// Keys: seed (base RNG seed), resetp (per-op spontaneous close probability,
-// in [0,1]), maxdelay (uniform random pre-op delay, not negative). The
-// per-connection salt keeps every dialed conn on its own deterministic
-// schedule.
-func parseConnChaos(spec string) (func(c net.Conn, salt int64) net.Conn, error) {
+// connChaos is a parsed -chaos spec: the faults every dialed connection gets.
+type connChaos struct {
+	seed     int64
+	resetP   float64
+	maxDelay time.Duration
+}
+
+// wrap faults one dialed connection. The per-connection salt keeps every
+// dialed conn on its own deterministic schedule.
+func (k *connChaos) wrap(c net.Conn, salt int64) net.Conn {
+	return faults.NewConn(c, k.seed^salt, k.resetP, k.maxDelay)
+}
+
+// parseConnChaos parses the -chaos spec, nil for an empty one. Keys: seed
+// (base RNG seed), resetp (per-op spontaneous close probability, in [0,1]),
+// maxdelay (uniform random pre-op delay, not negative).
+func parseConnChaos(spec string) (*connChaos, error) {
 	if strings.TrimSpace(spec) == "" {
 		return nil, nil
 	}
-	var (
-		seed     int64
-		resetP   float64
-		maxDelay time.Duration
-	)
+	k := &connChaos{}
 	for _, kv := range strings.Split(spec, ",") {
-		k, v, ok := strings.Cut(strings.TrimSpace(kv), "=")
+		key, v, ok := strings.Cut(strings.TrimSpace(kv), "=")
 		if !ok {
 			return nil, fmt.Errorf("bad -chaos element %q (want key=value)", kv)
 		}
 		var err error
-		switch k {
+		switch key {
 		case "seed":
-			seed, err = strconv.ParseInt(v, 10, 64)
+			k.seed, err = strconv.ParseInt(v, 10, 64)
 		case "resetp":
-			resetP, err = strconv.ParseFloat(v, 64)
+			k.resetP, err = strconv.ParseFloat(v, 64)
 		case "maxdelay":
-			maxDelay, err = time.ParseDuration(v)
+			k.maxDelay, err = time.ParseDuration(v)
 		default:
-			return nil, fmt.Errorf("unknown -chaos key %q", k)
+			return nil, fmt.Errorf("unknown -chaos key %q", key)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("bad -chaos value %q: %v", kv, err)
 		}
 	}
-	if !(resetP >= 0 && resetP <= 1) || maxDelay < 0 { // a NaN fails the first
+	if !(k.resetP >= 0 && k.resetP <= 1) || k.maxDelay < 0 { // a NaN fails the first
 		return nil, fmt.Errorf("bad -chaos %q: resetp must be in [0,1] and maxdelay not negative", spec)
 	}
-	return func(c net.Conn, salt int64) net.Conn {
-		return faults.NewConn(c, seed^salt, resetP, maxDelay)
-	}, nil
+	return k, nil
 }

@@ -7,8 +7,10 @@ import (
 	"io"
 	"log"
 	"net"
+	"net/http"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -18,6 +20,7 @@ import (
 	"instability/internal/collector"
 	"instability/internal/faults"
 	"instability/internal/netaddr"
+	"instability/internal/obs"
 	"instability/internal/serve"
 )
 
@@ -190,25 +193,7 @@ func TestReplayDrainsAndCeases(t *testing.T) {
 	const n = 600
 	dir := t.TempDir()
 	in, out := filepath.Join(dir, "distinct.irtl.gz"), filepath.Join(dir, "live.irtl.gz")
-	w, err := collector.Create(in, "test")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Distinct prefixes, so no change supersedes another, and distinct paths,
-	// so each goes out in its own UPDATE.
-	base := time.Date(1996, 3, 1, 0, 0, 0, 0, time.UTC)
-	for i := 0; i < n; i++ {
-		if err := w.Write(collector.Record{
-			Time: base.Add(time.Duration(i) * time.Second), Type: collector.Announce, PeerAS: 690,
-			Prefix: netaddr.MustPrefix(netaddr.Addr(0x0a000000+uint32(i)<<8), 24),
-			Attrs:  bgp.Attrs{Origin: bgp.OriginIGP, Path: bgp.PathFromASNs(690, bgp.ASN(1000+i)), NextHop: 1},
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
+	writeDistinct(t, in, n)
 
 	defer func(d func(string, string) (net.Conn, error)) { dialCollector = d }(dialCollector)
 	dialCollector = func(network, addr string) (net.Conn, error) {
@@ -248,5 +233,103 @@ func TestReplayDrainsAndCeases(t *testing.T) {
 	}
 	if !strings.Contains(col.stderr.String(), "notification Cease") {
 		t.Errorf("the session did not end on a Cease:\n%s", col.stderr)
+	}
+}
+
+// writeDistinct writes a log of n announcements, one a second from
+// 1996-03-01, with distinct prefixes, so no change supersedes another, and
+// distinct paths, so each goes out in its own UPDATE.
+func writeDistinct(t *testing.T, path string, n int) {
+	t.Helper()
+	w, err := collector.Create(path, "test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := time.Date(1996, 3, 1, 0, 0, 0, 0, time.UTC)
+	for i := 0; i < n; i++ {
+		if err := w.Write(collector.Record{
+			Time: base.Add(time.Duration(i) * time.Second), Type: collector.Announce, PeerAS: 690,
+			Prefix: netaddr.MustPrefix(netaddr.Addr(0x0a000000+uint32(i)<<8), 24),
+			Attrs:  bgp.Attrs{Origin: bgp.OriginIGP, Path: bgp.PathFromASNs(690, bgp.ASN(1000+i)), NextHop: 1},
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestTraceSample: at -trace-sample 1 every tool that declares the flag
+// leaves a retained trace that holds its stage spans.
+func TestTraceSample(t *testing.T) {
+	t.Cleanup(obs.DefaultTracer().Disable)
+	dir := t.TempDir()
+	in, db := filepath.Join(dir, "distinct.irtl.gz"), filepath.Join(dir, "db")
+	writeDistinct(t, in, 200)
+	run(t, Store, "ingest", "-store", db, in)
+
+	for _, tc := range []struct {
+		tool string
+		do   func(t *testing.T)
+		want []string
+	}{
+		{"bgpanalyze", func(t *testing.T) {
+			run(t, Analyze, "-in", in, "-trace-sample", "1")
+		}, []string{"classify"}},
+		{"bgpstore query", func(t *testing.T) {
+			run(t, Store, "query", "-store", db, "-count", "-trace-sample", "1")
+		}, []string{"store_scan"}},
+		{"bgpreplay", func(t *testing.T) {
+			col := start(context.Background(), Collect, []string{"-listen", "127.0.0.1:0",
+				"-out", filepath.Join(t.TempDir(), "live.irtl.gz"), "-maxconns", "1", "-report", "0"})
+			if err := col.ready(); err != nil {
+				t.Fatal(err)
+			}
+			run(t, Replay, "-store", db, "-connect", listenAddr(t, col), "-speedup", "0", "-trace-sample", "1")
+			if err := <-col.done; err != nil {
+				t.Fatal(err)
+			}
+		}, []string{"replay", "store_scan"}},
+		{"bgpserve", func(t *testing.T) {
+			srv := start(context.Background(), Serve, []string{"-store", db, "-addr", "127.0.0.1:0", "-trace-sample", "1"})
+			defer func() { srv.cancel(); <-srv.done }()
+			if err := srv.ready(); err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.Get("http://" + listenAddr(t, srv) + "/v1/records?limit=3")
+			if err != nil {
+				t.Fatal(err)
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+		}, []string{"serve_query", "store_scan"}},
+	} {
+		t.Run(tc.tool, func(t *testing.T) {
+			before := map[*obs.Trace]bool{}
+			for _, tr := range obs.DefaultTracer().Traces() {
+				before[tr] = true
+			}
+			tc.do(t)
+			deadline := time.Now().Add(5 * time.Second)
+			for {
+				for _, tr := range obs.DefaultTracer().Traces() {
+					if before[tr] {
+						continue
+					}
+					names := map[string]bool{}
+					for _, sp := range tr.Spans() {
+						names[sp.Name] = true
+					}
+					if !slices.ContainsFunc(tc.want, func(n string) bool { return !names[n] }) {
+						return
+					}
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("no new retained trace holds %v", tc.want)
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+		})
 	}
 }

@@ -69,6 +69,10 @@ func Replay(ctx context.Context, args []string, stdout, stderr io.Writer) error 
 		return err
 	}
 	defer stopObs()
+	// With -trace-sample the run is one trace: a -store replay's scan and the
+	// replay stage are children of one root.
+	ctx, finish := of.root(ctx, "bgpreplay")
+	defer finish()
 	reg := obs.Default()
 	obsSent := reg.Counter("irtl_replay_records_total", "Records replayed onto the wire.")
 	obsPosition := reg.Gauge("irtl_replay_position_seconds",
@@ -133,7 +137,7 @@ func Replay(ctx context.Context, args []string, stdout, stderr io.Writer) error 
 	// With -detect the one log classifier drains the replay, day barriers and
 	// all, so the records flow into the anomaly detector as they go out on
 	// the wire — the same feed bgpanalyze -detect runs offline.
-	span := reg.StartSpan("replay")
+	_, span := obs.StartChild(ctx, "replay")
 	var det *detect.Detector
 	if *detectFlag {
 		det = detect.New(detect.Config{})
@@ -150,8 +154,8 @@ func Replay(ctx context.Context, args []string, stdout, stderr io.Writer) error 
 	if interrupted {
 		lg.Print("interrupted: draining session (again to abort)")
 	}
-	span.Add(int64(rp.sent))
-	span.End()
+	span.AnnotateInt("records", int64(rp.sent))
+	span.Finish()
 	runner.Close()
 	<-done
 	if err != nil && err != io.EOF && !interrupted {

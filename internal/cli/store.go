@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"instability/internal/collector"
-	"instability/internal/obs"
 	"instability/internal/store"
 )
 
@@ -117,16 +116,12 @@ func storeIngest(ctx context.Context, c *storeCmd) error {
 }
 
 func ingestFile(ctx context.Context, w *store.Writer, path string) (int, error) {
-	span := obs.StartSpan("ingest")
-	defer span.End()
 	r, _, err := collector.OpenAny(path)
 	if err != nil {
 		return 0, err
 	}
 	defer r.Close()
-	n, err := w.AppendAll(cancellable(ctx, r))
-	span.Add(int64(n))
-	return n, err
+	return w.AppendAll(cancellable(ctx, r))
 }
 
 func storeQuery(ctx context.Context, c *storeCmd) error {

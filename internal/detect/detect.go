@@ -563,9 +563,6 @@ func (d *Detector) closeAlert(pk uint64, b *baseline) {
 	d.alerts = append(d.alerts, a)
 	obsDetAlerts[k.Chan].Inc()
 	obsDetActive.SetInt(int64(len(d.alerting)))
-	sp := obs.StartSpan("detect_alert")
-	sp.Add(act.records)
-	sp.End()
 }
 
 // Advance finalizes every window that ends at or before now, evaluating

@@ -332,7 +332,7 @@ func (sp *TraceSpan) Finish() time.Duration {
 	}
 	sp.done = true
 	sp.dur = time.Since(sp.start)
-	if sp.tr.root == sp && sp.tr.tracer != nil {
+	if sp.tr.root == sp {
 		sp.tr.tracer.collect(sp.tr, sp.dur)
 	}
 	return sp.dur

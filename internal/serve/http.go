@@ -408,27 +408,21 @@ func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(doc)
 }
 
-// AlertsDoc is the /v1/alerts response: the detector's anomaly episodes,
-// live ones first when a live detector is wired, then whatever the alert
+// AlertsDoc is the /v1/alerts response: the anomaly episodes the alert
 // sidecar log holds.
 type AlertsDoc struct {
 	Alerts []detect.Alert `json:"alerts"`
-	// Source notes where the alerts came from: "live", "log", "live+log",
-	// or "none" when the server has no detector wired at all.
+	// Source notes where the alerts came from: "log", or "none" when the
+	// server has no alert log.
 	Source string `json:"source"`
 }
 
-// handleAlerts serves the detector's alert stream: the live detector
-// callback when the serving process hosts one, the alert sidecar log when an
-// ingest process wrote one, or both.
+// handleAlerts serves the detector's alert stream from the alert sidecar log
+// an ingest process wrote.
 func (s *Server) handleAlerts(w http.ResponseWriter, r *http.Request) {
 	doc := AlertsDoc{Alerts: []detect.Alert{}, Source: "none"}
-	if s.opts.Alerts != nil {
-		doc.Alerts = append(doc.Alerts, s.opts.Alerts()...)
-		doc.Source = "live"
-	}
 	if s.opts.AlertLog != "" {
-		n, err := store.ReadSidecarLog(s.opts.AlertLog, func(payload []byte) error {
+		_, err := store.ReadSidecarLog(s.opts.AlertLog, func(payload []byte) error {
 			var a detect.Alert
 			if err := json.Unmarshal(payload, &a); err != nil {
 				return err
@@ -440,12 +434,7 @@ func (s *Server) handleAlerts(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, fmt.Sprintf("alert log: %v", err), http.StatusInternalServerError)
 			return
 		}
-		_ = n
-		if doc.Source == "live" {
-			doc.Source = "live+log"
-		} else {
-			doc.Source = "log"
-		}
+		doc.Source = "log"
 	}
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	json.NewEncoder(w).Encode(doc)

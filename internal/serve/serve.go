@@ -41,7 +41,6 @@ import (
 	"time"
 
 	"instability/internal/collector"
-	"instability/internal/detect"
 	"instability/internal/lru"
 	"instability/internal/obs"
 	"instability/internal/store"
@@ -78,12 +77,9 @@ type Options struct {
 	// SlowQueryLog receives one NDJSON QueryProfile line for each request
 	// whose trace the tracer judged slow. Nil means os.Stderr.
 	SlowQueryLog io.Writer
-	// AlertLog, when set, is appended to /v1/alerts responses: the path of a
-	// detector alert sidecar log written by the ingest process.
+	// AlertLog, when set, is what /v1/alerts serves: the path of a detector
+	// alert sidecar log written by the ingest process.
 	AlertLog string
-	// Alerts, when set, serves /v1/alerts from this callback instead of (or
-	// layered over) AlertLog — the live detector's alert list.
-	Alerts func() []detect.Alert
 
 	// now overrides the clock for token-bucket tests.
 	now func() time.Time

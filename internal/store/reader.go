@@ -43,8 +43,8 @@ func (s *Store) QueryParallel(q Query, workers int) (*Reader, error) {
 
 // QueryCtx is Query carrying a request context: when ctx holds an active
 // trace span, the scan appears in the trace as a "store_scan" child (one
-// grandchild per scanned segment) annotated with the EXPLAIN profile at
-// Close. An untraced ctx costs nothing.
+// grandchild per scanned segment, up to maxSegmentSpans) annotated with the
+// EXPLAIN profile at Close. An untraced ctx costs nothing.
 //
 // Only the snapshot — candidate blocks, mapping or file references, the
 // memtable overlay — is taken under the store lock. The first block of every
@@ -101,7 +101,9 @@ func (s *Store) snapshot(r *Reader) ([]memRec, error) {
 			return nil, err
 		}
 		ss.cache, ss.quarantine = s.cache, true
-		ss.span = segmentSpan(r.span, g, len(blocks))
+		if len(r.streams) < maxSegmentSpans {
+			ss.span = segmentSpan(r.span, g, len(blocks))
+		}
 		r.add(&ss.cursor, ss)
 	}
 	return s.memSnapshotLocked(&r.q, &r.ex), nil
@@ -257,6 +259,11 @@ func (e *Explain) noteBlock(g *segment, bi int, hit, cached bool, n int) {
 		e.BlocksV3++
 	}
 }
+
+// maxSegmentSpans caps the per-segment spans one scan opens, so a scan of
+// many segments leaves the trace's span budget to the request's own stages;
+// the EXPLAIN on the scan span counts every segment.
+const maxSegmentSpans = 64
 
 // segmentSpan opens the per-segment trace span under the scan span. Nil in,
 // nil out: untraced queries pay nothing.

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"instability/internal/collector"
-	"instability/internal/obs"
 )
 
 // Writer is the ingest half of a Store: appends are WAL-logged and batched
@@ -341,9 +340,7 @@ func (s *Store) startSealLocked() (*sealBatch, error) {
 // the rest. It runs off the store lock and takes it per publish.
 func (s *Store) runSeal(b *sealBatch) {
 	t0 := time.Now()
-	span := obs.StartSpan("store_seal")
 	var err error
-	records := 0
 	for i := range b.windows {
 		sw := &b.windows[i]
 		t1 := time.Now()
@@ -358,10 +355,7 @@ func (s *Store) runSeal(b *sealBatch) {
 		}
 		obsSealWriteSeconds.ObserveSince(t2)
 		s.publishSealed(b, i, seg)
-		records += len(recs)
 	}
-	span.Add(int64(records))
-	span.End()
 	if err == nil {
 		obsSealSeconds.ObserveSince(t0)
 	}
