@@ -1,4 +1,4 @@
-// Bgpserve serves an irtlstore to many concurrent readers over HTTP: JSON, NDJSON and IRTQ record frames.
+// Bgpserve serves an irtlstore to many concurrent readers over HTTP: JSON, NDJSON and IRTQ record streams (IRTL logs).
 // The command is cli.Serve (internal/cli); its doc comment has the usage.
 package main
 

@@ -2,7 +2,10 @@ package bgp
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
+
+	"instability/internal/netaddr"
 )
 
 // FuzzUnmarshalAttrs feeds arbitrary bytes through the attribute decoder and
@@ -67,6 +70,60 @@ func FuzzUnmarshalAttrs(f *testing.F) {
 		}
 		if !bytes.Equal(w, w2) {
 			t.Fatalf("re-encoding is not canonical: %x != %x", w, w2)
+		}
+	})
+}
+
+// FuzzUnmarshalMessage feeds arbitrary bytes to the message decoder, which
+// reads what any TCP peer of bgpcollect sends: it must never panic, and any
+// message it accepts must re-marshal and decode to an equal message.
+func FuzzUnmarshalMessage(f *testing.F) {
+	pfx := func(s string) netaddr.Prefix {
+		p, err := netaddr.ParsePrefix(s)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return p
+	}
+	for _, m := range []Message{
+		Open{Version: 4, AS: 690, HoldTime: 90, BGPID: 0x0a000001, OptParms: []byte{2, 0}},
+		Update{
+			Withdrawn: []netaddr.Prefix{pfx("192.0.2.0/24"), pfx("10.0.0.0/8")},
+			Attrs: Attrs{
+				Origin:      OriginIGP,
+				Path:        PathFromASNs(701, 3561),
+				NextHop:     0xc0a80101,
+				MED:         10,
+				HasMED:      true,
+				Communities: []Community{0x02bd0001},
+			},
+			Announced: []netaddr.Prefix{pfx("198.51.100.0/22"), pfx("203.0.113.128/25")},
+		},
+		Notification{Code: NotifCease, Subcode: 2, Data: []byte{1, 2}},
+		Keepalive{},
+	} {
+		b, err := Marshal(m)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := Unmarshal(data)
+		if err != nil {
+			return
+		}
+		b, err := Marshal(m)
+		if err != nil {
+			t.Fatalf("decoded %T failed to re-marshal: %v", m, err)
+		}
+		m2, err := Unmarshal(b)
+		if err != nil {
+			t.Fatalf("re-marshalled %T failed to decode: %v", m, err)
+		}
+		if !reflect.DeepEqual(m, m2) {
+			t.Fatalf("round trip changed the message:\n %#v\n %#v", m, m2)
 		}
 	})
 }

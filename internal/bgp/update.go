@@ -248,6 +248,11 @@ func unmarshalUpdate(body []byte) (Update, error) {
 	if len(u.Announced) > 0 && attrLen == 0 {
 		return u, fmt.Errorf("bgp: NLRI present without path attributes")
 	}
+	if len(u.Announced) == 0 {
+		// Checked but kept by no route: MarshalBody writes attributes only
+		// with NLRI, and a decoded message must marshal back to itself.
+		u.Attrs = Attrs{}
+	}
 	return u, nil
 }
 

@@ -39,7 +39,7 @@ var analyzeIDs = []string{"summary", "table1", "fig2", "fig3", "fig4", "fig5", "
 // With -in every record of the log is tested; with -store the store's
 // indexes skip what the slice does not need. With -remote the query runs
 // against a bgpserve instance, whose /v1/records streams the records back as
-// IRTQ frames in the store's wire codec, so the classification is
+// an IRTL log in the store's record codec, so the classification is
 // bit-identical to opening the store locally. Classification is sharded
 // -parallel ways; the statistics are the same at any setting.
 func Analyze(ctx context.Context, args []string, stdout, stderr io.Writer) error {
@@ -56,7 +56,7 @@ func Analyze(ctx context.Context, args []string, stdout, stderr io.Writer) error
 		alertLog   = fs.String("alert-log", "", "append -detect alerts to this sidecar log (served by bgpserve /v1/alerts)")
 	)
 	spec := addQueryFlags(fs, originFlag)
-	sf := addStoreFlags(fs, "analyze an irtlstore query instead of a log file", blockCacheFlag|noMmapFlag)
+	sf := addStoreFlags(fs, "analyze an irtlstore query instead of a log file", blockCacheFlag)
 	of := addObsFlags(fs).withTrace(fs, 0)
 	if err := parse(fs, args); err != nil {
 		return err

@@ -6,7 +6,7 @@
 //
 // Four things are declared here once for all of them:
 //
-//   - the store flag group (-store, -block-cache-bytes, -no-mmap, -chaos),
+//   - the store flag group (-store, -block-cache-bytes, -chaos),
 //     which becomes a command's store.Options in one place; each command
 //     registers -store and only those of the rest it acts on;
 //   - the query flag group (-from, -to, -peer, -origin, -prefix, -type),
@@ -112,20 +112,17 @@ func parse(fs *flag.FlagSet, args []string) error {
 type storeFlags struct {
 	dir        string
 	blockCache int64
-	noMmap     bool
 	chaos      string
 	plan       *faults.Plan // -chaos, parsed by check
 }
 
 // The store group's flags besides -store. A command registers those it acts
-// on; one it leaves out keeps its zero value — block cache off, mmap on, no
-// faults.
+// on; one it leaves out keeps its zero value — block cache off, no faults.
 const (
 	blockCacheFlag = 1 << iota // -block-cache-bytes: the command queries
-	noMmapFlag                 // -no-mmap: the command reads segments
 	chaosFlag                  // -chaos: store I/O fault injection
 
-	allStoreFlags = blockCacheFlag | noMmapFlag | chaosFlag
+	allStoreFlags = blockCacheFlag | chaosFlag
 )
 
 func addStoreFlags(fs *flag.FlagSet, dirUsage string, which int) *storeFlags {
@@ -133,9 +130,6 @@ func addStoreFlags(fs *flag.FlagSet, dirUsage string, which int) *storeFlags {
 	fs.StringVar(&f.dir, "store", "", dirUsage)
 	if which&blockCacheFlag != 0 {
 		fs.Int64Var(&f.blockCache, "block-cache-bytes", 32<<20, "byte budget of the shared parsed-block cache (0 = off)")
-	}
-	if which&noMmapFlag != 0 {
-		fs.BoolVar(&f.noMmap, "no-mmap", false, "disable memory-mapped segment reads, forcing the ReadAt path")
 	}
 	if which&chaosFlag != 0 {
 		fs.StringVar(&f.chaos, "chaos", "", "inject deterministic store I/O faults, e.g. seed=42,failsync=3,flipreadp=0.01 (see internal/faults)")
@@ -167,7 +161,7 @@ func (f *storeFlags) open(lg *log.Logger, base store.Options) (*store.Store, err
 		return nil, usagef("missing -store")
 	}
 	opts := base
-	opts.BlockCacheBytes, opts.NoMmap = f.blockCache, f.noMmap
+	opts.BlockCacheBytes = f.blockCache
 	if f.plan != nil {
 		opts.FS = faults.NewInjector(faults.Disk{}, *f.plan)
 		lg.Printf("chaos: store I/O faulted with %q", f.chaos)

@@ -8,6 +8,8 @@ import (
 	"log"
 	"net"
 	"net/http"
+	"net/url"
+	"os"
 	"path/filepath"
 	"regexp"
 	"slices"
@@ -147,6 +149,88 @@ func TestOneAnswer(t *testing.T) {
 		}
 		if outs[0] == "" || outs[1] != outs[0] || outs[2] != outs[0] {
 			t.Errorf("%s: bgpanalyze -in, -store and -remote differ", sh.name)
+		}
+	}
+}
+
+// TestRecordStreamIsLog: a served IRTQ body is the log bgpstore query -out
+// writes for the same query, byte for byte — an empty answer and a cut one
+// included — and bgpanalyze reads the saved body as it reads the server.
+func TestRecordStreamIsLog(t *testing.T) {
+	dir := t.TempDir()
+	logPath, db := filepath.Join(dir, "camp.irtl.gz"), filepath.Join(dir, "db")
+	run(t, Sim, "-out", logPath, "-scale", "small", "-q")
+	run(t, Store, "ingest", "-store", db, logPath)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	srv := start(ctx, Serve, []string{"-store", db, "-addr", "127.0.0.1:0", "-trace-sample", "0"})
+	if err := srv.ready(); err != nil {
+		t.Fatal(err)
+	}
+	defer func() { cancel(); <-srv.done }()
+	remote := listenAddr(t, srv)
+
+	for _, sh := range []struct {
+		name  string
+		spec  serve.QuerySpec
+		limit int
+	}{
+		{"all", serve.QuerySpec{}, 0},
+		{"window", serve.QuerySpec{From: "1996-03-02", To: "1996-03-04"}, 0},
+		{"empty", serve.QuerySpec{From: "1990-01-01", To: "1990-01-02"}, 0},
+		{"limit", serve.QuerySpec{From: "1996-03-03"}, 1000},
+	} {
+		v := url.Values{}
+		for a := specArgs(sh.spec); len(a) > 0; a = a[2:] {
+			v.Set(strings.TrimPrefix(a[0], "-"), a[1])
+		}
+		if sh.limit > 0 {
+			v.Set("limit", strconv.Itoa(sh.limit))
+		}
+		req, err := http.NewRequest("GET", "http://"+remote+"/v1/records?"+v.Encode(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Accept", "application/x-irtq")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK || resp.Trailer.Get("Irtl-Explain") == "" {
+			t.Fatalf("%s: status %d, trailers %v, err %v", sh.name, resp.StatusCode, resp.Trailer, err)
+		}
+		lr, err := collector.NewReader(bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("%s: the IRTQ body is no log: %v", sh.name, err)
+		}
+		recs, err := collector.ReadAll(lr)
+		if err != nil || (len(recs) == 0) != (sh.name == "empty") || sh.limit > 0 && len(recs) != sh.limit {
+			t.Fatalf("%s: the IRTQ body holds %d records (%v)", sh.name, len(recs), err)
+		}
+
+		saved := filepath.Join(dir, sh.name+".irtl")
+		args := append([]string{"query", "-store", db, "-out", saved, "-exchange", lr.Exchange(), "-n", strconv.Itoa(sh.limit)}, specArgs(sh.spec)...)
+		run(t, Store, args...)
+		want, err := os.ReadFile(saved)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(body, want) {
+			t.Fatalf("%s: IRTQ body (%d bytes) differs from bgpstore query -out (%d bytes)", sh.name, len(body), len(want))
+		}
+		if sh.limit > 0 {
+			continue // bgpanalyze takes no limit
+		}
+		var outs []string
+		for _, src := range [][]string{{"-in", saved}, append([]string{"-remote", remote}, specArgs(sh.spec)...)} {
+			out := run(t, Analyze, append(src, "-id", "table1", "-parallel", "2")...)
+			_, figs, _ := strings.Cut(out, "\n\n") // past the source and the process-wide intern line
+			outs = append(outs, figs)
+		}
+		if outs[0] != outs[1] {
+			t.Errorf("%s: bgpanalyze -in the saved body prints\n%s\nbgpanalyze -remote prints\n%s", sh.name, outs[0], outs[1])
 		}
 	}
 }

@@ -52,7 +52,7 @@ func Replay(ctx context.Context, args []string, stdout, stderr io.Writer) error 
 		detectFlag = fs.Bool("detect", false, "classify the replayed records through the streaming anomaly detector and print its alerts at the end")
 	)
 	spec := addQueryFlags(fs, originFlag)
-	sf := addStoreFlags(fs, "replay from an irtlstore query instead of a log file", blockCacheFlag|noMmapFlag)
+	sf := addStoreFlags(fs, "replay from an irtlstore query instead of a log file", blockCacheFlag)
 	of := addObsFlags(fs).withTrace(fs, 0)
 	if err := parse(fs, args); err != nil {
 		return err

@@ -15,8 +15,8 @@ import (
 // Serve is bgpserve, the multi-tenant query/serving plane over an
 // irtlstore: one long-lived process opens the store once and answers many
 // concurrent reader sessions over HTTP on one port. Record streams come as
-// NDJSON (dashboards, curl) or as IRTQ frames in the store's record codec
-// (the analysis commands' -remote), per the request's Accept header.
+// NDJSON (dashboards, curl) or as IRTQ, an IRTL log in the store's record
+// codec (the analysis commands' -remote), per the request's Accept header.
 //
 //	bgpserve -store db -addr :1791
 //	bgpserve -store db -addr :1791 -max-sessions 64 -cache-bytes 67108864 \

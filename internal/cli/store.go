@@ -133,7 +133,7 @@ func storeQuery(ctx context.Context, c *storeCmd) error {
 		limit     = c.Int("n", 0, "stop after this many records (0 = all)")
 	)
 	spec := addQueryFlags(c.FlagSet, originFlag|typeFlag)
-	c.addStore(blockCacheFlag | noMmapFlag | chaosFlag)
+	c.addStore(allStoreFlags)
 	c.of = addObsFlags(c.FlagSet).withTrace(c.FlagSet, 0)
 	if err := c.parse(); err != nil {
 		return err
@@ -175,7 +175,7 @@ func storeQuery(ctx context.Context, c *storeCmd) error {
 
 func storeCompact(ctx context.Context, c *storeCmd) error {
 	// Compaction streams each input once and bypasses the block cache.
-	c.addStore(noMmapFlag | chaosFlag)
+	c.addStore(chaosFlag)
 	c.of = addObsFlags(c.FlagSet)
 	if err := c.parse(); err != nil {
 		return err

@@ -16,9 +16,9 @@ import (
 //	uvarint peer address | u8 prefix length | uvarint prefix address |
 //	uvarint attribute length | attributes (bgp.MarshalAttrs)
 //
-// with attributes on announcements only. It is the store's WAL record, the
-// record the serving layer's IRTQ stream carries, and — packed back to back
-// into frames — the body of an IRTL v2 log. A frame is
+// with attributes on announcements only. It is the store's WAL record and —
+// packed back to back into frames — the body of an IRTL v2 log, which is
+// also what the serving layer's IRTQ record stream is. A frame is
 //
 //	u32 payload length (big endian) | payload | u32 crc32(payload)
 //

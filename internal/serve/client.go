@@ -1,11 +1,8 @@
 package serve
 
 import (
-	"bufio"
 	"context"
-	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -19,7 +16,7 @@ import (
 )
 
 // Client talks to a bgpserve instance over HTTP: record streams come back
-// from /v1/records as IRTQ frames (Query) or NDJSON (QueryHTTP), aggregates
+// from /v1/records as an IRTL log (Query) or NDJSON (QueryHTTP), aggregates
 // and status as JSON. The zero value is unusable — set Addr.
 type Client struct {
 	// Addr is the server's host:port.
@@ -51,114 +48,67 @@ func (c *Client) QueryCtx(ctx context.Context, spec QuerySpec) (*RemoteReader, e
 		sp.Finish()
 		return nil, err
 	}
-	return newRemoteReader(resp.Body, sp), nil
+	return &RemoteReader{resp: resp, span: sp}, nil
 }
 
-// RemoteReader streams records from one remote query.
+// RemoteReader streams records from one remote query: the response body is
+// an IRTL log, read by collector.Reader, and its trailers end it.
 type RemoteReader struct {
-	body io.ReadCloser
-	br   *bufio.Reader
+	resp *http.Response
 	span *obs.TraceSpan // remote_query; finished on Close
 
-	buf  []byte // undecoded remainder of the current batch
-	left uint64 // records remaining in the current batch
-	end  *wireEnd
-	err  error
-}
-
-func newRemoteReader(body io.ReadCloser, sp *obs.TraceSpan) *RemoteReader {
-	return &RemoteReader{body: body, br: bufio.NewReaderSize(body, 1<<16), span: sp}
+	log *collector.Reader // opened by the first Next: the header comes with the first frame
+	n   int               // records read
+	ex  *store.Explain    // the end trailer's, after a clean end
+	err error             // sticky; io.EOF after a clean end
 }
 
 // Next returns the next record, io.EOF at the clean end of the stream. After
 // io.EOF, Explain and Generation report the server's scan accounting.
 func (r *RemoteReader) Next() (collector.Record, error) {
-	for {
-		if r.err != nil {
-			return collector.Record{}, r.err
-		}
-		if r.end != nil {
-			return collector.Record{}, io.EOF
-		}
-		if r.left > 0 {
-			rec, rest, err := collector.DecodeRecord(r.buf)
-			if err != nil {
-				r.err = fmt.Errorf("serve: corrupt record stream: %w", err)
-				return collector.Record{}, r.err
-			}
-			r.buf = rest
-			r.left--
+	if r.err != nil {
+		return collector.Record{}, r.err
+	}
+	if r.log == nil {
+		r.log, r.err = collector.NewReader(r.resp.Body)
+	}
+	if r.err == nil {
+		var rec collector.Record
+		if rec, r.err = r.log.Next(); r.err == nil {
+			r.n++
 			return rec, nil
 		}
-		typ, payload, err := readFrame(r.br)
-		if err != nil {
-			r.err = fmt.Errorf("serve: reading frame: %w", err)
-			return collector.Record{}, r.err
-		}
-		switch typ {
-		case frameBatch:
-			n, used := binary.Uvarint(payload)
-			if used <= 0 {
-				r.err = fmt.Errorf("serve: corrupt batch header")
-				return collector.Record{}, r.err
-			}
-			r.buf, r.left = payload[used:], n
-			continue
-		case frameEnd:
-			var end wireEnd
-			if err := json.Unmarshal(payload, &end); err != nil {
-				r.err = fmt.Errorf("serve: corrupt end frame: %w", err)
-			} else {
-				r.end = &end
-			}
-		case frameError:
-			var we wireError
-			if err := json.Unmarshal(payload, &we); err != nil {
-				r.err = fmt.Errorf("serve: corrupt error frame: %w", err)
-			} else {
-				r.err = we.error()
-			}
-		default:
-			r.err = fmt.Errorf("serve: unexpected frame type %d", typ)
-			continue
-		}
-		// An end or error frame is the last: the body must end here. Reading
-		// on to its end waits for the server to finish the request, profile
-		// recorded, and returns the connection for reuse.
-		if _, err := r.br.ReadByte(); err == nil && r.err == nil {
-			r.err = errors.New("serve: data after end frame")
-		}
 	}
+	// The log stopped, cleanly or not: the trailers say how the stream did.
+	if r.ex, r.err = streamEnd(r.resp.Trailer, r.err); r.err == nil {
+		r.err = io.EOF
+	}
+	return collector.Record{}, r.err
 }
 
 // Generation returns the store generation the result was computed under;
 // valid after io.EOF.
 func (r *RemoteReader) Generation() uint64 {
-	if r.end == nil {
+	if r.ex == nil {
 		return 0
 	}
-	return r.end.Explain.Generation
+	return r.ex.Generation
 }
 
-// Explain returns the server-side query profile, or nil before the end frame
-// arrives.
-func (r *RemoteReader) Explain() *store.Explain {
-	if r.end == nil {
-		return nil
-	}
-	return &r.end.Explain
-}
+// Explain returns the server-side query profile, or nil before the stream's
+// clean end.
+func (r *RemoteReader) Explain() *store.Explain { return r.ex }
 
 // Close releases the response and finishes the remote_query span.
 func (r *RemoteReader) Close() error {
 	if r.span != nil {
-		if r.end != nil {
-			r.span.AnnotateInt("records", int64(r.end.Records))
+		if r.ex != nil {
+			r.span.AnnotateInt("records", int64(r.n))
 		}
 		r.span.Finish()
 		r.span = nil
 	}
-	return r.body.Close()
+	return r.resp.Body.Close()
 }
 
 // Aggregate fetches one cached aggregate over HTTP. top bounds ranked kinds
@@ -208,8 +158,9 @@ func (c *Client) Statz() (*Statz, error) {
 
 // QueryHTTP streams a record query as NDJSON. It exists so tests (and
 // HTTP-only tenants) can prove the two encodings equivalent; CLIs use Query.
-// When the server's scan fails midway the records read up to that point are
-// returned together with the error.
+// When the server's scan fails midway, or the stream ends without its end
+// trailer, the records read up to that point are returned together with the
+// error.
 func (c *Client) QueryHTTP(spec QuerySpec) ([]collector.Record, error) {
 	return c.QueryHTTPCtx(context.Background(), spec)
 }
@@ -226,15 +177,12 @@ func (c *Client) QueryHTTPCtx(ctx context.Context, spec QuerySpec) ([]collector.
 	dec := json.NewDecoder(resp.Body)
 	for {
 		var rj RecordJSON
-		if err := dec.Decode(&rj); err == io.EOF {
-			// Trailers arrive with the end of the body: a scan that failed
-			// midway says so here, and what was read is only a prefix.
-			if msg := resp.Trailer.Get(scanErrorTrailer); msg != "" {
-				return out, wireError{Code: codeInternal, Msg: msg}.error()
+		if err := dec.Decode(&rj); err != nil {
+			if err != io.EOF {
+				err = fmt.Errorf("serve: bad record stream: %w", err)
 			}
-			return out, nil
-		} else if err != nil {
-			return out, fmt.Errorf("serve: bad record stream: %w", err)
+			_, err = streamEnd(resp.Trailer, err)
+			return out, err
 		}
 		rec, err := rj.Record()
 		if err != nil {

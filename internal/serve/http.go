@@ -3,7 +3,6 @@ package serve
 import (
 	"bufio"
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -22,8 +21,9 @@ import (
 // HTTP surface:
 //
 //	GET /v1/records?from=&to=&peer=&origin=&prefix=&type=&limit=
-//	    stream matching records: NDJSON (one RecordJSON per line), or IRTQ
-//	    frames (proto.go) with "Accept: application/x-irtq"
+//	    stream matching records: NDJSON (one RecordJSON per line), or with
+//	    "Accept: application/x-irtq" an IRTL log (proto.go); either ends in
+//	    the Irtl-Scan-Error or the Irtl-Explain trailer
 //	GET /v1/aggregate?kind=classes|daily|top_origins|peer_matrix&top=K&...
 //	    cached aggregate as one JSON document
 //	GET /v1/statz   store + serving-plane status
@@ -60,7 +60,7 @@ func tokenOf(r *http.Request) string {
 	return r.URL.Query().Get("token")
 }
 
-// wantsIRTQ reports whether a record request accepts IRTQ frames.
+// wantsIRTQ reports whether a record request accepts an IRTQ body.
 func wantsIRTQ(r *http.Request) bool { return strings.Contains(r.Header.Get("Accept"), irtqType) }
 
 // specOf reads a query from URL parameters (same names as the CLI flags),
@@ -161,15 +161,10 @@ func (s *Server) handle(name, kind string, h queryHandler) http.HandlerFunc {
 	}
 }
 
-// scanErrorTrailer is the HTTP trailer an NDJSON record stream sets when it
-// ended before the scan did; its value is the error. IRTQ's equivalent is
-// the error frame.
-const scanErrorTrailer = "Irtl-Scan-Error"
-
 // handleRecords streams the records matching one query in the encoding the
 // request accepts. Everything but the encoding is shared: the scan, a
 // deadline on every write, and the end of the stream, which — the 200 long
-// gone by then — reports an early stop in the body's own terms.
+// gone by then — is one of the two trailers (proto.go).
 func (s *Server) handleRecords(ctx context.Context, w http.ResponseWriter, r *http.Request) error {
 	spec, q, err := specOf(ctx, r)
 	if err != nil {
@@ -194,14 +189,14 @@ func (s *Server) handleRecords(ctx context.Context, w http.ResponseWriter, r *ht
 	h := w.Header()
 	// The generation of the reader's own snapshot, not of the store now.
 	h.Set("Irtl-Generation", strconv.FormatUint(rd.Explain().Generation, 10))
+	h.Set("Trailer", scanErrorTrailer+", "+explainTrailer)
 	var enc recordEncoder
 	if wantsIRTQ(r) {
 		h.Set("Content-Type", irtqType)
-		enc = &irtqEncoder{bw: bw}
+		enc, _ = collector.NewWriter(bw, irtqExchange) // fails only on a long name
 	} else {
 		h.Set("Content-Type", "application/x-ndjson; charset=utf-8")
-		h.Set("Trailer", scanErrorTrailer)
-		enc = ndjsonEncoder{json.NewEncoder(bw), h}
+		enc = ndjsonEncoder{json.NewEncoder(bw)}
 	}
 
 	_, esp := obs.StartChild(ctx, "encode")
@@ -213,7 +208,11 @@ func (s *Server) handleRecords(ctx context.Context, w http.ResponseWriter, r *ht
 	rd.Close() // finishes the store_scan span with the EXPLAIN profile
 	ssp.Finish()
 
-	enc.end(wireEnd{Records: sent, Explain: rd.Explain()}, serr)
+	if serr != nil {
+		h.Set(scanErrorTrailer, serr.Error())
+	} else if ex, err := json.Marshal(rd.Explain()); err == nil {
+		h.Set(explainTrailer, string(ex))
+	}
 	if err = bw.Flush(); err == nil {
 		// What the response writer still holds goes out under a deadline too.
 		rc.SetWriteDeadline(time.Now().Add(s.opts.writeTimeout))
@@ -225,9 +224,11 @@ func (s *Server) handleRecords(ctx context.Context, w http.ResponseWriter, r *ht
 	return err
 }
 
-// stream drains rd into enc, honouring limit and shutdown. It returns how
-// many records it encoded and why it stopped short of the scan's end, if it
-// did — a scan error, an encoding error, a failed write, or shutdown.
+// stream drains rd into enc, honouring limit and shutdown, and closes enc
+// when the scan ends. It returns how many records it encoded and why it
+// stopped short of the scan's end, if it did — a scan error, an encoding
+// error, a failed write, or shutdown. A stream that stops short leaves enc
+// open: the log frame the failure interrupted is never sent.
 func (s *Server) stream(enc recordEncoder, rd *store.Reader, limit int) (int, error) {
 	sent := 0
 	for limit <= 0 || sent < limit {
@@ -243,13 +244,13 @@ func (s *Server) stream(enc recordEncoder, rd *store.Reader, limit int) (int, er
 		if err != nil {
 			return sent, err
 		}
-		if err := enc.record(rec); err != nil {
+		if err := enc.Write(rec); err != nil {
 			return sent, err
 		}
 		sent++
 		obsRecordsStreamed.Inc()
 	}
-	return sent, nil
+	return sent, enc.Close()
 }
 
 // deadlineWriter gives every write of a record stream — one per flush of its
@@ -268,21 +269,19 @@ func (dw deadlineWriter) Write(p []byte) (int, error) {
 	return dw.w.Write(p)
 }
 
-// recordEncoder is one response encoding of /v1/records. Both write into the
-// stream's buffer, whose first failed write fails every later one.
+// recordEncoder is one response encoding of /v1/records: a
+// *collector.Writer for IRTQ, or NDJSON. Both write into the stream's
+// buffer, whose first failed write fails every later one.
 type recordEncoder interface {
-	record(rec collector.Record) error
-	// end finishes the body; err is why the stream stopped short, or nil.
-	end(e wireEnd, err error)
+	Write(rec collector.Record) error
+	// Close finishes a body whose scan ended: the log's last frame.
+	Close() error
 }
 
 // ndjsonEncoder writes one RecordJSON per line.
-type ndjsonEncoder struct {
-	enc *json.Encoder
-	h   http.Header
-}
+type ndjsonEncoder struct{ enc *json.Encoder }
 
-func (e ndjsonEncoder) record(rec collector.Record) error {
+func (e ndjsonEncoder) Write(rec collector.Record) error {
 	rj, err := ToJSON(rec)
 	if err == nil {
 		err = e.enc.Encode(rj)
@@ -290,54 +289,7 @@ func (e ndjsonEncoder) record(rec collector.Record) error {
 	return err
 }
 
-// end sets the trailer announced with the headers: without it a truncated
-// body is indistinguishable from a short answer — 200, clean end, fewer
-// records.
-func (e ndjsonEncoder) end(_ wireEnd, err error) {
-	if err != nil {
-		e.h.Set(scanErrorTrailer, err.Error())
-	}
-}
-
-// irtqEncoder packs records into frameBatch frames of batchRecords each.
-type irtqEncoder struct {
-	bw    *bufio.Writer
-	batch []byte
-	count uint64
-	hdr   [binary.MaxVarintLen64]byte
-}
-
-func (e *irtqEncoder) record(rec collector.Record) (err error) {
-	if e.batch, err = collector.AppendRecord(e.batch, rec); err != nil {
-		return err
-	}
-	if e.count++; e.count == batchRecords {
-		return e.flush()
-	}
-	return nil
-}
-
-func (e *irtqEncoder) flush() error {
-	if e.count == 0 {
-		return nil
-	}
-	err := writeFrame(e.bw, frameBatch, binary.AppendUvarint(e.hdr[:0], e.count), e.batch)
-	e.batch, e.count = e.batch[:0], 0
-	return err
-}
-
-// end sends the last batch and the end frame, or, when the stream stopped
-// short, an error frame instead; the batch the failure interrupted is never
-// sent.
-func (e *irtqEncoder) end(end wireEnd, err error) {
-	if err == nil {
-		if err = e.flush(); err == nil {
-			writeJSONFrame(e.bw, frameEnd, end)
-			return
-		}
-	}
-	writeJSONFrame(e.bw, frameError, wireError{Code: codeInternal, Msg: err.Error()})
-}
+func (ndjsonEncoder) Close() error { return nil }
 
 func (s *Server) handleAggregate(ctx context.Context, w http.ResponseWriter, r *http.Request) error {
 	kind := r.URL.Query().Get("kind")

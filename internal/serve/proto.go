@@ -1,10 +1,11 @@
 package serve
 
 import (
-	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"net/http"
 
 	"instability/internal/store"
 )
@@ -13,36 +14,29 @@ import (
 // GET /v1/records when the request says "Accept: application/x-irtq", as
 // Client.Query does. The query travels as URL parameters and the token and
 // trace context as headers, exactly as for NDJSON and every other endpoint;
-// only the body differs. It is length-prefixed frames:
+// only the body differs. The body is an IRTL v2 log (collector.NewWriter):
+// the header naming exchange irtqExchange, then CRC-checked frames of
+// records in the one record codec, so a remote result is bit-identical to a
+// local one and a saved response is a log every -in tool reads. A request
+// refused before its stream starts gets an HTTP status and a JSON wireError
+// body, as on every endpoint.
 //
-//	u32 payload length (big endian) | u8 frame type | payload
-//
-// zero or more frameBatch frames — a uvarint record count followed by that
-// many records in the one record codec (collector.AppendRecord), so a
-// remote result is bit-identical to a local one — terminated by one frameEnd
-// carrying the record count and the scan's store.Explain, or by one
-// frameError when the stream stopped short. A request refused before its
-// stream starts gets an HTTP status and a JSON wireError body, as on every
-// endpoint. Batching amortizes the frame header and the write: a
-// dashboard-sized result is a handful of writes, not one per record.
+// Both encodings end the same way, in declared HTTP trailers: the 200 is long
+// gone by then, and without them a truncated body is indistinguishable from a
+// short answer. scanErrorTrailer carries the error when the stream stopped
+// short; explainTrailer carries the scan's store.Explain as JSON when it did
+// not. A scan that fails before the first frame leaves an IRTQ body with no
+// log header at all, so the error trailer is read even when the body is not
+// a log.
 const (
-	irtqType = "application/x-irtq"
+	irtqType     = "application/x-irtq"
+	irtqExchange = "store" // the log header's name, as bgpstore query -out writes it
 
-	frameBatch = 2
-	frameEnd   = 3
-	frameError = 4
-
-	// maxFramePayload bounds a frame so a corrupt or hostile length prefix
-	// cannot make the peer allocate unbounded memory.
-	maxFramePayload = 16 << 20
-
-	// batchRecords is how many records the server packs per frameBatch,
-	// aligned with the store's block size so one decompressed block fills
-	// about one frame.
-	batchRecords = 512
+	scanErrorTrailer = "Irtl-Scan-Error"
+	explainTrailer   = "Irtl-Explain"
 )
 
-// Error codes carried by wireError bodies and frameError payloads.
+// Error codes carried by wireError bodies.
 const (
 	codeBusy     = "busy"
 	codeQuota    = "quota"
@@ -50,61 +44,10 @@ const (
 	codeInternal = "internal"
 )
 
-// wireEnd is the frameEnd payload: the result is complete, and Explain is
-// what its scan read, generation included.
-type wireEnd struct {
-	Records int           `json:"records"`
-	Explain store.Explain `json:"explain"`
-}
-
-// wireError is the frameError payload and the JSON body of a refused request.
+// wireError is the JSON body of a refused request.
 type wireError struct {
 	Code string `json:"code"`
 	Msg  string `json:"msg"`
-}
-
-// writeFrame writes one frame whose payload is the concatenation of parts.
-func writeFrame(w io.Writer, typ byte, parts ...[]byte) error {
-	var hdr [5]byte
-	n := 0
-	for _, p := range parts {
-		n += len(p)
-	}
-	binary.BigEndian.PutUint32(hdr[:4], uint32(n))
-	hdr[4] = typ
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	for _, p := range parts {
-		if _, err := w.Write(p); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func writeJSONFrame(w io.Writer, typ byte, v any) error {
-	payload, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	return writeFrame(w, typ, payload)
-}
-
-func readFrame(r io.Reader) (typ byte, payload []byte, err error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:4])
-	if n > maxFramePayload {
-		return 0, nil, fmt.Errorf("serve: frame of %d bytes exceeds limit", n)
-	}
-	payload = make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, fmt.Errorf("serve: truncated frame: %w", err)
-	}
-	return hdr[4], payload, nil
 }
 
 // error maps a wire code back to the client-side error.
@@ -117,4 +60,27 @@ func (we wireError) error() error {
 	default:
 		return fmt.Errorf("serve: remote error (%s): %s", we.Code, we.Msg)
 	}
+}
+
+// streamEnd is the one check at the end of a record stream, in either
+// encoding. err is why its body's decoder stopped, io.EOF at a clean end;
+// the trailers are there once the body has been read to its end. The error
+// trailer is the stream's error whatever the body held; otherwise a clean
+// end must carry the end trailer, whose Explain is returned.
+func streamEnd(trailer http.Header, err error) (*store.Explain, error) {
+	if msg := trailer.Get(scanErrorTrailer); msg != "" {
+		return nil, wireError{Code: codeInternal, Msg: msg}.error()
+	}
+	if err != io.EOF {
+		return nil, err
+	}
+	v := trailer.Get(explainTrailer)
+	if v == "" {
+		return nil, errors.New("serve: record stream ended without its end trailer")
+	}
+	var ex store.Explain
+	if err := json.Unmarshal([]byte(v), &ex); err != nil {
+		return nil, fmt.Errorf("serve: bad %s trailer: %w", explainTrailer, err)
+	}
+	return &ex, nil
 }

@@ -4,9 +4,9 @@
 //
 // The listener speaks one protocol, HTTP. Record streams on /v1/records come
 // in two encodings, chosen by the Accept header: NDJSON for browsers,
-// dashboards and curl, and IRTQ frames (proto.go, reusing the store's record
-// codec) for the analysis CLIs. Every request passes through the same read
-// path:
+// dashboards and curl, and IRTQ for the analysis CLIs: an IRTL log, the
+// format every -in tool reads (proto.go). Both end in the same trailers.
+// Every request passes through the same read path:
 //
 //	admission (worker pool + queue shed + per-tenant token buckets)
 //	  → batcher (singleflight coalescing of identical in-flight aggregates)

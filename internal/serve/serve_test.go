@@ -10,6 +10,7 @@ import (
 	"math"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"runtime"
 	"strings"
@@ -538,9 +539,9 @@ func TestRawIRTQClientFailsCleanly(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := expectHangup(t, conn, headerTimeout+2*time.Second)
-	// The old client's first step, reading a frame, fails.
-	if _, _, err := readFrame(bytes.NewReader(got)); err == nil {
-		t.Fatalf("raw IRTQ request answered with a frame: %q", got)
+	// A record stream is a log: what came back does not open as one.
+	if _, err := collector.NewReader(bytes.NewReader(got)); err == nil {
+		t.Fatalf("raw IRTQ request answered with a record stream: %q", got)
 	}
 }
 
@@ -796,6 +797,60 @@ func TestMidScanFailureIsReported(t *testing.T) {
 		if !strings.Contains(p.Err, faults.ErrInjected.Error()) || p.Records == 0 {
 			t.Fatalf("%s records query profiled as %d records, err %q; want a failure after a partial stream", p.Proto, p.Records, p.Err)
 		}
+	}
+}
+
+// TestRecordStreamNeedsItsEnd: a relay that forwards a server's record
+// stream but not its trailers delivers every record and a clean end of body.
+// Both clients must still call that an error, never a complete answer: only
+// the end trailer says the scan finished.
+func TestRecordStreamNeedsItsEnd(t *testing.T) {
+	st := newTestStore(t, 300, store.Options{})
+	srv := startServer(t, Options{Store: st})
+	relay := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		req, err := http.NewRequestWithContext(r.Context(), "GET", "http://"+srv.Addr().String()+r.URL.RequestURI(), nil)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		req.Header = r.Header.Clone()
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer resp.Body.Close()
+		for _, k := range []string{"Content-Type", "Irtl-Generation"} {
+			w.Header().Set(k, resp.Header.Get(k))
+		}
+		w.WriteHeader(resp.StatusCode)
+		io.Copy(w, resp.Body)
+	}))
+	defer relay.Close()
+	c := &Client{Addr: strings.TrimPrefix(relay.URL, "http://")}
+	want, _ := localQuery(t, st, QuerySpec{Peer: "701"})
+
+	rr, err := c.Query(QuerySpec{Peer: "701"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []collector.Record
+	for {
+		rec, nerr := rr.Next()
+		if nerr != nil {
+			err = nerr
+			break
+		}
+		got = append(got, rec)
+	}
+	rr.Close()
+	if err == io.EOF || !bytes.Equal(wireBytes(t, got), wireBytes(t, want)) {
+		t.Fatalf("binary: %d of %d records, then %v; want them all, then an error", len(got), len(want), err)
+	}
+
+	got, err = c.QueryHTTP(QuerySpec{Peer: "701"})
+	if err == nil || !bytes.Equal(wireBytes(t, got), wireBytes(t, want)) {
+		t.Fatalf("http: %d of %d records, then %v; want them all, then an error", len(got), len(want), err)
 	}
 }
 

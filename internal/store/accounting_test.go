@@ -214,9 +214,11 @@ func TestStatsMidScan(t *testing.T) {
 // every candidate segment is mapped (the stream reads through its mapping
 // reference), one per candidate segment on the ReadAt path, all closed again.
 func TestQueryOpensFilesOnlyUnmapped(t *testing.T) {
-	for _, noMmap := range []bool{false, true} {
+	for _, unmapped := range []bool{false, true} {
 		opts := testOptions()
-		opts.NoMmap = noMmap
+		if unmapped {
+			opts = readAt(opts)
+		}
 		s, recs := buildReadpathStore(t, t.TempDir(), opts, 3, 200)
 		defer s.Close()
 		// Swapped in after Open, so the store still maps: an injected FS at
@@ -226,7 +228,7 @@ func TestQueryOpensFilesOnlyUnmapped(t *testing.T) {
 		s.fs = inj
 		s.mu.Unlock()
 		want := 0
-		if noMmap {
+		if unmapped {
 			want = 2 * s.Stats().Segments
 		}
 		got, _ := queryAll(t, s, Query{})
@@ -234,7 +236,7 @@ func TestQueryOpensFilesOnlyUnmapped(t *testing.T) {
 		got, _ = queryAll(t, s, Query{})
 		assertSameRecords(t, got, recs)
 		if st := inj.Stats(); st.Opens != want || st.OpenFiles != 0 {
-			t.Fatalf("nommap=%v: two full scans made %d opens (want %d), %d left open", noMmap, st.Opens, want, st.OpenFiles)
+			t.Fatalf("unmapped=%v: two full scans made %d opens (want %d), %d left open", unmapped, st.Opens, want, st.OpenFiles)
 		}
 	}
 }
@@ -267,9 +269,7 @@ func (f gatedFile) ReadAt(p []byte, off int64) (int, error) {
 // TestQueryPrimesOffTheLock: while a query is stuck fetching its streams'
 // first blocks, an append — which needs the store lock — goes through.
 func TestQueryPrimesOffTheLock(t *testing.T) {
-	opts := testOptions()
-	opts.NoMmap = true
-	s, recs := buildReadpathStore(t, t.TempDir(), opts, 2, 100)
+	s, recs := buildReadpathStore(t, t.TempDir(), readAt(testOptions()), 2, 100)
 	defer s.Close()
 	fs := &gatedReadFS{FS: faults.Disk{}, gate: make(chan struct{}), entered: make(chan struct{})}
 	s.mu.Lock()

@@ -286,8 +286,11 @@ func TestEveryBitFlipIsAccounted(t *testing.T) {
 		if err := os.WriteFile(path, mutated, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		opts.NoMmap = off%2 == 1 // both read paths
-		s, err := Open(dir, opts)
+		o := opts
+		if off%2 == 1 { // both read paths
+			o = readAt(opts)
+		}
+		s, err := Open(dir, o)
 		if err != nil {
 			if !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("offset %d: Open failed with %v, want ErrCorrupt", off, err)

@@ -15,8 +15,8 @@ import (
 // predicate pushdown measurable: a filtered query over a multi-segment store
 // should show BlocksScanned well below BlocksTotal. The streams note each
 // block into it as they fetch it. It rides on the query's trace span, the
-// IRTQ end frame, the serve plane's slow-query log and /v1/statz
-// recent-queries, and `bgpstore query -explain`.
+// record streams' Irtl-Explain trailer, the serve plane's slow-query log
+// and /v1/statz recent-queries, and `bgpstore query -explain`.
 type Explain struct {
 	Generation        uint64 `json:"generation"` // store generation at the snapshot
 	SegmentsTotal     int    `json:"segments_total"`

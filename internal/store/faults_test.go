@@ -336,9 +336,7 @@ func TestPartialScanErrorSticky(t *testing.T) {
 	// This test is about the ReadAt failure mode, so mapping must be off: a
 	// memory-mapped segment keeps serving the pages captured at map time and
 	// never notices the truncation below.
-	opts := faultOptions()
-	opts.NoMmap = true
-	s, err := Open(dir, opts)
+	s, err := Open(dir, readAt(faultOptions()))
 	if err != nil {
 		t.Fatal(err)
 	}

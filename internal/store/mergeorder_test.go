@@ -122,9 +122,12 @@ func TestMergeOrderProperty(t *testing.T) {
 					{Prefix: ref[rng.Intn(len(ref))].Prefix},
 				}
 				for _, cache := range []int64{0, 8 << 20} {
-					for _, noMmap := range []bool{false, true} {
+					for _, unmapped := range []bool{false, true} {
 						opts := testOptions()
-						opts.BlockCacheBytes, opts.NoMmap = cache, noMmap
+						opts.BlockCacheBytes = cache
+						if unmapped {
+							opts = readAt(opts)
+						}
 						s := buildMergeStore(t, opts, batches)
 						if st := s.Stats(); st.Segments < 5 || st.SealingRecords == 0 || st.MemRecords == st.SealingRecords {
 							t.Fatalf("store lacks a stream kind: %+v", st)
@@ -137,7 +140,7 @@ func TestMergeOrderProperty(t *testing.T) {
 								}
 							}
 							got, _ := queryAll(t, s, q)
-							at := fmt.Sprintf("%s seed %d cache=%d nommap=%v query %d", layout, seed, cache, noMmap, qi)
+							at := fmt.Sprintf("%s seed %d cache=%d unmapped=%v query %d", layout, seed, cache, unmapped, qi)
 							for i := 0; i < len(got) && i < len(want); i++ {
 								if !recordsEqual(got[i], want[i]) {
 									t.Fatalf("%s: first divergence at index %d:\n got  %v\n want %v", at, i, got[i], want[i])

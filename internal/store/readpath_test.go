@@ -8,6 +8,7 @@ import (
 
 	"instability/internal/bgp"
 	"instability/internal/collector"
+	"instability/internal/faults"
 )
 
 // buildReadpathStore seals the hourly workload into several segments per
@@ -75,26 +76,11 @@ func TestMmapEnabledByDefault(t *testing.T) {
 	assertSameRecords(t, got, recs)
 }
 
-// TestNoMmapOption asserts the escape hatch: -no-mmap stores never map and
-// return identical results through the ReadAt path.
-func TestNoMmapOption(t *testing.T) {
-	opts := testOptions()
-	opts.NoMmap = true
-	s, recs := buildReadpathStore(t, t.TempDir(), opts, 3, 150)
-	defer s.Close()
-	if st := s.Stats(); st.MmapSegments != 0 {
-		t.Fatalf("NoMmap store mapped %d segments", st.MmapSegments)
-	}
-	for _, q := range readpathQueries(recs) {
-		got, _ := queryAll(t, s, q)
-		var want []collector.Record
-		for _, rec := range recs {
-			if q.match(rec) {
-				want = append(want, rec)
-			}
-		}
-		assertSameRecords(t, got, want)
-	}
+// readAt returns opts reading through a pass-through fault injector: the
+// store maps no segment, so every block read takes the ReadAt path.
+func readAt(opts Options) Options {
+	opts.FS = faults.NewInjector(faults.Disk{}, faults.Plan{})
+	return opts
 }
 
 // TestMmapFailureFallsBack forces every mapping attempt to fail through the
@@ -114,22 +100,24 @@ func TestMmapFailureFallsBack(t *testing.T) {
 }
 
 // TestReadPathEquivalence is the bit-identical contract across every read
-// configuration: cache-on/cache-off × mmap/no-mmap must
+// configuration: cache-on/cache-off × mmap/ReadAt must
 // produce exactly the same record sequence for a spread of predicates.
 func TestReadPathEquivalence(t *testing.T) {
 	base := testOptions()
 	cached := base
 	cached.BlockCacheBytes = 8 << 20
-	cachedNoMmap := cached
-	cachedNoMmap.NoMmap = true
+	cachedReadAt := readAt(cached)
 
 	dirs := []string{t.TempDir(), t.TempDir(), t.TempDir()}
-	opts := []Options{base, cached, cachedNoMmap}
+	opts := []Options{base, cached, cachedReadAt}
 	stores := make([]*Store, len(opts))
 	var recs []collector.Record
 	for i := range opts {
 		stores[i], recs = buildReadpathStore(t, dirs[i], opts[i], 4, 200)
 		defer stores[i].Close()
+	}
+	if st := stores[2].Stats(); st.MmapSegments != 0 {
+		t.Fatalf("the ReadAt store mapped %d segments", st.MmapSegments)
 	}
 
 	for qi, q := range readpathQueries(recs) {

@@ -88,15 +88,11 @@ type Options struct {
 	// segment blocks, shared by every reader of this store. 0 (the zero
 	// value) disables the cache: each scan parses its own blocks, in place.
 	BlockCacheBytes int64
-	// NoMmap disables memory-mapped segment reads, forcing the ReadAt
-	// fallback path everywhere. Mapping is also skipped automatically when
-	// the store reads through an injected filesystem (Options.FS not the
-	// real disk) or the platform has no mmap support.
-	NoMmap bool
 	// FS is the filesystem the store performs all I/O through. Nil means
 	// the real disk; tests and chaos runs install a faults.Injector to
 	// exercise write errors, torn writes, fsync failures, crashes, and
-	// read bit-flips deterministically.
+	// read bit-flips deterministically. A store on any FS but the real disk
+	// maps no segment and reads every block through ReadAt.
 	FS faults.FS
 }
 
@@ -157,9 +153,9 @@ type Store struct {
 
 	// cache is the shared decompressed-block cache, nil when disabled.
 	cache *blockCache
-	// mmapOK records whether sealed segments may be memory-mapped: mmap is
-	// on by default on supported platforms, but only against the real disk —
-	// an injected filesystem must keep seeing every read.
+	// mmapOK records whether sealed segments may be memory-mapped: on
+	// supported platforms, only against the real disk — an injected
+	// filesystem must keep seeing every read, and so reads through ReadAt.
 	mmapOK bool
 	mapped int // segments currently mapped (guarded by mu)
 
@@ -195,8 +191,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	if opts.BlockCacheBytes > 0 {
 		s.cache = newBlockCache(opts.BlockCacheBytes)
 	}
-	_, onDisk := fsys.(faults.Disk)
-	s.mmapOK = onDisk && !opts.NoMmap
+	_, s.mmapOK = fsys.(faults.Disk)
 
 	entries, err := fsys.ReadDir(dir)
 	if err != nil {

@@ -10,8 +10,8 @@ import (
 )
 
 // AppendRecordWire appends the record encoding of rec to b: a forward to
-// collector.AppendRecord, which the serving layer's IRTQ stream, the WAL and
-// IRTL logs all use. It stays only because the benchmark harness calls it.
+// collector.AppendRecord, which the WAL and IRTL logs — the serving layer's
+// IRTQ stream among them — all use. It stays only because the benchmark harness calls it.
 func AppendRecordWire(b []byte, rec collector.Record) ([]byte, error) {
 	return collector.AppendRecord(b, rec)
 }
