@@ -39,18 +39,6 @@ func FFT(xs []complex128) {
 	}
 }
 
-// IFFT computes the inverse DFT in place (normalized by 1/n).
-func IFFT(xs []complex128) {
-	n := len(xs)
-	for i := range xs {
-		xs[i] = cmplx.Conj(xs[i])
-	}
-	FFT(xs)
-	for i := range xs {
-		xs[i] = cmplx.Conj(xs[i]) / complex(float64(n), 0)
-	}
-}
-
 // NextPow2 returns the smallest power of two >= n (minimum 1).
 func NextPow2(n int) int {
 	p := 1

@@ -7,6 +7,18 @@ import (
 	"testing"
 )
 
+// ifft computes the inverse DFT in place (normalized by 1/n).
+func ifft(xs []complex128) {
+	n := len(xs)
+	for i := range xs {
+		xs[i] = cmplx.Conj(xs[i])
+	}
+	FFT(xs)
+	for i := range xs {
+		xs[i] = cmplx.Conj(xs[i]) / complex(float64(n), 0)
+	}
+}
+
 func TestFFTKnownTransform(t *testing.T) {
 	// DFT of [1,0,0,0] is [1,1,1,1].
 	xs := []complex128{1, 0, 0, 0}
@@ -44,7 +56,7 @@ func TestFFTInverseIdentity(t *testing.T) {
 		orig[i] = xs[i]
 	}
 	FFT(xs)
-	IFFT(xs)
+	ifft(xs)
 	for i := range xs {
 		if cmplx.Abs(xs[i]-orig[i]) > 1e-9 {
 			t.Fatalf("ifft(fft) differs at %d: %v vs %v", i, xs[i], orig[i])

@@ -4,7 +4,7 @@
 // path attributes that carry inter-domain routing information.
 //
 // The package is transport-agnostic: messages marshal to and from byte
-// slices, and ReadMessage/WriteMessage frame them over any io.Reader/Writer
+// slices, and ReadRaw/WriteMessage frame them over any io.Reader/Writer
 // (a real TCP connection, a net.Pipe, or the simulator's in-memory links).
 package bgp
 
@@ -174,15 +174,6 @@ func ReadRaw(r io.Reader) ([]byte, error) {
 		return nil, err
 	}
 	return buf, nil
-}
-
-// ReadMessage reads exactly one framed BGP message from r and decodes it.
-func ReadMessage(r io.Reader) (Message, error) {
-	buf, err := ReadRaw(r)
-	if err != nil {
-		return nil, err
-	}
-	return Unmarshal(buf)
 }
 
 // Keepalive is the empty-bodied KEEPALIVE message.

@@ -1,7 +1,5 @@
 package bgp
 
-import "sync"
-
 // The paper's central measurement is that update streams are dominated by
 // redundant duplicates: the same AS path recurs millions of times across
 // announcements. Interning maps each distinct path to a small dense integer
@@ -73,22 +71,4 @@ func mixPath(x uint64) uint64 {
 	x *= 0x94d049bb133111eb
 	x ^= x >> 31
 	return x
-}
-
-// routeKeyPaths backs Route.Key's process-wide path identities. Route.Key
-// can be called from any goroutine, so unlike ordinary PathTables this one
-// is locked.
-var routeKeyPaths = struct {
-	mu  sync.Mutex
-	tab *PathTable
-}{tab: NewPathTable()}
-
-// GlobalPathID interns p in the process-wide table used by Route.Key and
-// returns its ID. Use a private PathTable instead wherever one component owns
-// the paths it compares; the global table exists so RouteKey stays a cheap
-// comparable value anywhere in the process.
-func GlobalPathID(p ASPath) PathID {
-	routeKeyPaths.mu.Lock()
-	defer routeKeyPaths.mu.Unlock()
-	return routeKeyPaths.tab.ID(p)
 }

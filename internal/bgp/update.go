@@ -383,31 +383,6 @@ func parseNLRIList(b []byte) ([]netaddr.Prefix, error) {
 	return out, nil
 }
 
-// Route is the (Prefix, NextHop, ASPATH) tuple whose identity defines the
-// paper's duplicate-vs-different distinction, plus the full attribute set for
-// policy comparison.
-type Route struct {
-	Prefix netaddr.Prefix
-	Attrs  Attrs
-}
-
-// Key returns a map-key identity for the forwarding tuple
-// (Prefix, NextHop, ASPATH). The path component is an interned PathID rather
-// than a built string, so Key costs a table probe instead of an allocation
-// on every call; ASPath.Key remains available for display.
-func (r Route) Key() RouteKey {
-	return RouteKey{Prefix: r.Prefix, NextHop: r.Attrs.NextHop, PathID: GlobalPathID(r.Attrs.Path)}
-}
-
-// RouteKey is the comparable identity of a forwarding tuple. PathID values
-// come from the process-wide path table, so RouteKeys are comparable with
-// each other anywhere in the process but are not stable across processes.
-type RouteKey struct {
-	Prefix  netaddr.Prefix
-	NextHop netaddr.Addr
-	PathID  PathID
-}
-
 // SortPrefixes orders a prefix slice in routing-table display order. UPDATE
 // packing uses it so marshaled messages are deterministic.
 func SortPrefixes(ps []netaddr.Prefix) {
@@ -417,10 +392,6 @@ func SortPrefixes(ps []netaddr.Prefix) {
 // MarshalAttrs encodes a path attribute set in wire form, for callers (such
 // as the collector's log codec) that persist attributes outside an UPDATE.
 func MarshalAttrs(a Attrs) ([]byte, error) { return a.marshal(nil) }
-
-// AppendAttrs appends the wire form of a to b, for callers that reuse an
-// encode buffer across records instead of allocating per MarshalAttrs call.
-func AppendAttrs(b []byte, a Attrs) ([]byte, error) { return a.marshal(b) }
 
 // UnmarshalAttrs decodes a path attribute set produced by MarshalAttrs. An
 // empty input yields the zero Attrs (used for withdrawal records that carry

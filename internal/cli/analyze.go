@@ -261,8 +261,8 @@ func printSummary(w io.Writer, acc *core.Accumulator, census rib.Census) {
 	for _, c := range core.Classes() {
 		fmt.Fprintf(w, "  %-7s %12s (%.1f%%)\n", c, report.FormatCount(tot[c]), 100*float64(tot[c])/float64(all))
 	}
-	instab := tot[core.AADiff] + tot[core.WADiff] + tot[core.WADup]
-	path := tot[core.AADup] + tot[core.WWDup]
+	instab := core.Instability(tot)
+	path := core.Pathological(tot)
 	fmt.Fprintf(w, "instability %s, pathological %s (%.1fx)\n",
 		report.FormatCount(instab), report.FormatCount(path), float64(path)/float64(max(instab, 1)))
 	fmt.Fprintf(w, "final table: %d prefixes, %d multihomed (%.0f%%), %d origin ASes, %d unique paths\n",

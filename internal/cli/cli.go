@@ -178,7 +178,7 @@ type obsFlags struct {
 
 func addObsFlags(fs *flag.FlagSet) *obsFlags {
 	f := &obsFlags{}
-	fs.StringVar(&f.metricsAddr, "metrics-addr", "", "serve /metrics, /varz, /healthz, /debug/traces, /debug/pprof on this address")
+	fs.StringVar(&f.metricsAddr, "metrics-addr", "", "serve /metrics, /healthz, /debug/traces, /debug/pprof on this address")
 	return f
 }
 

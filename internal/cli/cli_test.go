@@ -262,7 +262,6 @@ var readmeSkips = map[string]string{
 	"go build ./...":                   "tier-1 itself",
 	"go test ./...":                    "tier-1 itself",
 	"go test -bench=. -benchmem ./...": "the benchmark suite",
-	"go run ./examples/quickstart":     "an example program, not a command",
 	"go run ./cmd/experiments":         "the seven-month campaign takes a minute; TestExperiments runs one that needs none",
 }
 

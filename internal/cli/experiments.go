@@ -205,8 +205,8 @@ func volumeClaim(w io.Writer, p *instability.Pipeline, gen *workload.Generator) 
 	}
 	routes := gen.Routes()
 	tot := p.Acc.TotalCounts()
-	instab := tot[core.AADiff] + tot[core.WADiff] + tot[core.WADup]
-	path := tot[core.AADup] + tot[core.WWDup]
+	instab := core.Instability(tot)
+	path := core.Pathological(tot)
 	fmt.Fprintln(w, "§4 volume claims:")
 	fmt.Fprintf(w, "  routing table:        %s routes\n", report.FormatCount(routes))
 	fmt.Fprintf(w, "  typical day:          %s updates (%.0fx the table)\n", report.FormatCount(typical), float64(typical)/float64(routes))
@@ -441,8 +441,8 @@ func exchangesClaim(w io.Writer, seed int64) error {
 			return err
 		}
 		tot := p.Acc.TotalCounts()
-		instab := tot[core.AADiff] + tot[core.WADiff] + tot[core.WADup]
-		path := tot[core.AADup] + tot[core.WWDup]
+		instab := core.Instability(tot)
+		path := core.Pathological(tot)
 		fmt.Fprintf(w, "  %-9s %8d %8d %8d %8d %8d  %.0f%%\n", name,
 			tot[core.AADiff], tot[core.WADiff], tot[core.WADup], tot[core.AADup], tot[core.WWDup],
 			100*float64(path)/float64(path+instab))

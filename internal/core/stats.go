@@ -119,15 +119,12 @@ func newDayStats(d Date, prev *DayStats) *DayStats {
 	}
 }
 
-// Instability returns the day's instability total (AADiff+WADiff+WADup).
-func (s *DayStats) Instability() int {
-	return s.Counts[AADiff] + s.Counts[WADiff] + s.Counts[WADup]
-}
+// Instability returns a class tally's instability total
+// (AADiff+WADiff+WADup).
+func Instability(c [NumClasses]int) int { return c[AADiff] + c[WADiff] + c[WADup] }
 
-// Pathological returns the day's pathological total (AADup+WWDup).
-func (s *DayStats) Pathological() int {
-	return s.Counts[AADup] + s.Counts[WWDup]
-}
+// Pathological returns a class tally's pathological total (AADup+WWDup).
+func Pathological(c [NumClasses]int) int { return c[AADup] + c[WWDup] }
 
 // Total returns all classified events including Other.
 func (s *DayStats) Total() int {

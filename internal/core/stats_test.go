@@ -77,8 +77,8 @@ func TestAccumulatorCounts(t *testing.T) {
 	if s.Total() != 4 {
 		t.Fatalf("total %d", s.Total())
 	}
-	if s.Instability() != 0 || s.Pathological() != 2 {
-		t.Fatalf("instability %d pathological %d", s.Instability(), s.Pathological())
+	if Instability(s.Counts) != 0 || Pathological(s.Counts) != 2 {
+		t.Fatalf("instability %d pathological %d", Instability(s.Counts), Pathological(s.Counts))
 	}
 	if s.TotalTable != 0 { // everything withdrawn by end of day
 		t.Fatalf("table %d", s.TotalTable)

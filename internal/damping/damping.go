@@ -151,16 +151,6 @@ func (d *Damper[K]) Suppressed(key K, now time.Time) bool {
 	return s.suppressed
 }
 
-// Penalty returns the current figure of merit for key at time now.
-func (d *Damper[K]) Penalty(key K, now time.Time) float64 {
-	s := d.routes[key]
-	if s == nil {
-		return 0
-	}
-	d.decayTo(s, now)
-	return s.penalty
-}
-
 // ReuseTime predicts when a currently suppressed key becomes reusable; the
 // second return is false if the key is not suppressed.
 func (d *Damper[K]) ReuseTime(key K, now time.Time) (time.Time, bool) {
@@ -175,15 +165,4 @@ func (d *Damper[K]) ReuseTime(key K, now time.Time) (time.Time, bool) {
 	// penalty * 0.5^(t/halfLife) = reuse  =>  t = halfLife * log2(p/reuse)
 	t := float64(d.cfg.HalfLife) * math.Log2(s.penalty/d.cfg.ReuseThreshold)
 	return now.Add(time.Duration(t)), true
-}
-
-// Len returns the number of routes with tracked (nonzero) damping state.
-func (d *Damper[K]) Len() int {
-	n := 0
-	for _, s := range d.routes {
-		if s.penalty > 0 || s.suppressed {
-			n++
-		}
-	}
-	return n
 }

@@ -197,3 +197,24 @@ func BenchmarkRecord(b *testing.B) {
 		now = now.Add(time.Millisecond)
 	}
 }
+
+// Penalty returns the current figure of merit for key at time now.
+func (d *Damper[K]) Penalty(key K, now time.Time) float64 {
+	s := d.routes[key]
+	if s == nil {
+		return 0
+	}
+	d.decayTo(s, now)
+	return s.penalty
+}
+
+// Len returns the number of routes with tracked (nonzero) damping state.
+func (d *Damper[K]) Len() int {
+	n := 0
+	for _, s := range d.routes {
+		if s.penalty > 0 || s.suppressed {
+			n++
+		}
+	}
+	return n
+}

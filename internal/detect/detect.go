@@ -309,9 +309,6 @@ func New(cfg Config) *Detector {
 	return d
 }
 
-// Config returns the detector's resolved configuration.
-func (d *Detector) Config() Config { return d.cfg }
-
 func (d *Detector) windowOf(t time.Time) int64 {
 	ns := t.UnixNano()
 	w := ns / d.winNs
@@ -668,13 +665,6 @@ func (d *Detector) Finish() []Alert {
 	return d.alertsLocked()
 }
 
-// Alerts returns the alerts emitted so far, sorted by start time then key.
-func (d *Detector) Alerts() []Alert {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.alertsLocked()
-}
-
 func (d *Detector) alertsLocked() []Alert {
 	out := make([]Alert, len(d.alerts))
 	copy(out, d.alerts)
@@ -685,11 +675,4 @@ func (d *Detector) alertsLocked() []Alert {
 		return keyLess(out[i].Key, out[j].Key)
 	})
 	return out
-}
-
-// ActiveAlerts returns the number of currently open episodes.
-func (d *Detector) ActiveAlerts() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.alerting)
 }

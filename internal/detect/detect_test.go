@@ -305,3 +305,20 @@ func BenchmarkDetectorWindow(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "windows_per_sec")
 }
+
+// Config returns the detector's resolved configuration.
+func (d *Detector) Config() Config { return d.cfg }
+
+// Alerts returns the alerts emitted so far, sorted by start time then key.
+func (d *Detector) Alerts() []Alert {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.alertsLocked()
+}
+
+// ActiveAlerts returns the number of currently open episodes.
+func (d *Detector) ActiveAlerts() int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return len(d.alerting)
+}

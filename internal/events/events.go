@@ -96,9 +96,6 @@ func NewAt(seed int64, start time.Time) *Sim {
 // Now returns the current virtual time.
 func (s *Sim) Now() time.Time { return s.now }
 
-// Processed returns the number of events executed so far.
-func (s *Sim) Processed() uint64 { return s.processed }
-
 // Schedule runs fn after delay of virtual time. Negative delays run
 // immediately (at the current instant, after already-queued events for that
 // instant). It returns a cancellable Timer.
@@ -174,9 +171,6 @@ func (s *Sim) Run(until time.Time) uint64 {
 func (s *Sim) RunFor(d time.Duration) uint64 {
 	return s.Run(s.now.Add(d))
 }
-
-// Stop halts Run after the current handler returns.
-func (s *Sim) Stop() { s.stopped = true }
 
 // Pending returns the number of live events in the queue.
 func (s *Sim) Pending() int {

@@ -219,3 +219,9 @@ func BenchmarkScheduleRun(b *testing.B) {
 	}
 	s.RunFor(time.Hour)
 }
+
+// Stop halts Run after the current handler returns.
+func (s *Sim) Stop() { s.stopped = true }
+
+// Processed returns the number of events executed so far.
+func (s *Sim) Processed() uint64 { return s.processed }

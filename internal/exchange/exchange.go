@@ -97,19 +97,6 @@ func (p *Point) AttachClient(client *router.Router, delay time.Duration) *router
 	return l
 }
 
-// Link returns the link for a client AS, or nil.
-func (p *Point) Link(as bgp.ASN) *router.Link { return p.links[as] }
-
-// Established reports whether all client sessions are up.
-func (p *Point) Established() bool {
-	for _, l := range p.links {
-		if !l.Established() {
-			return false
-		}
-	}
-	return true
-}
-
 func (p *Point) tap(from rib.PeerID, u bgp.Update) {
 	now := p.sim.Now()
 	for _, prefix := range u.Withdrawn {

@@ -186,3 +186,16 @@ func TestDefaultModeReadvertisesTransparently(t *testing.T) {
 		t.Fatalf("route server prepended itself: %v", attrs.Path)
 	}
 }
+
+// Link returns the link for a client AS, or nil.
+func (p *Point) Link(as bgp.ASN) *router.Link { return p.links[as] }
+
+// Established reports whether all client sessions are up.
+func (p *Point) Established() bool {
+	for _, l := range p.links {
+		if !l.Established() {
+			return false
+		}
+	}
+	return true
+}

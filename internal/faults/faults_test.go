@@ -182,3 +182,10 @@ func TestTransportDeterminism(t *testing.T) {
 		t.Fatalf("500 draws injected nothing in some class: drops %d dups %d resets %d", d1, u1, r1)
 	}
 }
+
+// Crashed reports whether the Plan's crash point has fired.
+func (in *Injector) Crashed() bool {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	return in.crashed
+}

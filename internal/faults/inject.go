@@ -97,13 +97,6 @@ func (in *Injector) Stats() Stats {
 	}
 }
 
-// Crashed reports whether the Plan's crash point has fired.
-func (in *Injector) Crashed() bool {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.crashed
-}
-
 // mutOp advances the mutating-operation counter and reports whether this
 // operation is the crash point. Callers hold in.mu.
 func (in *Injector) mutOp() (crashNow bool) {

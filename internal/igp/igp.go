@@ -10,8 +10,8 @@
 // preserved across protocols and routers will not be able to detect an
 // inter-protocol routing update oscillation. This type of interaction is
 // highly suspect as most IGP protocols utilize internal timers based on some
-// multiple of 30 seconds." The Redistributor in this package scans between
-// an IGP node and a BGP router on exactly such a timer; redistribute_test.go
+// multiple of 30 seconds." The DomainRedistributor in this package scans
+// between two routing domains on exactly such a timer; redistribute_test.go
 // demonstrates both the ghost-route loop the tag filter prevents and the
 // 30-second quantization of redistributed updates.
 package igp
@@ -151,18 +151,6 @@ func (n *Network) Link(a, b NodeID, cost uint32) {
 	nb.reoriginate()
 }
 
-// Unlink removes an adjacency.
-func (n *Network) Unlink(a, b NodeID) {
-	na, nb := n.nodes[a], n.nodes[b]
-	if na == nil || nb == nil {
-		return
-	}
-	delete(na.lsa.Links, b)
-	delete(nb.lsa.Links, a)
-	na.reoriginate()
-	nb.reoriginate()
-}
-
 // ID returns the node's router id.
 func (nd *Node) ID() NodeID { return nd.id }
 
@@ -184,15 +172,6 @@ func (nd *Node) WithdrawExternal(p netaddr.Prefix) {
 	nd.reoriginate()
 }
 
-// Externals returns a copy of the node's own injected routes.
-func (nd *Node) Externals() map[netaddr.Prefix]External {
-	out := make(map[netaddr.Prefix]External, len(nd.lsa.Externals))
-	for k, v := range nd.lsa.Externals {
-		out[k] = v
-	}
-	return out
-}
-
 // Route returns the computed external route for p.
 func (nd *Node) Route(p netaddr.Prefix) (Route, bool) {
 	r, ok := nd.routes[p]
@@ -206,12 +185,6 @@ func (nd *Node) Routes() map[netaddr.Prefix]Route {
 		out[k] = v
 	}
 	return out
-}
-
-// Reachable reports whether the node currently has a path to other.
-func (nd *Node) Reachable(other NodeID) bool {
-	_, ok := nd.reach[other]
-	return ok
 }
 
 // reoriginate bumps the node's LSA sequence and floods it.

@@ -10,6 +10,21 @@ import (
 
 func pfx(s string) netaddr.Prefix { return netaddr.MustParsePrefix(s) }
 
+// Unlink removes an adjacency: the link failure the SPF tests inject.
+func (n *Network) Unlink(a, b NodeID) {
+	na, nb := n.nodes[a], n.nodes[b]
+	delete(na.lsa.Links, b)
+	delete(nb.lsa.Links, a)
+	na.reoriginate()
+	nb.reoriginate()
+}
+
+// Reachable reports whether the node currently has a path to other.
+func (nd *Node) Reachable(other NodeID) bool {
+	_, ok := nd.reach[other]
+	return ok
+}
+
 // square builds a four-node ring: 1-2, 2-3, 3-4, 4-1.
 func square(sim *events.Sim) (*Network, []*Node) {
 	net := NewNetwork(sim)

@@ -3,137 +3,9 @@ package igp
 import (
 	"time"
 
-	"instability/internal/bgp"
 	"instability/internal/events"
 	"instability/internal/netaddr"
-	"instability/internal/rib"
-	"instability/internal/router"
 )
-
-// Redistributor couples one IGP node with one BGP border router the way
-// 1996-era configurations did: a periodic scanner (a fixed, unjittered timer
-// at a 30-second multiple) diffs one protocol's table into the other.
-//
-// The conversion is lossy — an AS path cannot survive the trip through the
-// IGP — so nothing structural prevents routing information from leaving via
-// one border router and re-entering via another. The only safeguard is the
-// route tag: BGP-sourced externals are stamped with InjectTag, and a
-// correctly configured IGP→BGP scanner skips externals carrying it. Setting
-// FilterInjected to false reproduces the misconfiguration the paper
-// suspects.
-type Redistributor struct {
-	sim    *events.Sim
-	node   *Node
-	border *router.Router
-
-	// ScanInterval is the redistribution timer (default 30 s, unjittered).
-	ScanInterval time.Duration
-	// InjectTag stamps BGP→IGP externals.
-	InjectTag uint32
-	// InjectMetric is the external metric for BGP-sourced routes.
-	InjectMetric uint32
-	// FilterInjected, when true, stops the IGP→BGP direction from picking
-	// up externals that carry InjectTag — the loop-prevention measure.
-	FilterInjected bool
-	// IGPToBGP / BGPToIGP enable the two directions.
-	IGPToBGP, BGPToIGP bool
-
-	// inBGP tracks prefixes this redistributor originated into BGP;
-	// inIGP tracks prefixes it injected into the IGP.
-	inBGP map[netaddr.Prefix]bool
-	inIGP map[netaddr.Prefix]bool
-
-	// Scans counts scanner runs; Injected/Originated count current sizes.
-	Scans int
-}
-
-// NewRedistributor wires node and border and starts the scan timer.
-func NewRedistributor(sim *events.Sim, node *Node, border *router.Router) *Redistributor {
-	r := &Redistributor{
-		sim:            sim,
-		node:           node,
-		border:         border,
-		ScanInterval:   30 * time.Second,
-		InjectTag:      0xBAD,
-		InjectMetric:   20,
-		FilterInjected: true,
-		IGPToBGP:       true,
-		BGPToIGP:       true,
-		inBGP:          make(map[netaddr.Prefix]bool),
-		inIGP:          make(map[netaddr.Prefix]bool),
-	}
-	sim.Every(r.ScanInterval, r.scan)
-	return r
-}
-
-// scan performs one redistribution pass in each enabled direction.
-func (r *Redistributor) scan() {
-	r.Scans++
-	if r.IGPToBGP {
-		r.scanIGPToBGP()
-	}
-	if r.BGPToIGP {
-		r.scanBGPToIGP()
-	}
-}
-
-// scanIGPToBGP originates BGP routes for IGP externals learned from other
-// routers.
-func (r *Redistributor) scanIGPToBGP() {
-	want := make(map[netaddr.Prefix]bool)
-	for p, rt := range r.node.Routes() {
-		if rt.Origin == r.node.ID() {
-			continue // own injections never re-export
-		}
-		if r.FilterInjected && rt.Tag == r.InjectTag {
-			continue // BGP-sourced; the tag filter breaks the loop
-		}
-		want[p] = true
-	}
-	for p := range want {
-		if !r.inBGP[p] {
-			r.inBGP[p] = true
-			r.border.Originate(p, bgp.OriginIncomplete)
-		}
-	}
-	for p := range r.inBGP {
-		if !want[p] {
-			delete(r.inBGP, p)
-			r.border.WithdrawOrigin(p)
-		}
-	}
-}
-
-// scanBGPToIGP injects the border router's BGP-learned best routes into the
-// IGP as tagged externals.
-func (r *Redistributor) scanBGPToIGP() {
-	want := make(map[netaddr.Prefix]bool)
-	r.border.RIB().WalkBest(func(p netaddr.Prefix, _ bgp.Attrs, from rib.PeerID) bool {
-		if from.AS == r.border.AS() {
-			return true // self-originated (including our own redistribution)
-		}
-		want[p] = true
-		return true
-	})
-	for p := range want {
-		if !r.inIGP[p] {
-			r.inIGP[p] = true
-			r.node.AnnounceExternal(p, External{Metric: r.InjectMetric, Tag: r.InjectTag})
-		}
-	}
-	for p := range r.inIGP {
-		if !want[p] {
-			delete(r.inIGP, p)
-			r.node.WithdrawExternal(p)
-		}
-	}
-}
-
-// OriginatedIntoBGP reports whether the scanner currently originates p.
-func (r *Redistributor) OriginatedIntoBGP(p netaddr.Prefix) bool { return r.inBGP[p] }
-
-// InjectedIntoIGP reports whether the scanner currently injects p.
-func (r *Redistributor) InjectedIntoIGP(p netaddr.Prefix) bool { return r.inIGP[p] }
 
 // DomainRedistributor carries external routes one way between two IGP
 // flooding domains through a router that participates in both (src and dst
@@ -209,6 +81,3 @@ func (r *DomainRedistributor) scan() {
 		}
 	}
 }
-
-// Injected reports whether p is currently carried into dst.
-func (r *DomainRedistributor) Injected(p netaddr.Prefix) bool { return r.injected[p] }

@@ -4,10 +4,7 @@ import (
 	"testing"
 	"time"
 
-	"instability/internal/bgp"
 	"instability/internal/events"
-	"instability/internal/router"
-	"instability/internal/session"
 )
 
 // twoDomains builds the two-point mutual redistribution topology: domains A
@@ -90,117 +87,51 @@ func TestTagFilteringPreventsGhost(t *testing.T) {
 	}
 }
 
-// bgpSetup wires an IGP domain's border router to an upstream BGP peer
-// through the Redistributor.
-func bgpSetup(t *testing.T, sim *events.Sim) (*Network, *Node, *Redistributor, *router.Router, *router.Router) {
-	t.Helper()
-	net := NewNetwork(sim)
-	interior := net.AddNode(10)
-	borderNode := net.AddNode(1)
-	net.Link(10, 1, 10)
-
-	border := router.New(sim, router.Config{AS: 200, ID: 21, Session: session.Config{MRAI: 0}})
-	up := router.New(sim, router.Config{AS: 300, ID: 31, Session: session.Config{MRAI: 0}})
-	l := router.Connect(sim, border, up, time.Millisecond)
-	rd := NewRedistributor(sim, borderNode, border)
-	sim.RunFor(5 * time.Second)
-	if !l.Established() {
-		t.Fatal("BGP session did not establish")
-	}
-	return net, interior, rd, border, up
-}
-
-func TestIGPRouteRedistributedIntoBGP(t *testing.T) {
-	sim := events.New(23)
-	_, interior, rd, _, up := bgpSetup(t, sim)
-	p := pfx("141.213.0.0/16")
-	interior.AnnounceExternal(p, External{Metric: 5})
-	sim.RunFor(2 * time.Minute)
-	if !rd.OriginatedIntoBGP(p) {
-		t.Fatal("scanner did not originate the IGP route")
-	}
-	attrs, _, ok := up.RIB().Best(p)
-	if !ok {
-		t.Fatal("upstream missing redistributed route")
-	}
-	if attrs.Origin != bgp.OriginIncomplete {
-		t.Fatalf("redistributed route should have origin '?', got %v", attrs.Origin)
-	}
-	// Withdrawal propagates on a later scan.
-	interior.WithdrawExternal(p)
-	sim.RunFor(2 * time.Minute)
-	if _, _, ok := up.RIB().Best(p); ok {
-		t.Fatal("upstream kept withdrawn route")
-	}
-}
-
-func TestBGPRouteInjectedIntoIGPWithTag(t *testing.T) {
-	sim := events.New(24)
-	_, interior, rd, _, up := bgpSetup(t, sim)
-	p := pfx("35.0.0.0/8")
-	up.Originate(p, bgp.OriginIGP)
-	sim.RunFor(2 * time.Minute)
-	if !rd.InjectedIntoIGP(p) {
-		t.Fatal("scanner did not inject the BGP route")
-	}
-	r, ok := interior.Route(p)
-	if !ok {
-		t.Fatal("interior missing injected route")
-	}
-	if r.Tag != rd.InjectTag {
-		t.Fatalf("injected route tag %d, want %d", r.Tag, rd.InjectTag)
-	}
-	// The tag filter stops re-export: the border must not originate the
-	// prefix back into BGP.
-	sim.RunFor(2 * time.Minute)
-	if rd.OriginatedIntoBGP(p) {
-		t.Fatal("tag-filtered route was re-exported into BGP")
-	}
-}
-
 func TestScanTimerQuantizesUpdatesTo30s(t *testing.T) {
-	// A flapping interior route reaches BGP only at scan ticks, so the
-	// upstream sees inter-update spacings at multiples of 30 s — one source
-	// of the paper's Figure 8 periodicity.
+	// A flapping route crosses into the other domain only at scan ticks, so
+	// the far side sees changes spaced at multiples of 30 s — one source of
+	// the paper's Figure 8 periodicity.
 	sim := events.New(25)
-	_, interior, _, _, up := bgpSetup(t, sim)
+	a, b := NewNetwork(sim), NewNetwork(sim)
+	origin, ax := a.AddNode(10), a.AddNode(1)
+	a.Link(10, 1, 10)
+	bx, far := b.AddNode(1), b.AddNode(10)
+	b.Link(1, 10, 10)
+	NewDomainRedistributor(sim, ax, bx, 100, 0)
 	p := pfx("141.213.0.0/16")
 
-	var updateTimes []time.Duration
-	prevAnn, prevWd := 0, 0
+	var changes []time.Duration
+	seen := false
 	probe := sim.Every(time.Second, func() {
-		s := up.Session(200, 21)
-		if s == nil {
-			return
-		}
-		st := s.Stats()
-		if st.AnnReceived != prevAnn || st.WdReceived != prevWd {
-			prevAnn, prevWd = st.AnnReceived, st.WdReceived
-			updateTimes = append(updateTimes, sim.Now().Sub(events.Epoch))
+		if _, ok := far.Route(p); ok != seen {
+			seen = ok
+			changes = append(changes, sim.Now().Sub(events.Epoch))
 		}
 	})
 	defer probe.Stop()
 
 	// Flap at awkward, non-aligned times.
+	up := false
 	flapper := sim.Every(47*time.Second, func() {
-		if _, ok := interior.Externals()[p]; ok {
-			interior.WithdrawExternal(p)
+		if up {
+			origin.WithdrawExternal(p)
 		} else {
-			interior.AnnounceExternal(p, External{Metric: 5})
+			origin.AnnounceExternal(p, External{Metric: 5})
 		}
+		up = !up
 	})
 	sim.RunFor(20 * time.Minute)
 	flapper.Stop()
 
-	if len(updateTimes) < 5 {
-		t.Fatalf("only %d updates observed", len(updateTimes))
+	if len(changes) < 5 {
+		t.Fatalf("only %d changes observed", len(changes))
 	}
-	for i := 1; i < len(updateTimes); i++ {
-		gap := updateTimes[i] - updateTimes[i-1]
-		// Allow the 1s probe resolution plus propagation.
+	for i := 1; i < len(changes); i++ {
+		gap := changes[i] - changes[i-1]
+		// Allow the 1s probe resolution plus flooding.
 		rem := gap % (30 * time.Second)
 		if rem > 2*time.Second && rem < 28*time.Second {
-			t.Fatalf("update gap %v not on the 30s scan grid", gap)
+			t.Fatalf("change gap %v not on the 30s scan grid", gap)
 		}
 	}
 }

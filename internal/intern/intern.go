@@ -39,9 +39,6 @@ type Handle struct {
 // handle's interned slices and must be treated as read-only.
 func (h *Handle) Attrs() bgp.Attrs { return h.attrs }
 
-// NextHop returns the tuple's next hop without copying the full Attrs.
-func (h *Handle) NextHop() netaddr.Addr { return h.attrs.NextHop }
-
 // ForwardingEqual reports whether two handles from the same table agree on
 // the forwarding-relevant (NextHop, ASPATH) tuple — the paper's duplicate
 // test — as one pointer compare or two integer compares, never a path walk.
@@ -119,24 +116,11 @@ func (t *Table) Attrs(a bgp.Attrs) *Handle {
 	return hd
 }
 
-// Path interns a bare AS path and returns its dense per-table ID.
-func (t *Table) Path(p bgp.ASPath) bgp.PathID {
-	before := t.paths.Len()
-	id := t.paths.ID(p)
-	if t.paths.Len() != before {
-		t.pathMisses++
-	}
-	return id
-}
-
 // Paths exposes the table's path store, for merge-time ID remapping.
 func (t *Table) Paths() *bgp.PathTable { return t.paths }
 
 // Len returns the number of distinct attribute tuples interned.
 func (t *Table) Len() int { return int(t.n) }
-
-// PathLen returns the number of distinct AS paths interned.
-func (t *Table) PathLen() int { return t.paths.Len() }
 
 func (t *Table) maybeFlush() {
 	if t.hits+t.misses >= statsFlushEvery {

@@ -155,3 +155,16 @@ func BenchmarkInternHit(b *testing.B) {
 		tab.Attrs(a)
 	}
 }
+
+// Path interns a bare AS path and returns its dense per-table ID.
+func (t *Table) Path(p bgp.ASPath) bgp.PathID {
+	before := t.paths.Len()
+	id := t.paths.ID(p)
+	if t.paths.Len() != before {
+		t.pathMisses++
+	}
+	return id
+}
+
+// PathLen returns the number of distinct AS paths interned.
+func (t *Table) PathLen() int { return t.paths.Len() }

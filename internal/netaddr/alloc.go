@@ -16,9 +16,6 @@ func NewAllocator(parent Prefix) *Allocator {
 	return &Allocator{parent: parent, free: []Prefix{parent}}
 }
 
-// Parent returns the block this allocator draws from.
-func (al *Allocator) Parent() Prefix { return al.parent }
-
 // Alloc carves a prefix of the requested mask length out of the free space.
 // It returns an error when the block is exhausted or bits is shorter than the
 // parent's mask.
@@ -41,46 +38,6 @@ func (al *Allocator) Alloc(bits int) (Prefix, error) {
 		return blk, nil
 	}
 	return Prefix{}, fmt.Errorf("netaddr: block %v exhausted for /%d", al.parent, bits)
-}
-
-// Free returns a previously allocated prefix to the pool. Adjacent buddies
-// are coalesced so the space can be re-carved at different sizes.
-func (al *Allocator) Free(p Prefix) error {
-	if !al.parent.ContainsPrefix(p) {
-		return fmt.Errorf("netaddr: %v is not within %v", p, al.parent)
-	}
-	for _, blk := range al.free {
-		if blk.Overlaps(p) {
-			return fmt.Errorf("netaddr: double free of %v (overlaps free %v)", p, blk)
-		}
-	}
-	// Coalesce with the buddy repeatedly.
-	for p.Bits() > al.parent.Bits() {
-		sib := p.Sibling()
-		idx := -1
-		for i, blk := range al.free {
-			if blk == sib {
-				idx = i
-				break
-			}
-		}
-		if idx < 0 {
-			break
-		}
-		al.free = append(al.free[:idx], al.free[idx+1:]...)
-		p = p.Supernet()
-	}
-	al.insertFree(p)
-	return nil
-}
-
-// FreeSpace returns the total number of addresses currently unallocated.
-func (al *Allocator) FreeSpace() uint64 {
-	var n uint64
-	for _, blk := range al.free {
-		n += blk.NumAddresses()
-	}
-	return n
 }
 
 func (al *Allocator) insertFree(p Prefix) {

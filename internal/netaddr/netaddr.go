@@ -171,11 +171,6 @@ func (p Prefix) ContainsPrefix(q Prefix) bool {
 	return q.bits >= p.bits && p.Contains(q.addr)
 }
 
-// Overlaps reports whether p and q share any address.
-func (p Prefix) Overlaps(q Prefix) bool {
-	return p.ContainsPrefix(q) || q.ContainsPrefix(p)
-}
-
 // Supernet returns the prefix one bit shorter that contains p. Supernet of
 // the default route returns the default route itself.
 func (p Prefix) Supernet() Prefix {
@@ -213,11 +208,6 @@ func (p Prefix) Bit(i int) int {
 	return int(p.addr>>(31-uint(i))) & 1
 }
 
-// NumAddresses returns the number of addresses covered by p.
-func (p Prefix) NumAddresses() uint64 {
-	return 1 << (32 - uint(p.bits))
-}
-
 // Compare orders prefixes first by address, then by mask length (shorter
 // first). The order is total and matches routing-table display convention.
 func (p Prefix) Compare(q Prefix) int {
@@ -240,6 +230,3 @@ func maskOf(bits int) uint32 {
 	}
 	return ^uint32(0) << (32 - uint(bits))
 }
-
-// Mask returns the netmask of p as an address, e.g. 255.255.255.0 for a /24.
-func (p Prefix) Mask() Addr { return Addr(maskOf(int(p.bits))) }

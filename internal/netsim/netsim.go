@@ -17,8 +17,6 @@ import (
 	"instability/internal/collector"
 	"instability/internal/events"
 	"instability/internal/exchange"
-	"instability/internal/netaddr"
-	"instability/internal/obs"
 	"instability/internal/router"
 	"instability/internal/session"
 	"instability/internal/topology"
@@ -56,14 +54,6 @@ type Sim struct {
 	ClientLinks map[bgp.ASN]*router.Link
 
 	cfg Config
-
-	// Progress gauges, set by PublishMetrics and refreshed from the
-	// simulation's own goroutine after each advance (the event loop is
-	// single-threaded, so gauge funcs reading live state would race; plain
-	// gauges updated at step boundaries do not).
-	obsSimTime *obs.Gauge
-	obsLinks   *obs.Gauge
-	obsEvents  *obs.Gauge
 }
 
 // Build generates the topology and instantiates every AS as a live router.
@@ -151,28 +141,6 @@ func Build(cfg Config) (*Sim, error) {
 	return s, nil
 }
 
-// PublishMetrics registers the simulation's progress gauges in reg:
-// simulated clock position, established link count, and events processed.
-// The gauges refresh after each Settle/Run/FlapPrefix advance.
-func (s *Sim) PublishMetrics(reg *obs.Registry) {
-	s.obsSimTime = reg.Gauge("irtl_netsim_sim_seconds",
-		"Simulated clock position (Unix seconds).")
-	s.obsLinks = reg.Gauge("irtl_netsim_links_established",
-		"Links with both BGP sessions established.")
-	s.obsEvents = reg.Gauge("irtl_netsim_events_processed",
-		"Discrete events processed by the simulation.")
-	s.publish()
-}
-
-func (s *Sim) publish() {
-	if s.obsSimTime == nil {
-		return
-	}
-	s.obsSimTime.SetInt(s.Events.Now().Unix())
-	s.obsLinks.SetInt(int64(s.EstablishedLinks()))
-	s.obsEvents.SetInt(int64(s.Events.Processed()))
-}
-
 // Settle runs the session-establishment window and then originates every
 // AS's prefixes, returning once the originations have had settle time to
 // propagate.
@@ -185,55 +153,11 @@ func (s *Sim) Settle(establish, propagate time.Duration) {
 		}
 	}
 	s.Events.RunFor(propagate)
-	s.publish()
 }
 
 // Run advances the simulation.
 func (s *Sim) Run(d time.Duration) {
 	s.Events.RunFor(d)
-	s.publish()
-}
-
-// FlapPrefix withdraws and re-announces one AS's prefix with the given
-// period, count times (a scripted unstable circuit).
-func (s *Sim) FlapPrefix(asn bgp.ASN, prefix netaddr.Prefix, period time.Duration, count int) {
-	r := s.Routers[asn]
-	for i := 0; i < count; i++ {
-		r.WithdrawOrigin(prefix)
-		s.Events.RunFor(period)
-		r.Originate(prefix, bgp.OriginIGP)
-		s.Events.RunFor(period)
-	}
-	s.publish()
-}
-
-// Hijack scripts a prefix hijack at full protocol fidelity: the attacker
-// originates a prefix it does not own, so the route server sees a second
-// origin AS for an established route (the MOAS conflict the detector's
-// origin channel alarms on). After hold, the attacker withdraws and the
-// legitimate route re-converges.
-func (s *Sim) Hijack(attacker bgp.ASN, prefix netaddr.Prefix, hold time.Duration) {
-	r := s.Routers[attacker]
-	r.Originate(prefix, bgp.OriginIGP)
-	s.Events.RunFor(hold)
-	r.WithdrawOrigin(prefix)
-	s.publish()
-}
-
-// SessionResetStorm bounces one exchange peer's access circuit: cycles
-// outages of the given length, period apart. Each reset replays the peer's
-// whole table through the route server — the WADup/AADup burst signature of
-// a flapping session, scripted instead of emergent.
-func (s *Sim) SessionResetStorm(peer bgp.ASN, cycles int, outage, period time.Duration) {
-	l := s.ClientLinks[peer]
-	if l == nil {
-		return
-	}
-	for i := 0; i < cycles; i++ {
-		l.Flap(outage)
-		s.Events.RunFor(period)
-	}
-	s.publish()
 }
 
 // EstablishedLinks counts links with both sessions up.

@@ -224,3 +224,42 @@ func TestScriptedSessionResetStorm(t *testing.T) {
 		t.Fatal("peer session did not re-establish after the storm")
 	}
 }
+
+// FlapPrefix withdraws and re-announces one AS's prefix with the given
+// period, count times (a scripted unstable circuit).
+func (s *Sim) FlapPrefix(asn bgp.ASN, prefix netaddr.Prefix, period time.Duration, count int) {
+	r := s.Routers[asn]
+	for i := 0; i < count; i++ {
+		r.WithdrawOrigin(prefix)
+		s.Events.RunFor(period)
+		r.Originate(prefix, bgp.OriginIGP)
+		s.Events.RunFor(period)
+	}
+}
+
+// Hijack scripts a prefix hijack at full protocol fidelity: the attacker
+// originates a prefix it does not own, so the route server sees a second
+// origin AS for an established route (the MOAS conflict the detector's
+// origin channel alarms on). After hold, the attacker withdraws and the
+// legitimate route re-converges.
+func (s *Sim) Hijack(attacker bgp.ASN, prefix netaddr.Prefix, hold time.Duration) {
+	r := s.Routers[attacker]
+	r.Originate(prefix, bgp.OriginIGP)
+	s.Events.RunFor(hold)
+	r.WithdrawOrigin(prefix)
+}
+
+// SessionResetStorm bounces one exchange peer's access circuit: cycles
+// outages of the given length, period apart. Each reset replays the peer's
+// whole table through the route server — the WADup/AADup burst signature of
+// a flapping session, scripted instead of emergent.
+func (s *Sim) SessionResetStorm(peer bgp.ASN, cycles int, outage, period time.Duration) {
+	l := s.ClientLinks[peer]
+	if l == nil {
+		return
+	}
+	for i := 0; i < cycles; i++ {
+		l.Flap(outage)
+		s.Events.RunFor(period)
+	}
+}

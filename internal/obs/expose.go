@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -100,50 +99,4 @@ func formatFloat(v float64) string {
 		return "-Inf"
 	}
 	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-// varzHistogram is the JSON shape of a histogram snapshot.
-type varzHistogram struct {
-	Count uint64  `json:"count"`
-	Sum   float64 `json:"sum"`
-	P50   float64 `json:"p50"`
-	P90   float64 `json:"p90"`
-	P99   float64 `json:"p99"`
-}
-
-// WriteJSON renders the registry as a JSON object: uptime plus one entry
-// per series, keyed "name" or "name{k=v,...}". Histograms become
-// {count, sum, p50, p90, p99}.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	out := struct {
-		UptimeSeconds float64        `json:"uptime_seconds"`
-		Metrics       map[string]any `json:"metrics"`
-	}{
-		UptimeSeconds: r.Uptime().Seconds(),
-		Metrics:       make(map[string]any),
-	}
-	for _, f := range r.snapshot() {
-		for _, s := range r.sortedSeries(f) {
-			key := f.name
-			if lk := labelKey(s.labels); lk != "" {
-				key += "{" + lk + "}"
-			}
-			switch f.kind {
-			case KindCounter, KindGauge:
-				out.Metrics[key] = seriesValue(s)
-			case KindHistogram:
-				h := s.hist
-				out.Metrics[key] = varzHistogram{
-					Count: h.Count(),
-					Sum:   h.Sum(),
-					P50:   h.Quantile(0.50),
-					P90:   h.Quantile(0.90),
-					P99:   h.Quantile(0.99),
-				}
-			}
-		}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
 }

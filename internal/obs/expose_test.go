@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -71,55 +70,6 @@ func TestPrometheusLabeledHistogram(t *testing.T) {
 	}
 }
 
-func TestWriteJSON(t *testing.T) {
-	reg := NewRegistry()
-	reg.Counter("a_total", "").Add(9)
-	reg.Gauge("b", "", L("x", "y")).Set(1.5)
-	h := reg.Histogram("c_seconds", "", []float64{1, 2})
-	h.Observe(0.5)
-	h.Observe(1.5)
-
-	var sb strings.Builder
-	if err := reg.WriteJSON(&sb); err != nil {
-		t.Fatal(err)
-	}
-	var out struct {
-		UptimeSeconds float64                    `json:"uptime_seconds"`
-		Metrics       map[string]json.RawMessage `json:"metrics"`
-	}
-	if err := json.Unmarshal([]byte(sb.String()), &out); err != nil {
-		t.Fatalf("invalid JSON: %v\n%s", err, sb.String())
-	}
-	if out.UptimeSeconds < 0 {
-		t.Errorf("uptime = %g, want >= 0", out.UptimeSeconds)
-	}
-	var a float64
-	if err := json.Unmarshal(out.Metrics["a_total"], &a); err != nil || a != 9 {
-		t.Errorf("a_total = %v (%v), want 9", a, err)
-	}
-	if _, ok := out.Metrics["b{x=y}"]; !ok {
-		t.Errorf("missing labeled gauge key b{x=y}; have %v", keys(out.Metrics))
-	}
-	var hist varzHistogram
-	if err := json.Unmarshal(out.Metrics["c_seconds"], &hist); err != nil {
-		t.Fatalf("histogram JSON: %v", err)
-	}
-	if hist.Count != 2 || hist.Sum != 2 {
-		t.Errorf("histogram = %+v, want count 2 sum 2", hist)
-	}
-	if hist.P99 <= 0 {
-		t.Errorf("p99 = %g, want > 0", hist.P99)
-	}
-}
-
-func keys(m map[string]json.RawMessage) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	return out
-}
-
 func TestHTTPEndpoints(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("served_total", "").Inc()
@@ -138,9 +88,6 @@ func TestHTTPEndpoints(t *testing.T) {
 
 	if code, body := get("/metrics"); code != 200 || !strings.Contains(body, "served_total 1") {
 		t.Errorf("/metrics = %d %q", code, body)
-	}
-	if code, body := get("/varz"); code != 200 || !strings.Contains(body, "served_total") {
-		t.Errorf("/varz = %d %q", code, body)
 	}
 	if code, body := get("/healthz"); code != 200 || !strings.Contains(body, "ok") {
 		t.Errorf("/healthz = %d %q", code, body)

@@ -9,17 +9,13 @@ import (
 )
 
 // NewHandler returns the exposition mux for a registry: /metrics
-// (Prometheus text), /varz (JSON), /healthz, /debug/traces (the default
-// tracer's ring), and /debug/pprof/.
+// (Prometheus text), /healthz, /debug/traces (the default tracer's ring),
+// and /debug/pprof/.
 func NewHandler(r *Registry) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		r.WritePrometheus(w)
-	})
-	mux.HandleFunc("/varz", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		r.WriteJSON(w)
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprintln(w, "ok")

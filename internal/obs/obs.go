@@ -1,6 +1,6 @@
 // Package obs is the observability layer for the collection→store→classify
 // pipeline: atomic counters and gauges, bounded histograms with quantile
-// estimates, lightweight pipeline spans, and an HTTP exposition server.
+// estimates, request traces, and an HTTP exposition server.
 //
 // The paper's entire contribution is measurement; obs turns the measurement
 // apparatus itself into a measured system. Every hot path (collector ingest,
@@ -9,8 +9,8 @@
 // it with -metrics-addr:
 //
 //	/metrics       Prometheus text exposition
-//	/varz          JSON snapshot (histograms include p50/p90/p99)
 //	/healthz       liveness probe
+//	/debug/traces  kept request traces (trace.go)
 //	/debug/pprof/  runtime profiling (net/http/pprof)
 //
 // The package has no dependencies outside the standard library, and the
@@ -26,7 +26,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 )
 
 // Kind is the metric family type.
@@ -82,12 +81,11 @@ type family struct {
 type Registry struct {
 	mu       sync.RWMutex
 	families map[string]*family
-	start    time.Time
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{families: make(map[string]*family), start: time.Now()}
+	return &Registry{families: make(map[string]*family)}
 }
 
 var defaultRegistry = NewRegistry()
@@ -244,9 +242,6 @@ func seriesValue(s *series) float64 {
 	}
 	return 0
 }
-
-// Uptime reports how long ago the registry was created.
-func (r *Registry) Uptime() time.Duration { return time.Since(r.start) }
 
 // snapshot returns the families sorted by name and their series sorted by
 // label key, for deterministic exposition.

@@ -13,7 +13,6 @@ import (
 //	irtl_runtime_gomaxprocs        GOMAXPROCS at last sample
 //	irtl_runtime_gc_total          completed GC cycles
 //	irtl_runtime_gc_pause_seconds  histogram of individual GC pause times
-//	                               (p99 via /varz quantiles)
 //
 // Before this, runtime health was invisible outside /debug/pprof.
 

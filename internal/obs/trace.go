@@ -370,14 +370,6 @@ func (sp *TraceSpan) SpanID() uint64 {
 	return sp.ID
 }
 
-// Sampled reports the trace's head-sampling decision, false for nil.
-func (sp *TraceSpan) Sampled() bool {
-	if sp == nil {
-		return false
-	}
-	return sp.tr.Sampled
-}
-
 // Header renders the span as an X-Irtl-Trace value for propagation, "" for
 // nil (send no header).
 func (sp *TraceSpan) Header() string {

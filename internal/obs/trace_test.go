@@ -307,3 +307,11 @@ func TestRuntimeCollector(t *testing.T) {
 	stop()
 	stop() // idempotent
 }
+
+// Sampled reports the trace's head-sampling decision, false for nil.
+func (sp *TraceSpan) Sampled() bool {
+	if sp == nil {
+		return false
+	}
+	return sp.tr.Sampled
+}

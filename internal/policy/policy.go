@@ -174,50 +174,3 @@ func (p *Policy) String() string {
 	}
 	return sb.String()
 }
-
-// PrefixLengthFilter builds the draconian stability policy the paper
-// mentions: reject every announcement more specific than maxLen.
-func PrefixLengthFilter(maxLen int) *Policy {
-	return &Policy{Rules: []Rule{{
-		Name:   fmt.Sprintf("reject-longer-than-%d", maxLen),
-		Match:  Match{MinLen: maxLen + 1},
-		Action: Action{Reject: true},
-	}}}
-}
-
-// MartianFilter rejects the never-routable address blocks every sane 1996
-// border filtered (RFC 1918 space, loopback, class D/E, default).
-func MartianFilter() *Policy {
-	martians := []string{
-		"0.0.0.0/8", "10.0.0.0/8", "127.0.0.0/8",
-		"172.16.0.0/12", "192.168.0.0/16", "224.0.0.0/3",
-	}
-	var rules []Rule
-	for _, m := range martians {
-		pfx := netaddr.MustParsePrefix(m)
-		rules = append(rules, Rule{
-			Name:   "martian-" + m,
-			Match:  Match{Within: &pfx},
-			Action: Action{Reject: true},
-		})
-	}
-	// Also reject a bare default route from peers.
-	def := netaddr.MustParsePrefix("0.0.0.0/0")
-	rules = append(rules, Rule{
-		Name:   "no-default",
-		Match:  Match{Exact: &def},
-		Action: Action{Reject: true},
-	})
-	return &Policy{Rules: rules}
-}
-
-// CustomerPreference tags and prefers routes from a customer AS — the
-// standard commercial policy of preferring routes you are paid to carry.
-func CustomerPreference(customer bgp.ASN, localPref uint32, tag bgp.Community) *Policy {
-	lp := localPref
-	return &Policy{Rules: []Rule{{
-		Name:   fmt.Sprintf("prefer-customer-%v", customer),
-		Match:  Match{PathContains: customer},
-		Action: Action{SetLocalPref: &lp, AddCommunity: tag},
-	}}}
-}

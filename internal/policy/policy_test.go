@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -132,7 +133,7 @@ func TestActionDoesNotMutateInput(t *testing.T) {
 }
 
 func TestPrefixLengthFilter(t *testing.T) {
-	p := PrefixLengthFilter(24)
+	p := prefixLengthFilter(24)
 	if _, ok := p.Apply(pfx("10.0.0.0/25"), attrs(690)); ok {
 		t.Fatal("/25 accepted")
 	}
@@ -145,7 +146,7 @@ func TestPrefixLengthFilter(t *testing.T) {
 }
 
 func TestMartianFilter(t *testing.T) {
-	p := MartianFilter()
+	p := martianFilter()
 	rejected := []string{
 		"10.0.0.0/8", "10.1.0.0/16", "192.168.0.0/16", "172.16.0.0/12",
 		"172.20.0.0/16", "127.0.0.0/8", "224.0.0.0/4", "0.0.0.0/0",
@@ -164,7 +165,7 @@ func TestMartianFilter(t *testing.T) {
 }
 
 func TestCustomerPreference(t *testing.T) {
-	p := CustomerPreference(237, 200, bgp.Community(690<<16|100))
+	p := customerPreference(237, 200, bgp.Community(690<<16|100))
 	got, ok := p.Apply(pfx("35.0.0.0/8"), attrs(690, 237))
 	if !ok || got.LocalPref != 200 || len(got.Communities) != 1 {
 		t.Fatalf("customer route not preferred: %+v", got)
@@ -176,7 +177,7 @@ func TestCustomerPreference(t *testing.T) {
 }
 
 func TestPolicyString(t *testing.T) {
-	p := PrefixLengthFilter(24)
+	p := prefixLengthFilter(24)
 	s := p.String()
 	if !strings.Contains(s, "reject-longer-than-24") || !strings.Contains(s, "default: accept") {
 		t.Fatalf("render: %q", s)
@@ -203,11 +204,58 @@ func TestZeroMatchMatchesEverythingQuick(t *testing.T) {
 }
 
 func BenchmarkPolicyApply(b *testing.B) {
-	p := MartianFilter()
+	p := martianFilter()
 	a := attrs(690, 1239, 237)
 	prefix := pfx("35.0.0.0/8")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		p.Apply(prefix, a)
 	}
+}
+
+// prefixLengthFilter builds the draconian stability policy the paper
+// mentions: reject every announcement more specific than maxLen.
+func prefixLengthFilter(maxLen int) *Policy {
+	return &Policy{Rules: []Rule{{
+		Name:   fmt.Sprintf("reject-longer-than-%d", maxLen),
+		Match:  Match{MinLen: maxLen + 1},
+		Action: Action{Reject: true},
+	}}}
+}
+
+// martianFilter rejects the never-routable address blocks every sane 1996
+// border filtered (RFC 1918 space, loopback, class D/E, default).
+func martianFilter() *Policy {
+	martians := []string{
+		"0.0.0.0/8", "10.0.0.0/8", "127.0.0.0/8",
+		"172.16.0.0/12", "192.168.0.0/16", "224.0.0.0/3",
+	}
+	var rules []Rule
+	for _, m := range martians {
+		pfx := netaddr.MustParsePrefix(m)
+		rules = append(rules, Rule{
+			Name:   "martian-" + m,
+			Match:  Match{Within: &pfx},
+			Action: Action{Reject: true},
+		})
+	}
+	// Also reject a bare default route from peers.
+	def := netaddr.MustParsePrefix("0.0.0.0/0")
+	rules = append(rules, Rule{
+		Name:   "no-default",
+		Match:  Match{Exact: &def},
+		Action: Action{Reject: true},
+	})
+	return &Policy{Rules: rules}
+}
+
+// customerPreference tags and prefers routes from a customer AS — the
+// standard commercial policy of preferring routes you are paid to carry.
+func customerPreference(customer bgp.ASN, localPref uint32, tag bgp.Community) *Policy {
+	lp := localPref
+	return &Policy{Rules: []Rule{{
+		Name:   fmt.Sprintf("prefer-customer-%v", customer),
+		Match:  Match{PathContains: customer},
+		Action: Action{SetLocalPref: &lp, AddCommunity: tag},
+	}}}
 }

@@ -52,38 +52,3 @@ func Aggregate(prefixes []netaddr.Prefix) []netaddr.Prefix {
 	}
 	return append([]netaddr.Prefix(nil), kept...)
 }
-
-// CoverageEqual reports whether two prefix sets cover exactly the same
-// address space. Used to verify aggregation soundness.
-func CoverageEqual(a, b []netaddr.Prefix) bool {
-	return coverageWithin(a, b) && coverageWithin(b, a)
-}
-
-func coverageWithin(a, b []netaddr.Prefix) bool {
-	for _, p := range a {
-		if !covered(p, b) {
-			return false
-		}
-	}
-	return true
-}
-
-// covered reports whether every address in p is inside some prefix of set.
-func covered(p netaddr.Prefix, set []netaddr.Prefix) bool {
-	for _, q := range set {
-		if q.ContainsPrefix(p) {
-			return true
-		}
-	}
-	if p.Bits() >= 32 {
-		return false
-	}
-	// Split and recurse: p may be covered by multiple smaller prefixes.
-	for _, q := range set {
-		if p.ContainsPrefix(q) {
-			lo, hi := p.Halves()
-			return covered(lo, set) && covered(hi, set)
-		}
-	}
-	return false
-}

@@ -91,15 +91,8 @@ func New(localAS bgp.ASN) *RIB {
 	return &RIB{localAS: localAS, paths: bgp.NewPathTable()}
 }
 
-// LocalAS returns the AS this RIB belongs to.
-func (r *RIB) LocalAS() bgp.ASN { return r.localAS }
-
 // Len returns the number of prefixes with at least one candidate route.
 func (r *RIB) Len() int { return r.live }
-
-// PathTable exposes the RIB's private path interner: census partials carry
-// IDs from this table, and MergeCensuses remaps them when partitions merge.
-func (r *RIB) PathTable() *bgp.PathTable { return r.paths }
 
 // Update installs (or replaces) the route for prefix learned from peer and
 // re-runs the decision process. Routes whose AS_PATH contains the local AS
@@ -274,17 +267,6 @@ func (r *RIB) Candidates(prefix netaddr.Prefix) int {
 		return 0
 	}
 	return len(st.candidates)
-}
-
-// Lookup performs a longest-prefix-match forwarding lookup for a. Tombstoned
-// prefixes are skipped, so a withdrawn specific falls through to any shorter
-// covering prefix exactly as if it had been deleted.
-func (r *RIB) Lookup(a netaddr.Addr) (netaddr.Prefix, bgp.Attrs, bool) {
-	p, st, ok := r.table.LongestMatchFunc(a, func(st *prefixState) bool { return st.best >= 0 })
-	if !ok {
-		return netaddr.Prefix{}, bgp.Attrs{}, false
-	}
-	return p, st.candidates[st.best].attrs, true
 }
 
 // WalkBest visits every prefix that currently has a best route.

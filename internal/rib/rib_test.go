@@ -214,19 +214,6 @@ func TestWithdrawPeer(t *testing.T) {
 	}
 }
 
-func TestRIBLookup(t *testing.T) {
-	r := New(690)
-	r.Update(peer(701, 1), pfx("10.0.0.0/8"), attrs(1, 701, 237))
-	r.Update(peer(174, 2), pfx("10.1.0.0/16"), attrs(2, 174, 9))
-	p, a, ok := r.Lookup(netaddr.MustParseAddr("10.1.2.3"))
-	if !ok || p != pfx("10.1.0.0/16") || a.NextHop != 2 {
-		t.Fatalf("lookup %v %+v %v", p, a, ok)
-	}
-	if _, _, ok := r.Lookup(netaddr.MustParseAddr("192.0.2.1")); ok {
-		t.Fatal("lookup off-table matched")
-	}
-}
-
 func TestTakeCensusMultihoming(t *testing.T) {
 	r := New(690)
 	// Prefix A: single-homed behind 701.
@@ -314,7 +301,7 @@ func TestAggregateCoverageProperty(t *testing.T) {
 			in[i] = netaddr.MustPrefix(netaddr.Addr(a), 9+rng.Intn(16))
 		}
 		out := Aggregate(in)
-		if !CoverageEqual(in, out) {
+		if !coverageEqual(in, out) {
 			t.Fatalf("coverage changed: in=%v out=%v", in, out)
 		}
 		if len(out) > len(in) {
@@ -328,7 +315,7 @@ func TestAggregateCoverageProperty(t *testing.T) {
 		// Output prefixes must be disjoint.
 		for i := range out {
 			for j := i + 1; j < len(out); j++ {
-				if out[i].Overlaps(out[j]) {
+				if out[i].ContainsPrefix(out[j]) || out[j].ContainsPrefix(out[i]) {
 					t.Fatalf("output overlaps: %v %v", out[i], out[j])
 				}
 			}
@@ -339,11 +326,11 @@ func TestAggregateCoverageProperty(t *testing.T) {
 func TestCoverageEqual(t *testing.T) {
 	a := []netaddr.Prefix{pfx("10.0.0.0/23")}
 	b := []netaddr.Prefix{pfx("10.0.0.0/24"), pfx("10.0.1.0/24")}
-	if !CoverageEqual(a, b) {
+	if !coverageEqual(a, b) {
 		t.Fatal("equal coverage not detected")
 	}
 	c := []netaddr.Prefix{pfx("10.0.0.0/24")}
-	if CoverageEqual(a, c) {
+	if coverageEqual(a, c) {
 		t.Fatal("unequal coverage accepted")
 	}
 }
@@ -369,4 +356,39 @@ func BenchmarkRIBUpdateWithdraw(b *testing.B) {
 		r.Update(peer(701, 1), p, a)
 		r.Withdraw(peer(701, 1), p)
 	}
+}
+
+// coverageEqual reports whether two prefix sets cover exactly the same
+// address space. Used to verify aggregation soundness.
+func coverageEqual(a, b []netaddr.Prefix) bool {
+	return coverageWithin(a, b) && coverageWithin(b, a)
+}
+
+func coverageWithin(a, b []netaddr.Prefix) bool {
+	for _, p := range a {
+		if !covered(p, b) {
+			return false
+		}
+	}
+	return true
+}
+
+// covered reports whether every address in p is inside some prefix of set.
+func covered(p netaddr.Prefix, set []netaddr.Prefix) bool {
+	for _, q := range set {
+		if q.ContainsPrefix(p) {
+			return true
+		}
+	}
+	if p.Bits() >= 32 {
+		return false
+	}
+	// Split and recurse: p may be covered by multiple smaller prefixes.
+	for _, q := range set {
+		if p.ContainsPrefix(q) {
+			lo, hi := p.Halves()
+			return covered(lo, set) && covered(hi, set)
+		}
+	}
+	return false
 }

@@ -12,11 +12,10 @@ import (
 // Trie is a binary radix trie mapping prefixes to values. The zero value is
 // an empty trie ready to use.
 //
-// The trie supports exact-match insert/delete/lookup, longest-prefix match,
-// and ordered traversal. It is not safe for concurrent mutation.
+// The trie supports exact-match insert and lookup and ordered traversal. It
+// is not safe for concurrent mutation.
 type Trie[V any] struct {
 	root *node[V]
-	size int
 }
 
 type node[V any] struct {
@@ -25,12 +24,8 @@ type node[V any] struct {
 	set   bool
 }
 
-// Len returns the number of prefixes stored.
-func (t *Trie[V]) Len() int { return t.size }
-
-// Insert stores val under p, replacing any previous value. It reports whether
-// the prefix was newly added.
-func (t *Trie[V]) Insert(p netaddr.Prefix, val V) bool {
+// Insert stores val under p, replacing any previous value.
+func (t *Trie[V]) Insert(p netaddr.Prefix, val V) {
 	if t.root == nil {
 		t.root = &node[V]{}
 	}
@@ -42,12 +37,7 @@ func (t *Trie[V]) Insert(p netaddr.Prefix, val V) bool {
 		}
 		n = n.child[b]
 	}
-	added := !n.set
 	n.val, n.set = val, true
-	if added {
-		t.size++
-	}
-	return added
 }
 
 // Get returns the value stored exactly at p.
@@ -61,95 +51,6 @@ func (t *Trie[V]) Get(p netaddr.Prefix) (V, bool) {
 		return zero, false
 	}
 	return n.val, true
-}
-
-// Delete removes the value stored exactly at p, pruning empty branches. It
-// reports whether a value was present.
-func (t *Trie[V]) Delete(p netaddr.Prefix) bool {
-	// Track the path for pruning.
-	path := make([]*node[V], 0, p.Bits()+1)
-	n := t.root
-	for i := 0; n != nil && i < p.Bits(); i++ {
-		path = append(path, n)
-		n = n.child[p.Bit(i)]
-	}
-	if n == nil || !n.set {
-		return false
-	}
-	var zero V
-	n.val, n.set = zero, false
-	t.size--
-	// Prune leaf chains bottom-up.
-	for i := len(path) - 1; i >= 0; i-- {
-		child := path[i].child[p.Bit(i)]
-		if child.set || child.child[0] != nil || child.child[1] != nil {
-			break
-		}
-		path[i].child[p.Bit(i)] = nil
-	}
-	if t.root != nil && !t.root.set && t.root.child[0] == nil && t.root.child[1] == nil {
-		t.root = nil
-	}
-	return true
-}
-
-// LongestMatch returns the most specific stored prefix containing a, in the
-// manner of a forwarding lookup.
-func (t *Trie[V]) LongestMatch(a netaddr.Addr) (netaddr.Prefix, V, bool) {
-	var (
-		bestP  netaddr.Prefix
-		bestV  V
-		found  bool
-		prefix uint32
-	)
-	n := t.root
-	for i := 0; n != nil; i++ {
-		if n.set {
-			bestP = netaddr.MustPrefix(netaddr.Addr(prefix), i)
-			bestV = n.val
-			found = true
-		}
-		if i == 32 {
-			break
-		}
-		b := int(a>>(31-uint(i))) & 1
-		if b == 1 {
-			prefix |= 1 << (31 - uint(i))
-		}
-		n = n.child[b]
-	}
-	return bestP, bestV, found
-}
-
-// LongestMatchFunc is LongestMatch restricted to stored values satisfying
-// ok: the most specific stored prefix containing a whose value passes the
-// predicate. The RIB uses it to skip tombstoned prefixes (states kept for
-// reuse after their last candidate was withdrawn) without letting them
-// shadow a shorter live prefix.
-func (t *Trie[V]) LongestMatchFunc(a netaddr.Addr, ok func(V) bool) (netaddr.Prefix, V, bool) {
-	var (
-		bestP  netaddr.Prefix
-		bestV  V
-		found  bool
-		prefix uint32
-	)
-	n := t.root
-	for i := 0; n != nil; i++ {
-		if n.set && ok(n.val) {
-			bestP = netaddr.MustPrefix(netaddr.Addr(prefix), i)
-			bestV = n.val
-			found = true
-		}
-		if i == 32 {
-			break
-		}
-		b := int(a>>(31-uint(i))) & 1
-		if b == 1 {
-			prefix |= 1 << (31 - uint(i))
-		}
-		n = n.child[b]
-	}
-	return bestP, bestV, found
 }
 
 // Walk visits every stored prefix in Compare order (address, then mask
@@ -174,23 +75,4 @@ func (t *Trie[V]) walk(n *node[V], addr uint32, depth int, fn func(netaddr.Prefi
 		return false
 	}
 	return t.walk(n.child[1], addr|1<<(31-uint(depth)), depth+1, fn)
-}
-
-// Covered visits every stored prefix contained within p (including p itself).
-func (t *Trie[V]) Covered(p netaddr.Prefix, fn func(q netaddr.Prefix, v V) bool) {
-	n := t.root
-	for i := 0; n != nil && i < p.Bits(); i++ {
-		n = n.child[p.Bit(i)]
-	}
-	t.walk(n, uint32(p.Addr()), p.Bits(), fn)
-}
-
-// Prefixes returns all stored prefixes in Compare order.
-func (t *Trie[V]) Prefixes() []netaddr.Prefix {
-	out := make([]netaddr.Prefix, 0, t.size)
-	t.Walk(func(p netaddr.Prefix, _ V) bool {
-		out = append(out, p)
-		return true
-	})
-	return out
 }

@@ -10,67 +10,31 @@ import (
 
 func pfx(s string) netaddr.Prefix { return netaddr.MustParsePrefix(s) }
 
+// prefixes returns all stored prefixes in Compare order.
+func prefixes[V any](t *Trie[V]) []netaddr.Prefix {
+	var out []netaddr.Prefix
+	t.Walk(func(p netaddr.Prefix, _ V) bool {
+		out = append(out, p)
+		return true
+	})
+	return out
+}
+
 func TestTrieInsertGetDelete(t *testing.T) {
 	var tr Trie[int]
-	if tr.Len() != 0 {
-		t.Fatal("empty trie len")
+	if len(prefixes(&tr)) != 0 {
+		t.Fatal("empty trie holds prefixes")
 	}
-	if !tr.Insert(pfx("10.0.0.0/8"), 1) {
-		t.Fatal("first insert should add")
-	}
-	if tr.Insert(pfx("10.0.0.0/8"), 2) {
-		t.Fatal("second insert should replace, not add")
-	}
+	tr.Insert(pfx("10.0.0.0/8"), 1)
+	tr.Insert(pfx("10.0.0.0/8"), 2)
 	if v, ok := tr.Get(pfx("10.0.0.0/8")); !ok || v != 2 {
-		t.Fatalf("get = %v %v", v, ok)
+		t.Fatalf("get = %v %v, want the replacing value", v, ok)
 	}
 	if _, ok := tr.Get(pfx("10.0.0.0/16")); ok {
 		t.Fatal("exact match must not find supernets' entries")
 	}
-	if !tr.Delete(pfx("10.0.0.0/8")) {
-		t.Fatal("delete should find entry")
-	}
-	if tr.Delete(pfx("10.0.0.0/8")) {
-		t.Fatal("second delete should report absent")
-	}
-	if tr.Len() != 0 {
-		t.Fatalf("len %d after delete", tr.Len())
-	}
-}
-
-func TestTrieDefaultRoute(t *testing.T) {
-	var tr Trie[string]
-	tr.Insert(pfx("0.0.0.0/0"), "default")
-	p, v, ok := tr.LongestMatch(netaddr.MustParseAddr("203.0.113.9"))
-	if !ok || v != "default" || p != pfx("0.0.0.0/0") {
-		t.Fatalf("lpm = %v %v %v", p, v, ok)
-	}
-}
-
-func TestTrieLongestMatch(t *testing.T) {
-	var tr Trie[string]
-	tr.Insert(pfx("0.0.0.0/0"), "default")
-	tr.Insert(pfx("10.0.0.0/8"), "eight")
-	tr.Insert(pfx("10.1.0.0/16"), "sixteen")
-	tr.Insert(pfx("10.1.2.0/24"), "twentyfour")
-	cases := []struct {
-		addr string
-		want string
-	}{
-		{"10.1.2.3", "twentyfour"},
-		{"10.1.9.9", "sixteen"},
-		{"10.200.0.1", "eight"},
-		{"192.0.2.1", "default"},
-	}
-	for _, c := range cases {
-		_, v, ok := tr.LongestMatch(netaddr.MustParseAddr(c.addr))
-		if !ok || v != c.want {
-			t.Errorf("lpm(%s) = %q %v, want %q", c.addr, v, ok, c.want)
-		}
-	}
-	var empty Trie[string]
-	if _, _, ok := empty.LongestMatch(netaddr.MustParseAddr("10.0.0.1")); ok {
-		t.Error("empty trie matched")
+	if n := len(prefixes(&tr)); n != 1 {
+		t.Fatalf("%d prefixes after a replace", n)
 	}
 }
 
@@ -89,7 +53,7 @@ func TestTrieWalkOrder(t *testing.T) {
 	for _, i := range rng.Perm(len(want)) {
 		tr.Insert(want[i], i)
 	}
-	got := tr.Prefixes()
+	got := prefixes(&tr)
 	if len(got) != len(want) {
 		t.Fatalf("%d prefixes", len(got))
 	}
@@ -106,73 +70,23 @@ func TestTrieWalkOrder(t *testing.T) {
 	}
 }
 
-func TestTrieCovered(t *testing.T) {
-	var tr Trie[int]
-	tr.Insert(pfx("10.0.0.0/8"), 0)
-	tr.Insert(pfx("10.1.0.0/16"), 1)
-	tr.Insert(pfx("10.1.2.0/24"), 2)
-	tr.Insert(pfx("11.0.0.0/8"), 3)
-	var got []netaddr.Prefix
-	tr.Covered(pfx("10.0.0.0/8"), func(q netaddr.Prefix, _ int) bool {
-		got = append(got, q)
-		return true
-	})
-	if len(got) != 3 {
-		t.Fatalf("covered = %v", got)
-	}
-}
-
 func TestTrieAgainstReferenceMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	var tr Trie[uint32]
 	ref := map[netaddr.Prefix]uint32{}
-	randPfx := func() netaddr.Prefix {
-		return netaddr.MustPrefix(netaddr.Addr(rng.Uint32()), rng.Intn(33))
-	}
 	for i := 0; i < 20000; i++ {
-		p := randPfx()
-		switch rng.Intn(3) {
-		case 0, 1:
-			v := rng.Uint32()
-			tr.Insert(p, v)
-			ref[p] = v
-		case 2:
-			got := tr.Delete(p)
-			_, want := ref[p]
-			if got != want {
-				t.Fatalf("delete(%v) = %v, want %v", p, got, want)
-			}
-			delete(ref, p)
-		}
-		if tr.Len() != len(ref) {
-			t.Fatalf("len %d vs ref %d", tr.Len(), len(ref))
-		}
+		p := netaddr.MustPrefix(netaddr.Addr(rng.Uint32()), rng.Intn(33))
+		v := rng.Uint32()
+		tr.Insert(p, v)
+		ref[p] = v
 	}
-	// Final content check.
+	if n := len(prefixes(&tr)); n != len(ref) {
+		t.Fatalf("len %d vs ref %d", n, len(ref))
+	}
 	for p, v := range ref {
 		got, ok := tr.Get(p)
 		if !ok || got != v {
 			t.Fatalf("get(%v) = %v %v, want %v", p, got, ok, v)
-		}
-	}
-	// LPM cross-check against brute force.
-	for i := 0; i < 2000; i++ {
-		a := netaddr.Addr(rng.Uint32())
-		gotP, gotV, gotOK := tr.LongestMatch(a)
-		var (
-			bestP  netaddr.Prefix
-			bestOK bool
-		)
-		for p := range ref {
-			if p.Contains(a) && (!bestOK || p.Bits() > bestP.Bits()) {
-				bestP, bestOK = p, true
-			}
-		}
-		if gotOK != bestOK || (gotOK && gotP != bestP) {
-			t.Fatalf("lpm(%v) = %v %v, want %v %v", a, gotP, gotOK, bestP, bestOK)
-		}
-		if gotOK && gotV != ref[bestP] {
-			t.Fatalf("lpm(%v) value mismatch", a)
 		}
 	}
 }
@@ -191,7 +105,7 @@ func TestTrieWalkSortedMatchesReference(t *testing.T) {
 		want = append(want, p)
 	}
 	sort.Slice(want, func(i, j int) bool { return want[i].Compare(want[j]) < 0 })
-	got := tr.Prefixes()
+	got := prefixes(&tr)
 	if len(got) != len(want) {
 		t.Fatalf("len %d vs %d", len(got), len(want))
 	}
@@ -212,21 +126,5 @@ func BenchmarkTrieInsert(b *testing.B) {
 	var tr Trie[int]
 	for i := 0; i < b.N; i++ {
 		tr.Insert(ps[i%len(ps)], i)
-	}
-}
-
-func BenchmarkTrieLongestMatch(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	var tr Trie[int]
-	for i := 0; i < 42000; i++ {
-		tr.Insert(netaddr.MustPrefix(netaddr.Addr(rng.Uint32()), 8+rng.Intn(17)), i)
-	}
-	addrs := make([]netaddr.Addr, 1024)
-	for i := range addrs {
-		addrs[i] = netaddr.Addr(rng.Uint32())
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr.LongestMatch(addrs[i%len(addrs)])
 	}
 }

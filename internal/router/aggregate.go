@@ -41,12 +41,6 @@ func (r *Router) ConfigureAggregate(cfg AggregateConfig) {
 	}
 }
 
-// AggregateActive reports whether the supernet is currently announced.
-func (r *Router) AggregateActive(supernet netaddr.Prefix) bool {
-	st := r.aggregates[supernet]
-	return st != nil && st.active
-}
-
 // aggregateFor finds the aggregate covering p, if any (excluding the
 // supernet itself, which is not its own component).
 func (r *Router) aggregateFor(p netaddr.Prefix) *aggregateState {

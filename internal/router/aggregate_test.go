@@ -6,6 +6,7 @@ import (
 
 	"instability/internal/bgp"
 	"instability/internal/events"
+	"instability/internal/netaddr"
 	"instability/internal/session"
 )
 
@@ -158,4 +159,10 @@ func TestAggregateTableDumpHidesComponents(t *testing.T) {
 	if _, _, ok := late.RIB().Best(pfx("198.108.60.0/24")); ok {
 		t.Fatal("late peer received hidden component")
 	}
+}
+
+// AggregateActive reports whether the supernet is currently announced.
+func (r *Router) AggregateActive(supernet netaddr.Prefix) bool {
+	st := r.aggregates[supernet]
+	return st != nil && st.active
 }

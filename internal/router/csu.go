@@ -79,7 +79,3 @@ func AttachCSU(sim *events.Sim, link *Link, cfg CSUConfig) *CSU {
 	sim.Schedule(period, cycle)
 	return c
 }
-
-// Stop halts the oscillation (the CSUs are reconfigured onto one clock
-// source).
-func (c *CSU) Stop() { c.stopped = true }

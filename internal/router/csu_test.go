@@ -104,3 +104,7 @@ func TestCSUPeriodicWithdrawalsUpstream(t *testing.T) {
 		}
 	}
 }
+
+// Stop halts the oscillation (the CSUs are reconfigured onto one clock
+// source).
+func (c *CSU) Stop() { c.stopped = true }

@@ -39,12 +39,6 @@ func Connect(sim *events.Sim, a, b *Router, delay time.Duration) *Link {
 	return l
 }
 
-// Pipe exposes the underlying transport.
-func (l *Link) Pipe() *session.Pipe { return l.pipe }
-
-// Sessions returns the two session endpoints (a-side, b-side).
-func (l *Link) Sessions() (*session.Peer, *session.Peer) { return l.sa, l.sb }
-
 func (l *Link) want(aSide bool) {
 	if aSide {
 		l.wantA = true

@@ -8,8 +8,26 @@ import (
 	"instability/internal/events"
 	"instability/internal/netaddr"
 	"instability/internal/policy"
+	"instability/internal/rib"
 	"instability/internal/session"
 )
+
+// SetImportPolicy installs the import policy for a neighbor: every route
+// learned from the peer passes through it before entering the RIB.
+func (r *Router) SetImportPolicy(peerAS bgp.ASN, peerID netaddr.Addr, p *policy.Policy) {
+	if n := r.peers[rib.PeerID{AS: peerAS, ID: peerID}]; n != nil {
+		n.imp = p
+	}
+}
+
+// longerThan rejects every announcement more specific than maxLen: the
+// draconian prefix-length filter of the paper's §3.
+func longerThan(maxLen int) *policy.Policy {
+	return &policy.Policy{Rules: []policy.Rule{{
+		Match:  policy.Match{MinLen: maxLen + 1},
+		Action: policy.Action{Reject: true},
+	}}}
+}
 
 func TestImportPolicyFiltersRoutes(t *testing.T) {
 	sim := events.New(31)
@@ -18,7 +36,7 @@ func TestImportPolicyFiltersRoutes(t *testing.T) {
 	l := Connect(sim, feeder, recv, time.Millisecond)
 	// Reject anything longer than /24 on import (the paper's draconian
 	// prefix-length filter).
-	recv.SetImportPolicy(100, 1, policy.PrefixLengthFilter(24))
+	recv.SetImportPolicy(100, 1, longerThan(24))
 	sim.RunFor(5 * time.Second)
 	if !l.Established() {
 		t.Fatal("no establishment")
@@ -45,7 +63,11 @@ func TestImportPolicySetsLocalPref(t *testing.T) {
 	Connect(sim, origin, pricey, time.Millisecond)
 	Connect(sim, cheap, recv, time.Millisecond)
 	Connect(sim, pricey, recv, time.Millisecond)
-	recv.SetImportPolicy(100, 1, policy.CustomerPreference(300, 200, bgp.Community(200<<16|100)))
+	lp := uint32(200)
+	recv.SetImportPolicy(100, 1, &policy.Policy{Rules: []policy.Rule{{
+		Match:  policy.Match{PathContains: 300},
+		Action: policy.Action{SetLocalPref: &lp, AddCommunity: bgp.Community(200<<16 | 100)},
+	}}})
 	sim.RunFor(10 * time.Second)
 	origin.Originate(pfx("35.0.0.0/8"), bgp.OriginIGP)
 	sim.RunFor(30 * time.Second)
@@ -69,7 +91,7 @@ func TestExportPolicyWithholdsRoutes(t *testing.T) {
 	Connect(sim, feeder, mid, time.Millisecond)
 	ms := Connect(sim, mid, sink, time.Millisecond)
 	// mid refuses to export anything longer than /16 to the sink.
-	mid.SetExportPolicy(300, 3, policy.PrefixLengthFilter(16))
+	mid.SetExportPolicy(300, 3, longerThan(16))
 	sim.RunFor(5 * time.Second)
 	feeder.Originate(pfx("35.0.0.0/8"), bgp.OriginIGP)
 	feeder.Originate(pfx("192.42.113.0/24"), bgp.OriginIGP)
@@ -101,7 +123,7 @@ func TestExportPolicyAppliesOnTableDump(t *testing.T) {
 
 	sink := newRouter(sim, 300, 3)
 	Connect(sim, mid, sink, time.Millisecond)
-	mid.SetExportPolicy(300, 3, policy.PrefixLengthFilter(16))
+	mid.SetExportPolicy(300, 3, longerThan(16))
 	sim.RunFor(10 * time.Second)
 	if _, _, ok := sink.RIB().Best(pfx("35.0.0.0/8")); !ok {
 		t.Fatal("sink missing /8 from dump")
@@ -116,7 +138,7 @@ func TestPolicyEvaluationCostCounted(t *testing.T) {
 	recv := newRouter(sim, 200, 2)
 	feeder := newRouter(sim, 100, 1)
 	Connect(sim, feeder, recv, time.Millisecond)
-	pol := policy.MartianFilter()
+	pol := longerThan(24)
 	recv.SetImportPolicy(100, 1, pol)
 	sim.RunFor(5 * time.Second)
 	for i := 0; i < 10; i++ {
@@ -131,7 +153,7 @@ func TestPolicyEvaluationCostCounted(t *testing.T) {
 func TestSetPolicyUnknownPeerIsNoop(t *testing.T) {
 	sim := events.New(36)
 	r := newRouter(sim, 200, 2)
-	r.SetImportPolicy(999, 9, policy.MartianFilter()) // must not panic
-	r.SetExportPolicy(999, 9, policy.MartianFilter())
+	r.SetImportPolicy(999, 9, longerThan(24)) // must not panic
+	r.SetExportPolicy(999, 9, longerThan(24))
 	_ = session.Config{}
 }

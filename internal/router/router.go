@@ -199,14 +199,6 @@ func (r *Router) AddPeer(peerAS bgp.ASN, peerID netaddr.Addr, send func(bgp.Mess
 	return n.sess
 }
 
-// SetImportPolicy installs the import policy for a neighbor: every route
-// learned from the peer passes through it before entering the RIB.
-func (r *Router) SetImportPolicy(peerAS bgp.ASN, peerID netaddr.Addr, p *policy.Policy) {
-	if n := r.peers[rib.PeerID{AS: peerAS, ID: peerID}]; n != nil {
-		n.imp = p
-	}
-}
-
 // SetExportPolicy installs the export policy for a neighbor: every route
 // advertised to the peer passes through it first; rejected routes are
 // withheld (and withdrawn if previously advertised).
@@ -498,12 +490,6 @@ func (r *Router) drain() {
 	if r.backlog < 0 {
 		r.backlog = 0
 	}
-}
-
-// Backlog returns the current queued-work estimate.
-func (r *Router) Backlog() time.Duration {
-	r.drain()
-	return r.backlog
 }
 
 // keepaliveDelay is handed to each session: an overloaded router delays its

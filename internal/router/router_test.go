@@ -408,3 +408,12 @@ func TestCrashRebootRestoresOrigination(t *testing.T) {
 		t.Fatal("origination not restored after reboot")
 	}
 }
+
+// Backlog returns the current queued-work estimate.
+func (r *Router) Backlog() time.Duration {
+	r.drain()
+	return r.backlog
+}
+
+// Sessions returns the two session endpoints (a-side, b-side).
+func (l *Link) Sessions() (*session.Peer, *session.Peer) { return l.sa, l.sb }

@@ -86,19 +86,6 @@ func (r *RemoteReader) Next() (collector.Record, error) {
 	return collector.Record{}, r.err
 }
 
-// Generation returns the store generation the result was computed under;
-// valid after io.EOF.
-func (r *RemoteReader) Generation() uint64 {
-	if r.ex == nil {
-		return 0
-	}
-	return r.ex.Generation
-}
-
-// Explain returns the server-side query profile, or nil before the stream's
-// clean end.
-func (r *RemoteReader) Explain() *store.Explain { return r.ex }
-
 // Close releases the response and finishes the remote_query span.
 func (r *RemoteReader) Close() error {
 	if r.span != nil {

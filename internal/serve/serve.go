@@ -163,16 +163,6 @@ func (s *Server) Serve(ln net.Listener) error {
 	return nil
 }
 
-// Addr returns the listen address once Serve has been called.
-func (s *Server) Addr() net.Addr {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ln == nil {
-		return nil
-	}
-	return s.ln.Addr()
-}
-
 // ActiveSessions reports currently admitted sessions (tests poll it).
 func (s *Server) ActiveSessions() int64 { return s.adm.active.Load() }
 

@@ -873,3 +873,26 @@ func TestSlashZeroPrefixIsBadRequest(t *testing.T) {
 		}
 	}
 }
+
+// Addr returns the listen address once Serve has been called.
+func (s *Server) Addr() net.Addr {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.ln == nil {
+		return nil
+	}
+	return s.ln.Addr()
+}
+
+// Generation returns the store generation the result was computed under;
+// valid after io.EOF.
+func (r *RemoteReader) Generation() uint64 {
+	if r.ex == nil {
+		return 0
+	}
+	return r.ex.Generation
+}
+
+// Explain returns the server-side query profile, or nil before the stream's
+// clean end.
+func (r *RemoteReader) Explain() *store.Explain { return r.ex }

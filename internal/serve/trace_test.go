@@ -62,12 +62,12 @@ func hasIntAttr(sp *obs.TraceSpan, key string) (int64, bool) {
 	return 0, false
 }
 
-// TestTracePropagationBinary is the tentpole acceptance over the binary
-// protocol: one traced remote query produces a client trace and a server
-// trace sharing one trace ID, the server root hangs off the client's
-// remote_query span, the admission/cache/scan/encode stages appear as
-// children, and the store_scan span carries the EXPLAIN counters that also
-// ride back on the end frame.
+// TestTracePropagationBinary checks tracing over an IRTQ record stream: one
+// traced remote query produces a client trace and a server trace sharing
+// one trace ID, the server root hangs off the client's remote_query span,
+// the admission/cache/scan/encode stages appear as children, and the
+// store_scan span carries the EXPLAIN counters that also ride back in the
+// Irtl-Explain trailer.
 func TestTracePropagationBinary(t *testing.T) {
 	enableTestTracing(t, -1)
 	st := newTestStore(t, 300, store.Options{})
@@ -82,7 +82,7 @@ func TestTracePropagationBinary(t *testing.T) {
 	recs := drainRemote(t, rr)
 	ex := rr.Explain()
 	if ex == nil {
-		t.Fatal("end frame carried no EXPLAIN profile")
+		t.Fatal("Irtl-Explain trailer carried no EXPLAIN profile")
 	}
 	if ex.RecordsMatched != len(recs) {
 		t.Fatalf("EXPLAIN records_matched %d, streamed %d", ex.RecordsMatched, len(recs))

@@ -81,6 +81,3 @@ func (b *Backoff) Next() time.Duration {
 // Reset restores the schedule to its first step. Call it after a successful
 // session establishment so the next failure retries quickly.
 func (b *Backoff) Reset() { b.attempts = 0 }
-
-// Attempts reports how many delays have been handed out since the last Reset.
-func (b *Backoff) Attempts() int { return b.attempts }

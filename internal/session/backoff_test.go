@@ -162,3 +162,6 @@ func TestChaosPipeBackoffWithinBounds(t *testing.T) {
 		t.Fatalf("session never re-established through chaos: count %d", a.Stats().EstablishedCount)
 	}
 }
+
+// Attempts reports how many delays have been handed out since the last Reset.
+func (b *Backoff) Attempts() int { return b.attempts }

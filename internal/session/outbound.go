@@ -1,8 +1,6 @@
 package session
 
 import (
-	"time"
-
 	"instability/internal/bgp"
 	"instability/internal/intern"
 	"instability/internal/netaddr"
@@ -36,20 +34,6 @@ func (p *Peer) Withdraw(prefix netaddr.Prefix) {
 	p.pendingWd[prefix] = struct{}{}
 	p.kickFlush()
 }
-
-// Advertised reports whether the Adj-RIB-Out currently records prefix as
-// announced to the peer. Stateless sessions keep no such record and always
-// report false.
-func (p *Peer) Advertised(prefix netaddr.Prefix) bool {
-	if p.cfg.Stateless {
-		return false
-	}
-	_, ok := p.advertised[prefix]
-	return ok
-}
-
-// PendingChanges returns the number of queued, unflushed route changes.
-func (p *Peer) PendingChanges() int { return len(p.pendingAnn) + len(p.pendingWd) }
 
 // kickFlush arranges for pending changes to be transmitted: immediately when
 // MRAI is zero, otherwise on the free-running interval timer started at
@@ -181,7 +165,3 @@ func (p *Peer) Flush() {
 		}
 	}
 }
-
-// HoldTimeNegotiated returns the negotiated hold time (zero before OPEN
-// exchange or when keepalives are disabled).
-func (p *Peer) HoldTimeNegotiated() time.Duration { return p.holdTime }

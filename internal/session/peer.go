@@ -45,7 +45,6 @@ func (s State) String() string {
 // Default protocol timer values.
 const (
 	DefaultHoldTime     = 180 * time.Second
-	DefaultMRAI         = 30 * time.Second
 	DefaultConnectRetry = 120 * time.Second
 	openHoldTime        = 4 * time.Minute
 )
@@ -97,19 +96,6 @@ func (c Config) withDefaults() Config {
 		c.ConnectRetry = DefaultConnectRetry
 	}
 	return c
-}
-
-// StatelessVendorConfig returns the configuration matching the router
-// implementation the paper blames for WWDup floods: no per-peer state and a
-// fixed, unjittered 30-second interval timer.
-func StatelessVendorConfig(as bgp.ASN, id netaddr.Addr) Config {
-	return Config{LocalAS: as, LocalID: id, MRAI: DefaultMRAI, Stateless: true}
-}
-
-// StatefulVendorConfig returns the post-fix configuration: per-peer
-// Adj-RIB-Out state, duplicate suppression, and a jittered timer.
-func StatefulVendorConfig(as bgp.ASN, id netaddr.Addr) Config {
-	return Config{LocalAS: as, LocalID: id, MRAI: DefaultMRAI, MRAIJitter: 0.25, CompareLastSent: true}
 }
 
 // Callbacks connect the FSM to its environment. Send and Connect must be
@@ -204,9 +190,6 @@ func (p *Peer) PeerAS() bgp.ASN { return p.peerAS }
 
 // PeerID returns the neighbor's BGP identifier from its OPEN.
 func (p *Peer) PeerID() netaddr.Addr { return p.peerID }
-
-// Config returns the session configuration.
-func (p *Peer) Config() Config { return p.cfg }
 
 // Start moves the session out of Idle and, for active sessions, initiates
 // the transport.

@@ -522,3 +522,53 @@ func TestNotificationDropsSession(t *testing.T) {
 		t.Fatalf("downs %d", len(p.downA))
 	}
 }
+
+// Establish runs the standard bring-up sequence for a freshly built pair:
+// Start both peers, connect the transport, and advance the simulator until
+// both report Established (or the deadline passes). It reports success.
+func Establish(sim *events.Sim, l *Pipe, a, b *Peer, deadline time.Duration) bool {
+	a.Start()
+	b.Start()
+	l.Up()
+	horizon := sim.Now().Add(deadline)
+	for sim.Now().Before(horizon) {
+		if a.State() == Established && b.State() == Established {
+			return true
+		}
+		if sim.RunFor(l.delay+time.Millisecond) == 0 && sim.Pending() == 0 {
+			break
+		}
+	}
+	return a.State() == Established && b.State() == Established
+}
+
+// StatelessVendorConfig returns the configuration matching the router
+// implementation the paper blames for WWDup floods: no per-peer state and a
+// fixed, unjittered 30-second interval timer.
+func StatelessVendorConfig(as bgp.ASN, id netaddr.Addr) Config {
+	return Config{LocalAS: as, LocalID: id, MRAI: 30 * time.Second, Stateless: true}
+}
+
+// StatefulVendorConfig returns the post-fix configuration: per-peer
+// Adj-RIB-Out state, duplicate suppression, and a jittered timer.
+func StatefulVendorConfig(as bgp.ASN, id netaddr.Addr) Config {
+	return Config{LocalAS: as, LocalID: id, MRAI: 30 * time.Second, MRAIJitter: 0.25, CompareLastSent: true}
+}
+
+// Advertised reports whether the Adj-RIB-Out currently records prefix as
+// announced to the peer. Stateless sessions keep no such record and always
+// report false.
+func (p *Peer) Advertised(prefix netaddr.Prefix) bool {
+	if p.cfg.Stateless {
+		return false
+	}
+	_, ok := p.advertised[prefix]
+	return ok
+}
+
+// PendingChanges returns the number of queued, unflushed route changes.
+func (p *Peer) PendingChanges() int { return len(p.pendingAnn) + len(p.pendingWd) }
+
+// HoldTimeNegotiated returns the negotiated hold time (zero before OPEN
+// exchange or when keepalives are disabled).
+func (p *Peer) HoldTimeNegotiated() time.Duration { return p.holdTime }

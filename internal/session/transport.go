@@ -125,22 +125,3 @@ func (l *Pipe) transmit(msg bgp.Message, fromA bool) {
 		})
 	}
 }
-
-// Establish runs the standard bring-up sequence for a freshly built pair:
-// Start both peers, connect the transport, and advance the simulator until
-// both report Established (or the deadline passes). It reports success.
-func Establish(sim *events.Sim, l *Pipe, a, b *Peer, deadline time.Duration) bool {
-	a.Start()
-	b.Start()
-	l.Up()
-	horizon := sim.Now().Add(deadline)
-	for sim.Now().Before(horizon) {
-		if a.State() == Established && b.State() == Established {
-			return true
-		}
-		if sim.RunFor(l.delay+time.Millisecond) == 0 && sim.Pending() == 0 {
-			break
-		}
-	}
-	return a.State() == Established && b.State() == Established
-}

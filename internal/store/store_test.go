@@ -876,3 +876,18 @@ func TestOneAttrRefPerTuple(t *testing.T) {
 		t.Fatalf("%d distinct tuples read back, table holds %d", len(paths), tuples)
 	}
 }
+
+// Count returns the number of records appended through this writer.
+func (w *Writer) Count() int64 {
+	w.s.mu.Lock()
+	defer w.s.mu.Unlock()
+	return w.appended
+}
+
+// Flush group-commits any buffered appends to the WAL.
+func (w *Writer) Flush() error {
+	s := w.s
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return w.flushLocked()
+}

@@ -195,14 +195,6 @@ func (s *Store) nextWindowSeqLocked(window int64) uint64 {
 	return next
 }
 
-// Flush group-commits any buffered appends to the WAL.
-func (w *Writer) Flush() error {
-	s := w.s
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return w.flushLocked()
-}
-
 func (w *Writer) flushLocked() error {
 	s := w.s
 	if len(w.pending) == 0 {
@@ -486,11 +478,4 @@ func (s *Store) sealSyncLocked() error {
 			return b.err
 		}
 	}
-}
-
-// Count returns the number of records appended through this writer.
-func (w *Writer) Count() int64 {
-	w.s.mu.Lock()
-	defer w.s.mu.Unlock()
-	return w.appended
 }

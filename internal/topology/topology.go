@@ -309,17 +309,6 @@ func (t *Topology) TotalPrefixes() int {
 	return n
 }
 
-// MultihomedPrefixes counts prefixes originated by multihomed ASes.
-func (t *Topology) MultihomedPrefixes() int {
-	n := 0
-	for _, a := range t.ASes {
-		if a.Multihomed {
-			n += len(a.Prefixes)
-		}
-	}
-	return n
-}
-
 // Route is one (peer, prefix, path) tuple visible at an exchange point's
 // route server.
 type Route struct {

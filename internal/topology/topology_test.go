@@ -251,3 +251,14 @@ func TestDefaultsFullScale(t *testing.T) {
 		t.Fatal("tier names")
 	}
 }
+
+// MultihomedPrefixes counts prefixes originated by multihomed ASes.
+func (t *Topology) MultihomedPrefixes() int {
+	n := 0
+	for _, a := range t.ASes {
+		if a.Multihomed {
+			n += len(a.Prefixes)
+		}
+	}
+	return n
+}

@@ -152,9 +152,6 @@ func (g *Generator) Topology() *topology.Topology { return g.topo }
 // Routes returns the number of (peer, prefix) routes at the exchange.
 func (g *Generator) Routes() int { return len(g.routes) }
 
-// Stats returns run statistics (valid after Run).
-func (g *Generator) Stats() Stats { return g.stats }
-
 // Run generates the scenario, delivering records in timestamp order to
 // onRecord and calling onDayEnd after each simulated day. Either callback
 // may be nil.

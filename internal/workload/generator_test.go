@@ -173,7 +173,7 @@ func TestWeekendDip(t *testing.T) {
 	dates := acc.Dates()
 	for _, d := range dates[1:] {
 		s := acc.Days[d]
-		v := float64(s.Instability())
+		v := float64(core.Instability(s.Counts))
 		if wd := d.Weekday(); wd == time.Saturday || wd == time.Sunday {
 			wkndSum += v
 			wkndN++
@@ -234,8 +234,8 @@ func TestUpgradeIncidentRaisesActivity(t *testing.T) {
 		c.Incidents = []Incident{{Kind: InfrastructureUpgrade, Day: 3, Days: 2, Magnitude: 1}}
 	})
 	dates := acc.Dates()
-	normal := float64(acc.Days[dates[1]].Instability()+acc.Days[dates[2]].Instability()) / 2
-	upgrade := float64(acc.Days[dates[3]].Instability()+acc.Days[dates[4]].Instability()) / 2
+	normal := float64(core.Instability(acc.Days[dates[1]].Counts)+core.Instability(acc.Days[dates[2]].Counts)) / 2
+	upgrade := float64(core.Instability(acc.Days[dates[3]].Counts)+core.Instability(acc.Days[dates[4]].Counts)) / 2
 	if upgrade < 2*normal {
 		t.Fatalf("upgrade days %v not elevated above normal %v", upgrade, normal)
 	}
@@ -327,3 +327,6 @@ func pearson(xs, ys []float64) float64 {
 }
 
 func mathSqrt(x float64) float64 { return math.Sqrt(x) }
+
+// Stats returns run statistics (valid after Run).
+func (g *Generator) Stats() Stats { return g.stats }
