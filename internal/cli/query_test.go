@@ -153,6 +153,44 @@ func TestOneAnswer(t *testing.T) {
 	}
 }
 
+// TestIngestSealsSameBytes: two ingests of one log seal the same segment
+// files, names and bytes. bgpstore ingest appends in AppendAll's groups while
+// background seals run beside it, so this holds only because an auto-seal
+// cuts at a record count, not wherever a seal happens to land.
+func TestIngestSealsSameBytes(t *testing.T) {
+	dir := t.TempDir()
+	logPath := filepath.Join(dir, "camp.irtl.gz")
+	run(t, Sim, "-out", logPath, "-scale", "small", "-q")
+	var stores [2]map[string][]byte
+	for i := range stores {
+		db := filepath.Join(dir, fmt.Sprintf("db%d", i))
+		run(t, Store, "ingest", "-store", db, "-autoseal", "1000", logPath)
+		entries, err := os.ReadDir(db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stores[i] = make(map[string][]byte)
+		for _, e := range entries {
+			if strings.HasSuffix(e.Name(), ".irts") {
+				if stores[i][e.Name()], err = os.ReadFile(filepath.Join(db, e.Name())); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	if len(stores[0]) < 10 {
+		t.Fatalf("%d segments: too few auto-seal cuts to test", len(stores[0]))
+	}
+	if len(stores[1]) != len(stores[0]) {
+		t.Fatalf("ingests sealed %d and %d segments", len(stores[0]), len(stores[1]))
+	}
+	for name, b := range stores[0] {
+		if !bytes.Equal(stores[1][name], b) {
+			t.Fatalf("segment %s differs between two ingests of one log", name)
+		}
+	}
+}
+
 // TestRecordStreamIsLog: a served IRTQ body is the log bgpstore query -out
 // writes for the same query, byte for byte — an empty answer and a cut one
 // included — and bgpanalyze reads the saved body as it reads the server.

@@ -28,9 +28,9 @@ var (
 	obsSealedSegments = obs.Default().Counter("irtl_store_sealed_segments_total",
 		"Segments produced by seals.")
 	obsSealActive = obs.Default().Gauge("irtl_store_seal_active",
-		"Whether a background seal batch is in flight (0 or 1).")
+		"Whether a seal batch is sealing in the background (0 or 1).")
 	obsSealStallSeconds = obs.Default().Histogram("irtl_store_seal_stall_seconds",
-		"Time an append stalled on seal backpressure (ingest a full threshold ahead).", nil)
+		"Time an append parked on seal backpressure (an auto-seal cut with two batches already queued).", nil)
 	obsSealSortSeconds = obs.Default().Histogram("irtl_store_seal_sort_seconds",
 		"Time sorting one detached window's snapshot before block encoding.", nil)
 	obsSealWriteSeconds = obs.Default().Histogram("irtl_store_seal_write_seconds",

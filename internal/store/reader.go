@@ -159,12 +159,12 @@ func (r *Reader) Close() error {
 
 // memSnapshotLocked copies out the unsealed rows matching q, in append order,
 // counting every considered record into ex.MemRecords. Unsealed means
-// the live memtable plus any windows a background seal has detached but not
+// the live memtable plus any windows the seal queue has detached but not
 // yet published: a record stays query-visible through every stage of the seal
 // pipeline, flipping from this overlay to the sealed segment under the same
-// lock hold. Detached records precede live ones of the same window, so the
-// caller's stable sort reproduces append order on timestamp ties exactly as
-// when both halves lived in one memtable slice.
+// lock hold. Detached records come in cut order and precede live ones of the
+// same window, so the caller's stable sort reproduces append order on
+// timestamp ties exactly as when they all lived in one memtable slice.
 func (s *Store) memSnapshotLocked(q *Query, ex *Explain) []memRec {
 	var mem []memRec
 	add := func(rows []memRec) {
@@ -175,11 +175,7 @@ func (s *Store) memSnapshotLocked(q *Query, ex *Explain) []memRec {
 			}
 		}
 	}
-	if b := s.sealing; b != nil {
-		for _, sw := range b.windows[b.published:] {
-			add(sw.recs)
-		}
-	}
+	s.unpublishedLocked(func(sw *sealWindow) { add(sw.recs) })
 	for _, mw := range s.mem {
 		add(mw.recs)
 	}

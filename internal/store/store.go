@@ -75,8 +75,10 @@ type Options struct {
 	// memory before writing them to the WAL in one group commit. Default
 	// 256. Flush and Seal always drain the batch regardless.
 	FlushEvery int
-	// AutoSealRecords seals the memtable automatically once it holds this
-	// many records, bounding memory during bulk ingest. 0 disables
+	// AutoSealRecords cuts the memtable into a background seal at the
+	// record that brings it to this count, bounding memory during bulk
+	// ingest. The cut is a record count, not a moment, so the same records
+	// seal into the same segment files however they are paced. 0 disables
 	// auto-sealing (Seal/Close only).
 	AutoSealRecords int
 	// Sync fsyncs WAL group commits and sealed segments. Off by default:
@@ -127,11 +129,13 @@ type Store struct {
 	mem     map[int64]*memWindow // windowStart (unixnano) -> unsealed records
 	memN    int
 	closed  bool
-	closing bool // Close in progress: stops finishSeal from chaining batches
+	closing bool // Close in progress: appends neither cut nor park
 
-	// sealing is the in-flight background seal batch, nil when idle; queries
-	// overlay its unpublished windows so detached records stay visible.
-	sealing *sealBatch
+	// seals is the seal queue in cut order: seals[0] is sealing in the
+	// background and at most one more auto-seal cut waits behind it.
+	// Queries overlay their unpublished windows so detached records stay
+	// visible.
+	seals []*sealBatch
 	// sealedSeq is the per-window sealed sequence high-water mark, maintained
 	// at publish time so opening a new memtable window is a map probe, not a
 	// scan over every segment.
@@ -423,9 +427,10 @@ type Stats struct {
 	SegmentsV3 int   // segments in block format v3 (column-coded, checksummed)
 	Blocks     int   // blocks across all segments
 	Records    int64 // records in sealed segments
-	MemRecords int   // unsealed records (memtable + any in-flight seal)
-	// SealingRecords is the subset of MemRecords detached into a background
-	// seal that has not published yet (0 when no seal is in flight).
+	MemRecords int   // unsealed records (memtable + every queued seal batch)
+	// SealingRecords is the subset of MemRecords cut into seal batches,
+	// sealing or queued, that have not published yet (0 when the queue is
+	// empty).
 	SealingRecords int
 	Windows        int    // distinct time windows with any data
 	DiskBytes      int64  // total size of segment files
@@ -463,12 +468,10 @@ func (s *Store) Stats() Stats {
 			windows[w] = true
 		}
 	}
-	if b := s.sealing; b != nil {
-		for _, sw := range b.windows[b.published:] {
-			windows[sw.window] = true
-			st.SealingRecords += len(sw.recs)
-		}
-	}
+	s.unpublishedLocked(func(sw *sealWindow) {
+		windows[sw.window] = true
+		st.SealingRecords += len(sw.recs)
+	})
 	st.MemRecords = s.memN + st.SealingRecords
 	st.Windows = len(windows)
 	st.WALBytes = s.wal.size()
@@ -492,8 +495,8 @@ func (s *Store) fingerprintLocked() uint64 {
 	return h.Sum64()
 }
 
-// Close seals any unsealed records — joining a background seal already in
-// flight — and releases the store.
+// Close seals any unsealed records — cutting the memtable behind the queued
+// background seals and waiting for all of them — and releases the store.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
