@@ -30,6 +30,7 @@ import (
 	"log"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 
 	"instability/internal/collector"
@@ -120,7 +121,7 @@ type storeFlags struct {
 // on; one it leaves out keeps its zero value — block cache off, no faults.
 const (
 	blockCacheFlag = 1 << iota // -block-cache-bytes: the command queries
-	chaosFlag                  // -chaos: store I/O fault injection
+	chaosFlag                  // -chaos: deterministic fault injection
 
 	allStoreFlags = blockCacheFlag | chaosFlag
 )
@@ -132,23 +133,32 @@ func addStoreFlags(fs *flag.FlagSet, dirUsage string, which int) *storeFlags {
 		fs.Int64Var(&f.blockCache, "block-cache-bytes", 32<<20, "byte budget of the shared parsed-block cache (0 = off)")
 	}
 	if which&chaosFlag != 0 {
-		fs.StringVar(&f.chaos, "chaos", "", "inject deterministic store I/O faults, e.g. seed=42,failsync=3,flipreadp=0.01 (see internal/faults)")
+		fs.StringVar(&f.chaos, "chaos", "", "inject deterministic faults, e.g. seed=42,failsync=3,flipreadp=0.01 (see internal/faults)")
 	}
 	return f
 }
 
-// check parses -chaos right after the flags are: a bad spec, or one with no
-// -store to fault, is a usage error before the command does anything.
-func (f *storeFlags) check() error {
+// check parses -chaos right after the flags are. The spec faults the
+// store's I/O when -store is set, and the planes in on (faults.ConnPlane for
+// bgpcollect's dialed connections) besides; a bad spec, one with nothing to
+// fault, or one setting a key that faults none of those is a usage error
+// before the command does anything.
+func (f *storeFlags) check(on int) error {
 	if f.chaos == "" {
 		return nil
-	}
-	if f.dir == "" {
-		return usagef("-chaos needs -store")
 	}
 	plan, err := faults.ParseSpec(f.chaos)
 	if err != nil {
 		return usageError{err: err}
+	}
+	if f.dir != "" {
+		on |= faults.DiskPlane
+	}
+	if idle := plan.Idle(on); len(idle) > 0 {
+		return usagef("-chaos %s: faults nothing this command runs", strings.Join(idle, ","))
+	}
+	if on == 0 {
+		return usagef("-chaos needs -store")
 	}
 	f.plan = &plan
 	return nil

@@ -105,6 +105,10 @@ func TestUsageErrors(t *testing.T) {
 		{"bgpcollect", []string{"-chaos", "bogus"}},
 		{"bgpcollect", []string{"-chaos", "resetp=NaN"}},
 		{"bgpcollect", []string{"-chaos", "maxdelay=-5ms"}},
+		{"bgpcollect", []string{"-chaos", "seed=1,resetp=0.5"}},
+		{"bgpcollect", []string{"-store", dir, "-chaos", "seed=1,resetp=0.5"}},
+		{"bgpcollect", []string{"-dial", "127.0.0.1:1", "-chaos", "seed=1,dropp=0.1"}},
+		{"bgpcollect", []string{"-dial", "127.0.0.1:1", "-chaos", "seed=1,failsync=3"}},
 		{"bgpcollect", []string{"-block-cache-bytes", "0"}},
 		{"bgpcollect", []string{"-seal-workers", "2"}},
 		{"bgpdump", []string{}},
@@ -115,12 +119,14 @@ func TestUsageErrors(t *testing.T) {
 		{"bgpserve", []string{"-no-such-flag"}},
 		{"bgpserve", []string{"-store", dir, "-chaos", "bogus=1"}},
 		{"bgpserve", []string{"-chaos", "seed=1"}},
+		{"bgpserve", []string{"-store", dir, "-chaos", "seed=1,dupp=0.5"}},
 		{"bgpserve", []string{"-store", dir, "-workers", "2"}},
 		{"bgpserve", []string{"-store", dir, "-seal-workers", "2"}},
 		{"bgpsim", []string{"-scale", "huge"}},
 		{"bgpstore", []string{"vacuum"}},
 		{"bgpstore", []string{"query", "-store", dir, "-chaos", "bogus=1"}},
 		{"bgpstore", []string{"query", "-store", dir, "-chaos", "writeerr=7"}},
+		{"bgpstore", []string{"ingest", "-store", dir, "-chaos", "seed=1,resetp=0.1", "x.irtl.gz"}},
 		{"bgpstore", []string{"query", "-store", dir, "-parallel", "2"}},
 		{"bgpstore", []string{"query", "-store", dir, "-prefix", "0.0.0.0/0"}},
 		{"bgpstore", []string{"query", "-store", dir, "-scanstats"}},

@@ -6,7 +6,6 @@ import (
 	"io"
 	"log"
 	"net"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -43,8 +42,8 @@ import (
 // exponential backoff (-backoff-base up to -backoff-max, reset after each
 // successful establishment) so a flapping route server is never hammered in
 // lockstep. -chaos wraps dialed connections in seeded random delays and
-// resets, for battering the dial/backoff path against a healthy peer (here
-// it faults connections, not store I/O as on the store commands).
+// resets, for battering the dial/backoff path against a healthy peer, and
+// with -store faults the store's I/O, from one spec.
 func Collect(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fs, lg := setup("bgpcollect", stderr)
 	var (
@@ -59,16 +58,18 @@ func Collect(ctx context.Context, args []string, stdout, stderr io.Writer) error
 		dial        = fs.String("dial", "", "comma-separated peer addresses to dial and keep sessions with")
 		backoffBase = fs.Duration("backoff-base", 500*time.Millisecond, "first redial delay")
 		backoffMax  = fs.Duration("backoff-max", time.Minute, "redial delay cap")
-		chaosSpec   = fs.String("chaos", "", "fault dialed connections, e.g. seed=1,resetp=0.01,maxdelay=5ms")
 	)
-	sf := addStoreFlags(fs, "also write through to an irtlstore at this directory", 0)
+	sf := addStoreFlags(fs, "also write through to an irtlstore at this directory", chaosFlag)
 	of := addObsFlags(fs)
 	if err := parse(fs, args); err != nil {
 		return err
 	}
-	chaosConn, err := parseConnChaos(*chaosSpec)
-	if err != nil {
-		return usageError{err: err}
+	var dialed int // the planes -chaos faults besides the store
+	if strings.TrimSpace(*dial) != "" {
+		dialed = faults.ConnPlane
+	}
+	if err := sf.check(dialed); err != nil {
+		return err
 	}
 	localID, err := netaddr.ParseAddr(*id)
 	if err != nil {
@@ -194,8 +195,8 @@ func Collect(ctx context.Context, args []string, stdout, stderr io.Writer) error
 				if err != nil {
 					lg.Printf("dial %s: %v", addr, err)
 				} else {
-					if chaosConn != nil {
-						conn = chaosConn.wrap(conn, int64(i)<<16|int64(attempt))
+					if sf.plan != nil { // each dialed conn on its own deterministic schedule
+						conn = faults.NewConn(conn, *sf.plan, int64(i)<<16|int64(attempt))
 					}
 					release, ok := track(conn)
 					if !ok {
@@ -357,51 +358,4 @@ func runSession(lg *log.Logger, conn net.Conn, cfg session.Config, write func(co
 	if err := r.Run(); err != nil {
 		lg.Printf("session with %v ended: %v", remote, err)
 	}
-}
-
-// connChaos is a parsed -chaos spec: the faults every dialed connection gets.
-type connChaos struct {
-	seed     int64
-	resetP   float64
-	maxDelay time.Duration
-}
-
-// wrap faults one dialed connection. The per-connection salt keeps every
-// dialed conn on its own deterministic schedule.
-func (k *connChaos) wrap(c net.Conn, salt int64) net.Conn {
-	return faults.NewConn(c, k.seed^salt, k.resetP, k.maxDelay)
-}
-
-// parseConnChaos parses the -chaos spec, nil for an empty one. Keys: seed
-// (base RNG seed), resetp (per-op spontaneous close probability, in [0,1]),
-// maxdelay (uniform random pre-op delay, not negative).
-func parseConnChaos(spec string) (*connChaos, error) {
-	if strings.TrimSpace(spec) == "" {
-		return nil, nil
-	}
-	k := &connChaos{}
-	for _, kv := range strings.Split(spec, ",") {
-		key, v, ok := strings.Cut(strings.TrimSpace(kv), "=")
-		if !ok {
-			return nil, fmt.Errorf("bad -chaos element %q (want key=value)", kv)
-		}
-		var err error
-		switch key {
-		case "seed":
-			k.seed, err = strconv.ParseInt(v, 10, 64)
-		case "resetp":
-			k.resetP, err = strconv.ParseFloat(v, 64)
-		case "maxdelay":
-			k.maxDelay, err = time.ParseDuration(v)
-		default:
-			return nil, fmt.Errorf("unknown -chaos key %q", key)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("bad -chaos value %q: %v", kv, err)
-		}
-	}
-	if !(k.resetP >= 0 && k.resetP <= 1) || k.maxDelay < 0 { // a NaN fails the first
-		return nil, fmt.Errorf("bad -chaos %q: resetp must be in [0,1] and maxdelay not negative", spec)
-	}
-	return k, nil
 }

@@ -49,7 +49,7 @@ func Serve(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if err := parse(fs, args); err != nil {
 		return err
 	}
-	if err := sf.check(); err != nil {
+	if err := sf.check(0); err != nil {
 		return err
 	}
 	quotas, def, err := serve.ParseQuotas(*quotaSpec)

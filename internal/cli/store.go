@@ -66,7 +66,7 @@ func (c *storeCmd) parse() error {
 	if err := parse(c.FlagSet, c.args); err != nil {
 		return err
 	}
-	if err := c.sf.check(); err != nil {
+	if err := c.sf.check(0); err != nil {
 		return err
 	}
 	if c.of == nil {

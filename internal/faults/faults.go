@@ -4,15 +4,18 @@
 // writes, flaky peering transports — are first-class, reproducible inputs to
 // tests and chaos runs instead of things that only happen in production.
 //
-// Three facilities:
+// One Plan describes every injected fault, and ParseSpec is the one grammar
+// of the -chaos flags that build it. Three wrappers apply it, each reading
+// the fields of its plane:
 //
 //   - FS / File: the filesystem surface internal/store performs all I/O
 //     through. Disk is the passthrough implementation; Injector wraps any FS
-//     and applies a Plan of write errors, short and torn writes, fsync
-//     failures, whole-process crash points, and bit-flips on reads.
+//     and applies write errors, short and torn writes, fsync failures,
+//     whole-process crash points, and bit-flips on reads.
+//   - Conn: a flaky net.Conn wrapper for live transports (bgpcollect -chaos
+//     with -dial): delays and resets.
 //   - Transport: seeded per-message chaos decisions (drop, duplicate, delay,
 //     reset) for the simulated session pipe.
-//   - Conn: a flaky net.Conn wrapper for live transports (bgpcollect -chaos).
 //
 // Everything is driven by an explicit seed, so a failing chaos run is a
 // reproducible test case, in the spirit of the ALICE torn-write analysis

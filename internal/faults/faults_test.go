@@ -2,8 +2,10 @@ package faults
 
 import (
 	"errors"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 )
@@ -164,10 +166,31 @@ func TestParseSpec(t *testing.T) {
 	}
 }
 
+// TestPlanIdle: a key is idle on a run that faults none of its planes.
+func TestPlanIdle(t *testing.T) {
+	p, err := ParseSpec("seed=1,failsync=3,resetp=0.5,dropp=0.1,opdelay=1ms")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		on   int
+		want []string
+	}{
+		{DiskPlane, []string{"resetp", "dropp"}},
+		{ConnPlane, []string{"failsync", "dropp"}},
+		{DiskPlane | ConnPlane, []string{"dropp"}},
+		{LinkPlane, []string{"failsync"}},
+		{0, []string{"failsync", "resetp", "dropp", "opdelay"}},
+	} {
+		if got := p.Idle(c.on); !slices.Equal(got, c.want) {
+			t.Errorf("Idle(%b) = %v, want %v", c.on, got, c.want)
+		}
+	}
+}
+
 func TestTransportDeterminism(t *testing.T) {
 	draw := func() (int, int, int) {
-		tr := NewTransport(11)
-		tr.DropProb, tr.DupProb, tr.ResetProb, tr.MaxExtraDelay = 0.2, 0.2, 0.05, time.Second
+		tr := NewTransport(Plan{Seed: 11, DropProb: 0.2, DupProb: 0.2, ResetProb: 0.05, MaxOpDelay: time.Second})
 		for i := 0; i < 500; i++ {
 			tr.Decide()
 		}
@@ -180,6 +203,44 @@ func TestTransportDeterminism(t *testing.T) {
 	}
 	if d1 == 0 || u1 == 0 || r1 == 0 {
 		t.Fatalf("500 draws injected nothing in some class: drops %d dups %d resets %d", d1, u1, r1)
+	}
+}
+
+// TestConnDeterminism: a Conn draws its delays and resets from Seed^salt in
+// a fixed order, a delay then a reset per op, so the same plan and salt give
+// the same sequence and a spec keeps the faults it drew before the Plan
+// carried connection faults.
+func TestConnDeterminism(t *testing.T) {
+	plan := Plan{Seed: 5, ResetProb: 0.2, MaxOpDelay: 4 * time.Millisecond}
+	type op struct {
+		sleep time.Duration
+		reset bool
+	}
+	draw := func(salt int64) []op {
+		c := NewConn(nil, plan, salt)
+		var ops []op
+		for i := 0; i < 200; i++ {
+			sleep, reset := c.draw()
+			ops = append(ops, op{sleep, reset})
+		}
+		return ops
+	}
+	ref := rand.New(rand.NewSource(plan.Seed ^ 3))
+	resets := 0
+	for i, got := range draw(3) {
+		want := op{time.Duration(ref.Int63n(int64(plan.MaxOpDelay))), ref.Float64() < plan.ResetProb}
+		if got != want {
+			t.Fatalf("op %d drew %+v, want %+v", i, got, want)
+		}
+		if got.reset {
+			resets++
+		}
+	}
+	if resets == 0 {
+		t.Fatal("ResetProb=0.2 over 200 ops drew no reset")
+	}
+	if slices.Equal(draw(3), draw(4)) {
+		t.Fatal("salts 3 and 4 drew the same sequence")
 	}
 }
 

@@ -7,7 +7,7 @@ import (
 
 // FuzzParseSpec checks the -chaos parser against its own documentation:
 // every Plan it accepts has no negative count or delay and every
-// probability in [0,1].
+// probability, the link keys resetp, dropp and dupp included, in [0,1].
 func FuzzParseSpec(f *testing.F) {
 	f.Add("seed=42,failsync=3,flipreadp=0.01")
 	f.Add("seed=7,tornwrite=5,crashop=40,opdelay=2ms")
@@ -15,6 +15,9 @@ func FuzzParseSpec(f *testing.F) {
 	f.Add("flipreadp=NaN")
 	f.Add("failwrite=-1,opdelay=-1s")
 	f.Add("")
+	f.Add("seed=1,resetp=0.01,dropp=0.5,dupp=1,opdelay=5ms")
+	f.Add("resetp=1.5")
+	f.Add("dupp=NaN,dropp=-0.1")
 	f.Fuzz(func(t *testing.T, spec string) {
 		p, err := ParseSpec(spec)
 		if err != nil {
@@ -25,7 +28,7 @@ func FuzzParseSpec(f *testing.F) {
 				t.Fatalf("%q accepted with a negative count: %+v", spec, p)
 			}
 		}
-		for _, prob := range []float64{p.WriteErrProb, p.ShortWriteProb, p.FlipReadBitProb} {
+		for _, prob := range []float64{p.WriteErrProb, p.ShortWriteProb, p.FlipReadBitProb, p.ResetProb, p.DropProb, p.DupProb} {
 			if math.IsNaN(prob) || prob < 0 || prob > 1 {
 				t.Fatalf("%q accepted with probability %v: %+v", spec, prob, p)
 			}

@@ -15,91 +15,81 @@ type Decision struct {
 	Extra time.Duration // additional one-way delay
 }
 
-// Transport draws seeded per-message chaos decisions for a session pipe:
-// drop, duplicate, delay, reset. The zero value injects nothing; all fields
-// may be set before traffic starts. Decide is safe for concurrent use.
+// Transport draws seeded per-message chaos decisions for a simulated session
+// pipe from a Plan's link fields: drop, duplicate, delay, reset. Decide is
+// safe for concurrent use.
 type Transport struct {
-	// DropProb loses a message with this probability.
-	DropProb float64
-	// DupProb delivers a message twice with this probability.
-	DupProb float64
-	// ResetProb tears the link down (both FSMs see TransportDown) instead
-	// of delivering, with this probability.
-	ResetProb float64
-	// MaxExtraDelay adds a uniform random delay in [0, MaxExtraDelay) to
-	// each delivery.
-	MaxExtraDelay time.Duration
-
 	// Counters of injected faults, readable after a run.
 	Drops, Dups, Resets int
 
-	mu  sync.Mutex
-	rng *rand.Rand
+	mu   sync.Mutex
+	rng  *rand.Rand
+	plan Plan
 }
 
-// NewTransport returns a Transport drawing from the given seed.
-func NewTransport(seed int64) *Transport {
-	return &Transport{rng: rand.New(rand.NewSource(seed))}
+// NewTransport returns a Transport applying plan, drawing from plan.Seed.
+func NewTransport(plan Plan) *Transport {
+	return &Transport{rng: rand.New(rand.NewSource(plan.Seed)), plan: plan}
 }
 
 // Decide draws the fate of one message. Reset preempts drop and duplicate.
 func (t *Transport) Decide() Decision {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.rng == nil {
-		t.rng = rand.New(rand.NewSource(0))
+	if t.plan.ResetProb > 0 && t.rng.Float64() < t.plan.ResetProb {
+		t.Resets++
+		return Decision{Reset: true}
+	}
+	if t.plan.DropProb > 0 && t.rng.Float64() < t.plan.DropProb {
+		t.Drops++
+		return Decision{Drop: true}
 	}
 	var d Decision
-	if t.ResetProb > 0 && t.rng.Float64() < t.ResetProb {
-		t.Resets++
-		d.Reset = true
-		return d
-	}
-	if t.DropProb > 0 && t.rng.Float64() < t.DropProb {
-		t.Drops++
-		d.Drop = true
-		return d
-	}
-	if t.DupProb > 0 && t.rng.Float64() < t.DupProb {
+	if t.plan.DupProb > 0 && t.rng.Float64() < t.plan.DupProb {
 		t.Dups++
 		d.Dup = true
 	}
-	if t.MaxExtraDelay > 0 {
-		d.Extra = time.Duration(t.rng.Int63n(int64(t.MaxExtraDelay)))
+	if t.plan.MaxOpDelay > 0 {
+		d.Extra = time.Duration(t.rng.Int63n(int64(t.plan.MaxOpDelay)))
 	}
 	return d
 }
 
-// Conn wraps a live net.Conn with seeded chaos: random pre-read/write
-// delays and spontaneous resets (the conn is closed and the op fails with
-// ErrInjected). It exists so bgpcollect -chaos can batter its own dial and
-// backoff paths against a cooperative peer without external tooling.
+// Conn wraps a live net.Conn with a Plan's connection faults: a random
+// delay before each read and write and spontaneous resets (the conn is
+// closed and the op fails with ErrInjected). It exists so bgpcollect -chaos
+// can batter its own dial and backoff paths against a cooperative peer
+// without external tooling.
 type Conn struct {
 	net.Conn
 
-	mu       sync.Mutex
-	rng      *rand.Rand
-	resetPer float64
-	maxDelay time.Duration
+	mu   sync.Mutex
+	rng  *rand.Rand
+	plan Plan
 }
 
 // NewConn wraps c: each Read/Write first sleeps a uniform random duration in
-// [0, maxDelay), then with probability resetPer closes the connection and
-// fails with ErrInjected.
-func NewConn(c net.Conn, seed int64, resetPer float64, maxDelay time.Duration) *Conn {
-	return &Conn{Conn: c, rng: rand.New(rand.NewSource(seed)), resetPer: resetPer, maxDelay: maxDelay}
+// [0, plan.MaxOpDelay), then with probability plan.ResetProb closes the
+// connection and fails with ErrInjected. It draws from plan.Seed^salt, so
+// conns wrapped under one plan with distinct salts fault independently.
+func NewConn(c net.Conn, plan Plan, salt int64) *Conn {
+	return &Conn{Conn: c, rng: rand.New(rand.NewSource(plan.Seed ^ salt)), plan: plan}
 }
 
-// chaos draws one delay/reset decision; it reports whether the op should
-// fail after closing the conn.
-func (c *Conn) chaos() bool {
+// draw draws one op's delay, then whether it resets the conn.
+func (c *Conn) draw() (sleep time.Duration, reset bool) {
 	c.mu.Lock()
-	var sleep time.Duration
-	if c.maxDelay > 0 {
-		sleep = time.Duration(c.rng.Int63n(int64(c.maxDelay)))
+	defer c.mu.Unlock()
+	if c.plan.MaxOpDelay > 0 {
+		sleep = time.Duration(c.rng.Int63n(int64(c.plan.MaxOpDelay)))
 	}
-	reset := c.resetPer > 0 && c.rng.Float64() < c.resetPer
-	c.mu.Unlock()
+	return sleep, c.plan.ResetProb > 0 && c.rng.Float64() < c.plan.ResetProb
+}
+
+// chaos applies one draw; it reports whether the op should fail after
+// closing the conn.
+func (c *Conn) chaos() bool {
+	sleep, reset := c.draw()
 	if sleep > 0 {
 		time.Sleep(sleep)
 	}

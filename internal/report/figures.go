@@ -690,10 +690,3 @@ func (r Fig10Result) String() string {
 	}
 	return sb.String()
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -9,9 +9,9 @@
 // Every request passes through the same read path:
 //
 //	admission (worker pool + queue shed + per-tenant token buckets)
-//	  → batcher (singleflight coalescing of identical in-flight aggregates)
-//	    → result cache (generation-keyed, byte-budgeted LRU)
-//	      → store (QueryCtx, predicate pushdown, ordered merge)
+//	  → result cache (generation-keyed, byte-budgeted LRU; its load-once
+//	    GetOrLoad coalesces identical in-flight aggregates)
+//	    → store (QueryCtx, predicate pushdown, ordered merge)
 //
 // Aggregate answers (class totals, daily series, top origins, the per-peer
 // density matrix) are cached under the store's segment-set generation, so a

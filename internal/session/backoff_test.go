@@ -82,11 +82,7 @@ func TestChaosPipeBackoffWithinBounds(t *testing.T) {
 	sim := events.New(11)
 	pipe := NewPipe(sim, 5*time.Millisecond)
 	pipe.Verify = true
-	chaos := faults.NewTransport(99)
-	chaos.ResetProb = 0.05
-	chaos.DropProb = 0.01
-	chaos.DupProb = 0.03
-	chaos.MaxExtraDelay = 2 * time.Millisecond
+	chaos := faults.NewTransport(faults.Plan{Seed: 99, ResetProb: 0.05, DropProb: 0.01, DupProb: 0.03, MaxOpDelay: 2 * time.Millisecond})
 	pipe.Chaos = chaos
 
 	rng := rand.New(rand.NewSource(7))

@@ -588,10 +588,11 @@ func runBackgroundCrashScript(t *testing.T, dir string, opts Options) (acked, ap
 }
 
 // TestCloseDuringParkedAppends pins the backpressure/Close contract:
-// appenders parked at the 2x auto-seal threshold must always wake when a
-// concurrent Close sweeps the store, must not hand Close fresh seal batches
-// to join (under sustained appends that livelocks the close), and every
-// append acked before the close must be sealed and readable after reopen.
+// appenders parked behind a full seal queue (one batch sealing, one queued)
+// must always wake when a concurrent Close sweeps the store, must not hand
+// Close fresh seal batches to join (under sustained appends that livelocks
+// the close), and every append acked before the close must be sealed and
+// readable after reopen.
 func TestCloseDuringParkedAppends(t *testing.T) {
 	dir := t.TempDir()
 	opts := testOptions()
