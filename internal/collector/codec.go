@@ -100,12 +100,20 @@ func AppendRecord(b []byte, rec Record) ([]byte, error) {
 // announcement's attributes in wire form (the store memoizes them per tuple);
 // attrs must be nil for every other record type.
 func AppendRecordAttrs(b []byte, rec Record, attrs []byte) []byte {
-	b = binary.BigEndian.AppendUint64(b, uint64(rec.Time.UnixNano()))
-	b = append(b, byte(rec.Type))
-	b = binary.AppendUvarint(b, uint64(rec.PeerAS))
-	b = binary.AppendUvarint(b, uint64(rec.PeerAddr))
-	b = append(b, byte(rec.Prefix.Bits()))
-	b = binary.AppendUvarint(b, uint64(rec.Prefix.Addr()))
+	return AppendRecordFields(b, rec.Time.UnixNano(), rec.Type, rec.PeerAS, rec.PeerAddr, rec.Prefix, attrs)
+}
+
+// AppendRecordFields is the record encoding itself, taken field by field:
+// the time as Unix nanoseconds and an announcement's attributes in wire form
+// (nil for every other record type). A caller holding a record's fields
+// apart (the store's memtable rows) encodes them without building a Record.
+func AppendRecordFields(b []byte, ns int64, typ RecType, peerAS bgp.ASN, peerAddr netaddr.Addr, prefix netaddr.Prefix, attrs []byte) []byte {
+	b = binary.BigEndian.AppendUint64(b, uint64(ns))
+	b = append(b, byte(typ))
+	b = binary.AppendUvarint(b, uint64(peerAS))
+	b = binary.AppendUvarint(b, uint64(peerAddr))
+	b = append(b, byte(prefix.Bits()))
+	b = binary.AppendUvarint(b, uint64(prefix.Addr()))
 	b = binary.AppendUvarint(b, uint64(len(attrs)))
 	return append(b, attrs...)
 }

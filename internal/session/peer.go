@@ -243,7 +243,7 @@ func (p *Peer) TransportDown(err error) {
 	if p.state == Idle {
 		return
 	}
-	p.drop(err, false)
+	p.drop(err)
 }
 
 // ErrHoldTimerExpired is reported through Callbacks.Down when the peer went
@@ -261,7 +261,7 @@ func (p *Peer) Deliver(msg bgp.Message) {
 	case bgp.Update:
 		p.handleUpdate(m)
 	case bgp.Notification:
-		p.drop(m, false)
+		p.drop(m)
 	default:
 		p.notifyAndDrop(bgp.Notification{Code: bgp.NotifMessageHeaderError})
 	}
@@ -353,11 +353,11 @@ func (p *Peer) send(msg bgp.Message) {
 
 func (p *Peer) notifyAndDrop(n bgp.Notification) {
 	p.send(n)
-	p.drop(n, true)
+	p.drop(n)
 }
 
 // drop tears the session down to Idle and schedules a reconnect.
-func (p *Peer) drop(err error, _ bool) {
+func (p *Peer) drop(err error) {
 	wasUp := p.state == Established
 	p.state = Idle
 	p.generation++
@@ -404,7 +404,7 @@ func (p *Peer) resetHoldTimer(d time.Duration) {
 			return
 		}
 		p.send(bgp.Notification{Code: bgp.NotifHoldTimerExpired})
-		p.drop(ErrHoldTimerExpired, true)
+		p.drop(ErrHoldTimerExpired)
 	})
 }
 

@@ -339,7 +339,7 @@ func BenchmarkSealStall(b *testing.B) {
 		// auto-seal threshold: flush, WAL rotation, memtable detach.
 		s.mu.Lock()
 		start := time.Now()
-		bat, err := s.detachSealLocked()
+		bat, err := s.detachSealLocked(false)
 		d := time.Since(start)
 		s.mu.Unlock()
 		if err != nil {

@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -170,6 +171,81 @@ func TestWALTornTailThenAppend(t *testing.T) {
 				t.Fatalf("after torn-tail recovery and append: %d records, want %d", len(recs), want+5)
 			}
 		})
+	}
+}
+
+// TestAppendAfterWALFault pins what a failed group commit leaves behind. One
+// WAL write is torn or fails, so the append whose commit it was reports an
+// error: with every append its own commit (flush=1) that is append 2, and
+// with commits of three (flush=3) append 5, whose commit also carries the
+// pending frames of appends 3 and 4. The store must then hold exactly the
+// appends it acknowledged: those after the fault survive a reopen (a torn
+// prefix left in the file would have buried them), the earlier calls' pending
+// frames reach the WAL at the next commit, the failed append is not stored,
+// and a retry of it stores it once.
+func TestAppendAfterWALFault(t *testing.T) {
+	type fault struct {
+		name string
+		plan func(n int) faults.Plan
+	}
+	for _, f := range []fault{
+		{"tornwrite", func(n int) faults.Plan { return faults.Plan{Seed: 3, TornWriteN: n} }},
+		{"failwrite", func(n int) faults.Plan { return faults.Plan{Seed: 3, FailWriteN: n} }},
+	} {
+		for _, c := range []struct{ flushEvery, writeN, failing int }{{1, 3, 2}, {3, 2, 5}} {
+			for _, retry := range []bool{false, true} {
+				name := fmt.Sprintf("%s/flush=%d/retry=%v", f.name, c.flushEvery, retry)
+				t.Run(name, func(t *testing.T) {
+					dir := t.TempDir()
+					opts := faultOptions()
+					opts.FlushEvery = c.flushEvery
+					opts.FS = faults.NewInjector(faults.Disk{}, f.plan(c.writeN))
+					s, err := Open(dir, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					w := s.Writer()
+					var acked []int
+					for i := 0; i < 8; i++ {
+						err := w.Append(faultRecord(i))
+						if (err != nil) != (i == c.failing) {
+							t.Fatalf("append %d: error %v", i, err)
+						}
+						if err != nil && retry {
+							err = w.Append(faultRecord(i))
+						}
+						if err == nil {
+							acked = append(acked, i)
+						}
+					}
+					if err := w.Flush(); err != nil {
+						t.Fatal(err)
+					}
+					// Abandon the store without sealing, as a crash would.
+					if err := s.wal.close(); err != nil {
+						t.Fatal(err)
+					}
+					s.closed = true
+
+					s2, err := Open(dir, faultOptions())
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer s2.Close()
+					recs, _ := queryAll(t, s2, Query{})
+					got := make([]int, len(recs))
+					for i, rec := range recs {
+						got[i] = faultRecordIndex(t, rec)
+					}
+					if !slices.Equal(got, acked) {
+						t.Fatalf("recovered %v, acknowledged %v", got, acked)
+					}
+					if n := w.Count(); n != int64(len(acked)) {
+						t.Fatalf("writer counts %d appends, %d were acknowledged", n, len(acked))
+					}
+				})
+			}
+		}
 	}
 }
 

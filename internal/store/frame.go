@@ -2,6 +2,7 @@ package store
 
 import (
 	"encoding/binary"
+	"fmt"
 	"io"
 	"os"
 
@@ -34,6 +35,11 @@ func splitChecksum(b []byte) ([]byte, bool) {
 type frameLog struct {
 	f   faults.File
 	off int64 // current append offset
+	// broken is the error that left the file off a frame boundary: a failed
+	// append whose torn bytes could not be cut away. Every later append
+	// returns it, since a frame written behind the garbage would be
+	// truncated away with it at the next open.
+	broken error
 }
 
 // openFrameLog opens (creating if absent) the log at path and replays its
@@ -66,19 +72,40 @@ func openFrameLog(fsys faults.FS, path string, each func(payload []byte) error) 
 	return &frameLog{f: f, off: off}, nil
 }
 
-// append writes pre-encoded frames in one write (group commit).
+// append writes pre-encoded frames in one write (group commit). It is all
+// or nothing: when the write or its sync fails, whatever part of the frames
+// reached the file is truncated away and the offset returns to the last
+// boundary, so a later append lands where these frames would have and none
+// of them is recovered.
 func (l *frameLog) append(frames []byte, sync bool) error {
+	if l.broken != nil {
+		return l.broken
+	}
 	if len(frames) == 0 {
 		return nil
 	}
-	if _, err := l.f.Write(frames); err != nil {
+	_, err := l.f.Write(frames)
+	if err == nil && sync {
+		err = l.f.Sync()
+	}
+	if err != nil {
+		if terr := l.rewind(); terr != nil {
+			l.broken = fmt.Errorf("store: log %s off a frame boundary: %w", l.f.Name(), terr)
+		}
 		return err
 	}
 	l.off += int64(len(frames))
-	if sync {
-		return l.f.Sync()
-	}
 	return nil
+}
+
+// rewind cuts the file back to the last frame boundary and puts the write
+// position there.
+func (l *frameLog) rewind() error {
+	if err := l.f.Truncate(l.off); err != nil {
+		return err
+	}
+	_, err := l.f.Seek(l.off, io.SeekStart)
+	return err
 }
 
 func (l *frameLog) size() int64 { return l.off }

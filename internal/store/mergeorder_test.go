@@ -85,7 +85,7 @@ func buildMergeStore(tb testing.TB, opts Options, batches [][]collector.Record) 
 			err = w.Seal()
 		case i == len(batches)-2:
 			s.mu.Lock()
-			inflight, err = s.detachSealLocked()
+			inflight, err = s.detachSealLocked(false)
 			s.mu.Unlock()
 		}
 		if err != nil {

@@ -739,3 +739,248 @@ func TestParkedAppendSurfacesSealError(t *testing.T) {
 	s.closed = true
 	s.mu.Unlock()
 }
+
+// TestCutKeepsOpenWindow pins the carry rule of an auto-seal cut: a stream
+// arriving in time order, no window holding more than half a threshold,
+// seals every window whole — one segment each — so Compact has nothing to
+// rewrite. The window still filling at a cut stays in the memtable, and after
+// the cut the memtable holds at most half a threshold.
+func TestCutKeepsOpenWindow(t *testing.T) {
+	const threshold = 64
+	rng := rand.New(rand.NewSource(45))
+	start := time.Date(1996, 3, 1, 0, 0, 0, 0, time.UTC)
+	var recs []collector.Record
+	const windows = 40
+	for h := 0; h < windows; h++ {
+		n := 1 + rng.Intn(threshold/2)
+		for i := 0; i < n; i++ {
+			ts := start.Add(time.Duration(h)*time.Hour + time.Duration(i)*time.Second)
+			prefix := netaddr.MustPrefix(netaddr.Addr(0xc6000000+uint32(h)<<16+uint32(i)<<8), 24)
+			recs = append(recs, mkRecord(ts, bgp.ASN(100+i%4), bgp.ASN(7000+h), prefix, i%3 != 0))
+		}
+	}
+	opts := Options{Window: time.Hour, BlockRecords: 16, AutoSealRecords: threshold}
+	s, err := Open(t.TempDir(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	w := s.Writer()
+	for rest := recs; len(rest) > 0; {
+		n := min(len(rest), 1+rng.Intn(100))
+		if err := w.AppendBatch(rest[:n]); err != nil {
+			t.Fatal(err)
+		}
+		rest = rest[n:]
+		s.mu.Lock()
+		memN := s.memN
+		s.mu.Unlock()
+		if memN >= threshold {
+			t.Fatalf("memtable holds %d records after an append, threshold %d", memN, threshold)
+		}
+	}
+	if st := s.Stats(); st.Segments+st.SealingRecords == 0 {
+		t.Fatal("no auto-seal cut")
+	}
+	if err := w.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Segments != windows || st.Windows != windows {
+		t.Fatalf("%d windows sealed into %d segments, want one each", st.Windows, st.Segments)
+	}
+	cs, err := s.Compact()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cs.RecordsRewritten != 0 || cs.SegmentsMerged != 0 {
+		t.Fatalf("compaction rewrote %d records of %d segments, want none", cs.RecordsRewritten, cs.SegmentsMerged)
+	}
+	got, _ := queryAll(t, s, Query{})
+	assertSameRecords(t, got, recs)
+}
+
+// carryOptions gives the carry crash test windows of 8 fault records (one a
+// second) under a threshold of 20, so every auto-seal cut carries the
+// window its cut record falls in.
+func carryOptions() Options {
+	return Options{Window: 8 * time.Second, BlockRecords: 16, FlushEvery: 1, AutoSealRecords: 20}
+}
+
+// TestCarriedWindowSurvivesCrash kills the filesystem at every mutating
+// operation, in turn, of a script whose auto-seal cuts all carry a window:
+// the WAL rotation, the re-log of the carried rows and its sync, the segment
+// writes and renames, and the deletion of the rotated WAL. Each append is its
+// own synced commit and each seal is joined before the next append, so the
+// operation sequence is the same on every run. Reopened, the store must hold
+// a duplicate-free, gap-free prefix of the appends: every acknowledged one,
+// and at most the one the crash interrupted.
+func TestCarriedWindowSurvivesCrash(t *testing.T) {
+	const appends = 70
+	for crashOp := 1; ; crashOp++ {
+		dir := t.TempDir()
+		inj := faults.NewInjector(faults.Disk{}, faults.Plan{Seed: int64(crashOp), CrashAtOp: crashOp})
+		opts := carryOptions()
+		opts.Sync = true
+		opts.FS = inj
+		acked := func() int {
+			s, err := Open(dir, opts)
+			if err != nil {
+				return 0
+			}
+			defer func() {
+				s.joinSeal()
+				s.mu.Lock()
+				s.wal.close()
+				s.closed = true
+				s.mu.Unlock()
+			}()
+			w := s.Writer()
+			for i := 0; i < appends; i++ {
+				if w.Append(faultRecord(i)) != nil || s.joinSeal() != nil {
+					return i
+				}
+			}
+			return appends
+		}()
+
+		s, err := Open(dir, carryOptions())
+		if err != nil {
+			t.Fatalf("crashOp=%d: reopen: %v", crashOp, err)
+		}
+		recs, _ := queryAll(t, s, Query{})
+		verifyRecoveredPrefix(t, recs, acked)
+		if len(recs) > acked+1 {
+			t.Fatalf("crashOp=%d: recovered %d records, %d acknowledged", crashOp, len(recs), acked)
+		}
+		if !inj.Stats().Crashed {
+			// The script ran out before the crash point: every operation
+			// has had its turn. The crash-free run must have sealed every
+			// finished window whole, so the cuts did carry.
+			if acked != appends || len(recs) != appends {
+				t.Fatalf("crash-free run: %d acknowledged, %d recovered of %d", acked, len(recs), appends)
+			}
+			if st := s.Stats(); st.Segments != appends/8 {
+				t.Fatalf("crash-free run sealed %d segments, want %d whole windows", st.Segments, appends/8)
+			}
+			s.Close()
+			return
+		}
+		if err := s.Close(); err != nil {
+			t.Fatalf("crashOp=%d: close after recovery: %v", crashOp, err)
+		}
+	}
+}
+
+// TestRelogDuplicateMustMatch pins the replay rule for re-logged rows: an
+// entry whose (window, seq) the memtable already holds is the carried copy
+// and is skipped when it encodes exactly as the held row, and fails Open with
+// ErrCorrupt when it differs in any field.
+func TestRelogDuplicateMustMatch(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mangle func(rec *collector.Record)
+	}{
+		{"identical", func(*collector.Record) {}},
+		{"peer", func(rec *collector.Record) { rec.PeerAS++ }},
+		{"time", func(rec *collector.Record) { rec.Time = rec.Time.Add(time.Nanosecond) }},
+		{"attrs", func(rec *collector.Record) { rec.Attrs.Path = bgp.PathFromASNs(rec.PeerAS, 3000, 9999) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			opts := faultOptions()
+			frames := func(from, to int, mangle func(rec *collector.Record)) []byte {
+				var b []byte
+				for i := from; i < to; i++ {
+					rec := faultRecord(i)
+					if i == 4 && mangle != nil {
+						mangle(&rec)
+					}
+					var err error
+					if b, err = recordWALFrame(b, faultBase.UnixNano(), uint64(i+1), rec); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return b
+			}
+			// The rotated WAL holds rows 0-9; the live one re-logs 3-9 (the
+			// carried rows, one of them mangled) and goes on with 10-14.
+			if err := os.WriteFile(filepath.Join(dir, walRotName(0)), frames(0, 10, nil), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			live := append(frames(3, 10, tc.mangle), frames(10, 15, nil)...)
+			if err := os.WriteFile(filepath.Join(dir, walName), live, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			s, err := Open(dir, opts)
+			if tc.name != "identical" {
+				if !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("open over a mismatched re-logged row: %v, want ErrCorrupt", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			got, _ := queryAll(t, s, Query{})
+			verifyRecoveredPrefix(t, got, 15)
+			if len(got) != 15 {
+				t.Fatalf("recovered %d records, want 15", len(got))
+			}
+		})
+	}
+}
+
+// TestRelogFailureKeepsRotatedWAL fails the re-log of a carried window. The
+// cut still succeeds and its batch seals, but the rotated WAL stays, as the
+// only file holding the carried rows, until a later cut's batch claims it;
+// then a crash loses no record.
+func TestRelogFailureKeepsRotatedWAL(t *testing.T) {
+	dir := t.TempDir()
+	opts := carryOptions()
+	// Writes 1-20 are the first 20 appends; write 21 is the re-log of the
+	// window the cut at record 19 carries.
+	inj := faults.NewInjector(faults.Disk{}, faults.Plan{Seed: 1, FailWriteN: 21})
+	opts.FS = inj
+	s, err := Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := s.Writer()
+	appendUpTo := func(from, to int) {
+		t.Helper()
+		for i := from; i < to; i++ {
+			if err := w.Append(faultRecord(i)); err != nil {
+				t.Fatalf("append %d: %v", i, err)
+			}
+		}
+		if err := s.joinSeal(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first := filepath.Join(dir, walRotName(0))
+	appendUpTo(0, 30)
+	if inj.Stats().Injected != 1 {
+		t.Fatal("the re-log write did not fail")
+	}
+	if _, err := os.Stat(first); err != nil {
+		t.Fatalf("rotated WAL behind a failed re-log was deleted: %v", err)
+	}
+	appendUpTo(30, 40)
+	if _, err := os.Stat(first); !os.IsNotExist(err) {
+		t.Fatalf("rotated WAL outlived the batch that claimed it: %v", err)
+	}
+	// Abandon the store without sealing, as a crash would.
+	s.wal.close()
+	s.closed = true
+	s2, err := Open(dir, carryOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	got, _ := queryAll(t, s2, Query{})
+	verifyRecoveredPrefix(t, got, 40)
+	if len(got) != 40 {
+		t.Fatalf("recovered %d of 40 records", len(got))
+	}
+}

@@ -48,6 +48,7 @@
 package store
 
 import (
+	"bytes"
 	"cmp"
 	"fmt"
 	"hash/fnv"
@@ -77,9 +78,12 @@ type Options struct {
 	FlushEvery int
 	// AutoSealRecords cuts the memtable into a background seal at the
 	// record that brings it to this count, bounding memory during bulk
-	// ingest. The cut is a record count, not a moment, so the same records
-	// seal into the same segment files however they are paced. 0 disables
-	// auto-sealing (Seal/Close only).
+	// ingest. The cut detaches every window but the cut record's own, which
+	// stays in the memtable to seal whole at a later cut when it holds at
+	// most half this count and is not the whole memtable; Seal and Close
+	// detach everything. The cut is a record count, not a moment, so the
+	// same records seal into the same segment files however they are paced.
+	// 0 disables auto-sealing (Seal/Close only).
 	AutoSealRecords int
 	// Sync fsyncs WAL group commits and sealed segments. Off by default:
 	// the tests and tools that batter the store do not need metal-level
@@ -128,8 +132,11 @@ type Store struct {
 	wal     *frameLog
 	mem     map[int64]*memWindow // windowStart (unixnano) -> unsealed records
 	memN    int
-	closed  bool
-	closing bool // Close in progress: appends neither cut nor park
+	// lastWindow is the window of the last record appended: the window an
+	// auto-seal cut may carry (carriedLocked).
+	lastWindow int64
+	closed     bool
+	closing    bool // Close in progress: appends neither cut nor park
 
 	// seals is the seal queue in cut order: seals[0] is sealing in the
 	// background and at most one more auto-seal cut waits behind it.
@@ -304,16 +311,27 @@ func (s *Store) sealedSeqs() map[int64]uint64 {
 }
 
 // replayWALEntries folds recovered WAL entries into the memtable, skipping
-// entries a sealed segment already covers. kept counts the entries that
-// became memtable records.
+// entries a sealed segment already covers and entries whose row the memtable
+// already holds: the re-logged copy of a window an auto-seal cut carried
+// (detachSealLocked), replayed first from the rotated WAL it came from. A
+// skipped copy must encode exactly as the held row does, or the WAL is
+// corrupt. kept counts the entries that became memtable records.
 func (s *Store) replayWALEntries(entries []walEntry) (kept int, err error) {
 	s.attrs.mu.Lock()
 	defer s.attrs.mu.Unlock()
+	var held []byte
 	for _, ent := range entries {
 		if ent.seq <= s.sealedSeq[ent.window] {
 			continue
 		}
 		mw := s.mem[ent.window]
+		if mw != nil && ent.seq >= mw.firstSeq && ent.seq-mw.firstSeq < uint64(len(mw.recs)) {
+			held = appendWALPayload(held[:0], ent.window, ent.seq, &mw.recs[ent.seq-mw.firstSeq])
+			if !bytes.Equal(held, ent.payload) {
+				return kept, fmt.Errorf("%w: WAL entry %d of window %d differs from the row replayed under its sequence number", ErrCorrupt, ent.seq, ent.window)
+			}
+			continue
+		}
 		if mw == nil {
 			mw = &memWindow{firstSeq: ent.seq}
 			s.mem[ent.window] = mw

@@ -49,9 +49,10 @@ func (s *Store) rotateWALLocked() (string, error) {
 // walEntry is one logged append: the record plus its (window, sequence)
 // position, which is what makes recovery dedupe exact.
 type walEntry struct {
-	window int64 // window start, unixnano
-	seq    uint64
-	rec    collector.Record
+	window  int64 // window start, unixnano
+	seq     uint64
+	rec     collector.Record
+	payload []byte // the encoded entry, as read
 }
 
 // openWAL opens (creating if absent) the WAL at path — a frameLog whose
@@ -66,6 +67,7 @@ func openWAL(fsys faults.FS, path string) (*frameLog, []walEntry, error) {
 		if err != nil {
 			return err
 		}
+		ent.payload = payload
 		entries = append(entries, ent)
 		return nil
 	})
@@ -77,17 +79,23 @@ func openWAL(fsys faults.FS, path string) (*frameLog, []walEntry, error) {
 
 // appendWALFrame encodes one row as a frame onto b. The payload is built in
 // place on b (see collector.BeginFrame), so no per-record scratch buffer is
-// allocated; an announcement's attribute bytes come from its ref.
+// allocated.
 func appendWALFrame(b []byte, window int64, seq uint64, r *memRec) []byte {
 	b, lenAt := collector.BeginFrame(b)
+	b = appendWALPayload(b, window, seq, r)
+	return collector.EndFrame(b, lenAt)
+}
+
+// appendWALPayload encodes one row's walEntry onto b straight from its
+// fields; an announcement's attribute bytes come from its ref.
+func appendWALPayload(b []byte, window int64, seq uint64, r *memRec) []byte {
 	b = binary.BigEndian.AppendUint64(b, uint64(window))
 	b = binary.BigEndian.AppendUint64(b, seq)
 	var wire []byte
 	if r.attrs != nil {
 		wire = r.attrs.wire
 	}
-	b = collector.AppendRecordAttrs(b, r.record(), wire)
-	return collector.EndFrame(b, lenAt)
+	return collector.AppendRecordFields(b, r.ns, r.typ, r.peerAS, r.peerAddr, r.prefix, wire)
 }
 
 func decodeWALPayload(p []byte) (walEntry, error) {

@@ -19,6 +19,12 @@ type Writer struct {
 	pending  []byte // encoded WAL frames awaiting a group commit
 	pendingN int
 	appended int64
+
+	// ownAt and ownFrom mark where, in pending (bytes) and by frame count,
+	// the frames of the append call holding the lock begin. Frames before
+	// them are earlier calls' acknowledged appends; a failed flush rolls
+	// back only the call's own.
+	ownAt, ownFrom int
 }
 
 // Append logs one record. The record becomes visible to queries immediately
@@ -32,7 +38,9 @@ func (w *Writer) Append(rec collector.Record) error {
 // plus one memtable append, with lock traffic and flush checks paid once per
 // batch, and WAL group commits once per FlushEvery records and at each
 // auto-seal cut the batch crosses. An error may leave a prefix of the batch
-// appended.
+// appended: the records a group commit or an auto-seal cut had already made
+// durable before the error. The rest of the batch is not stored, so a retry
+// of it stores each record once.
 func (w *Writer) AppendBatch(recs []collector.Record) error {
 	if len(recs) > 0 {
 		obsBatchRecords.Observe(float64(len(recs)))
@@ -42,7 +50,8 @@ func (w *Writer) AppendBatch(recs []collector.Record) error {
 
 // append is the one locked path behind Append and AppendBatch: it appends up
 // to the next auto-seal cut, lets maintainLocked cut there, and continues, so
-// a cut falls at the same record whatever the batch sizes.
+// a cut falls at the same record whatever the batch sizes. On an error it
+// takes back every record of the call that no flush has made durable.
 func (w *Writer) append(recs []collector.Record) error {
 	s := w.s
 	s.mu.Lock()
@@ -50,21 +59,52 @@ func (w *Writer) append(recs []collector.Record) error {
 	if s.closed || s.closing {
 		return fmt.Errorf("store: writer used after Close")
 	}
+	w.claimLocked()
+	done := 0
 	for {
-		n, err := w.appendLocked(recs)
+		n, err := w.appendLocked(recs[done:])
+		done += n
+		if err == nil {
+			err = w.maintainLocked()
+		}
 		if err != nil {
+			w.rollbackLocked(recs[:done])
 			return err
 		}
-		if err := w.maintainLocked(); err != nil {
-			return err
-		}
-		if recs = recs[n:]; len(recs) == 0 {
+		if done == len(recs) {
 			return nil
 		}
 		if s.closed { // a Close finished while this append was parked
 			return fmt.Errorf("store: writer used after Close")
 		}
 	}
+}
+
+// claimLocked marks the end of pending as where the calling append's own
+// frames begin.
+func (w *Writer) claimLocked() {
+	w.ownAt, w.ownFrom = len(w.pending), w.pendingN
+}
+
+// rollbackLocked undoes the appends of done, the records the failing call
+// has appended so far, that are still only pending: each of them is one
+// pending frame after ownFrom and, since the lock has been held since the
+// last flush or park, the last row of its window. Their frames never reached
+// the WAL (frameLog.append is all or nothing), so after this no trace of
+// them is left.
+func (w *Writer) rollbackLocked(done []collector.Record) {
+	s := w.s
+	for i := len(done) - 1; i >= len(done)-(w.pendingN-w.ownFrom); i-- {
+		window := s.windowStart(done[i].Time)
+		mw := s.mem[window]
+		if mw.recs = mw.recs[:len(mw.recs)-1]; len(mw.recs) == 0 {
+			delete(s.mem, window)
+		}
+		s.memN--
+		w.appended--
+	}
+	w.pending, w.pendingN = w.pending[:w.ownAt], w.ownFrom
+	obsMemRecords.SetInt(int64(s.unsealedLocked()))
 }
 
 // appendLocked appends records until the one that brings the memtable to
@@ -92,6 +132,7 @@ func (w *Writer) appendLocked(recs []collector.Record) (int, error) {
 		s.memN++
 		w.appended++
 		obsAppends.Inc()
+		s.lastWindow = window
 		if s.memN == s.opts.AutoSealRecords {
 			return i + 1, nil
 		}
@@ -117,7 +158,7 @@ func (w *Writer) maintainLocked() error {
 	// has begun, appends neither cut nor park, so its sweep drains.
 	for s.opts.AutoSealRecords > 0 && s.memN >= s.opts.AutoSealRecords && !s.closing {
 		if len(s.seals) < 2 {
-			return s.cutLocked()
+			return s.cutLocked(true)
 		}
 		b := s.seals[0]
 		if err := w.flushLocked(); err != nil {
@@ -127,6 +168,7 @@ func (w *Writer) maintainLocked() error {
 		s.mu.Unlock()
 		<-b.done
 		s.mu.Lock()
+		w.claimLocked() // other appends may have run while this one was parked
 		obsSealStallSeconds.ObserveSince(t0)
 		if b.err != nil {
 			// The batch we waited out failed and requeued every queued
@@ -190,10 +232,14 @@ func (s *Store) nextWindowSeqLocked(window int64) uint64 {
 	return next
 }
 
+// flushLocked writes the pending frames to the WAL in one group commit. On
+// failure they stay pending and none of them is in the WAL. With nothing
+// pending it still reports a broken WAL, so no cut rotates one away as if
+// its frames were whole.
 func (w *Writer) flushLocked() error {
 	s := w.s
 	if len(w.pending) == 0 {
-		return nil
+		return s.wal.broken
 	}
 	t0 := time.Now()
 	if err := s.wal.append(w.pending, s.opts.Sync); err != nil {
@@ -203,6 +249,7 @@ func (w *Writer) flushLocked() error {
 	obsWALBytes.SetInt(s.wal.size())
 	w.pending = w.pending[:0]
 	w.pendingN = 0
+	w.claimLocked()
 	return nil
 }
 
@@ -260,41 +307,59 @@ func (s *Store) unsealedLocked() int {
 }
 
 // cutLocked detaches the memtable into a batch at the tail of the seal
-// queue; a batch cut into an empty queue starts sealing at once.
-func (s *Store) cutLocked() error {
-	b, err := s.detachSealLocked()
+// queue; a batch cut into an empty queue starts sealing at once. An
+// auto-seal cut (carry) may keep the open window in the memtable.
+func (s *Store) cutLocked(carry bool) error {
+	b, err := s.detachSealLocked(carry)
 	if b != nil && len(s.seals) == 1 {
 		s.startSealLocked()
 	}
 	return err
 }
 
+// carriedLocked is the window an auto-seal cut keeps in the memtable: the
+// window of the last record appended, the one still filling in an in-order
+// stream, when it holds at most AutoSealRecords/2 rows and is not the whole
+// memtable. Sealing it now would split it across two segments and leave
+// Compact to rewrite it; carried, it seals whole at a later cut. The half
+// bound keeps the memtable after a cut at most half a threshold, and each
+// batch at least half, so re-logging the carried rows costs at most as many
+// WAL bytes as the appends did. It returns nil when no window qualifies.
+func (s *Store) carriedLocked() *memWindow {
+	mw := s.mem[s.lastWindow]
+	if mw == nil || 2*len(mw.recs) > s.opts.AutoSealRecords || len(mw.recs) == s.memN {
+		return nil
+	}
+	return mw
+}
+
 // detachSealLocked flushes pending appends, rotates the WAL, and detaches
 // every nonempty memtable window into a sealBatch queued at the tail of
-// s.seals. It returns nil when there is nothing to seal. After it returns,
-// the memtable is empty and new appends land in a fresh WAL; the batch alone
-// references the detached records and the rotated WAL files that make them
-// durable.
-func (s *Store) detachSealLocked() (*sealBatch, error) {
+// s.seals — every window but the carried one (carriedLocked) when carry is
+// set. It returns nil when there is nothing to seal. After it returns, new
+// appends land in a fresh WAL, and the batch alone references the detached
+// records and the rotated WAL files that make them durable. A carried
+// window stays in the memtable and is re-logged into the fresh WAL first, so
+// the rotated files back only the batch. If that re-log fails, the rotated
+// file and every stale one stay stale instead, since the carried rows still
+// need them, and the batch claims no WAL; the cut itself has succeeded, and
+// the fault surfaces at the next write to the WAL.
+func (s *Store) detachSealLocked(carry bool) (*sealBatch, error) {
 	if err := s.writer.flushLocked(); err != nil {
 		return nil, err
 	}
 	if s.memN == 0 {
 		return nil, nil
 	}
+	var kept *memWindow
+	if carry {
+		kept = s.carriedLocked()
+	}
 	rotated, err := s.rotateWALLocked()
 	if err != nil {
 		return nil, err
 	}
 	b := &sealBatch{done: make(chan struct{})}
-	// Stale WALs from earlier failed seals (or recovered at Open) cover
-	// records that were requeued into the memtable, so this batch subsumes
-	// them: they become deletable exactly when it fully publishes.
-	b.wals = append(b.wals, s.staleWALs...)
-	s.staleWALs = nil
-	if rotated != "" {
-		b.wals = append(b.wals, rotated)
-	}
 	windows := make([]int64, 0, len(s.mem))
 	for wd := range s.mem {
 		windows = append(windows, wd)
@@ -302,7 +367,7 @@ func (s *Store) detachSealLocked() (*sealBatch, error) {
 	slices.Sort(windows)
 	for _, wd := range windows {
 		mw := s.mem[wd]
-		if len(mw.recs) == 0 {
+		if len(mw.recs) == 0 || mw == kept {
 			continue
 		}
 		b.windows = append(b.windows, sealWindow{
@@ -315,8 +380,41 @@ func (s *Store) detachSealLocked() (*sealBatch, error) {
 	}
 	clear(s.mem)
 	s.memN = 0
+	if rotated != "" {
+		s.staleWALs = append(s.staleWALs, rotated)
+	}
+	relogged := true
+	if kept != nil {
+		s.mem[s.lastWindow] = kept
+		s.memN = len(kept.recs)
+		relogged = s.writer.relogLocked(s.lastWindow, kept) == nil
+	}
+	if relogged {
+		// Stale WALs from earlier failed seals (or recovered at Open, or
+		// kept by a failed re-log) cover records that are now in this batch,
+		// sealed ahead of it, or re-logged: they become deletable exactly
+		// when it fully publishes.
+		b.wals, s.staleWALs = s.staleWALs, nil
+	}
 	s.seals = append(s.seals, b)
 	return b, nil
+}
+
+// relogLocked writes a carried window's rows into the fresh WAL under their
+// own sequence numbers and flushes them. On Open, a copy whose row an older
+// WAL already replayed is skipped (replayWALEntries). On failure the frames
+// are dropped: the rows stay backed by the WAL files they were logged in.
+func (w *Writer) relogLocked(window int64, mw *memWindow) error {
+	for i := range mw.recs {
+		w.pending = appendWALFrame(w.pending, window, mw.firstSeq+uint64(i), &mw.recs[i])
+	}
+	w.pendingN += len(mw.recs)
+	if err := w.flushLocked(); err != nil {
+		w.pending, w.pendingN = w.pending[:0], 0
+		w.claimLocked()
+		return err
+	}
+	return nil
 }
 
 // startSealLocked seals the batch at the head of the queue on a background
@@ -462,7 +560,7 @@ func (s *Store) joinSealLocked() error {
 // cuts).
 func (s *Store) sealSyncLocked() error {
 	for {
-		if err := s.cutLocked(); err != nil {
+		if err := s.cutLocked(false); err != nil {
 			return err
 		}
 		if err := s.joinSealLocked(); err != nil {
