@@ -322,3 +322,30 @@ func (d *Detector) ActiveAlerts() int {
 	defer d.mu.Unlock()
 	return len(d.alerting)
 }
+
+// TestAddAfterAdvanceFinalizedWindow feeds a window, finalizes it, then adds
+// a late surge stamped in that finalized window and traffic in the next
+// one. The late events open a fresh pending window that Finish evaluates,
+// so the surge must alert on the global channel exactly as pinned here; an
+// Add that counted them into the already-finalized window would lose them.
+func TestAddAfterAdvanceFinalizedWindow(t *testing.T) {
+	d := New(testConfig())
+	w := t0
+	for i := 0; i < 60; i++ { // past warmup, baseline trained at 100/window
+		feedRate(d, w, 7, core.WADup, 100)
+		w = w.Add(time.Minute)
+	}
+	late := w.Add(-time.Minute) // the last fed window, finalized below
+	d.Advance(w)
+	feedRate(d, late, 7, core.WADup, 1000)
+	feedRate(d, w, 7, core.WADup, 100)
+	alerts := d.Finish()
+	if len(alerts) != 1 {
+		t.Fatalf("got %d alerts %+v, want one global WADup alert", len(alerts), alerts)
+	}
+	a := alerts[0]
+	if a.Key != (Key{Chan: ChanGlobal, Class: core.WADup}) || !a.Start.Equal(late) ||
+		!a.End.Equal(w) || a.Windows != 1 || a.Records != 1000 {
+		t.Errorf("alert %+v, want global WADup over [%s, %s), 1 window, 1000 records", a, late, w)
+	}
+}
