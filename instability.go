@@ -60,10 +60,12 @@ func NewPipeline() *Pipeline {
 	}
 }
 
-// Feed classifies one record and folds it into the statistics.
+// Feed classifies one record and folds it into the statistics. The event is
+// built once and classified and counted in place.
 func (p *Pipeline) Feed(rec collector.Record) core.Event {
-	ev := p.Classifier.Classify(rec)
-	p.Acc.Add(ev)
+	ev := core.Event{Record: rec}
+	p.Classifier.ClassifyEvent(&ev)
+	p.Acc.AddEvent(&ev)
 	if p.Events != nil {
 		p.Events(ev)
 	}

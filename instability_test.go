@@ -6,8 +6,10 @@ import (
 	"time"
 
 	"instability"
+	"instability/internal/bgp"
 	"instability/internal/collector"
 	"instability/internal/core"
+	"instability/internal/netaddr"
 	"instability/internal/workload"
 )
 
@@ -39,6 +41,42 @@ func TestRunScenarioPipeline(t *testing.T) {
 	}
 	if c.Multihomed == 0 {
 		t.Fatal("census shows no multihoming")
+	}
+}
+
+// TestFeedAllocsZero pins the per-record cost of the paper's two repeated
+// classes: a duplicate announcement (AADup) and a repeated withdrawal
+// (WWDup), each within one day and one detector window, allocate nothing
+// through Feed and the detector on its Events hook — the Event never
+// escapes to the heap.
+func TestFeedAllocsZero(t *testing.T) {
+	p := instability.NewPipeline()
+	attachDetector(p)
+	at := time.Date(1996, 6, 3, 12, 0, 0, 0, time.UTC)
+	peer := netaddr.MustParseAddr("192.41.177.1")
+	ann := collector.Record{
+		Time: at, Type: collector.Announce, PeerAS: 690, PeerAddr: peer,
+		Prefix: netaddr.MustParsePrefix("35.0.0.0/8"),
+		Attrs:  bgp.Attrs{Path: bgp.PathFromASNs(690, 237), NextHop: peer, Communities: []bgp.Community{0x02b20001}},
+	}
+	wd := collector.Record{
+		Time: at, Type: collector.Withdraw, PeerAS: 690, PeerAddr: peer,
+		Prefix: netaddr.MustParsePrefix("141.211.0.0/16"),
+	}
+	for _, c := range []struct {
+		rec   collector.Record
+		class core.Class
+	}{{ann, core.AADup}, {wd, core.WWDup}} {
+		// Two feeds bring the route to the repeated state and create every
+		// counter a repeat bumps.
+		p.Feed(c.rec)
+		p.Feed(c.rec)
+		if ev := p.Feed(c.rec); ev.Class != c.class {
+			t.Fatalf("%v record classified %v, want %v", c.rec.Type, ev.Class, c.class)
+		}
+		if n := testing.AllocsPerRun(200, func() { p.Feed(c.rec) }); n != 0 {
+			t.Errorf("Feed of a repeated %v: %v allocs per record, want 0", c.class, n)
+		}
 	}
 }
 

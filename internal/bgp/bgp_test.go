@@ -418,24 +418,24 @@ func toASNs(xs []uint16) []ASN {
 func TestAttrsEquality(t *testing.T) {
 	a := testAttrs()
 	b := testAttrs()
-	if !a.ForwardingEqual(b) || !a.PolicyEqual(b) {
+	if !a.ForwardingEqual(&b) || !a.PolicyEqual(&b) {
 		t.Fatal("identical attrs must be equal")
 	}
 	b.Communities = []Community{1}
-	if !a.ForwardingEqual(b) {
+	if !a.ForwardingEqual(&b) {
 		t.Fatal("community change should not affect forwarding equality")
 	}
-	if a.PolicyEqual(b) {
+	if a.PolicyEqual(&b) {
 		t.Fatal("community change is a policy change")
 	}
 	c := testAttrs()
 	c.NextHop++
-	if a.ForwardingEqual(c) {
+	if a.ForwardingEqual(&c) {
 		t.Fatal("nexthop change is forwarding change")
 	}
 	d := testAttrs()
 	d.Path = d.Path.Prepend(7)
-	if a.ForwardingEqual(d) {
+	if a.ForwardingEqual(&d) {
 		t.Fatal("path change is forwarding change")
 	}
 }

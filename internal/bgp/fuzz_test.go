@@ -59,7 +59,7 @@ func FuzzUnmarshalAttrs(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encoded attrs failed to decode: %v", err)
 		}
-		if !a.PolicyEqual(b) {
+		if !a.PolicyEqual(&b) {
 			t.Fatalf("round-trip changed attrs: %+v != %+v", a, b)
 		}
 		// Canonical encodings are a fixed point: encoding the decoded form

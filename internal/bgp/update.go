@@ -90,7 +90,7 @@ type Attrs struct {
 // announcements are exact duplicates (the paper's AADup test considers
 // (Prefix, NextHop, ASPATH); full equality distinguishes policy fluctuation
 // from pure duplication).
-func (a Attrs) PolicyEqual(b Attrs) bool {
+func (a *Attrs) PolicyEqual(b *Attrs) bool {
 	if !a.ForwardingEqual(b) {
 		return false
 	}
@@ -111,7 +111,7 @@ func (a Attrs) PolicyEqual(b Attrs) bool {
 
 // ForwardingEqual reports whether a and b agree on the forwarding-relevant
 // (NextHop, ASPATH) portion of the tuple.
-func (a Attrs) ForwardingEqual(b Attrs) bool {
+func (a *Attrs) ForwardingEqual(b *Attrs) bool {
 	return a.NextHop == b.NextHop && a.Path.Equal(b.Path)
 }
 

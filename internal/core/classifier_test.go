@@ -235,11 +235,11 @@ func TestClassifierInvariants(t *testing.T) {
 			ev = c.Classify(ann(now, p, prefix, a))
 			var want Class
 			switch {
-			case st.announced && st.last.ForwardingEqual(a):
+			case st.announced && st.last.ForwardingEqual(&a):
 				want = AADup
 			case st.announced:
 				want = AADiff
-			case st.ever && st.last.ForwardingEqual(a):
+			case st.ever && st.last.ForwardingEqual(&a):
 				want = WADup
 			case st.ever:
 				want = WADiff

@@ -10,7 +10,7 @@ import "instability/internal/obs"
 //
 // The functions read the accumulator's atomic totals, so exposition never
 // takes a lock and never touches the per-day maps that Add is mutating —
-// a scrape during full-rate ingest costs seven atomic loads.
+// a scrape during full-rate ingest costs a dozen atomic loads.
 // Re-registering (e.g. a fresh pipeline in the same process) rebinds the
 // series to the new accumulator.
 func (a *Accumulator) Register(reg *obs.Registry) {
@@ -23,5 +23,5 @@ func (a *Accumulator) Register(reg *obs.Registry) {
 	}
 	reg.CounterFunc("irtl_classify_events_total",
 		"Updates classified by the streaming classifier.",
-		func() float64 { return float64(a.events.Load()) })
+		func() float64 { return float64(a.TotalEvents()) })
 }

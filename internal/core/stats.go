@@ -161,10 +161,9 @@ type Accumulator struct {
 	cur      *DayStats
 	curStart int64
 
-	// totals and events are the live cross-day tallies, maintained by Add
-	// and read lock-free by TotalCounts and the obs gauges.
+	// totals are the live cross-day class tallies, maintained by Add and
+	// read lock-free by TotalCounts, TotalEvents and the obs gauges.
 	totals [NumClasses]atomic.Int64
-	events atomic.Int64
 }
 
 // NewAccumulator returns an empty accumulator.
@@ -182,10 +181,14 @@ func (a *Accumulator) Day(d Date) *DayStats {
 	return s
 }
 
-// Add folds one classified event in. Only a route's first event of a day
-// probes ByPeer and ByPrefixAS: Add caches those counters in the classifier
-// slot the event carries, so it must run where that classifier's Classify does.
-func (a *Accumulator) Add(ev Event) {
+// Add folds one classified event in; it is AddEvent on a copy.
+func (a *Accumulator) Add(ev Event) { a.AddEvent(&ev) }
+
+// AddEvent folds one classified event in, reading it in place. Only a
+// route's first event of a day probes ByPeer and ByPrefixAS: AddEvent caches
+// those counters in the classifier slot the event carries, so it must run
+// where that classifier's Classify does.
+func (a *Accumulator) AddEvent(ev *Event) {
 	sec := ev.Record.Time.Unix()
 	s := a.cur
 	if s == nil || sec < a.curStart || sec-a.curStart >= 86400 {
@@ -194,7 +197,6 @@ func (a *Accumulator) Add(ev Event) {
 	}
 	s.Counts[ev.Class]++
 	a.totals[ev.Class].Add(1)
-	a.events.Add(1)
 	if ev.PolicyShift {
 		s.PolicyShifts++
 	}
@@ -220,7 +222,8 @@ func (a *Accumulator) Add(ev Event) {
 	if r := ev.route; r != nil && r.day == s {
 		pc, pac = r.peerDay, r.prefixAS
 	} else {
-		peer, pa := PeerKeyOf(ev.Record), PrefixASOf(ev.Record)
+		rec := &ev.Record
+		peer, pa := PeerKey{AS: rec.PeerAS, Addr: rec.PeerAddr}, PrefixAS{Prefix: rec.Prefix, AS: rec.PeerAS}
 		if pc = s.ByPeer[peer]; pc == nil {
 			pc = new(PeerDay)
 			s.ByPeer[peer] = pc
@@ -270,7 +273,6 @@ func (a *Accumulator) Merge(src *Accumulator) {
 	for i := range a.totals {
 		a.totals[i].Add(src.totals[i].Load())
 	}
-	a.events.Add(src.events.Load())
 }
 
 // mergeFrom adds src's tallies into dst.
@@ -364,7 +366,13 @@ func (a *Accumulator) TotalCounts() [NumClasses]int {
 
 // TotalEvents returns the number of events folded in so far (the sum of
 // TotalCounts), readable concurrently with Add.
-func (a *Accumulator) TotalEvents() int64 { return a.events.Load() }
+func (a *Accumulator) TotalEvents() int64 {
+	var n int64
+	for i := range a.totals {
+		n += a.totals[i].Load()
+	}
+	return n
+}
 
 // MonthKey identifies a calendar month.
 type MonthKey struct {

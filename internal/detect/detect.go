@@ -275,9 +275,13 @@ type Detector struct {
 	estWins int64   // EstablishAge in windows
 	warmNs  int64
 
-	mu        sync.Mutex
-	pend      map[int64]*windowPend
-	last      *windowPend // the newest window, which sizes the next one's maps
+	mu   sync.Mutex
+	pend map[int64]*windowPend
+	last *windowPend // the newest window, which sizes the next one's maps
+	// cur is last while it is still pending (nil once finalized), and curW
+	// its window: an event in the newest window skips the pend probe.
+	cur       *windowPend
+	curW      int64
 	base      map[uint64]*baseline
 	alerting  map[uint64]struct{}
 	origins   map[netaddr.Prefix]*originState
@@ -320,7 +324,7 @@ func (d *Detector) windowOf(t time.Time) int64 {
 
 // Add observes one classified event. Safe for concurrent use.
 func (d *Detector) Add(ev core.Event) {
-	rec := ev.Record
+	rec := &ev.Record
 	switch rec.Type {
 	case collector.Announce, collector.Withdraw:
 	default:
@@ -335,10 +339,13 @@ func (d *Detector) Add(ev core.Event) {
 	if !d.haveFirst || ns < d.firstNano {
 		d.firstNano, d.haveFirst = ns, true
 	}
-	pd := d.pend[w]
-	if pd == nil {
-		pd = &windowPend{counts: make(map[uint64]int64, len(d.last.counts)), origins: make(map[uint64]int64, len(d.last.origins))}
-		d.pend[w], d.last = pd, pd
+	pd := d.cur
+	if pd == nil || w != d.curW {
+		if pd = d.pend[w]; pd == nil {
+			pd = &windowPend{counts: make(map[uint64]int64, len(d.last.counts)), origins: make(map[uint64]int64, len(d.last.origins))}
+			d.pend[w], d.last = pd, pd
+			d.cur, d.curW = pd, w
+		}
 	}
 	pd.global[ev.Class]++
 	pd.counts[pack(Key{Chan: ChanPeer, Peer: rec.PeerAS, Class: ev.Class})]++
@@ -588,6 +595,9 @@ func (d *Detector) advanceLocked(target int64) {
 	for _, w := range wins {
 		pd := d.pend[w]
 		delete(d.pend, w)
+		if pd == d.cur {
+			d.cur = nil // finalized: a late event opens a fresh window
+		}
 		// In keyLess order: the key and peer channels, global, origin.
 		keys = sortedKeys(keys, pd.counts)
 		for _, k := range keys {

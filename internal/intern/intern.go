@@ -39,6 +39,10 @@ type Handle struct {
 // handle's interned slices and must be treated as read-only.
 func (h *Handle) Attrs() bgp.Attrs { return h.attrs }
 
+// Path returns the canonical tuple's AS path without copying the rest of
+// the tuple. It shares the handle's interned segments: read-only.
+func (h *Handle) Path() bgp.ASPath { return h.attrs.Path }
+
 // ForwardingEqual reports whether two handles from the same table agree on
 // the forwarding-relevant (NextHop, ASPATH) tuple — the paper's duplicate
 // test — as one pointer compare or two integer compares, never a path walk.
@@ -84,12 +88,29 @@ func New() *Table {
 // Attrs interns a and returns its canonical handle. On a miss the tuple is
 // deep-copied (path segments and communities), so the caller's slices are
 // never retained; on a hit nothing is allocated.
-func (t *Table) Attrs(a bgp.Attrs) *Handle {
+func (t *Table) Attrs(a bgp.Attrs) *Handle { return t.lookup(&a) }
+
+// AttrsAfter is Attrs for a tuple that usually repeats prev, the handle the
+// caller last interned for the same route (nil for none). A tuple
+// PolicyEqual to prev's resolves to prev with one comparison and no hash,
+// counted as the hit Attrs would count: a table holds one handle per
+// PolicyEqual class, so prev is the handle Attrs would return. prev must
+// come from t.
+func (t *Table) AttrsAfter(prev *Handle, a *bgp.Attrs) *Handle {
+	if prev != nil && prev.attrs.PolicyEqual(a) {
+		t.hit()
+		return prev
+	}
+	return t.lookup(a)
+}
+
+// lookup is the hashed lookup behind Attrs and AttrsAfter; a is read, never
+// retained.
+func (t *Table) lookup(a *bgp.Attrs) *Handle {
 	h := hashAttrs(a)
 	for _, cand := range t.byHash[h] {
 		if cand.attrs.PolicyEqual(a) {
-			t.hits++
-			t.maybeFlush()
+			t.hit()
 			return cand
 		}
 	}
@@ -98,7 +119,7 @@ func (t *Table) Attrs(a bgp.Attrs) *Handle {
 	if t.paths.Len() != before {
 		t.pathMisses++
 	}
-	canon := a
+	canon := *a
 	canon.Path = t.paths.Lookup(pid)
 	if len(a.Communities) > 0 {
 		canon.Communities = append([]bgp.Community(nil), a.Communities...)
@@ -121,6 +142,12 @@ func (t *Table) Paths() *bgp.PathTable { return t.paths }
 
 // Len returns the number of distinct attribute tuples interned.
 func (t *Table) Len() int { return int(t.n) }
+
+// hit counts a lookup that returned an existing handle.
+func (t *Table) hit() {
+	t.hits++
+	t.maybeFlush()
+}
 
 func (t *Table) maybeFlush() {
 	if t.hits+t.misses >= statsFlushEvery {
@@ -147,7 +174,7 @@ func (t *Table) FlushStats() {
 
 // hashAttrs hashes the full policy tuple without allocating. PolicyEqual
 // tuples hash identically.
-func hashAttrs(a bgp.Attrs) uint64 {
+func hashAttrs(a *bgp.Attrs) uint64 {
 	h := bgp.HashPath(a.Path)
 	h = mix(h ^ uint64(a.NextHop))
 	var flags uint64

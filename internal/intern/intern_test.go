@@ -1,6 +1,7 @@
 package intern
 
 import (
+	"math/rand"
 	"testing"
 
 	"instability/internal/bgp"
@@ -143,6 +144,103 @@ func TestStatsFlush(t *testing.T) {
 	if h2 != h1 || m2 != m1 {
 		t.Fatalf("empty flush moved totals")
 	}
+}
+
+// TestAttrsAfterPrevMatchesAttrs feeds one seeded stream of per-route
+// announcements into two tables, one through AttrsAfter with each route's
+// previous handle and one through plain Attrs. The stream mixes first
+// sightings (a nil prev), exact repeats, policy shifts (same next hop and
+// path, another MED or community set) and forwarding changes; every
+// repeat is a fresh copy, so no slice is shared with the interned tuple.
+// Both tables must hand out the same handle IDs and count the same hits,
+// misses and paths.
+func TestAttrsAfterPrevMatchesAttrs(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	paths := []bgp.ASPath{
+		bgp.PathFromASNs(701, 690), bgp.PathFromASNs(701, 1239, 690),
+		bgp.PathFromASNs(1239, 237), bgp.PathFromASNs(3561, 701, 237),
+	}
+	hops := []string{"10.0.0.1", "10.0.0.2", "10.0.0.3"}
+	fresh := func() bgp.Attrs {
+		p := paths[rng.Intn(len(paths))]
+		return attrs(hops[rng.Intn(len(hops))], bgp.PathFromASNs(asns(p)...))
+	}
+	const routes, n = 64, 20000
+	last := make([]bgp.Attrs, routes)
+	seen := make([]bool, routes)
+	type step struct {
+		route int
+		a     bgp.Attrs
+	}
+	stream := make([]step, n)
+	kinds := make(map[string]int)
+	for i := range stream {
+		r := rng.Intn(routes)
+		a, kind := fresh(), "forwarding change"
+		switch k := rng.Intn(10); {
+		case !seen[r]:
+			kind = "nil prev"
+		case k < 6: // an exact repeat, on freshly allocated slices
+			a = last[r]
+			a.Path = bgp.PathFromASNs(asns(a.Path)...)
+			a.Communities = append([]bgp.Community(nil), a.Communities...)
+			kind = "repeat"
+		case k < 8: // a policy shift: same forwarding tuple
+			a = last[r]
+			a.Path = bgp.PathFromASNs(asns(a.Path)...)
+			if rng.Intn(2) == 0 {
+				a.HasMED, a.MED = true, uint32(rng.Intn(3))
+			} else {
+				a.Communities = []bgp.Community{bgp.Community(rng.Intn(3))}
+			}
+			kind = "policy shift"
+		}
+		kinds[kind]++
+		last[r], seen[r] = a, true
+		stream[i] = step{r, a}
+	}
+	for _, kind := range []string{"nil prev", "repeat", "policy shift", "forwarding change"} {
+		if kinds[kind] == 0 {
+			t.Fatalf("stream has no %s: %v", kind, kinds)
+		}
+	}
+
+	run := func(lookup func(tab *Table, prev *Handle, a *bgp.Attrs) *Handle) (ids []uint32, hits, misses, paths uint64) {
+		tab, prev := New(), make([]*Handle, routes)
+		h0, m0, p0 := Stats()
+		for _, s := range stream {
+			a := s.a
+			h := lookup(tab, prev[s.route], &a)
+			prev[s.route] = h
+			ids = append(ids, h.ID)
+		}
+		tab.FlushStats()
+		h1, m1, p1 := Stats()
+		return ids, h1 - h0, m1 - m0, p1 - p0
+	}
+	afterIDs, afterHits, afterMisses, afterPaths := run((*Table).AttrsAfter)
+	plainIDs, plainHits, plainMisses, plainPaths := run(func(tab *Table, _ *Handle, a *bgp.Attrs) *Handle { return tab.Attrs(*a) })
+	for i := range plainIDs {
+		if afterIDs[i] != plainIDs[i] {
+			t.Fatalf("record %d (route %d): AttrsAfter handle %d, Attrs handle %d", i, stream[i].route, afterIDs[i], plainIDs[i])
+		}
+	}
+	if afterHits != plainHits || afterMisses != plainMisses || afterPaths != plainPaths {
+		t.Fatalf("hits/misses/paths: AttrsAfter %d/%d/%d, Attrs %d/%d/%d",
+			afterHits, afterMisses, afterPaths, plainHits, plainMisses, plainPaths)
+	}
+	if afterHits+afterMisses != n {
+		t.Fatalf("hits %d + misses %d != %d lookups", afterHits, afterMisses, n)
+	}
+}
+
+// asns lists a path's AS numbers in order.
+func asns(p bgp.ASPath) []bgp.ASN {
+	var out []bgp.ASN
+	for _, seg := range p.Segments {
+		out = append(out, seg.ASNs...)
+	}
+	return out
 }
 
 func BenchmarkInternHit(b *testing.B) {

@@ -20,7 +20,7 @@ func TestEmptyPolicyAcceptsUnchanged(t *testing.T) {
 	p := &Policy{}
 	a := attrs(690, 237)
 	got, ok := p.Apply(pfx("35.0.0.0/8"), a)
-	if !ok || !got.PolicyEqual(a) {
+	if !ok || !got.PolicyEqual(&a) {
 		t.Fatal("empty policy should accept unchanged")
 	}
 	if p.Evaluations != 1 {

@@ -335,7 +335,7 @@ func (r *Router) onUpdate(n *neighbor, u bgp.Update) {
 		if r.damper != nil {
 			key := dampKey{peer: n.id, prefix: p}
 			ev := damping.EventReannounce
-			if prev, _, ok := r.rib.Best(p); ok && !prev.ForwardingEqual(u.Attrs) {
+			if prev, _, ok := r.rib.Best(p); ok && !prev.ForwardingEqual(&u.Attrs) {
 				ev = damping.EventAttrChange
 			}
 			if r.damper.Record(key, ev, r.sim.Now()) {

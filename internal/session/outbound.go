@@ -112,7 +112,7 @@ func (p *Peer) Flush() {
 	for _, pre := range annPrefixes {
 		attrs := p.pendingAnn[pre]
 		if p.cfg.CompareLastSent && !p.cfg.Stateless {
-			if prev, ok := p.advertised[pre]; ok && prev.PolicyEqual(attrs) {
+			if prev, ok := p.advertised[pre]; ok && prev.PolicyEqual(&attrs) {
 				continue // identical to what the peer holds; suppress
 			}
 		}

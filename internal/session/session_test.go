@@ -212,7 +212,7 @@ func TestOscillationProducesDuplicateAnnouncement(t *testing.T) {
 	if len(p.gotB) != 2 {
 		t.Fatalf("naive sender should emit the duplicate, got %d updates", len(p.gotB))
 	}
-	if !p.gotB[1].Attrs.PolicyEqual(p.gotB[0].Attrs) {
+	if !p.gotB[1].Attrs.PolicyEqual(&p.gotB[0].Attrs) {
 		t.Fatal("flushed update should duplicate the original")
 	}
 }

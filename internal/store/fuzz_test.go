@@ -604,7 +604,7 @@ func FuzzFrameScan(f *testing.F) {
 
 func sameRecord(a, b collector.Record) bool {
 	return a.Type == b.Type && a.PeerAS == b.PeerAS && a.PeerAddr == b.PeerAddr &&
-		a.Prefix == b.Prefix && a.Attrs.PolicyEqual(b.Attrs) &&
+		a.Prefix == b.Prefix && a.Attrs.PolicyEqual(&b.Attrs) &&
 		a.Attrs.NextHop == b.Attrs.NextHop
 }
 

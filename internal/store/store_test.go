@@ -66,7 +66,7 @@ func hourlyWorkload(hours, perHour int) []collector.Record {
 
 func recordsEqual(a, b collector.Record) bool {
 	return a.Time.Equal(b.Time) && a.Type == b.Type && a.PeerAS == b.PeerAS &&
-		a.PeerAddr == b.PeerAddr && a.Prefix == b.Prefix && a.Attrs.PolicyEqual(b.Attrs)
+		a.PeerAddr == b.PeerAddr && a.Prefix == b.Prefix && a.Attrs.PolicyEqual(&b.Attrs)
 }
 
 func assertSameRecords(t *testing.T, got, want []collector.Record) {
