@@ -702,9 +702,10 @@ func BenchmarkPipelineFeedDetect(b *testing.B) {
 	reportPerRecord(b, n)
 }
 
-// BenchmarkPipelineFeedParallel is BenchmarkPipelineFeed over the sharded
-// pipeline at 1, 2, 4, and 8 shards, Close included. ns/record is the
-// comparable number across shard counts and against the serial pipeline.
+// BenchmarkPipelineFeedParallel is BenchmarkPipelineFeed over
+// NewShardedPipeline at 1, 2, 4, and 8 shards, Close included. One shard is
+// the in-place pipeline. ns/record is the comparable number across shard
+// counts and against BenchmarkPipelineFeed.
 func BenchmarkPipelineFeedParallel(b *testing.B) {
 	days, n := feedDays(b)
 	for _, shards := range []int{1, 2, 4, 8} {
@@ -712,7 +713,7 @@ func BenchmarkPipelineFeedParallel(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				pp := instability.NewParallelPipeline(instability.ParallelConfig{Shards: shards})
+				pp := instability.NewShardedPipeline(shards)
 				feedWeek(days, pp.Feed, pp.EndDay)
 				pp.Close()
 			}

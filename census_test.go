@@ -59,7 +59,7 @@ func TestCensusMatchesRIB(t *testing.T) {
 	})
 	for _, shards := range []int{1, 2, 3, 8} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			pp := instability.NewParallelPipeline(instability.ParallelConfig{Shards: shards})
+			pp := instability.NewShardedPipeline(shards)
 			defer pp.Close()
 			run(t, pp.Feed, func(d core.Date) rib.Census {
 				pp.EndDay(d)

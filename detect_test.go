@@ -85,8 +85,8 @@ func TestGoldenCombinedCampaign(t *testing.T) {
 }
 
 // TestDetectorSerialParallelEquivalence is the detector's determinism
-// contract, and — under -race — the hammer on its concurrent Add path: the
-// parallel pipeline calls det.Add from every shard goroutine, and the
+// contract, and — under -race — the hammer on its concurrent Add path: a
+// sharded pipeline calls det.Add from every shard goroutine, and the
 // alert stream must still be identical to the serial feed's.
 func TestDetectorSerialParallelEquivalence(t *testing.T) {
 	cfg := workload.AdversaryConfig(2)
@@ -99,11 +99,9 @@ func TestDetectorSerialParallelEquivalence(t *testing.T) {
 	serial := serialDet.Finish()
 
 	for _, shards := range []int{2, 8} {
-		pp := instability.NewParallelPipeline(instability.ParallelConfig{Shards: shards})
-		parDet := detect.New(detect.Config{})
-		pp.Events = parDet.Add
-		pp.DayEnd = func(d core.Date) { parDet.Advance(d.Time().AddDate(0, 0, 1)) }
-		if _, _, err := instability.RunScenarioParallel(cfg, pp); err != nil {
+		pp := instability.NewShardedPipeline(shards)
+		parDet := attachDetector(pp)
+		if _, _, err := instability.RunScenario(cfg, pp); err != nil {
 			t.Fatal(err)
 		}
 		pp.Close()

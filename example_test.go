@@ -37,9 +37,11 @@ func Example() {
 	}
 
 	p := instability.NewPipeline()
+	p.Events = func(ev instability.Event) {
+		fmt.Printf("%-4s from %s -> %s\n", ev.Record.Type, ev.Record.PeerAS, ev.Class)
+	}
 	for _, rec := range stream {
-		ev := p.Feed(rec)
-		fmt.Printf("%-4s from %s -> %s\n", rec.Type, rec.PeerAS, ev.Class)
+		p.Feed(rec)
 	}
 	// Output:
 	// A    from AS690 -> Other

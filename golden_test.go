@@ -43,8 +43,8 @@ func goldenCampaigns() []struct {
 	}
 }
 
-// TestAnalyzeGolden runs each golden campaign through the serial pipeline
-// and the sharded one at 1, 2 and 8 shards, each with the detector on its
+// TestAnalyzeGolden runs each golden campaign through the in-place pipeline
+// and NewShardedPipeline at 1, 2 and 8 shards, each with the detector on its
 // hooks, and diffs the rendered outputs against the checked-in file.
 // Regenerate (only when the analysis is meant to change) with
 //
@@ -53,28 +53,17 @@ func TestAnalyzeGolden(t *testing.T) {
 	render := func(shards int) string {
 		var b strings.Builder
 		for _, c := range goldenCampaigns() {
-			det := detect.New(detect.Config{})
-			dayEnd := func(d core.Date) { det.Advance(d.Time().AddDate(0, 0, 1)) }
-			var acc *core.Accumulator
-			var census map[core.Date]rib.Census
-			if shards == 0 {
-				p := instability.NewPipeline()
-				p.Events, p.DayEnd = det.Add, dayEnd
-				if _, _, err := instability.RunScenario(c.cfg, p); err != nil {
-					t.Fatal(err)
-				}
-				acc, census = p.Acc, p.CensusByDay
-			} else {
-				pp := instability.NewParallelPipeline(instability.ParallelConfig{Shards: shards})
-				pp.Events, pp.DayEnd = det.Add, dayEnd
-				if _, _, err := instability.RunScenarioParallel(c.cfg, pp); err != nil {
-					t.Fatal(err)
-				}
-				pp.Close()
-				acc, census = pp.Acc, pp.CensusByDay
+			p := instability.NewPipeline()
+			if shards > 0 {
+				p = instability.NewShardedPipeline(shards)
 			}
+			det := attachDetector(p)
+			if _, _, err := instability.RunScenario(c.cfg, p); err != nil {
+				t.Fatal(err)
+			}
+			p.Close()
 			fmt.Fprintf(&b, "campaign %s\n", c.name)
-			renderAnalysis(&b, acc, census, det.Finish())
+			renderAnalysis(&b, p.Acc, p.CensusByDay, det.Finish())
 		}
 		return b.String()
 	}

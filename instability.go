@@ -17,7 +17,7 @@
 // Quick start:
 //
 //	p := instability.NewPipeline()
-//	stats, err := instability.RunScenario(workload.SmallConfig(), p)
+//	stats, _, err := instability.RunScenario(workload.SmallConfig(), p)
 //	fmt.Println(p.Acc.TotalCounts())
 package instability
 
@@ -33,89 +33,115 @@ import (
 )
 
 // Pipeline is the standard analysis chain: classifier and per-day
-// accumulator, with the classifier's routes as the routing table.
+// accumulator, with the classifier's routes as the routing table. A pipeline
+// from NewPipeline classifies in place, on the feeder's goroutine; one from
+// NewShardedPipeline hands each record to the in-place pipeline of the shard
+// that owns its prefix (parallel.go). Either publishes the same Acc and
+// CensusByDay from the same stream. Feed, EndDay, Census and Close must be
+// called from one goroutine.
 type Pipeline struct {
-	// Classifier holds per-(peer,prefix) tuple history: the collector's
-	// routing table.
-	Classifier *core.Classifier
-	// Acc aggregates classified events per day.
+	// Acc aggregates classified events per day. A sharded pipeline's is
+	// complete up to its last EndDay or Close.
 	Acc *core.Accumulator
 	// CensusByDay snapshots the table census at each day end.
 	CensusByDay map[core.Date]rib.Census
 
-	// Events, when set, observes every classified event.
+	// Events, when set before the first Feed, observes every classified
+	// event. A sharded pipeline calls it from its shard goroutines:
+	// concurrently across prefixes, in stream order within one prefix.
 	Events func(core.Event)
-	// DayEnd, when set, observes every day barrier after the snapshot is
-	// taken — the hook point for window-finalizing consumers such as the
+	// DayEnd, when set, observes every day barrier on the feeder goroutine
+	// after the snapshot is taken and every Events call of the day has
+	// returned — the hook point for window-finalizing consumers such as the
 	// anomaly detector (detect.Detector.Advance).
 	DayEnd func(core.Date)
+
+	// cl holds per-(peer,prefix) tuple history, the collector's routing
+	// table; nil when the pipeline is sharded.
+	cl *core.Classifier
+	// A sharded pipeline's shards and its feeder's state (parallel.go).
+	shards  []*shard
+	batches [][]collector.Record
+	peaks   map[core.Date]*peakTrack
+	closed  bool
 }
 
-// NewPipeline returns an empty pipeline.
+// NewPipeline returns an empty pipeline that classifies in place.
 func NewPipeline() *Pipeline {
 	return &Pipeline{
-		Classifier:  core.NewClassifier(),
 		Acc:         core.NewAccumulator(),
 		CensusByDay: make(map[core.Date]rib.Census),
+		cl:          core.NewClassifier(),
 	}
 }
 
-// Feed classifies one record and folds it into the statistics. The event is
-// built once and classified and counted in place.
-func (p *Pipeline) Feed(rec collector.Record) core.Event {
+// Feed classifies one record and folds it into the statistics. In place, the
+// event is built once and classified and counted through a pointer.
+func (p *Pipeline) Feed(rec collector.Record) {
+	if p.shards != nil {
+		p.route(rec)
+		return
+	}
 	ev := core.Event{Record: rec}
-	p.Classifier.ClassifyEvent(&ev)
+	p.cl.ClassifyEvent(&ev)
 	p.Acc.AddEvent(&ev)
 	if p.Events != nil {
 		p.Events(ev)
 	}
-	return ev
 }
 
-// EndDay records the end-of-day routing table snapshot for date.
+// EndDay records the end-of-day routing table snapshot for date. A sharded
+// pipeline makes it a barrier: every shard closes the day on its share of
+// the prefixes, and the shares merge into what one in-place pipeline holds.
 func (p *Pipeline) EndDay(date core.Date) {
-	p.Acc.EndDay(p.Classifier, date)
-	p.CensusByDay[date] = p.Census()
+	if p.shards != nil {
+		p.CensusByDay[date] = rib.MergeCensuses(p.barrier(true, date)...)
+	} else {
+		p.CensusByDay[date] = rib.MergeCensuses(p.closeDay(date))
+	}
 	if p.DayEnd != nil {
 		p.DayEnd(date)
 	}
 }
 
+// closeDay closes date in an in-place pipeline's accumulator and returns its
+// table's partial census: the whole census in place, one shard's share of
+// it at a barrier.
+func (p *Pipeline) closeDay(date core.Date) rib.PartialCensus {
+	p.Acc.EndDay(p.cl, date)
+	return p.cl.PartialCensus()
+}
+
 // Census returns the census of the routing table as it stands: every route
-// the classifier holds announced.
+// the classifier holds announced. A sharded pipeline reads its shards' live
+// tables, so call it only after EndDay or Close.
 func (p *Pipeline) Census() rib.Census {
-	return rib.MergeCensuses(p.Classifier.PartialCensus())
+	if p.shards == nil {
+		return rib.MergeCensuses(p.cl.PartialCensus())
+	}
+	parts := make([]rib.PartialCensus, len(p.shards))
+	for i, sh := range p.shards {
+		parts[i] = sh.p.cl.PartialCensus()
+	}
+	return rib.MergeCensuses(parts...)
 }
 
 // RunScenario generates the configured workload through the pipeline and
-// returns the generator statistics. The pipeline's day snapshots are taken
-// automatically.
+// returns the generator statistics. Every generated day closes with EndDay
+// under its last second's date. The caller still owns p and closes it.
 func RunScenario(cfg workload.Config, p *Pipeline) (workload.Stats, *workload.Generator, error) {
-	return runScenario(cfg, func(rec collector.Record) { p.Feed(rec) }, p.EndDay)
-}
-
-// runScenario is the one generator→pipeline loop, over either pipeline
-// type's Feed and EndDay: every generated day closes under its last second's
-// date.
-func runScenario(cfg workload.Config, feed func(collector.Record), endDay func(core.Date)) (workload.Stats, *workload.Generator, error) {
 	g, err := workload.New(cfg)
 	if err != nil {
 		return workload.Stats{}, nil, err
 	}
-	stats := g.Run(feed, func(day int, end time.Time) { endDay(core.DateOf(end.Add(-time.Second))) })
+	stats := g.Run(p.Feed, func(day int, end time.Time) { p.EndDay(core.DateOf(end.Add(-time.Second))) })
 	return stats, g, nil
 }
 
 // ClassifyLog streams a collector log (native or MRT) through the pipeline,
 // taking a day snapshot at each date boundary. It returns the number of
-// records read.
+// records read. The caller still owns p and closes it.
 func ClassifyLog(r collector.RecordReader, p *Pipeline) (int, error) {
-	return classifyLog(r, func(rec collector.Record) { p.Feed(rec) }, p.EndDay)
-}
-
-// classifyLog is the one log→day-barrier loop, over either pipeline type's
-// Feed and EndDay.
-func classifyLog(r collector.RecordReader, feed func(collector.Record), endDay func(core.Date)) (int, error) {
 	n := 0
 	var cur core.Date
 	haveDay := false
@@ -129,14 +155,14 @@ func classifyLog(r collector.RecordReader, feed func(collector.Record), endDay f
 		}
 		d := core.DateOf(rec.Time)
 		if haveDay && d != cur {
-			endDay(cur)
+			p.EndDay(cur)
 		}
 		cur, haveDay = d, true
-		feed(rec)
+		p.Feed(rec)
 		n++
 	}
 	if haveDay {
-		endDay(cur)
+		p.EndDay(cur)
 	}
 	return n, nil
 }

@@ -105,27 +105,27 @@ func Analyze(ctx context.Context, args []string, stdout, stderr io.Writer) error
 	}
 	defer r.Close()
 
-	pp := instability.NewParallelPipeline(instability.ParallelConfig{Shards: *parallel})
-	defer pp.Close()
+	p := instability.NewShardedPipeline(*parallel)
+	defer p.Close()
 	// Live taxonomy counters, merged at each day barrier: a scrape during a
 	// long classify trails the stream by at most one day.
-	pp.Acc.Register(obs.Default())
+	p.Acc.Register(obs.Default())
 	var det *detect.Detector
 	if *detectFlag {
 		det = detect.New(detect.Config{})
-		pp.Events = det.Add
-		pp.DayEnd = func(d core.Date) { det.Advance(d.Time().AddDate(0, 0, 1)) }
+		p.Events = det.Add
+		p.DayEnd = func(d core.Date) { det.Advance(d.Time().AddDate(0, 0, 1)) }
 	}
 	_, span := obs.StartChild(ctx, "classify")
-	n, err := instability.ClassifyLogParallel(cancellable(ctx, r), pp)
-	pp.Close()
+	n, err := instability.ClassifyLog(cancellable(ctx, r), p)
+	p.Close()
 	span.AnnotateInt("records", int64(n))
 	span.SetError(err)
 	span.Finish()
 	if err != nil {
 		return err
 	}
-	acc := pp.Acc
+	acc := p.Acc
 	fmt.Fprintf(stdout, "classified %d records from %s (%s)\n", n, *in+sf.dir+*remote, exchangeName)
 	printIntern(stdout)
 	fmt.Fprintln(stdout)
@@ -143,9 +143,9 @@ func Analyze(ctx context.Context, args []string, stdout, stderr io.Writer) error
 	}
 	show := func(id string) {
 		if id == "summary" {
-			printSummary(stdout, acc, pp.Census())
+			printSummary(stdout, acc, p.Census())
 		} else {
-			printFigure(stdout, id, acc, pp.CensusByDay, figs)
+			printFigure(stdout, id, acc, p.CensusByDay, figs)
 		}
 	}
 	if *id != "all" {

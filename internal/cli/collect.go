@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"instability"
 	"instability/internal/bgp"
 	"instability/internal/collector"
 	"instability/internal/core"
@@ -239,7 +240,7 @@ func Collect(ctx context.Context, args []string, stdout, stderr io.Writer) error
 		fmt.Fprintf(stdout, "store %s: %d records in %d segments\n", sf.dir, st.Records, st.Segments)
 	}
 	printIntern(stdout)
-	if tot := k.acc.TotalCounts(); k.acc.TotalEvents() > 0 {
+	if tot := k.p.Acc.TotalCounts(); k.p.Acc.TotalEvents() > 0 {
 		var parts []string
 		for _, c := range core.Classes() {
 			if tot[c] > 0 {
@@ -260,8 +261,7 @@ type collectSink struct {
 	mu  sync.Mutex
 	log *collector.Writer
 	db  *store.Store
-	cl  *core.Classifier
-	acc *core.Accumulator
+	p   *instability.Pipeline
 
 	writeErrors *obs.Counter
 	ingestLag   *obs.Gauge
@@ -273,7 +273,7 @@ func newCollectSink(lg *log.Logger, out, exchange string, sf *storeFlags) (*coll
 	if err != nil {
 		return nil, err
 	}
-	k := &collectSink{lg: lg, log: w, cl: core.NewClassifier(), acc: core.NewAccumulator()}
+	k := &collectSink{lg: lg, log: w, p: instability.NewPipeline()}
 	if sf.dir != "" {
 		if k.db, err = sf.open(lg, store.Options{AutoSealRecords: 1 << 16}); err != nil {
 			w.Close()
@@ -281,7 +281,7 @@ func newCollectSink(lg *log.Logger, out, exchange string, sf *storeFlags) (*coll
 		}
 	}
 	reg := obs.Default()
-	k.acc.Register(reg)
+	k.p.Acc.Register(reg)
 	k.writeErrors = reg.Counter("irtl_collect_write_errors_total", "Record sink write failures.")
 	k.ingestLag = reg.Gauge("irtl_collect_ingest_lag_seconds", "Age of the most recently ingested record (now - record timestamp).")
 	for _, t := range []collector.RecType{collector.Announce, collector.Withdraw, collector.SessionUp, collector.SessionDown} {
@@ -303,7 +303,7 @@ func (k *collectSink) write(rec collector.Record) {
 			k.lg.Printf("store append: %v", err)
 		}
 	}
-	k.acc.Add(k.cl.Classify(rec))
+	k.p.Feed(rec)
 	if int(rec.Type) < len(k.byType) && k.byType[rec.Type] != nil {
 		k.byType[rec.Type].Inc()
 	}

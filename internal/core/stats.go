@@ -259,13 +259,13 @@ func (a *Accumulator) AddEvent(ev *Event) {
 //
 // PeakSecond is the one field that cannot be reconstructed from partitions:
 // each shard only saw its own share of any given second, so Merge keeps the
-// maximum, a lower bound. Callers that watched the undivided stream (the
-// ParallelPipeline feeder does) should overwrite DayStats.PeakSecond with
-// the exact value after merging.
+// maximum, a lower bound. Callers that watched the undivided stream (a
+// sharded instability.Pipeline's feeder does) should overwrite
+// DayStats.PeakSecond with the exact value after merging.
 //
 // Merge is not safe for concurrent use with Add on either accumulator; the
-// caller must own both (the parallel pipeline's EndDay barrier guarantees
-// this by taking ownership of each shard's accumulator before merging).
+// caller must own both (a sharded pipeline's barrier guarantees this by
+// taking ownership of each shard's accumulator before merging).
 func (a *Accumulator) Merge(src *Accumulator) {
 	for d, s := range src.Days {
 		a.Day(d).mergeFrom(s)

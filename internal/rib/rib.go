@@ -18,14 +18,10 @@ type PeerID struct {
 // String formats the peer for logs and tables.
 func (p PeerID) String() string { return fmt.Sprintf("%v/%v", p.AS, p.ID) }
 
-// entry is one candidate route learned from one peer. pathID is the route's
-// AS path interned in the owning RIB's path table at Update time, so the
-// census counts distinct paths by integer set-insert instead of building a
-// key string per candidate per day.
+// entry is one candidate route learned from one peer.
 type entry struct {
-	peer   PeerID
-	attrs  bgp.Attrs
-	pathID bgp.PathID
+	peer  PeerID
+	attrs bgp.Attrs
 }
 
 // prefixState holds all candidates for a prefix plus the current best index.
@@ -80,7 +76,6 @@ func (d Decision) PolicyChanged() bool {
 type RIB struct {
 	localAS bgp.ASN
 	table   Trie[*prefixState]
-	paths   *bgp.PathTable
 	// live counts prefixes with at least one candidate; the trie may
 	// additionally hold tombstoned states awaiting reuse.
 	live int
@@ -88,7 +83,7 @@ type RIB struct {
 
 // New returns an empty RIB for a router in the given AS.
 func New(localAS bgp.ASN) *RIB {
-	return &RIB{localAS: localAS, paths: bgp.NewPathTable()}
+	return &RIB{localAS: localAS}
 }
 
 // Len returns the number of prefixes with at least one candidate route.
@@ -118,18 +113,16 @@ func (r *RIB) Update(peer PeerID, prefix netaddr.Prefix, attrs bgp.Attrs) Decisi
 	if len(st.candidates) == 0 {
 		r.live++ // fresh prefix, or a tombstone coming back to life
 	}
-	pid := r.paths.ID(attrs.Path)
 	replaced := false
 	for i := range st.candidates {
 		if st.candidates[i].peer == peer {
 			st.candidates[i].attrs = attrs
-			st.candidates[i].pathID = pid
 			replaced = true
 			break
 		}
 	}
 	if !replaced {
-		st.candidates = append(st.candidates, entry{peer: peer, attrs: attrs, pathID: pid})
+		st.candidates = append(st.candidates, entry{peer: peer, attrs: attrs})
 	}
 	r.decide(st)
 	if st.best >= 0 {
@@ -305,14 +298,14 @@ func (r *RIB) TakeCensus() Census {
 }
 
 // PartialCensus is the mergeable form of a Census, for tables that hold
-// disjoint prefix partitions of one logical routing table (the parallel
+// disjoint prefix partitions of one logical routing table (a sharded
 // pipeline's per-shard classifiers). Prefix-level tallies sum across
 // partitions; origin ASes and AS paths are global distinct-counts, so the
 // partial keeps the sets and MergeCensuses takes the union.
 //
 // Origins and Paths are bitsets: ASNs are 16-bit, and PathIDs are dense in
-// PathTab — the path table of the RIB or classifier the partial was taken
-// from. IDs from different partials are not comparable; MergeCensuses
+// PathTab — the classifier's path table, or the fresh one a RIB census
+// interns into. IDs from different partials are not comparable; MergeCensuses
 // unions them by remapping every partial's IDs through one fresh table (the
 // per-shard ID-remap contract). The zero value with PathTab set is an empty
 // census.
@@ -366,12 +359,14 @@ func (s bitSet) each(f func(uint32)) {
 	}
 }
 
-// TakePartialCensus computes the mergeable census of this table.
+// TakePartialCensus computes the mergeable census of this table, interning
+// its candidates' AS paths into a fresh path table as it walks: only a
+// census pays for path IDs, not every Update.
 func (r *RIB) TakePartialCensus() PartialCensus {
-	pc := PartialCensus{PathTab: r.paths}
+	pc := PartialCensus{PathTab: bgp.NewPathTable()}
 	r.table.Walk(func(_ netaddr.Prefix, st *prefixState) bool {
 		AddPrefix(&pc, st.candidates, func(e *entry) (bgp.ASPath, bgp.PathID, bool) {
-			return e.attrs.Path, e.pathID, true
+			return e.attrs.Path, pc.PathTab.ID(e.attrs.Path), true
 		})
 		return true
 	})
@@ -417,8 +412,8 @@ func AddPrefix[R any](pc *PartialCensus, routes []R, route func(*R) (bgp.ASPath,
 // the Census the undivided table would have produced: prefix counts sum,
 // origin sets union, and each partial's local PathIDs are remapped through
 // one fresh PathTable whose final size is the global distinct-path count —
-// unless every partial shares one table (a serial pipeline, RIB.TakeCensus),
-// whose IDs union as they are. Because interning is content-addressed, the
+// unless every partial shares one table (an in-place pipeline, one
+// RIB.TakeCensus), whose IDs union as they are. Because interning is content-addressed, the
 // remap is order-independent: any merge order of any partition of the same
 // table yields the same Census.
 func MergeCensuses(parts ...PartialCensus) Census {

@@ -50,18 +50,18 @@ func TestParallelEquivalence(t *testing.T) {
 
 	for _, shards := range []int{1, 2, 3, 8} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			pp := instability.NewParallelPipeline(instability.ParallelConfig{Shards: shards})
+			pp := instability.NewShardedPipeline(shards)
 			defer pp.Close()
-			if _, _, err := instability.RunScenarioParallel(cfg, pp); err != nil {
+			if _, _, err := instability.RunScenario(cfg, pp); err != nil {
 				t.Fatal(err)
 			}
-			pp.Sync()
+			pp.Close()
 			compareToSerial(t, serial, pp)
 		})
 	}
 }
 
-func compareToSerial(t *testing.T, serial *instability.Pipeline, pp *instability.ParallelPipeline) {
+func compareToSerial(t *testing.T, serial, pp *instability.Pipeline) {
 	t.Helper()
 	if got, want := pp.Acc.TotalCounts(), serial.Acc.TotalCounts(); got != want {
 		t.Fatalf("TotalCounts: parallel %v, serial %v", got, want)

@@ -190,6 +190,31 @@ var _ = intern.New() // violation
 `),
 	},
 	{
+		name: "one pipeline",
+		find: func(m *srcModule) []breach {
+			var out []breach
+			for _, name := range []string{"NewClassifier", "NewAccumulator"} {
+				for _, b := range namedOutside("instability/internal/core", name)(m) {
+					if path.Dir(b.key) != "." {
+						out = append(out, b)
+					}
+				}
+			}
+			return out
+		},
+		allow: map[string]string{
+			"internal/cli/experiments.go":  "the bare-classifier claims (statefulFix, liveSimClaim) keep Classifier.Classify and Accumulator.Add named by program code",
+			"internal/benchkit/analyze.go": "the staged analyze pass times classify and accumulate apart; ROADMAP item 2",
+			"internal/benchkit/live.go":    "re-stages bgpcollect's sink; ROADMAP item 2",
+		},
+		plant: plantFile("internal/planted/pipeline.go", `package planted
+
+import "instability/internal/core"
+
+var _ = core.NewAccumulator() // violation
+`),
+	},
+	{
 		name:  "log/slog",
 		find:  importedOutside("log/slog"),
 		allow: map[string]string{},
