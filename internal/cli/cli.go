@@ -346,10 +346,12 @@ func (r ctxReader) Next() (collector.Record, error) {
 	}
 }
 
-// printIntern reports the process's attribute interner, when it was used.
+// printIntern reports the process's attribute interners, when they were
+// used. Every count is summed over the interning tables: a tuple that two
+// tables (say, two classifier shards) intern counts once in each.
 func printIntern(w io.Writer) {
 	if hits, misses, paths := intern.Stats(); hits+misses > 0 {
-		fmt.Fprintf(w, "attr intern: %.1f%% hit rate (%d lookups, %d unique tuples, %d unique paths)\n",
+		fmt.Fprintf(w, "attr intern: %.1f%% hit rate (%d lookups, %d tuples interned, %d paths interned, summed over tables)\n",
 			100*float64(hits)/float64(hits+misses), hits+misses, misses, paths)
 	}
 }

@@ -62,25 +62,19 @@ func Sim(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 				names = append(names, k.String())
 			}
 		}
-		// Episodes land on consecutive days starting day 2, after the
-		// detector's baselines have something to decay from (the same
-		// placement as workload.AdversaryConfig).
+		kinds := make([]workload.IncidentKind, len(names))
 		for i, name := range names {
 			kind, err := workload.ParseScenario(strings.TrimSpace(name))
 			if err != nil {
 				return usageError{err: err}
 			}
-			day := 2 + i
-			if day >= cfg.Days {
-				return usagef("-adversary %s lands on day %d but the scenario has only %d days; raise -days", name, day, cfg.Days)
+			kinds[i] = kind
+		}
+		for i, inc := range workload.AdversaryIncidents(kinds) {
+			if inc.Day >= cfg.Days {
+				return usagef("-adversary %s lands on day %d but the scenario has only %d days; raise -days", names[i], inc.Day, cfg.Days)
 			}
-			mag := 1.0
-			if kind == workload.WormPropagation {
-				mag = 1.5
-			}
-			cfg.Incidents = append(cfg.Incidents, workload.Incident{
-				Kind: kind, Day: day, Days: 1, Magnitude: mag,
-			})
+			cfg.Incidents = append(cfg.Incidents, inc)
 		}
 	} else if *truthOut != "" {
 		return usagef("-truth-out requires -adversary")

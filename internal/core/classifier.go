@@ -75,7 +75,7 @@ func PeerKeyOf(rec collector.Record) PeerKey {
 // Classifier assigns classes to a stream of records. It must see each
 // collection point's records in timestamp order.
 type Classifier struct {
-	// routes is the route table, keyed by packed prefix (prefixKey): one
+	// routes is the route table, keyed by packed prefix (Prefix.Key): one
 	// slot per peer ever heard for the prefix. A record costs one map probe
 	// on a one-word key and a scan of its prefix's few peers, and a table
 	// census walks the slots in place.
@@ -101,10 +101,6 @@ func NewClassifier() *Classifier {
 	}
 }
 
-// prefixKey packs p into one word, addr<<8 | bits. It is injective over
-// every Prefix value, valid or not.
-func prefixKey(p netaddr.Prefix) uint64 { return uint64(p.Addr())<<8 | uint64(p.Bits()) }
-
 // Interner exposes the classifier's private attribute table (hit-rate
 // accounting, tests).
 func (c *Classifier) Interner() *intern.Table { return c.tab }
@@ -128,7 +124,7 @@ func (c *Classifier) ClassifyEvent(ev *Event) {
 		// interleave state messages that the update taxonomy ignores.
 		return
 	}
-	peer, key := PeerKey{AS: rec.PeerAS, Addr: rec.PeerAddr}, prefixKey(rec.Prefix)
+	peer, key := PeerKey{AS: rec.PeerAS, Addr: rec.PeerAddr}, rec.Prefix.Key()
 	rs := c.routes[key]
 	i := 0
 	for i < len(rs) && rs[i].peer != peer {

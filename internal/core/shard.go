@@ -19,7 +19,7 @@ func PrefixShardOf(p netaddr.Prefix, shards int) int {
 	if shards <= 1 {
 		return 0
 	}
-	h := mix64(uint64(p.Addr())<<8 ^ uint64(p.Bits()))
+	h := mix64(p.Key())
 	return int(h % uint64(shards))
 }
 

@@ -117,7 +117,7 @@ func TestRouteHandleOrders(t *testing.T) {
 // holds reports whether slot is the live slot of rec's (peer, prefix), not a
 // copy left behind when the prefix's slot slice grew.
 func (c *Classifier) holds(slot *routeState, rec collector.Record) bool {
-	rs := c.routes[prefixKey(rec.Prefix)]
+	rs := c.routes[rec.Prefix.Key()]
 	for i := range rs {
 		if &rs[i] == slot {
 			return true

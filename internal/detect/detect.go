@@ -13,8 +13,8 @@
 //	z = (count − mean) / max(σ, √mean, 1)
 //
 // and alerts open with hysteresis: a window must clear both the z-score
-// threshold ZOn and an absolute count floor to open, stays open while
-// windows clear ZOff, and closes after MaxGap silent windows. Baselines
+// threshold zOn and an absolute count floor to open, stays open while
+// windows clear zOff, and closes after maxGap silent windows. Baselines
 // freeze while a key is alerting, so an anomaly cannot teach the detector
 // that it is normal. The origin channel is pure novelty: a never-seen
 // origin announcing an established prefix (multi-origin conflict) alerts
@@ -31,9 +31,9 @@
 package detect
 
 import (
+	"cmp"
 	"math"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
@@ -89,113 +89,79 @@ type Key struct {
 	Class  core.Class
 }
 
-func keyLess(a, b Key) bool {
-	if a.Chan != b.Chan {
-		return a.Chan < b.Chan
-	}
-	if a.Peer != b.Peer {
-		return a.Peer < b.Peer
-	}
-	if c := a.Prefix.Compare(b.Prefix); c != 0 {
-		return c < 0
-	}
-	return a.Class < b.Class
-}
+// A packed key is one machine word, chan(2) | peer(16) | prefix Key(40) |
+// class(3), whose numeric order is channel, peer, prefix (Compare), class.
+const (
+	prefixShift = 3                // above the class
+	peerShift   = prefixShift + 40 // above the prefix Key
+	chanShift   = peerShift + 16   // above the peer
+	prefixMask  = 1<<40 - 1
+)
 
-// pack returns k as one machine word, chan(2) | peer(16) | prefix addr(32) |
-// prefix bits(6) | class(3), whose numeric order is keyLess order.
+// pack returns k as one packed word.
 func pack(k Key) uint64 {
-	return uint64(k.Chan)<<57 | uint64(k.Peer)<<41 | uint64(k.Prefix.Addr())<<9 |
-		uint64(k.Prefix.Bits())<<3 | uint64(k.Class)
+	return uint64(k.Chan)<<chanShift | uint64(k.Peer)<<peerShift | k.Prefix.Key()<<prefixShift | uint64(k.Class)
 }
 
 // unpack inverts pack.
 func unpack(x uint64) Key {
 	return Key{
-		Chan:   Channel(x >> 57),
-		Peer:   bgp.ASN(x >> 41),
-		Prefix: netaddr.MustPrefix(netaddr.Addr(x>>9), int(x>>3&63)),
+		Chan:   Channel(x >> chanShift),
+		Peer:   bgp.ASN(x >> peerShift),
+		Prefix: netaddr.PrefixFromKey(x >> prefixShift & prefixMask),
 		Class:  core.Class(x & 7),
 	}
 }
 
-// Config parameterizes a Detector. The zero value selects the defaults.
+// Config parameterizes a Detector. Every program passes the zero value,
+// which selects defaults; only this package's tests change fields, starting
+// from defaults.
 type Config struct {
-	// Window is the counting-bucket width (default 10 minutes — the
+	// window is the counting-bucket width (default 10 minutes — the
 	// paper's fine-grained analysis granularity).
-	Window time.Duration
-	// HalfLife is the baseline memory in windows: an observation's
-	// weight halves every HalfLife windows (default 36, six hours at
+	window time.Duration
+	// halfLife is the baseline memory in windows: an observation's
+	// weight halves every halfLife windows (default 36, six hours at
 	// the default window).
-	HalfLife int
-	// ZOn and ZOff are the hysteresis thresholds on the novelty score
+	halfLife int
+	// zOn and zOff are the hysteresis thresholds on the novelty score
 	// (defaults 8 and 3).
-	ZOn, ZOff float64
-	// MinCountKey/Peer/Global are per-channel absolute count floors a
+	zOn, zOff float64
+	// minCountKey/Peer/Global are per-channel absolute count floors a
 	// window must also clear to open an alert (defaults 12, 24, 64).
 	// Pathological classes (AADup, WWDup) use twice the floor: they are
 	// the noisy bulk of a healthy-unhealthy 1996 stream.
-	MinCountKey, MinCountPeer, MinCountGlobal float64
-	// KeyPersistence is the number of consecutive anomalous windows a
+	minCountKey, minCountPeer, minCountGlobal float64
+	// keyPersistence is the number of consecutive anomalous windows a
 	// ChanKey or ChanPeer series needs before an alert opens (default 2).
 	// Legitimate flap episodes produce intense single-window bursts on one
 	// (peer, prefix) key — the unjittered-timer interleave artifact — and
 	// those bursts bleed into the per-peer aggregate too, while targeted
 	// attacks sustain the churn across windows. The global and origin
 	// channels stay immediate.
-	KeyPersistence int
-	// Warmup suppresses alerting until this much stream time has passed
+	keyPersistence int
+	// warmup suppresses alerting until this much stream time has passed
 	// the first event (default 36h), so the initial table transfer and
 	// cold baselines cannot alert.
-	Warmup time.Duration
-	// MaxGap closes an alert after this many consecutive windows without
+	warmup time.Duration
+	// maxGap closes an alert after this many consecutive windows without
 	// an anomalous observation (default 3).
-	MaxGap int
-	// EstablishAge is how old a prefix must be before a never-seen
+	maxGap int
+	// establishAge is how old a prefix must be before a never-seen
 	// origin for it is treated as a MOAS conflict rather than a
 	// legitimate new origination (default 24h).
-	EstablishAge time.Duration
+	establishAge time.Duration
 }
 
-func (c Config) withDefaults() Config {
-	if c.Window <= 0 {
-		c.Window = 10 * time.Minute
-	}
-	if c.HalfLife <= 0 {
-		c.HalfLife = 36
-	}
-	if c.ZOn == 0 {
-		c.ZOn = 8
-	}
-	if c.ZOff == 0 {
-		c.ZOff = 3
-	}
-	if c.MinCountKey == 0 {
-		c.MinCountKey = 12
-	}
-	if c.MinCountPeer == 0 {
-		c.MinCountPeer = 24
-	}
-	if c.MinCountGlobal == 0 {
-		c.MinCountGlobal = 64
-	}
-	if c.KeyPersistence <= 0 {
-		c.KeyPersistence = 2
-	}
-	if c.Warmup == 0 {
-		c.Warmup = 36 * time.Hour
-	}
-	if c.MaxGap <= 0 {
-		c.MaxGap = 3
-	}
-	if c.EstablishAge == 0 {
-		c.EstablishAge = 24 * time.Hour
-	}
-	return c
+// defaults is the configuration New gives the zero Config.
+var defaults = Config{
+	window: 10 * time.Minute, halfLife: 36, zOn: 8, zOff: 3,
+	minCountKey: 12, minCountPeer: 24, minCountGlobal: 64,
+	keyPersistence: 2, warmup: 36 * time.Hour, maxGap: 3, establishAge: 24 * time.Hour,
 }
 
 // Alert is one detected anomaly episode: a run of anomalous windows on
-// one key, closed after MaxGap quiet windows (or at Finish).
+// one key, closed after maxGap quiet windows (or at Finish).
 type Alert struct {
 	Key Key `json:"-"`
 
@@ -218,14 +184,6 @@ type Alert struct {
 	Baseline float64 `json:"baseline"`
 }
 
-// windowPend accumulates one not-yet-finalized window's counts: global by
-// class, the rest by packed Key (an origin sighting by the key it alerts on).
-type windowPend struct {
-	global  [core.NumClasses]int64
-	counts  map[uint64]int64
-	origins map[uint64]int64
-}
-
 type activeAlert struct {
 	startWin, lastWin int64
 	windows           int
@@ -241,11 +199,6 @@ type baseline struct {
 	// alert (the ChanKey persistence requirement).
 	run int
 	act *activeAlert
-}
-
-type originState struct {
-	firstWin int64
-	known    map[bgp.ASN]struct{}
 }
 
 // Detector metrics.
@@ -272,19 +225,26 @@ type Detector struct {
 	cfg     Config
 	winNs   int64
 	alpha   float64 // EWMA weight per window
-	estWins int64   // EstablishAge in windows
+	estWins int64   // establishAge in windows
 	warmNs  int64
 
-	mu   sync.Mutex
-	pend map[int64]*windowPend
-	last *windowPend // the newest window, which sizes the next one's maps
+	mu sync.Mutex
+	// pend holds each not-yet-finalized window's counts by packed key, all
+	// four channels in one map (an origin sighting under the key it alerts
+	// on).
+	pend map[int64]map[uint64]int64
+	last map[uint64]int64 // the newest window, which sizes the next one's map
 	// cur is last while it is still pending (nil once finalized), and curW
 	// its window: an event in the newest window skips the pend probe.
-	cur       *windowPend
-	curW      int64
-	base      map[uint64]*baseline
-	alerting  map[uint64]struct{}
-	origins   map[netaddr.Prefix]*originState
+	cur      map[uint64]int64
+	curW     int64
+	base     map[uint64]*baseline
+	alerting map[uint64]struct{}
+	// born maps a prefix's Key to the first finalized window that sighted
+	// an origin for it; known holds the ChanOrigin key of every origin
+	// accepted for its prefix. Both only grow.
+	born      map[uint64]int64
+	known     map[uint64]struct{}
 	firstNano int64
 	haveFirst bool
 	finalized int64 // all windows < finalized are processed
@@ -294,19 +254,21 @@ type Detector struct {
 
 // New returns a detector with cfg (zero value = defaults).
 func New(cfg Config) *Detector {
-	cfg = cfg.withDefaults()
+	if cfg == (Config{}) {
+		cfg = defaults
+	}
 	d := &Detector{
 		cfg:      cfg,
-		winNs:    cfg.Window.Nanoseconds(),
-		alpha:    1 - math.Exp(math.Ln2/float64(cfg.HalfLife)*-1),
-		warmNs:   cfg.Warmup.Nanoseconds(),
-		pend:     make(map[int64]*windowPend),
-		last:     &windowPend{},
+		winNs:    cfg.window.Nanoseconds(),
+		alpha:    1 - math.Exp(math.Ln2/float64(cfg.halfLife)*-1),
+		warmNs:   cfg.warmup.Nanoseconds(),
+		pend:     make(map[int64]map[uint64]int64),
 		base:     make(map[uint64]*baseline),
 		alerting: make(map[uint64]struct{}),
-		origins:  make(map[netaddr.Prefix]*originState),
+		born:     make(map[uint64]int64),
+		known:    make(map[uint64]struct{}),
 	}
-	d.estWins = int64(cfg.EstablishAge / cfg.Window)
+	d.estWins = int64(cfg.establishAge / cfg.window)
 	if d.estWins < 1 {
 		d.estWins = 1
 	}
@@ -322,7 +284,9 @@ func (d *Detector) windowOf(t time.Time) int64 {
 	return w
 }
 
-// Add observes one classified event. Safe for concurrent use.
+// Add observes one classified event. Safe for concurrent use. A sighting of
+// an origin already known for its prefix is not counted: its evaluation
+// would change nothing.
 func (d *Detector) Add(ev core.Event) {
 	rec := &ev.Record
 	switch rec.Type {
@@ -342,19 +306,22 @@ func (d *Detector) Add(ev core.Event) {
 	pd := d.cur
 	if pd == nil || w != d.curW {
 		if pd = d.pend[w]; pd == nil {
-			pd = &windowPend{counts: make(map[uint64]int64, len(d.last.counts)), origins: make(map[uint64]int64, len(d.last.origins))}
+			pd = make(map[uint64]int64, len(d.last))
 			d.pend[w], d.last = pd, pd
 			d.cur, d.curW = pd, w
 		}
 	}
-	pd.global[ev.Class]++
-	pd.counts[pack(Key{Chan: ChanPeer, Peer: rec.PeerAS, Class: ev.Class})]++
+	pd[pack(Key{Chan: ChanGlobal, Class: ev.Class})]++
+	pd[pack(Key{Chan: ChanPeer, Peer: rec.PeerAS, Class: ev.Class})]++
 	if ev.Class.IsForwarding() {
-		pd.counts[pack(Key{Chan: ChanKey, Peer: rec.PeerAS, Prefix: rec.Prefix, Class: ev.Class})]++
+		pd[pack(Key{Chan: ChanKey, Peer: rec.PeerAS, Prefix: rec.Prefix, Class: ev.Class})]++
 	}
 	if rec.Type == collector.Announce {
 		if origin, ok := rec.Attrs.Path.Origin(); ok {
-			pd.origins[pack(Key{Chan: ChanOrigin, Peer: origin, Prefix: rec.Prefix})]++
+			k := pack(Key{Chan: ChanOrigin, Peer: origin, Prefix: rec.Prefix})
+			if _, ok := d.known[k]; !ok {
+				pd[k]++
+			}
 		}
 	}
 }
@@ -369,11 +336,11 @@ func (d *Detector) minCount(ch Channel, cl core.Class) float64 {
 	var m float64
 	switch ch {
 	case ChanKey:
-		m = d.cfg.MinCountKey
+		m = d.cfg.minCountKey
 	case ChanPeer:
-		m = d.cfg.MinCountPeer
+		m = d.cfg.minCountPeer
 	default:
-		m = d.cfg.MinCountGlobal
+		m = d.cfg.minCountGlobal
 	}
 	if cl.IsPathological() {
 		m *= 2
@@ -457,7 +424,7 @@ func (d *Detector) evalCount(k uint64, w int64, x float64) {
 	d.decayTo(b, w)
 	z := score(b, x)
 	if act := b.act; act != nil {
-		if z >= d.cfg.ZOff {
+		if z >= d.cfg.zOff {
 			act.lastWin = w
 			act.windows++
 			act.records += int64(x)
@@ -469,10 +436,10 @@ func (d *Detector) evalCount(k uint64, w int64, x float64) {
 		d.closeAlert(k, b)
 		// The closing observation is ordinary traffic; learn it.
 	}
-	if ch, cl := Channel(k>>57), core.Class(k&7); z >= d.cfg.ZOn && x >= d.minCount(ch, cl) && d.warmedAt(w) {
+	if ch, cl := Channel(k>>chanShift), core.Class(k&7); z >= d.cfg.zOn && x >= d.minCount(ch, cl) && d.warmedAt(w) {
 		need := 1
 		if ch == ChanKey || ch == ChanPeer {
-			need = d.cfg.KeyPersistence
+			need = d.cfg.keyPersistence
 		}
 		b.run++
 		b.lastWin = w // anomalous precursors freeze the baseline too
@@ -495,23 +462,20 @@ func (d *Detector) evalCount(k uint64, w int64, x float64) {
 // evalOrigin processes one finalized (origin, prefix) sighting, packed as
 // its ChanOrigin key k: the MOAS novelty rule. Caller holds d.mu.
 func (d *Detector) evalOrigin(k uint64, w int64, n int64) {
-	sk := unpack(k)
-	prefix, origin := sk.Prefix, sk.Peer
-	os := d.origins[prefix]
-	if os == nil {
-		d.origins[prefix] = &originState{
-			firstWin: w,
-			known:    map[bgp.ASN]struct{}{origin: {}},
-		}
+	pk := k >> prefixShift & prefixMask
+	first, ok := d.born[pk]
+	if !ok {
+		d.born[pk] = w
+		d.known[k] = struct{}{}
 		return
 	}
-	if _, ok := os.known[origin]; ok {
+	if _, ok := d.known[k]; ok {
 		return
 	}
-	if w-os.firstWin < d.estWins || !d.warmedAt(w) {
+	if w-first < d.estWins || !d.warmedAt(w) {
 		// Young prefix or cold detector: accept the origin as
 		// legitimate (new originations, initial transfer).
-		os.known[origin] = struct{}{}
+		d.known[k] = struct{}{}
 		return
 	}
 	// A never-seen origin for an established prefix. The origin is NOT
@@ -571,7 +535,7 @@ func (d *Detector) closeAlert(pk uint64, b *baseline) {
 
 // Advance finalizes every window that ends at or before now, evaluating
 // pending counts in deterministic order and closing alerts whose keys
-// have been quiet for MaxGap windows. Call from the feeder at barriers
+// have been quiet for maxGap windows. Call from the feeder at barriers
 // (e.g. day ends): all Adds for the finalized span must have completed.
 func (d *Detector) Advance(now time.Time) {
 	target := d.windowOf(now.Add(1)) // windows strictly before this are complete
@@ -595,45 +559,34 @@ func (d *Detector) advanceLocked(target int64) {
 	for _, w := range wins {
 		pd := d.pend[w]
 		delete(d.pend, w)
-		if pd == d.cur {
+		if w == d.curW {
 			d.cur = nil // finalized: a late event opens a fresh window
 		}
-		// In keyLess order: the key and peer channels, global, origin.
-		keys = sortedKeys(keys, pd.counts)
-		for _, k := range keys {
-			d.evalCount(k, w, float64(pd.counts[k]))
+		// In packed order: the key and peer channels, global, origin.
+		keys = keys[:0]
+		for k := range pd {
+			keys = append(keys, k)
 		}
-		for cl, n := range pd.global {
-			if n > 0 {
-				d.evalCount(pack(Key{Chan: ChanGlobal, Class: core.Class(cl)}), w, float64(n))
+		slices.Sort(keys)
+		for _, k := range keys {
+			if Channel(k>>chanShift) == ChanOrigin {
+				d.evalOrigin(k, w, pd[k])
+			} else {
+				d.evalCount(k, w, float64(pd[k]))
 			}
 		}
-		keys = sortedKeys(keys, pd.origins)
-		for _, k := range keys {
-			d.evalOrigin(k, w, pd.origins[k])
-		}
 		obsDetWindows.Inc()
-		// Sweep after each window so an episode closes MaxGap quiet
+		// Sweep after each window so an episode closes maxGap quiet
 		// windows after its last anomalous one, however coarse the
 		// Advance cadence — a later burst must not be bridged into it.
-		d.sweepLocked(w+1, int64(d.cfg.MaxGap))
+		d.sweepLocked(w+1, int64(d.cfg.maxGap))
 	}
-	// Close alerts that have gone quiet: MaxGap fully-finalized windows
+	// Close alerts that have gone quiet: maxGap fully-finalized windows
 	// with no anomalous observation.
-	d.sweepLocked(target, int64(d.cfg.MaxGap))
+	d.sweepLocked(target, int64(d.cfg.maxGap))
 	d.finalized, d.haveFinal = target, true
 	obsDetKeys.SetInt(int64(len(d.base)))
 	obsDetActive.SetInt(int64(len(d.alerting)))
-}
-
-// sortedKeys refills buf with m's keys in ascending order.
-func sortedKeys(buf []uint64, m map[uint64]int64) []uint64 {
-	buf = buf[:0]
-	for k := range m {
-		buf = append(buf, k)
-	}
-	slices.Sort(buf)
-	return buf
 }
 
 // sweepLocked closes alerting keys quiet for at least gap windows before
@@ -678,11 +631,11 @@ func (d *Detector) Finish() []Alert {
 func (d *Detector) alertsLocked() []Alert {
 	out := make([]Alert, len(d.alerts))
 	copy(out, d.alerts)
-	sort.Slice(out, func(i, j int) bool {
-		if !out[i].Start.Equal(out[j].Start) {
-			return out[i].Start.Before(out[j].Start)
+	slices.SortFunc(out, func(a, b Alert) int {
+		if c := a.Start.Compare(b.Start); c != 0 {
+			return c
 		}
-		return keyLess(out[i].Key, out[j].Key)
+		return cmp.Compare(pack(a.Key), pack(b.Key))
 	})
 	return out
 }

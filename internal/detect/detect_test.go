@@ -15,12 +15,12 @@ import (
 // synthetic events: 1-minute windows, 30-minute warmup, 20-minute
 // establishment age.
 func testConfig() Config {
-	return Config{
-		Window:       time.Minute,
-		HalfLife:     10,
-		Warmup:       30 * time.Minute,
-		EstablishAge: 20 * time.Minute,
-	}
+	cfg := defaults
+	cfg.window = time.Minute
+	cfg.halfLife = 10
+	cfg.warmup = 30 * time.Minute
+	cfg.establishAge = 20 * time.Minute
+	return cfg
 }
 
 var t0 = time.Date(1996, 5, 1, 0, 0, 0, 0, time.UTC)
@@ -98,8 +98,8 @@ func TestGlobalAlertLifecycle(t *testing.T) {
 	if a.Windows != 3 || a.Records != 3000 {
 		t.Errorf("alert windows=%d records=%d, want 3 and 3000", a.Windows, a.Records)
 	}
-	if a.Peak < d.Config().ZOn {
-		t.Errorf("alert peak %.1f below ZOn %.1f", a.Peak, d.Config().ZOn)
+	if a.Peak < d.Config().zOn {
+		t.Errorf("alert peak %.1f below zOn %.1f", a.Peak, d.Config().zOn)
 	}
 	// The baseline recorded at open is the trained pre-surge rate, and the
 	// surge must not have taught the detector: it stays near 100.
@@ -133,7 +133,7 @@ func TestWarmupSuppressesAlerts(t *testing.T) {
 func TestKeyPersistence(t *testing.T) {
 	runPeer := func(burstWindows int) []Alert {
 		cfg := testConfig()
-		cfg.MinCountGlobal = 1e9 // isolate the peer channel
+		cfg.minCountGlobal = 1e9 // isolate the peer channel
 		d := New(cfg)
 		w := t0
 		for i := 0; i < 60; i++ {
@@ -347,5 +347,66 @@ func TestAddAfterAdvanceFinalizedWindow(t *testing.T) {
 	if a.Key != (Key{Chan: ChanGlobal, Class: core.WADup}) || !a.Start.Equal(late) ||
 		!a.End.Equal(w) || a.Windows != 1 || a.Records != 1000 {
 		t.Errorf("alert %+v, want global WADup over [%s, %s), 1 window, 1000 records", a, late, w)
+	}
+}
+
+// establish announces prefix from origin once a minute for an hour from t0
+// (past warmup and establishment age) and finalizes that hour. It returns
+// the end of the hour.
+func establish(d *Detector, origin bgp.ASN, prefix string) time.Time {
+	w := t0
+	for i := 0; i < 60; i++ {
+		d.Add(announceEv(w.Add(30*time.Second), 7, origin, prefix))
+		w = w.Add(time.Minute)
+	}
+	d.Advance(w)
+	return w
+}
+
+// TestKnownSightingAddsNoPendingKey checks the intake skip: once an origin
+// is known for a prefix, a sighting of it adds no origin key to the
+// pending window, while an unknown origin still does.
+func TestKnownSightingAddsNoPendingKey(t *testing.T) {
+	d := New(testConfig())
+	w := establish(d, 100, "10.0.0.0/8")
+	d.Add(announceEv(w.Add(10*time.Second), 8, 100, "10.0.0.0/8"))
+	origins := func() (keys []Key) {
+		for _, pd := range d.pend {
+			for k := range pd {
+				if Channel(k>>chanShift) == ChanOrigin {
+					keys = append(keys, unpack(k))
+				}
+			}
+		}
+		return keys
+	}
+	if keys := origins(); len(keys) != 0 {
+		t.Fatalf("a known origin's sighting is pending: %+v", keys)
+	}
+	d.Add(announceEv(w.Add(20*time.Second), 8, 666, "10.0.0.0/8"))
+	want := Key{Chan: ChanOrigin, Peer: 666, Prefix: netaddr.MustParsePrefix("10.0.0.0/8")}
+	if keys := origins(); len(keys) != 1 || keys[0] != want {
+		t.Fatalf("pending origin keys %+v, want only %+v", keys, want)
+	}
+}
+
+// TestLateUnknownOriginAlerts finalizes an established prefix's windows,
+// then adds a never-seen origin's sighting stamped in the last finalized
+// window, and the known origin's in the next one: the late sighting must
+// still raise one origin alert on its window.
+func TestLateUnknownOriginAlerts(t *testing.T) {
+	d := New(testConfig())
+	w := establish(d, 100, "10.0.0.0/8")
+	late := w.Add(-time.Minute)
+	d.Add(announceEv(late.Add(40*time.Second), 8, 666, "10.0.0.0/8"))
+	d.Add(announceEv(w.Add(30*time.Second), 7, 100, "10.0.0.0/8"))
+	alerts := d.Finish()
+	if len(alerts) != 1 {
+		t.Fatalf("got %d alerts %+v, want one origin alert", len(alerts), alerts)
+	}
+	a := alerts[0]
+	if a.Key.Chan != ChanOrigin || a.Peer != 666 || a.Prefix != "10.0.0.0/8" ||
+		!a.Start.Equal(late) || a.Windows != 1 || a.Records != 1 {
+		t.Errorf("alert %+v, want origin 666 on 10.0.0.0/8 from %s, 1 window, 1 record", a, late)
 	}
 }

@@ -8,6 +8,21 @@ import (
 	"instability/internal/netaddr"
 )
 
+// keyLess is the order packed keys must have: channel, peer, prefix
+// (Compare), class.
+func keyLess(a, b Key) bool {
+	if a.Chan != b.Chan {
+		return a.Chan < b.Chan
+	}
+	if a.Peer != b.Peer {
+		return a.Peer < b.Peer
+	}
+	if c := a.Prefix.Compare(b.Prefix); c != 0 {
+		return c < 0
+	}
+	return a.Class < b.Class
+}
+
 // FuzzDetectorKeyPack holds the detector's packed keys to their contract:
 // pack round-trips every channel (origin sightings are ChanOrigin keys),
 // class and prefix length, and the numeric order of packed words is keyLess

@@ -223,13 +223,13 @@ var (
 	obsHits = obs.Default().Counter("irtl_intern_hits_total",
 		"Attribute-tuple intern lookups that returned an existing handle.")
 	obsMisses = obs.Default().Counter("irtl_intern_misses_total",
-		"Attribute-tuple intern lookups that created a new handle (equals the distinct tuples seen process-wide).")
+		"Attribute-tuple intern lookups that created a new handle, summed over tables (a tuple two tables intern counts twice).")
 	obsPaths = obs.Default().Counter("irtl_intern_paths_total",
-		"Distinct AS paths interned process-wide.")
+		"AS paths interned, summed over tables.")
 )
 
-// Stats returns the process-wide flushed interning tallies: lookup hits,
-// misses (distinct tuples created), and distinct paths interned. Tables
+// Stats returns the process-wide flushed interning tallies, summed over
+// tables: lookup hits, misses (tuples created), and paths interned. Tables
 // flush in batches, so totals lag live tables by at most statsFlushEvery
 // lookups each unless FlushStats was called.
 func Stats() (hits, misses, paths uint64) {

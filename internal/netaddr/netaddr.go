@@ -203,10 +203,13 @@ func (p Prefix) Halves() (lo, hi Prefix) {
 	return lo, hi
 }
 
-// Bit returns bit i (0 = most significant network bit) of p's address.
-func (p Prefix) Bit(i int) int {
-	return int(p.addr>>(31-uint(i))) & 1
-}
+// Key packs p into one word, addr<<8 | bits: the one packed prefix every
+// prefix-keyed table and hash uses. It is injective over every Prefix value,
+// and its numeric order is Compare order.
+func (p Prefix) Key() uint64 { return uint64(p.addr)<<8 | uint64(p.bits) }
+
+// PrefixFromKey inverts Key. k must be a Key.
+func PrefixFromKey(k uint64) Prefix { return Prefix{addr: Addr(k >> 8), bits: uint8(k)} }
 
 // Compare orders prefixes first by address, then by mask length (shorter
 // first). The order is total and matches routing-table display convention.

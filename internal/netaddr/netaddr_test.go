@@ -1,6 +1,7 @@
 package netaddr
 
 import (
+	"cmp"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -177,13 +178,14 @@ func TestHalvesInverseOfSupernet(t *testing.T) {
 }
 
 func TestBitAndMask(t *testing.T) {
+	// Key holds the address's network bits above the 8-bit length.
 	p := MustParsePrefix("128.0.0.0/1")
-	if p.Bit(0) != 1 {
-		t.Error("top bit should be 1")
+	if p.Key()>>39 != 1 || p.Key()&0xff != 1 {
+		t.Errorf("Key of 128/1 = %#x: top bit should be 1", p.Key())
 	}
 	q := MustParsePrefix("64.0.0.0/2")
-	if q.Bit(0) != 0 || q.Bit(1) != 1 {
-		t.Error("bits of 64/2 wrong")
+	if q.Key()>>38 != 1 || q.Key()&0xff != 2 {
+		t.Errorf("Key of 64/2 = %#x: bits wrong", q.Key())
 	}
 	if MustParsePrefix("255.255.255.0/24").Mask() != MustParseAddr("255.255.255.0") {
 		t.Error("mask wrong")
@@ -223,6 +225,24 @@ func TestCompareTotalOrder(t *testing.T) {
 				t.Errorf("Compare(%v,%v) = %d, want %d", ps[i], ps[j], got, want)
 			}
 		}
+	}
+}
+
+// TestKeyOrderIsCompare holds Key to its contract over random pairs of
+// valid prefixes: equal keys iff equal prefixes, and key order is Compare
+// order. Half the pairs share an address, so equal addresses at different
+// lengths (and equal prefixes) come up often.
+func TestKeyOrderIsCompare(t *testing.T) {
+	f := func(a1, a2 uint32, b1, b2 uint8, share bool) bool {
+		if share {
+			a2 = a1
+		}
+		p, q := MustPrefix(Addr(a1), int(b1%33)), MustPrefix(Addr(a2), int(b2%33))
+		return cmp.Compare(p.Key(), q.Key()) == p.Compare(q) && (p.Key() == q.Key()) == (p == q) &&
+			PrefixFromKey(p.Key()) == p
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 20000}); err != nil {
+		t.Error(err)
 	}
 }
 

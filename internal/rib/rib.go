@@ -1,8 +1,14 @@
+// Package rib implements the routing information base used by the simulated
+// routers and route servers: a table of prefixes keyed by netaddr.Prefix.Key,
+// the Adj-RIB-In / Loc-RIB / Adj-RIB-Out split of RFC 1771, the BGP decision
+// process, CIDR aggregation, and the multihoming census the paper's Figure 10
+// is built on.
 package rib
 
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"instability/internal/bgp"
 	"instability/internal/netaddr"
@@ -25,7 +31,7 @@ type entry struct {
 }
 
 // prefixState holds all candidates for a prefix plus the current best index.
-// A state whose candidate list has emptied is kept in the trie as a
+// A state whose candidate list has emptied is kept in the table as a
 // tombstone (best == -1) rather than deleted: route flaps withdraw and
 // re-announce the same prefixes over and over, and reusing the state and its
 // candidate capacity makes the steady-state flap cycle allocation-free.
@@ -75,15 +81,34 @@ func (d Decision) PolicyChanged() bool {
 // merged into a Loc-RIB by the BGP decision process.
 type RIB struct {
 	localAS bgp.ASN
-	table   Trie[*prefixState]
-	// live counts prefixes with at least one candidate; the trie may
+	// table maps each prefix's Key to its state. keys holds every key of
+	// table, sorted before a walk when sorted is false: states are never
+	// deleted, so keys only grows.
+	table  map[uint64]*prefixState
+	keys   []uint64
+	sorted bool
+	// live counts prefixes with at least one candidate; the table may
 	// additionally hold tombstoned states awaiting reuse.
 	live int
 }
 
 // New returns an empty RIB for a router in the given AS.
 func New(localAS bgp.ASN) *RIB {
-	return &RIB{localAS: localAS}
+	return &RIB{localAS: localAS, table: make(map[uint64]*prefixState)}
+}
+
+// walk visits every state, tombstones included, in prefix Compare order
+// (Key order). Returning false from fn stops the walk.
+func (r *RIB) walk(fn func(p netaddr.Prefix, st *prefixState) bool) {
+	if !r.sorted {
+		slices.Sort(r.keys)
+		r.sorted = true
+	}
+	for _, k := range r.keys {
+		if !fn(netaddr.PrefixFromKey(k), r.table[k]) {
+			return
+		}
+	}
 }
 
 // Len returns the number of prefixes with at least one candidate route.
@@ -95,7 +120,8 @@ func (r *RIB) Len() int { return r.live }
 // Decision reflects no change.
 func (r *RIB) Update(peer PeerID, prefix netaddr.Prefix, attrs bgp.Attrs) Decision {
 	d := Decision{Prefix: prefix}
-	st, ok := r.table.Get(prefix)
+	k := prefix.Key()
+	st, ok := r.table[k]
 	if ok && st.best >= 0 {
 		d.HadBest = true
 		d.Old = st.candidates[st.best].attrs
@@ -108,7 +134,9 @@ func (r *RIB) Update(peer PeerID, prefix netaddr.Prefix, attrs bgp.Attrs) Decisi
 	}
 	if !ok {
 		st = &prefixState{best: -1}
-		r.table.Insert(prefix, st)
+		r.table[k] = st
+		r.keys = append(r.keys, k)
+		r.sorted = false
 	}
 	if len(st.candidates) == 0 {
 		r.live++ // fresh prefix, or a tombstone coming back to life
@@ -138,7 +166,7 @@ func (r *RIB) Update(peer PeerID, prefix netaddr.Prefix, attrs bgp.Attrs) Decisi
 // Decision reports no change — the pathological WWDup case.
 func (r *RIB) Withdraw(peer PeerID, prefix netaddr.Prefix) Decision {
 	d := Decision{Prefix: prefix}
-	st, ok := r.table.Get(prefix)
+	st, ok := r.table[prefix.Key()]
 	if !ok || len(st.candidates) == 0 {
 		return d // unknown prefix or an existing tombstone: WWDup either way
 	}
@@ -154,7 +182,7 @@ func (r *RIB) Withdraw(peer PeerID, prefix netaddr.Prefix) Decision {
 		}
 	}
 	if len(st.candidates) == 0 {
-		// Tombstone the state in place of a trie delete: the next announce
+		// Tombstone the state in place of a delete: the next announce
 		// of this prefix (the flap pattern) reuses it and its capacity.
 		st.best = -1
 		r.live--
@@ -175,7 +203,7 @@ func (r *RIB) Withdraw(peer PeerID, prefix netaddr.Prefix) Decision {
 // topology changes to every other peer (the seed of a route flap storm).
 func (r *RIB) WithdrawPeer(peer PeerID) []Decision {
 	var affected []netaddr.Prefix
-	r.table.Walk(func(p netaddr.Prefix, st *prefixState) bool {
+	r.walk(func(p netaddr.Prefix, st *prefixState) bool {
 		for _, c := range st.candidates {
 			if c.peer == peer {
 				affected = append(affected, p)
@@ -246,7 +274,7 @@ func med(a bgp.Attrs) uint32 {
 
 // Best returns the current best route for prefix.
 func (r *RIB) Best(prefix netaddr.Prefix) (bgp.Attrs, PeerID, bool) {
-	st, ok := r.table.Get(prefix)
+	st, ok := r.table[prefix.Key()]
 	if !ok || st.best < 0 {
 		return bgp.Attrs{}, PeerID{}, false
 	}
@@ -255,16 +283,17 @@ func (r *RIB) Best(prefix netaddr.Prefix) (bgp.Attrs, PeerID, bool) {
 
 // Candidates returns the number of candidate routes held for prefix.
 func (r *RIB) Candidates(prefix netaddr.Prefix) int {
-	st, ok := r.table.Get(prefix)
+	st, ok := r.table[prefix.Key()]
 	if !ok {
 		return 0
 	}
 	return len(st.candidates)
 }
 
-// WalkBest visits every prefix that currently has a best route.
+// WalkBest visits every prefix that currently has a best route, in Compare
+// order. Returning false from fn stops the walk.
 func (r *RIB) WalkBest(fn func(p netaddr.Prefix, attrs bgp.Attrs, peer PeerID) bool) {
-	r.table.Walk(func(p netaddr.Prefix, st *prefixState) bool {
+	r.walk(func(p netaddr.Prefix, st *prefixState) bool {
 		if st.best < 0 {
 			return true
 		}
@@ -364,7 +393,7 @@ func (s bitSet) each(f func(uint32)) {
 // census pays for path IDs, not every Update.
 func (r *RIB) TakePartialCensus() PartialCensus {
 	pc := PartialCensus{PathTab: bgp.NewPathTable()}
-	r.table.Walk(func(_ netaddr.Prefix, st *prefixState) bool {
+	r.walk(func(_ netaddr.Prefix, st *prefixState) bool {
 		AddPrefix(&pc, st.candidates, func(e *entry) (bgp.ASPath, bgp.PathID, bool) {
 			return e.attrs.Path, pc.PathTab.ID(e.attrs.Path), true
 		})

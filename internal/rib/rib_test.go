@@ -2,12 +2,15 @@ package rib
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"instability/internal/bgp"
 	"instability/internal/netaddr"
 )
+
+func pfx(s string) netaddr.Prefix { return netaddr.MustParsePrefix(s) }
 
 func peer(as bgp.ASN, id uint32) PeerID {
 	return PeerID{AS: as, ID: netaddr.Addr(id)}
@@ -252,6 +255,106 @@ func TestWalkBest(t *testing.T) {
 	r.WalkBest(func(netaddr.Prefix, bgp.Attrs, PeerID) bool { n++; return true })
 	if n != 2 {
 		t.Fatalf("visited %d", n)
+	}
+}
+
+// bestPrefixes returns the prefixes WalkBest visits, in visit order.
+func bestPrefixes(r *RIB) []netaddr.Prefix {
+	var out []netaddr.Prefix
+	r.WalkBest(func(p netaddr.Prefix, _ bgp.Attrs, _ PeerID) bool {
+		out = append(out, p)
+		return true
+	})
+	return out
+}
+
+// decisionPrefixes returns the prefixes of ds, in order.
+func decisionPrefixes(ds []Decision) []netaddr.Prefix {
+	out := make([]netaddr.Prefix, len(ds))
+	for i, d := range ds {
+		out[i] = d.Prefix
+	}
+	return out
+}
+
+// TestRIBWalkOrder announces a nested prefix set in shuffled order, with a
+// tombstone among them, and checks that WalkBest and WithdrawPeer visit it
+// in Compare order (address, then mask length) and that WalkBest stops
+// early when asked.
+func TestRIBWalkOrder(t *testing.T) {
+	want := []netaddr.Prefix{
+		pfx("0.0.0.0/0"),
+		pfx("10.0.0.0/8"),
+		pfx("10.0.0.0/16"),
+		pfx("10.1.0.0/16"),
+		pfx("192.168.0.0/16"),
+		pfx("192.168.1.0/24"),
+	}
+	r := New(690)
+	rng := rand.New(rand.NewSource(5))
+	for _, i := range rng.Perm(len(want)) {
+		r.Update(peer(701, 1), want[i], attrs(1, 701, bgp.ASN(1000+i)))
+	}
+	gone := pfx("10.0.0.0/12")
+	r.Update(peer(701, 1), gone, attrs(1, 701, 999))
+	r.Withdraw(peer(701, 1), gone)
+	if got := bestPrefixes(r); !slices.Equal(got, want) {
+		t.Fatalf("WalkBest order %v, want %v", got, want)
+	}
+	n := 0
+	r.WalkBest(func(netaddr.Prefix, bgp.Attrs, PeerID) bool { n++; return n < 3 })
+	if n != 3 {
+		t.Fatalf("WalkBest visited %d after early stop", n)
+	}
+	if got := decisionPrefixes(r.WithdrawPeer(peer(701, 1))); !slices.Equal(got, want) {
+		t.Fatalf("WithdrawPeer order %v, want %v", got, want)
+	}
+}
+
+// TestRIBWalkSortedMatchesReference seeds a table with random prefixes
+// from two peers, withdrawing some, and checks WalkBest and WithdrawPeer
+// against a reference map sorted by Compare.
+func TestRIBWalkSortedMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	r := New(690)
+	a, b := peer(701, 1), peer(174, 2)
+	best := map[netaddr.Prefix]bool{}  // prefixes with a route
+	fromA := map[netaddr.Prefix]bool{} // prefixes holding a's route
+	var seen []netaddr.Prefix
+	for i := 0; i < 500; i++ {
+		p := netaddr.MustPrefix(netaddr.Addr(rng.Uint32()), 8+rng.Intn(25))
+		seen = append(seen, p)
+		switch rng.Intn(4) {
+		case 0:
+			r.Update(b, p, attrs(2, 174, 9, 1000))
+			best[p] = true
+		case 1: // withdraw a's route for a prefix seen before, if any
+			p = seen[rng.Intn(len(seen))]
+			r.Withdraw(a, p)
+			delete(fromA, p)
+			best[p] = r.Candidates(p) > 0
+		default:
+			r.Update(a, p, attrs(1, 701, 1000))
+			best[p], fromA[p] = true, true
+		}
+	}
+	sorted := func(set map[netaddr.Prefix]bool) []netaddr.Prefix {
+		var out []netaddr.Prefix
+		for p, ok := range set {
+			if ok {
+				out = append(out, p)
+			}
+		}
+		slices.SortFunc(out, netaddr.Prefix.Compare)
+		return out
+	}
+	if got, want := bestPrefixes(r), sorted(best); !slices.Equal(got, want) {
+		t.Fatalf("WalkBest visited %d prefixes, reference %d, or out of order:\n%v\n%v", len(got), len(want), got, want)
+	}
+	// a's routes are all preferred (shorter path), so withdrawing a changes
+	// the best route of every prefix holding one.
+	if got, want := decisionPrefixes(r.WithdrawPeer(a)), sorted(fromA); !slices.Equal(got, want) {
+		t.Fatalf("WithdrawPeer decided %d prefixes, reference %d, or out of order", len(got), len(want))
 	}
 }
 

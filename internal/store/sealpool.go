@@ -106,7 +106,7 @@ func encodeSegmentBlock(sc *sealScratch, block []memRec) encodedBlock {
 			sc.peerOf[pk] = rc.peer
 			peers = append(peers, peerKey{r.peerAS, r.peerAddr})
 		}
-		fk := uint64(r.prefix.Addr())<<8 | uint64(r.prefix.Bits())
+		fk := r.prefix.Key()
 		if rc.prefix, ok = sc.prefixOf[fk]; !ok {
 			rc.prefix = uint16(len(prefixes))
 			sc.prefixOf[fk] = rc.prefix

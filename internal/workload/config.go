@@ -265,6 +265,17 @@ func ScenarioConfig(kind IncidentKind, episodes int, seed int64) Config {
 	return cfg
 }
 
+// AdversaryIncidents places one one-day episode of each kind, in order, on
+// consecutive days from day 2, after the detector's baselines have
+// something to decay from. Episode i lands on day 2+i.
+func AdversaryIncidents(kinds []IncidentKind) []Incident {
+	out := make([]Incident, len(kinds))
+	for i, kind := range kinds {
+		out[i] = Incident{Kind: kind, Day: 2 + i, Days: 1, Magnitude: scenarioMagnitude(kind)}
+	}
+	return out
+}
+
 // AdversaryConfig returns the combined detection benchmark: all five
 // adversarial scenarios on consecutive days over the SmallConfig
 // background.
@@ -273,13 +284,7 @@ func AdversaryConfig(seed int64) Config {
 	cfg.Seed = seed
 	cfg.SaturdaySpikeProb = 0
 	cfg.Days = 9
-	cfg.Incidents = []Incident{
-		{Kind: PrefixHijack, Day: 2, Days: 1, Magnitude: 1},
-		{Kind: RouteLeak, Day: 3, Days: 1, Magnitude: 1},
-		{Kind: PathPoisoning, Day: 4, Days: 1, Magnitude: 1},
-		{Kind: SessionResetStorm, Day: 5, Days: 1, Magnitude: 1},
-		{Kind: WormPropagation, Day: 6, Days: 1, Magnitude: 1.5},
-	}
+	cfg.Incidents = AdversaryIncidents(AdversaryScenarios)
 	return cfg
 }
 

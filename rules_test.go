@@ -215,6 +215,17 @@ var _ = core.NewAccumulator() // violation
 `),
 	},
 	{
+		name:  "one prefix packing",
+		find:  shiftedPrefixAddr,
+		allow: map[string]string{},
+		plant: plantFile("internal/planted/prefixkey.go", `package planted
+
+import "instability/internal/netaddr"
+
+var _ = uint64(netaddr.Prefix{}.Addr()) << 8 // violation
+`),
+	},
+	{
 		name:  "log/slog",
 		find:  importedOutside("log/slog"),
 		allow: map[string]string{},
@@ -311,6 +322,44 @@ func namedOutside(pkg, name string) func(m *srcModule) []breach {
 		}
 		return out
 	}
+}
+
+// shiftedPrefixAddr reports every shift, in program code outside
+// internal/netaddr, of a conversion of netaddr.Prefix.Addr(): a prefix
+// packed by hand where Prefix.Key is the one packing.
+func shiftedPrefixAddr(m *srcModule) []breach {
+	var out []breach
+	for _, p := range m.pkgs {
+		if p.dir == "internal/netaddr" {
+			continue
+		}
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				be, ok := n.(*ast.BinaryExpr)
+				if !ok || be.Op != token.SHL && be.Op != token.SHR {
+					return true
+				}
+				conv, ok := ast.Unparen(be.X).(*ast.CallExpr)
+				if !ok || len(conv.Args) != 1 || !p.info.Types[conv.Fun].IsType() {
+					return true
+				}
+				call, ok := ast.Unparen(conv.Args[0]).(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				if fn, ok := p.info.Uses[sel.Sel].(*types.Func); ok && fn.FullName() == "(instability/internal/netaddr.Prefix).Addr" {
+					rel, pos := m.where(be.Pos())
+					out = append(out, breach{rel, pos, "shifts a conversion of netaddr.Prefix.Addr(); pack with Prefix.Key"})
+				}
+				return true
+			})
+		}
+	}
+	return out
 }
 
 // importedOutside reports every file of program code that imports pkg.
