@@ -71,6 +71,16 @@ func FuzzUnmarshalAttrs(f *testing.F) {
 		if !bytes.Equal(w, w2) {
 			t.Fatalf("re-encoding is not canonical: %x != %x", w, w2)
 		}
+		// AppendAttrs writes the same bytes after whatever its buffer holds,
+		// and leaves those untouched.
+		prefix := data[:len(data)/2]
+		got, err := AppendAttrs(bytes.Clone(prefix), &a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := append(bytes.Clone(prefix), w...); !bytes.Equal(got, want) {
+			t.Fatalf("AppendAttrs(%x) = %x, want %x", prefix, got, want)
+		}
 	})
 }
 

@@ -155,59 +155,52 @@ func (u Update) MarshalBody(b []byte) ([]byte, error) {
 	return b, nil
 }
 
-func (a Attrs) marshal(b []byte) ([]byte, error) {
-	appendAttr := func(flags, typ uint8, val []byte) {
-		if len(val) > 255 {
-			flags |= flagExtLen
-			b = append(b, flags, typ, byte(len(val)>>8), byte(len(val)))
-		} else {
-			b = append(b, flags, typ, byte(len(val)))
-		}
-		b = append(b, val...)
-	}
-
+// marshal appends the wire form of the attributes to b: the one attribute
+// encoder, behind MarshalAttrs, AppendAttrs and Update.MarshalBody. Every
+// value is written in place, so it allocates only to grow b.
+func (a *Attrs) marshal(b []byte) ([]byte, error) {
 	if a.Origin > OriginIncomplete {
 		return nil, fmt.Errorf("bgp: invalid origin %d", a.Origin)
 	}
-	appendAttr(flagTransitive, attrOrigin, []byte{byte(a.Origin)})
-
-	path, err := a.Path.marshal(nil)
+	b = append(b, flagTransitive, attrOrigin, 1, byte(a.Origin))
+	pathLen := 0
+	for _, seg := range a.Path.Segments {
+		pathLen += 2 + 2*len(seg.ASNs)
+	}
+	b, err := a.Path.marshal(appendAttrHeader(b, flagTransitive, attrASPath, pathLen))
 	if err != nil {
 		return nil, err
 	}
-	appendAttr(flagTransitive, attrASPath, path)
-
-	var nh [4]byte
-	binary.BigEndian.PutUint32(nh[:], uint32(a.NextHop))
-	appendAttr(flagTransitive, attrNextHop, nh[:])
-
+	b = binary.BigEndian.AppendUint32(append(b, flagTransitive, attrNextHop, 4), uint32(a.NextHop))
 	if a.HasMED {
-		var v [4]byte
-		binary.BigEndian.PutUint32(v[:], a.MED)
-		appendAttr(flagOptional, attrMED, v[:])
+		b = binary.BigEndian.AppendUint32(append(b, flagOptional, attrMED, 4), a.MED)
 	}
 	if a.HasLocalPref {
-		var v [4]byte
-		binary.BigEndian.PutUint32(v[:], a.LocalPref)
-		appendAttr(flagTransitive, attrLocalPref, v[:])
+		b = binary.BigEndian.AppendUint32(append(b, flagTransitive, attrLocalPref, 4), a.LocalPref)
 	}
 	if a.AtomicAggregate {
-		appendAttr(flagTransitive, attrAtomicAggregate, nil)
+		b = append(b, flagTransitive, attrAtomicAggregate, 0)
 	}
 	if a.HasAggregator {
-		var v [6]byte
-		binary.BigEndian.PutUint16(v[:2], uint16(a.AggregatorAS))
-		binary.BigEndian.PutUint32(v[2:], uint32(a.AggregatorAddr))
-		appendAttr(flagOptional|flagTransitive, attrAggregator, v[:])
+		b = binary.BigEndian.AppendUint16(append(b, flagOptional|flagTransitive, attrAggregator, 6), uint16(a.AggregatorAS))
+		b = binary.BigEndian.AppendUint32(b, uint32(a.AggregatorAddr))
 	}
 	if len(a.Communities) > 0 {
-		v := make([]byte, 4*len(a.Communities))
-		for i, c := range a.Communities {
-			binary.BigEndian.PutUint32(v[4*i:], uint32(c))
+		b = appendAttrHeader(b, flagOptional|flagTransitive, attrCommunity, 4*len(a.Communities))
+		for _, c := range a.Communities {
+			b = binary.BigEndian.AppendUint32(b, uint32(c))
 		}
-		appendAttr(flagOptional|flagTransitive, attrCommunity, v)
 	}
 	return b, nil
+}
+
+// appendAttrHeader appends the flags, type and length of an attribute whose
+// value is n bytes long, in the extended-length form when n needs it.
+func appendAttrHeader(b []byte, flags, typ uint8, n int) []byte {
+	if n > 255 {
+		return append(b, flags|flagExtLen, typ, byte(n>>8), byte(n))
+	}
+	return append(b, flags, typ, byte(n))
 }
 
 func unmarshalUpdate(body []byte) (Update, error) {
@@ -258,7 +251,7 @@ func unmarshalUpdate(body []byte) (Update, error) {
 
 func unmarshalAttrs(b []byte) (Attrs, error) {
 	var a Attrs
-	seen := make(map[uint8]bool, 8)
+	var seen [4]uint64 // a bit per attribute type met so far
 	var haveOrigin, havePath, haveNextHop bool
 	for len(b) > 0 {
 		if len(b) < 3 {
@@ -281,10 +274,10 @@ func unmarshalAttrs(b []byte) (Attrs, error) {
 		}
 		val := b[:alen]
 		b = b[alen:]
-		if seen[typ] {
+		if seen[typ/64]&(1<<(typ%64)) != 0 {
 			return a, fmt.Errorf("bgp: duplicate attribute %d", typ)
 		}
-		seen[typ] = true
+		seen[typ/64] |= 1 << (typ % 64)
 		switch typ {
 		case attrOrigin:
 			if alen != 1 || val[0] > byte(OriginIncomplete) {
@@ -390,8 +383,14 @@ func SortPrefixes(ps []netaddr.Prefix) {
 }
 
 // MarshalAttrs encodes a path attribute set in wire form, for callers (such
-// as the collector's log codec) that persist attributes outside an UPDATE.
+// as the serving layer's NDJSON rows) that persist attributes outside an
+// UPDATE.
 func MarshalAttrs(a Attrs) ([]byte, error) { return a.marshal(nil) }
+
+// AppendAttrs appends the wire form MarshalAttrs returns to b. It allocates
+// only to grow b, so a caller encoding into a reused buffer (the collector's
+// log writer, the store's attribute table) allocates nothing per tuple.
+func AppendAttrs(b []byte, a *Attrs) ([]byte, error) { return a.marshal(b) }
 
 // UnmarshalAttrs decodes a path attribute set produced by MarshalAttrs. An
 // empty input yields the zero Attrs (used for withdrawal records that carry

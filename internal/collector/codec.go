@@ -97,8 +97,9 @@ func AppendRecord(b []byte, rec Record) ([]byte, error) {
 }
 
 // AppendRecordAttrs is AppendRecord for a caller that already holds an
-// announcement's attributes in wire form (the store memoizes them per tuple);
-// attrs must be nil for every other record type.
+// announcement's attributes in wire form (the store keeps them per tuple, the
+// log writer encodes them into a reused buffer); attrs must be nil for every
+// other record type.
 func AppendRecordAttrs(b []byte, rec Record, attrs []byte) []byte {
 	return AppendRecordFields(b, rec.Time.UnixNano(), rec.Type, rec.PeerAS, rec.PeerAddr, rec.Prefix, attrs)
 }

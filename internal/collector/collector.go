@@ -106,6 +106,7 @@ type Writer struct {
 	layers layers // opened by Create
 	buf    []byte // the header until the first frame is out, then the open frame
 	lenAt  int    // where the open frame starts in buf
+	attrs  []byte // an announcement's attributes in wire form, reused
 	count  int
 }
 
@@ -138,10 +139,15 @@ func Create(path, exchange string) (*Writer, error) {
 
 // Write appends one record, writing out the frame it completes.
 func (w *Writer) Write(r Record) error {
-	b, err := AppendRecord(w.buf, r)
-	if err != nil {
-		return err
+	var attrs []byte
+	if r.Type == Announce {
+		var err error
+		if w.attrs, err = bgp.AppendAttrs(w.attrs[:0], &r.Attrs); err != nil {
+			return err
+		}
+		attrs = w.attrs
 	}
+	b := AppendRecordAttrs(w.buf, r, attrs)
 	if n := len(b) - len(w.buf); n > maxLogFrame-logFrameTarget {
 		return fmt.Errorf("collector: record of %d bytes too large for a log", n)
 	}
@@ -150,7 +156,7 @@ func (w *Writer) Write(r Record) error {
 	if len(b)-w.lenAt-4 < logFrameTarget {
 		return nil
 	}
-	_, err = w.w.Write(EndFrame(b, w.lenAt))
+	_, err := w.w.Write(EndFrame(b, w.lenAt))
 	w.buf, w.lenAt = BeginFrame(b[:0])
 	return err
 }

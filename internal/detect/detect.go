@@ -545,14 +545,19 @@ func (d *Detector) Advance(now time.Time) {
 }
 
 func (d *Detector) advanceLocked(target int64) {
-	if d.haveFinal && target <= d.finalized {
-		return
+	// finalized never moves back, but a late Add may have reopened a window
+	// below it: a target at or behind it still evaluates those.
+	if d.haveFinal {
+		target = max(target, d.finalized)
 	}
 	wins := make([]int64, 0, len(d.pend))
 	for w := range d.pend {
 		if w < target {
 			wins = append(wins, w)
 		}
+	}
+	if len(wins) == 0 && d.haveFinal && target == d.finalized {
+		return
 	}
 	slices.Sort(wins)
 	var keys []uint64

@@ -410,3 +410,23 @@ func TestLateUnknownOriginAlerts(t *testing.T) {
 		t.Errorf("alert %+v, want origin 666 on 10.0.0.0/8 from %s, 1 window, 1 record", a, late)
 	}
 }
+
+// TestLateTrailingUnknownOriginAlerts is TestLateUnknownOriginAlerts with
+// nothing after the late sighting: no newer window is pending, so Finish's
+// target is the window already finalized, and it must still evaluate the
+// reopened window and raise its alert.
+func TestLateTrailingUnknownOriginAlerts(t *testing.T) {
+	d := New(testConfig())
+	w := establish(d, 100, "10.0.0.0/8")
+	late := w.Add(-time.Minute)
+	d.Add(announceEv(late.Add(40*time.Second), 8, 666, "10.0.0.0/8"))
+	alerts := d.Finish()
+	if len(alerts) != 1 {
+		t.Fatalf("got %d alerts %+v, want one origin alert", len(alerts), alerts)
+	}
+	a := alerts[0]
+	if a.Key.Chan != ChanOrigin || a.Peer != 666 || a.Prefix != "10.0.0.0/8" ||
+		!a.Start.Equal(late) || a.Windows != 1 || a.Records != 1 {
+		t.Errorf("alert %+v, want origin 666 on 10.0.0.0/8 from %s, 1 window, 1 record", a, late)
+	}
+}

@@ -1,13 +1,13 @@
 package store
 
 import (
+	"bytes"
 	"errors"
 	"sync"
 	"time"
 
 	"instability/internal/bgp"
 	"instability/internal/collector"
-	"instability/internal/intern"
 	"instability/internal/netaddr"
 )
 
@@ -20,21 +20,22 @@ func isCorrupt(err error) bool { return errors.Is(err, ErrCorrupt) }
 
 // attrTable is the store's one answer to "which tuple is this": every tuple a
 // store appends, replays, reads from a block, transcodes from a legacy block
-// or merges in compaction resolves to the same immutable *attrRef. The same
-// duplicate-dominated stream that motivates interning means the store would
-// otherwise re-hash and re-marshal identical path attributes for nearly every
-// record. Writers take the lock once per Append, AppendBatch or replay loop,
-// always after the store mutex; a reader takes it once per dictionary entry it
-// resolves, never per record.
+// or merges in compaction resolves to the same immutable *attrRef, found by
+// its wire bytes. The same duplicate-dominated stream that motivates a table
+// means nearly every append repeats a tuple the table holds: encoding it into
+// the table's scratch buffer and probing the map is all the append pays. Only
+// a miss decodes, so a ref's tuple is exactly what its wire bytes say, read
+// from the memtable or from a segment alike. Writers take the lock once per
+// Append, AppendBatch or replay loop, always after the store mutex; a reader
+// takes it once per dictionary entry it resolves, never per record.
 type attrTable struct {
-	mu     sync.Mutex
-	tab    *intern.Table
-	refs   []*attrRef // by handle ID, filled on first sight
-	byWire map[string]*attrRef
+	mu      sync.Mutex
+	byWire  map[string]*attrRef // canonical wire bytes, and any other spelling read, to its ref
+	scratch []byte              // the wire bytes being looked up, reused
 }
 
 func newAttrTable() *attrTable {
-	return &attrTable{tab: intern.New(), byWire: make(map[string]*attrRef)}
+	return &attrTable{byWire: make(map[string]*attrRef)}
 }
 
 // attrRef is the store's record of one distinct attribute tuple: the
@@ -47,32 +48,29 @@ type attrRef struct {
 	origin int32
 }
 
-// internLocked interns a and returns its ref, marshalling the tuple on first
-// sight. t.mu is held.
-func (t *attrTable) internLocked(a bgp.Attrs) (*attrRef, error) {
-	h := t.tab.Attrs(a)
-	for int(h.ID) >= len(t.refs) {
-		t.refs = append(t.refs, nil)
-	}
-	if ref := t.refs[h.ID]; ref != nil {
+// scratchLocked returns the ref of the tuple whose canonical wire bytes are
+// in t.scratch, adding one decoded from them on a miss. A hit is one map probe
+// and no allocation (Go elides the string conversion in the lookup). t.mu is
+// held.
+func (t *attrTable) scratchLocked() (*attrRef, error) {
+	if ref, ok := t.byWire[string(t.scratch)]; ok {
 		return ref, nil
 	}
-	w, err := bgp.MarshalAttrs(h.Attrs())
+	a, err := bgp.UnmarshalAttrs(t.scratch)
 	if err != nil {
 		return nil, err
 	}
-	ref := &attrRef{attrs: h.Attrs(), wire: w, origin: -1}
-	if o, ok := ref.attrs.Path.Origin(); ok {
+	ref := &attrRef{attrs: a, wire: bytes.Clone(t.scratch), origin: -1}
+	if o, ok := a.Path.Origin(); ok {
 		ref.origin = int32(o)
 	}
-	t.refs[h.ID] = ref
-	t.byWire[string(w)] = ref
+	t.byWire[string(ref.wire)] = ref
 	return ref, nil
 }
 
 // resolve returns the ref of the tuple whose wire bytes are w (not retained).
-// After the first sight of a tuple it is one map probe and no allocation (Go
-// elides the string(w) conversion in the lookup).
+// Bytes that are not the canonical encoding of what they decode to (a legacy
+// writer's spelling) become an alias of the canonical tuple's ref.
 func (t *attrTable) resolve(w []byte) (*attrRef, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -83,13 +81,14 @@ func (t *attrTable) resolve(w []byte) (*attrRef, error) {
 	if err != nil {
 		return nil, err
 	}
-	ref, err := t.internLocked(a)
-	if err != nil {
+	if t.scratch, err = bgp.AppendAttrs(t.scratch[:0], &a); err != nil {
 		return nil, err
 	}
-	t.byWire[string(w)] = ref
-	t.tab.FlushStats()
-	return ref, nil
+	ref, err := t.scratchLocked()
+	if err == nil && !bytes.Equal(w, ref.wire) {
+		t.byWire[string(w)] = ref
+	}
+	return ref, err
 }
 
 // memRec is one unsealed record as the memtable holds it: 32 bytes and one
@@ -104,13 +103,17 @@ type memRec struct {
 	typ      collector.RecType
 }
 
-// rowLocked converts rec to a memtable row, interning an announcement's
-// attributes. The row keeps none of rec's slices. t.mu is held.
+// rowLocked converts rec to a memtable row, resolving an announcement's
+// attributes by the wire bytes they encode to. The row keeps none of rec's
+// slices. t.mu is held.
 func (t *attrTable) rowLocked(rec *collector.Record) (memRec, error) {
 	r := memRec{ns: rec.Time.UnixNano(), prefix: rec.Prefix, peerAddr: rec.PeerAddr, peerAS: rec.PeerAS, typ: rec.Type}
 	if rec.Type == collector.Announce {
 		var err error
-		if r.attrs, err = t.internLocked(rec.Attrs); err != nil {
+		if t.scratch, err = bgp.AppendAttrs(t.scratch[:0], &rec.Attrs); err != nil {
+			return memRec{}, err
+		}
+		if r.attrs, err = t.scratchLocked(); err != nil {
 			return memRec{}, err
 		}
 	}

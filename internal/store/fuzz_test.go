@@ -401,8 +401,8 @@ func FuzzMemRecRoundTrip(f *testing.F) {
 	}
 	f.Add(all)
 	tab := newAttrTable()
-	for _, a := range dict[1:] { // handle IDs a fresh table would not assign
-		if _, err := tab.internLocked(a); err != nil {
+	for _, a := range dict[1:] { // tuples a fresh table would not hold
+		if _, err := tab.rowLocked(&collector.Record{Type: collector.Announce, Attrs: a}); err != nil {
 			f.Fatal(err)
 		}
 	}

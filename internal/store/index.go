@@ -109,6 +109,19 @@ type segIndex struct {
 	filter  *bloom
 }
 
+// encodedLen is the length of ix's encoding, so a writer can size one buffer
+// for it.
+func (ix *segIndex) encodedLen() int {
+	n := 4 + 36*len(ix.blocks) + 4 + 1 + 8*len(ix.filter.bits)
+	for _, p := range [...]postings{ix.peers, ix.origins} {
+		n += 4
+		for _, l := range p {
+			n += 6 + 4*len(l)
+		}
+	}
+	return n
+}
+
 func (ix *segIndex) encode(b []byte) []byte {
 	b = binary.BigEndian.AppendUint32(b, uint32(len(ix.blocks)))
 	for _, bm := range ix.blocks {

@@ -12,12 +12,15 @@ import (
 	"instability/internal/netaddr"
 )
 
-// encodedBlock is one block's finished wire form. Blocks are encoded
-// independently (possibly concurrently) and stitched into the segment in
-// submission order.
+// encodedBlock is one block's finished wire form and the dictionaries the
+// segment index is folded from. Blocks are encoded independently (possibly
+// concurrently) and stitched into the segment in submission order.
 type encodedBlock struct {
-	data []byte
-	err  error
+	data     []byte
+	peers    []peerKey
+	prefixes []netaddr.Prefix
+	attrs    []*attrRef
+	err      error
 }
 
 // peerKey is one entry of a block's peer dictionary.
@@ -178,6 +181,6 @@ func encodeSegmentBlock(sc *sealScratch, block []memRec) encodedBlock {
 		prev = t
 	}
 	sc.out = appendChecksum(b)
-	// The stitch outlives the scratch: hand back a copy.
-	return encodedBlock{data: bytes.Clone(sc.out)}
+	// The stitch outlives the scratch: hand back copies.
+	return encodedBlock{data: bytes.Clone(sc.out), peers: slices.Clone(peers), prefixes: slices.Clone(prefixes), attrs: slices.Clone(attrs)}
 }

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash"
@@ -14,6 +13,7 @@ import (
 	"sync/atomic"
 
 	"instability/internal/bgp"
+	"instability/internal/collector"
 	"instability/internal/faults"
 )
 
@@ -112,47 +112,43 @@ func writeSegment(fsys faults.FS, dir string, seq uint64, windowStart int64, fir
 		}
 	}
 
-	// Stitch: blocks in order, then the index — built serially from the rows
-	// so posting lists and the bloom filter fold in block order.
+	// Stitch: the index, folded in block order from each block's part, then
+	// one buffer sized for the blocks, the index and the footer.
 	ix := &segIndex{
 		peers:   make(postings),
 		origins: make(postings),
 		filter:  newBloom(len(rows)),
 	}
-	var buf bytes.Buffer
-	buf.WriteString(segMagic)
-	buf.WriteByte(version)
+	off := int64(segHdrLen)
 	for bi := range encoded {
+		eb := &encoded[bi]
 		start := bi * opts.BlockRecords
 		end := min(start+opts.BlockRecords, len(rows))
-		block := rows[start:end]
-		blockID := int32(bi)
 		ix.blocks = append(ix.blocks, blockMeta{
-			offset:  int64(buf.Len()),
-			clen:    int32(len(encoded[bi].data)),
-			ulen:    int32(len(encoded[bi].data)),
-			count:   int32(len(block)),
-			minTime: block[0].ns,
-			maxTime: block[len(block)-1].ns,
+			offset:  off,
+			clen:    int32(len(eb.data)),
+			ulen:    int32(len(eb.data)),
+			count:   int32(end - start),
+			minTime: rows[start].ns,
+			maxTime: rows[end-1].ns,
 		})
-		buf.Write(encoded[bi].data)
-		encoded[bi].data = nil
-		for i := range block {
-			r := &block[i]
-			ix.peers.add(r.peerAS, blockID)
-			if r.attrs != nil && r.attrs.origin >= 0 {
-				ix.origins.add(bgp.ASN(r.attrs.origin), blockID)
+		off += int64(len(eb.data))
+		for _, p := range eb.peers {
+			ix.peers.add(p.as, int32(bi))
+		}
+		for _, a := range eb.attrs {
+			if a.origin >= 0 {
+				ix.origins.add(bgp.ASN(a.origin), int32(bi))
 			}
-			ix.filter.add(prefixKey(r.prefix))
+		}
+		for _, p := range eb.prefixes {
+			ix.filter.add(prefixKey(p))
 		}
 	}
 
-	indexOff := int64(buf.Len())
-	buf.Write(appendChecksum(ix.encode(nil)))
-
 	// Footer body, then the fixed trailer.
 	footer := make([]byte, 0, 64)
-	footer = binary.BigEndian.AppendUint64(footer, uint64(indexOff))
+	footer = binary.BigEndian.AppendUint64(footer, uint64(off))
 	footer = binary.BigEndian.AppendUint64(footer, uint64(windowStart))
 	footer = binary.BigEndian.AppendUint64(footer, uint64(rows[0].ns))
 	footer = binary.BigEndian.AppendUint64(footer, uint64(rows[len(rows)-1].ns))
@@ -163,12 +159,20 @@ func writeSegment(fsys faults.FS, dir string, seq uint64, windowStart int64, fir
 	for _, r := range replaces {
 		footer = binary.BigEndian.AppendUint64(footer, r)
 	}
-	buf.Write(footer)
-	tail := make([]byte, 0, segTailLen)
-	tail = binary.BigEndian.AppendUint32(tail, uint32(len(footer)))
-	tail = append(tail, segMagic...)
-	tail = append(tail, version)
-	buf.Write(tail)
+
+	buf := make([]byte, 0, int(off)+ix.encodedLen()+4+len(footer)+segTailLen)
+	buf = append(buf, segMagic...)
+	buf = append(buf, version)
+	for bi := range encoded {
+		buf = append(buf, encoded[bi].data...)
+		encoded[bi].data = nil
+	}
+	buf = ix.encode(buf)
+	buf = binary.BigEndian.AppendUint32(buf, collector.Checksum(buf[off:]))
+	buf = append(buf, footer...)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(footer)))
+	buf = append(buf, segMagic...)
+	buf = append(buf, version)
 
 	path := filepath.Join(dir, segName(seq))
 	tmp := path + ".tmp"
@@ -176,7 +180,7 @@ func writeSegment(fsys faults.FS, dir string, seq uint64, windowStart int64, fir
 	if err != nil {
 		return nil, err
 	}
-	if _, err := f.Write(buf.Bytes()); err != nil {
+	if _, err := f.Write(buf); err != nil {
 		f.Close()
 		fsys.Remove(tmp)
 		return nil, err
@@ -199,7 +203,7 @@ func writeSegment(fsys faults.FS, dir string, seq uint64, windowStart int64, fir
 	g := &segment{
 		path:        path,
 		seq:         seq,
-		size:        int64(buf.Len()),
+		size:        int64(len(buf)),
 		ver:         version,
 		windowStart: windowStart,
 		minTime:     rows[0].ns,

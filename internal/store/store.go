@@ -181,6 +181,7 @@ var mmapSegment = mmapOpen
 type memWindow struct {
 	firstSeq uint64 // sequence number of recs[0] within this window
 	recs     []memRec
+	sized    bool // a later window was presized to this one (appendLocked)
 }
 
 // Open opens (creating if necessary) the store directory at dir and recovers

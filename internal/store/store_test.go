@@ -837,7 +837,11 @@ func TestOneAttrRefPerTuple(t *testing.T) {
 	entries := func() (tuples, wires int) {
 		s.attrs.mu.Lock()
 		defer s.attrs.mu.Unlock()
-		return s.attrs.tab.Len(), len(s.attrs.byWire)
+		refs := make(map[*attrRef]bool)
+		for _, ref := range s.attrs.byWire {
+			refs[ref] = true
+		}
+		return len(refs), len(s.attrs.byWire)
 	}
 
 	check("memtable", s.cache)

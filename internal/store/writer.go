@@ -108,18 +108,26 @@ func (w *Writer) rollbackLocked(done []collector.Record) {
 }
 
 // appendLocked appends records until the one that brings the memtable to
-// AutoSealRecords and returns how many it took. It interns each record's
+// AutoSealRecords and returns how many it took. It resolves each record's
 // attributes, once, under one hold of the attribute table: the row it appends
 // to the memtable carries the ref the WAL frame was written from.
-func (w *Writer) appendLocked(recs []collector.Record) (int, error) {
+func (w *Writer) appendLocked(recs []collector.Record) (n int, err error) {
 	s := w.s
 	s.attrs.mu.Lock()
 	defer s.attrs.mu.Unlock()
+	defer func() { obsAppends.Add(int64(n)) }() // one atomic add a call, not a record
 	for i := range recs {
 		window := s.windowStart(recs[i].Time)
 		mw := s.mem[window]
 		if mw == nil {
 			mw = &memWindow{firstSeq: s.nextWindowSeqLocked(window)}
+			// Start at 5/4 of the window the stream leaves, capped at a
+			// threshold. A window sizes at most one successor, so presized
+			// capacity stays within 5/4 of the memtable plus the carry.
+			if prev := s.mem[s.lastWindow]; prev != nil && !prev.sized {
+				prev.sized = true
+				mw.recs = make([]memRec, 0, min(len(prev.recs)*5/4, s.opts.AutoSealRecords))
+			}
 			s.mem[window] = mw
 		}
 		r, err := s.attrs.rowLocked(&recs[i])
@@ -128,10 +136,12 @@ func (w *Writer) appendLocked(recs []collector.Record) (int, error) {
 		}
 		w.pending = appendWALFrame(w.pending, window, mw.firstSeq+uint64(len(mw.recs)), &r)
 		w.pendingN++
+		if len(mw.recs) == cap(mw.recs) { // double, not append's quarter per copy
+			mw.recs = slices.Grow(mw.recs, max(len(mw.recs), 256))
+		}
 		mw.recs = append(mw.recs, r)
 		s.memN++
 		w.appended++
-		obsAppends.Inc()
 		s.lastWindow = window
 		if s.memN == s.opts.AutoSealRecords {
 			return i + 1, nil
@@ -278,8 +288,9 @@ type sealBatch struct {
 }
 
 // sealWindow is one detached memtable window awaiting seal. recs is the
-// append-ordered snapshot and is immutable from detach on: the sealer sorts
-// a clone, queries overlay it as-is, and a failed seal requeues it verbatim.
+// append-ordered snapshot and is immutable from detach on: the sealer reads
+// it (or sorts a clone), queries overlay it as-is, and a failed seal requeues
+// it verbatim.
 type sealWindow struct {
 	window   int64
 	firstSeq uint64
@@ -424,19 +435,24 @@ func (s *Store) startSealLocked() {
 	go s.runSeal(s.seals[0])
 }
 
-// runSeal seals a detached batch: per window, sort a clone of the snapshot,
-// write the segment (block encoding fans across the seal worker pool),
-// and publish it under a short lock. Windows publish incrementally, so a
-// failure partway keeps every already-published segment and requeues only
-// the rest. It runs off the store lock and takes it per publish.
+// runSeal seals a detached batch: per window, take the snapshot as it is when
+// it is in time order (an in-order stream's always is) or else sort a clone,
+// write the segment (block encoding fans across the seal worker pool), and
+// publish it under a short lock. Windows publish incrementally, so a failure
+// partway keeps every already-published segment and requeues only the rest.
+// It runs off the store lock and takes it per publish.
 func (s *Store) runSeal(b *sealBatch) {
 	t0 := time.Now()
 	var err error
+	byTime := func(a, b memRec) int { return cmp.Compare(a.ns, b.ns) }
 	for i := range b.windows {
 		sw := &b.windows[i]
 		t1 := time.Now()
-		recs := slices.Clone(sw.recs)
-		slices.SortStableFunc(recs, func(a, b memRec) int { return cmp.Compare(a.ns, b.ns) })
+		recs := sw.recs
+		if !slices.IsSortedFunc(recs, byTime) {
+			recs = slices.Clone(recs)
+			slices.SortStableFunc(recs, byTime)
+		}
 		obsSealSortSeconds.ObserveSince(t1)
 		t2 := time.Now()
 		var seg *segment

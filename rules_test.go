@@ -160,17 +160,21 @@ import _ "container/list" // violation
 	},
 	{
 		name: "bgp.MarshalAttrs",
-		find: namedOutside("instability/internal/bgp", "MarshalAttrs"),
+		find: func(m *srcModule) []breach {
+			return append(namedOutside("instability/internal/bgp", "MarshalAttrs")(m), namedOutside("instability/internal/bgp", "AppendAttrs")(m)...)
+		},
 		allow: map[string]string{
-			"internal/collector/codec.go": "the record codec writes an announcement's attributes",
-			"internal/store/codec.go":     "the attribute table keeps each distinct attribute set's wire bytes",
-			"internal/serve/query.go":     "NDJSON streams render attributes from wire bytes; ROADMAP item 7 removes this one",
+			"internal/collector/codec.go":     "the record codec writes an announcement's attributes",
+			"internal/collector/collector.go": "the log writer encodes an announcement's attributes into a reused buffer",
+			"internal/store/codec.go":         "the attribute table is keyed on the wire bytes an append encodes",
+			"internal/serve/query.go":         "NDJSON streams render attributes from wire bytes; ROADMAP item 7 removes this one",
 		},
 		plant: plantFile("internal/planted/marshal.go", `package planted
 
 import "instability/internal/bgp"
 
 var _ = bgp.MarshalAttrs // violation
+var _ = bgp.AppendAttrs // violation
 `),
 	},
 	{
@@ -179,7 +183,6 @@ var _ = bgp.MarshalAttrs // violation
 		allow: map[string]string{
 			"internal/core/classifier.go":    "each classifier shard interns its own attributes; ROADMAP item 9 makes one table",
 			"internal/session/peer.go":       "each BGP peer interns what it decodes; ROADMAP item 9",
-			"internal/store/codec.go":        "the store's attribute table; ROADMAP item 9",
 			"internal/workload/generator.go": "the generator interns what it emits; ROADMAP item 9",
 		},
 		plant: plantFile("internal/planted/intern.go", `package planted
