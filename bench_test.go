@@ -6,7 +6,6 @@
 package instability_test
 
 import (
-	"fmt"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -700,24 +699,4 @@ func BenchmarkPipelineFeedDetect(b *testing.B) {
 		det.Finish()
 	}
 	reportPerRecord(b, n)
-}
-
-// BenchmarkPipelineFeedParallel is BenchmarkPipelineFeed over
-// NewShardedPipeline at 1, 2, 4, and 8 shards, Close included. One shard is
-// the in-place pipeline. ns/record is the comparable number across shard
-// counts and against BenchmarkPipelineFeed.
-func BenchmarkPipelineFeedParallel(b *testing.B) {
-	days, n := feedDays(b)
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				pp := instability.NewShardedPipeline(shards)
-				feedWeek(days, pp.Feed, pp.EndDay)
-				pp.Close()
-			}
-			reportPerRecord(b, n)
-		})
-	}
 }

@@ -1,7 +1,6 @@
 package instability_test
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
@@ -13,6 +12,31 @@ import (
 	"instability/internal/rib"
 	"instability/internal/workload"
 )
+
+// equivalenceConfig is the campaign the census contract is tested on: the
+// full 49-day benchmark campaign with all three scripted incidents (the
+// same one bench_test.go measures), shrunk to one small week under -short so
+// `go test -short -race` stays quick.
+func equivalenceConfig(t *testing.T) workload.Config {
+	t.Helper()
+	if testing.Short() {
+		cfg := workload.SmallConfig()
+		cfg.Days = 7
+		cfg.Incidents = []workload.Incident{
+			{Kind: workload.PathologicalFlood, Day: 2, Magnitude: 0.5},
+			{Kind: workload.CollectorOutage, Day: 5, Magnitude: 1},
+		}
+		return cfg
+	}
+	cfg := workload.DefaultConfig()
+	cfg.Days = 49
+	cfg.Incidents = []workload.Incident{
+		{Kind: workload.PathologicalFlood, Day: 12, Magnitude: 1},
+		{Kind: workload.InfrastructureUpgrade, Day: 25, Days: 5, Magnitude: 1},
+		{Kind: workload.CollectorOutage, Day: 40, Magnitude: 1},
+	}
+	return cfg
+}
 
 // ribFeed applies one record to a reference RIB.
 func ribFeed(r *rib.RIB, rec collector.Record) {
@@ -27,8 +51,7 @@ func ribFeed(r *rib.RIB, rec collector.Record) {
 
 // TestCensusMatchesRIB holds the pipeline's census, taken from the
 // classifier's routes, to a rib.RIB fed the same stream: at every day end
-// CensusByDay must equal the RIB's census, serially and at every shard
-// count.
+// CensusByDay must equal the RIB's census.
 func TestCensusMatchesRIB(t *testing.T) {
 	cfg := equivalenceConfig(t)
 	run := func(t *testing.T, feed func(collector.Record), endDay func(core.Date) rib.Census) {
@@ -57,16 +80,6 @@ func TestCensusMatchesRIB(t *testing.T) {
 			return p.CensusByDay[d]
 		})
 	})
-	for _, shards := range []int{1, 2, 3, 8} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			pp := instability.NewShardedPipeline(shards)
-			defer pp.Close()
-			run(t, pp.Feed, func(d core.Date) rib.Census {
-				pp.EndDay(d)
-				return pp.CensusByDay[d]
-			})
-		})
-	}
 }
 
 // TestCensusCountsPathThroughAS0 pins the one place the census and a

@@ -43,25 +43,21 @@ func goldenCampaigns() []struct {
 	}
 }
 
-// TestAnalyzeGolden runs each golden campaign through the in-place pipeline
-// and NewShardedPipeline at 1, 2 and 8 shards, each with the detector on its
-// hooks, and diffs the rendered outputs against the checked-in file.
+// TestAnalyzeGolden runs each golden campaign through the pipeline, with the
+// detector on its hooks, and diffs the rendered outputs against the
+// checked-in file.
 // Regenerate (only when the analysis is meant to change) with
 //
 //	ANALYZE_WRITE_GOLDEN=1 go test -run TestAnalyzeGolden .
 func TestAnalyzeGolden(t *testing.T) {
-	render := func(shards int) string {
+	render := func() string {
 		var b strings.Builder
 		for _, c := range goldenCampaigns() {
 			p := instability.NewPipeline()
-			if shards > 0 {
-				p = instability.NewShardedPipeline(shards)
-			}
 			det := attachDetector(p)
 			if _, _, err := instability.RunScenario(c.cfg, p); err != nil {
 				t.Fatal(err)
 			}
-			p.Close()
 			fmt.Fprintf(&b, "campaign %s\n", c.name)
 			renderAnalysis(&b, p.Acc, p.CensusByDay, det.Finish())
 		}
@@ -73,7 +69,7 @@ func TestAnalyzeGolden(t *testing.T) {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(path, []byte(render(0)), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(render()), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -81,31 +77,25 @@ func TestAnalyzeGolden(t *testing.T) {
 	if err != nil {
 		t.Fatalf("golden missing (regenerate with ANALYZE_WRITE_GOLDEN=1): %v", err)
 	}
-	for _, shards := range []int{0, 1, 2, 8} {
-		name := "serial"
-		if shards > 0 {
-			name = fmt.Sprintf("shards=%d", shards)
+	t.Run("serial", func(t *testing.T) {
+		got := render()
+		if got == string(want) {
+			return
 		}
-		t.Run(name, func(t *testing.T) {
-			got := render(shards)
-			if got == string(want) {
-				return
+		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(gl) || i < len(wl); i++ {
+			var g, w string
+			if i < len(gl) {
+				g = gl[i]
 			}
-			gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
-			for i := 0; i < len(gl) || i < len(wl); i++ {
-				var g, w string
-				if i < len(gl) {
-					g = gl[i]
-				}
-				if i < len(wl) {
-					w = wl[i]
-				}
-				if g != w {
-					t.Fatalf("%s line %d:\n got  %q\n want %q", path, i+1, g, w)
-				}
+			if i < len(wl) {
+				w = wl[i]
 			}
-		})
-	}
+			if g != w {
+				t.Fatalf("%s line %d:\n got  %q\n want %q", path, i+1, g, w)
+			}
+		}
+	})
 }
 
 // renderAnalysis writes every exported DayStats field (maps in key order),

@@ -33,40 +33,28 @@ import (
 )
 
 // Pipeline is the standard analysis chain: classifier and per-day
-// accumulator, with the classifier's routes as the routing table. A pipeline
-// from NewPipeline classifies in place, on the feeder's goroutine; one from
-// NewShardedPipeline hands each record to the in-place pipeline of the shard
-// that owns its prefix (parallel.go). Either publishes the same Acc and
-// CensusByDay from the same stream. Feed, EndDay, Census and Close must be
-// called from one goroutine.
+// accumulator, with the classifier's routes as the routing table. It
+// classifies in place, on the caller's goroutine; Feed, EndDay and Census
+// must be called from one goroutine.
 type Pipeline struct {
-	// Acc aggregates classified events per day. A sharded pipeline's is
-	// complete up to its last EndDay or Close.
+	// Acc aggregates classified events per day.
 	Acc *core.Accumulator
 	// CensusByDay snapshots the table census at each day end.
 	CensusByDay map[core.Date]rib.Census
 
-	// Events, when set before the first Feed, observes every classified
-	// event. A sharded pipeline calls it from its shard goroutines:
-	// concurrently across prefixes, in stream order within one prefix.
+	// Events, when set, observes every classified event, in stream order.
 	Events func(core.Event)
-	// DayEnd, when set, observes every day barrier on the feeder goroutine
-	// after the snapshot is taken and every Events call of the day has
-	// returned — the hook point for window-finalizing consumers such as the
+	// DayEnd, when set, observes every day end after the snapshot is
+	// taken — the hook point for window-finalizing consumers such as the
 	// anomaly detector (detect.Detector.Advance).
 	DayEnd func(core.Date)
 
 	// cl holds per-(peer,prefix) tuple history, the collector's routing
-	// table; nil when the pipeline is sharded.
+	// table.
 	cl *core.Classifier
-	// A sharded pipeline's shards and its feeder's state (parallel.go).
-	shards  []*shard
-	batches [][]collector.Record
-	peaks   map[core.Date]*peakTrack
-	closed  bool
 }
 
-// NewPipeline returns an empty pipeline that classifies in place.
+// NewPipeline returns an empty pipeline.
 func NewPipeline() *Pipeline {
 	return &Pipeline{
 		Acc:         core.NewAccumulator(),
@@ -75,13 +63,9 @@ func NewPipeline() *Pipeline {
 	}
 }
 
-// Feed classifies one record and folds it into the statistics. In place, the
-// event is built once and classified and counted through a pointer.
+// Feed classifies one record and folds it into the statistics. The event is
+// built once and classified and counted through a pointer.
 func (p *Pipeline) Feed(rec collector.Record) {
-	if p.shards != nil {
-		p.route(rec)
-		return
-	}
 	ev := core.Event{Record: rec}
 	p.cl.ClassifyEvent(&ev)
 	p.Acc.AddEvent(&ev)
@@ -90,45 +74,23 @@ func (p *Pipeline) Feed(rec collector.Record) {
 	}
 }
 
-// EndDay records the end-of-day routing table snapshot for date. A sharded
-// pipeline makes it a barrier: every shard closes the day on its share of
-// the prefixes, and the shares merge into what one in-place pipeline holds.
+// EndDay closes date in the accumulator and records the end-of-day routing
+// table census for it.
 func (p *Pipeline) EndDay(date core.Date) {
-	if p.shards != nil {
-		p.CensusByDay[date] = rib.MergeCensuses(p.barrier(true, date)...)
-	} else {
-		p.CensusByDay[date] = rib.MergeCensuses(p.closeDay(date))
-	}
+	p.Acc.EndDay(p.cl, date)
+	p.CensusByDay[date] = p.cl.Census()
 	if p.DayEnd != nil {
 		p.DayEnd(date)
 	}
 }
 
-// closeDay closes date in an in-place pipeline's accumulator and returns its
-// table's partial census: the whole census in place, one shard's share of
-// it at a barrier.
-func (p *Pipeline) closeDay(date core.Date) rib.PartialCensus {
-	p.Acc.EndDay(p.cl, date)
-	return p.cl.PartialCensus()
-}
-
 // Census returns the census of the routing table as it stands: every route
-// the classifier holds announced. A sharded pipeline reads its shards' live
-// tables, so call it only after EndDay or Close.
-func (p *Pipeline) Census() rib.Census {
-	if p.shards == nil {
-		return rib.MergeCensuses(p.cl.PartialCensus())
-	}
-	parts := make([]rib.PartialCensus, len(p.shards))
-	for i, sh := range p.shards {
-		parts[i] = sh.p.cl.PartialCensus()
-	}
-	return rib.MergeCensuses(parts...)
-}
+// the classifier holds announced.
+func (p *Pipeline) Census() rib.Census { return p.cl.Census() }
 
 // RunScenario generates the configured workload through the pipeline and
 // returns the generator statistics. Every generated day closes with EndDay
-// under its last second's date. The caller still owns p and closes it.
+// under its last second's date.
 func RunScenario(cfg workload.Config, p *Pipeline) (workload.Stats, *workload.Generator, error) {
 	g, err := workload.New(cfg)
 	if err != nil {
@@ -140,7 +102,7 @@ func RunScenario(cfg workload.Config, p *Pipeline) (workload.Stats, *workload.Ge
 
 // ClassifyLog streams a collector log (native or MRT) through the pipeline,
 // taking a day snapshot at each date boundary. It returns the number of
-// records read. The caller still owns p and closes it.
+// records read.
 func ClassifyLog(r collector.RecordReader, p *Pipeline) (int, error) {
 	n := 0
 	var cur core.Date

@@ -15,8 +15,8 @@ type PathID uint32
 // dense ID and stores a private copy; later calls with an equal path return
 // the same ID without allocating. The zero value is not usable; call
 // NewPathTable. A PathTable is not safe for concurrent use — callers that
-// share one across goroutines (the store's decode path) must lock around it,
-// while per-shard owners (classifier, RIB) need no locks at all.
+// share one across goroutines must lock around it, while single owners (an
+// interner, a RIB census) need no locks at all.
 type PathTable struct {
 	byHash map[uint64][]PathID
 	paths  []ASPath
@@ -62,8 +62,8 @@ func HashPath(p ASPath) uint64 {
 	return h
 }
 
-// mixPath is the SplitMix64 finalizer (same construction as the pipeline's
-// shard hash): cheap, stateless, avalanche-quality.
+// mixPath is the SplitMix64 finalizer: cheap, stateless,
+// avalanche-quality.
 func mixPath(x uint64) uint64 {
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"slices"
 	"time"
 
@@ -40,8 +39,8 @@ var analyzeIDs = []string{"summary", "table1", "fig2", "fig3", "fig4", "fig5", "
 // indexes skip what the slice does not need. With -remote the query runs
 // against a bgpserve instance, whose /v1/records streams the records back as
 // an IRTL log in the store's record codec, so the classification is
-// bit-identical to opening the store locally. Classification is sharded
-// -parallel ways; the statistics are the same at any setting.
+// bit-identical to opening the store locally. Classification runs in place
+// on one goroutine; a gzip log is inflated ahead of it on another.
 func Analyze(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fs, lg := setup("bgpanalyze", stderr)
 	var (
@@ -50,7 +49,6 @@ func Analyze(ctx context.Context, args []string, stdout, stderr io.Writer) error
 		token      = fs.String("token", "", "API token for -remote (identifies the tenant for quotas)")
 		id         = fs.String("id", "summary", "what to print: summary, table1, fig2..fig10, all")
 		day        = fs.String("day", "", "day for table1 (YYYY-MM-DD, default: busiest)")
-		parallel   = fs.Int("parallel", runtime.GOMAXPROCS(0), "classifier shards")
 		detectFlag = fs.Bool("detect", false, "run the streaming anomaly detector over the classified stream and print its alerts")
 		truthFile  = fs.String("truth", "", "ground-truth intervals (JSON, from bgpsim -truth-out) to score -detect alerts against")
 		alertLog   = fs.String("alert-log", "", "append -detect alerts to this sidecar log (served by bgpserve /v1/alerts)")
@@ -105,10 +103,9 @@ func Analyze(ctx context.Context, args []string, stdout, stderr io.Writer) error
 	}
 	defer r.Close()
 
-	p := instability.NewShardedPipeline(*parallel)
-	defer p.Close()
-	// Live taxonomy counters, merged at each day barrier: a scrape during a
-	// long classify trails the stream by at most one day.
+	p := instability.NewPipeline()
+	// Live taxonomy counters: a scrape during a long classify reads the
+	// running totals.
 	p.Acc.Register(obs.Default())
 	var det *detect.Detector
 	if *detectFlag {
@@ -118,7 +115,6 @@ func Analyze(ctx context.Context, args []string, stdout, stderr io.Writer) error
 	}
 	_, span := obs.StartChild(ctx, "classify")
 	n, err := instability.ClassifyLog(cancellable(ctx, r), p)
-	p.Close()
 	span.AnnotateInt("records", int64(n))
 	span.SetError(err)
 	span.Finish()

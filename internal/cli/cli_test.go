@@ -102,6 +102,7 @@ func TestUsageErrors(t *testing.T) {
 	}{
 		{"bgpanalyze", []string{"-in", "a", "-store", "b"}},
 		{"bgpanalyze", []string{"-in", "a", "-chaos", "seed=1"}},
+		{"bgpanalyze", []string{"-in", "a", "-parallel", "2"}},
 		{"bgpcollect", []string{"-chaos", "bogus"}},
 		{"bgpcollect", []string{"-chaos", "resetp=NaN"}},
 		{"bgpcollect", []string{"-chaos", "maxdelay=-5ms"}},

@@ -139,21 +139,17 @@ func TestOneAnswer(t *testing.T) {
 		if sh.spec.Type != "" {
 			continue
 		}
-		// Two shards and one: -parallel 1 classifies in place, and must
-		// print the sharded pipeline's figures byte for byte.
 		var outs []string
 		for _, src := range [][]string{{"-in", logPath}, {"-store", db}, {"-remote", remote}} {
-			for _, par := range []string{"2", "1"} {
-				args := append(append(src, "-id", "all", "-parallel", par), flags...)
-				out := run(t, Analyze, args...)
-				if !strings.HasPrefix(out, "classified "+n+" records ") {
-					t.Errorf("%s: bgpanalyze %v: %.80q, want %s records", sh.name, args, out, n)
-				}
-				_, figs, _ := strings.Cut(out, "\n\n")
-				outs = append(outs, figs)
-				if figs == "" || figs != outs[0] {
-					t.Errorf("%s: bgpanalyze %v differs from -in %s -parallel 2", sh.name, args, logPath)
-				}
+			args := append(append(src, "-id", "all"), flags...)
+			out := run(t, Analyze, args...)
+			if !strings.HasPrefix(out, "classified "+n+" records ") {
+				t.Errorf("%s: bgpanalyze %v: %.80q, want %s records", sh.name, args, out, n)
+			}
+			_, figs, _ := strings.Cut(out, "\n\n")
+			outs = append(outs, figs)
+			if figs == "" || figs != outs[0] {
+				t.Errorf("%s: bgpanalyze %v differs from -in %s", sh.name, args, logPath)
 			}
 		}
 	}
@@ -269,7 +265,7 @@ func TestRecordStreamIsLog(t *testing.T) {
 		}
 		var outs []string
 		for _, src := range [][]string{{"-in", saved}, append([]string{"-remote", remote}, specArgs(sh.spec)...)} {
-			out := run(t, Analyze, append(src, "-id", "table1", "-parallel", "2")...)
+			out := run(t, Analyze, append(src, "-id", "table1")...)
 			_, figs, _ := strings.Cut(out, "\n\n") // past the source and the process-wide intern line
 			outs = append(outs, figs)
 		}

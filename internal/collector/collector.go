@@ -312,7 +312,8 @@ func (r *Reader) nextV1() (Record, error) {
 }
 
 // layers is what Open, Create, OpenMRT and CreateMRT stack under a log
-// stream, outermost first: the gzip layer of a ".gz" name, then the file.
+// stream, outermost first: for a ".gz" name the read-ahead (reading only)
+// and the gzip layer, then the file.
 type layers []io.Closer
 
 // Close closes every layer and returns the first error. A failing layer
@@ -341,7 +342,111 @@ func openLayers(path string) (io.Reader, layers, error) {
 		f.Close()
 		return nil, nil, err
 	}
-	return gz, layers{gz, f}, nil
+	ra := newReadAhead(gz)
+	return ra, layers{ra, gz, f}, nil
+}
+
+// readAhead inflates a gzip stream on its own goroutine, a few chunks ahead
+// of its reader, so decompression overlaps whatever consumes the records.
+// Each chunk carries the error that ended it, so gzip's checksum and
+// truncation errors reach the reader after every byte before them, as they
+// do from the gzip.Reader itself.
+type readAhead struct {
+	full chan aheadChunk // inflated chunks, in stream order
+	free chan []byte     // drained chunks, back to the inflater
+	stop chan struct{}   // closed by Close
+	done chan struct{}   // closed when the inflater returns
+
+	buf  []byte // the chunk being read, recycled when drained
+	rest []byte // its unread bytes
+	err  error  // what ended the stream, once the reader reaches it
+}
+
+// aheadChunk is up to aheadChunkSize inflated bytes and, on the last chunk,
+// the error that ended the stream.
+type aheadChunk struct {
+	b   []byte
+	err error
+}
+
+// aheadChunks 64 KiB chunks keep the inflater up to three chunks ahead of
+// the one being read. full and free each have room for every chunk, so the
+// reader's sends never block.
+const (
+	aheadChunks    = 4
+	aheadChunkSize = 64 << 10
+)
+
+func newReadAhead(src io.Reader) *readAhead {
+	ra := &readAhead{
+		full: make(chan aheadChunk, aheadChunks),
+		free: make(chan []byte, aheadChunks),
+		stop: make(chan struct{}),
+		done: make(chan struct{}),
+	}
+	for range aheadChunks {
+		ra.free <- make([]byte, aheadChunkSize)
+	}
+	go ra.inflate(src)
+	return ra
+}
+
+// inflate fills free chunks from src until src ends or Close stops it.
+func (ra *readAhead) inflate(src io.Reader) {
+	defer close(ra.done)
+	for {
+		var b []byte
+		select {
+		case b = <-ra.free:
+		case <-ra.stop:
+			return
+		}
+		n := 0
+		var err error
+		for n < len(b) && err == nil {
+			var m int
+			m, err = src.Read(b[n:])
+			n += m
+		}
+		select {
+		case ra.full <- aheadChunk{b[:n], err}:
+		case <-ra.stop:
+			return
+		}
+		if err != nil {
+			return
+		}
+	}
+}
+
+// Read returns inflated bytes, then the error that ended the stream.
+func (ra *readAhead) Read(p []byte) (int, error) {
+	for len(ra.rest) == 0 {
+		if ra.err != nil {
+			return 0, ra.err
+		}
+		if ra.buf != nil {
+			ra.free <- ra.buf[:cap(ra.buf)]
+		}
+		c := <-ra.full
+		ra.buf, ra.rest, ra.err = c.b, c.b, c.err
+	}
+	n := copy(p, ra.rest)
+	ra.rest = ra.rest[n:]
+	return n, nil
+}
+
+// Close stops the inflater and waits for it to return, so the gzip layer
+// under it can be closed. Reads after Close fail.
+func (ra *readAhead) Close() error {
+	select {
+	case <-ra.stop:
+	default:
+		close(ra.stop)
+	}
+	<-ra.done
+	ra.rest, ra.err = nil, os.ErrClosed
+	return nil
 }
 
 // createLayers creates path for writing, through gzip for a ".gz" name.

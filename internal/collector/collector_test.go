@@ -2,11 +2,15 @@ package collector
 
 import (
 	"bytes"
+	"compress/gzip"
+	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -299,5 +303,110 @@ func BenchmarkReadRecord(b *testing.B) {
 		if _, err := r.Next(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestGzipReadAhead: a ".gz" log is inflated on a goroutine of its own, and
+// Close joins it whether the log was read partway or to its error. A torn or
+// checksum-damaged log yields the records and then the error that reading
+// the same bytes through gzip directly yields.
+func TestGzipReadAhead(t *testing.T) {
+	t0 := time.Date(1996, 5, 25, 0, 0, 0, 0, time.UTC)
+	recs := make([]Record, 40000)
+	for i := range recs {
+		recs[i] = Record{
+			Time: t0.Add(time.Duration(i) * time.Second), Type: Announce,
+			PeerAS: bgp.ASN(1 + i%7), PeerAddr: netaddr.Addr(i % 7),
+			Prefix: netaddr.MustPrefix(netaddr.Addr(uint32(i)<<8), 24),
+			Attrs:  bgp.Attrs{Path: bgp.PathFromASNs(bgp.ASN(1+i%7), bgp.ASN(i)), NextHop: 1},
+		}
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "whole.irtl.gz")
+	w, err := Create(path, "Mae-East")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteAll(w, recs); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// settled waits for the goroutine count to fall back to g0.
+	settled := func(g0 int) bool {
+		for i := 0; i < 100 && runtime.NumGoroutine() > g0; i++ {
+			time.Sleep(10 * time.Millisecond)
+		}
+		return runtime.NumGoroutine() <= g0
+	}
+
+	t.Run("partway", func(t *testing.T) {
+		g0 := runtime.NumGoroutine()
+		r, err := Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 10; i++ {
+			if _, err := r.Next(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if runtime.NumGoroutine() <= g0 {
+			t.Fatal("no read-ahead goroutine while the log is open")
+		}
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if !settled(g0) {
+			t.Fatalf("%d goroutines after Close, %d before Open", runtime.NumGoroutine(), g0)
+		}
+	})
+
+	crc := bytes.Clone(raw)
+	crc[len(crc)-8] ^= 0xff // the gzip trailer's CRC-32
+	for _, c := range []struct {
+		name string
+		b    []byte
+	}{{"torn", raw[:len(raw)*2/3]}, {"crc", crc}} {
+		t.Run(c.name, func(t *testing.T) {
+			gz, err := gzip.NewReader(bytes.NewReader(c.b))
+			if err != nil {
+				t.Fatal(err)
+			}
+			direct, err := NewReader(gz)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, wantErr := ReadAll(direct)
+			if wantErr == nil || len(want) == 0 {
+				t.Fatalf("direct read: %d records, error %v; want some records, then an error", len(want), wantErr)
+			}
+
+			cut := filepath.Join(dir, c.name+".irtl.gz")
+			if err := os.WriteFile(cut, c.b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			g0 := runtime.NumGoroutine()
+			r, err := Open(cut)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, gotErr := ReadAll(r)
+			r.Close()
+			if !settled(g0) {
+				t.Fatalf("%d goroutines after Close, %d before Open", runtime.NumGoroutine(), g0)
+			}
+			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || !errors.Is(gotErr, ErrCorrupt) {
+				t.Fatalf("error %v, want %v", gotErr, wantErr)
+			}
+			if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(got, recs[:len(got)]) {
+				t.Fatalf("%d records before the error, want the %d intact ones", len(got), len(want))
+			}
+		})
 	}
 }

@@ -87,8 +87,8 @@ type Classifier struct {
 	peerIdx map[PeerKey]uint32
 	// tab interns every announcement's attribute tuple. The duplicate-
 	// dominated stream means almost every lookup is a hit returning a shared
-	// handle; the table is private to this classifier, so the parallel
-	// pipeline's per-shard classifiers never share interner state.
+	// handle; the table is private to this classifier, so the hot path
+	// takes no lock.
 	tab *intern.Table
 }
 
@@ -211,20 +211,20 @@ func (c *Classifier) ActiveByPeer() map[PeerKey]int {
 	return out
 }
 
-// PartialCensus takes the routing-table census of the announced routes,
-// with path IDs from the interner's path table. It counts what the
-// collector heard: unlike rib.RIB, no route is refused for a loop through
-// the local AS, so a path containing AS 0 counts here where a rib.New(0)
-// table keeps the peer's previous route instead.
-func (c *Classifier) PartialCensus() rib.PartialCensus {
-	pc := rib.PartialCensus{PathTab: c.tab.Paths()}
+// Census takes the routing-table census of the announced routes, with path
+// IDs from the interner's path table. It counts what the collector heard:
+// unlike rib.RIB, no route is refused for a loop through the local AS, so a
+// path containing AS 0 counts here where a rib.New(0) table keeps the peer's
+// previous route instead.
+func (c *Classifier) Census() rib.Census {
+	var t rib.CensusTally
 	for _, rs := range c.routes {
-		rib.AddPrefix(&pc, rs, func(st *routeState) (bgp.ASPath, bgp.PathID, bool) {
+		rib.AddPrefix(&t, rs, func(st *routeState) (bgp.ASPath, bgp.PathID, bool) {
 			if !st.announced {
 				return bgp.ASPath{}, 0, false
 			}
 			return st.last.Path(), st.last.PathID, true
 		})
 	}
-	return pc
+	return t.Census()
 }

@@ -252,82 +252,6 @@ func (a *Accumulator) AddEvent(ev *Event) {
 	}
 }
 
-// Merge folds src's per-day statistics and running totals into a. All
-// tallies are summed key-by-key; PeerTable and TotalTable (present only on
-// days that were EndDay'd) are summed per peer, which is exact when the
-// merged accumulators partitioned one stream by (peer, prefix).
-//
-// PeakSecond is the one field that cannot be reconstructed from partitions:
-// each shard only saw its own share of any given second, so Merge keeps the
-// maximum, a lower bound. Callers that watched the undivided stream (a
-// sharded instability.Pipeline's feeder does) should overwrite
-// DayStats.PeakSecond with the exact value after merging.
-//
-// Merge is not safe for concurrent use with Add on either accumulator; the
-// caller must own both (a sharded pipeline's barrier guarantees this by
-// taking ownership of each shard's accumulator before merging).
-func (a *Accumulator) Merge(src *Accumulator) {
-	for d, s := range src.Days {
-		a.Day(d).mergeFrom(s)
-	}
-	for i := range a.totals {
-		a.totals[i].Add(src.totals[i].Load())
-	}
-}
-
-// mergeFrom adds src's tallies into dst.
-func (dst *DayStats) mergeFrom(src *DayStats) {
-	for i, v := range src.Counts {
-		dst.Counts[i] += v
-	}
-	dst.PolicyShifts += src.PolicyShifts
-	for i, v := range src.TenMinInstability {
-		dst.TenMinInstability[i] += v
-	}
-	for i, v := range src.TenMinAll {
-		dst.TenMinAll[i] += v
-	}
-	for peer, pd := range src.ByPeer {
-		d := dst.ByPeer[peer]
-		if d == nil {
-			d = new(PeerDay)
-			dst.ByPeer[peer] = d
-		}
-		for i, v := range pd.Counts {
-			d.Counts[i] += v
-		}
-		d.Announcements += pd.Announcements
-		d.Withdrawals += pd.Withdrawals
-	}
-	for pa, counts := range src.ByPrefixAS {
-		d := dst.ByPrefixAS[pa]
-		if d == nil {
-			d = new([NumClasses]int)
-			dst.ByPrefixAS[pa] = d
-		}
-		for i, v := range counts {
-			d[i] += v
-		}
-	}
-	for c := range src.InterArrival {
-		for b, v := range src.InterArrival[c] {
-			dst.InterArrival[c][b] += v
-		}
-	}
-	if src.PeerTable != nil {
-		if dst.PeerTable == nil {
-			dst.PeerTable = make(map[PeerKey]int, len(src.PeerTable))
-		}
-		for k, v := range src.PeerTable {
-			dst.PeerTable[k] += v
-		}
-		dst.TotalTable += src.TotalTable
-	}
-	if src.PeakSecond > dst.PeakSecond {
-		dst.PeakSecond = src.PeakSecond
-	}
-}
-
 // EndDay snapshots the routing-table shares from the classifier into the
 // day's stats. Call once per simulated day, after the day's records.
 func (a *Accumulator) EndDay(c *Classifier, d Date) {

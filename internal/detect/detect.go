@@ -20,14 +20,13 @@
 // origin announcing an established prefix (multi-origin conflict) alerts
 // regardless of rate.
 //
-// Concurrency contract: Add is safe from many goroutines (the parallel
-// pipeline's Events hook calls it from shard workers); it only performs
-// commutative window counting. Advance and Finish — which finalize
+// Concurrency contract: Add, Advance and Finish each take the detector's
+// lock, so they are safe from any goroutine. Add only performs commutative
+// window counting. Advance and Finish — which finalize
 // windows in ascending order with sorted keys and therefore produce a
-// deterministic alert stream — must be called from the feeder at barrier
-// points (day ends), where all Adds for the finalized span have
-// happened-before. Serial and parallel pipeline feeds of the same record
-// stream yield byte-identical alert sequences.
+// deterministic alert stream — must be called at day ends, after every Add
+// for the finalized span has returned; the pipeline's hooks call all three
+// from its one goroutine.
 package detect
 
 import (

@@ -57,8 +57,7 @@ func ForwardingEqual(a, b *Handle) bool {
 }
 
 // Table interns attribute tuples and AS paths. It is NOT safe for concurrent
-// use: each pipeline shard, RIB, session, and generator owns a private
-// table, and each store wraps its one table in a mutex. Tables
+// use: each classifier, session, and generator owns a private table. Tables
 // retain every tuple ever interned; the working sets here (distinct
 // attribute tuples in a BGP stream) are small by construction — that
 // smallness is the paper's whole point.
@@ -68,7 +67,7 @@ type Table struct {
 	paths  *bgp.PathTable
 
 	// Stats are accumulated locally and flushed to the process-wide obs
-	// counters in batches, so shards never contend on a shared cache line
+	// counters in batches, so tables never contend on a shared cache line
 	// per record.
 	hits, misses, pathMisses uint64
 }
@@ -136,12 +135,6 @@ func (t *Table) lookup(a *bgp.Attrs) *Handle {
 	t.maybeFlush()
 	return hd
 }
-
-// Paths exposes the table's path store, for merge-time ID remapping.
-func (t *Table) Paths() *bgp.PathTable { return t.paths }
-
-// Len returns the number of distinct attribute tuples interned.
-func (t *Table) Len() int { return int(t.n) }
 
 // hit counts a lookup that returned an existing handle.
 func (t *Table) hit() {

@@ -114,7 +114,7 @@ func TestPathIntern(t *testing.T) {
 	if tab.PathLen() != 2 {
 		t.Fatalf("PathLen = %d, want 2", tab.PathLen())
 	}
-	if !tab.Paths().Lookup(id3).Equal(bgp.PathFromASNs(690)) {
+	if !tab.paths.Lookup(id3).Equal(bgp.PathFromASNs(690)) {
 		t.Fatalf("Lookup returned the wrong path")
 	}
 	// A handle interned after the bare path reuses its PathID.
@@ -266,3 +266,6 @@ func (t *Table) Path(p bgp.ASPath) bgp.PathID {
 
 // PathLen returns the number of distinct AS paths interned.
 func (t *Table) PathLen() int { return t.paths.Len() }
+
+// Len returns the number of distinct attribute tuples interned.
+func (t *Table) Len() int { return int(t.n) }

@@ -153,19 +153,15 @@ func TestKindMismatchPanics(t *testing.T) {
 func TestFuncBackedSeries(t *testing.T) {
 	reg := NewRegistry()
 	v := 41.0
-	reg.GaugeFunc("fn_gauge", "func gauge", func() float64 { return v })
+	reg.CounterFunc("fn_total", "func counter", func() float64 { return v }, L("class", "AADup"))
 	v = 42
-	if got := reg.Value("fn_gauge"); got != 42 {
-		t.Fatalf("GaugeFunc value = %g, want 42", got)
+	if got := reg.Value("fn_total", L("class", "AADup")); got != 42 {
+		t.Fatalf("CounterFunc value = %g, want 42", got)
 	}
 	// Re-registration replaces the function.
-	reg.GaugeFunc("fn_gauge", "", func() float64 { return 7 })
-	if got := reg.Value("fn_gauge"); got != 7 {
-		t.Fatalf("replaced GaugeFunc value = %g, want 7", got)
-	}
-	reg.CounterFunc("fn_total", "func counter", func() float64 { return 3 }, L("class", "AADup"))
-	if got := reg.Value("fn_total", L("class", "AADup")); got != 3 {
-		t.Fatalf("CounterFunc value = %g, want 3", got)
+	reg.CounterFunc("fn_total", "", func() float64 { return 7 }, L("class", "AADup"))
+	if got := reg.Value("fn_total", L("class", "AADup")); got != 7 {
+		t.Fatalf("replaced CounterFunc value = %g, want 7", got)
 	}
 }
 

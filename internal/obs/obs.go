@@ -181,12 +181,6 @@ func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...L
 	r.get(name, help, KindCounter, nil, labels).fn = fn
 }
 
-// GaugeFunc registers fn as a func-backed gauge series. Re-registering
-// replaces the function.
-func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
-	r.get(name, help, KindGauge, nil, labels).fn = fn
-}
-
 // Histogram returns the histogram series for (name, labels), creating it
 // with the given bucket upper edges (nil means DurationBuckets). The first
 // creation of a family fixes its bucket layout.

@@ -321,53 +321,47 @@ func (c Census) MultihomedShare() float64 {
 	return float64(c.Multihomed) / float64(c.Prefixes)
 }
 
-// TakeCensus computes a Census over the current table.
+// TakeCensus computes a Census over the current table, interning its
+// candidates' AS paths into a fresh path table as it walks: only a census
+// pays for path IDs, not every Update.
 func (r *RIB) TakeCensus() Census {
-	return MergeCensuses(r.TakePartialCensus())
+	var t CensusTally
+	paths := bgp.NewPathTable()
+	r.walk(func(_ netaddr.Prefix, st *prefixState) bool {
+		AddPrefix(&t, st.candidates, func(e *entry) (bgp.ASPath, bgp.PathID, bool) {
+			return e.attrs.Path, paths.ID(e.attrs.Path), true
+		})
+		return true
+	})
+	return t.Census()
 }
 
-// PartialCensus is the mergeable form of a Census, for tables that hold
-// disjoint prefix partitions of one logical routing table (a sharded
-// pipeline's per-shard classifiers). Prefix-level tallies sum across
-// partitions; origin ASes and AS paths are global distinct-counts, so the
-// partial keeps the sets and MergeCensuses takes the union.
-//
-// Origins and Paths are bitsets: ASNs are 16-bit, and PathIDs are dense in
-// PathTab — the classifier's path table, or the fresh one a RIB census
-// interns into. IDs from different partials are not comparable; MergeCensuses
-// unions them by remapping every partial's IDs through one fresh table (the
-// per-shard ID-remap contract). The zero value with PathTab set is an empty
-// census.
-type PartialCensus struct {
-	Prefixes   int
-	Multihomed int
-	Origins    bitSet
-	Paths      bitSet
-	PathTab    *bgp.PathTable
+// CensusTally builds a Census one prefix at a time (AddPrefix). Origin ASes
+// and AS paths are distinct-counts, so it keeps their sets as bitsets: ASNs
+// are 16-bit, and PathIDs are dense in the one path table the caller draws
+// them from. The zero value is an empty tally.
+type CensusTally struct {
+	c       Census
+	origins bitSet
+	paths   bitSet
+}
+
+// Census returns the census of the prefixes added so far.
+func (t *CensusTally) Census() Census {
+	c := t.c
+	c.OriginASes, c.UniquePaths = t.origins.count(), t.paths.count()
+	return c
 }
 
 // bitSet is a set of small non-negative integers, one bit each.
 type bitSet []uint64
 
-// grow extends the set to at least n words.
-func (s *bitSet) grow(n int) {
-	if n > len(*s) {
-		*s = append(*s, make(bitSet, n-len(*s))...)
-	}
-}
-
 // add puts i in the set.
 func (s *bitSet) add(i uint32) {
-	s.grow(int(i>>6) + 1)
-	(*s)[i>>6] |= 1 << (i & 63)
-}
-
-// or adds every member of t to the set.
-func (s *bitSet) or(t bitSet) {
-	s.grow(len(t))
-	for w, x := range t {
-		(*s)[w] |= x
+	if w := int(i>>6) + 1; w > len(*s) {
+		*s = append(*s, make(bitSet, w-len(*s))...)
 	}
+	(*s)[i>>6] |= 1 << (i & 63)
 }
 
 // count returns the number of members.
@@ -379,37 +373,15 @@ func (s bitSet) count() int {
 	return n
 }
 
-// each calls f with every member, in ascending order.
-func (s bitSet) each(f func(uint32)) {
-	for w, x := range s {
-		for ; x != 0; x &= x - 1 {
-			f(uint32(w<<6 | bits.TrailingZeros64(x)))
-		}
-	}
-}
-
-// TakePartialCensus computes the mergeable census of this table, interning
-// its candidates' AS paths into a fresh path table as it walks: only a
-// census pays for path IDs, not every Update.
-func (r *RIB) TakePartialCensus() PartialCensus {
-	pc := PartialCensus{PathTab: bgp.NewPathTable()}
-	r.walk(func(_ netaddr.Prefix, st *prefixState) bool {
-		AddPrefix(&pc, st.candidates, func(e *entry) (bgp.ASPath, bgp.PathID, bool) {
-			return e.attrs.Path, pc.PathTab.ID(e.attrs.Path), true
-		})
-		return true
-	})
-	return pc
-}
-
-// AddPrefix folds one prefix's routes into pc: route reads each element's
-// AS path, the path's ID in pc.PathTab, and whether the route is live. A
-// prefix with no live route is not counted. One counts as multihomed when
-// its live routes traverse at least two distinct neighboring ASes or two
-// distinct origin ASes — i.e. the destination is reachable over more than
-// one provider and the prefix cannot be aggregated away. RIB and
-// core.Classifier both count through it, so the census is defined once.
-func AddPrefix[R any](pc *PartialCensus, routes []R, route func(*R) (bgp.ASPath, bgp.PathID, bool)) {
+// AddPrefix folds one prefix's routes into t: route reads each element's
+// AS path, the path's ID in the caller's path table, and whether the route
+// is live. A prefix with no live route is not counted. One counts as
+// multihomed when its live routes traverse at least two distinct
+// neighboring ASes or two distinct origin ASes — i.e. the destination is
+// reachable over more than one provider and the prefix cannot be aggregated
+// away. RIB and core.Classifier both count through it, so the census is
+// defined once.
+func AddPrefix[R any](t *CensusTally, routes []R, route func(*R) (bgp.ASPath, bgp.PathID, bool)) {
 	var first, origin bgp.ASN
 	live, haveFirst, haveOrigin, multihomed := false, false, false, false
 	for i := range routes {
@@ -425,46 +397,14 @@ func AddPrefix[R any](pc *PartialCensus, routes []R, route func(*R) (bgp.ASPath,
 		if o, ok := path.Origin(); ok {
 			multihomed = multihomed || haveOrigin && o != origin
 			origin, haveOrigin = o, true
-			pc.Origins.add(uint32(o))
+			t.origins.add(uint32(o))
 		}
-		pc.Paths.add(uint32(id))
+		t.paths.add(uint32(id))
 	}
 	if live {
-		pc.Prefixes++
+		t.c.Prefixes++
 	}
 	if multihomed {
-		pc.Multihomed++
+		t.c.Multihomed++
 	}
-}
-
-// MergeCensuses combines partial censuses of disjoint prefix partitions into
-// the Census the undivided table would have produced: prefix counts sum,
-// origin sets union, and each partial's local PathIDs are remapped through
-// one fresh PathTable whose final size is the global distinct-path count —
-// unless every partial shares one table (an in-place pipeline, one
-// RIB.TakeCensus), whose IDs union as they are. Because interning is content-addressed, the
-// remap is order-independent: any merge order of any partition of the same
-// table yields the same Census.
-func MergeCensuses(parts ...PartialCensus) Census {
-	var c Census
-	shared := true
-	for _, pc := range parts {
-		shared = shared && pc.PathTab == parts[0].PathTab
-	}
-	var origins, ids bitSet
-	merged := bgp.NewPathTable()
-	for _, pc := range parts {
-		c.Prefixes += pc.Prefixes
-		c.Multihomed += pc.Multihomed
-		origins.or(pc.Origins)
-		switch {
-		case shared:
-			ids.or(pc.Paths)
-		case pc.PathTab != nil:
-			pc.Paths.each(func(id uint32) { merged.ID(pc.PathTab.Lookup(bgp.PathID(id))) })
-		}
-	}
-	c.OriginASes = origins.count()
-	c.UniquePaths = ids.count() + merged.Len()
-	return c
 }

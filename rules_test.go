@@ -181,7 +181,7 @@ var _ = bgp.AppendAttrs // violation
 		name: "intern.New",
 		find: namedOutside("instability/internal/intern", "New"),
 		allow: map[string]string{
-			"internal/core/classifier.go":    "each classifier shard interns its own attributes; ROADMAP item 9 makes one table",
+			"internal/core/classifier.go":    "the pipeline's one classifier interns its attributes in one table per pipeline; ROADMAP item 9",
 			"internal/session/peer.go":       "each BGP peer interns what it decodes; ROADMAP item 9",
 			"internal/workload/generator.go": "the generator interns what it emits; ROADMAP item 9",
 		},
@@ -294,7 +294,6 @@ var deadExportAllow = map[string]string{
 	"events.Sim.Pending":              "the session tests' establish helper stops when the simulator has nothing left to run",
 	"faults.Injector.Stats":           "TestCrashLoop and TestFaultMatrix (internal/store) read what the injector did",
 	"faults.NewTransport":             "TestChaosPipeBackoffWithinBounds (internal/session) runs sessions over a flaky transport",
-	"intern.Table.Len":                "TestOneAttrRefPerTuple (internal/store) counts interned tuples",
 	"obs.Tracer.Disable":              "TestSlowQueryProfileGolden and TestSlowQueryOneDecision (internal/serve) restore the default tracer",
 	"obs.TraceSpan.TraceID":           "TestTracePropagationHTTP and TestTracePropagationBinary (internal/serve) join client and server traces",
 	"obs.TraceSpan.SpanID":            "TestTracePropagationHTTP (internal/serve) checks the propagated parent span",
