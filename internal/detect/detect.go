@@ -20,20 +20,18 @@
 // origin announcing an established prefix (multi-origin conflict) alerts
 // regardless of rate.
 //
-// Concurrency contract: Add, Advance and Finish each take the detector's
-// lock, so they are safe from any goroutine. Add only performs commutative
-// window counting. Advance and Finish — which finalize
-// windows in ascending order with sorted keys and therefore produce a
-// deterministic alert stream — must be called at day ends, after every Add
-// for the finalized span has returned; the pipeline's hooks call all three
-// from its one goroutine.
+// Concurrency contract: a Detector is not safe for concurrent use; the
+// pipeline's hooks call Add, Advance and Finish from its one goroutine. Add
+// only performs commutative window counting. Advance and Finish — which
+// finalize windows in ascending order with sorted keys and therefore produce
+// a deterministic alert stream — are called at day ends, after every Add for
+// the finalized span.
 package detect
 
 import (
 	"cmp"
 	"math"
 	"slices"
-	"sync"
 	"time"
 
 	"instability/internal/bgp"
@@ -227,7 +225,6 @@ type Detector struct {
 	estWins int64   // establishAge in windows
 	warmNs  int64
 
-	mu sync.Mutex
 	// pend holds each not-yet-finalized window's counts by packed key, all
 	// four channels in one map (an origin sighting under the key it alerts
 	// on).
@@ -283,9 +280,8 @@ func (d *Detector) windowOf(t time.Time) int64 {
 	return w
 }
 
-// Add observes one classified event. Safe for concurrent use. A sighting of
-// an origin already known for its prefix is not counted: its evaluation
-// would change nothing.
+// Add observes one classified event. A sighting of an origin already known
+// for its prefix is not counted: its evaluation would change nothing.
 func (d *Detector) Add(ev core.Event) {
 	rec := &ev.Record
 	switch rec.Type {
@@ -295,9 +291,6 @@ func (d *Detector) Add(ev core.Event) {
 	}
 	w := d.windowOf(rec.Time)
 	ns := rec.Time.UnixNano()
-
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	obsDetEvents.Inc()
 	if !d.haveFirst || ns < d.firstNano {
 		d.firstNano, d.haveFirst = ns, true
@@ -413,7 +406,7 @@ func score(b *baseline, x float64) float64 {
 }
 
 // evalCount processes one finalized (packed key, window, count)
-// observation. Caller holds d.mu.
+// observation.
 func (d *Detector) evalCount(k uint64, w int64, x float64) {
 	b := d.base[k]
 	if b == nil {
@@ -459,7 +452,7 @@ func (d *Detector) evalCount(k uint64, w int64, x float64) {
 }
 
 // evalOrigin processes one finalized (origin, prefix) sighting, packed as
-// its ChanOrigin key k: the MOAS novelty rule. Caller holds d.mu.
+// its ChanOrigin key k: the MOAS novelty rule.
 func (d *Detector) evalOrigin(k uint64, w int64, n int64) {
 	pk := k >> prefixShift & prefixMask
 	first, ok := d.born[pk]
@@ -502,7 +495,7 @@ func (d *Detector) evalOrigin(k uint64, w int64, n int64) {
 	d.alerting[k] = struct{}{}
 }
 
-// closeAlert emits the active episode of packed key pk. Caller holds d.mu.
+// closeAlert emits the active episode of packed key pk.
 func (d *Detector) closeAlert(pk uint64, b *baseline) {
 	act := b.act
 	b.act = nil
@@ -537,13 +530,12 @@ func (d *Detector) closeAlert(pk uint64, b *baseline) {
 // have been quiet for maxGap windows. Call from the feeder at barriers
 // (e.g. day ends): all Adds for the finalized span must have completed.
 func (d *Detector) Advance(now time.Time) {
-	target := d.windowOf(now.Add(1)) // windows strictly before this are complete
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.advanceLocked(target)
+	d.finalizeTo(d.windowOf(now.Add(1))) // windows strictly before this are complete
 }
 
-func (d *Detector) advanceLocked(target int64) {
+// finalizeTo evaluates every pending window before target and closes quiet
+// alerts.
+func (d *Detector) finalizeTo(target int64) {
 	// finalized never moves back, but a late Add may have reopened a window
 	// below it: a target at or behind it still evaluates those.
 	if d.haveFinal {
@@ -583,19 +575,19 @@ func (d *Detector) advanceLocked(target int64) {
 		// Sweep after each window so an episode closes maxGap quiet
 		// windows after its last anomalous one, however coarse the
 		// Advance cadence — a later burst must not be bridged into it.
-		d.sweepLocked(w+1, int64(d.cfg.maxGap))
+		d.sweep(w+1, int64(d.cfg.maxGap))
 	}
 	// Close alerts that have gone quiet: maxGap fully-finalized windows
 	// with no anomalous observation.
-	d.sweepLocked(target, int64(d.cfg.maxGap))
+	d.sweep(target, int64(d.cfg.maxGap))
 	d.finalized, d.haveFinal = target, true
 	obsDetKeys.SetInt(int64(len(d.base)))
 	obsDetActive.SetInt(int64(len(d.alerting)))
 }
 
-// sweepLocked closes alerting keys quiet for at least gap windows before
+// sweep closes alerting keys quiet for at least gap windows before
 // target.
-func (d *Detector) sweepLocked(target, gap int64) {
+func (d *Detector) sweep(target, gap int64) {
 	if len(d.alerting) == 0 {
 		return
 	}
@@ -615,8 +607,6 @@ func (d *Detector) sweepLocked(target, gap int64) {
 // returning the complete alert list. The detector remains usable for
 // reads but should not be fed further.
 func (d *Detector) Finish() []Alert {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	var target int64
 	for w := range d.pend {
 		if w+1 > target {
@@ -626,13 +616,13 @@ func (d *Detector) Finish() []Alert {
 	if d.haveFinal && d.finalized > target {
 		target = d.finalized
 	}
-	d.advanceLocked(target)
-	d.sweepLocked(target, -1<<30) // close everything still open
+	d.finalizeTo(target)
+	d.sweep(target, -1<<30) // close everything still open
 	obsDetActive.SetInt(0)
-	return d.alertsLocked()
+	return d.sortedAlerts()
 }
 
-func (d *Detector) alertsLocked() []Alert {
+func (d *Detector) sortedAlerts() []Alert {
 	out := make([]Alert, len(d.alerts))
 	copy(out, d.alerts)
 	slices.SortFunc(out, func(a, b Alert) int {

@@ -1,7 +1,6 @@
 package detect
 
 import (
-	"sync"
 	"testing"
 	"time"
 
@@ -206,53 +205,8 @@ func TestAdvanceIdempotent(t *testing.T) {
 	}
 }
 
-// TestConcurrentAddHammer drives Add from many goroutines between Advance
-// barriers with concurrent readers — the parallel pipeline's shape, run
-// under -race in CI.
-func TestConcurrentAddHammer(t *testing.T) {
-	d := New(testConfig())
-	stop := make(chan struct{})
-	var readers sync.WaitGroup
-	readers.Add(1)
-	go func() {
-		defer readers.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				d.Alerts()
-				d.ActiveAlerts()
-			}
-		}
-	}()
-	w := t0
-	for round := 0; round < 50; round++ {
-		var feeders sync.WaitGroup
-		for p := 0; p < 8; p++ {
-			peer := bgp.ASN(100 + p)
-			feeders.Add(1)
-			go func() {
-				defer feeders.Done()
-				n := 20
-				if round == 40 { // one surge round
-					n = 400
-				}
-				feedRate(d, w, peer, core.WADup, n)
-				d.Add(announceEv(w.Add(45*time.Second), peer, peer, "10.0.0.0/8"))
-			}()
-		}
-		feeders.Wait() // the barrier: all Adds happen-before Advance
-		w = w.Add(time.Minute)
-		d.Advance(w)
-	}
-	close(stop)
-	readers.Wait()
-	d.Finish()
-}
-
-// BenchmarkDetectorAdd measures the per-event intake cost (one mutex
-// round and up to three map bumps).
+// BenchmarkDetectorAdd measures the per-event intake cost (up to three map
+// bumps).
 func BenchmarkDetectorAdd(b *testing.B) {
 	d := New(Config{})
 	evs := make([]core.Event, 4096)
@@ -265,27 +219,6 @@ func BenchmarkDetectorAdd(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		d.Add(evs[i%len(evs)])
 	}
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events_per_sec")
-}
-
-// BenchmarkDetectorAddParallel hammers the intake mutex from all cores —
-// the shape of the sharded pipeline's Events hook.
-func BenchmarkDetectorAddParallel(b *testing.B) {
-	d := New(Config{})
-	evs := make([]core.Event, 4096)
-	for i := range evs {
-		evs[i] = withdrawEv(t0.Add(time.Duration(i)*200*time.Millisecond),
-			bgp.ASN(100+i%16), "10.0.0.0/8", core.WADup)
-	}
-	b.ResetTimer()
-	b.ReportAllocs()
-	b.RunParallel(func(pb *testing.PB) {
-		i := 0
-		for pb.Next() {
-			d.Add(evs[i%len(evs)])
-			i++
-		}
-	})
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events_per_sec")
 }
 
@@ -311,15 +244,11 @@ func (d *Detector) Config() Config { return d.cfg }
 
 // Alerts returns the alerts emitted so far, sorted by start time then key.
 func (d *Detector) Alerts() []Alert {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.alertsLocked()
+	return d.sortedAlerts()
 }
 
 // ActiveAlerts returns the number of currently open episodes.
 func (d *Detector) ActiveAlerts() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	return len(d.alerting)
 }
 

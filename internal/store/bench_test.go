@@ -3,7 +3,6 @@ package store
 import (
 	"cmp"
 	"context"
-	"fmt"
 	"io"
 	"math/rand"
 	"runtime"
@@ -230,39 +229,31 @@ func BenchmarkColumnarFilter(b *testing.B) {
 }
 
 // BenchmarkStoreSeal measures pure seal throughput — memtable to sealed,
-// indexed segments — at GOMAXPROCS 1 (one block-encode worker) and 8. The
-// output bytes are identical at any worker count (pinned by
-// TestSealedBytesIdenticalAcrossWorkers), so records/sec is the whole story:
-// v3 block encoding — dictionary builds and code columns — dominates a seal,
-// and it parallelizes across blocks.
+// indexed segments. v3 block encoding — dictionary builds and code columns —
+// dominates a seal, and runs on the one sealing goroutine.
 func BenchmarkStoreSeal(b *testing.B) {
 	recs := hourlyWorkload(4, 2000)
-	for _, workers := range []int{1, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				s, err := Open(b.TempDir(), testOptions())
-				if err != nil {
-					b.Fatal(err)
-				}
-				w := s.Writer()
-				if err := w.AppendBatch(recs); err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				if err := w.Seal(); err != nil {
-					b.Fatal(err)
-				}
-				b.StopTimer()
-				if err := s.Close(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(len(recs))*float64(b.N)/b.Elapsed().Seconds(), "records/sec")
-		})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		s, err := Open(b.TempDir(), testOptions())
+		if err != nil {
+			b.Fatal(err)
+		}
+		w := s.Writer()
+		if err := w.AppendBatch(recs); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if err := w.Seal(); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if err := s.Close(); err != nil {
+			b.Fatal(err)
+		}
 	}
+	b.ReportMetric(float64(len(recs))*float64(b.N)/b.Elapsed().Seconds(), "records/sec")
 }
 
 // BenchmarkIngestToSealed is the end-to-end ingest path under auto-seal:
@@ -271,38 +262,33 @@ func BenchmarkStoreSeal(b *testing.B) {
 // records/sec here is the wire-to-sealed ceiling of the tool.
 func BenchmarkIngestToSealed(b *testing.B) {
 	recs := hourlyWorkload(4, 4000)
-	for _, workers := range []int{1, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				opts := testOptions()
-				opts.AutoSealRecords = 2048
-				opts.FlushEvery = 256
-				s, err := Open(b.TempDir(), opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				w := s.Writer()
-				b.StartTimer()
-				for off := 0; off < len(recs); off += 256 {
-					end := min(off+256, len(recs))
-					if err := w.AppendBatch(recs[off:end]); err != nil {
-						b.Fatal(err)
-					}
-				}
-				if err := w.Seal(); err != nil {
-					b.Fatal(err)
-				}
-				b.StopTimer()
-				if err := s.Close(); err != nil {
-					b.Fatal(err)
-				}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		opts := testOptions()
+		opts.AutoSealRecords = 2048
+		opts.FlushEvery = 256
+		s, err := Open(b.TempDir(), opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		w := s.Writer()
+		b.StartTimer()
+		for off := 0; off < len(recs); off += 256 {
+			end := min(off+256, len(recs))
+			if err := w.AppendBatch(recs[off:end]); err != nil {
+				b.Fatal(err)
 			}
-			b.ReportMetric(float64(len(recs))*float64(b.N)/b.Elapsed().Seconds(), "records/sec")
-		})
+		}
+		if err := w.Seal(); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if err := s.Close(); err != nil {
+			b.Fatal(err)
+		}
 	}
+	b.ReportMetric(float64(len(recs))*float64(b.N)/b.Elapsed().Seconds(), "records/sec")
 }
 
 // BenchmarkSealStall measures the longest window a seal occupies the store

@@ -32,6 +32,7 @@ type attrTable struct {
 	mu      sync.Mutex
 	byWire  map[string]*attrRef // canonical wire bytes, and any other spelling read, to its ref
 	scratch []byte              // the wire bytes being looked up, reused
+	refs    uint32              // refs handed out: the next ref's id
 }
 
 func newAttrTable() *attrTable {
@@ -39,13 +40,16 @@ func newAttrTable() *attrTable {
 }
 
 // attrRef is the store's record of one distinct attribute tuple: the
-// canonical value, its wire bytes, and its origin AS (-1 when the path has
-// none). It is immutable once its table hands it out, so whoever a row
-// reaches — seal workers run off the store lock — reads it without a lock.
+// canonical value, its wire bytes, its origin AS (-1 when the path has
+// none), and its id, dense in the order the table made its refs (the seal's
+// slot index, sealScratch). It is immutable once its table hands it out, so
+// whoever a row reaches — the seal runs off the store lock — reads it
+// without a lock.
 type attrRef struct {
 	attrs  bgp.Attrs
 	wire   []byte
 	origin int32
+	id     uint32
 }
 
 // scratchLocked returns the ref of the tuple whose canonical wire bytes are
@@ -60,7 +64,8 @@ func (t *attrTable) scratchLocked() (*attrRef, error) {
 	if err != nil {
 		return nil, err
 	}
-	ref := &attrRef{attrs: a, wire: bytes.Clone(t.scratch), origin: -1}
+	ref := &attrRef{attrs: a, wire: bytes.Clone(t.scratch), origin: -1, id: t.refs}
+	t.refs++
 	if o, ok := a.Path.Origin(); ok {
 		ref.origin = int32(o)
 	}

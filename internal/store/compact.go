@@ -129,8 +129,8 @@ func (s *Store) mergeWindowLocked(window int64, gs []*segment) (*segment, error)
 	// Seal-assigned sequence ranges within a window are contiguous across
 	// its segments, so the merged range is exactly [firstSeq, lastSeq] and
 	// writeSegment's firstSeq+len-1 arithmetic reproduces lastSeq. The
-	// rewrite's block encoding fans across the seal worker pool, and it
-	// writes v3 whatever format the inputs were in.
+	// rewrite encodes its blocks as a seal does, and it writes v3 whatever
+	// format the inputs were in.
 	merged, err := writeSegment(s.fs, s.dir, s.nextSeg, window, firstSeq, out, replaces, s.opts)
 	if err != nil {
 		return nil, err

@@ -42,8 +42,9 @@ const (
 // TestLegacyFixturesPinned: a rewritten fixture cannot pass review unnoticed.
 func TestLegacyFixturesPinned(t *testing.T) {
 	for name, want := range map[string]string{
-		v1FixtureName: "e32eb7ef73f932fc7d52bb5b8bb3bb19a525d7b52801f03a28f28ee310836b15",
-		v2FixtureName: "dc6426072d1d44bef2dfc856e6b7fdf0d449c3d637ac8f4ccf57eabec777b93b",
+		v1FixtureName:    "e32eb7ef73f932fc7d52bb5b8bb3bb19a525d7b52801f03a28f28ee310836b15",
+		v2FixtureName:    "dc6426072d1d44bef2dfc856e6b7fdf0d449c3d637ac8f4ccf57eabec777b93b",
+		walV1FixtureName: "ced5bc2fda1909767b017379cb892c0538436f85634bee764ac4e7fbfe2888d2",
 	} {
 		b, err := os.ReadFile(filepath.Join("testdata", name))
 		if err != nil {

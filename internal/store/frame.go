@@ -2,8 +2,10 @@ package store
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"instability/internal/collector"
@@ -14,11 +16,28 @@ import (
 // sidecar logs — is a sequence of collector frames (collector/codec.go), so
 // a torn tail (crash mid-write) is detected by length or checksum. frameLog
 // is the file both kinds of log append to.
+//
+// A WAL frame is one group commit: the entries of every append since the
+// last flush — FlushEvery records, or more when one AppendBatch call brings
+// them — or one carried window's re-log. (WALs written before group-commit
+// frames hold one entry per frame.) A sidecar frame is one small record.
+// Nothing but the frame's u32 length prefix bounds a commit, so the writer
+// checks it: an append that would carry the open frame's payload past
+// maxFramePayload fails with ErrCommitTooLarge rather than wrap the prefix.
 
-// appendChecksum closes a v3 block or index section: b, then its checksum
-// (collector.Checksum, the one CRC every checked structure is guarded by).
-func appendChecksum(b []byte) []byte {
-	return binary.BigEndian.AppendUint32(b, collector.Checksum(b))
+// maxFramePayload is the most payload a frame's length prefix can state; a
+// variable so tests can reach it without gigabytes of appends.
+var maxFramePayload int64 = math.MaxUint32
+
+// ErrCommitTooLarge reports an append whose group commit would not fit one
+// WAL frame. None of the failing call's unflushed records is stored.
+var ErrCommitTooLarge = errors.New("store: group commit too large for one WAL frame")
+
+// appendChecksum closes a v3 block or index section, b[from:], with its
+// checksum (collector.Checksum, the one CRC every checked structure is
+// guarded by).
+func appendChecksum(b []byte, from int) []byte {
+	return binary.BigEndian.AppendUint32(b, collector.Checksum(b[from:]))
 }
 
 // splitChecksum opens what appendChecksum closed: the bytes before the

@@ -178,11 +178,11 @@ func encodeBlockV3(tb testing.TB, recs []collector.Record) []byte {
 	}
 	sc := getSealScratch()
 	defer putSealScratch(sc)
-	eb := encodeSegmentBlock(sc, rows)
-	if eb.err != nil {
-		tb.Fatal(eb.err)
+	data, err := encodeSegmentBlock(sc, nil, rows)
+	if err != nil {
+		tb.Fatal(err)
 	}
-	return eb.data
+	return data
 }
 
 // rowRecords materializes memtable rows as the records they stand for.
@@ -363,8 +363,10 @@ func FuzzSelectRowsMatchesQuery(f *testing.F) {
 	})
 }
 
-// recordWALFrame is rec's WAL frame as the record codec writes it: the
-// reference a memtable row's frame must match byte for byte.
+// recordWALFrame appends rec's one-entry WAL frame as the record codec
+// writes it: a commit of one append, and every frame of a WAL written before
+// group-commit frames. Its payload is the reference a memtable row's WAL
+// entry must match byte for byte.
 func recordWALFrame(b []byte, window int64, seq uint64, rec collector.Record) ([]byte, error) {
 	b, lenAt := collector.BeginFrame(b)
 	b = binary.BigEndian.AppendUint64(b, uint64(window))
@@ -379,7 +381,7 @@ func recordWALFrame(b []byte, window int64, seq uint64, rec collector.Record) ([
 // FuzzMemRecRoundTrip holds the memtable row to the record it stands for.
 // Records decoded from the fuzzer's bytes become rows through one long-lived
 // attribute table, as in a store. Each row must read back as its record and write the
-// WAL frame the record codec writes for it; the rows, sorted, must encode the
+// WAL entry the record codec writes for it; the rows, sorted, must encode the
 // same v3 block a fresh table makes of the records.
 func FuzzMemRecRoundTrip(f *testing.F) {
 	dict := fuzzDict()
@@ -429,8 +431,8 @@ func FuzzMemRecRoundTrip(f *testing.F) {
 			if got := r.record(); !got.Time.Equal(rec.Time) || got.Time.Location() != time.UTC || !sameRecord(got, rec) {
 				t.Fatalf("row reads back %+v, want %+v", got, rec)
 			}
-			if got := appendWALFrame(nil, 7, seq, &r); !bytes.Equal(got, want) {
-				t.Fatalf("row's WAL frame %x, record's %x", got, want)
+			if got := appendWALPayload(nil, 7, seq, &r); !bytes.Equal(got, want[4:len(want)-4]) {
+				t.Fatalf("row's WAL entry %x, record's %x", got, want[4:len(want)-4])
 			}
 			recs, rows = append(recs, rec), append(rows, r)
 		}
@@ -441,12 +443,12 @@ func FuzzMemRecRoundTrip(f *testing.F) {
 		slices.SortStableFunc(rows, func(a, b memRec) int { return cmp.Compare(a.ns, b.ns) })
 		sc := getSealScratch()
 		defer putSealScratch(sc)
-		got := encodeSegmentBlock(sc, rows)
-		if got.err != nil {
-			t.Fatal(got.err)
+		got, err := encodeSegmentBlock(sc, nil, rows)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if want := encodeBlockV3(t, recs); !bytes.Equal(got.data, want) {
-			t.Fatalf("block from rows differs from a fresh table's:\n%x\n%x", got.data, want)
+		if want := encodeBlockV3(t, recs); !bytes.Equal(got, want) {
+			t.Fatalf("block from rows differs from a fresh table's:\n%x\n%x", got, want)
 		}
 	})
 }
@@ -544,7 +546,9 @@ func FuzzOpenSegment(f *testing.F) {
 // sidecar log on arbitrary bytes: it must never panic, the offset it returns
 // is a frame boundary (re-scanning just the accepted prefix accepts all of
 // it and yields the same payloads), and what follows that offset is not an
-// intact frame.
+// intact frame. Its WAL arm decodes frames as openWAL does: a frame is
+// accepted whole, and an accepted frame is exactly its entries as the writer
+// encodes them.
 func FuzzFrameScan(f *testing.F) {
 	frame := func(b []byte, payload string) []byte {
 		b, lenAt := collector.BeginFrame(b)
@@ -559,11 +563,14 @@ func FuzzFrameScan(f *testing.F) {
 	flipped[6] ^= 0x40 // corrupt first payload
 	f.Add(flipped)
 	rec := collector.Record{Time: time.Unix(825638400, 0).UTC(), Type: collector.Withdraw, PeerAS: 690, PeerAddr: 0x0a000002, Prefix: mustPrefix(f, 0x0a000000, 8)}
-	walFrame, err := recordWALFrame(nil, 0, 1, rec)
+	oneEntry, err := recordWALFrame(nil, 0, 1, rec)
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(walFrame)
+	f.Add(oneEntry)
+	three := []collector.Record{rec, mkRecord(rec.Time, 3561, 7000, rec.Prefix, true), mkRecord(rec.Time.Add(time.Second), 690, 701, rec.Prefix, true)}
+	f.Add(walFrame(f, 0, 1, 0, three...))
+	f.Add(walFrame(f, 0, 1, 3, three[:2]...)) // second entry cut, checksum valid
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var payloads [][]byte
 		off, n, err := collector.ScanFrames(data, func(p []byte) error {
@@ -590,9 +597,34 @@ func FuzzFrameScan(f *testing.F) {
 		if off3, n3, _ := collector.ScanFrames(data[off:], nil); off3 != 0 || n3 != 0 {
 			t.Fatalf("scan stopped at %d with an intact frame still ahead", off)
 		}
-		// The WAL's stricter acceptance (payload must decode) still stops
-		// on a boundary, at or before the framing's own.
-		offW, _, _ := collector.ScanFrames(data, func(p []byte) error { _, err := decodeWALPayload(p); return err })
+		// The WAL's stricter acceptance (every entry of a frame must decode)
+		// still stops on a boundary, at or before the framing's own. A
+		// rejected frame yields no entry; an accepted one is its entries,
+		// re-encoded from their rows, byte for byte.
+		tab := newAttrTable()
+		var ents []walEntry
+		offW, _, _ := collector.ScanFrames(data, func(p []byte) error {
+			n := len(ents)
+			var err error
+			if ents, err = decodeWALFrame(ents, p); err != nil {
+				if len(ents) != n {
+					t.Fatalf("rejected frame left %d entries", len(ents)-n)
+				}
+				return err
+			}
+			var again []byte
+			for _, ent := range ents[n:] {
+				r, err := tab.rowLocked(&ent.rec)
+				if err != nil {
+					t.Fatalf("accepted entry %+v: %v", ent.rec, err)
+				}
+				again = appendWALPayload(again, ent.window, ent.seq, &r)
+			}
+			if !bytes.Equal(again, p) {
+				t.Fatalf("frame's %d entries re-encode to\n%x\nnot its payload\n%x", len(ents)-n, again, p)
+			}
+			return nil
+		})
 		if offW > off {
 			t.Fatalf("WAL scan accepted %d bytes, framing only %d", offW, off)
 		}

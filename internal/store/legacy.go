@@ -33,11 +33,11 @@ func transcodeLegacyBlock(g *segment, bi int, stored []byte) ([]byte, error) {
 	}
 	sc := getSealScratch()
 	defer putSealScratch(sc)
-	eb := encodeSegmentBlock(sc, rows)
-	if eb.err != nil {
-		return nil, fmt.Errorf("%w: block %d: %v", ErrCorrupt, bi, eb.err)
+	data, err := encodeSegmentBlock(sc, nil, rows)
+	if err != nil {
+		return nil, fmt.Errorf("%w: block %d: %v", ErrCorrupt, bi, err)
 	}
-	return eb.data, nil
+	return data, nil
 }
 
 // decodeLegacyRows decodes the inflated body of one v1 or v2 block into the

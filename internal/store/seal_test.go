@@ -45,18 +45,18 @@ func readSegmentFiles(t *testing.T, dir string) map[string][]byte {
 	return files
 }
 
-// TestSealedBytesIdenticalAcrossWorkers pins the parallel seal contract:
-// segment files written at GOMAXPROCS 1 (one block-encode worker) and at 8
-// are byte-for-byte identical, through both the seal and the compaction
-// (merge rewrite) paths. Everything downstream — fingerprints, caches,
-// replication by rsync — is allowed to assume worker count never shows in
-// the bytes. A third build seals every window once: its blocks are the
-// compacted builds' blocks, so compaction writes what a seal writes.
+// TestSealedBytesIdenticalAcrossWorkers pins the seal contract: two builds
+// of the same records write byte-for-byte identical segment files, through
+// both the seal and the compaction (merge rewrite) paths, at the seal's one
+// encoding goroutine. Everything downstream —
+// fingerprints, caches, replication by rsync — is allowed to assume the
+// bytes depend on the records alone. A third build seals every window once:
+// its blocks are the compacted builds' blocks, so compaction writes what a
+// seal writes.
 func TestSealedBytesIdenticalAcrossWorkers(t *testing.T) {
 	recs := hourlyWorkload(3, 400)
 	var dirs []string
-	build := func(workers int, sealOnce bool) map[string][]byte {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
+	build := func(sealOnce bool) map[string][]byte {
 		dir := t.TempDir()
 		dirs = append(dirs, dir)
 		s, err := Open(dir, testOptions())
@@ -65,7 +65,7 @@ func TestSealedBytesIdenticalAcrossWorkers(t *testing.T) {
 		}
 		w := s.Writer()
 		// Two seals per window, then a compaction, so the merged segments
-		// exercise the parallel rewrite as well.
+		// exercise the rewrite as well.
 		half := len(recs) / 2
 		if sealOnce {
 			half = len(recs)
@@ -92,9 +92,9 @@ func TestSealedBytesIdenticalAcrossWorkers(t *testing.T) {
 		}
 		return readSegmentFiles(t, dir)
 	}
-	serial := build(1, false)
-	parallel := build(8, false)
-	build(8, true)
+	first := build(false)
+	second := build(false)
+	build(true)
 	compacted, sealed := windowBlocks(t, dirs[0]), windowBlocks(t, dirs[2])
 	if len(compacted) != len(sealed) {
 		t.Fatalf("%d windows compacted, %d sealed once", len(compacted), len(sealed))
@@ -104,19 +104,19 @@ func TestSealedBytesIdenticalAcrossWorkers(t *testing.T) {
 			t.Fatalf("window %d: compacted blocks differ from the blocks one seal writes", wd)
 		}
 	}
-	if len(serial) == 0 {
+	if len(first) == 0 {
 		t.Fatal("no segments written")
 	}
-	if len(serial) != len(parallel) {
-		t.Fatalf("segment sets differ: %d serial vs %d parallel", len(serial), len(parallel))
+	if len(first) != len(second) {
+		t.Fatalf("segment sets differ: %d vs %d", len(first), len(second))
 	}
-	for name, sb := range serial {
-		pb, ok := parallel[name]
+	for name, sb := range first {
+		pb, ok := second[name]
 		if !ok {
-			t.Fatalf("segment %s missing from parallel store", name)
+			t.Fatalf("segment %s missing from the second build", name)
 		}
 		if !bytes.Equal(sb, pb) {
-			t.Fatalf("segment %s differs between 1 and 8 seal workers (%d vs %d bytes)",
+			t.Fatalf("segment %s differs between two builds (%d vs %d bytes)",
 				name, len(sb), len(pb))
 		}
 	}

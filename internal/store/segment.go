@@ -7,14 +7,12 @@ import (
 	"hash/fnv"
 	"io"
 	"path/filepath"
-	"runtime"
 	"slices"
-	"sync"
 	"sync/atomic"
 
 	"instability/internal/bgp"
-	"instability/internal/collector"
 	"instability/internal/faults"
+	"instability/internal/netaddr"
 )
 
 // Segment file naming and framing.
@@ -73,78 +71,54 @@ func segName(seq uint64) string { return fmt.Sprintf("%s%08d%s", segPrefix, seq,
 // in dir. The write is crash-safe: the file is assembled under a .tmp name
 // and renamed into place.
 //
-// Block encoding fans out across GOMAXPROCS goroutines, each claiming the
-// next unencoded block: blocks are independent (each carries its own
-// dictionaries), so they encode concurrently and are stitched back in order.
-// The output is byte-identical at any GOMAXPROCS — each block's bytes depend
-// only on its own records — and GOMAXPROCS=1 serializes the encode.
+// Blocks are encoded in order, each appended straight onto the one segment
+// buffer, and folded into the index as they land: the buffer, the index and
+// the footer are the file.
 func writeSegment(fsys faults.FS, dir string, seq uint64, windowStart int64, firstSeq uint64, rows []memRec, replaces []uint64, opts Options) (*segment, error) {
 	if len(rows) == 0 {
 		return nil, fmt.Errorf("store: sealing empty segment")
 	}
 	const version = segVersionV3
-	nBlocks := (len(rows) + opts.BlockRecords - 1) / opts.BlockRecords
-	encoded := make([]encodedBlock, nBlocks)
-	workers := min(runtime.GOMAXPROCS(0), nBlocks)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			sc := getSealScratch()
-			defer putSealScratch(sc)
-			for {
-				bi := int(next.Add(1)) - 1
-				if bi >= nBlocks {
-					return
-				}
-				start := bi * opts.BlockRecords
-				end := min(start+opts.BlockRecords, len(rows))
-				encoded[bi] = encodeSegmentBlock(sc, rows[start:end])
-			}
-		}()
-	}
-	wg.Wait()
-	for bi := range encoded {
-		if encoded[bi].err != nil {
-			return nil, encoded[bi].err
-		}
-	}
-
-	// Stitch: the index, folded in block order from each block's part, then
-	// one buffer sized for the blocks, the index and the footer.
+	sc := getSealScratch()
+	buf := append(sc.seg[:0], segMagic...)
+	buf = append(buf, version)
+	defer func() {
+		sc.seg = buf[:0]
+		putSealScratch(sc)
+	}()
 	ix := &segIndex{
 		peers:   make(postings),
 		origins: make(postings),
 		filter:  newBloom(len(rows)),
 	}
-	off := int64(segHdrLen)
-	for bi := range encoded {
-		eb := &encoded[bi]
-		start := bi * opts.BlockRecords
+	for start := 0; start < len(rows); start += opts.BlockRecords {
 		end := min(start+opts.BlockRecords, len(rows))
+		bi, off := int32(len(ix.blocks)), len(buf)
+		var err error
+		if buf, err = encodeSegmentBlock(sc, buf, rows[start:end]); err != nil {
+			return nil, err
+		}
 		ix.blocks = append(ix.blocks, blockMeta{
-			offset:  off,
-			clen:    int32(len(eb.data)),
-			ulen:    int32(len(eb.data)),
+			offset:  int64(off),
+			clen:    int32(len(buf) - off),
+			ulen:    int32(len(buf) - off),
 			count:   int32(end - start),
 			minTime: rows[start].ns,
 			maxTime: rows[end-1].ns,
 		})
-		off += int64(len(eb.data))
-		for _, p := range eb.peers {
-			ix.peers.add(p.as, int32(bi))
+		for _, p := range sc.peers {
+			ix.peers.add(bgp.ASN(p>>48), bi)
 		}
-		for _, a := range eb.attrs {
+		for _, a := range sc.attrs {
 			if a.origin >= 0 {
-				ix.origins.add(bgp.ASN(a.origin), int32(bi))
+				ix.origins.add(bgp.ASN(a.origin), bi)
 			}
 		}
-		for _, p := range eb.prefixes {
-			ix.filter.add(prefixKey(p))
+		for _, p := range sc.prefixes {
+			ix.filter.add(prefixKey(netaddr.PrefixFromKey(p >> 16)))
 		}
 	}
+	off := int64(len(buf))
 
 	// Footer body, then the fixed trailer.
 	footer := make([]byte, 0, 64)
@@ -160,15 +134,8 @@ func writeSegment(fsys faults.FS, dir string, seq uint64, windowStart int64, fir
 		footer = binary.BigEndian.AppendUint64(footer, r)
 	}
 
-	buf := make([]byte, 0, int(off)+ix.encodedLen()+4+len(footer)+segTailLen)
-	buf = append(buf, segMagic...)
-	buf = append(buf, version)
-	for bi := range encoded {
-		buf = append(buf, encoded[bi].data...)
-		encoded[bi].data = nil
-	}
-	buf = ix.encode(buf)
-	buf = binary.BigEndian.AppendUint32(buf, collector.Checksum(buf[off:]))
+	buf = slices.Grow(buf, ix.encodedLen()+4+len(footer)+segTailLen)
+	buf = appendChecksum(ix.encode(buf), int(off))
 	buf = append(buf, footer...)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(footer)))
 	buf = append(buf, segMagic...)

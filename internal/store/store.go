@@ -15,13 +15,13 @@
 //	                 every record they hold is in a sealed segment)
 //	seg-<seq>.irts   sealed immutable segments
 //
-// Each WAL entry is length-prefixed and CRC-checked, so a torn tail from a
-// crash is detected and discarded. Entries carry a per-window sequence
-// number; a sealed segment records the [FirstSeq, LastSeq] range of its
-// window that it covers, which makes crash recovery exact: on open, WAL
-// entries whose sequence number is already covered by a sealed segment are
-// skipped (no duplicates), and the rest are replayed into the memtable (no
-// losses).
+// Each WAL group commit is one frame, length-prefixed and CRC-checked, so a
+// torn tail from a crash is detected and discarded whole. Entries carry a
+// per-window sequence number; a sealed segment records the [FirstSeq,
+// LastSeq] range of its window that it covers, which makes crash recovery
+// exact: on open, WAL entries whose sequence number is already covered by a
+// sealed segment are skipped (no duplicates), and the rest are replayed into
+// the memtable (no losses).
 //
 // A segment file holds blocks of records sorted by timestamp — column-coded
 // behind a CRC-32 and scanned as stored (format v3, see colBlock; segments

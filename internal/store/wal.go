@@ -56,34 +56,22 @@ type walEntry struct {
 }
 
 // openWAL opens (creating if absent) the WAL at path — a frameLog whose
-// payloads are walEntry encodings — and replays its intact entries. A frame
-// that passes its checksum but does not decode ends the replay like a torn
-// tail does: it and everything after it are truncated away, and everything
-// before is returned.
+// frames each hold one group commit's walEntry encodings back to back — and
+// replays their entries. A frame is accepted whole or not at all
+// (decodeWALFrame): one that passes its checksum but does not decode to the
+// end ends the replay like a torn tail does, and it and everything after it
+// are truncated away. A WAL written one entry per frame, as builds before
+// group-commit frames wrote it, is the one-entry case of the same loop.
 func openWAL(fsys faults.FS, path string) (*frameLog, []walEntry, error) {
 	var entries []walEntry
-	w, err := openFrameLog(fsys, path, func(payload []byte) error {
-		ent, err := decodeWALPayload(payload)
-		if err != nil {
-			return err
-		}
-		ent.payload = payload
-		entries = append(entries, ent)
-		return nil
+	w, err := openFrameLog(fsys, path, func(payload []byte) (err error) {
+		entries, err = decodeWALFrame(entries, payload)
+		return err
 	})
 	if err != nil {
 		return nil, nil, err
 	}
 	return w, entries, nil
-}
-
-// appendWALFrame encodes one row as a frame onto b. The payload is built in
-// place on b (see collector.BeginFrame), so no per-record scratch buffer is
-// allocated.
-func appendWALFrame(b []byte, window int64, seq uint64, r *memRec) []byte {
-	b, lenAt := collector.BeginFrame(b)
-	b = appendWALPayload(b, window, seq, r)
-	return collector.EndFrame(b, lenAt)
 }
 
 // appendWALPayload encodes one row's walEntry onto b straight from its
@@ -98,20 +86,24 @@ func appendWALPayload(b []byte, window int64, seq uint64, r *memRec) []byte {
 	return collector.AppendRecordFields(b, r.ns, r.typ, r.peerAS, r.peerAddr, r.prefix, wire)
 }
 
-func decodeWALPayload(p []byte) (walEntry, error) {
-	var ent walEntry
-	if len(p) < 16 {
-		return ent, fmt.Errorf("%w: WAL payload", ErrCorrupt)
+// decodeWALFrame appends the entries of one WAL frame's payload to entries.
+// It is all or nothing: when any entry does not decode, entries comes back
+// as it was passed in.
+func decodeWALFrame(entries []walEntry, p []byte) ([]walEntry, error) {
+	n := len(entries)
+	for len(p) > 0 {
+		var ent walEntry
+		if len(p) < 16 {
+			return entries[:n], fmt.Errorf("%w: WAL entry", ErrCorrupt)
+		}
+		ent.window = int64(binary.BigEndian.Uint64(p))
+		ent.seq = binary.BigEndian.Uint64(p[8:])
+		rec, rest, err := collector.DecodeRecord(p[16:])
+		if err != nil {
+			return entries[:n], fmt.Errorf("%w: %v", ErrCorrupt, err)
+		}
+		ent.rec, ent.payload, p = rec, p[:len(p)-len(rest)], rest
+		entries = append(entries, ent)
 	}
-	ent.window = int64(binary.BigEndian.Uint64(p))
-	ent.seq = binary.BigEndian.Uint64(p[8:])
-	rec, rest, err := collector.DecodeRecord(p[16:])
-	if err != nil {
-		return ent, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	if len(rest) != 0 {
-		return ent, fmt.Errorf("%w: trailing bytes in WAL payload", ErrCorrupt)
-	}
-	ent.rec = rec
-	return ent, nil
+	return entries, nil
 }

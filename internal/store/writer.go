@@ -16,12 +16,16 @@ import (
 type Writer struct {
 	s *Store
 
-	pending  []byte // encoded WAL frames awaiting a group commit
+	// pending is the open WAL frame: its length slot, then the walEntry of
+	// every append since the last group commit, with no checksum yet.
+	// flushLocked closes and writes it. pending is empty exactly when
+	// pendingN, its entry count, is 0.
+	pending  []byte
 	pendingN int
 	appended int64
 
-	// ownAt and ownFrom mark where, in pending (bytes) and by frame count,
-	// the frames of the append call holding the lock begin. Frames before
+	// ownAt and ownFrom mark where, in pending (bytes) and by entry count,
+	// the entries of the append call holding the lock begin. Entries before
 	// them are earlier calls' acknowledged appends; a failed flush rolls
 	// back only the call's own.
 	ownAt, ownFrom int
@@ -34,13 +38,14 @@ func (w *Writer) Append(rec collector.Record) error {
 }
 
 // AppendBatch logs a batch of records under one lock acquisition. For bulk
-// ingest this is the fast path: the per-record cost drops to frame encoding
+// ingest this is the fast path: the per-record cost drops to entry encoding
 // plus one memtable append, with lock traffic and flush checks paid once per
-// batch, and WAL group commits once per FlushEvery records and at each
-// auto-seal cut the batch crosses. An error may leave a prefix of the batch
-// appended: the records a group commit or an auto-seal cut had already made
-// durable before the error. The rest of the batch is not stored, so a retry
-// of it stores each record once.
+// batch. The batch joins the open group commit, which is written as one WAL
+// frame once it holds FlushEvery records — a batch of at least FlushEvery
+// is one commit — and at each auto-seal cut the batch crosses. An error may
+// leave a prefix of the batch appended: the records a group commit or an
+// auto-seal cut had already made durable before the error. The rest of the
+// batch is not stored, so a retry of it stores each record once.
 func (w *Writer) AppendBatch(recs []collector.Record) error {
 	if len(recs) > 0 {
 		obsBatchRecords.Observe(float64(len(recs)))
@@ -81,17 +86,18 @@ func (w *Writer) append(recs []collector.Record) error {
 }
 
 // claimLocked marks the end of pending as where the calling append's own
-// frames begin.
+// entries begin.
 func (w *Writer) claimLocked() {
 	w.ownAt, w.ownFrom = len(w.pending), w.pendingN
 }
 
 // rollbackLocked undoes the appends of done, the records the failing call
 // has appended so far, that are still only pending: each of them is one
-// pending frame after ownFrom and, since the lock has been held since the
-// last flush or park, the last row of its window. Their frames never reached
-// the WAL (frameLog.append is all or nothing), so after this no trace of
-// them is left.
+// pending entry after ownFrom and, since the lock has been held since the
+// last flush or park, the last row of its window. Their entries never
+// reached the WAL (frameLog.append is all or nothing), so cutting pending
+// back to ownAt — to nothing, frame header included, when the call's were
+// the only entries — leaves no trace of them.
 func (w *Writer) rollbackLocked(done []collector.Record) {
 	s := w.s
 	for i := len(done) - 1; i >= len(done)-(w.pendingN-w.ownFrom); i-- {
@@ -110,7 +116,7 @@ func (w *Writer) rollbackLocked(done []collector.Record) {
 // appendLocked appends records until the one that brings the memtable to
 // AutoSealRecords and returns how many it took. It resolves each record's
 // attributes, once, under one hold of the attribute table: the row it appends
-// to the memtable carries the ref the WAL frame was written from.
+// to the memtable carries the ref the WAL entry was written from.
 func (w *Writer) appendLocked(recs []collector.Record) (n int, err error) {
 	s := w.s
 	s.attrs.mu.Lock()
@@ -134,8 +140,9 @@ func (w *Writer) appendLocked(recs []collector.Record) (n int, err error) {
 		if err != nil {
 			return i, err
 		}
-		w.pending = appendWALFrame(w.pending, window, mw.firstSeq+uint64(len(mw.recs)), &r)
-		w.pendingN++
+		if err := w.logLocked(window, mw.firstSeq+uint64(len(mw.recs)), &r); err != nil {
+			return i, err
+		}
 		if len(mw.recs) == cap(mw.recs) { // double, not append's quarter per copy
 			mw.recs = slices.Grow(mw.recs, max(len(mw.recs), 256))
 		}
@@ -148,6 +155,23 @@ func (w *Writer) appendLocked(recs []collector.Record) (n int, err error) {
 		}
 	}
 	return len(recs), nil
+}
+
+// logLocked adds one row's walEntry to the open WAL frame, opening the frame
+// if none is. An entry that would carry the frame past maxFramePayload is
+// not added.
+func (w *Writer) logLocked(window int64, seq uint64, r *memRec) error {
+	at := len(w.pending)
+	if at == 0 {
+		w.pending, _ = collector.BeginFrame(w.pending)
+	}
+	w.pending = appendWALPayload(w.pending, window, seq, r)
+	if int64(len(w.pending)-4) > maxFramePayload {
+		w.pending = w.pending[:at]
+		return ErrCommitTooLarge
+	}
+	w.pendingN++
+	return nil
 }
 
 // maintainLocked applies the flush and auto-seal policies after appends.
@@ -242,17 +266,20 @@ func (s *Store) nextWindowSeqLocked(window int64) uint64 {
 	return next
 }
 
-// flushLocked writes the pending frames to the WAL in one group commit. On
-// failure they stay pending and none of them is in the WAL. With nothing
-// pending it still reports a broken WAL, so no cut rotates one away as if
-// its frames were whole.
+// flushLocked closes the open frame — one length, one checksum — and
+// writes it to the WAL as one group commit. On failure the frame reopens
+// (its checksum is stripped), its entries stay pending and none of them is
+// in the WAL. With nothing pending it still reports a broken WAL, so no cut
+// rotates one away as if its frames were whole.
 func (w *Writer) flushLocked() error {
 	s := w.s
-	if len(w.pending) == 0 {
+	if w.pendingN == 0 {
 		return s.wal.broken
 	}
 	t0 := time.Now()
+	w.pending = collector.EndFrame(w.pending, 0)
 	if err := s.wal.append(w.pending, s.opts.Sync); err != nil {
+		w.pending = w.pending[:len(w.pending)-4]
 		return err
 	}
 	obsWALAppendSeconds.ObserveSince(t0)
@@ -412,20 +439,23 @@ func (s *Store) detachSealLocked(carry bool) (*sealBatch, error) {
 }
 
 // relogLocked writes a carried window's rows into the fresh WAL under their
-// own sequence numbers and flushes them. On Open, a copy whose row an older
-// WAL already replayed is skipped (replayWALEntries). On failure the frames
-// are dropped: the rows stay backed by the WAL files they were logged in.
+// own sequence numbers, as one frame: nothing is pending when a cut re-logs.
+// On Open, a copy whose row an older WAL already replayed is skipped
+// (replayWALEntries). On failure the frame is dropped: the rows stay backed
+// by the WAL files they were logged in.
 func (w *Writer) relogLocked(window int64, mw *memWindow) error {
-	for i := range mw.recs {
-		w.pending = appendWALFrame(w.pending, window, mw.firstSeq+uint64(i), &mw.recs[i])
+	var err error
+	for i := 0; i < len(mw.recs) && err == nil; i++ {
+		err = w.logLocked(window, mw.firstSeq+uint64(i), &mw.recs[i])
 	}
-	w.pendingN += len(mw.recs)
-	if err := w.flushLocked(); err != nil {
+	if err == nil {
+		err = w.flushLocked()
+	}
+	if err != nil {
 		w.pending, w.pendingN = w.pending[:0], 0
 		w.claimLocked()
-		return err
 	}
-	return nil
+	return err
 }
 
 // startSealLocked seals the batch at the head of the queue on a background
@@ -437,7 +467,7 @@ func (s *Store) startSealLocked() {
 
 // runSeal seals a detached batch: per window, take the snapshot as it is when
 // it is in time order (an in-order stream's always is) or else sort a clone,
-// write the segment (block encoding fans across the seal worker pool), and
+// write the segment (its blocks encoded in turn on this goroutine), and
 // publish it under a short lock. Windows publish incrementally, so a failure
 // partway keeps every already-published segment and requeues only the rest.
 // It runs off the store lock and takes it per publish.
