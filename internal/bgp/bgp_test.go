@@ -438,6 +438,26 @@ func TestAttrsEquality(t *testing.T) {
 	if a.ForwardingEqual(&d) {
 		t.Fatal("path change is forwarding change")
 	}
+	// A value whose presence flag is clear is not on the wire, so it is no
+	// part of the tuple: the two encode to the same bytes and are equal.
+	e := testAttrs()
+	e.MED, e.LocalPref, e.AggregatorAS, e.AggregatorAddr = 5, 100, 690, 1
+	aw, err := MarshalAttrs(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ew, err := MarshalAttrs(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(aw, ew) || !a.PolicyEqual(&e) || !e.PolicyEqual(&a) {
+		t.Fatalf("unflagged MED, LOCAL_PREF and AGGREGATOR values: same wire bytes %v, PolicyEqual %v", bytes.Equal(aw, ew), a.PolicyEqual(&e))
+	}
+	f := e
+	e.HasMED, f.HasMED, f.MED = true, true, e.MED+1
+	if e.PolicyEqual(&f) {
+		t.Fatal("a flagged MED change is a policy change")
+	}
 }
 
 func TestCommunityString(t *testing.T) {

@@ -89,16 +89,19 @@ type Attrs struct {
 // PolicyEqual reports whether every attribute of a and b matches, i.e. the
 // announcements are exact duplicates (the paper's AADup test considers
 // (Prefix, NextHop, ASPATH); full equality distinguishes policy fluctuation
-// from pure duplication).
+// from pure duplication). MED, LOCAL_PREF and AGGREGATOR are compared only
+// when their presence flags are set, as the wire form carries them: two
+// encodable tuples are PolicyEqual exactly when they encode to the same
+// bytes.
 func (a *Attrs) PolicyEqual(b *Attrs) bool {
 	if !a.ForwardingEqual(b) {
 		return false
 	}
-	if a.Origin != b.Origin || a.HasMED != b.HasMED || a.MED != b.MED ||
-		a.HasLocalPref != b.HasLocalPref || a.LocalPref != b.LocalPref ||
-		a.AtomicAggregate != b.AtomicAggregate ||
-		a.HasAggregator != b.HasAggregator || a.AggregatorAS != b.AggregatorAS ||
-		a.AggregatorAddr != b.AggregatorAddr || len(a.Communities) != len(b.Communities) {
+	if a.Origin != b.Origin || a.HasMED != b.HasMED || a.HasMED && a.MED != b.MED ||
+		a.HasLocalPref != b.HasLocalPref || a.HasLocalPref && a.LocalPref != b.LocalPref ||
+		a.AtomicAggregate != b.AtomicAggregate || a.HasAggregator != b.HasAggregator ||
+		a.HasAggregator && (a.AggregatorAS != b.AggregatorAS || a.AggregatorAddr != b.AggregatorAddr) ||
+		len(a.Communities) != len(b.Communities) {
 		return false
 	}
 	for i := range a.Communities {

@@ -212,8 +212,8 @@ func storeStats(ctx context.Context, c *storeCmd) error {
 		return err
 	}
 	w := c.stdout
-	fmt.Fprintf(w, "segments      %d (%d v1 inline, %d v2 dictionary, %d v3 column-coded)\n",
-		st.Segments, st.SegmentsV1, st.SegmentsV2, st.SegmentsV3)
+	fmt.Fprintf(w, "segments      %d (%d v2 dictionary, %d v3 column-coded)\n",
+		st.Segments, st.SegmentsV2, st.SegmentsV3)
 	fmt.Fprintf(w, "blocks        %d\n", st.Blocks)
 	fmt.Fprintf(w, "records       %d sealed, %d unsealed\n", st.Records, st.MemRecords)
 	fmt.Fprintf(w, "time windows  %d\n", st.Windows)

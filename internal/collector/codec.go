@@ -127,34 +127,25 @@ func DecodeRecord(b []byte) (Record, []byte, error) {
 		return rec, nil, fmt.Errorf("%w: record time", ErrCorrupt)
 	}
 	rec.Time = time.Unix(0, int64(binary.BigEndian.Uint64(b))).UTC()
-	rest, err := DecodeRecordTail(b[8:], &rec)
-	return rec, rest, err
-}
-
-// DecodeRecordTail decodes everything after the timestamp into rec — the
-// form rows of the store's v1 segment blocks took behind their own time
-// delta — and returns the remaining bytes.
-func DecodeRecordTail(b []byte, rec *Record) ([]byte, error) {
-	b, err := DecodeRecordFields(b, rec)
+	b, err := DecodeRecordFields(b[8:], &rec)
 	if err != nil {
-		return nil, err
+		return rec, nil, err
 	}
 	alen, n := binary.Uvarint(b)
 	if n <= 0 || alen > uint64(len(b)-n) {
-		return nil, fmt.Errorf("%w: attribute length", ErrCorrupt)
+		return rec, nil, fmt.Errorf("%w: attribute length", ErrCorrupt)
 	}
 	b = b[n:]
 	if alen == 0 {
-		rec.Attrs = bgp.Attrs{}
-		return b, nil
+		return rec, b, nil
 	}
 	if rec.Type != Announce {
-		return nil, fmt.Errorf("%w: attributes on record type %d", ErrCorrupt, rec.Type)
+		return rec, nil, fmt.Errorf("%w: attributes on record type %d", ErrCorrupt, rec.Type)
 	}
 	if rec.Attrs, err = bgp.UnmarshalAttrs(b[:alen]); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		return rec, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	return b[alen:], nil
+	return rec, b[alen:], nil
 }
 
 // DecodeRecordFields decodes the type, peer and prefix that follow the

@@ -140,9 +140,10 @@ func (c *Classifier) ClassifyEvent(ev *Event) {
 	switch rec.Type {
 	case collector.Announce:
 		// One intern lookup replaces every deep comparison below: handle
-		// pointer equality is PolicyEqual, (NextHop, PathID) equality is
-		// ForwardingEqual. Most announcements repeat the route's last
-		// tuple, which AttrsAfter resolves without hashing.
+		// pointer equality is PolicyEqual (same wire bytes), (NextHop,
+		// PathID) equality is ForwardingEqual. Most announcements repeat the
+		// route's last tuple, which AttrsAfter resolves with one comparison;
+		// the rest encode and probe the table.
 		h := c.tab.AttrsAfter(st.last, &rec.Attrs)
 		switch {
 		case st.announced:

@@ -1,33 +1,36 @@
 // Package intern implements a canonicalizing attribute interner for the
 // duplicate-dominated update streams the paper measures: each distinct
-// bgp.Attrs tuple (and each distinct bare AS path) is stored once, and every
-// later occurrence resolves to the same immutable *Handle. Interning turns
-// the hot-path comparisons — PolicyEqual on the classifier's AADup test,
-// ForwardingEqual on the WADup test, path-set membership in the RIB census —
-// into pointer and integer compares, and eliminates the per-record deep
-// copies of path segments and community slices that otherwise dominate
-// allocation.
+// bgp.Attrs tuple is stored once, and every later occurrence resolves to the
+// same immutable *Handle. A tuple is what its wire bytes say, as the paper's
+// route servers logged it, so a table is keyed on the canonical wire
+// encoding: a lookup encodes the tuple into the table's scratch buffer and
+// probes one map, and only a miss decodes. Interning turns the hot-path
+// comparisons — PolicyEqual on the classifier's AADup test, ForwardingEqual
+// on the WADup test — into pointer and integer compares, and gives the store
+// the bytes, origin and dense identity every row and dictionary entry it
+// writes needs.
 package intern
 
 import (
+	"bytes"
+	"slices"
 	"sync/atomic"
+	"unsafe"
 
 	"instability/internal/bgp"
-	"instability/internal/netaddr"
 	"instability/internal/obs"
 )
 
 // Handle is the shared immutable representative of one distinct attribute
 // tuple within one Table. Two handles from the same table are the same
-// pointer exactly when their tuples are PolicyEqual; the PathID fields of two
-// handles from the same table are equal exactly when their AS paths are
-// equal. Handles from different tables must not be compared.
+// pointer exactly when their tuples encode to the same wire bytes (are
+// PolicyEqual); the PathID fields of two handles from the same table are
+// equal exactly when their AS paths are equal. Handles from different tables
+// must not be compared.
 type Handle struct {
-	attrs bgp.Attrs
-	// FwdHash is a precomputed 64-bit hash of the forwarding-relevant
-	// (NextHop, ASPATH) portion of the tuple, for callers that need a
-	// hash-distributed key without rehashing the path.
-	FwdHash uint64
+	attrs  bgp.Attrs
+	wire   []byte
+	origin int32
 	// ID is the dense per-table identity of the full tuple (assigned in
 	// first-seen order).
 	ID uint32
@@ -35,13 +38,19 @@ type Handle struct {
 	PathID bgp.PathID
 }
 
-// Attrs returns the canonical attribute tuple. The returned value shares the
-// handle's interned slices and must be treated as read-only.
-func (h *Handle) Attrs() bgp.Attrs { return h.attrs }
+// Attrs returns the canonical attribute tuple, read-only: the handle's own
+// value, so a caller copies it once, straight to where it goes.
+func (h *Handle) Attrs() *bgp.Attrs { return &h.attrs }
 
 // Path returns the canonical tuple's AS path without copying the rest of
 // the tuple. It shares the handle's interned segments: read-only.
 func (h *Handle) Path() bgp.ASPath { return h.attrs.Path }
+
+// Wire returns the tuple's canonical wire bytes (bgp.AppendAttrs), read-only.
+func (h *Handle) Wire() []byte { return h.wire }
+
+// Origin returns the tuple's origin AS, -1 when its path has none.
+func (h *Handle) Origin() int32 { return h.origin }
 
 // ForwardingEqual reports whether two handles from the same table agree on
 // the forwarding-relevant (NextHop, ASPATH) tuple — the paper's duplicate
@@ -56,15 +65,17 @@ func ForwardingEqual(a, b *Handle) bool {
 	return a.attrs.NextHop == b.attrs.NextHop && a.PathID == b.PathID
 }
 
-// Table interns attribute tuples and AS paths. It is NOT safe for concurrent
-// use: each classifier, session, and generator owns a private table. Tables
-// retain every tuple ever interned; the working sets here (distinct
-// attribute tuples in a BGP stream) are small by construction — that
-// smallness is the paper's whole point.
+// Table interns attribute tuples by their canonical wire bytes. It is NOT
+// safe for concurrent use: each classifier and session owns a private table,
+// and the store guards its one table with a mutex. Tables retain every tuple
+// ever interned; the working sets here (distinct attribute tuples in a BGP
+// stream) are small by construction — that smallness is the paper's whole
+// point.
 type Table struct {
-	byHash map[uint64][]*Handle
-	n      uint32
-	paths  *bgp.PathTable
+	byWire  map[string]*Handle // canonical wire bytes, and any other spelling Wire resolved, to a handle
+	scratch []byte             // the wire bytes being looked up, reused
+	n       uint32
+	paths   *bgp.PathTable
 
 	// Stats are accumulated locally and flushed to the process-wide obs
 	// counters in batches, so tables never contend on a shared cache line
@@ -79,61 +90,95 @@ const statsFlushEvery = 4096
 // New returns an empty interner.
 func New() *Table {
 	return &Table{
-		byHash: make(map[uint64][]*Handle),
+		byWire: make(map[string]*Handle),
 		paths:  bgp.NewPathTable(),
 	}
 }
 
-// Attrs interns a and returns its canonical handle. On a miss the tuple is
-// deep-copied (path segments and communities), so the caller's slices are
-// never retained; on a hit nothing is allocated.
-func (t *Table) Attrs(a bgp.Attrs) *Handle { return t.lookup(&a) }
+// Attrs interns *a and returns its canonical handle, or the encoder's error
+// for a tuple with no wire form (an origin code above 2, an AS-path segment
+// that is empty or longer than 255 ASNs). A hit encodes into the table's
+// scratch buffer and probes one map, allocating nothing; a miss decodes the
+// tuple from its bytes, so the caller's slices are never retained. a is
+// read, never retained.
+func (t *Table) Attrs(a *bgp.Attrs) (*Handle, error) {
+	var err error
+	if t.scratch, err = bgp.AppendAttrs(t.scratch[:0], a); err != nil {
+		return nil, err
+	}
+	if h, ok := t.byWire[string(t.scratch)]; ok {
+		t.hit()
+		return h, nil
+	}
+	canon, err := bgp.UnmarshalAttrs(t.scratch)
+	if err != nil {
+		return nil, err
+	}
+	h := t.add(canon, bytes.Clone(t.scratch))
+	// The key shares the handle's bytes, which nothing ever writes.
+	t.byWire[unsafe.String(unsafe.SliceData(h.wire), len(h.wire))] = h
+	return h, nil
+}
 
 // AttrsAfter is Attrs for a tuple that usually repeats prev, the handle the
 // caller last interned for the same route (nil for none). A tuple
-// PolicyEqual to prev's resolves to prev with one comparison and no hash,
-// counted as the hit Attrs would count: a table holds one handle per
-// PolicyEqual class, so prev is the handle Attrs would return. prev must
-// come from t.
+// PolicyEqual to prev's resolves to prev with one comparison and no encoding,
+// counted as the hit Attrs would count: PolicyEqual tuples encode to the same
+// bytes, so prev is the handle Attrs would return. A tuple with no wire form
+// gets a handle of its own, entered in no map: a route is only ever compared
+// with its previous tuple, which such a handle still answers. prev must come
+// from t.
 func (t *Table) AttrsAfter(prev *Handle, a *bgp.Attrs) *Handle {
 	if prev != nil && prev.attrs.PolicyEqual(a) {
 		t.hit()
 		return prev
 	}
-	return t.lookup(a)
+	h, err := t.Attrs(a)
+	if err != nil {
+		canon := *a
+		canon.Communities = slices.Clone(a.Communities)
+		h = t.add(canon, nil) // add copies the path
+	}
+	return h
 }
 
-// lookup is the hashed lookup behind Attrs and AttrsAfter; a is read, never
-// retained.
-func (t *Table) lookup(a *bgp.Attrs) *Handle {
-	h := hashAttrs(a)
-	for _, cand := range t.byHash[h] {
-		if cand.attrs.PolicyEqual(a) {
-			t.hit()
-			return cand
-		}
+// Wire returns the handle of the tuple whose wire bytes are w (not
+// retained), as a stored block's dictionary holds them. Bytes that are not
+// the canonical encoding of what they decode to (a legacy writer's
+// spelling) become another key for the canonical tuple's handle.
+func (t *Table) Wire(w []byte) (*Handle, error) {
+	if h, ok := t.byWire[string(w)]; ok {
+		t.hit()
+		return h, nil
 	}
+	a, err := bgp.UnmarshalAttrs(w)
+	if err != nil {
+		return nil, err
+	}
+	h, err := t.Attrs(&a)
+	if err == nil && !bytes.Equal(w, h.wire) {
+		t.byWire[string(w)] = h
+	}
+	return h, err
+}
+
+// add makes the handle of a new tuple a, whose slices it takes, sharing its
+// path with every handle of an equal path.
+func (t *Table) add(a bgp.Attrs, wire []byte) *Handle {
 	before := t.paths.Len()
 	pid := t.paths.ID(a.Path)
 	if t.paths.Len() != before {
 		t.pathMisses++
 	}
-	canon := *a
-	canon.Path = t.paths.Lookup(pid)
-	if len(a.Communities) > 0 {
-		canon.Communities = append([]bgp.Community(nil), a.Communities...)
-	}
-	hd := &Handle{
-		attrs:   canon,
-		FwdHash: fwdHash(canon.NextHop, pid),
-		ID:      t.n,
-		PathID:  pid,
+	a.Path = t.paths.Lookup(pid)
+	h := &Handle{attrs: a, wire: wire, origin: -1, ID: t.n, PathID: pid}
+	if o, ok := a.Path.Origin(); ok {
+		h.origin = int32(o)
 	}
 	t.n++
-	t.byHash[h] = append(t.byHash[h], hd)
 	t.misses++
 	t.maybeFlush()
-	return hd
+	return h
 }
 
 // hit counts a lookup that returned an existing handle.
@@ -165,66 +210,24 @@ func (t *Table) FlushStats() {
 	t.hits, t.misses, t.pathMisses = 0, 0, 0
 }
 
-// hashAttrs hashes the full policy tuple without allocating. PolicyEqual
-// tuples hash identically.
-func hashAttrs(a *bgp.Attrs) uint64 {
-	h := bgp.HashPath(a.Path)
-	h = mix(h ^ uint64(a.NextHop))
-	var flags uint64
-	if a.HasMED {
-		flags |= 1
-	}
-	if a.HasLocalPref {
-		flags |= 2
-	}
-	if a.AtomicAggregate {
-		flags |= 4
-	}
-	if a.HasAggregator {
-		flags |= 8
-	}
-	h = mix(h ^ uint64(a.Origin)<<8 ^ flags<<16 ^ uint64(a.MED)<<24 ^ uint64(a.LocalPref))
-	h = mix(h ^ uint64(a.AggregatorAS)<<32 ^ uint64(a.AggregatorAddr))
-	for _, c := range a.Communities {
-		h = mix(h ^ uint64(c))
-	}
-	return h
-}
-
-// fwdHash is the precomputed forwarding hash stored on every handle: a mix
-// of the next hop and the interned path identity, so the full (NextHop,
-// ASPATH) tuple hashes in two mixes with no path walk.
-func fwdHash(nextHop netaddr.Addr, pid bgp.PathID) uint64 {
-	return mix(uint64(nextHop)<<32 ^ uint64(pid))
-}
-
-// mix is the SplitMix64 finalizer.
-func mix(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
-// Process-wide interning statistics: the obs series double as the CLI
-// summaries' data source via Stats.
+// Process-wide interning statistics, summed over every table, the store's
+// included: the obs series double as the CLI summaries' data source via
+// Stats.
 var (
 	totalHits, totalMisses, totalPaths atomic.Uint64
 
 	obsHits = obs.Default().Counter("irtl_intern_hits_total",
-		"Attribute-tuple intern lookups that returned an existing handle.")
+		"Attribute-tuple intern lookups that returned an existing handle, summed over every table (classifiers, sessions and the store's).")
 	obsMisses = obs.Default().Counter("irtl_intern_misses_total",
-		"Attribute-tuple intern lookups that created a new handle, summed over tables (a tuple two tables intern counts twice).")
+		"Attribute-tuple intern lookups that created a new handle, summed over every table, the store's included (a tuple two tables intern counts twice).")
 	obsPaths = obs.Default().Counter("irtl_intern_paths_total",
-		"AS paths interned, summed over tables.")
+		"AS paths interned, summed over every table, the store's included.")
 )
 
 // Stats returns the process-wide flushed interning tallies, summed over
-// tables: lookup hits, misses (tuples created), and paths interned. Tables
-// flush in batches, so totals lag live tables by at most statsFlushEvery
-// lookups each unless FlushStats was called.
+// every table, the store's included: lookup hits, misses (tuples created),
+// and paths interned. Tables flush in batches, so totals lag live tables by
+// at most statsFlushEvery lookups each unless FlushStats was called.
 func Stats() (hits, misses, paths uint64) {
 	return totalHits.Load(), totalMisses.Load(), totalPaths.Load()
 }

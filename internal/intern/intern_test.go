@@ -1,6 +1,7 @@
 package intern
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -20,15 +21,15 @@ func attrs(nextHop string, path bgp.ASPath, comms ...bgp.Community) bgp.Attrs {
 func TestInternDedupes(t *testing.T) {
 	tab := New()
 	p := bgp.PathFromASNs(701, 1239, 690)
-	h1 := tab.Attrs(attrs("10.0.0.1", p))
-	h2 := tab.Attrs(attrs("10.0.0.1", bgp.PathFromASNs(701, 1239, 690)))
+	h1 := mustAttrs(t, tab, attrs("10.0.0.1", p))
+	h2 := mustAttrs(t, tab, attrs("10.0.0.1", bgp.PathFromASNs(701, 1239, 690)))
 	if h1 != h2 {
 		t.Fatalf("equal tuples interned to distinct handles")
 	}
 	if tab.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", tab.Len())
 	}
-	h3 := tab.Attrs(attrs("10.0.0.2", p))
+	h3 := mustAttrs(t, tab, attrs("10.0.0.2", p))
 	if h3 == h1 {
 		t.Fatalf("distinct next hops shared a handle")
 	}
@@ -43,8 +44,8 @@ func TestInternDedupes(t *testing.T) {
 func TestInternPolicyDistinguishes(t *testing.T) {
 	tab := New()
 	p := bgp.PathFromASNs(701, 690)
-	plain := tab.Attrs(attrs("10.0.0.1", p))
-	tagged := tab.Attrs(attrs("10.0.0.1", p, bgp.Community(0x02BD0001)))
+	plain := mustAttrs(t, tab, attrs("10.0.0.1", p))
+	tagged := mustAttrs(t, tab, attrs("10.0.0.1", p, bgp.Community(0x02BD0001)))
 	if plain == tagged {
 		t.Fatalf("community change interned to the same handle")
 	}
@@ -53,7 +54,7 @@ func TestInternPolicyDistinguishes(t *testing.T) {
 	}
 	med := attrs("10.0.0.1", p)
 	med.HasMED, med.MED = true, 50
-	hm := tab.Attrs(med)
+	hm := mustAttrs(t, tab, med)
 	if hm == plain {
 		t.Fatalf("MED change interned to the same handle")
 	}
@@ -64,8 +65,8 @@ func TestInternPolicyDistinguishes(t *testing.T) {
 
 func TestForwardingEqual(t *testing.T) {
 	tab := New()
-	a := tab.Attrs(attrs("10.0.0.1", bgp.PathFromASNs(701, 690)))
-	b := tab.Attrs(attrs("10.0.0.1", bgp.PathFromASNs(701, 1239, 690)))
+	a := mustAttrs(t, tab, attrs("10.0.0.1", bgp.PathFromASNs(701, 690)))
+	b := mustAttrs(t, tab, attrs("10.0.0.1", bgp.PathFromASNs(701, 1239, 690)))
 	if ForwardingEqual(a, b) {
 		t.Fatalf("distinct paths reported forwarding-equal")
 	}
@@ -75,8 +76,8 @@ func TestForwardingEqual(t *testing.T) {
 	if !ForwardingEqual(a, a) {
 		t.Fatalf("handle not forwarding-equal to itself")
 	}
-	if a.FwdHash != tab.Attrs(attrs("10.0.0.1", bgp.PathFromASNs(701, 690), bgp.Community(7))).FwdHash {
-		t.Fatalf("forwarding hash must ignore policy attributes")
+	if !ForwardingEqual(a, mustAttrs(t, tab, attrs("10.0.0.1", bgp.PathFromASNs(701, 690), bgp.Community(7)))) {
+		t.Fatalf("forwarding identity must ignore policy attributes")
 	}
 }
 
@@ -84,7 +85,7 @@ func TestInternDeepCopies(t *testing.T) {
 	tab := New()
 	comms := []bgp.Community{bgp.Community(1)}
 	path := bgp.PathFromASNs(701, 690)
-	h := tab.Attrs(attrs("10.0.0.1", path, comms...))
+	h := mustAttrs(t, tab, attrs("10.0.0.1", path, comms...))
 	comms[0] = bgp.Community(999)
 	path.Segments[0].ASNs[0] = 4242
 	got := h.Attrs()
@@ -95,7 +96,7 @@ func TestInternDeepCopies(t *testing.T) {
 		t.Fatalf("interned path aliases the caller's segments")
 	}
 	// The mutated originals now describe a different tuple.
-	if h2 := tab.Attrs(attrs("10.0.0.1", path, comms...)); h2 == h {
+	if h2 := mustAttrs(t, tab, attrs("10.0.0.1", path, comms...)); h2 == h {
 		t.Fatalf("mutated tuple resolved to the stale handle")
 	}
 }
@@ -118,7 +119,7 @@ func TestPathIntern(t *testing.T) {
 		t.Fatalf("Lookup returned the wrong path")
 	}
 	// A handle interned after the bare path reuses its PathID.
-	h := tab.Attrs(attrs("10.0.0.1", bgp.PathFromASNs(690)))
+	h := mustAttrs(t, tab, attrs("10.0.0.1", bgp.PathFromASNs(690)))
 	if h.PathID != id3 {
 		t.Fatalf("handle PathID %d, want %d", h.PathID, id3)
 	}
@@ -128,9 +129,9 @@ func TestStatsFlush(t *testing.T) {
 	h0, m0, p0 := Stats()
 	tab := New()
 	a := attrs("10.0.0.1", bgp.PathFromASNs(701, 690))
-	tab.Attrs(a)
-	tab.Attrs(a)
-	tab.Attrs(a)
+	mustAttrs(t, tab, a)
+	mustAttrs(t, tab, a)
+	mustAttrs(t, tab, a)
 	tab.FlushStats()
 	h1, m1, p1 := Stats()
 	if m1-m0 != 1 || p1-p0 != 1 {
@@ -219,7 +220,7 @@ func TestAttrsAfterPrevMatchesAttrs(t *testing.T) {
 		return ids, h1 - h0, m1 - m0, p1 - p0
 	}
 	afterIDs, afterHits, afterMisses, afterPaths := run((*Table).AttrsAfter)
-	plainIDs, plainHits, plainMisses, plainPaths := run(func(tab *Table, _ *Handle, a *bgp.Attrs) *Handle { return tab.Attrs(*a) })
+	plainIDs, plainHits, plainMisses, plainPaths := run(func(tab *Table, _ *Handle, a *bgp.Attrs) *Handle { return mustAttrs(t, tab, *a) })
 	for i := range plainIDs {
 		if afterIDs[i] != plainIDs[i] {
 			t.Fatalf("record %d (route %d): AttrsAfter handle %d, Attrs handle %d", i, stream[i].route, afterIDs[i], plainIDs[i])
@@ -234,6 +235,76 @@ func TestAttrsAfterPrevMatchesAttrs(t *testing.T) {
 	}
 }
 
+// mustAttrs interns a, which must have a wire form.
+func mustAttrs(tb testing.TB, tab *Table, a bgp.Attrs) *Handle {
+	tb.Helper()
+	h, err := tab.Attrs(&a)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return h
+}
+
+// TestWireKeysTheTable: a tuple is what its wire bytes say. A value whose
+// presence flag is clear resolves to the canonical tuple's handle through
+// either lookup; stored bytes in another spelling resolve to it too; and a
+// tuple with no wire form fails Attrs, while AttrsAfter gives it a handle of
+// its own that still answers the route's next comparison.
+func TestWireKeysTheTable(t *testing.T) {
+	tab := New()
+	plain := attrs("10.0.0.1", bgp.PathFromASNs(701, 690))
+	h := mustAttrs(t, tab, plain)
+	stray := plain
+	stray.MED, stray.LocalPref, stray.AggregatorAS = 5, 100, 690
+	if got := mustAttrs(t, tab, stray); got != h {
+		t.Fatal("an unflagged MED, LOCAL_PREF or AGGREGATOR value made a second handle")
+	}
+	if got := tab.AttrsAfter(nil, &stray); got != h {
+		t.Fatal("AttrsAfter without a previous handle made a second handle")
+	}
+	if !bytes.Equal(h.Wire(), mustMarshal(t, plain)) || h.Origin() != 690 {
+		t.Fatalf("handle carries wire %x and origin %d", h.Wire(), h.Origin())
+	}
+
+	// The same tuple with its attributes in another order.
+	w := h.Wire()
+	alias := append(append([]byte(nil), w[len(w)-7:]...), w[:len(w)-7]...)
+	if got, err := tab.Wire(alias); err != nil || got != h {
+		t.Fatalf("another spelling resolved to %v, %v", got, err)
+	}
+	if got, err := tab.Wire(w); err != nil || got != h {
+		t.Fatalf("the canonical bytes resolved to %v, %v", got, err)
+	}
+	if _, err := tab.Wire(w[:len(w)-1]); err == nil {
+		t.Fatal("truncated bytes resolved")
+	}
+	if n := tab.Len(); n != 1 {
+		t.Fatalf("table holds %d tuples, want 1", n)
+	}
+
+	bad := plain
+	bad.Origin = 3
+	if _, err := tab.Attrs(&bad); err == nil {
+		t.Fatal("a tuple with no wire form interned")
+	}
+	hb := tab.AttrsAfter(h, &bad)
+	if hb == h || hb.Wire() != nil || !ForwardingEqual(hb, h) {
+		t.Fatalf("no-wire tuple: handle %p (wire %x), forwarding-equal to its twin %v", hb, hb.Wire(), ForwardingEqual(hb, h))
+	}
+	if tab.AttrsAfter(hb, &bad) != hb {
+		t.Fatal("a repeated no-wire tuple did not resolve to its previous handle")
+	}
+}
+
+func mustMarshal(tb testing.TB, a bgp.Attrs) []byte {
+	tb.Helper()
+	b, err := bgp.MarshalAttrs(a)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return b
+}
+
 // asns lists a path's AS numbers in order.
 func asns(p bgp.ASPath) []bgp.ASN {
 	var out []bgp.ASN
@@ -246,11 +317,11 @@ func asns(p bgp.ASPath) []bgp.ASN {
 func BenchmarkInternHit(b *testing.B) {
 	tab := New()
 	a := attrs("10.0.0.1", bgp.PathFromASNs(701, 1239, 690), bgp.Community(0x02BD0001))
-	tab.Attrs(a)
+	mustAttrs(b, tab, a)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tab.Attrs(a)
+		tab.Attrs(&a)
 	}
 }
 

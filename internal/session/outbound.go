@@ -116,11 +116,11 @@ func (p *Peer) Flush() {
 				continue // identical to what the peer holds; suppress
 			}
 		}
-		h := p.tab.Attrs(attrs)
+		h := p.tab.AttrsAfter(nil, &attrs) // never fails: a tuple with no wire form fails at send
 		gi, ok := groupOf[h]
 		if !ok {
 			gi = len(groups)
-			groups = append(groups, annGroup{attrs: h.Attrs()})
+			groups = append(groups, annGroup{attrs: *h.Attrs()})
 			groupOf[h] = gi
 		}
 		groups[gi].pres = append(groups[gi].pres, pre)

@@ -22,13 +22,10 @@ import (
 const explainGoldenName = "explain-golden.json"
 
 // explainShapes runs the query shapes the EXPLAIN profile is read for — full,
-// range, origin, prefix, peer — over the checked-in v1 segment plus a
-// memtable tail, twice per shape, cache off and on, cold and warm, and
-// returns every profile after EOF and Close. The two runs of a shape keep
-// the keys the golden file was recorded under, workers=1 and workers=4; both
-// are the same serial scan, and json.Unmarshal ignores the golden's workers
-// fields. The segment's bytes are in the repository, so the byte counts do
-// not depend on this toolchain's deflate.
+// range, origin, prefix, peer — over the checked-in v2 segment plus a
+// memtable tail, cache off and on, cold and warm, and returns every profile
+// after EOF and Close. The segment's bytes are in the repository, so the
+// byte counts do not depend on this toolchain's deflate.
 func explainShapes(t *testing.T) map[string]Explain {
 	t.Helper()
 	recs := fixtureRecords()
@@ -47,7 +44,7 @@ func explainShapes(t *testing.T) map[string]Explain {
 	for _, cache := range []int64{0, 8 << 20} {
 		opts := testOptions()
 		opts.BlockCacheBytes = cache
-		s := openV1Fixture(t, opts)
+		s := openFixture(t, v2FixtureName, opts)
 		w := s.Writer()
 		for i := 0; i < 40; i++ {
 			rec := mkRecord(tail.Add(time.Duration(i)*time.Minute), bgp.ASN(100+i%3), bgp.ASN(7000+i%5), recs[i].Prefix, i%4 != 0)
@@ -60,17 +57,15 @@ func explainShapes(t *testing.T) map[string]Explain {
 				continue
 			}
 			for _, sh := range shapes {
-				for _, run := range []string{"workers=1", "workers=4"} {
-					r, err := s.Query(sh.q)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if _, err := r.ReadAll(); err != nil {
-						t.Fatal(err)
-					}
-					r.Close()
-					out[fmt.Sprintf("cache=%d/%s/%s/%s", cache, pass, sh.name, run)] = r.Explain()
+				r, err := s.Query(sh.q)
+				if err != nil {
+					t.Fatal(err)
 				}
+				if _, err := r.ReadAll(); err != nil {
+					t.Fatal(err)
+				}
+				r.Close()
+				out[fmt.Sprintf("cache=%d/%s/%s", cache, pass, sh.name)] = r.Explain()
 			}
 		}
 	}
@@ -78,9 +73,9 @@ func explainShapes(t *testing.T) map[string]Explain {
 }
 
 // TestExplainGolden pins what -explain, statz and the slow-query log print:
-// the profile after EOF must equal, field for field, the one recorded from
-// the commit before the merge loop moved its accounting from every record to
-// every block. Regenerate (only when the accounting is meant to change) with
+// the profile after EOF must equal, field for field, the one recorded over
+// the v2 fixture by the last build that still read v1 segments, so retiring
+// v1 reads moved no count. Regenerate (only when the accounting is meant to change) with
 //
 //	STORE_WRITE_FIXTURE=1 go test ./internal/store -run TestExplainGolden
 func TestExplainGolden(t *testing.T) {
@@ -124,7 +119,7 @@ func TestExplainGolden(t *testing.T) {
 // integer attribute holding the reader's value — so /debug/traces and the
 // serve plane's profiles, which read the span, miss none of them.
 func TestExplainSpanCarriesEveryField(t *testing.T) {
-	s := openV1Fixture(t, testOptions())
+	s := openFixture(t, v2FixtureName, testOptions())
 	tracer := &obs.Tracer{}
 	tracer.Enable(obs.TraceConfig{SampleRate: 1, SlowThreshold: -1})
 	ctx, root := tracer.Start(context.Background(), "test")

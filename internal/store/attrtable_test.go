@@ -6,6 +6,7 @@ import (
 
 	"instability/internal/bgp"
 	"instability/internal/collector"
+	"instability/internal/core"
 	"instability/internal/netaddr"
 )
 
@@ -77,7 +78,7 @@ func TestRowReadsBackSameAcrossReopen(t *testing.T) {
 // whose tuple the table already holds costs an encode into the table's
 // scratch buffer and one map probe, and allocates nothing.
 func TestAppendKnownTupleAllocatesNothing(t *testing.T) {
-	tab := newAttrTable()
+	tab := newLockedTable()
 	rec := mkRecord(time.Date(1996, 3, 1, 0, 0, 0, 0, time.UTC), 701, 3561, netaddr.MustParsePrefix("192.0.2.0/24"), true)
 	rec.Attrs.MED, rec.Attrs.HasMED = 10, true
 	rec.Attrs.HasAggregator, rec.Attrs.AggregatorAS = true, 690
@@ -99,5 +100,39 @@ func TestAppendKnownTupleAllocatesNothing(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Fatalf("appending a known tuple allocates %.1f times, want 0", allocs)
+	}
+}
+
+// TestUnflaggedValueIsOneTupleAcrossLayers classifies an announcement whose
+// MED is set without its presence flag right after its canonical twin, then
+// appends both to a store. The MED is not on the wire, so the two are one
+// tuple in every layer: the classifier calls the second a plain AADup, not a
+// policy shift, and the store resolves both rows to one handle.
+func TestUnflaggedValueIsOneTupleAcrossLayers(t *testing.T) {
+	t0 := time.Date(1996, 3, 1, 0, 0, 0, 0, time.UTC)
+	twin := mkRecord(t0, 701, 3561, netaddr.MustParsePrefix("192.0.2.0/24"), true)
+	stray := twin
+	stray.Time = t0.Add(time.Second)
+	stray.Attrs.MED = 50
+
+	c := core.NewClassifier()
+	c.Classify(twin)
+	if ev := c.Classify(stray); ev.Class != core.AADup || ev.PolicyShift {
+		t.Fatalf("unflagged MED after its twin: class %v, policy shift %v; want AADup without a shift", ev.Class, ev.PolicyShift)
+	}
+
+	s, err := Open(t.TempDir(), testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.Writer().AppendBatch([]collector.Record{twin, stray}); err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	rows := s.mem[s.windowStart(t0)].recs
+	s.mu.Unlock()
+	if len(rows) != 2 || rows[0].attrs == nil || rows[0].attrs != rows[1].attrs {
+		t.Fatalf("the store holds %d rows; the twins resolve to distinct handles", len(rows))
 	}
 }

@@ -12,6 +12,7 @@ import (
 
 	"instability/internal/bgp"
 	"instability/internal/collector"
+	"instability/internal/intern"
 	"instability/internal/netaddr"
 )
 
@@ -55,7 +56,7 @@ func (c codes) at(i int) int {
 // against its dictionary, an exact prefix is one binary search — and gather
 // collector.Record values through the dictionaries only for rows that
 // survive, so a selective query never constructs the records it filters out.
-// Legacy (v1, v2) blocks are transcoded to this form when fetched.
+// Legacy (v2) blocks are transcoded to this form when fetched.
 //
 // A scanner's private colBlock aliases the bytes it was parsed from (the
 // segment mapping or the scanner's read buffer) and interns an attribute
@@ -71,12 +72,12 @@ type colBlock struct {
 	peers    []peerKey
 	prefixes []netaddr.Prefix // sorted: an exact-prefix probe is a binary search
 
-	dict     []*attrRef // nil = not yet resolved
-	dictWire [][]byte   // nil on a cached block: every entry is resolved
+	dict     []*intern.Handle // nil = not yet resolved
+	dictWire [][]byte         // nil on a cached block: every entry is resolved
 	// dictOrigin memoizes Path.Origin() per dictionary entry (-1 = none), so
 	// an origin predicate is resolved against the dictionary, not the rows.
 	dictOrigin []int32
-	tab        *attrTable // the store's, which every entry resolves through
+	tab        *lockedTable // the store's, which every entry resolves through
 
 	mark []bool // parse scratch: which dictionary entries the rows reference
 	// bytes is the approximate resident size of the block, the unit the
@@ -205,7 +206,7 @@ func parseColBlock(g *segment, bi int, b []byte, own bool, cb *colBlock) error {
 		cb.dictOrigin = append(cb.dictOrigin, int32(p.uvarint(1<<16))-1)
 	}
 	na := len(cb.dictWire)
-	cb.dict = append(cb.dict, make([]*attrRef, na)...)
+	cb.dict = append(cb.dict, make([]*intern.Handle, na)...)
 
 	cols := p.b // the row columns are contiguous from here
 	cb.types = p.take(n)
@@ -257,22 +258,24 @@ func parseColBlock(g *segment, bi int, b []byte, own bool, cb *colBlock) error {
 }
 
 // attrsSize is what one dictionary entry is accounted at: about a bgp.Attrs
-// header. The entry is a pointer to a ref the whole store shares, so this
-// errs on the side of a smaller cache.
+// header. The entry is a pointer to a handle the whole store shares, so
+// this errs on the side of a smaller cache.
 const attrsSize = 96
 
-// resolve points dictionary entry j at its ref in the store's table, so every
-// block referencing the same tuple shares one value, and checks the origin
-// stored beside it.
+// resolve points dictionary entry j at its handle in the store's table, so
+// every block referencing the same tuple shares one value, and checks the
+// origin stored beside it.
 func (cb *colBlock) resolve(j int) error {
-	ref, err := cb.tab.resolve(cb.dictWire[j])
+	cb.tab.mu.Lock()
+	h, err := cb.tab.Wire(cb.dictWire[j])
+	cb.tab.mu.Unlock()
 	if err != nil {
 		return fmt.Errorf("%w: attribute dictionary entry %d: %v", ErrCorrupt, j, err)
 	}
-	if ref.origin != cb.dictOrigin[j] {
-		return fmt.Errorf("%w: attribute dictionary entry %d: stored origin %d, path says %d", ErrCorrupt, j, cb.dictOrigin[j], ref.origin)
+	if h.Origin() != cb.dictOrigin[j] {
+		return fmt.Errorf("%w: attribute dictionary entry %d: stored origin %d, path says %d", ErrCorrupt, j, cb.dictOrigin[j], h.Origin())
 	}
-	cb.dict[j] = ref
+	cb.dict[j] = h
 	return nil
 }
 
@@ -286,7 +289,7 @@ func (cb *colBlock) fill(rec *collector.Record, i int) {
 	rec.PeerAS, rec.PeerAddr = peer.as, peer.addr
 	rec.Prefix = cb.prefixes[cb.prefixc.at(i)]
 	if j := cb.attrc.at(i) - 1; j >= 0 {
-		rec.Attrs = cb.dict[j].attrs
+		rec.Attrs = *cb.dict[j].Attrs()
 	} else {
 		rec.Attrs = bgp.Attrs{}
 	}

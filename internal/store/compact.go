@@ -77,7 +77,7 @@ func (s *Store) Compact() (CompactStats, error) {
 }
 
 // mergeWindowLocked streams the rows of one window's segments in time order
-// into a single replacement segment. A row moves as its codes and the ref its
+// into a single replacement segment. A row moves as its codes and the handle its
 // tuple resolved to; no record is built.
 func (s *Store) mergeWindowLocked(window int64, gs []*segment) (*segment, error) {
 	var m merge

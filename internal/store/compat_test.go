@@ -18,9 +18,9 @@ import (
 )
 
 // fixtureRecords is the deterministic record set inside the checked-in legacy
-// segment fixtures, testdata/seg-v1.irts and testdata/seg-v2.irts. The
-// fixtures are frozen: each was written by the last commit whose writer
-// produced that format, and nothing in this tree can regenerate them.
+// segment fixture, testdata/seg-v2.irts. The fixture is frozen: it was
+// written by the last commit whose writer produced that format, and nothing
+// in this tree can regenerate it.
 func fixtureRecords() []collector.Record {
 	start := time.Date(1996, 5, 1, 12, 0, 0, 0, time.UTC)
 	var recs []collector.Record
@@ -34,15 +34,11 @@ func fixtureRecords() []collector.Record {
 	return recs
 }
 
-const (
-	v1FixtureName = "seg-v1.irts"
-	v2FixtureName = "seg-v2.irts"
-)
+const v2FixtureName = "seg-v2.irts"
 
 // TestLegacyFixturesPinned: a rewritten fixture cannot pass review unnoticed.
 func TestLegacyFixturesPinned(t *testing.T) {
 	for name, want := range map[string]string{
-		v1FixtureName:    "e32eb7ef73f932fc7d52bb5b8bb3bb19a525d7b52801f03a28f28ee310836b15",
 		v2FixtureName:    "dc6426072d1d44bef2dfc856e6b7fdf0d449c3d637ac8f4ccf57eabec777b93b",
 		walV1FixtureName: "ced5bc2fda1909767b017379cb892c0538436f85634bee764ac4e7fbfe2888d2",
 	} {
@@ -89,39 +85,10 @@ func openFixture(t *testing.T, name string, opts Options) *Store {
 	return s
 }
 
-func openV1Fixture(t *testing.T, opts Options) *Store {
-	t.Helper()
-	return openFixture(t, v1FixtureName, opts)
-}
-
-// TestV1SegmentFixture is the forward-compatibility contract: a store sealed
-// by the v1 (inline attributes) block format must read back identically under
-// the current code.
-func TestV1SegmentFixture(t *testing.T) {
-	s := openV1Fixture(t, testOptions())
-	if st := s.Stats(); st.SegmentsV1 != 1 || st.SegmentsV2 != 0 {
-		t.Fatalf("want one v1 segment, got %+v", st)
-	}
-	want := fixtureRecords()
-
-	got, _ := queryAll(t, s, Query{})
-	assertSameRecords(t, got, want)
-
-	// Indexed predicates work on v1 segments too (the index format is
-	// version-independent).
-	origin := bgp.ASN(7002)
-	var wantOrigin []collector.Record
-	for _, rec := range want {
-		if o, ok := originOf(rec); ok && o == origin {
-			wantOrigin = append(wantOrigin, rec)
-		}
-	}
-	gotOrigin, _ := queryAll(t, s, Query{OriginAS: []bgp.ASN{origin}})
-	assertSameRecords(t, gotOrigin, wantOrigin)
-}
-
-// TestV2SegmentFixture is the same contract for the v2 (deflated rows behind
-// an attribute dictionary) block format, with the block cache off and on.
+// TestV2SegmentFixture is the compatibility contract: a store sealed by the v2
+// (deflated rows behind an attribute dictionary) block format, the one
+// before this build's, must read back identically under the current code,
+// indexed predicates included, with the block cache off and on.
 func TestV2SegmentFixture(t *testing.T) {
 	want := fixtureRecords()
 	origin := bgp.ASN(7002)
@@ -135,7 +102,7 @@ func TestV2SegmentFixture(t *testing.T) {
 		opts := testOptions()
 		opts.BlockCacheBytes = cache
 		s := openFixture(t, v2FixtureName, opts)
-		if st := s.Stats(); st.SegmentsV1 != 0 || st.SegmentsV2 != 1 || st.SegmentsV3 != 0 {
+		if st := s.Stats(); st.SegmentsV2 != 1 || st.SegmentsV3 != 0 {
 			t.Fatalf("want one v2 segment, got %+v", st)
 		}
 		for pass := 0; pass < 2; pass++ { // the second is served from the cache, when on
@@ -147,6 +114,31 @@ func TestV2SegmentFixture(t *testing.T) {
 			got, _ = queryAll(t, s, Query{OriginAS: []bgp.ASN{origin}})
 			assertSameRecords(t, got, wantOrigin)
 		}
+	}
+}
+
+// v1Segment returns the v2 fixture's bytes relabelled as format v1.
+func v1Segment(tb testing.TB) []byte {
+	tb.Helper()
+	b, err := os.ReadFile(filepath.Join("testdata", v2FixtureName))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	b[segHdrLen-1], b[len(b)-1] = 1, 1
+	return b
+}
+
+// TestV1SegmentRefused: reads support this build's format and the one before
+// it, so a v1 segment fails Open with an error that names its version and
+// the way to upgrade it, instead of reading as a damaged header.
+func TestV1SegmentRefused(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, segName(1)), v1Segment(t), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := Open(dir, testOptions())
+	if err == nil || !strings.Contains(err.Error(), "segment format v1 is older than this build reads") || !strings.Contains(err.Error(), "bgpstore compact") {
+		t.Fatalf("opening a v1 segment: %v", err)
 	}
 }
 
@@ -183,43 +175,41 @@ func TestFutureSegmentVersion(t *testing.T) {
 // alone; once a seal adds a second segment to the window, Compact merges the
 // two into one v3 segment holding exactly the fixture's and the new records.
 func TestCompactUpgradesLegacySegments(t *testing.T) {
-	for _, name := range []string{v1FixtureName, v2FixtureName} {
-		t.Run(name, func(t *testing.T) {
-			s := openFixture(t, name, testOptions())
-			if cst, err := s.Compact(); err != nil || cst.SegmentsMerged != 0 {
-				t.Fatalf("lone legacy segment: compaction %+v, err %v", cst, err)
-			}
-			if st := s.Stats(); st.SegmentsV1+st.SegmentsV2 != 1 || st.SegmentsV3 != 0 {
-				t.Fatalf("lone legacy segment was rewritten: %+v", st)
-			}
-			want := fixtureRecords()
-			for i := 0; i < 100; i++ { // same one-hour window, interleaved in time
-				ts := want[3*i].Time.Add(500 * time.Millisecond)
-				want = append(want, mkRecord(ts, bgp.ASN(200+i%2), bgp.ASN(7100+i%3), want[i].Prefix, i%3 != 0))
-			}
-			w := s.Writer()
-			if err := w.AppendBatch(want[300:]); err != nil {
-				t.Fatal(err)
-			}
-			if err := w.Seal(); err != nil {
-				t.Fatal(err)
-			}
-			cst, err := s.Compact()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if cst.SegmentsMerged != 2 || cst.SegmentsAfter != 1 {
-				t.Fatalf("unexpected compaction shape: %+v", cst)
-			}
-			if st := s.Stats(); st.SegmentsV1 != 0 || st.SegmentsV2 != 0 || st.SegmentsV3 != 1 {
-				t.Fatalf("compaction did not rewrite to v3: %+v", st)
-			}
-			slices.SortStableFunc(want, func(a, b collector.Record) int { return a.Time.Compare(b.Time) })
-			got, st := queryAll(t, s, Query{})
-			assertSameRecords(t, got, want)
-			if st.BlocksV3 != st.BlocksScanned {
-				t.Fatalf("scanned %d blocks, %d as v3", st.BlocksScanned, st.BlocksV3)
-			}
-		})
-	}
+	t.Run(v2FixtureName, func(t *testing.T) {
+		s := openFixture(t, v2FixtureName, testOptions())
+		if cst, err := s.Compact(); err != nil || cst.SegmentsMerged != 0 {
+			t.Fatalf("lone legacy segment: compaction %+v, err %v", cst, err)
+		}
+		if st := s.Stats(); st.SegmentsV2 != 1 || st.SegmentsV3 != 0 {
+			t.Fatalf("lone legacy segment was rewritten: %+v", st)
+		}
+		want := fixtureRecords()
+		for i := 0; i < 100; i++ { // same one-hour window, interleaved in time
+			ts := want[3*i].Time.Add(500 * time.Millisecond)
+			want = append(want, mkRecord(ts, bgp.ASN(200+i%2), bgp.ASN(7100+i%3), want[i].Prefix, i%3 != 0))
+		}
+		w := s.Writer()
+		if err := w.AppendBatch(want[300:]); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Seal(); err != nil {
+			t.Fatal(err)
+		}
+		cst, err := s.Compact()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cst.SegmentsMerged != 2 || cst.SegmentsAfter != 1 {
+			t.Fatalf("unexpected compaction shape: %+v", cst)
+		}
+		if st := s.Stats(); st.SegmentsV2 != 0 || st.SegmentsV3 != 1 {
+			t.Fatalf("compaction did not rewrite to v3: %+v", st)
+		}
+		slices.SortStableFunc(want, func(a, b collector.Record) int { return a.Time.Compare(b.Time) })
+		got, st := queryAll(t, s, Query{})
+		assertSameRecords(t, got, want)
+		if st.BlocksV3 != st.BlocksScanned {
+			t.Fatalf("scanned %d blocks, %d as v3", st.BlocksScanned, st.BlocksV3)
+		}
+	})
 }

@@ -29,7 +29,6 @@ type Explain struct {
 	BlocksCacheHit    int    `json:"blocks_cache_hit"`             // zero with the cache off
 	BlocksCacheMiss   int    `json:"blocks_cache_miss"`            // zero with the cache off
 	BlocksQuarantined int    `json:"blocks_quarantined,omitempty"` // corrupt, skipped: the result is partial
-	BlocksV1          int    `json:"blocks_v1,omitempty"`
 	BlocksV2          int    `json:"blocks_v2,omitempty"`
 	BlocksV3          int    `json:"blocks_v3,omitempty"`
 	RecordsScanned    int    `json:"records_scanned"` // records the scanned blocks hold
@@ -63,9 +62,9 @@ func (e Explain) String() string {
 	fmt.Fprintf(&sb, "generation %d\n", e.Generation)
 	fmt.Fprintf(&sb, "segments: %d total, %d pruned, %d scanned\n",
 		e.SegmentsTotal, e.SegmentsPruned, e.SegmentsScanned)
-	fmt.Fprintf(&sb, "blocks:   %d total, %d pruned, %d selected, %d scanned (%d v1, %d v2, %d v3, %d quarantined)\n",
+	fmt.Fprintf(&sb, "blocks:   %d total, %d pruned, %d selected, %d scanned (%d v2, %d v3, %d quarantined)\n",
 		e.BlocksTotal, e.BlocksPruned, e.BlocksSelected, e.BlocksScanned,
-		e.BlocksV1, e.BlocksV2, e.BlocksV3, e.BlocksQuarantined)
+		e.BlocksV2, e.BlocksV3, e.BlocksQuarantined)
 	fmt.Fprintf(&sb, "cache:    %d hit, %d miss\n", e.BlocksCacheHit, e.BlocksCacheMiss)
 	fmt.Fprintf(&sb, "records:  %d scanned + %d memtable, %d materialized, %d matched\n",
 		e.RecordsScanned, e.MemRecords, e.RecordsMaterialized, e.RecordsMatched)

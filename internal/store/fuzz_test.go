@@ -52,7 +52,8 @@ func fuzzSeedRecords(tb testing.TB) [][]byte {
 		if err != nil {
 			tb.Fatal(err)
 		}
-		out = append(out, enc[8:], appendRecordTailV2(nil, rec, 0)) // v1 rows: the record after its time
+		// The record as the WAL logs it, and its time followed by a v2 row.
+		out = append(out, enc, appendRecordTailV2(enc[:8:8], rec, 0))
 	}
 	return out
 }
@@ -66,16 +67,15 @@ func mustPrefix(tb testing.TB, addr netaddr.Addr, bits int) netaddr.Prefix {
 	return p
 }
 
-// FuzzDecodeRecordTail exercises the v1 (inline attributes) record decoder on
+// FuzzDecodeRecord exercises the record decoder under every WAL entry on
 // arbitrary bytes: it must reject or round-trip, never panic. Anything that
 // decodes is re-encoded and decoded again, and both decodes must agree.
-func FuzzDecodeRecordTail(f *testing.F) {
+func FuzzDecodeRecord(f *testing.F) {
 	for _, b := range fuzzSeedRecords(f) {
 		f.Add(b)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var rec collector.Record
-		rest, err := collector.DecodeRecordTail(data, &rec)
+		rec, rest, err := collector.DecodeRecord(data)
 		if err != nil {
 			return
 		}
@@ -84,12 +84,11 @@ func FuzzDecodeRecordTail(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decoded record failed to re-encode: %v", err)
 		}
-		var rec2 collector.Record
-		rest2, err := collector.DecodeRecordTail(enc[8:], &rec2)
+		rec2, rest2, err := collector.DecodeRecord(enc)
 		if err != nil || len(rest2) != 0 {
 			t.Fatalf("re-encoded record failed to decode cleanly: %v (%d trailing)", err, len(rest2))
 		}
-		if !sameRecord(rec, rec2) {
+		if !sameRecord(rec, rec2) || !rec.Time.Equal(rec2.Time) {
 			t.Fatalf("round-trip changed record: %+v != %+v", rec, rec2)
 		}
 		if used <= 0 {
@@ -143,7 +142,7 @@ func fuzzBlockV2(tb testing.TB, recs []collector.Record) ([]byte, uint16, int64)
 // fuzzSegment is a segment of the given format whose index says its one block
 // holds count records starting at minTime.
 func fuzzSegment(ver byte, count uint16, minTime int64) *segment {
-	return &segment{ver: ver, tab: newAttrTable(), index: &segIndex{
+	return &segment{ver: ver, tab: newLockedTable(), index: &segIndex{
 		blocks: []blockMeta{{count: int32(count), minTime: minTime}},
 	}}
 }
@@ -168,7 +167,7 @@ func blockRows(g *segment, data []byte) (*colBlock, []collector.Record, error) {
 // fresh attribute table interned.
 func encodeBlockV3(tb testing.TB, recs []collector.Record) []byte {
 	tb.Helper()
-	tab := newAttrTable()
+	tab := newLockedTable()
 	rows := make([]memRec, len(recs))
 	for i := range recs {
 		var err error
@@ -243,7 +242,7 @@ func FuzzDecodeRecordTailV2(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte, count uint16, minTime int64) {
 		bm := blockMeta{count: int32(count), minTime: minTime}
-		rows, err := decodeLegacyRows(newAttrTable(), segVersionV2, bm, data)
+		rows, err := decodeLegacyRows(newLockedTable(), bm, data)
 		if err != nil {
 			return
 		}
@@ -255,7 +254,7 @@ func FuzzDecodeRecordTailV2(f *testing.F) {
 			return // a delta overflowed int64: every encoder refuses unsorted rows
 		}
 		body2, count2, minTime2 := fuzzBlockV2(t, recs)
-		rows2, err := decodeLegacyRows(newAttrTable(), segVersionV2, blockMeta{count: int32(count2), minTime: minTime2}, body2)
+		rows2, err := decodeLegacyRows(newLockedTable(), blockMeta{count: int32(count2), minTime: minTime2}, body2)
 		if err != nil {
 			t.Fatalf("re-encoded block failed to decode: %v", err)
 		}
@@ -298,7 +297,7 @@ func FuzzColBlockV3(f *testing.F) {
 		}
 		canonical := true
 		for j, a := range cb.dict {
-			w, err := bgp.MarshalAttrs(a.attrs)
+			w, err := bgp.MarshalAttrs(*a.Attrs())
 			if err != nil {
 				t.Fatalf("dictionary entry %d does not re-marshal: %v", j, err)
 			}
@@ -402,7 +401,7 @@ func FuzzMemRecRoundTrip(f *testing.F) {
 		all = append(all, b...)
 	}
 	f.Add(all)
-	tab := newAttrTable()
+	tab := newLockedTable()
 	for _, a := range dict[1:] { // tuples a fresh table would not hold
 		if _, err := tab.rowLocked(&collector.Record{Type: collector.Announce, Attrs: a}); err != nil {
 			f.Fatal(err)
@@ -474,8 +473,8 @@ func segTail(data []byte) (indexOff int, index []byte, ok bool) {
 }
 
 // FuzzOpenSegment mutates what follows a segment's blocks — the index, the
-// footer and the trailer — of a fresh v3 segment and of the two legacy
-// fixtures. openSegment must return a segment or an error wrapping
+// footer and the trailer — of a fresh v3 segment, of the v2 fixture and of
+// that fixture relabelled v1, which this build refuses. openSegment must return a segment or an error wrapping
 // ErrCorrupt, and never panic; on a segment it accepts, readBlock must read
 // each block or reject it with ErrCorrupt, through a mapping and through a
 // file. Only a v3 index carries a checksum: the harness recomputes it, so a
@@ -492,15 +491,19 @@ func FuzzOpenSegment(f *testing.F) {
 	if err := s.Close(); err != nil {
 		f.Fatal(err)
 	}
+	v3, err := os.ReadFile(filepath.Join(dir, segName(0)))
+	if err != nil {
+		f.Fatal(err)
+	}
+	v2, err := os.ReadFile(filepath.Join("testdata", v2FixtureName))
+	if err != nil {
+		f.Fatal(err)
+	}
 	var bases [][]byte
-	for _, path := range []string{filepath.Join(dir, segName(0)), filepath.Join("testdata", v1FixtureName), filepath.Join("testdata", v2FixtureName)} {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			f.Fatal(err)
-		}
+	for i, data := range [][]byte{v3, v1Segment(f), v2} { // v1: a format this build refuses
 		off, _, ok := segTail(data)
 		if !ok {
-			f.Fatalf("%s: no index", path)
+			f.Fatalf("base %d: no index", i)
 		}
 		f.Add(uint8(len(bases)), data[off:])
 		// The same index with block 0 at an offset its length overflows.
@@ -601,7 +604,7 @@ func FuzzFrameScan(f *testing.F) {
 		// still stops on a boundary, at or before the framing's own. A
 		// rejected frame yields no entry; an accepted one is its entries,
 		// re-encoded from their rows, byte for byte.
-		tab := newAttrTable()
+		tab := newLockedTable()
 		var ents []walEntry
 		offW, _, _ := collector.ScanFrames(data, func(p []byte) error {
 			n := len(ents)

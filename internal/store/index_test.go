@@ -51,7 +51,7 @@ func TestDecodeIndexBoundsCounts(t *testing.T) {
 // blocks, and some announcements' paths end in an AS set (no origin).
 func TestIndexFoldedFromBlockDictionaries(t *testing.T) {
 	opts := testOptions().withDefaults()
-	tab := newAttrTable()
+	tab := newLockedTable()
 	t0 := time.Date(1996, 3, 1, 0, 0, 0, 0, time.UTC)
 	var rows []memRec
 	for i := 0; i < 1000; i++ {
@@ -76,8 +76,8 @@ func TestIndexFoldedFromBlockDictionaries(t *testing.T) {
 	for i := range rows {
 		r, bi := &rows[i], int32(i/opts.BlockRecords)
 		want.peers.add(r.peerAS, bi)
-		if r.attrs != nil && r.attrs.origin >= 0 {
-			want.origins.add(bgp.ASN(r.attrs.origin), bi)
+		if r.attrs != nil && r.attrs.Origin() >= 0 {
+			want.origins.add(bgp.ASN(r.attrs.Origin()), bi)
 		}
 		want.filter.add(prefixKey(r.prefix))
 	}

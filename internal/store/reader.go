@@ -246,12 +246,9 @@ func (e *Explain) noteBlock(g *segment, bi int, hit, cached bool, n int) {
 			e.BytesDecompressed += 8 * int64(bm.count)
 		}
 	}
-	switch g.ver {
-	case segVersionV1:
-		e.BlocksV1++
-	case segVersionV2:
+	if g.ver == segVersionV2 {
 		e.BlocksV2++
-	default:
+	} else {
 		e.BlocksV3++
 	}
 }

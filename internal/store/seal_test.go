@@ -13,6 +13,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -223,9 +224,11 @@ func windowBlocks(t *testing.T, dir string) map[int64][][]byte {
 // moving overlay. Run under -race this is the memory-safety check for the
 // seal pipeline and for the store's one attribute table, which appenders
 // intern into while readers resolve through it (lazily, per block, with the
-// block cache off); the final content check is the visibility one (no
-// record ever missing or doubled, whatever stage of the pipeline it was
-// caught in).
+// block cache off). Every reader's result is checked as a snapshot of the
+// appends (history.check): in time order, holding every record acked before
+// the query began, none twice and none whose append had not begun, whatever
+// stage of the pipeline a record was caught in. The final content check
+// pins the quiescent store to exactly what was appended.
 func TestBackgroundSealRaceHammer(t *testing.T) {
 	for _, cacheBytes := range []int64{1 << 20, 0} {
 		t.Run(fmt.Sprintf("cache=%d", cacheBytes), func(t *testing.T) {
@@ -246,6 +249,21 @@ func hammerSeal(t *testing.T, cacheBytes int64) {
 	recs := hourlyWorkload(2, 2000)
 	w := s.Writer()
 
+	// One logical clock stamps each append's invocation and return and each
+	// query's start and snapshot, so every result is judged against the
+	// appends that surely finished before it began and those that surely had
+	// not begun when it snapshotted.
+	var clock atomic.Uint64
+	h := &history{
+		begun: make([]atomic.Uint64, len(recs)),
+		acked: make([]atomic.Uint64, len(recs)),
+		at:    make(map[int64]int, len(recs)),
+		recs:  recs,
+	}
+	for i, rec := range recs {
+		h.at[rec.Time.UnixNano()] = i // the workload's timestamps are distinct
+	}
+
 	const appenders = 4
 	var wg sync.WaitGroup
 	done := make(chan struct{})
@@ -255,17 +273,25 @@ func hammerSeal(t *testing.T, cacheBytes int64) {
 		lo := a * chunk
 		hi := min(lo+chunk, len(recs))
 		wg.Add(1)
-		go func(part []collector.Record) {
+		go func(lo, hi int) {
 			defer wg.Done()
-			for len(part) > 0 {
-				n := min(100, len(part))
-				if err := w.AppendBatch(part[:n]); err != nil {
+			for lo < hi {
+				n := min(100, hi-lo)
+				inv := clock.Add(1)
+				for i := lo; i < lo+n; i++ {
+					h.begun[i].Store(inv)
+				}
+				if err := w.AppendBatch(recs[lo : lo+n]); err != nil {
 					errc <- err
 					return
 				}
-				part = part[n:]
+				ret := clock.Add(1)
+				for i := lo; i < lo+n; i++ {
+					h.acked[i].Store(ret)
+				}
+				lo += n
 			}
-		}(recs[lo:hi])
+		}(lo, hi)
 	}
 	var readers sync.WaitGroup
 	for r := 0; r < 8; r++ {
@@ -278,19 +304,20 @@ func hammerSeal(t *testing.T, cacheBytes int64) {
 					return
 				default:
 				}
+				start := clock.Add(1)
 				rd, err := s.Query(Query{})
 				if err != nil {
 					errc <- err
 					return
 				}
+				snap := clock.Add(1)
 				got, err := rd.ReadAll()
 				rd.Close()
+				if err == nil {
+					err = h.check(got, start, snap)
+				}
 				if err != nil {
 					errc <- err
-					return
-				}
-				if len(got) > len(recs) {
-					errc <- errors.New("query returned more records than appended")
 					return
 				}
 			}
@@ -328,6 +355,45 @@ func hammerSeal(t *testing.T, cacheBytes int64) {
 	if st := s.Stats(); st.MemRecords != 0 || st.SealingRecords != 0 {
 		t.Fatalf("store not quiescent after Seal: %+v", st)
 	}
+}
+
+// history is what the race hammer knows of its appends: per record, the
+// clock when the append carrying it was invoked and when it returned (0 =
+// not yet), and the record's index by its timestamp.
+type history struct {
+	begun, acked []atomic.Uint64
+	at           map[int64]int
+	recs         []collector.Record
+}
+
+// check judges one query result against the history: the query began at
+// clock start and its snapshot was taken by snap. The result must be in time
+// order, hold every record acked before start, and hold no record twice and
+// none whose append had not begun by snap.
+func (h *history) check(got []collector.Record, start, snap uint64) error {
+	seen := make([]bool, len(h.recs))
+	for j, rec := range got {
+		if j > 0 && rec.Time.Before(got[j-1].Time) {
+			return fmt.Errorf("result row %d (%v) is before row %d (%v)", j, rec.Time, j-1, got[j-1].Time)
+		}
+		i, ok := h.at[rec.Time.UnixNano()]
+		if !ok || !recordsEqual(rec, h.recs[i]) {
+			return fmt.Errorf("result row %d is no appended record: %v", j, rec)
+		}
+		if seen[i] {
+			return fmt.Errorf("record %d (%v) returned twice", i, rec.Time)
+		}
+		seen[i] = true
+		if b := h.begun[i].Load(); b == 0 || b > snap {
+			return fmt.Errorf("record %d (%v) returned, but its append had not begun by the snapshot", i, rec.Time)
+		}
+	}
+	for i := range h.acked {
+		if a := h.acked[i].Load(); a != 0 && a < start && !seen[i] {
+			return fmt.Errorf("record %d (%v) acked before the query began is missing (%d of %d returned)", i, h.recs[i].Time, len(got), len(h.recs))
+		}
+	}
+	return nil
 }
 
 // TestSealFailureRequeues drives a seal into a transient write error and

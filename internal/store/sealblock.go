@@ -10,6 +10,7 @@ import (
 	"sync"
 
 	"instability/internal/bgp"
+	"instability/internal/intern"
 	"instability/internal/netaddr"
 )
 
@@ -42,14 +43,14 @@ type keySlot struct {
 type sealScratch struct {
 	stamp uint32 // the block being encoded
 	// peerSlots and prefixSlots dedupe packed keys by open addressing;
-	// attrSlots is indexed by attrRef.id.
+	// attrSlots is indexed by intern.Handle.ID.
 	peerSlots, prefixSlots, attrSlots []keySlot
 	// After a block, its dictionaries in final order: peers and prefixes as
 	// key<<16 | provisional code (peer key AS<<32 | address, prefix key
 	// Prefix.Key, whose orders are peerKey.compare's and Prefix.Compare's),
 	// attributes by wire bytes.
 	peers, prefixes []uint64
-	attrs           []*attrRef
+	attrs           []*intern.Handle
 	remap           [3][]uint16 // provisional -> final code, per dictionary
 	rows            []rowCodes
 	seg             []byte // the segment writeSegment assembles
@@ -114,8 +115,8 @@ func appendCode(b []byte, n int, code uint16) []byte {
 // dictionaries in sc for the index. The bytes depend only on the block's
 // records — every dictionary is sorted by value — so however the rows are
 // cut into segments, equal blocks encode equally. A row's attribute
-// dictionary entry is its ref's wire bytes and origin: nothing here hashes a
-// tuple.
+// dictionary entry is its handle's wire bytes and origin: nothing here
+// hashes a tuple.
 func encodeSegmentBlock(sc *sealScratch, b []byte, block []memRec) ([]byte, error) {
 	if len(block) == 0 || len(block) > maxBlockRecords {
 		return b, fmt.Errorf("store: block of %d records", len(block))
@@ -131,16 +132,16 @@ func encodeSegmentBlock(sc *sealScratch, b []byte, block []memRec) ([]byte, erro
 			prefix: sc.code(sc.prefixSlots, &prefixes, r.prefix.Key()),
 		}
 		if a := r.attrs; a != nil {
-			if int(a.id) >= len(sc.attrSlots) {
-				sc.attrSlots = append(sc.attrSlots, make([]keySlot, int(a.id)+1-len(sc.attrSlots))...)
+			if int(a.ID) >= len(sc.attrSlots) {
+				sc.attrSlots = append(sc.attrSlots, make([]keySlot, int(a.ID)+1-len(sc.attrSlots))...)
 			}
-			s := &sc.attrSlots[a.id]
+			s := &sc.attrSlots[a.ID]
 			if s.stamp != sc.stamp {
 				*s = keySlot{stamp: sc.stamp, code: uint16(len(attrs))}
 				attrs = append(attrs, a)
-				dictBytes += len(a.wire)
+				dictBytes += len(a.Wire())
 			}
-			inline += len(a.wire)
+			inline += len(a.Wire())
 			rc.attr = s.code + 1
 		}
 		rows = append(rows, rc)
@@ -150,10 +151,10 @@ func encodeSegmentBlock(sc *sealScratch, b []byte, block []memRec) ([]byte, erro
 
 	sc.remap[0] = sortKeys(peers, sc.remap[0])
 	sc.remap[1] = sortKeys(prefixes, sc.remap[1])
-	slices.SortFunc(attrs, func(a, b *attrRef) int { return bytes.Compare(a.wire, b.wire) })
+	slices.SortFunc(attrs, func(a, b *intern.Handle) int { return bytes.Compare(a.Wire(), b.Wire()) })
 	sc.remap[2] = slices.Grow(sc.remap[2][:0], len(attrs))[:len(attrs)]
 	for i, a := range attrs {
-		sc.remap[2][sc.attrSlots[a.id].code] = uint16(i)
+		sc.remap[2][sc.attrSlots[a.ID].code] = uint16(i)
 	}
 	sc.peers, sc.prefixes, sc.attrs, sc.rows = peers, prefixes, attrs, rows
 
@@ -170,9 +171,9 @@ func encodeSegmentBlock(sc *sealScratch, b []byte, block []memRec) ([]byte, erro
 	}
 	b = binary.AppendUvarint(b, uint64(len(attrs)))
 	for _, a := range attrs {
-		b = binary.AppendUvarint(b, uint64(len(a.wire)))
-		b = append(b, a.wire...)
-		b = binary.AppendUvarint(b, uint64(a.origin+1))
+		b = binary.AppendUvarint(b, uint64(len(a.Wire())))
+		b = append(b, a.Wire()...)
+		b = binary.AppendUvarint(b, uint64(a.Origin()+1))
 	}
 	for _, r := range block {
 		b = append(b, byte(r.typ))

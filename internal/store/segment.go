@@ -20,13 +20,13 @@ const (
 	segPrefix = "seg-"
 	segSuffix = ".irts"
 	segMagic  = "IRTS"
-	// segVersionV1 blocks are deflated rows carrying inline attribute bytes.
 	// segVersionV2 blocks are deflated rows behind an attribute dictionary
 	// written once per block. segVersionV3 blocks are uncompressed,
 	// column-coded and CRC-guarded (layout at colBlock), and so is the v3
-	// index section. Every segment is written v3; v1 and v2 segments remain
-	// fully readable and are upgraded when compaction rewrites them.
-	segVersionV1 = 1
+	// index section. Every segment is written v3; v2 segments remain fully
+	// readable and are upgraded when compaction rewrites them. Reads support
+	// the current format and the one before it: a v1 segment (deflated rows
+	// with inline attribute bytes) is refused with its upgrade path.
 	segVersionV2 = 2
 	segVersionV3 = 3
 	segHdrLen    = 5 // magic + version
@@ -41,13 +41,13 @@ type segment struct {
 	path string
 	seq  uint64 // segment file number
 	size int64
-	ver  byte // block format version (segVersionV1..V3)
+	ver  byte // block format version (segVersionV2 or segVersionV3)
 	// fp is the segment's content fingerprint (seq, window, sequence range,
 	// count): the cache key half that identifies this segment's blocks.
 	fp uint64
 	// tab is the owning store's attribute table, which every dictionary entry
 	// a scan decodes resolves through.
-	tab *attrTable
+	tab *lockedTable
 	// mm is the segment's memory mapping, nil when unmapped (mmap disabled,
 	// unsupported, failed, or the store reads through a fault injector).
 	// Accessed only under the store lock; readers take a reference at query
@@ -110,8 +110,8 @@ func writeSegment(fsys faults.FS, dir string, seq uint64, windowStart int64, fir
 			ix.peers.add(bgp.ASN(p>>48), bi)
 		}
 		for _, a := range sc.attrs {
-			if a.origin >= 0 {
-				ix.origins.add(bgp.ASN(a.origin), bi)
+			if o := a.Origin(); o >= 0 {
+				ix.origins.add(bgp.ASN(o), bi)
 			}
 		}
 		for _, p := range sc.prefixes {
@@ -204,8 +204,11 @@ func openSegment(fsys faults.FS, path string) (*segment, error) {
 	if _, err := f.ReadAt(hdr[:], 0); err != nil {
 		return nil, err
 	}
-	if string(hdr[:4]) != segMagic || hdr[4] < segVersionV1 {
+	if string(hdr[:4]) != segMagic || hdr[4] == 0 {
 		return nil, fmt.Errorf("%w: bad segment header", ErrCorrupt)
+	}
+	if hdr[4] < segVersionV2 {
+		return nil, fmt.Errorf("%w: segment format v%d is older than this build reads (v%d and v%d): rewrite it with an older build, whose `bgpstore compact` merges it into v%d once its window holds a second segment, or export the store with `bgpstore query -out` and ingest the log into a new one", ErrCorrupt, hdr[4], segVersionV2, segVersionV3, segVersionV3)
 	}
 	if hdr[4] > segVersionV3 {
 		return nil, fmt.Errorf("%w: segment format v%d is newer than this build reads (v%d)", ErrCorrupt, hdr[4], segVersionV3)

@@ -159,8 +159,8 @@ type Store struct {
 	gen atomic.Uint64
 
 	// attrs resolves every tuple the store appends, replays, reads, transcodes
-	// or compacts to one shared ref. Lock order: mu, then attrs.mu.
-	attrs *attrTable
+	// or compacts to one shared handle. Lock order: mu, then attrs.mu.
+	attrs *lockedTable
 
 	// cache is the shared decompressed-block cache, nil when disabled.
 	cache *blockCache
@@ -197,7 +197,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		opts:  opts,
 		fs:    fsys,
 		mem:   make(map[int64]*memWindow),
-		attrs: newAttrTable(),
+		attrs: newLockedTable(),
 	}
 	s.writer = Writer{s: s}
 	if opts.BlockCacheBytes > 0 {
@@ -441,7 +441,6 @@ func (s *Store) windowStart(t time.Time) int64 {
 // Stats describes the current shape of the store.
 type Stats struct {
 	Segments   int   // sealed segment files
-	SegmentsV1 int   // segments in block format v1 (inline attributes)
 	SegmentsV2 int   // segments in block format v2 (attribute dictionary)
 	SegmentsV3 int   // segments in block format v3 (column-coded, checksummed)
 	Blocks     int   // blocks across all segments
@@ -473,12 +472,9 @@ func (s *Store) Stats() Stats {
 		st.Records += int64(g.count)
 		st.DiskBytes += g.size
 		windows[g.windowStart] = true
-		switch g.ver {
-		case segVersionV1:
-			st.SegmentsV1++
-		case segVersionV2:
+		if g.ver == segVersionV2 {
 			st.SegmentsV2++
-		default:
+		} else {
 			st.SegmentsV3++
 		}
 	}
@@ -530,6 +526,9 @@ func (s *Store) Close() error {
 	for _, g := range s.segs {
 		s.unmapSegmentLocked(g)
 	}
+	s.attrs.mu.Lock()
+	s.attrs.FlushStats()
+	s.attrs.mu.Unlock()
 	s.closed = true
 	return err
 }

@@ -75,13 +75,13 @@ func openWAL(fsys faults.FS, path string) (*frameLog, []walEntry, error) {
 }
 
 // appendWALPayload encodes one row's walEntry onto b straight from its
-// fields; an announcement's attribute bytes come from its ref.
+// fields; an announcement's attribute bytes come from its handle.
 func appendWALPayload(b []byte, window int64, seq uint64, r *memRec) []byte {
 	b = binary.BigEndian.AppendUint64(b, uint64(window))
 	b = binary.BigEndian.AppendUint64(b, seq)
 	var wire []byte
 	if r.attrs != nil {
-		wire = r.attrs.wire
+		wire = r.attrs.Wire()
 	}
 	return collector.AppendRecordFields(b, r.ns, r.typ, r.peerAS, r.peerAddr, r.prefix, wire)
 }

@@ -111,11 +111,11 @@ func (g *Generator) hijackDay(mag float64, dayStart time.Time, out []collector.R
 	start := dayStart.Add(13*time.Hour + time.Duration(adv.Intn(3600))*time.Second)
 	dur := 40 * time.Minute
 	addr := g.topo.ASes[attacker].RouterID
-	attrs := g.tab.Attrs(bgp.Attrs{
+	attrs := bgp.Attrs{
 		Origin:  bgp.OriginIGP,
 		Path:    bgp.PathFromASNs(attacker),
 		NextHop: addr,
-	}).Attrs()
+	}
 	for t := start; t.Before(start.Add(dur)); t = t.Add(90 * time.Second) {
 		for j, vi := range victims {
 			out = append(out, collector.Record{
@@ -161,11 +161,11 @@ func (g *Generator) leakDay(mag float64, dayStart time.Time, out []collector.Rec
 	addr := g.topo.ASes[leaker].RouterID
 	for j, vi := range victims {
 		r := g.routes[vi].route
-		attrs := g.tab.Attrs(bgp.Attrs{
+		attrs := bgp.Attrs{
 			Origin:  bgp.OriginIGP,
 			Path:    r.Path.Prepend(leaker),
 			NextHop: addr,
-		}).Attrs()
+		}
 		out = append(out, collector.Record{
 			Time: start.Add(time.Duration(j) * spread / time.Duration(len(victims))), Type: collector.Announce,
 			PeerAS: leaker, PeerAddr: addr,

@@ -11,7 +11,6 @@ import (
 	"instability/internal/bgp"
 	"instability/internal/collector"
 	"instability/internal/detect"
-	"instability/internal/intern"
 	"instability/internal/topology"
 )
 
@@ -20,11 +19,6 @@ type Generator struct {
 	cfg  Config
 	rng  *rand.Rand
 	topo *topology.Topology
-	// tab canonicalizes emitted attribute tuples: the stream is duplicate-
-	// dominated by construction, so every repeat announcement shares one
-	// Attrs value (path and communities included) instead of assembling a
-	// fresh tuple per record.
-	tab *intern.Table
 
 	routes []*routeState
 	// byPrefix groups route indexes by prefix (for multihoming growth and
@@ -74,10 +68,10 @@ type routeState struct {
 	cur      int
 	up       bool
 	policyC  uint16
-	// attrsCache holds the interned canonical Attrs for the current
-	// (cur, policyC) pair. Records share it read-only; it is rebuilt and
-	// re-interned only when the variant or policy counter moves, so steady
-	// duplicate announcements emit with zero allocations.
+	// attrsCache holds the Attrs for the current (cur, policyC) pair, its
+	// path one of variants. Records share it read-only; it is rebuilt only
+	// when the variant or policy counter moves, so steady duplicate
+	// announcements emit with zero allocations.
 	attrsCache  bgp.Attrs
 	attrsCur    int
 	attrsPolicy uint16
@@ -106,7 +100,6 @@ func New(cfg Config) (*Generator, error) {
 		cfg:      cfg,
 		rng:      rng,
 		topo:     topo,
-		tab:      intern.New(),
 		byPrefix: make(map[string][]int),
 		stats:    Stats{OutageDays: make(map[int]bool)},
 	}
@@ -201,7 +194,7 @@ func (g *Generator) announce(st *routeState, t time.Time) collector.Record {
 		if st.policyC > 0 {
 			attrs.Communities = []bgp.Community{bgp.Community(uint32(st.route.PeerAS)<<16 | uint32(st.policyC))}
 		}
-		st.attrsCache = g.tab.Attrs(attrs).Attrs()
+		st.attrsCache = attrs
 		st.attrsCur, st.attrsPolicy, st.attrsOK = st.cur, st.policyC, true
 	}
 	return collector.Record{

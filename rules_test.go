@@ -140,7 +140,7 @@ var _ = crc32.ChecksumIEEE // violation
 		name: "compress/flate",
 		find: importedOutside("compress/flate"),
 		allow: map[string]string{
-			"internal/store/legacy.go": "v1 and v2 segments, the two legacy formats it reads, hold flate-compressed blocks",
+			"internal/store/legacy.go": "v2 segments, the one legacy format it reads, hold flate-compressed blocks",
 		},
 		plant: plantFile("internal/planted/flate.go", `package planted
 
@@ -166,7 +166,7 @@ import _ "container/list" // violation
 		allow: map[string]string{
 			"internal/collector/codec.go":     "the record codec writes an announcement's attributes",
 			"internal/collector/collector.go": "the log writer encodes an announcement's attributes into a reused buffer",
-			"internal/store/codec.go":         "the attribute table is keyed on the wire bytes an append encodes",
+			"internal/intern/intern.go":       "the attribute table is keyed on the wire bytes a lookup encodes",
 			"internal/serve/query.go":         "NDJSON streams render attributes from wire bytes; ROADMAP item 7 removes this one",
 		},
 		plant: plantFile("internal/planted/marshal.go", `package planted
@@ -181,9 +181,9 @@ var _ = bgp.AppendAttrs // violation
 		name: "intern.New",
 		find: namedOutside("instability/internal/intern", "New"),
 		allow: map[string]string{
-			"internal/core/classifier.go":    "the pipeline's one classifier interns its attributes in one table per pipeline; ROADMAP item 9",
-			"internal/session/peer.go":       "each BGP peer interns what it decodes; ROADMAP item 9",
-			"internal/workload/generator.go": "the generator interns what it emits; ROADMAP item 9",
+			"internal/core/classifier.go": "the pipeline's one classifier interns its attributes in one table per pipeline; ROADMAP item 9",
+			"internal/session/peer.go":    "each BGP peer interns what it decodes; ROADMAP item 9",
+			"internal/store/codec.go":     "one table per store, under the store's table mutex; ROADMAP item 9 makes it process-wide",
 		},
 		plant: plantFile("internal/planted/intern.go", `package planted
 
